@@ -31,9 +31,8 @@ int usage(const char* argv0) {
     std::printf("usage: %s [--port N] [--port-file <path>] [--workers N]\n"
                 "          [--engine <id>] [--policy <id>[,k=v...]]\n"
                 "          [--serve-once N] [--corpus <file>]\n"
-                "          [--frontend reactor|threads] [--max-inflight N]\n"
-                "          [--max-queue-ms X] [--max-connections N]\n"
-                "          [--stats]\n\n"
+                "          [--max-inflight N] [--max-queue-ms X]\n"
+                "          [--max-connections N] [--stats]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
                 argv0, core::EngineRegistry::builtin().help().c_str(),
                 core::PolicyRegistry::builtin().help().c_str());
@@ -65,15 +64,6 @@ int main(int argc, char** argv) {
             options.max_requests = std::strtoull(argv[++i], nullptr, 10);
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
-        } else if (arg == "--frontend" && i + 1 < argc) {
-            const std::string name = argv[++i];
-            if (name == "reactor") {
-                options.frontend = serve::Frontend::Reactor;
-            } else if (name == "threads") {
-                options.frontend = serve::Frontend::Threads;
-            } else {
-                return usage(argv[0]);
-            }
         } else if (arg == "--max-inflight" && i + 1 < argc) {
             options.service.max_inflight = static_cast<std::size_t>(
                 std::strtoul(argv[++i], nullptr, 10));

@@ -1,6 +1,8 @@
 #include "serve/reactor.hpp"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -34,6 +36,15 @@ constexpr std::size_t kMaxWriteIovecs = 64;
 bool is_transient_accept_error(int error) {
     return error == EMFILE || error == ENFILE || error == ENOBUFS ||
            error == ENOMEM;
+}
+
+void configure_connection(int fd, int send_buffer_bytes) {
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    if (send_buffer_bytes > 0) {
+        (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &send_buffer_bytes,
+                           sizeof send_buffer_bytes);
+    }
 }
 
 Reactor::Reactor(int listen_fd, RepairService& service, Options options)
@@ -271,11 +282,7 @@ void Reactor::do_accepts() {
             ::close(fd);
             continue;
         }
-        if (options_.send_buffer_bytes > 0) {
-            (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF,
-                               &options_.send_buffer_bytes,
-                               sizeof options_.send_buffer_bytes);
-        }
+        configure_connection(fd, options_.send_buffer_bytes);
         auto connection = std::make_unique<Connection>();
         connection->fd = fd;
         connection->id = next_connection_id_++;

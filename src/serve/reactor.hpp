@@ -40,12 +40,17 @@ namespace rustbrain::serve {
 /// Transient accept() failures (fd/buffer exhaustion) that deserve a
 /// backoff-and-retry instead of ending the accept loop: EMFILE, ENFILE,
 /// ENOBUFS, ENOMEM. ECONNABORTED and EINTR are retried immediately by the
-/// callers and are not classified here.
+/// reactor and are not classified here.
 bool is_transient_accept_error(int error);
 
-/// Front-end counters. Filled by whichever frontend served: the reactor
-/// fills everything; the thread-per-connection frontend reports only the
-/// accept-side fields (loop/frame counters stay 0).
+/// Per-connection socket setup for an accepted TCP connection: disables
+/// Nagle (TCP_NODELAY), so a pipelined response is not held back behind
+/// the peer's delayed ACK of the previous one, and requests SO_SNDBUF
+/// when `send_buffer_bytes` > 0. Best effort: a failed setsockopt leaves
+/// the kernel default.
+void configure_connection(int fd, int send_buffer_bytes);
+
+/// Front-end counters, filled by the reactor.
 struct ServerStats {
     std::uint64_t loop_wakeups = 0;      // epoll_wait returns
     std::uint64_t frames_read = 0;       // complete request frames decoded

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "lang/parser.hpp"
@@ -50,12 +51,11 @@ const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
 // VerifyCache
 // ---------------------------------------------------------------------------
 
-VerifyCache::VerifyCache(support::EvictionPolicy policy,
-                         std::size_t programs_per_shard,
+VerifyCache::VerifyCache(std::size_t programs_per_shard,
                          std::size_t reports_per_shard) {
     for (Shard& shard : shards_) {
-        shard.programs.configure(policy, programs_per_shard);
-        shard.reports.configure(policy, reports_per_shard);
+        shard.programs.configure(programs_per_shard);
+        shard.reports.configure(reports_per_shard);
     }
 }
 
@@ -139,8 +139,6 @@ VerifyCacheStats VerifyCache::stats() const {
         stats.reports += shard.reports.size();
         const support::LruStats& programs = shard.programs.stats();
         const support::LruStats& reports = shard.reports.stats();
-        stats.program_flushes += programs.flushes;
-        stats.report_flushes += reports.flushes;
         stats.program_evictions += programs.evictions;
         stats.report_evictions += reports.evictions;
         stats.program_evicted_idle_ticks += programs.evicted_idle_ticks;
@@ -161,15 +159,9 @@ const std::shared_ptr<VerifyCache>& VerifyCache::process_wide() {
 
 namespace {
 
-bool cache_enabled_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_VERIFY_CACHE");
-    if (value == nullptr) return true;
-    const std::string text = value;
-    return !(text == "off" || text == "0" || text == "false");
-}
-
-bool screen_enabled_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_SCREEN");
+/// An on/off env switch: unset or anything but "off"/"0"/"false" is on.
+bool enabled_from_env(const char* name) {
+    const char* value = std::getenv(name);
     if (value == nullptr) return true;
     const std::string text = value;
     return !(text == "off" || text == "0" || text == "false");
@@ -178,14 +170,11 @@ bool screen_enabled_from_env() {
 InterpTier interp_from_env() {
     const char* value = std::getenv("RUSTBRAIN_INTERP");
     if (value == nullptr) return InterpTier::Slot;
-    return parse_interp_tier(value).value_or(InterpTier::Slot);
-}
-
-bool vm_opt_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_VM_OPT");
-    if (value == nullptr) return true;
-    const std::string text = value;
-    return !(text == "off" || text == "0" || text == "false");
+    if (const auto tier = parse_interp_tier(value)) return *tier;
+    throw std::invalid_argument("unknown RUSTBRAIN_INTERP value '" +
+                                std::string(value) +
+                                "' (expected one of: " + interp_tier_names() +
+                                ")");
 }
 
 /// Seed for the independent second source hash (an arbitrary odd constant
@@ -220,10 +209,12 @@ Oracle::Oracle(OracleOptions options)
     : limits_(options.limits),
       cache_(options.cache != nullptr ? std::move(options.cache)
                                       : VerifyCache::process_wide()),
-      caching_(options.caching.value_or(cache_enabled_from_env())),
-      screening_(options.screening.value_or(screen_enabled_from_env())),
-      interp_(options.interp.value_or(interp_from_env())),
-      vm_opt_(options.vm_opt.value_or(vm_opt_from_env())),
+      caching_(options.caching.value_or(
+          enabled_from_env("RUSTBRAIN_VERIFY_CACHE"))),
+      screening_(options.screening.value_or(
+          enabled_from_env("RUSTBRAIN_SCREEN"))),
+      // Not value_or: a pinned tier must never read (or reject) the env.
+      interp_(options.interp ? *options.interp : interp_from_env()),
       screen_options_(options.screen) {}
 
 const Oracle& Oracle::shared_default() {
@@ -312,9 +303,7 @@ miri::MiriReport Oracle::interpret(
                 break;
             }
             case InterpTier::Vm: {
-                vm::Vm vm(compiled.program,
-                          vm_opt_ ? compiled.optimized_bytecode()
-                                  : compiled.bytecode(),
+                vm::Vm vm(compiled.program, compiled.optimized_bytecode(),
                           inputs, limits_);
                 result = vm.run();
                 break;
@@ -418,9 +407,7 @@ std::string Oracle::stats_summary() const {
            std::to_string(s.report_hits) + " report hits / " +
            std::to_string(s.report_misses) + " misses, " +
            std::to_string(s.program_evictions + s.report_evictions) +
-           " evictions, " +
-           std::to_string(s.program_flushes + s.report_flushes) +
-           " shard flushes" + (caching_ ? "" : " (RUSTBRAIN_VERIFY_CACHE=off)");
+           " evictions" + (caching_ ? "" : " (RUSTBRAIN_VERIFY_CACHE=off)");
 }
 
 ScreenStats Oracle::screen_stats() const {

@@ -69,8 +69,8 @@ namespace rustbrain::verify {
 /// exactly like the caches:
 ///   Tree — PR 1's tree walk with name scans (the reference semantics);
 ///   Slot — PR 4's slot-lowered tree walk (the long-time default);
-///   Vm   — PR 8's flat bytecode VM (dense instruction arrays over an
-///          explicit value stack; see src/vm/).
+///   Vm   — the flat bytecode VM running vm::optimize output (dense
+///          instruction arrays over an explicit value stack; see src/vm/).
 enum class InterpTier { Tree, Slot, Vm };
 
 /// "tree" / "slot" / "vm".
@@ -104,9 +104,8 @@ struct CompiledProgram {
     /// every later vm interpretation of this source. Only valid when ok().
     [[nodiscard]] const vm::VmProgram& bytecode() const;
 
-    /// vm::optimize(bytecode()) — the superinstruction/register-promotion
-    /// tier — with the same lazy, exactly-once contract stacked on top:
-    /// plain-vm oracles never pay for the pass, and the optimized program
+    /// vm::optimize(bytecode()) — what the vm tier runs — with the same
+    /// lazy, exactly-once contract stacked on top: the optimized program
     /// is derived at most once per compiled source. The result aliases
     /// bytecode()'s interned storage, which this object owns alongside it.
     [[nodiscard]] const vm::VmProgram& optimized_bytecode() const;
@@ -125,12 +124,7 @@ struct VerifyCacheStats {
     std::uint64_t report_misses = 0;
     std::size_t programs = 0;  // distinct compiled sources held
     std::size_t reports = 0;   // distinct memoized reports held
-    /// Legacy flush-on-cap events (EvictionPolicy::FlushOnCap only): how
-    /// many times a full shard was dropped wholesale; bit-identity makes
-    /// every flush safe.
-    std::uint64_t program_flushes = 0;
-    std::uint64_t report_flushes = 0;
-    /// LRU evictions (default policy): single least-recently-used entries
+    /// LRU evictions: single least-recently-used entries
     /// dropped at capacity, plus the summed idle age (in shard accesses)
     /// of the victims — hot entries survive pressure under LRU.
     std::uint64_t program_evictions = 0;
@@ -156,7 +150,7 @@ struct ScreenVerdictRecord {
 /// the hot (hit) path never copies the input vectors. The 64-bit `hash`
 /// routes and indexes; the remaining fields are the full key material,
 /// re-verified on every hit. `fingerprint` + `check` are two independent
-/// hashes of the source text, so even after a program-shard flush changes
+/// hashes of the source text, so even after a program eviction changes
 /// which source is canonical for a fingerprint, a collision cannot be
 /// served another source's report (the bit-identity contract beats a few
 /// compares).
@@ -175,19 +169,16 @@ struct ReportKeyView {
 /// Collision safety: entries keep their full key material (the source text
 /// for programs, ReportKey for reports) and verify it on every hit; a
 /// 64-bit hash collision is answered by recomputing, never by the wrong
-/// entry. Growth is bounded: each shard is a support::LruMap — under the
-/// default Lru policy a full shard evicts its least-recently-used entry
-/// (hits promote, so hot programs and reports survive pressure), while
-/// EvictionPolicy::FlushOnCap keeps the legacy drop-the-whole-shard
-/// behavior. Bit-identity makes dropping entries always safe — only speed
-/// is lost.
+/// entry. Growth is bounded: each shard is a support::LruMap — a full
+/// shard evicts its least-recently-used entry (hits promote, so hot
+/// programs and reports survive pressure). Bit-identity makes dropping
+/// entries always safe — only speed is lost.
 class VerifyCache {
   public:
     /// Default: true LRU eviction at ~64k programs / ~128k reports total.
     /// The capacities are exposed so tests can exercise eviction pressure
     /// cheaply.
     explicit VerifyCache(
-        support::EvictionPolicy policy = support::EvictionPolicy::Lru,
         std::size_t programs_per_shard = kDefaultProgramsPerShard,
         std::size_t reports_per_shard = kDefaultReportsPerShard);
 
@@ -263,15 +254,11 @@ struct OracleOptions {
     /// Screener budget (per-candidate abstract-op cap).
     screen::ScreenOptions screen;
     /// Which interpreter runs uncached work; unset => honour
-    /// RUSTBRAIN_INTERP=tree|slot|vm (unset or unrecognized values fall
-    /// back to the slot default). Pure performance knob: reports are
+    /// RUSTBRAIN_INTERP=tree|slot|vm (unset means the slot default; any
+    /// other value throws std::invalid_argument listing the tiers). A
+    /// pinned tier never reads the env. Pure performance knob: reports are
     /// byte-identical across tiers.
     std::optional<InterpTier> interp;
-    /// Run the vm tier on vm::optimize output (superinstructions +
-    /// register promotion)? Unset => honour RUSTBRAIN_VM_OPT (anything
-    /// but "off"/"0"/"false" means on). Ignored by the tree/slot tiers;
-    /// byte-identical either way — a pure performance knob.
-    std::optional<bool> vm_opt;
 };
 
 /// Counters for the Oracle's screening tier (process- or oracle-lifetime,
@@ -324,7 +311,6 @@ class Oracle {
     [[nodiscard]] bool caching_enabled() const { return caching_; }
     [[nodiscard]] bool screening_enabled() const { return screening_; }
     [[nodiscard]] InterpTier interp_tier() const { return interp_; }
-    [[nodiscard]] bool vm_opt_enabled() const { return vm_opt_; }
     [[nodiscard]] const miri::InterpLimits& limits() const { return limits_; }
     [[nodiscard]] const std::shared_ptr<VerifyCache>& cache() const {
         return cache_;
@@ -371,7 +357,6 @@ class Oracle {
     bool caching_ = true;
     bool screening_ = true;
     InterpTier interp_ = InterpTier::Slot;
-    bool vm_opt_ = true;
     screen::ScreenOptions screen_options_;
     mutable std::atomic<std::uint64_t> screens_{0};
     mutable std::atomic<std::uint64_t> screen_proven_{0};

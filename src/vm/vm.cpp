@@ -2,12 +2,12 @@
 // miri::Interpreter code path — same memory-model calls, same messages, same
 // spans, same step() points — so the tiers stay byte-identical.
 //
-// Dispatch is single-sourced through the VM_CASE / VM_NEXT macros: on
-// GCC/Clang each handler ends with a computed goto straight to the next
-// opcode's handler (threaded dispatch — no shared branch for the predictor
-// to mispredict); defining RUSTBRAIN_VM_SWITCH_DISPATCH falls back to the
-// portable switch-in-a-loop. The label table in dispatch() must list every
-// Op in exact enum order.
+// Dispatch is threaded through the VM_CASE / VM_NEXT macros: each handler
+// ends with a computed goto straight to the next opcode's handler (no
+// shared branch for the predictor to mispredict). Labels as values are a
+// GCC/Clang extension, the only compilers the build's warning flags
+// support. The label table in dispatch() must list every Op in exact enum
+// order.
 //
 // Superinstruction handlers (BinaryLocals, BinaryLocalImm, StoreLocal,
 // CompareBranch) execute the *exact* expansion of their fused window —
@@ -21,13 +21,6 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
-
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(RUSTBRAIN_VM_SWITCH_DISPATCH)
-#define RUSTBRAIN_VM_THREADED 1
-#else
-#define RUSTBRAIN_VM_THREADED 0
-#endif
 
 namespace rustbrain::vm {
 
@@ -258,15 +251,10 @@ miri::Value Vm::load_slot(std::int32_t slot_index, std::int32_t reg,
 // Dispatch
 // ---------------------------------------------------------------------------
 
-#if RUSTBRAIN_VM_THREADED
 #define VM_CASE(name) lbl_##name
 #define VM_NEXT()                             \
     goto* kLabels[static_cast<std::size_t>(   \
         code[static_cast<std::size_t>(pc)].op)]
-#else
-#define VM_CASE(name) case Op::name
-#define VM_NEXT() goto vm_top
-#endif
 
 #define VM_FETCH const Instr& in = code[static_cast<std::size_t>(pc)]
 
@@ -277,7 +265,6 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     const Instr* const code = code_.code.data();
     std::int32_t pc = pc_;
 
-#if RUSTBRAIN_VM_THREADED
     // One label per Op, in exact enum order (bytecode.hpp).
     static const void* const kLabels[] = {
         &&lbl_Step,        &&lbl_Jump,         &&lbl_JumpIfFalse,
@@ -303,10 +290,6 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
                       static_cast<std::size_t>(Op::LocalImmBranch) + 1,
                   "label table must cover every Op");
     VM_NEXT();
-#else
-vm_top:
-    switch (code[static_cast<std::size_t>(pc)].op) {
-#endif
 
     VM_CASE(Step): {
         VM_FETCH;
@@ -876,9 +859,6 @@ vm_top:
         VM_NEXT();
     }
 
-#if !RUSTBRAIN_VM_THREADED
-    }
-#endif
     throw std::logic_error("vm dispatch: fell out of the opcode table");
 }
 

@@ -11,9 +11,7 @@
 // The same Vm runs both plain programs (straight from vm::compile) and
 // optimized ones (vm::optimize): superinstructions and register-promoted
 // locals are just additional opcodes / a per-frame register window that
-// plain programs never use. Dispatch is computed-goto (labels as values)
-// on GCC/Clang; define RUSTBRAIN_VM_SWITCH_DISPATCH to force the portable
-// switch loop.
+// plain programs never use. Dispatch is computed-goto (labels as values).
 //
 // The VM reuses miri::MemoryModel, the vector-clock race detector, and the
 // thread/mutex/atomic bookkeeping verbatim, and enforces InterpLimits at the

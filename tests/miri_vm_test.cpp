@@ -8,13 +8,18 @@
 // step counts.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/corpus.hpp"
 #include "miri/interp.hpp"
 #include "miri/mirilite.hpp"
 #include "verify/oracle.hpp"
+#include "vm/vm.hpp"
 
 namespace rustbrain::miri {
 namespace {
@@ -51,24 +56,36 @@ void expect_tiers_agree(const std::string& source, const Inputs& inputs,
 
     // Four-way: slot lowering, the VM on raw bytecode, and the VM on
     // vm::optimize output all replay the tree walk byte for byte.
-    struct Rung {
-        verify::InterpTier tier;
-        bool vm_opt;
-        const char* label;
-    };
-    for (const Rung& rung :
-         {Rung{verify::InterpTier::Slot, false, "slot"},
-          Rung{verify::InterpTier::Vm, false, "vm"},
-          Rung{verify::InterpTier::Vm, true, "vm-opt"}}) {
+    for (const verify::InterpTier tier :
+         {verify::InterpTier::Slot, verify::InterpTier::Vm}) {
         verify::OracleOptions options;
         options.limits = limits;
         options.caching = false;
         options.screening = false;
-        options.interp = rung.tier;
-        options.vm_opt = rung.vm_opt;
+        options.interp = tier;
         const verify::Oracle oracle(options);
         expect_reports_equal(reference, oracle.test_source(source, inputs),
-                             std::string(rung.label) + "\n" + source);
+                             std::string(verify::to_string(tier)) + "\n" +
+                                 source);
+        if (tier != verify::InterpTier::Vm) continue;
+
+        // The Oracle's vm tier always runs the optimized build, so the raw
+        // bytecode is driven directly, folded into a report the same way.
+        const auto compiled = oracle.compile(source);
+        if (!compiled->ok()) continue;  // front-end errors never run a VM
+        MiriReport raw;
+        std::set<std::string> seen;
+        for (const auto& run_inputs : inputs.empty() ? Inputs{{}} : inputs) {
+            vm::Vm machine(compiled->program, compiled->bytecode(), run_inputs,
+                           limits);
+            RunResult result = machine.run();
+            raw.total_steps += result.steps;
+            raw.outputs.push_back(std::move(result.output));
+            if (result.finding && seen.insert(result.finding->key()).second) {
+                raw.findings.push_back(*result.finding);
+            }
+        }
+        expect_reports_equal(reference, raw, "vm-raw\n" + source);
     }
 }
 
@@ -439,6 +456,35 @@ TEST(MiriVmTest, EnvGateSelectsTheVmTier) {
                       ? "slot"
                       : std::getenv("RUSTBRAIN_INTERP"))
                   .value_or(verify::InterpTier::Slot));
+}
+
+TEST(MiriVmTest, UnknownInterpEnvValueThrowsListingTheTiers) {
+    // "vm-opt" is a name the docs use for the optimized vm tier, but not a
+    // tier name: it must fail loudly instead of silently running slot.
+    const char* saved = std::getenv("RUSTBRAIN_INTERP");
+    const std::string restore = saved == nullptr ? "" : saved;
+    ::setenv("RUSTBRAIN_INTERP", "vm-opt", 1);
+    try {
+        const verify::Oracle oracle;
+        ADD_FAILURE() << "RUSTBRAIN_INTERP=vm-opt was accepted as "
+                      << verify::to_string(oracle.interp_tier());
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find(verify::interp_tier_names()),
+                  std::string::npos)
+            << error.what();
+    }
+    // A pinned tier never reads the env, so the bad value is not an error.
+    verify::OracleOptions options;
+    options.interp = verify::InterpTier::Tree;
+    EXPECT_NO_THROW({
+        const verify::Oracle pinned(options);
+        EXPECT_EQ(pinned.interp_tier(), verify::InterpTier::Tree);
+    });
+    if (saved == nullptr) {
+        ::unsetenv("RUSTBRAIN_INTERP");
+    } else {
+        ::setenv("RUSTBRAIN_INTERP", restore.c_str(), 1);
+    }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // serve::Reactor — the epoll frontend serves the whole catalog over
-// pipelined connections byte-identical to a serial BatchRunner sweep (and
-// to the thread-per-connection reference frontend) at 1 and 4 workers,
-// holds the per-connection response order under 32 concurrent pipelined
+// pipelined connections byte-identical to a serial BatchRunner sweep at
+// 1 and 4 workers, sets TCP_NODELAY on accepted connections, holds the per-connection response order under 32 concurrent pipelined
 // connections, sheds overload with framed well-typed responses while
 // non-shed results stay bit-identical, refuses over-cap connections with
 // a framed response instead of a silent drop, and drains pipelined
@@ -10,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -75,7 +75,6 @@ ServerOptions reactor_options(std::size_t workers) {
     ServerOptions options;
     options.service.workers = workers;
     options.service.knowledge_base = &knowledge_base();
-    options.frontend = Frontend::Reactor;
     return options;
 }
 
@@ -92,12 +91,48 @@ TEST(ServeReactorTest, TransientAcceptErrorsAreExactlyTheFdExhaustionClass) {
     EXPECT_FALSE(is_transient_accept_error(EINVAL));
 }
 
+TEST(ServeReactorTest, AcceptedConnectionsDisableNagle) {
+    // Without TCP_NODELAY a pipelined response written while the previous
+    // one is unacknowledged waits for the client's delayed ACK (up to
+    // 40 ms). The reactor's per-connection setup must switch Nagle off.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t addr_len = sizeof addr;
+    ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof addr),
+              0);
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                            &addr_len),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(client, 0);
+    ASSERT_EQ(::connect(client, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    const int accepted = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(accepted, 0);
+
+    configure_connection(accepted, /*send_buffer_bytes=*/0);
+    int nodelay = 0;
+    socklen_t length = sizeof nodelay;
+    ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                           &length),
+              0);
+    EXPECT_EQ(nodelay, 1);
+    ::close(accepted);
+    ::close(client);
+    ::close(listener);
+}
+
 TEST(ServeReactorTest, FullCatalogPipelinedIsByteIdenticalToSerialSweep) {
     // The acceptance property: the reactor serves the whole catalog over
     // one fully pipelined connection (every request written before any
     // response is read), and the rendered results are byte-identical to
-    // the serial sweep at both worker counts — and to the threads
-    // frontend, which is checked through the same serial oracle.
+    // the serial sweep at both worker counts.
     for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
         RepairServer server(reactor_options(workers));
         RepairClient client(server.port());
@@ -126,27 +161,6 @@ TEST(ServeReactorTest, FullCatalogPipelinedIsByteIdenticalToSerialSweep) {
         EXPECT_GE(stats.max_pipeline_depth, 1u);
         server.stop();
     }
-}
-
-TEST(ServeReactorTest, ThreadsFrontendAnswersTheSameBytes) {
-    // The reference oracle path stays alive and equivalent: a slice of the
-    // catalog served by --frontend threads matches the serial renderings.
-    ServerOptions options = reactor_options(/*workers=*/2);
-    options.frontend = Frontend::Threads;
-    RepairServer server(options);
-    RepairClient client(server.port());
-    const std::size_t kCases = 12;
-    ASSERT_GE(corpus().size(), kCases);
-    for (std::size_t i = 0; i < kCases; ++i) {
-        RepairRequest request;
-        request.ub_case = corpus().cases()[i];
-        const RepairResponse response = client.repair(request);
-        ASSERT_TRUE(response.ok) << response.error;
-        EXPECT_EQ(render_case_result(response.result),
-                  serial_renderings().at(corpus().cases()[i].id));
-    }
-    EXPECT_EQ(server.stats().connections_accepted, 1u);
-    server.stop();
 }
 
 TEST(ServeReactorTest, ThirtyTwoConcurrentPipelinedConnections) {

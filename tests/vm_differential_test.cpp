@@ -1,12 +1,11 @@
 // Differential stress for the interpreter tiers: a 560-case forged corpus
 // swept by every registry engine under RUSTBRAIN_INTERP=tree, slot, and vm
-// — the vm tier both with and without the vm::optimize pass
-// (RUSTBRAIN_VM_OPT) — must produce byte-identical CaseResult
+// (which runs vm::optimize output) must produce byte-identical CaseResult
 // fingerprints, serial and 4-worker (the verify_oracle_test bit-identity
-// pattern). Tier and optimizer are pure performance knobs — if any
-// opcode, fused replay, kill order, or limit check drifted from the tree
-// walk by even one step, some forged case's repair trajectory would
-// diverge and the fingerprints would split.
+// pattern). The tier is a pure performance knob — if any opcode, fused
+// replay, kill order, or limit check drifted from the tree walk by even
+// one step, some forged case's repair trajectory would diverge and the
+// fingerprints would split.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -98,15 +97,11 @@ TEST(VmDifferentialTest, ForgedCorpusMiriReportsAgreeAcrossAllTiers) {
 
     std::vector<std::unique_ptr<Oracle>> oracles;
     for (const InterpTier tier :
-         {InterpTier::Tree, InterpTier::Slot, InterpTier::Vm,
-          InterpTier::Vm}) {
+         {InterpTier::Tree, InterpTier::Slot, InterpTier::Vm}) {
         OracleOptions options;
         options.caching = false;
         options.screening = false;
         options.interp = tier;
-        // Third oracle runs the optimized bytecode (the default), the
-        // fourth pins the optimizer off — both must match the tree walk.
-        options.vm_opt = oracles.size() < 3;
         oracles.push_back(std::make_unique<Oracle>(std::move(options)));
     }
     auto report_blob = [](const miri::MiriReport& report) {
@@ -134,9 +129,6 @@ TEST(VmDifferentialTest, ForgedCorpusMiriReportsAgreeAcrossAllTiers) {
             EXPECT_EQ(reference,
                       report_blob(oracles[2]->test_source(source, ub_case.inputs)))
                 << source;
-            EXPECT_EQ(reference,
-                      report_blob(oracles[3]->test_source(source, ub_case.inputs)))
-                << source;
         }
     }
 }
@@ -151,17 +143,14 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
         const char* tier;
         InterpTier expected;
         std::size_t workers;
-        const char* vm_opt = nullptr;  // RUSTBRAIN_VM_OPT (nullptr = unset)
     };
     const Config baseline_config{"tree", InterpTier::Tree, 1};
     const std::vector<Config> configs = {
         {"tree", InterpTier::Tree, 4},
         {"slot", InterpTier::Slot, 1},
         {"slot", InterpTier::Slot, 4},
-        {"vm", InterpTier::Vm, 1, "on"},
-        {"vm", InterpTier::Vm, 4, "on"},
-        {"vm", InterpTier::Vm, 1, "off"},
-        {"vm", InterpTier::Vm, 4, "off"},
+        {"vm", InterpTier::Vm, 1},
+        {"vm", InterpTier::Vm, 4},
     };
 
     for (const std::string& engine_id : core::EngineRegistry::builtin().ids()) {
@@ -169,11 +158,6 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
 
         auto sweep = [&](const Config& config) {
             ::setenv("RUSTBRAIN_INTERP", config.tier, 1);
-            if (config.vm_opt != nullptr) {
-                ::setenv("RUSTBRAIN_VM_OPT", config.vm_opt, 1);
-            } else {
-                ::unsetenv("RUSTBRAIN_VM_OPT");
-            }
             core::EngineBuildContext context;
             context.knowledge_base = &kbase;
             context.oracle = env_gated_oracle(config.expected);
@@ -185,15 +169,11 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
         const std::uint64_t want = sweep(baseline_config);
         for (const Config& config : configs) {
             SCOPED_TRACE(std::string(config.tier) + "/" +
-                         std::to_string(config.workers) + "-worker" +
-                         (config.vm_opt != nullptr
-                              ? std::string("/opt-") + config.vm_opt
-                              : std::string()));
+                         std::to_string(config.workers) + "-worker");
             EXPECT_EQ(want, sweep(config));
         }
     }
     ::unsetenv("RUSTBRAIN_INTERP");
-    ::unsetenv("RUSTBRAIN_VM_OPT");
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // registers) and observationally (for every fused opcode, findings,
 // outputs, spans, and above all *step counts* are byte-identical to the
 // tree walk and to the unoptimized VM; five forged corpora render
-// bit-identically under RUSTBRAIN_VM_OPT=on and off; and the tree tier
-// never pays for a bytecode compile at all).
+// bit-identically on the optimized vm tier and the tree walk; and the tree
+// tier never pays for a bytecode compile at all).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -21,12 +21,13 @@
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
+#include "miri/interp.hpp"
 #include "miri/lower.hpp"
-#include "miri/mirilite.hpp"
 #include "serve/wire.hpp"
 #include "verify/oracle.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/peephole.hpp"
+#include "vm/vm.hpp"
 
 namespace rustbrain {
 namespace {
@@ -66,38 +67,34 @@ std::size_t count_ops(const vm::VmProgram& program, vm::Op op) {
     return n;
 }
 
-void expect_reports_equal(const miri::MiriReport& want,
-                          const miri::MiriReport& got,
-                          const std::string& context) {
-    EXPECT_EQ(want.total_steps, got.total_steps) << context;
-    EXPECT_EQ(want.outputs, got.outputs) << context;
-    ASSERT_EQ(want.findings.size(), got.findings.size()) << context;
-    for (std::size_t i = 0; i < want.findings.size(); ++i) {
-        EXPECT_EQ(want.findings[i].to_string(), got.findings[i].to_string())
-            << context;
-        EXPECT_EQ(want.findings[i].span.begin, got.findings[i].span.begin)
-            << context;
-        EXPECT_EQ(want.findings[i].span.end, got.findings[i].span.end)
-            << context;
-    }
+void expect_runs_equal(const miri::RunResult& want, const miri::RunResult& got,
+                       const std::string& context) {
+    EXPECT_EQ(want.steps, got.steps) << context;
+    EXPECT_EQ(want.output, got.output) << context;
+    ASSERT_EQ(want.finding.has_value(), got.finding.has_value()) << context;
+    if (!want.finding) return;
+    EXPECT_EQ(want.finding->to_string(), got.finding->to_string()) << context;
+    EXPECT_EQ(want.finding->span.begin, got.finding->span.begin) << context;
+    EXPECT_EQ(want.finding->span.end, got.finding->span.end) << context;
 }
 
-/// Tree walk vs unoptimized VM vs optimized VM, all three byte-compared.
+/// Tree walk vs unoptimized VM vs optimized VM, byte-compared run for run.
+/// vm::Vm is driven directly on both bytecode builds: the Oracle's vm tier
+/// only ever runs the optimized one.
 void expect_opt_exact(const std::string& source, const Inputs& inputs = {},
                       miri::InterpLimits limits = {}) {
-    const miri::MiriLite tree_walk(limits);
-    const miri::MiriReport reference = tree_walk.test_source(source, inputs);
-    for (const bool opt : {false, true}) {
-        verify::OracleOptions options;
-        options.limits = limits;
-        options.caching = false;
-        options.screening = false;
-        options.interp = verify::InterpTier::Vm;
-        options.vm_opt = opt;
-        const verify::Oracle oracle(options);
-        expect_reports_equal(reference, oracle.test_source(source, inputs),
-                             std::string(opt ? "vm-opt" : "vm") + "\n" +
-                                 source);
+    const Compiled compiled(source);
+    for (const auto& run_inputs : inputs.empty() ? Inputs{{}} : inputs) {
+        miri::Interpreter tree_walk(compiled.program, run_inputs, limits);
+        const miri::RunResult reference = tree_walk.run();
+        for (const bool opt : {false, true}) {
+            vm::Vm machine(compiled.program,
+                           opt ? compiled.optimized : compiled.raw, run_inputs,
+                           limits);
+            expect_runs_equal(reference, machine.run(),
+                              std::string(opt ? "vm-opt" : "vm") + "\n" +
+                                  source);
+        }
     }
 }
 
@@ -247,36 +244,25 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
     EXPECT_EQ(vm::CompileStats::bytecode_compiles.load(), compiles_before);
     EXPECT_EQ(vm::CompileStats::optimize_passes.load(), passes_before);
 
-    // The unoptimized vm tier compiles bytecode but must not pay for the
-    // optimizer; the optimized tier runs exactly one pass per program.
+    // The vm tier pays for the bytecode compile and the optimize pass, on
+    // first use.
     {
         verify::OracleOptions options;
         options.caching = false;
         options.screening = false;
         options.interp = verify::InterpTier::Vm;
-        options.vm_opt = false;
         const verify::Oracle oracle(options);
         (void)oracle.test_source(source, {});
     }
     EXPECT_GT(vm::CompileStats::bytecode_compiles.load(), compiles_before);
-    EXPECT_EQ(vm::CompileStats::optimize_passes.load(), passes_before);
-    {
-        verify::OracleOptions options;
-        options.caching = false;
-        options.screening = false;
-        options.interp = verify::InterpTier::Vm;
-        options.vm_opt = true;
-        const verify::Oracle oracle(options);
-        (void)oracle.test_source(source, {});
-    }
     EXPECT_GT(vm::CompileStats::optimize_passes.load(), passes_before);
 }
 
 TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
     // The torture screw: five independently forged corpora, every case
-    // swept through the full repair engine under the vm tier, rendered
-    // with the serving codec, and byte-compared between RUSTBRAIN_VM_OPT
-    // on and off. Any divergence in any fused replay shows up here.
+    // swept through the full repair engine, rendered with the serving
+    // codec, and byte-compared between the optimized vm tier and the tree
+    // walk. Any divergence in any fused replay shows up here.
     kb::KnowledgeBase kbase;
     kb::seed_from_corpus(dataset::Corpus::standard(), kbase);
     for (const unsigned seed : {11u, 22u, 33u, 44u, 55u}) {
@@ -292,13 +278,12 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
         const dataset::Corpus corpus = gen::forge_corpus(forge_options);
         ASSERT_EQ(corpus.size(), 32u);
 
-        auto render_all = [&](const char* vm_opt) {
-            ::setenv("RUSTBRAIN_INTERP", "vm", 1);
-            ::setenv("RUSTBRAIN_VM_OPT", vm_opt, 1);
+        auto render_all = [&](verify::InterpTier tier) {
             verify::OracleOptions oracle_options;
             oracle_options.cache = std::make_shared<verify::VerifyCache>();
             oracle_options.caching = true;
             oracle_options.screening = false;
+            oracle_options.interp = tier;
             core::EngineBuildContext context;
             context.knowledge_base = &kbase;
             context.oracle =
@@ -313,16 +298,15 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
             }
             return rendered;
         };
-        const std::vector<std::string> with_opt = render_all("on");
-        const std::vector<std::string> without_opt = render_all("off");
-        ASSERT_EQ(with_opt.size(), without_opt.size());
-        for (std::size_t i = 0; i < with_opt.size(); ++i) {
-            EXPECT_EQ(with_opt[i], without_opt[i])
-                << "case " << corpus.cases()[i].id;
+        const std::vector<std::string> vm_opt =
+            render_all(verify::InterpTier::Vm);
+        const std::vector<std::string> tree =
+            render_all(verify::InterpTier::Tree);
+        ASSERT_EQ(vm_opt.size(), tree.size());
+        for (std::size_t i = 0; i < vm_opt.size(); ++i) {
+            EXPECT_EQ(vm_opt[i], tree[i]) << "case " << corpus.cases()[i].id;
         }
     }
-    ::unsetenv("RUSTBRAIN_INTERP");
-    ::unsetenv("RUSTBRAIN_VM_OPT");
 }
 
 }  // namespace
