@@ -140,12 +140,8 @@ int main(int argc, char** argv) {
     std::printf("== BatchRunner scaling: %zu-case sweep, gpt-4 + knowledge "
                 "base ==\n",
                 big_corpus.size());
-    // Which interpreter executes uncached verifications (RUSTBRAIN_INTERP
-    // selects it; every run below uses the same tier, so the speedups stay
-    // comparable).
-    std::printf("hardware threads: %zu, interpreter tier: %s\n\n",
-                support::ThreadPool::hardware_threads(),
-                verify::to_string(uncached_context.oracle->interp_tier()));
+    std::printf("hardware threads: %zu\n\n",
+                support::ThreadPool::hardware_threads());
     const core::BatchRunner serial_runner(engine_id, options, uncached_context,
                                           core::BatchOptions{1});
     const core::BatchReport serial = serial_runner.run(big_corpus);
@@ -161,7 +157,6 @@ int main(int argc, char** argv) {
     cached_context.backend_factory = llm::caching_backend_factory(cache);
     verify::OracleOptions oracle_options;
     oracle_options.cache = std::make_shared<verify::VerifyCache>();
-    oracle_options.caching = true;
     cached_context.oracle =
         std::make_shared<verify::Oracle>(std::move(oracle_options));
 

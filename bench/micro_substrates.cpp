@@ -385,7 +385,6 @@ void BM_OracleMemoized(benchmark::State& state) {
     const auto* ub_case = corpus().find("uninit/partial_init_0");
     verify::OracleOptions options;
     options.cache = std::make_shared<verify::VerifyCache>();
-    options.caching = true;
     const verify::Oracle oracle(std::move(options));
     for (auto _ : state) {
         auto report =

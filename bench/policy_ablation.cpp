@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
     {
         verify::OracleOptions oracle_options;
         oracle_options.cache = std::make_shared<verify::VerifyCache>();
-        oracle_options.caching = true;
         context.oracle =
             std::make_shared<verify::Oracle>(std::move(oracle_options));
     }

@@ -5,8 +5,6 @@
 //   $ ./examples/quickstart --engine standalone
 //   $ ./examples/quickstart --engine rustbrain --options model=gpt-3.5
 //   $ ./examples/quickstart --policy budget,ms=1500
-//   $ ./examples/quickstart --screen off
-//   $ ./examples/quickstart --interp vm              # bytecode-VM tier
 //   $ ./examples/quickstart --corpus forged.rbc --case gen/alloc/leak_s42_0000
 //
 // Walks through the exact pipeline of the paper's Fig. 2 on a classic
@@ -18,7 +16,6 @@
 // first case).
 #include <cstdio>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -34,12 +31,10 @@ namespace {
 
 int usage(const char* argv0) {
     std::printf("usage: %s [--engine <id>] [--options k=v,k=v...]\n"
-                "          [--policy <id>[,k=v...]] [--screen on|off]\n"
-                "          [--interp %s]\n"
+                "          [--policy <id>[,k=v...]]\n"
                 "          [--corpus <file>] [--case <id>]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
-                argv0, verify::interp_tier_names().c_str(),
-                core::EngineRegistry::builtin().help().c_str(),
+                argv0, core::EngineRegistry::builtin().help().c_str(),
                 core::PolicyRegistry::builtin().help().c_str());
     return 2;
 }
@@ -85,8 +80,6 @@ int main(int argc, char** argv) {
     std::string policy_spec;  // empty = whatever --options says (or paper)
     std::string corpus_path;
     std::string case_id;
-    std::string screen_spec;  // empty = honour RUSTBRAIN_SCREEN (default on)
-    std::optional<verify::InterpTier> interp;  // empty = RUSTBRAIN_INTERP
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--engine" && i + 1 < argc) {
@@ -95,19 +88,6 @@ int main(int argc, char** argv) {
             option_spec = argv[++i];
         } else if (arg == "--policy" && i + 1 < argc) {
             policy_spec = argv[++i];
-        } else if (arg == "--screen" && i + 1 < argc) {
-            screen_spec = argv[++i];
-            if (screen_spec != "on" && screen_spec != "off") {
-                return usage(argv[0]);
-            }
-        } else if (arg == "--interp" && i + 1 < argc) {
-            const std::string spec = argv[++i];
-            interp = verify::parse_interp_tier(spec);
-            if (!interp) {
-                std::printf("error: --interp expects one of %s, got '%s'\n\n",
-                            verify::interp_tier_names().c_str(), spec.c_str());
-                return usage(argv[0]);
-            }
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
         } else if (arg == "--case" && i + 1 < argc) {
@@ -155,17 +135,7 @@ int main(int argc, char** argv) {
     // oracle (the single entry point the whole repair stack shares — the
     // engine's own verifications below reuse this compile).
     std::printf("=== MiriLite detection ===\n");
-    // An explicit oracle so --screen can pin the pre-screening tier either
-    // way (empty spec honours RUSTBRAIN_SCREEN); the process-wide cache is
-    // still shared. Screening never changes results, only the stats below.
-    verify::OracleOptions oracle_options;
-    if (!screen_spec.empty()) oracle_options.screening = screen_spec == "on";
-    if (interp) oracle_options.interp = interp;
-    const auto shared_oracle =
-        std::make_shared<verify::Oracle>(std::move(oracle_options));
-    const verify::Oracle& oracle = *shared_oracle;
-    std::printf("interpreter tier: %s\n",
-                verify::to_string(oracle.interp_tier()));
+    const verify::Oracle& oracle = verify::Oracle::shared_default();
     const miri::MiriReport report =
         oracle.test_source(ub_case.buggy_source, ub_case.inputs);
     std::printf("%s\n", report.summary().c_str());
@@ -175,7 +145,6 @@ int main(int argc, char** argv) {
     core::FeedbackStore feedback;
     core::EngineBuildContext context;
     context.feedback = &feedback;
-    context.oracle = shared_oracle;
     std::unique_ptr<core::RepairEngine> engine;
     try {
         core::EngineOptions options = core::EngineOptions::parse(option_spec);

@@ -7,8 +7,6 @@
 //   $ ./examples/repair_campaign --engine fixed-pipeline
 //   $ ./examples/repair_campaign --engine rustbrain --limit 3   # smoke slice
 //   $ ./examples/repair_campaign --policy feedback-guided       # switch strategy
-//   $ ./examples/repair_campaign --screen off           # no static pre-screen
-//   $ ./examples/repair_campaign --interp vm            # bytecode-VM tier
 //   $ ./examples/repair_campaign --corpus forged.rbc    # saved/generated corpus
 //
 // Two phases show the two execution shapes BatchRunner supports:
@@ -23,7 +21,6 @@
 #include <cstdlib>
 #include <exception>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -43,11 +40,9 @@ namespace {
 
 int usage(const char* argv0) {
     std::printf("usage: %s [--engine <id>] [--options k=v,...] [--limit N]\n"
-                "          [--policy <id>[,k=v...]] [--screen on|off]\n"
-                "          [--interp %s] [--corpus <file>]\n\n"
+                "          [--policy <id>[,k=v...]] [--corpus <file>]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
-                argv0, verify::interp_tier_names().c_str(),
-                core::EngineRegistry::builtin().help().c_str(),
+                argv0, core::EngineRegistry::builtin().help().c_str(),
                 core::PolicyRegistry::builtin().help().c_str());
     return 2;
 }
@@ -59,8 +54,6 @@ int main(int argc, char** argv) {
     std::string option_spec;  // engines default to model=gpt-4, seed=42
     std::string policy_spec;  // empty = whatever --options says (or paper)
     std::string corpus_path;  // empty = the standard hand-written corpus
-    std::string screen_spec;  // empty = honour RUSTBRAIN_SCREEN (default on)
-    std::optional<verify::InterpTier> interp;  // empty = RUSTBRAIN_INTERP
     std::size_t limit = 0;  // 0 = whole corpus
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -70,19 +63,6 @@ int main(int argc, char** argv) {
             option_spec = argv[++i];
         } else if (arg == "--policy" && i + 1 < argc) {
             policy_spec = argv[++i];
-        } else if (arg == "--screen" && i + 1 < argc) {
-            screen_spec = argv[++i];
-            if (screen_spec != "on" && screen_spec != "off") {
-                return usage(argv[0]);
-            }
-        } else if (arg == "--interp" && i + 1 < argc) {
-            const std::string spec = argv[++i];
-            interp = verify::parse_interp_tier(spec);
-            if (!interp) {
-                std::printf("error: --interp expects one of %s, got '%s'\n\n",
-                            verify::interp_tier_names().c_str(), spec.c_str());
-                return usage(argv[0]);
-            }
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
         } else if (arg == "--limit" && i + 1 < argc) {
@@ -121,16 +101,6 @@ int main(int argc, char** argv) {
 
     core::EngineBuildContext context;
     context.knowledge_base = &kbase;
-    // One explicit oracle for the whole campaign so --screen can pin the
-    // pre-screening tier either way (empty spec honours RUSTBRAIN_SCREEN);
-    // the process-wide cache is still shared. Screening never changes
-    // results, only the stats printed below.
-    verify::OracleOptions oracle_options;
-    if (!screen_spec.empty()) oracle_options.screening = screen_spec == "on";
-    if (interp) oracle_options.interp = interp;
-    const auto oracle =
-        std::make_shared<verify::Oracle>(std::move(oracle_options));
-    context.oracle = oracle;
     core::FeedbackStore feedback;
 
     // Validate the options and engine id up front so a typo prints the
@@ -149,10 +119,8 @@ int main(int argc, char** argv) {
         std::printf("error: %s\n\n", error.what());
         return usage(argv[0]);
     }
-    std::printf("engine: %s (%s)\n", engine->name().c_str(),
+    std::printf("engine: %s (%s)\n\n", engine->name().c_str(),
                 engine->config_summary().c_str());
-    std::printf("interpreter tier: %s\n\n",
-                verify::to_string(oracle->interp_tier()));
 
     const std::vector<const dataset::UbCase*> focused =
         corpus.by_category(miri::UbCategory::DanglingPointer);
@@ -231,10 +199,11 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", table.render().c_str());
 
-    // Both campaign phases and the judge verified through the one campaign
-    // oracle; its repeat runs over the same programs are where the
-    // memoization pays.
-    std::printf("\nverification oracle: %s\n", oracle->stats_summary().c_str());
-    std::printf("static pre-screen: %s\n", oracle->screen_summary().c_str());
+    // KB seeding, both campaign phases and the judge all verified through
+    // the process-wide oracle; its repeat runs over the same programs are
+    // where the memoization pays.
+    const verify::Oracle& oracle = verify::Oracle::shared_default();
+    std::printf("\nverification oracle: %s\n", oracle.stats_summary().c_str());
+    std::printf("static pre-screen: %s\n", oracle.screen_summary().c_str());
     return 0;
 }

@@ -211,10 +211,18 @@ dataset::Corpus corpus_from_string(const std::string& text) {
         const std::uint64_t input_count =
             reader.parse_u64(reader.read_field("inputs"), "input count");
         for (std::uint64_t i = 0; i < input_count; ++i) {
-            std::istringstream line(reader.read_field("input"));
+            const std::string field = reader.read_field("input");
+            std::istringstream line(field);
             std::uint64_t length = 0;
             if (!(line >> length)) {
                 reader.fail("malformed input vector in case " + c.id);
+            }
+            // Each value takes at least one byte of the line, so a length
+            // beyond the line's size is corrupt — reject it before it sizes
+            // a reservation.
+            if (length > field.size()) {
+                reader.fail("declared input length " + std::to_string(length) +
+                            " exceeds its line in case " + c.id);
             }
             std::vector<std::int64_t> values;
             values.reserve(length);

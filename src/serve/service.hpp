@@ -95,7 +95,7 @@ struct ServiceOptions {
     /// Shared knowledge base (may be null: engines run knowledge-free).
     const kb::KnowledgeBase* knowledge_base = nullptr;
     /// Oracle shared by every request; null => the service builds its own
-    /// (own VerifyCache, RUSTBRAIN_* env honoured).
+    /// (own VerifyCache, default OracleOptions).
     std::shared_ptr<const verify::Oracle> oracle;
     /// Optional observer for ServiceQueue / ServiceComplete events.
     /// Emission is serialized by the service, so any sink is safe; the

@@ -1,8 +1,6 @@
 #include "verify/oracle.hpp"
 
-#include <cstdlib>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
 #include "lang/parser.hpp"
@@ -25,15 +23,6 @@ const char* to_string(InterpTier tier) {
     }
     return "slot";
 }
-
-std::optional<InterpTier> parse_interp_tier(const std::string& name) {
-    if (name == "tree") return InterpTier::Tree;
-    if (name == "slot") return InterpTier::Slot;
-    if (name == "vm") return InterpTier::Vm;
-    return std::nullopt;
-}
-
-std::string interp_tier_names() { return "tree, slot, vm"; }
 
 const vm::VmProgram& CompiledProgram::bytecode() const {
     std::call_once(vm_once_,
@@ -159,24 +148,6 @@ const std::shared_ptr<VerifyCache>& VerifyCache::process_wide() {
 
 namespace {
 
-/// An on/off env switch: unset or anything but "off"/"0"/"false" is on.
-bool enabled_from_env(const char* name) {
-    const char* value = std::getenv(name);
-    if (value == nullptr) return true;
-    const std::string text = value;
-    return !(text == "off" || text == "0" || text == "false");
-}
-
-InterpTier interp_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_INTERP");
-    if (value == nullptr) return InterpTier::Slot;
-    if (const auto tier = parse_interp_tier(value)) return *tier;
-    throw std::invalid_argument("unknown RUSTBRAIN_INTERP value '" +
-                                std::string(value) +
-                                "' (expected one of: " + interp_tier_names() +
-                                ")");
-}
-
 /// Seed for the independent second source hash (an arbitrary odd constant
 /// distinct from the FNV offset basis).
 constexpr std::uint64_t kCheckSeed = 0x51ED270B8A2C1495ULL;
@@ -209,12 +180,9 @@ Oracle::Oracle(OracleOptions options)
     : limits_(options.limits),
       cache_(options.cache != nullptr ? std::move(options.cache)
                                       : VerifyCache::process_wide()),
-      caching_(options.caching.value_or(
-          enabled_from_env("RUSTBRAIN_VERIFY_CACHE"))),
-      screening_(options.screening.value_or(
-          enabled_from_env("RUSTBRAIN_SCREEN"))),
-      // Not value_or: a pinned tier must never read (or reject) the env.
-      interp_(options.interp ? *options.interp : interp_from_env()),
+      caching_(options.caching),
+      screening_(options.screening),
+      interp_(options.interp),
       screen_options_(options.screen) {}
 
 const Oracle& Oracle::shared_default() {
@@ -407,7 +375,7 @@ std::string Oracle::stats_summary() const {
            std::to_string(s.report_hits) + " report hits / " +
            std::to_string(s.report_misses) + " misses, " +
            std::to_string(s.program_evictions + s.report_evictions) +
-           " evictions" + (caching_ ? "" : " (RUSTBRAIN_VERIFY_CACHE=off)");
+           " evictions" + (caching_ ? "" : " (caching off)");
 }
 
 ScreenStats Oracle::screen_stats() const {
@@ -422,7 +390,7 @@ ScreenStats Oracle::screen_stats() const {
 }
 
 std::string Oracle::screen_summary() const {
-    if (!screening_) return "screening off (RUSTBRAIN_SCREEN=off)";
+    if (!screening_) return "screening off";
     const ScreenStats s = screen_stats();
     return std::to_string(s.screens) + " screened: " +
            std::to_string(s.proven_safe) + " proven-safe (" +

@@ -19,16 +19,9 @@
 // Bit-identity guarantee: MiriReports are a pure function of (source,
 // inputs, limits), so a cached answer is byte-identical to a live one —
 // sweeps and forge runs with the cache on and off produce identical
-// CaseResults and corpora (asserted in tests/verify_oracle_test.cpp and
-// the corpus-forge-smoke CI job). The cache is therefore a pure
-// performance knob, exactly like llm::PromptCache, whose design this
-// mirrors (16-way sharding, atomic hit/miss counters, process-wide shared
-// store).
-//
-// Escape hatch: RUSTBRAIN_VERIFY_CACHE=off (or 0/false) disables both
-// caches for Oracles that don't pin the behavior explicitly — useful for
-// flushing out cache-coherence bugs (CI runs the whole suite once in this
-// mode).
+// CaseResults and corpora. The cache is therefore a pure performance
+// knob, exactly like llm::PromptCache, whose design this mirrors (16-way
+// sharding, atomic hit/miss counters, process-wide shared store).
 //
 // Screening tier: before interpreting, the Oracle runs the static
 // pre-screener (screen/screen.hpp). A ProvenSafe verdict carries the exact
@@ -36,10 +29,13 @@
 // synthesized by the screener's mirror semantics), so interpretation is
 // skipped entirely; LikelyUB and Unknown verdicts are advisory — MiriLite
 // still runs and stays the authority. Bit-identity is preserved either
-// way, asserted screen-on vs screen-off across every registry engine in
-// tests/screen_soundness_test.cpp and the screen-smoke CI job. Escape
-// hatch: RUSTBRAIN_SCREEN=off (or 0/false), same contract as the cache
-// knob.
+// way.
+//
+// OracleOptions is the only configuration surface. Caching, screening,
+// the interpreter tier and the worker count never change a result byte:
+// the identity table in tests/identity_matrix.hpp sweeps every registry
+// engine and the forge under each of them against a serial, uncached,
+// unscreened tree walk.
 #pragma once
 
 #include <array>
@@ -75,11 +71,6 @@ enum class InterpTier { Tree, Slot, Vm };
 
 /// "tree" / "slot" / "vm".
 [[nodiscard]] const char* to_string(InterpTier tier);
-/// Parses the names above; nullopt for anything else.
-[[nodiscard]] std::optional<InterpTier> parse_interp_tier(
-    const std::string& name);
-/// "tree, slot, vm" — for error messages listing the valid set.
-[[nodiscard]] std::string interp_tier_names();
 
 /// A source text after the front end: parsed, typechecked and slot-lowered
 /// (when ok()), or the verbatim parse/typecheck error MiriLite would have
@@ -245,20 +236,16 @@ struct OracleOptions {
     miri::InterpLimits limits;
     /// Store to memoize into; null => VerifyCache::process_wide().
     std::shared_ptr<VerifyCache> cache;
-    /// Explicit cache on/off; unset => honour RUSTBRAIN_VERIFY_CACHE
-    /// (anything but "off"/"0"/"false" means on).
-    std::optional<bool> caching;
-    /// Explicit screening on/off; unset => honour RUSTBRAIN_SCREEN (same
-    /// convention as the cache knob).
-    std::optional<bool> screening;
+    /// Memoize compiles and reports in `cache`; off recomputes everything
+    /// and touches the store not at all.
+    bool caching = true;
+    /// Run the static pre-screener before interpreting.
+    bool screening = true;
     /// Screener budget (per-candidate abstract-op cap).
     screen::ScreenOptions screen;
-    /// Which interpreter runs uncached work; unset => honour
-    /// RUSTBRAIN_INTERP=tree|slot|vm (unset means the slot default; any
-    /// other value throws std::invalid_argument listing the tiers). A
-    /// pinned tier never reads the env. Pure performance knob: reports are
-    /// byte-identical across tiers.
-    std::optional<InterpTier> interp;
+    /// Which interpreter runs uncached work. Pure performance knob:
+    /// reports are byte-identical across tiers.
+    InterpTier interp = InterpTier::Slot;
 };
 
 /// Counters for the Oracle's screening tier (process- or oracle-lifetime,
@@ -308,9 +295,6 @@ class Oracle {
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile(
         const std::string& source, VerifyOutcome* outcome = nullptr) const;
 
-    [[nodiscard]] bool caching_enabled() const { return caching_; }
-    [[nodiscard]] bool screening_enabled() const { return screening_; }
-    [[nodiscard]] InterpTier interp_tier() const { return interp_; }
     [[nodiscard]] const miri::InterpLimits& limits() const { return limits_; }
     [[nodiscard]] const std::shared_ptr<VerifyCache>& cache() const {
         return cache_;

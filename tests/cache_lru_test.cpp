@@ -99,7 +99,6 @@ TEST(VerifyCacheLruTest, HotProgramSurvivesAndEvictionsAreCounted) {
     verify::OracleOptions options;
     options.cache = std::make_shared<verify::VerifyCache>(
         /*programs_per_shard=*/2, /*reports_per_shard=*/2);
-    options.caching = true;
     const verify::Oracle oracle(std::move(options));
 
     const std::string hot = "fn main() {\n    print_int(1);\n}\n";

@@ -151,6 +151,42 @@ TEST(CorpusIoTest, MalformedInputsThrow) {
     }
 }
 
+TEST(CorpusIoTest, OversizedInputLengthIsAFormatError) {
+    // An `input <n>` count is untrusted (wire requests embed corpus text),
+    // so a count no line could hold must be a located format error, never
+    // an allocation sized by it — and load_corpus must keep the path.
+    dataset::UbCase ub_case = dataset::Corpus::standard().cases().front();
+    ub_case.inputs = {{1}};
+    const std::string text = corpus_to_string(dataset::Corpus({ub_case}));
+    const std::string line = "\ninput 1 1\n";
+    const std::size_t pos = text.find(line);
+    ASSERT_NE(pos, std::string::npos);
+    const std::string path = ::testing::TempDir() + "/corpus_io_hostile.rbc";
+    for (const std::string length : {"1000000000000", "2000000000000000000"}) {
+        SCOPED_TRACE(length);
+        std::string hostile = text;
+        hostile.replace(pos, line.size(), "\ninput " + length + " 1\n");
+        try {
+            corpus_from_string(hostile);
+            FAIL() << "expected std::runtime_error";
+        } catch (const std::runtime_error& error) {
+            EXPECT_NE(std::string(error.what()).find("corpus format error (line"),
+                      std::string::npos)
+                << error.what();
+        }
+        std::ofstream(path, std::ios::binary) << hostile;
+        try {
+            load_corpus(path);
+            FAIL() << "expected std::runtime_error";
+        } catch (const std::runtime_error& error) {
+            EXPECT_EQ(std::string(error.what()).rfind(path + ": corpus format error", 0),
+                      0u)
+                << error.what();
+        }
+    }
+    std::remove(path.c_str());
+}
+
 TEST(CorpusIoTest, UnserializableCasesRejectedAtSaveTime) {
     // What load_corpus would refuse to read must be refused at write time.
     dataset::UbCase newline_id;

@@ -8,9 +8,7 @@
 // step counts.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,12 +88,8 @@ void expect_tiers_agree(const std::string& source, const Inputs& inputs,
 }
 
 TEST(MiriVmTest, TierNamesRoundTrip) {
-    EXPECT_EQ(verify::parse_interp_tier("tree"), verify::InterpTier::Tree);
-    EXPECT_EQ(verify::parse_interp_tier("slot"), verify::InterpTier::Slot);
-    EXPECT_EQ(verify::parse_interp_tier("vm"), verify::InterpTier::Vm);
-    EXPECT_FALSE(verify::parse_interp_tier("bytecode").has_value());
-    EXPECT_FALSE(verify::parse_interp_tier("").has_value());
-    EXPECT_EQ(verify::interp_tier_names(), "tree, slot, vm");
+    EXPECT_STREQ(verify::to_string(verify::InterpTier::Tree), "tree");
+    EXPECT_STREQ(verify::to_string(verify::InterpTier::Slot), "slot");
     EXPECT_STREQ(verify::to_string(verify::InterpTier::Vm), "vm");
 }
 
@@ -441,50 +435,6 @@ TEST(MiriVmTest, MissingMainReportsTheSameCompileError) {
 TEST(MiriVmTest, FrontEndErrorsBypassTheVm) {
     expect_tiers_agree("fn main( {\n}\n", {});
     expect_tiers_agree("fn main() {\n    let x: bool = 3;\n}\n", {});
-}
-
-TEST(MiriVmTest, EnvGateSelectsTheVmTier) {
-    // OracleOptions::interp wins over the env; unset env means slot.
-    verify::OracleOptions options;
-    options.interp = verify::InterpTier::Vm;
-    const verify::Oracle oracle(options);
-    EXPECT_EQ(oracle.interp_tier(), verify::InterpTier::Vm);
-    const verify::Oracle plain;
-    EXPECT_EQ(plain.interp_tier(),
-              verify::parse_interp_tier(
-                  std::getenv("RUSTBRAIN_INTERP") == nullptr
-                      ? "slot"
-                      : std::getenv("RUSTBRAIN_INTERP"))
-                  .value_or(verify::InterpTier::Slot));
-}
-
-TEST(MiriVmTest, UnknownInterpEnvValueThrowsListingTheTiers) {
-    // "vm-opt" is a name the docs use for the optimized vm tier, but not a
-    // tier name: it must fail loudly instead of silently running slot.
-    const char* saved = std::getenv("RUSTBRAIN_INTERP");
-    const std::string restore = saved == nullptr ? "" : saved;
-    ::setenv("RUSTBRAIN_INTERP", "vm-opt", 1);
-    try {
-        const verify::Oracle oracle;
-        ADD_FAILURE() << "RUSTBRAIN_INTERP=vm-opt was accepted as "
-                      << verify::to_string(oracle.interp_tier());
-    } catch (const std::invalid_argument& error) {
-        EXPECT_NE(std::string(error.what()).find(verify::interp_tier_names()),
-                  std::string::npos)
-            << error.what();
-    }
-    // A pinned tier never reads the env, so the bad value is not an error.
-    verify::OracleOptions options;
-    options.interp = verify::InterpTier::Tree;
-    EXPECT_NO_THROW({
-        const verify::Oracle pinned(options);
-        EXPECT_EQ(pinned.interp_tier(), verify::InterpTier::Tree);
-    });
-    if (saved == nullptr) {
-        ::unsetenv("RUSTBRAIN_INTERP");
-    } else {
-        ::setenv("RUSTBRAIN_INTERP", restore.c_str(), 1);
-    }
 }
 
 }  // namespace

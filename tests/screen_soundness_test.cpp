@@ -6,21 +6,19 @@
 // category MiriLite actually finds. Unknown is always sound. Asserted
 // over the full hand-written corpus plus a 560-case forged corpus (the
 // miri_lower_test observational-identity pattern), then end to end:
-// every registry engine sweeps bit-identically screen-on vs screen-off,
-// serial and 4-worker. Plus: unsupported constructs degrade to Unknown
-// (never throw), and the Oracle's screening tier synthesizes/replays
-// verdicts the way its header promises.
+// every registry engine sweeps bit-identically with screening off (a cell
+// of identity_matrix.hpp). Plus: unsupported constructs degrade to
+// Unknown (never throw), and the Oracle's screening tier
+// synthesizes/replays verdicts the way its header promises.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/batch_runner.hpp"
-#include "core/engine_registry.hpp"
 #include "dataset/corpus.hpp"
 #include "gen/forge.hpp"
-#include "kb/seed.hpp"
+#include "identity_matrix.hpp"
 #include "miri/mirilite.hpp"
 #include "screen/screen.hpp"
 #include "verify/oracle.hpp"
@@ -128,79 +126,12 @@ TEST(ScreenSoundnessTest, ForgedCorpusOf560CasesIsSound) {
 
 // --- end-to-end bit-identity -------------------------------------------------
 
-std::shared_ptr<verify::Oracle> oracle_with_screening(bool screening) {
-    verify::OracleOptions options;
-    options.cache = std::make_shared<verify::VerifyCache>();
-    options.caching = true;
-    options.screening = screening;
-    return std::make_shared<verify::Oracle>(std::move(options));
-}
-
-/// CaseResult equality over every behavior field. The screen_* counters
-/// are deliberately absent: they are pure observability and legitimately
-/// differ screen-on vs screen-off.
-void expect_identical(const core::BatchReport& a, const core::BatchReport& b) {
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        const core::CaseResult& x = a.results[i];
-        const core::CaseResult& y = b.results[i];
-        EXPECT_EQ(x.case_id, y.case_id);
-        EXPECT_EQ(x.pass, y.pass) << x.case_id;
-        EXPECT_EQ(x.exec, y.exec) << x.case_id;
-        EXPECT_EQ(x.time_ms, y.time_ms) << x.case_id;
-        EXPECT_EQ(x.time_breakdown, y.time_breakdown) << x.case_id;
-        EXPECT_EQ(x.final_source, y.final_source) << x.case_id;
-        EXPECT_EQ(x.winning_rule, y.winning_rule) << x.case_id;
-        EXPECT_EQ(x.llm_calls, y.llm_calls) << x.case_id;
-        EXPECT_EQ(x.solutions_generated, y.solutions_generated) << x.case_id;
-        EXPECT_EQ(x.steps_executed, y.steps_executed) << x.case_id;
-        EXPECT_EQ(x.rollbacks, y.rollbacks) << x.case_id;
-        EXPECT_EQ(x.thinking_switches, y.thinking_switches) << x.case_id;
-        EXPECT_EQ(x.escalations, y.escalations) << x.case_id;
-        EXPECT_EQ(x.early_stops, y.early_stops) << x.case_id;
-        EXPECT_EQ(x.attempts_skipped, y.attempts_skipped) << x.case_id;
-        EXPECT_EQ(x.error_trajectory, y.error_trajectory) << x.case_id;
-    }
-    EXPECT_EQ(a.clock.now_ms(), b.clock.now_ms());
-    EXPECT_EQ(a.clock.breakdown(), b.clock.breakdown());
-}
-
 TEST(ScreenSoundnessTest, EveryRegistryEngineSweepsBitIdenticallyScreenOnOrOff) {
-    const dataset::Corpus& corpus = []() -> const dataset::Corpus& {
-        static const dataset::Corpus c = dataset::Corpus::standard();
-        return c;
-    }();
-    kb::KnowledgeBase kbase;
-    kb::seed_from_corpus(corpus, kbase);
-
-    for (const std::string& engine_id : core::EngineRegistry::builtin().ids()) {
-        SCOPED_TRACE(engine_id);
-        core::EngineBuildContext off_context;
-        off_context.knowledge_base = &kbase;
-        off_context.oracle = oracle_with_screening(false);
-        core::EngineBuildContext on_context = off_context;
-        on_context.oracle = oracle_with_screening(true);
-        core::EngineBuildContext parallel_context = off_context;
-        parallel_context.oracle = oracle_with_screening(true);
-
-        const core::BatchRunner off(engine_id, {}, off_context,
-                                    core::BatchOptions{1});
-        const core::BatchRunner on(engine_id, {}, on_context,
-                                   core::BatchOptions{1});
-        // Screen-on with 4 workers sharing one oracle: the screening tier
-        // must stay deterministic under the report cache's thread races.
-        const core::BatchRunner on_parallel(engine_id, {}, parallel_context,
-                                            core::BatchOptions{4});
-
-        const core::BatchReport baseline = off.run(corpus);
-        expect_identical(baseline, on.run(corpus));
-        expect_identical(baseline, on_parallel.run(corpus));
-        // The screen-on sweep actually screened (not vacuous identity) —
-        // except for expert, which never verifies at all.
-        if (engine_id != "expert") {
-            EXPECT_GT(on_context.oracle->screen_stats().screens, 0u);
-        }
-    }
+    // Screen-on serial and screen-off with four workers, each against the
+    // unscreened reference.
+    verify::identity::expect_rows_match_reference(
+        dataset::Corpus::standard(),
+        {verify::identity::kDefaultSerial, verify::identity::kScreeningOff});
 }
 
 // --- error paths: degrade to Unknown, never throw ----------------------------
@@ -278,6 +209,13 @@ TEST(ScreenSoundnessTest, OpBudgetExhaustionDegradesToUnknown) {
 
 // --- the Oracle's screening tier ---------------------------------------------
 
+std::shared_ptr<verify::Oracle> oracle_with_screening(bool screening) {
+    verify::OracleOptions options;
+    options.cache = std::make_shared<verify::VerifyCache>();
+    options.screening = screening;
+    return std::make_shared<verify::Oracle>(std::move(options));
+}
+
 TEST(ScreenSoundnessTest, ProvenSafeSynthesisSkipsInterpretationExactly) {
     const std::string source = "fn main() {\n    print_int(6 * 7);\n}\n";
     const auto on = oracle_with_screening(true);
@@ -326,7 +264,6 @@ TEST(ScreenSoundnessTest, ReportCacheHitsReplayTheStoredVerdict) {
     // it serves the memoized report but never surfaces the stored verdict.
     verify::OracleOptions off_options;
     off_options.cache = oracle->cache();
-    off_options.caching = true;  // pinned: the test is about the shared cache
     off_options.screening = false;
     const verify::Oracle off(std::move(off_options));
     verify::VerifyOutcome inert;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -174,11 +175,8 @@ TEST(RepairServiceTest, FeedbackWarmsAcrossOptedInRequests) {
 }
 
 TEST(RepairServiceTest, SharedCachesWarmAcrossRepeatedRequests) {
-    // Pin verify caching on explicitly: this test measures the warm path
-    // itself, so it must hold even under RUSTBRAIN_VERIFY_CACHE=off runs.
     verify::OracleOptions oracle_options;
     oracle_options.cache = std::make_shared<verify::VerifyCache>();
-    oracle_options.caching = true;
     ServiceOptions options = service_options();
     options.oracle =
         std::make_shared<const verify::Oracle>(std::move(oracle_options));
@@ -270,13 +268,30 @@ TEST(RepairServiceTest, QueuePercentilesReportedAndStatsStayConsistent) {
     EXPECT_LE(stats.queue_ms_p99, stats.queue_ms_max);
 }
 
+/// Holds every dequeued request at its ServiceQueue event until released,
+/// so an admitted request provably stays in flight while the test submits.
+class QueueGate final : public core::TraceSink {
+  public:
+    void on_event(const core::TraceEvent& event) override {
+        if (event.kind == core::TraceEventKind::ServiceQueue) opened_.wait();
+    }
+    void open() { gate_.set_value(); }
+
+  private:
+    std::promise<void> gate_;
+    std::shared_future<void> opened_ = gate_.get_future().share();
+};
+
 TEST(RepairServiceTest, MaxInflightShedsSynchronouslyWithRetryAdvice) {
+    QueueGate gate;
     ServiceOptions options = service_options(/*workers=*/1);
     options.max_inflight = 1;
+    options.trace = &gate;
     RepairService service(options);
     // Saturate the one admission slot, then submit more without waiting:
     // everything past the slot must shed immediately, synchronously on the
-    // submitting thread, with the request never queued.
+    // submitting thread, with the request never queued. The gate keeps the
+    // admitted request from finishing early on a busy machine.
     std::vector<std::future<RepairResponse>> futures;
     for (std::size_t i = 0; i < 8; ++i) {
         RepairRequest request;
@@ -284,6 +299,7 @@ TEST(RepairServiceTest, MaxInflightShedsSynchronouslyWithRetryAdvice) {
         request.ub_case = corpus().cases().front();
         futures.push_back(service.submit(std::move(request)));
     }
+    gate.open();
     std::size_t ok = 0;
     std::size_t shed = 0;
     for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -298,8 +314,8 @@ TEST(RepairServiceTest, MaxInflightShedsSynchronouslyWithRetryAdvice) {
             ++ok;
         }
     }
-    EXPECT_GE(ok, 1u);
-    EXPECT_GE(shed, 1u);
+    EXPECT_EQ(ok, 1u);
+    EXPECT_EQ(shed, 7u);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.submitted, 8u);
     EXPECT_EQ(stats.shed, shed);

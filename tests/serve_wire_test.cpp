@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dataset/corpus.hpp"
+#include "gen/corpus_io.hpp"
 #include "serve/wire.hpp"
 
 namespace rustbrain::serve {
@@ -103,6 +104,38 @@ TEST(ServeWireTest, RequestRoundTripsIncludingTheCase) {
     EXPECT_EQ(parsed.ub_case.inputs, request.ub_case.inputs);
     EXPECT_EQ(parsed.ub_case.category, request.ub_case.category);
     EXPECT_EQ(parsed.ub_case.difficulty, request.ub_case.difficulty);
+}
+
+TEST(ServeWireTest, HostileEmbeddedInputLengthIsAParseError) {
+    RepairRequest request;
+    request.engine = "rustbrain";
+    request.ub_case = dataset::Corpus::standard().cases().front();
+    request.ub_case.inputs = {{1}};
+    // Swap the embedded case for one declaring a trillion-value input
+    // vector, keeping the case block's byte count honest.
+    const std::string corpus_text =
+        gen::corpus_to_string(dataset::Corpus({request.ub_case}));
+    std::string hostile = corpus_text;
+    const std::string line = "\ninput 1 1\n";
+    const std::size_t line_pos = hostile.find(line);
+    ASSERT_NE(line_pos, std::string::npos);
+    hostile.replace(line_pos, line.size(), "\ninput 1000000000000 1\n");
+    std::string text = render_request(request);
+    const std::string block =
+        "case " + std::to_string(corpus_text.size()) + "\n" + corpus_text;
+    const std::size_t block_pos = text.find(block);
+    ASSERT_NE(block_pos, std::string::npos);
+    text.replace(block_pos, block.size(),
+                 "case " + std::to_string(hostile.size()) + "\n" + hostile);
+    try {
+        (void)parse_request(text);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("embedded case does not parse: corpus format error"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(ServeWireTest, ResponseRoundTripsBothOutcomes) {

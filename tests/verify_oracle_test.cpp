@@ -1,12 +1,14 @@
 // verify::Oracle — compile-once, memoized verification.
 //
-// The load-bearing contract is bit-identity: with the cache on or off, at
-// any worker count, every consumer (engine sweeps, the semantic judge, the
-// forge) produces byte-identical results; the cache only changes how fast
-// the answer arrives. Plus: the semantic judge interprets a case's
-// reference fix exactly once per process (counted through a counting
-// oracle double), front-end failures match MiriLite verbatim, and the
-// stats counters behave.
+// The load-bearing contract is bit-identity: with the cache on or off,
+// every consumer produces byte-identical results; the cache only changes
+// how fast the answer arrives. Here: every registry engine sweeps the
+// hand-written corpus identically cached or not, serial or with four
+// workers sharing one Oracle (cells of identity_matrix.hpp), the forge
+// emits the same corpus cached or not, the semantic judge interprets a
+// case's reference fix exactly once per process (counted through a
+// counting oracle double), front-end failures match MiriLite verbatim,
+// and the stats counters behave.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,13 +16,10 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_runner.hpp"
-#include "core/engine_registry.hpp"
-#include "dataset/corpus.hpp"
 #include "dataset/semantic.hpp"
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
-#include "kb/seed.hpp"
+#include "identity_matrix.hpp"
 #include "miri/mirilite.hpp"
 #include "support/hashing.hpp"
 #include "verify/oracle.hpp"
@@ -34,86 +33,32 @@ using Inputs = std::vector<std::vector<std::int64_t>>;
 std::shared_ptr<Oracle> cached_oracle() {
     OracleOptions options;
     options.cache = std::make_shared<VerifyCache>();
-    options.caching = true;
     return std::make_shared<Oracle>(std::move(options));
 }
 
-/// Oracle that recomputes everything (the escape-hatch behavior).
+/// Oracle that recomputes everything. Its store is private too, so its
+/// stats read zero even after other code in the process filled the
+/// process-wide cache.
 std::shared_ptr<Oracle> uncached_oracle() {
     OracleOptions options;
+    options.cache = std::make_shared<VerifyCache>();
     options.caching = false;
     return std::make_shared<Oracle>(std::move(options));
-}
-
-void expect_identical(const core::BatchReport& a, const core::BatchReport& b) {
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        const core::CaseResult& x = a.results[i];
-        const core::CaseResult& y = b.results[i];
-        EXPECT_EQ(x.case_id, y.case_id);
-        EXPECT_EQ(x.pass, y.pass) << x.case_id;
-        EXPECT_EQ(x.exec, y.exec) << x.case_id;
-        EXPECT_EQ(x.time_ms, y.time_ms) << x.case_id;
-        EXPECT_EQ(x.time_breakdown, y.time_breakdown) << x.case_id;
-        EXPECT_EQ(x.final_source, y.final_source) << x.case_id;
-        EXPECT_EQ(x.winning_rule, y.winning_rule) << x.case_id;
-        EXPECT_EQ(x.llm_calls, y.llm_calls) << x.case_id;
-        EXPECT_EQ(x.solutions_generated, y.solutions_generated) << x.case_id;
-        EXPECT_EQ(x.steps_executed, y.steps_executed) << x.case_id;
-        EXPECT_EQ(x.rollbacks, y.rollbacks) << x.case_id;
-        EXPECT_EQ(x.thinking_switches, y.thinking_switches) << x.case_id;
-        EXPECT_EQ(x.escalations, y.escalations) << x.case_id;
-        EXPECT_EQ(x.early_stops, y.early_stops) << x.case_id;
-        EXPECT_EQ(x.attempts_skipped, y.attempts_skipped) << x.case_id;
-        EXPECT_EQ(x.error_trajectory, y.error_trajectory) << x.case_id;
-    }
-    EXPECT_EQ(a.clock.now_ms(), b.clock.now_ms());
-    EXPECT_EQ(a.clock.breakdown(), b.clock.breakdown());
 }
 
 // --- bit-identity across the stack -----------------------------------------
 
 TEST(VerifyOracleTest, EveryRegistryEngineSweepsBitIdenticallyCachedOrNot) {
-    const dataset::Corpus& corpus = []() -> const dataset::Corpus& {
-        static const dataset::Corpus c = dataset::Corpus::standard();
-        return c;
-    }();
-    kb::KnowledgeBase kbase;
-    kb::seed_from_corpus(corpus, kbase);
-
-    for (const std::string& engine_id : core::EngineRegistry::builtin().ids()) {
-        SCOPED_TRACE(engine_id);
-        core::EngineBuildContext uncached_context;
-        uncached_context.knowledge_base = &kbase;
-        uncached_context.oracle = uncached_oracle();
-        core::EngineBuildContext cached_context = uncached_context;
-        cached_context.oracle = cached_oracle();
-
-        const core::BatchRunner uncached(engine_id, {}, uncached_context,
-                                         core::BatchOptions{1});
-        const core::BatchRunner cached(engine_id, {}, cached_context,
-                                       core::BatchOptions{1});
-        expect_identical(uncached.run(corpus), cached.run(corpus));
-    }
+    identity::expect_rows_match_reference(
+        dataset::Corpus::standard(),
+        {identity::kDefaultSerial, identity::kCachingOff});
 }
 
 TEST(VerifyOracleTest, ParallelSweepSharesOneOracleAndMatchesSerial) {
-    const dataset::Corpus corpus = dataset::Corpus::standard();
-
-    core::EngineBuildContext serial_context;
-    serial_context.oracle = uncached_oracle();
-    const core::BatchRunner serial("rustbrain", {}, serial_context,
-                                   core::BatchOptions{1});
-
-    // One cached oracle shared by all four workers.
-    core::EngineBuildContext parallel_context;
-    parallel_context.oracle = cached_oracle();
-    const core::BatchRunner parallel("rustbrain", {}, parallel_context,
-                                     core::BatchOptions{4});
-
-    expect_identical(serial.run(corpus), parallel.run(corpus));
-    const VerifyCacheStats stats = parallel_context.oracle->stats();
-    EXPECT_GT(stats.report_hits + stats.report_misses, 0u);
+    // Four workers share one cached Oracle; the row also checks that the
+    // shared store was actually consulted.
+    identity::expect_rows_match_reference(dataset::Corpus::standard(),
+                                          {identity::kDefaultParallel});
 }
 
 TEST(VerifyOracleTest, ForgedCorpusIsByteIdenticalCachedOrNot) {
@@ -163,7 +108,6 @@ TEST(VerifyOracleTest, JudgeInterpretsTheReferenceFixOncePerCase) {
 
     OracleOptions options;
     options.cache = std::make_shared<VerifyCache>();
-    options.caching = true;
     // Screening off: this test counts interpret() calls, and the screener
     // would (correctly) skip them for these trivially-safe candidates.
     options.screening = false;
@@ -194,7 +138,7 @@ TEST(VerifyOracleTest, JudgeInterpretsTheReferenceFixOncePerCase) {
 }
 
 TEST(VerifyOracleTest, WithoutCachingTheReferenceFixRunsPerCandidate) {
-    // The pre-Oracle behavior, kept reachable through the escape hatch —
+    // The pre-Oracle behavior, kept reachable through caching = false —
     // the contrast that proves the memoization is what drops the count.
     dataset::UbCase ub_case;
     ub_case.id = "oracle/ref_uncached";
@@ -301,13 +245,11 @@ TEST(VerifyOracleTest, DisabledCachingStoresNothing) {
 TEST(VerifyOracleTest, DifferentLimitsNeverShareAReport) {
     OracleOptions strict_options;
     strict_options.cache = std::make_shared<VerifyCache>();
-    strict_options.caching = true;
     strict_options.limits.max_steps = 50;
     const Oracle strict(std::move(strict_options));
 
     OracleOptions roomy_options;
     roomy_options.cache = strict.cache();  // same store, different limits
-    roomy_options.caching = true;
     const Oracle roomy(OracleOptions{roomy_options});
 
     const std::string source = R"(fn main() {

@@ -60,7 +60,6 @@ TEST(VerifyStressTest, ConcurrentOracleMatchesSerialAndStatsAddUp) {
 
     OracleOptions shared_options;
     shared_options.cache = std::make_shared<VerifyCache>();
-    shared_options.caching = true;
     shared_options.screening = false;
     const Oracle shared(std::move(shared_options));
 

@@ -1,93 +1,29 @@
-// Differential stress for the interpreter tiers: a 560-case forged corpus
-// swept by every registry engine under RUSTBRAIN_INTERP=tree, slot, and vm
-// (which runs vm::optimize output) must produce byte-identical CaseResult
-// fingerprints, serial and 4-worker (the verify_oracle_test bit-identity
-// pattern). The tier is a pure performance knob — if any opcode, fused
-// replay, kill order, or limit check drifted from the tree walk by even
-// one step, some forged case's repair trajectory would diverge and the
-// fingerprints would split.
+// Differential stress for the interpreter tiers: every buggy source and
+// reference fix of a 560-case forged corpus must produce a byte-identical
+// MiriReport (outputs, step counts, findings with spans) under the tree,
+// slot and vm tiers (vm runs vm::optimize output). The tier is a pure
+// performance knob — if any opcode, fused replay, kill order, or limit
+// check drifted from the tree walk by even one step, a report here would
+// split. Then end to end: every registry engine sweeps the hand-written
+// corpus under the vm tier, and the forged corpus under every row of
+// identity_matrix.hpp, bit-identically to a serial tree walk.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/batch_runner.hpp"
-#include "core/engine_registry.hpp"
 #include "dataset/corpus.hpp"
-#include "gen/forge.hpp"
-#include "kb/seed.hpp"
+#include "identity_matrix.hpp"
 #include "miri/mirilite.hpp"
-#include "support/hashing.hpp"
 #include "verify/oracle.hpp"
 
 namespace rustbrain::verify {
 namespace {
 
-/// Serialize every behavior field of every CaseResult (plus the merged
-/// clock) into one FNV-1a fingerprint. Byte-identity of the blob is the
-/// contract; the hash just makes the comparison one integer.
-std::uint64_t fingerprint(const core::BatchReport& report) {
-    std::string blob;
-    for (const core::CaseResult& r : report.results) {
-        blob += r.case_id;
-        blob += '|';
-        blob += r.pass ? '1' : '0';
-        blob += r.exec ? '1' : '0';
-        blob += std::to_string(r.time_ms);
-        for (const auto& [category, ms] : r.time_breakdown) {
-            blob += category + '=' + std::to_string(ms) + ';';
-        }
-        blob += std::to_string(r.solutions_generated) + ',';
-        blob += std::to_string(r.steps_executed) + ',';
-        blob += std::to_string(r.rollbacks) + ',';
-        blob += std::to_string(r.llm_calls) + ',';
-        blob += r.kb_consulted ? '1' : '0';
-        blob += r.kb_skipped_by_feedback ? '1' : '0';
-        blob += std::to_string(r.thinking_switches) + ',';
-        blob += std::to_string(r.escalations) + ',';
-        blob += std::to_string(r.early_stops) + ',';
-        blob += std::to_string(r.attempts_skipped) + ',';
-        for (const std::size_t errors : r.error_trajectory) {
-            blob += std::to_string(errors) + ',';
-        }
-        blob += r.winning_rule;
-        blob += '|';
-        blob += r.final_source;
-        blob += '\n';
-    }
-    blob += std::to_string(report.clock.now_ms());
-    for (const auto& [category, ms] : report.clock.breakdown()) {
-        blob += category + '=' + std::to_string(ms) + ';';
-    }
-    return support::fnv1a64(blob);
-}
-
-/// Oracle configured purely from RUSTBRAIN_INTERP (already set by the
-/// caller): private cache, screening off so the selected tier actually
-/// interprets every uncached verification.
-std::shared_ptr<Oracle> env_gated_oracle(InterpTier expected) {
-    OracleOptions options;
-    options.cache = std::make_shared<VerifyCache>();
-    options.caching = true;
-    options.screening = false;
-    auto oracle = std::make_shared<Oracle>(std::move(options));
-    EXPECT_EQ(oracle->interp_tier(), expected);  // the env gate is live
-    return oracle;
-}
-
 const dataset::Corpus& forged_corpus() {
-    static const dataset::Corpus corpus = [] {
-        gen::ForgeOptions options;
-        options.seed = 21;
-        options.count = 560;
-        OracleOptions oracle_options;
-        oracle_options.cache = std::make_shared<VerifyCache>();
-        const Oracle forge_oracle(std::move(oracle_options));
-        options.oracle = &forge_oracle;
-        return gen::forge_corpus(options);
-    }();
+    static const dataset::Corpus corpus = identity::forge(
+        21, 560, Oracle(identity::options_for(identity::kDefaultSerial)));
     return corpus;
 }
 
@@ -134,46 +70,14 @@ TEST(VmDifferentialTest, ForgedCorpusMiriReportsAgreeAcrossAllTiers) {
 }
 
 TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
-    const dataset::Corpus& corpus = forged_corpus();
-    ASSERT_EQ(corpus.size(), 560u);
-    kb::KnowledgeBase kbase;
-    kb::seed_from_corpus(dataset::Corpus::standard(), kbase);
-
-    struct Config {
-        const char* tier;
-        InterpTier expected;
-        std::size_t workers;
-    };
-    const Config baseline_config{"tree", InterpTier::Tree, 1};
-    const std::vector<Config> configs = {
-        {"tree", InterpTier::Tree, 4},
-        {"slot", InterpTier::Slot, 1},
-        {"slot", InterpTier::Slot, 4},
-        {"vm", InterpTier::Vm, 1},
-        {"vm", InterpTier::Vm, 4},
-    };
-
-    for (const std::string& engine_id : core::EngineRegistry::builtin().ids()) {
-        SCOPED_TRACE(engine_id);
-
-        auto sweep = [&](const Config& config) {
-            ::setenv("RUSTBRAIN_INTERP", config.tier, 1);
-            core::EngineBuildContext context;
-            context.knowledge_base = &kbase;
-            context.oracle = env_gated_oracle(config.expected);
-            const core::BatchRunner runner(engine_id, {}, context,
-                                           core::BatchOptions{config.workers});
-            return fingerprint(runner.run(corpus));
-        };
-
-        const std::uint64_t want = sweep(baseline_config);
-        for (const Config& config : configs) {
-            SCOPED_TRACE(std::string(config.tier) + "/" +
-                         std::to_string(config.workers) + "-worker");
-            EXPECT_EQ(want, sweep(config));
-        }
+    {
+        SCOPED_TRACE("hand-written");
+        identity::expect_rows_match_reference(dataset::Corpus::standard(),
+                                              {identity::kVm});
     }
-    ::unsetenv("RUSTBRAIN_INTERP");
+    SCOPED_TRACE("forged-560");
+    ASSERT_EQ(forged_corpus().size(), 560u);
+    identity::expect_rows_match_reference(forged_corpus(), identity::kRows);
 }
 
 }  // namespace

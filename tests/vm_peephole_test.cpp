@@ -8,7 +8,6 @@
 // tier never pays for a bytecode compile at all).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -224,7 +223,6 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
     // are built on first vm-tier use, so a tree-tier oracle must leave
     // both process-wide counters untouched.
     const char* source = "fn main() { print_int(6 * 7); }";
-    ::setenv("RUSTBRAIN_INTERP", "tree", 1);
     const std::uint64_t compiles_before =
         vm::CompileStats::bytecode_compiles.load();
     const std::uint64_t passes_before =
@@ -233,14 +231,13 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
         verify::OracleOptions options;
         options.caching = false;
         options.screening = false;
+        options.interp = verify::InterpTier::Tree;
         const verify::Oracle oracle(options);
-        EXPECT_EQ(oracle.interp_tier(), verify::InterpTier::Tree);
         for (int i = 0; i < 3; ++i) {
             const miri::MiriReport report = oracle.test_source(source, {});
             EXPECT_EQ(report.outputs.front().front(), "42");
         }
     }
-    ::unsetenv("RUSTBRAIN_INTERP");
     EXPECT_EQ(vm::CompileStats::bytecode_compiles.load(), compiles_before);
     EXPECT_EQ(vm::CompileStats::optimize_passes.load(), passes_before);
 
@@ -281,7 +278,6 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
         auto render_all = [&](verify::InterpTier tier) {
             verify::OracleOptions oracle_options;
             oracle_options.cache = std::make_shared<verify::VerifyCache>();
-            oracle_options.caching = true;
             oracle_options.screening = false;
             oracle_options.interp = tier;
             core::EngineBuildContext context;
