@@ -154,9 +154,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(warm.records()));
 
     // Phase 2: one warm-started parallel sweep per registered policy.
-    // "screen p/l/u" is the proven-safe / likely-ub / unknown verdict mix
-    // the pre-screener handed the cases of that sweep (what the `screened`
-    // policy keys on).
+    // "screen p/l/u" is the proven-safe / likely-ub / unknown mix of the
+    // pre-screening verdicts the sweep's policy asked for: only `screened`
+    // asks, every other row reads 0/0/0.
     support::TextTable table({"policy", "pass", "exec", "virtual min",
                               "s/case", "llm calls", "escal", "stops", "skips",
                               "fast-only", "screen p/l/u"});
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
         "fast-only shortcuts on confident shapes, screened keys the switch "
         "off the static pre-screener's verdict, budget cuts long "
         "refinement tails, fast-only/slow-all bracket the trade-off space.\n");
-    std::printf("static pre-screen (all sweeps): %s\n",
+    std::printf("static pre-screen (screened policy): %s\n",
                 context.oracle->screen_summary().c_str());
     return 0;
 }

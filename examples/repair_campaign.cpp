@@ -189,9 +189,12 @@ int main(int argc, char** argv) {
                 report.virtual_ms_total() / 60000.0, kb_skips, report.wall_ms);
     std::printf("thinking policy: %d escalations, %d early stops\n",
                 escalations, early_stops);
-    std::printf("static pre-screen: %d verdicts (%d proven-safe, %d likely-ub, "
-                "%d unknown)\n\n",
-                screens, screen_proven, screen_likely, screen_unknown);
+    if (screens > 0) {  // only the `screened` policy asks
+        std::printf("screened policy: %d pre-screening verdicts (%d "
+                    "proven-safe, %d likely-ub, %d unknown)\n",
+                    screens, screen_proven, screen_likely, screen_unknown);
+    }
+    std::printf("\n");
 
     support::TextTable table({"winning strategy", "repairs"});
     for (const auto& [rule, count] : by_rule) {
@@ -204,6 +207,5 @@ int main(int argc, char** argv) {
     // where the memoization pays.
     const verify::Oracle& oracle = verify::Oracle::shared_default();
     std::printf("\nverification oracle: %s\n", oracle.stats_summary().c_str());
-    std::printf("static pre-screen: %s\n", oracle.screen_summary().c_str());
     return 0;
 }

@@ -26,18 +26,20 @@ miri::MiriReport AgentContext::verify(const std::string& source) {
     clock.charge("miri", 120.0 + static_cast<double>(report.total_steps) * 0.01);
     emit(core::TraceEventKind::Verify, outcome.report_cached ? "cached" : "",
          static_cast<std::uint64_t>(report.error_count()));
-    if (outcome.screened) {
+    if (!screen_verdicts) return report;
+    const std::optional<screen::ScreenVerdict> verdict =
+        verifier.screen(source, inputs != nullptr ? *inputs : kNoInputs);
+    if (verdict) {
         // Most-recent-wins: policies read the verdict of the latest
         // verification (the candidate they are deciding about).
         if (signals != nullptr) {
             signals->screened = true;
-            signals->screen_verdict = outcome.screen_verdict.kind;
-            signals->screen_confidence = outcome.screen_verdict.confidence;
-            signals->screen_category = outcome.screen_verdict.category;
+            signals->screen_verdict = verdict->kind;
+            signals->screen_confidence = verdict->confidence;
+            signals->screen_category = verdict->category;
         }
         emit(core::TraceEventKind::Screen,
-             screen::verdict_kind_name(outcome.screen_verdict.kind),
-             outcome.screen_verdict.ops);
+             screen::verdict_kind_name(verdict->kind), verdict->ops);
     }
     return report;
 }

@@ -50,6 +50,11 @@ struct AgentContext {
     /// thinking fills the ranking/feature fields, slow thinking the
     /// attempt-loop and trajectory fields.
     core::PolicySignals* signals = nullptr;
+    /// Ask the Oracle for a static pre-screening verdict on every
+    /// verification. Engines copy it from their policy's
+    /// needs_screen_verdict() where they build the context, so even
+    /// verifications made before `signals` is attached are screened.
+    bool screen_verdicts = false;
 
     /// Calls issued so far in this backend session; stamped into each
     /// request as its sequence number (part of the call's deterministic
@@ -65,7 +70,9 @@ struct AgentContext {
     /// derived from the report (which is memoized bit-identically), so a
     /// cache hit charges exactly what the uncached run would have — the
     /// cache can never perturb results. The event label records where the
-    /// answer came from ("" = interpreted, "cached" = report cache).
+    /// answer came from ("" = interpreted, "cached" = report cache). With
+    /// screen_verdicts set, a verdict also updates `signals` (most recent
+    /// wins) and emits a Screen event.
     miri::MiriReport verify(const std::string& source);
 
     /// Emit one trace event stamped with the current virtual time (no-op

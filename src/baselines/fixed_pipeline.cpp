@@ -48,6 +48,7 @@ core::CaseResult FixedPipelineRepair::repair(const dataset::UbCase& ub_case) {
     context.temperature = config_.temperature;
     context.inputs = &ub_case.inputs;
     context.oracle = &oracle;
+    context.screen_verdicts = policy_->needs_screen_verdict();
 
     const miri::MiriReport initial = context.verify(ub_case.buggy_source);
     if (initial.passed()) {

@@ -41,10 +41,8 @@ struct CaseResult {
     int escalations = 0;
     int early_stops = 0;
     int attempts_skipped = 0;
-    /// Static pre-screening tallies (screen/screen.hpp). Observability
-    /// only: these are the one set of CaseResult fields that legitimately
-    /// differ screen-on vs screen-off, so bit-identity comparisons must
-    /// (and do) exclude them.
+    /// Static pre-screening tallies (screen/screen.hpp): the verdicts the
+    /// `screened` policy asked for. Zero under every other policy.
     int screens = 0;
     int screen_proven_safe = 0;
     int screen_likely_ub = 0;

@@ -61,6 +61,7 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
     context.temperature = config_.temperature;
     context.inputs = &ub_case.inputs;
     context.oracle = &verifier;
+    context.screen_verdicts = policy_->needs_screen_verdict();
     context.knowledge_base =
         config_.use_knowledge_base ? knowledge_base_ : nullptr;
     context.case_hint = ub_case.id;

@@ -85,6 +85,7 @@ class ScreenedPolicy final : public ThinkingPolicy {
     [[nodiscard]] std::string summary() const override {
         return "threshold=" + support::format_double(threshold_, 2);
     }
+    [[nodiscard]] bool needs_screen_verdict() const override { return true; }
 
     [[nodiscard]] ThinkingMode choose_mode(
         const PolicySignals& signals) const override {

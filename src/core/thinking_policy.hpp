@@ -63,10 +63,10 @@ struct PolicySignals {
     bool feedback_confident = false;  // FeedbackStore::is_confident
     double feedback_score = 0.0;      // best rule score for the key
 
-    // Static pre-screening verdict from the Oracle's screening tier,
-    // stamped by AgentContext::verify on every verification (most recent
-    // wins; screened stays false when screening is off or the source never
-    // reached the screener).
+    // Static pre-screening verdict from Oracle::screen, stamped by
+    // AgentContext::verify on every verification of a policy whose
+    // needs_screen_verdict() is true (most recent wins; screened stays
+    // false for every other policy, and when the source never compiled).
     bool screened = false;
     screen::VerdictKind screen_verdict = screen::VerdictKind::Unknown;
     double screen_confidence = 0.0;
@@ -106,6 +106,10 @@ class ThinkingPolicy {
 
     /// "id" or "id(k=v ...)" — what config_summary prints.
     [[nodiscard]] std::string descriptor() const;
+
+    /// Does this policy read the screen_* signals? Only then do the
+    /// engines ask the Oracle for a pre-screening verdict per verification.
+    [[nodiscard]] virtual bool needs_screen_verdict() const { return false; }
 
     /// Asked once per case, after fast thinking found UB.
     [[nodiscard]] virtual ThinkingMode choose_mode(

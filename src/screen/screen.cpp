@@ -70,16 +70,14 @@ struct RunScreen {
     Outcome outcome = Outcome::Bail;
     Finding finding;             // Outcome::Definite
     std::string reason;          // Outcome::Bail
-    std::vector<std::string> output;  // Outcome::Clean: exact observable output
-    std::uint64_t steps = 0;     // Outcome::Clean: exact MiriLite step count
     std::uint64_t ops = 0;       // abstract ops spent (all outcomes)
 };
 
 /// Mirrors miri::Interpreter statement for statement over the modelled
 /// subset. Step accounting is charged at exactly the interpreter's sites
 /// (every exec_statement entry, every eval_expr entry, one extra step per
-/// while-loop iteration), so a clean run's step count — and therefore the
-/// virtual time every consumer derives from it — is byte-identical.
+/// while-loop iteration), so the screener exceeds the step limit exactly
+/// where MiriLite does.
 class AbstractInterpreter {
   public:
     AbstractInterpreter(const lang::Program& program,
@@ -126,8 +124,6 @@ class AbstractInterpreter {
             run.outcome = RunScreen::Outcome::Bail;
             run.reason = "unexpected error";
         }
-        run.output = std::move(output_);
-        run.steps = steps_;
         run.ops = ops_;
         return run;
     }
@@ -829,18 +825,10 @@ class AbstractInterpreter {
         if (needs_arg && (args.empty() || expr.args.empty())) {
             throw Bail{"intrinsic '" + name + "' with no argument"};
         }
-        if (name == "print_int") {
-            const Type& arg_type = expr.args[0]->type;
-            if (arg_type.is_signed_integer()) {
-                output_.push_back(std::to_string(
-                    exact(args[0]).as_signed(arg_type.size_bytes())));
-            } else {
-                output_.push_back(std::to_string(exact(args[0]).bits()));
-            }
-            return make_abs(Value::unit());
-        }
-        if (name == "print_bool") {
-            output_.push_back(exact(args[0]).as_bool() ? "true" : "false");
+        if (name == "print_int" || name == "print_bool") {
+            // Output is not observed, but the printed value must be exact
+            // (and a scalar) for the run to stay in the modelled subset.
+            (void)exact(args[0]).bits();
             return make_abs(Value::unit());
         }
         if (name == "input") {
@@ -873,7 +861,6 @@ class AbstractInterpreter {
 
     std::vector<Frame> frames_;
     std::vector<std::optional<Slot>> statics_;
-    std::vector<std::string> output_;
     std::uint64_t steps_ = 0;
     std::uint64_t ops_ = 0;
     std::uint32_t call_depth_ = 0;
@@ -904,17 +891,16 @@ const char* verdict_kind_name(VerdictKind kind) {
     return "?";
 }
 
-ScreenResult screen_program(
+ScreenVerdict screen_program(
     const lang::Program& program, const miri::LoweredProgram& lowering,
     const std::vector<std::vector<std::int64_t>>& input_sets,
     const miri::InterpLimits& limits, const ScreenOptions& options) {
-    ScreenResult out;
+    ScreenVerdict verdict;
     try {
         const std::vector<std::vector<std::int64_t>> runs =
             input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
                                : input_sets;
         std::uint64_t ops = 0;
-        miri::MiriReport synthesized;
         for (const auto& inputs : runs) {
             // The op budget spans all runs, so screening cost is bounded
             // per candidate, not per input vector.
@@ -923,35 +909,31 @@ ScreenResult screen_program(
             const RunScreen run = interp.screen();
             ops = run.ops;
             if (run.outcome == RunScreen::Outcome::Bail) {
-                out.verdict.kind = VerdictKind::Unknown;
-                out.verdict.confidence = 0.0;
-                out.verdict.detail = run.reason;
-                out.verdict.ops = ops;
-                return out;
+                verdict.kind = VerdictKind::Unknown;
+                verdict.confidence = 0.0;
+                verdict.detail = run.reason;
+                verdict.ops = ops;
+                return verdict;
             }
             if (run.outcome == RunScreen::Outcome::Definite) {
-                out.verdict.kind = VerdictKind::LikelyUB;
-                out.verdict.confidence = 0.95;
-                out.verdict.category = run.finding.category;
-                out.verdict.span = run.finding.span;
-                out.verdict.detail = run.finding.message;
-                out.verdict.ops = ops;
-                return out;
+                verdict.kind = VerdictKind::LikelyUB;
+                verdict.confidence = 0.95;
+                verdict.category = run.finding.category;
+                verdict.span = run.finding.span;
+                verdict.detail = run.finding.message;
+                verdict.ops = ops;
+                return verdict;
             }
-            synthesized.total_steps += run.steps;
-            synthesized.outputs.push_back(run.output);
         }
-        out.verdict.kind = VerdictKind::ProvenSafe;
-        out.verdict.confidence = 1.0;
-        out.verdict.ops = ops;
-        out.report = std::move(synthesized);
+        verdict.kind = VerdictKind::ProvenSafe;
+        verdict.confidence = 1.0;
+        verdict.ops = ops;
     } catch (...) {
         // The never-throw contract: any escape degrades to Unknown.
-        out = ScreenResult{};
-        out.verdict.kind = VerdictKind::Unknown;
-        out.verdict.detail = "screening failed unexpectedly";
+        verdict = ScreenVerdict{};
+        verdict.detail = "screening failed unexpectedly";
     }
-    return out;
+    return verdict;
 }
 
 }  // namespace rustbrain::screen

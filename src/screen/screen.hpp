@@ -7,26 +7,26 @@
 // returns a three-point verdict lattice:
 //
 //   ProvenSafe   the screener walked every input run to completion through
-//                constructs it models exactly and proved no UB fires. The
-//                accompanying report (outputs + step count) is synthesized
-//                and is byte-identical to what MiriLite would produce, so
-//                verify::Oracle can skip interpretation entirely.
-//   LikelyUB     a definite finding (category + span) on a concrete path —
-//                advisory only; the Oracle still runs MiriLite, the verdict
-//                feeds thinking policies and observability.
+//                constructs it models exactly and proved no UB fires.
+//   LikelyUB     a definite finding (category + span) on a concrete path.
 //   Unknown      anything the screener does not model: references, raw
 //                pointers, heap intrinsics, threads/atomics, `become`,
 //                non-singleton constraints reaching control flow, or the
 //                op budget running out. Unknown is always sound.
 //
+// Verdicts are advisory: MiriLite stays the authority on every report, and
+// verify::Oracle::screen asks for a verdict only on behalf of the
+// `screened` thinking policy.
+//
 // Soundness contract: ProvenSafe must NEVER contradict MiriLite. The
 // screener guarantees this by construction — it only reports ProvenSafe
 // when every abstract value on the executed path stayed a singleton
 // interval (exact), every construct was one it mirrors operation-for-
-// operation (including step accounting and output formatting), and every
-// run finished cleanly within the interpreter limits. Everything else
-// degrades to Unknown; errors never escape screen_program (asserted over
-// the hand-written + forged corpora in tests/screen_soundness_test.cpp).
+// operation (including step accounting, so step-limit exhaustion is a
+// definite finding), and every run finished cleanly within the interpreter
+// limits. Everything else degrades to Unknown; errors never escape
+// screen_program (asserted over the hand-written + forged corpora in
+// tests/screen_soundness_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,6 @@
 #include "miri/finding.hpp"
 #include "miri/interp.hpp"
 #include "miri/lower.hpp"
-#include "miri/mirilite.hpp"
 #include "support/source_span.hpp"
 
 namespace rustbrain::screen {
@@ -102,19 +101,11 @@ struct ScreenVerdict {
     std::uint64_t ops = 0;
 };
 
-struct ScreenResult {
-    ScreenVerdict verdict;
-    /// Valid only when verdict.kind == ProvenSafe: the exact MiriReport
-    /// (per-run outputs, summed steps, no findings) MiriLite would have
-    /// produced, ready for verify::Oracle to return without interpreting.
-    miri::MiriReport report;
-};
-
 /// Screen `program` (paired with its exact lowering — see miri/lower.hpp)
 /// against every input vector, mirroring verify::Oracle::interpret's run
 /// normalization (an empty `input_sets` means one run with no inputs).
 /// Never throws: every internal error degrades to an Unknown verdict.
-[[nodiscard]] ScreenResult screen_program(
+[[nodiscard]] ScreenVerdict screen_program(
     const lang::Program& program, const miri::LoweredProgram& lowering,
     const std::vector<std::vector<std::int64_t>>& input_sets,
     const miri::InterpLimits& limits, const ScreenOptions& options = {});

@@ -82,7 +82,7 @@ std::shared_ptr<const CompiledProgram> VerifyCache::insert_program(
 }
 
 std::optional<miri::MiriReport> VerifyCache::lookup_report(
-    const ReportKeyView& key, ScreenVerdictRecord* verdict) {
+    const ReportKeyView& key) {
     Shard& shard = shard_for(key.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     // peek + find: a hash collision (key mismatch) is a miss and must not
@@ -94,13 +94,11 @@ std::optional<miri::MiriReport> VerifyCache::lookup_report(
     }
     report_hits_.fetch_add(1, std::memory_order_relaxed);
     shard.reports.find(key.hash);  // promote the validated hit
-    if (verdict != nullptr) *verdict = entry->verdict;
     return entry->report;
 }
 
 void VerifyCache::insert_report(const ReportKeyView& key,
-                                const miri::MiriReport& report,
-                                const ScreenVerdictRecord* verdict) {
+                                const miri::MiriReport& report) {
     Shard& shard = shard_for(key.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.reports.peek(key.hash) != nullptr) {
@@ -112,7 +110,6 @@ void VerifyCache::insert_report(const ReportKeyView& key,
     entry.limits = key.limits;
     entry.input_sets = *key.input_sets;
     entry.report = report;
-    if (verdict != nullptr) entry.verdict = *verdict;
     shard.reports.insert(key.hash, std::move(entry));
 }
 
@@ -181,9 +178,7 @@ Oracle::Oracle(OracleOptions options)
       cache_(options.cache != nullptr ? std::move(options.cache)
                                       : VerifyCache::process_wide()),
       caching_(options.caching),
-      screening_(options.screening),
-      interp_(options.interp),
-      screen_options_(options.screen) {}
+      interp_(options.interp) {}
 
 const Oracle& Oracle::shared_default() {
     static const Oracle oracle;
@@ -286,47 +281,6 @@ miri::MiriReport Oracle::interpret(
     return report;
 }
 
-miri::MiriReport Oracle::screen_or_interpret(
-    const CompiledProgram& compiled,
-    const std::vector<std::vector<std::int64_t>>& input_sets,
-    VerifyOutcome* outcome, ScreenVerdictRecord* record) const {
-    if (screening_) {
-        const screen::ScreenResult screened = screen::screen_program(
-            compiled.program, compiled.lowering, input_sets, limits_,
-            screen_options_);
-        screens_.fetch_add(1, std::memory_order_relaxed);
-        screen_ops_.fetch_add(screened.verdict.ops, std::memory_order_relaxed);
-        switch (screened.verdict.kind) {
-            case screen::VerdictKind::ProvenSafe:
-                screen_proven_.fetch_add(1, std::memory_order_relaxed);
-                break;
-            case screen::VerdictKind::LikelyUB:
-                screen_likely_.fetch_add(1, std::memory_order_relaxed);
-                break;
-            case screen::VerdictKind::Unknown:
-                screen_unknown_.fetch_add(1, std::memory_order_relaxed);
-                break;
-        }
-        if (outcome != nullptr) {
-            outcome->screened = true;
-            outcome->screen_verdict = screened.verdict;
-        }
-        if (record != nullptr) {
-            record->screened = true;
-            record->verdict = screened.verdict;
-        }
-        if (screened.verdict.kind == screen::VerdictKind::ProvenSafe) {
-            // The synthesized report is exact (outputs + steps), so the
-            // interpreter run is pure redundancy — skip it.
-            screen_synthesized_.fetch_add(1, std::memory_order_relaxed);
-            if (outcome != nullptr) outcome->screen_synthesized = true;
-            return screened.report;
-        }
-        // LikelyUB / Unknown: advisory only — MiriLite stays the authority.
-    }
-    return interpret(compiled, input_sets);
-}
-
 miri::MiriReport Oracle::test_source(
     const std::string& source,
     const std::vector<std::vector<std::int64_t>>& input_sets,
@@ -335,37 +289,44 @@ miri::MiriReport Oracle::test_source(
     const std::shared_ptr<const CompiledProgram> compiled =
         compile_guarded(source, outcome, &canonical);
     if (!compiled->ok()) {
-        // Byte-identical to MiriLite's front-end failure reports. Never
-        // screened: there is no program to screen.
+        // Byte-identical to MiriLite's front-end failure reports.
         miri::MiriReport report;
         report.findings.push_back(
             miri::Finding{miri::UbCategory::CompileError, compiled->error, {}});
         return report;
     }
-    if (!caching_ || !canonical) {
-        return screen_or_interpret(*compiled, input_sets, outcome, nullptr);
-    }
+    if (!caching_ || !canonical) return interpret(*compiled, input_sets);
     const ReportKeyView key = report_key(*compiled, input_sets, limits_);
-    ScreenVerdictRecord cached_verdict;
-    if (auto cached = cache_->lookup_report(key, &cached_verdict)) {
-        if (outcome != nullptr) {
-            outcome->report_cached = true;
-            // Replay the verdict stored with the entry so policies see the
-            // same signal they would on a live screen. Never on a
-            // screening-off oracle: the cache may be shared with screen-on
-            // oracles, and "off" must stay fully inert.
-            outcome->screened = screening_ && cached_verdict.screened;
-            if (outcome->screened) {
-                outcome->screen_verdict = cached_verdict.verdict;
-            }
-        }
+    if (auto cached = cache_->lookup_report(key)) {
+        if (outcome != nullptr) outcome->report_cached = true;
         return *cached;
     }
-    ScreenVerdictRecord record;
-    const miri::MiriReport report =
-        screen_or_interpret(*compiled, input_sets, outcome, &record);
-    cache_->insert_report(key, report, &record);
+    const miri::MiriReport report = interpret(*compiled, input_sets);
+    cache_->insert_report(key, report);
     return report;
+}
+
+std::optional<screen::ScreenVerdict> Oracle::screen(
+    const std::string& source,
+    const std::vector<std::vector<std::int64_t>>& input_sets) const {
+    const std::shared_ptr<const CompiledProgram> compiled = compile(source);
+    if (!compiled->ok()) return std::nullopt;
+    screen::ScreenVerdict verdict = screen::screen_program(
+        compiled->program, compiled->lowering, input_sets, limits_);
+    screens_.fetch_add(1, std::memory_order_relaxed);
+    screen_ops_.fetch_add(verdict.ops, std::memory_order_relaxed);
+    switch (verdict.kind) {
+        case screen::VerdictKind::ProvenSafe:
+            screen_proven_.fetch_add(1, std::memory_order_relaxed);
+            break;
+        case screen::VerdictKind::LikelyUB:
+            screen_likely_.fetch_add(1, std::memory_order_relaxed);
+            break;
+        case screen::VerdictKind::Unknown:
+            screen_unknown_.fetch_add(1, std::memory_order_relaxed);
+            break;
+    }
+    return verdict;
 }
 
 std::string Oracle::stats_summary() const {
@@ -384,17 +345,14 @@ ScreenStats Oracle::screen_stats() const {
     s.proven_safe = screen_proven_.load(std::memory_order_relaxed);
     s.likely_ub = screen_likely_.load(std::memory_order_relaxed);
     s.unknown = screen_unknown_.load(std::memory_order_relaxed);
-    s.synthesized = screen_synthesized_.load(std::memory_order_relaxed);
     s.ops = screen_ops_.load(std::memory_order_relaxed);
     return s;
 }
 
 std::string Oracle::screen_summary() const {
-    if (!screening_) return "screening off";
     const ScreenStats s = screen_stats();
     return std::to_string(s.screens) + " screened: " +
-           std::to_string(s.proven_safe) + " proven-safe (" +
-           std::to_string(s.synthesized) + " interpretations skipped), " +
+           std::to_string(s.proven_safe) + " proven-safe, " +
            std::to_string(s.likely_ub) + " likely-ub, " +
            std::to_string(s.unknown) + " unknown, " + std::to_string(s.ops) +
            " abstract ops";

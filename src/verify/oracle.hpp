@@ -23,19 +23,16 @@
 // knob, exactly like llm::PromptCache, whose design this mirrors (16-way
 // sharding, atomic hit/miss counters, process-wide shared store).
 //
-// Screening tier: before interpreting, the Oracle runs the static
-// pre-screener (screen/screen.hpp). A ProvenSafe verdict carries the exact
-// MiriReport the interpreter would produce (outputs + step count,
-// synthesized by the screener's mirror semantics), so interpretation is
-// skipped entirely; LikelyUB and Unknown verdicts are advisory — MiriLite
-// still runs and stays the authority. Bit-identity is preserved either
-// way.
+// Screening on demand: test_source always interprets. A caller that wants
+// the static pre-screener's verdict (screen/screen.hpp) asks for it with
+// screen() — today only the `screened` thinking policy does. Verdicts are
+// not memoized: only that opt-in policy pays for them, and the report
+// cache stays a store of MiriLite answers alone.
 //
-// OracleOptions is the only configuration surface. Caching, screening,
-// the interpreter tier and the worker count never change a result byte:
-// the identity table in tests/identity_matrix.hpp sweeps every registry
-// engine and the forge under each of them against a serial, uncached,
-// unscreened tree walk.
+// OracleOptions is the only configuration surface. Caching, the
+// interpreter tier and the worker count never change a result byte: the
+// identity table in tests/identity_matrix.hpp sweeps every registry engine
+// and the forge under each of them against a serial, uncached tree walk.
 #pragma once
 
 #include <array>
@@ -129,14 +126,6 @@ struct VerifyCacheStats {
     }
 };
 
-/// A screening verdict remembered alongside a memoized report, so a report
-/// cache hit still surfaces the verdict to thinking policies. `screened`
-/// is false for entries inserted by a screen-off Oracle.
-struct ScreenVerdictRecord {
-    bool screened = false;
-    screen::ScreenVerdict verdict;
-};
-
 /// Identity of a memoized report, borrowed from the caller for lookups so
 /// the hot (hit) path never copies the input vectors. The 64-bit `hash`
 /// routes and indexes; the remaining fields are the full key material,
@@ -184,13 +173,9 @@ class VerifyCache {
     std::shared_ptr<const CompiledProgram> insert_program(
         std::uint64_t key, std::shared_ptr<const CompiledProgram> compiled);
 
-    /// `verdict` (optional) receives the screening record stored with the
-    /// entry on a hit.
-    std::optional<miri::MiriReport> lookup_report(
-        const ReportKeyView& key, ScreenVerdictRecord* verdict = nullptr);
+    std::optional<miri::MiriReport> lookup_report(const ReportKeyView& key);
     /// Copies the key material (including the input vectors) into the entry.
-    void insert_report(const ReportKeyView& key, const miri::MiriReport& report,
-                       const ScreenVerdictRecord* verdict = nullptr);
+    void insert_report(const ReportKeyView& key, const miri::MiriReport& report);
 
     [[nodiscard]] VerifyCacheStats stats() const;
 
@@ -208,7 +193,6 @@ class VerifyCache {
         miri::InterpLimits limits;
         std::vector<std::vector<std::int64_t>> input_sets;
         miri::MiriReport report;
-        ScreenVerdictRecord verdict;
 
         [[nodiscard]] bool matches(const ReportKeyView& key) const {
             return fingerprint == key.fingerprint && check == key.check &&
@@ -239,23 +223,17 @@ struct OracleOptions {
     /// Memoize compiles and reports in `cache`; off recomputes everything
     /// and touches the store not at all.
     bool caching = true;
-    /// Run the static pre-screener before interpreting.
-    bool screening = true;
-    /// Screener budget (per-candidate abstract-op cap).
-    screen::ScreenOptions screen;
     /// Which interpreter runs uncached work. Pure performance knob:
     /// reports are byte-identical across tiers.
     InterpTier interp = InterpTier::Slot;
 };
 
-/// Counters for the Oracle's screening tier (process- or oracle-lifetime,
-/// like VerifyCacheStats).
+/// Counters for Oracle::screen (oracle-lifetime, like VerifyCacheStats).
 struct ScreenStats {
-    std::uint64_t screens = 0;      // screenings actually run
-    std::uint64_t proven_safe = 0;  // => interpretation skipped
-    std::uint64_t likely_ub = 0;    // advisory: category statically pinned
-    std::uint64_t unknown = 0;      // screener degraded; MiriLite decided
-    std::uint64_t synthesized = 0;  // reports served from the screener
+    std::uint64_t screens = 0;      // verdicts returned
+    std::uint64_t proven_safe = 0;
+    std::uint64_t likely_ub = 0;    // category statically pinned
+    std::uint64_t unknown = 0;      // screener degraded
     std::uint64_t ops = 0;          // total abstract ops spent screening
 };
 
@@ -264,14 +242,6 @@ struct ScreenStats {
 struct VerifyOutcome {
     bool program_cached = false;
     bool report_cached = false;
-    /// Screening verdict for this call — live from the screener, or
-    /// replayed from the report cache entry (screened == false when the
-    /// verdict never existed: screening off, or a front-end error).
-    bool screened = false;
-    screen::ScreenVerdict screen_verdict;
-    /// True when the report was synthesized from a ProvenSafe verdict and
-    /// interpretation was skipped (never true on cache-hit replays).
-    bool screen_synthesized = false;
 };
 
 class Oracle {
@@ -288,6 +258,13 @@ class Oracle {
         const std::string& source,
         const std::vector<std::vector<std::int64_t>>& input_sets,
         VerifyOutcome* outcome = nullptr) const;
+
+    /// The static pre-screener's verdict on `source` over `input_sets`
+    /// (default ScreenOptions, this Oracle's limits), compiled through the
+    /// program cache; nullopt when the front end fails. Never interprets.
+    [[nodiscard]] std::optional<screen::ScreenVerdict> screen(
+        const std::string& source,
+        const std::vector<std::vector<std::int64_t>>& input_sets) const;
 
     /// Front-end half only: the cached parsed + typechecked + lowered
     /// program for `source` (subsystems that also need the AST — KB
@@ -328,25 +305,15 @@ class Oracle {
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_guarded(
         const std::string& source, VerifyOutcome* outcome,
         bool* canonical) const;
-    /// The screening tier: run the pre-screener (when enabled), serve a
-    /// ProvenSafe synthesis directly, fall through to interpret() otherwise.
-    /// `record` (optional) receives the verdict for report-cache storage.
-    [[nodiscard]] miri::MiriReport screen_or_interpret(
-        const CompiledProgram& compiled,
-        const std::vector<std::vector<std::int64_t>>& input_sets,
-        VerifyOutcome* outcome, ScreenVerdictRecord* record) const;
 
     miri::InterpLimits limits_;
     std::shared_ptr<VerifyCache> cache_;
     bool caching_ = true;
-    bool screening_ = true;
     InterpTier interp_ = InterpTier::Slot;
-    screen::ScreenOptions screen_options_;
     mutable std::atomic<std::uint64_t> screens_{0};
     mutable std::atomic<std::uint64_t> screen_proven_{0};
     mutable std::atomic<std::uint64_t> screen_likely_{0};
     mutable std::atomic<std::uint64_t> screen_unknown_{0};
-    mutable std::atomic<std::uint64_t> screen_synthesized_{0};
     mutable std::atomic<std::uint64_t> screen_ops_{0};
 };
 

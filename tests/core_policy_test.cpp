@@ -208,10 +208,13 @@ TEST(PolicyRegistryTest, ScreenedPolicyKnobsRoundTrip) {
 
 TEST(PolicyRegistryTest, ScreenedPolicyActsOnTheVerdict) {
     const auto policy = parse_policy_spec("screened,threshold=0.8");
+    // The only policy that makes the engines ask for verdicts.
+    EXPECT_TRUE(policy->needs_screen_verdict());
+    EXPECT_FALSE(parse_policy_spec("paper")->needs_screen_verdict());
     PolicySignals signals;
     signals.solution_count = 3;
 
-    // No verdict (screening off, or nothing screened yet): paper behavior.
+    // No verdict (nothing screened yet): paper behavior.
     EXPECT_EQ(policy->choose_mode(signals), ThinkingMode::Escalate);
 
     // A confident ProvenSafe verdict trusts the fast path...

@@ -1,20 +1,20 @@
 // The Verification Oracle's identity matrix, shared by the tests that
-// sweep it. Caching, screening, the interpreter tier and the worker count
-// are pure performance choices, so every row of kRows must reproduce the
-// reference's bytes: every registry engine sweeping a corpus, each
-// CaseResult rendered with the serving codec (screen_* counters zeroed:
-// they are observability and legitimately differ when screening is off)
+// sweep it. Caching, the interpreter tier and the worker count are pure
+// performance choices, so every row of kRows must reproduce the
+// reference's bytes: every registry engine sweeping a corpus under the
+// default `paper` policy, each CaseResult rendered with the serving codec
 // plus the merged clock.
 //
 // The reference is the simplest configuration there is: a serial tree
-// walk that caches and screens nothing. The tests that sweep each cell:
+// walk that caches nothing. The tests that sweep each cell:
 //
 //   hand-written corpus  default/1, caching off   VerifyOracleTest
 //                        default/4                VerifyOracleTest
-//                        default/1, screening off ScreenSoundnessTest
 //                        vm                       VmDifferentialTest
 //   forged, 560 cases    every row                VmDifferentialTest
 //   Corpus Forge, seed 7 every row                VerifyIdentityTest
+//
+// ScreenSoundnessTest reuses render() for the `screened` policy's goldens.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -45,7 +45,6 @@ struct Row {
 inline constexpr Row kReference{"reference",
                                 [](OracleOptions& options) {
                                     options.caching = false;
-                                    options.screening = false;
                                     options.interp = InterpTier::Tree;
                                 },
                                 1};
@@ -57,12 +56,9 @@ inline constexpr Row kVm{
 inline constexpr Row kCachingOff{
     "caching off",
     [](OracleOptions& options) { options.caching = false; }, 4};
-inline constexpr Row kScreeningOff{
-    "screening off",
-    [](OracleOptions& options) { options.screening = false; }, 4};
 
 inline const std::vector<Row> kRows = {kDefaultSerial, kDefaultParallel, kVm,
-                                       kCachingOff, kScreeningOff};
+                                       kCachingOff};
 
 inline std::string label(const Row& row) {
     return std::string(row.name) + "/" + std::to_string(row.workers) +
@@ -80,11 +76,7 @@ inline OracleOptions options_for(const Row& row) {
 inline std::vector<std::string> render(const core::BatchReport& report) {
     std::vector<std::string> lines;
     lines.reserve(report.results.size() + 1);
-    for (core::CaseResult result : report.results) {
-        result.screens = 0;
-        result.screen_proven_safe = 0;
-        result.screen_likely_ub = 0;
-        result.screen_unknown = 0;
+    for (const core::CaseResult& result : report.results) {
         lines.push_back(serve::render_case_result(result));
     }
     std::ostringstream clock;
@@ -137,12 +129,12 @@ inline void expect_rows_match_reference(const dataset::Corpus& corpus,
                 vm::CompileStats::bytecode_compiles.load();
             std::vector<std::string> rendered = render(runner.run(corpus));
             if (engine_id != "expert") {  // expert never verifies
-                // Not vacuous: each row took the paths it names.
+                // Not vacuous: each row took the paths it names, and the
+                // paper policy never asks for a screening verdict.
                 const VerifyCacheStats cache = oracle->stats();
                 EXPECT_EQ(cache.report_hits + cache.report_misses > 0,
                           options.caching);
-                EXPECT_EQ(oracle->screen_stats().screens > 0,
-                          options.screening);
+                EXPECT_EQ(oracle->screen_stats().screens, 0u);
                 EXPECT_EQ(vm::CompileStats::bytecode_compiles.load() >
                               compiles_before,
                           options.interp == InterpTier::Vm);

@@ -44,9 +44,8 @@ void expect_reports_equal(const MiriReport& want, const MiriReport& got,
     EXPECT_EQ(want.total_steps, got.total_steps) << label;
 }
 
-/// Run `source` through the tree-walk MiriLite and through uncached,
-/// unscreened slot and vm Oracles (screening off so the interpreter tier
-/// under test actually executes), and require byte-equal reports.
+/// Run `source` through the tree-walk MiriLite and through uncached slot
+/// and vm Oracles, and require byte-equal reports.
 void expect_tiers_agree(const std::string& source, const Inputs& inputs,
                         InterpLimits limits = {}) {
     const MiriLite tree_walk(limits);
@@ -59,7 +58,6 @@ void expect_tiers_agree(const std::string& source, const Inputs& inputs,
         verify::OracleOptions options;
         options.limits = limits;
         options.caching = false;
-        options.screening = false;
         options.interp = tier;
         const verify::Oracle oracle(options);
         expect_reports_equal(reference, oracle.test_source(source, inputs),
@@ -399,7 +397,6 @@ fn main() {
     verify::OracleOptions options;
     options.limits = two;
     options.caching = false;
-    options.screening = false;
     options.interp = verify::InterpTier::Vm;
     const verify::Oracle oracle(options);
     const MiriReport report = oracle.test_source(source, {});

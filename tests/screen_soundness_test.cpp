@@ -1,26 +1,31 @@
 // Static pre-screener soundness (screen/screen.hpp).
 //
-// The load-bearing contract: ProvenSafe must never contradict MiriLite —
-// not in pass/fail, not in outputs, not in step counts (the synthesized
-// report replaces interpretation byte for byte). LikelyUB must name a
-// category MiriLite actually finds. Unknown is always sound. Asserted
-// over the full hand-written corpus plus a 560-case forged corpus (the
-// miri_lower_test observational-identity pattern), then end to end:
-// every registry engine sweeps bit-identically with screening off (a cell
-// of identity_matrix.hpp). Plus: unsupported constructs degrade to
-// Unknown (never throw), and the Oracle's screening tier
-// synthesizes/replays verdicts the way its header promises.
+// The load-bearing contract: ProvenSafe must never contradict MiriLite
+// (the program passes), and LikelyUB must name a category MiriLite
+// actually finds. Unknown is always sound. Asserted over the full
+// hand-written corpus plus a 560-case forged corpus (the miri_lower_test
+// observational-identity pattern), then end to end: every registry engine
+// sweeping under the `screened` policy reproduces goldens fingerprinted
+// when the Oracle still screened before every interpretation. Plus:
+// unsupported constructs degrade to Unknown (never throw), and
+// Oracle::screen screens only when asked.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/batch_runner.hpp"
+#include "core/engine_registry.hpp"
 #include "dataset/corpus.hpp"
 #include "gen/forge.hpp"
 #include "identity_matrix.hpp"
+#include "kb/seed.hpp"
 #include "miri/mirilite.hpp"
 #include "screen/screen.hpp"
+#include "support/hashing.hpp"
 #include "verify/oracle.hpp"
 
 namespace rustbrain::screen {
@@ -30,26 +35,25 @@ using Inputs = std::vector<std::vector<std::int64_t>>;
 
 struct Observed {
     bool compiled_ok = false;
-    ScreenResult screened;
+    ScreenVerdict verdict;
     miri::MiriReport miri;
 };
 
-/// Screen `source` and interpret it through a screening-off Oracle (the
+/// Screen `source` and interpret it through an uncached Oracle (the
 /// ground truth; bit-identical to MiriLite per verify_oracle_test).
 Observed observe(const std::string& source, const Inputs& inputs,
                  miri::InterpLimits limits = {}, ScreenOptions options = {}) {
     verify::OracleOptions oracle_options;
     oracle_options.limits = limits;
     oracle_options.caching = false;
-    oracle_options.screening = false;
     const verify::Oracle oracle(oracle_options);
 
     Observed out;
     const auto compiled = oracle.compile(source);
     out.compiled_ok = compiled->ok();
     if (!out.compiled_ok) return out;
-    out.screened = screen_program(compiled->program, compiled->lowering,
-                                  inputs, limits, options);
+    out.verdict = screen_program(compiled->program, compiled->lowering,
+                                 inputs, limits, options);
     out.miri = oracle.test_source(source, inputs);
     return out;
 }
@@ -57,21 +61,17 @@ Observed observe(const std::string& source, const Inputs& inputs,
 /// The soundness contract for one already-observed (source, inputs) pair.
 void expect_sound_observed(const Observed& o, const std::string& source) {
     if (!o.compiled_ok) return;  // nothing to screen
-    switch (o.screened.verdict.kind) {
+    switch (o.verdict.kind) {
         case VerdictKind::ProvenSafe:
             EXPECT_TRUE(o.miri.passed()) << source;
-            EXPECT_EQ(o.screened.report.outputs, o.miri.outputs) << source;
-            EXPECT_EQ(o.screened.report.total_steps, o.miri.total_steps)
-                << source;
-            EXPECT_TRUE(o.screened.report.findings.empty()) << source;
-            EXPECT_DOUBLE_EQ(o.screened.verdict.confidence, 1.0);
+            EXPECT_DOUBLE_EQ(o.verdict.confidence, 1.0);
             break;
         case VerdictKind::LikelyUB:
             EXPECT_FALSE(o.miri.passed()) << source;
-            EXPECT_TRUE(o.miri.has_category(o.screened.verdict.category))
+            EXPECT_TRUE(o.miri.has_category(o.verdict.category))
                 << source << "\nscreener pinned "
-                << miri::ub_category_label(o.screened.verdict.category)
-                << " (" << o.screened.verdict.detail << ")";
+                << miri::ub_category_label(o.verdict.category) << " ("
+                << o.verdict.detail << ")";
             break;
         case VerdictKind::Unknown:
             break;  // always sound
@@ -113,10 +113,8 @@ TEST(ScreenSoundnessTest, ForgedCorpusOf560CasesIsSound) {
         expect_sound_observed(buggy, ub_case.buggy_source);
         const Observed fix = observe(ub_case.reference_fix, ub_case.inputs);
         expect_sound_observed(fix, ub_case.reference_fix);
-        proven_safe +=
-            fix.screened.verdict.kind == VerdictKind::ProvenSafe ? 1 : 0;
-        likely_ub +=
-            buggy.screened.verdict.kind == VerdictKind::LikelyUB ? 1 : 0;
+        proven_safe += fix.verdict.kind == VerdictKind::ProvenSafe ? 1 : 0;
+        likely_ub += buggy.verdict.kind == VerdictKind::LikelyUB ? 1 : 0;
     }
     // The screener must be useful, not just sound: a decisive share of the
     // forged corpus screens to a definite verdict.
@@ -126,12 +124,57 @@ TEST(ScreenSoundnessTest, ForgedCorpusOf560CasesIsSound) {
 
 // --- end-to-end bit-identity -------------------------------------------------
 
+/// FNV-1a over the identity matrix's rendering (screen_* counters
+/// included), one line at a time.
+std::uint64_t digest(const std::vector<std::string>& lines) {
+    std::uint64_t h = support::fnv1a64("");
+    for (const std::string& line : lines) h = support::fnv1a64(line + "\n", h);
+    return h;
+}
+
 TEST(ScreenSoundnessTest, EveryRegistryEngineSweepsBitIdenticallyScreenOnOrOff) {
-    // Screen-on serial and screen-off with four workers, each against the
-    // unscreened reference.
-    verify::identity::expect_rows_match_reference(
-        dataset::Corpus::standard(),
-        {verify::identity::kDefaultSerial, verify::identity::kScreeningOff});
+    // `policy=screened` over the hand-written corpus, serial and with four
+    // workers. The goldens were fingerprinted when the Oracle screened
+    // before every uncached interpretation and replayed verdicts on report
+    // hits; screening on demand must reproduce them byte for byte.
+    struct Golden {
+        const char* engine;
+        std::uint64_t digest;
+    };
+    constexpr Golden kGoldens[] = {
+        {"expert", 0x1001c6878dcc5d9fULL},
+        {"fixed-pipeline", 0xb0423882f49c3835ULL},
+        {"rustbrain", 0x60299769cdff0034ULL},
+        {"standalone", 0x1d077043607a79a7ULL},
+    };
+    const std::vector<std::string> ids = core::EngineRegistry::builtin().ids();
+    ASSERT_EQ(ids.size(), std::size(kGoldens));
+
+    kb::KnowledgeBase kbase;
+    kb::seed_from_corpus(dataset::Corpus::standard(), kbase);
+    const core::EngineOptions options =
+        core::EngineOptions::parse("policy=screened");
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const Golden& golden = kGoldens[i];
+        SCOPED_TRACE(golden.engine);
+        ASSERT_EQ(ids[i], golden.engine);
+        for (const std::size_t workers : {1, 4}) {
+            SCOPED_TRACE(workers);
+            const auto oracle = std::make_shared<verify::Oracle>(
+                verify::identity::options_for(verify::identity::kDefaultSerial));
+            core::EngineBuildContext context;
+            context.knowledge_base = &kbase;
+            context.oracle = oracle;
+            const core::BatchRunner runner(golden.engine, options, context,
+                                           core::BatchOptions{workers});
+            EXPECT_EQ(digest(verify::identity::render(
+                          runner.run(dataset::Corpus::standard()))),
+                      golden.digest);
+            // Not vacuous: every engine that verifies asked for verdicts.
+            EXPECT_EQ(oracle->screen_stats().screens > 0,
+                      std::string(golden.engine) != "expert");
+        }
+    }
 }
 
 // --- error paths: degrade to Unknown, never throw ----------------------------
@@ -141,7 +184,7 @@ ScreenVerdict screen_only(const std::string& source, const Inputs& inputs = {},
                           ScreenOptions options = {}) {
     const Observed o = observe(source, inputs, limits, options);
     EXPECT_TRUE(o.compiled_ok) << source;
-    return o.screened.verdict;
+    return o.verdict;
 }
 
 TEST(ScreenSoundnessTest, UnsupportedConstructsDegradeToUnknown) {
@@ -207,69 +250,41 @@ TEST(ScreenSoundnessTest, OpBudgetExhaustionDegradesToUnknown) {
     EXPECT_LE(verdict.ops, options.max_ops + 1);
 }
 
-// --- the Oracle's screening tier ---------------------------------------------
+// --- Oracle::screen ----------------------------------------------------------
 
-std::shared_ptr<verify::Oracle> oracle_with_screening(bool screening) {
+TEST(ScreenSoundnessTest, OracleScreensOnlyWhenAsked) {
     verify::OracleOptions options;
     options.cache = std::make_shared<verify::VerifyCache>();
-    options.screening = screening;
-    return std::make_shared<verify::Oracle>(std::move(options));
-}
+    const verify::Oracle oracle(std::move(options));
+    const std::string safe = "fn main() {\n    print_int(6 * 7);\n}\n";
+    const std::string panics = "fn main() {\n    print_int(1 / 0);\n}\n";
 
-TEST(ScreenSoundnessTest, ProvenSafeSynthesisSkipsInterpretationExactly) {
-    const std::string source = "fn main() {\n    print_int(6 * 7);\n}\n";
-    const auto on = oracle_with_screening(true);
-    const auto off = oracle_with_screening(false);
+    // Verification alone never screens, cached or not.
+    for (int pass = 0; pass < 2; ++pass) {
+        EXPECT_TRUE(oracle.test_source(safe, {{}}).passed());
+        EXPECT_FALSE(oracle.test_source(panics, {{}}).passed());
+    }
+    EXPECT_EQ(oracle.screen_stats().screens, 0u);
 
-    verify::VerifyOutcome outcome;
-    const miri::MiriReport synthesized = on->test_source(source, {{}}, &outcome);
-    EXPECT_TRUE(outcome.screened);
-    EXPECT_EQ(outcome.screen_verdict.kind, VerdictKind::ProvenSafe);
-    EXPECT_TRUE(outcome.screen_synthesized);
+    const std::optional<ScreenVerdict> proven = oracle.screen(safe, {{}});
+    ASSERT_TRUE(proven.has_value());
+    EXPECT_EQ(proven->kind, VerdictKind::ProvenSafe);
+    EXPECT_GT(proven->ops, 0u);
 
-    const miri::MiriReport interpreted = off->test_source(source, {{}});
-    EXPECT_EQ(synthesized.outputs, interpreted.outputs);
-    EXPECT_EQ(synthesized.total_steps, interpreted.total_steps);
-    EXPECT_TRUE(synthesized.findings.empty());
+    const std::optional<ScreenVerdict> pinned = oracle.screen(panics, {{}});
+    ASSERT_TRUE(pinned.has_value());
+    EXPECT_EQ(pinned->kind, VerdictKind::LikelyUB);
+    EXPECT_EQ(pinned->category, miri::UbCategory::Panic);
 
-    const verify::ScreenStats stats = on->screen_stats();
-    EXPECT_EQ(stats.screens, 1u);
+    // A front-end failure has nothing to screen and counts nothing.
+    EXPECT_FALSE(oracle.screen("fn main( {", {{}}).has_value());
+
+    const verify::ScreenStats stats = oracle.screen_stats();
+    EXPECT_EQ(stats.screens, 2u);
     EXPECT_EQ(stats.proven_safe, 1u);
-    EXPECT_EQ(stats.synthesized, 1u);
-    EXPECT_GT(stats.ops, 0u);
-}
-
-TEST(ScreenSoundnessTest, ReportCacheHitsReplayTheStoredVerdict) {
-    const std::string source = "fn main() {\n    print_int(1 / 0);\n}\n";
-    const auto oracle = oracle_with_screening(true);
-
-    verify::VerifyOutcome first;
-    (void)oracle->test_source(source, {{}}, &first);
-    EXPECT_FALSE(first.report_cached);
-    EXPECT_TRUE(first.screened);
-    EXPECT_EQ(first.screen_verdict.kind, VerdictKind::LikelyUB);
-    EXPECT_EQ(first.screen_verdict.category, miri::UbCategory::Panic);
-
-    verify::VerifyOutcome second;
-    (void)oracle->test_source(source, {{}}, &second);
-    EXPECT_TRUE(second.report_cached);
-    EXPECT_TRUE(second.screened);
-    EXPECT_EQ(second.screen_verdict.kind, first.screen_verdict.kind);
-    EXPECT_EQ(second.screen_verdict.category, first.screen_verdict.category);
-    EXPECT_FALSE(second.screen_synthesized);
-    // Replay, not re-screen: exactly one live screening happened.
-    EXPECT_EQ(oracle->screen_stats().screens, 1u);
-
-    // A screening-off oracle sharing the same cache must stay fully inert:
-    // it serves the memoized report but never surfaces the stored verdict.
-    verify::OracleOptions off_options;
-    off_options.cache = oracle->cache();
-    off_options.screening = false;
-    const verify::Oracle off(std::move(off_options));
-    verify::VerifyOutcome inert;
-    (void)off.test_source(source, {{}}, &inert);
-    EXPECT_TRUE(inert.report_cached);
-    EXPECT_FALSE(inert.screened);
+    EXPECT_EQ(stats.likely_ub, 1u);
+    EXPECT_EQ(stats.unknown, 0u);
+    EXPECT_EQ(stats.ops, proven->ops + pinned->ops);
 }
 
 // --- the constraint domain ---------------------------------------------------

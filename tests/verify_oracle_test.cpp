@@ -108,9 +108,6 @@ TEST(VerifyOracleTest, JudgeInterpretsTheReferenceFixOncePerCase) {
 
     OracleOptions options;
     options.cache = std::make_shared<VerifyCache>();
-    // Screening off: this test counts interpret() calls, and the screener
-    // would (correctly) skip them for these trivially-safe candidates.
-    options.screening = false;
     const CountingOracle oracle(std::move(options));
 
     const std::vector<std::string> candidates = {
@@ -148,7 +145,6 @@ TEST(VerifyOracleTest, WithoutCachingTheReferenceFixRunsPerCandidate) {
 
     OracleOptions options;
     options.caching = false;
-    options.screening = false;  // same reason as the cached counting test
     const CountingOracle oracle(std::move(options));
 
     const std::vector<std::string> candidates = {

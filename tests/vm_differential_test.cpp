@@ -36,7 +36,6 @@ TEST(VmDifferentialTest, ForgedCorpusMiriReportsAgreeAcrossAllTiers) {
          {InterpTier::Tree, InterpTier::Slot, InterpTier::Vm}) {
         OracleOptions options;
         options.caching = false;
-        options.screening = false;
         options.interp = tier;
         oracles.push_back(std::make_unique<Oracle>(std::move(options)));
     }

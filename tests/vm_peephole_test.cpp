@@ -230,7 +230,6 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
     {
         verify::OracleOptions options;
         options.caching = false;
-        options.screening = false;
         options.interp = verify::InterpTier::Tree;
         const verify::Oracle oracle(options);
         for (int i = 0; i < 3; ++i) {
@@ -246,7 +245,6 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
     {
         verify::OracleOptions options;
         options.caching = false;
-        options.screening = false;
         options.interp = verify::InterpTier::Vm;
         const verify::Oracle oracle(options);
         (void)oracle.test_source(source, {});
@@ -278,7 +276,6 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
         auto render_all = [&](verify::InterpTier tier) {
             verify::OracleOptions oracle_options;
             oracle_options.cache = std::make_shared<verify::VerifyCache>();
-            oracle_options.screening = false;
             oracle_options.interp = tier;
             core::EngineBuildContext context;
             context.knowledge_base = &kbase;
