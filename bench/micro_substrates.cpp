@@ -1,7 +1,11 @@
-// Engineering micro-benchmarks (google-benchmark) for the substrates:
-// parser, type checker, interpreter, pruning, vectorization, KB query,
-// rule application. Not a paper figure — performance guardrails for the
-// toolchain the experiments run on.
+// Engineering micro-benchmarks (google-benchmark) for the substrates that
+// rbbench's per-layer replay does not time: printing, the interpreter-tier
+// ladder on synthetic loop-, call- and memory-heavy workloads, the Oracle
+// uncached and memoized, pruning, vectorization, KB query, rule
+// application. Parse, type check, lowering, bytecode compile and optimize,
+// screening and corpus interpretation are rbbench's `lang.*`, `miri.*`,
+// `vm.*` and `screen.*` metrics (rbbench/METRICS.md). Not a paper figure —
+// performance guardrails for the toolchain the experiments run on.
 #include <benchmark/benchmark.h>
 
 #include "analysis/prune.hpp"
@@ -14,8 +18,6 @@
 #include "llm/rules.hpp"
 #include "miri/interp.hpp"
 #include "miri/lower.hpp"
-#include "miri/mirilite.hpp"
-#include "screen/screen.hpp"
 #include "verify/oracle.hpp"
 #include "vm/peephole.hpp"
 #include "vm/vm.hpp"
@@ -35,24 +37,6 @@ const std::string& sample_source() {
     return source;
 }
 
-void BM_Parse(benchmark::State& state) {
-    for (auto _ : state) {
-        auto program = lang::try_parse(sample_source());
-        benchmark::DoNotOptimize(program);
-    }
-}
-BENCHMARK(BM_Parse);
-
-void BM_TypeCheck(benchmark::State& state) {
-    auto program = lang::try_parse(sample_source());
-    for (auto _ : state) {
-        lang::Program clone = program->clone();
-        const bool ok = lang::type_check(clone);
-        benchmark::DoNotOptimize(ok);
-    }
-}
-BENCHMARK(BM_TypeCheck);
-
 void BM_Print(benchmark::State& state) {
     auto program = lang::try_parse(sample_source());
     for (auto _ : state) {
@@ -62,26 +46,6 @@ void BM_Print(benchmark::State& state) {
 }
 BENCHMARK(BM_Print);
 
-void BM_MiriRun(benchmark::State& state) {
-    const auto* ub_case = corpus().find("uninit/partial_init_0");
-    miri::MiriLite miri;
-    for (auto _ : state) {
-        auto report = miri.test_source(ub_case->reference_fix, ub_case->inputs);
-        benchmark::DoNotOptimize(report);
-    }
-}
-BENCHMARK(BM_MiriRun);
-
-void BM_MiriThreadedRun(benchmark::State& state) {
-    const auto* ub_case = corpus().find("datarace/counter_0");
-    miri::MiriLite miri;
-    for (auto _ : state) {
-        auto report = miri.test_source(ub_case->reference_fix, ub_case->inputs);
-        benchmark::DoNotOptimize(report);
-    }
-}
-BENCHMARK(BM_MiriThreadedRun);
-
 // Workload for the interpreter ladder. The corpus fixes are a few
 // statements each, so a run through them measures allocation setup and
 // teardown — identical across execution tiers — rather than the cost of
@@ -89,9 +53,8 @@ BENCHMARK(BM_MiriThreadedRun);
 // sixteen named locals referenced from a wide arithmetic expression, so
 // the ladder exposes the actual per-tier difference (tree-walk resolves
 // every name at runtime by scanning the environment and recurses through
-// the expression tree; the slot interpreter and the VM resolve names to
-// slots at lower/compile time, and the VM additionally replaces tree
-// recursion with flat bytecode dispatch).
+// the expression tree; the VM resolves names to slots at compile time and
+// replaces tree recursion with flat bytecode dispatch).
 const char* interp_ladder_source() {
     return R"(
 fn main() {
@@ -129,66 +92,6 @@ fn main() {
 }
 )";
 }
-
-// The execution-tier ladder, all rungs over interp_ladder_source():
-// tree-walk interpretation, slot-lowered interpretation, bytecode-VM
-// interpretation, and the VM's one-time compile cost.
-void BM_InterpTreeWalk(benchmark::State& state) {
-    auto program = lang::try_parse(interp_ladder_source());
-    lang::type_check(*program);
-    for (auto _ : state) {
-        miri::Interpreter interp(*program, {});
-        auto result = interp.run();
-        benchmark::DoNotOptimize(result);
-    }
-}
-BENCHMARK(BM_InterpTreeWalk);
-
-void BM_InterpSlotLowered(benchmark::State& state) {
-    auto program = lang::try_parse(interp_ladder_source());
-    lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
-    for (auto _ : state) {
-        miri::Interpreter interp(*program, {}, {}, &lowered);
-        auto result = interp.run();
-        benchmark::DoNotOptimize(result);
-    }
-}
-BENCHMARK(BM_InterpSlotLowered);
-
-void BM_InterpVm(benchmark::State& state) {
-    // Bytecode-VM rung of the interp ladder: same workload, bytecode
-    // compiled once up front (the Oracle's program cache amortizes it the
-    // same way), each iteration pays dispatch + memory model only.
-    auto program = lang::try_parse(interp_ladder_source());
-    lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
-    const vm::VmProgram bytecode = vm::compile(*program, lowered);
-    for (auto _ : state) {
-        vm::Vm machine(*program, bytecode, {});
-        auto result = machine.run();
-        benchmark::DoNotOptimize(result);
-    }
-}
-BENCHMARK(BM_InterpVm);
-
-void BM_InterpVmOpt(benchmark::State& state) {
-    // Optimized-VM rung: same bytecode after vm::optimize (threaded
-    // dispatch is always on; this adds superinstructions and register
-    // promotion). Byte-identical results; this rung is the headline
-    // loop-heavy speedup over BM_InterpTreeWalk.
-    auto program = lang::try_parse(interp_ladder_source());
-    lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
-    const vm::VmProgram bytecode = vm::compile(*program, lowered);
-    const vm::VmProgram optimized = vm::optimize(bytecode);
-    for (auto _ : state) {
-        vm::Vm machine(*program, optimized, {});
-        auto result = machine.run();
-        benchmark::DoNotOptimize(result);
-    }
-}
-BENCHMARK(BM_InterpVmOpt);
 
 // Call-heavy ladder workload: deep direct recursion (fib re-enters the
 // dispatcher through real frames) plus a long `become` chain (frame reuse
@@ -252,7 +155,11 @@ fn main() {
 )";
 }
 
-enum class Rung { Tree, Slot, Vm, VmOpt };
+// The execution-tier ladder: each workload on the tree walk, the VM on
+// raw bytecode, and the VM on vm::optimize output, with the bytecode
+// compiled once up front (the Oracle's program cache amortizes it the
+// same way).
+enum class Rung { Tree, Vm, VmOpt };
 
 void BM_InterpRung(benchmark::State& state, const char* source, Rung rung) {
     auto program = lang::try_parse(source);
@@ -271,11 +178,6 @@ void BM_InterpRung(benchmark::State& state, const char* source, Rung rung) {
                 result = interp.run();
                 break;
             }
-            case Rung::Slot: {
-                miri::Interpreter interp(*program, {}, {}, &lowered);
-                result = interp.run();
-                break;
-            }
             case Rung::Vm: {
                 vm::Vm machine(*program, bytecode, {});
                 result = machine.run();
@@ -290,66 +192,24 @@ void BM_InterpRung(benchmark::State& state, const char* source, Rung rung) {
         benchmark::DoNotOptimize(result);
     }
 }
+BENCHMARK_CAPTURE(BM_InterpRung, loop_heavy_tree, interp_ladder_source(),
+                  Rung::Tree);
+BENCHMARK_CAPTURE(BM_InterpRung, loop_heavy_vm, interp_ladder_source(),
+                  Rung::Vm);
+BENCHMARK_CAPTURE(BM_InterpRung, loop_heavy_vm_opt, interp_ladder_source(),
+                  Rung::VmOpt);
 BENCHMARK_CAPTURE(BM_InterpRung, call_heavy_tree, interp_call_ladder_source(),
                   Rung::Tree);
-BENCHMARK_CAPTURE(BM_InterpRung, call_heavy_slot, interp_call_ladder_source(),
-                  Rung::Slot);
 BENCHMARK_CAPTURE(BM_InterpRung, call_heavy_vm, interp_call_ladder_source(),
                   Rung::Vm);
 BENCHMARK_CAPTURE(BM_InterpRung, call_heavy_vm_opt,
                   interp_call_ladder_source(), Rung::VmOpt);
 BENCHMARK_CAPTURE(BM_InterpRung, memory_heavy_tree,
                   interp_memory_ladder_source(), Rung::Tree);
-BENCHMARK_CAPTURE(BM_InterpRung, memory_heavy_slot,
-                  interp_memory_ladder_source(), Rung::Slot);
 BENCHMARK_CAPTURE(BM_InterpRung, memory_heavy_vm,
                   interp_memory_ladder_source(), Rung::Vm);
 BENCHMARK_CAPTURE(BM_InterpRung, memory_heavy_vm_opt,
                   interp_memory_ladder_source(), Rung::VmOpt);
-
-void BM_VmOptimize(benchmark::State& state) {
-    // The peephole-pass-cost column: fusion + promotion over the compiled
-    // loop ladder. Like BM_VmCompile, paid once per distinct source.
-    auto program = lang::try_parse(interp_ladder_source());
-    lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
-    const vm::VmProgram bytecode = vm::compile(*program, lowered);
-    for (auto _ : state) {
-        vm::VmProgram optimized = vm::optimize(bytecode);
-        benchmark::DoNotOptimize(optimized);
-    }
-}
-BENCHMARK(BM_VmOptimize);
-
-void BM_VmCompile(benchmark::State& state) {
-    // The bytecode-compile-cost column: AST -> flat instruction array.
-    // Paid once per distinct source (compile-once cache), so it amortizes
-    // across every later vm interpretation.
-    auto program = lang::try_parse(interp_ladder_source());
-    lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
-    for (auto _ : state) {
-        vm::VmProgram bytecode = vm::compile(*program, lowered);
-        benchmark::DoNotOptimize(bytecode);
-    }
-}
-BENCHMARK(BM_VmCompile);
-
-void BM_ScreenOnly(benchmark::State& state) {
-    // The screening rung of the ladder: abstract interpretation over the
-    // already-compiled program, no MiriLite run (this workload screens
-    // ProvenSafe, the case where the Oracle skips interpretation entirely).
-    const auto* ub_case = corpus().find("uninit/partial_init_0");
-    auto program = lang::try_parse(ub_case->reference_fix);
-    lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
-    for (auto _ : state) {
-        auto result =
-            screen::screen_program(*program, lowered, ub_case->inputs, {});
-        benchmark::DoNotOptimize(result);
-    }
-}
-BENCHMARK(BM_ScreenOnly);
 
 void BM_OracleUncached(benchmark::State& state) {
     const auto* ub_case = corpus().find("uninit/partial_init_0");
@@ -363,23 +223,6 @@ void BM_OracleUncached(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_OracleUncached);
-
-void BM_OracleUncachedVm(benchmark::State& state) {
-    // vm-under-oracle, fully uncached: front end + slot lowering +
-    // bytecode compile + VM execution every iteration (the worst case the
-    // compile-once cache exists to avoid).
-    const auto* ub_case = corpus().find("uninit/partial_init_0");
-    verify::OracleOptions options;
-    options.caching = false;
-    options.interp = verify::InterpTier::Vm;
-    const verify::Oracle oracle(std::move(options));
-    for (auto _ : state) {
-        auto report =
-            oracle.test_source(ub_case->reference_fix, ub_case->inputs);
-        benchmark::DoNotOptimize(report);
-    }
-}
-BENCHMARK(BM_OracleUncachedVm);
 
 void BM_OracleMemoized(benchmark::State& state) {
     const auto* ub_case = corpus().find("uninit/partial_init_0");

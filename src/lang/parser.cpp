@@ -1,5 +1,7 @@
 #include "lang/parser.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "lang/lexer.hpp"
@@ -40,6 +42,15 @@ std::optional<OpInfo> binary_op_for(TokenKind kind) {
 }
 
 }  // namespace
+
+void Parser::check_nesting(std::size_t levels) {
+    if (levels > kMaxNesting) {
+        diagnostics_.error("nesting exceeds " + std::to_string(kMaxNesting) +
+                               " levels",
+                           peek().span);
+        throw TooDeep{};
+    }
+}
 
 Parser::Parser(std::vector<Token> tokens, support::DiagnosticEngine& diagnostics)
     : tokens_(std::move(tokens)), diagnostics_(diagnostics) {
@@ -94,6 +105,15 @@ void Parser::synchronize_to_item() {
 
 Program Parser::parse_program() {
     Program program;
+    try {
+        parse_items(program);
+    } catch (const TooDeep&) {
+        // The located error is recorded; the partial program is unusable.
+    }
+    return program;
+}
+
+void Parser::parse_items(Program& program) {
     while (!check(TokenKind::EndOfFile)) {
         if (diagnostics_.error_count() > 20) {
             break;  // avoid error storms on garbage input
@@ -114,7 +134,6 @@ Program Parser::parse_program() {
             synchronize_to_item();
         }
     }
-    return program;
 }
 
 FnItem Parser::parse_fn(bool is_unsafe) {
@@ -165,6 +184,7 @@ StaticItem Parser::parse_static() {
 Type Parser::parse_type() {
     // "*const T" / "*mut T"
     if (match(TokenKind::Star)) {
+        const Nest nest(*this);
         bool is_mut = false;
         if (match(TokenKind::KwMut)) {
             is_mut = true;
@@ -177,11 +197,13 @@ Type Parser::parse_type() {
     }
     // "&T" / "&mut T"
     if (match(TokenKind::Amp)) {
+        const Nest nest(*this);
         const bool is_mut = match(TokenKind::KwMut);
         return Type::reference(parse_type(), is_mut);
     }
     // "[T; N]"
     if (match(TokenKind::LBracket)) {
+        const Nest nest(*this);
         Type element = parse_type();
         expect(TokenKind::Semicolon, "in array type");
         const Token& len = expect(TokenKind::IntLiteral, "array length");
@@ -190,6 +212,7 @@ Type Parser::parse_type() {
     }
     // "fn(T, ...) -> T"
     if (match(TokenKind::KwFn)) {
+        const Nest nest(*this);
         expect(TokenKind::LParen, "in fn pointer type");
         std::vector<Type> params;
         if (!check(TokenKind::RParen)) {
@@ -229,6 +252,7 @@ Type Parser::parse_type() {
 
 Block Parser::parse_block() {
     // Caller has already consumed the '{'.
+    const Nest nest(*this);
     Block block;
     while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
         if (diagnostics_.error_count() > 20) break;
@@ -292,6 +316,7 @@ StmtPtr Parser::parse_if() {
     if (match(TokenKind::KwElse)) {
         if (check(TokenKind::KwIf)) {
             // `else if` desugars to an else block containing a single if.
+            const Nest nest(*this);
             Block else_block;
             else_block.statements.push_back(parse_if());
             stmt->else_block = std::move(else_block);
@@ -359,13 +384,21 @@ ExprPtr Parser::parse_expression() { return parse_binary(1); }
 
 ExprPtr Parser::parse_binary(int min_precedence) {
     ExprPtr lhs = parse_cast();
+    std::size_t height = height_;
     for (;;) {
         const auto info = binary_op_for(peek().kind);
         if (!info || info->precedence < min_precedence) {
+            height_ = height;
             return lhs;
         }
         advance();
-        ExprPtr rhs = parse_binary(info->precedence + 1);
+        ExprPtr rhs;
+        {
+            const Nest nest(*this);
+            rhs = parse_binary(info->precedence + 1);
+        }
+        height = 1 + std::max(height, height_);
+        check_nesting(depth_ + height);
         auto node = std::make_unique<BinaryExpr>();
         node->span = lhs->span.merge(rhs->span);
         node->op = info->op;
@@ -377,13 +410,16 @@ ExprPtr Parser::parse_binary(int min_precedence) {
 
 ExprPtr Parser::parse_cast() {
     ExprPtr operand = parse_unary();
+    std::size_t height = height_;
     while (match(TokenKind::KwAs)) {
+        check_nesting(depth_ + ++height);
         auto node = std::make_unique<CastExpr>();
         node->span = operand->span;
         node->operand = std::move(operand);
         node->target = parse_type();
         operand = std::move(node);
     }
+    height_ = height;
     return operand;
 }
 
@@ -395,7 +431,7 @@ ExprPtr Parser::parse_unary() {
             auto node = std::make_unique<UnaryExpr>();
             node->span = token.span;
             node->op = UnaryOp::Neg;
-            node->operand = parse_unary();
+            node->operand = parse_unary_operand();
             return node;
         }
         case TokenKind::Bang: {
@@ -403,7 +439,7 @@ ExprPtr Parser::parse_unary() {
             auto node = std::make_unique<UnaryExpr>();
             node->span = token.span;
             node->op = UnaryOp::Not;
-            node->operand = parse_unary();
+            node->operand = parse_unary_operand();
             return node;
         }
         case TokenKind::Star: {
@@ -411,7 +447,7 @@ ExprPtr Parser::parse_unary() {
             auto node = std::make_unique<UnaryExpr>();
             node->span = token.span;
             node->op = UnaryOp::Deref;
-            node->operand = parse_unary();
+            node->operand = parse_unary_operand();
             return node;
         }
         case TokenKind::Amp: {
@@ -419,7 +455,7 @@ ExprPtr Parser::parse_unary() {
             auto node = std::make_unique<UnaryExpr>();
             node->span = token.span;
             node->op = match(TokenKind::KwMut) ? UnaryOp::AddrOfMut : UnaryOp::AddrOf;
-            node->operand = parse_unary();
+            node->operand = parse_unary_operand();
             return node;
         }
         default:
@@ -427,15 +463,28 @@ ExprPtr Parser::parse_unary() {
     }
 }
 
+ExprPtr Parser::parse_unary_operand() {
+    const Nest nest(*this);
+    ExprPtr operand = parse_unary();
+    ++height_;
+    return operand;
+}
+
 ExprPtr Parser::parse_postfix() {
     ExprPtr expr = parse_primary();
+    std::size_t height = height_;
     for (;;) {
         if (check(TokenKind::LBracket)) {
             advance();
             auto node = std::make_unique<IndexExpr>();
             node->span = expr->span;
             node->base = std::move(expr);
-            node->index = parse_expression();
+            {
+                const Nest nest(*this);
+                node->index = parse_expression();
+            }
+            height = 1 + std::max(height, height_);
+            check_nesting(depth_ + height);
             expect(TokenKind::RBracket, "to close index");
             expr = std::move(node);
         } else if (check(TokenKind::LParen) && expr->kind != ExprKind::VarRef) {
@@ -446,6 +495,8 @@ ExprPtr Parser::parse_postfix() {
             node->span = expr->span;
             node->callee = std::move(expr);
             node->args = parse_call_args();
+            height = 1 + std::max(height, height_);
+            check_nesting(depth_ + height);
             expr = std::move(node);
         } else if (check(TokenKind::LParen) && expr->kind == ExprKind::VarRef) {
             // VarRef followed by parens only occurs via parenthesized primary
@@ -455,27 +506,35 @@ ExprPtr Parser::parse_postfix() {
             node->span = expr->span;
             node->callee = std::move(expr);
             node->args = parse_call_args();
+            height = 1 + std::max(height, height_);
+            check_nesting(depth_ + height);
             expr = std::move(node);
         } else {
+            height_ = height;
             return expr;
         }
     }
 }
 
 std::vector<ExprPtr> Parser::parse_call_args() {
-    // Caller consumed '('.
+    // Caller consumed '('. Leaves height_ at the tallest argument's.
+    const Nest nest(*this);
     std::vector<ExprPtr> args;
+    std::size_t height = 0;
     if (!check(TokenKind::RParen)) {
         do {
             args.push_back(parse_expression());
+            height = std::max(height, height_);
         } while (match(TokenKind::Comma));
     }
     expect(TokenKind::RParen, "to close call arguments");
+    height_ = height;
     return args;
 }
 
 ExprPtr Parser::parse_primary() {
     const Token& token = peek();
+    height_ = 0;
     switch (token.kind) {
         case TokenKind::IntLiteral: {
             advance();
@@ -505,6 +564,7 @@ ExprPtr Parser::parse_primary() {
                 node->span = token.span;
                 node->callee = token.text;
                 node->args = parse_call_args();
+                ++height_;
                 return node;
             }
             auto node = std::make_unique<VarRefExpr>();
@@ -514,12 +574,18 @@ ExprPtr Parser::parse_primary() {
         }
         case TokenKind::LParen: {
             advance();
-            ExprPtr inner = parse_expression();
+            ExprPtr inner;
+            {
+                const Nest nest(*this);
+                inner = parse_expression();
+            }
+            ++height_;
             expect(TokenKind::RParen, "to close parenthesized expression");
             return inner;
         }
         case TokenKind::LBracket: {
             advance();
+            const Nest nest(*this);
             // Array literal `[a, b, c]` or repeat `[v; n]`.
             if (check(TokenKind::RBracket)) {
                 advance();
@@ -529,6 +595,7 @@ ExprPtr Parser::parse_primary() {
                 return node;
             }
             ExprPtr first = parse_expression();
+            std::size_t height = height_;
             if (match(TokenKind::Semicolon)) {
                 const Token& count = expect(TokenKind::IntLiteral, "array repeat count");
                 expect(TokenKind::RBracket, "to close array repeat");
@@ -536,6 +603,7 @@ ExprPtr Parser::parse_primary() {
                 node->span = token.span;
                 node->element = std::move(first);
                 node->count = count.int_value;
+                height_ = height + 1;
                 return node;
             }
             auto node = std::make_unique<ArrayLitExpr>();
@@ -544,8 +612,10 @@ ExprPtr Parser::parse_primary() {
             while (match(TokenKind::Comma)) {
                 if (check(TokenKind::RBracket)) break;  // trailing comma
                 node->elements.push_back(parse_expression());
+                height = std::max(height, height_);
             }
             expect(TokenKind::RBracket, "to close array literal");
+            height_ = height + 1;
             return node;
         }
         default: {

@@ -11,6 +11,7 @@
 //                postfix calls/indexing and `as` casts binding above binary.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,14 @@
 #include "support/diagnostics.hpp"
 
 namespace rustbrain::lang {
+
+/// The deepest nesting an item may reach (DESIGN.md §2), so no recursive
+/// pass over a parsed tree can exhaust the native stack. Along the path
+/// from an item to any node, each enclosing block (a function body
+/// included), `else if` link, parenthesis, unary operator, binary operator,
+/// cast, call, index, array literal and compound type adds one level; a
+/// deeper program is a located parse error.
+inline constexpr std::size_t kMaxNesting = 256;
 
 class Parser {
   public:
@@ -39,6 +48,7 @@ class Parser {
     void synchronize_to_item();
 
     // Items ------------------------------------------------------------
+    void parse_items(Program& program);
     FnItem parse_fn(bool is_unsafe);
     StaticItem parse_static();
 
@@ -60,13 +70,39 @@ class Parser {
     ExprPtr parse_binary(int min_precedence);
     ExprPtr parse_cast();
     ExprPtr parse_unary();
+    ExprPtr parse_unary_operand();
     ExprPtr parse_postfix();
     ExprPtr parse_primary();
     std::vector<ExprPtr> parse_call_args();
 
+    // Nesting ------------------------------------------------------------
+    /// Thrown past kMaxNesting, after the located error is recorded;
+    /// parse_program stops there.
+    struct TooDeep {};
+    /// Holds one nesting level for the parse it scopes.
+    struct Nest {
+        explicit Nest(Parser& p) : parser(p) {
+            parser.check_nesting(++parser.depth_);
+        }
+        ~Nest() { --parser.depth_; }
+        Nest(const Nest&) = delete;
+        Nest& operator=(const Nest&) = delete;
+        Parser& parser;
+    };
+    /// Records the located error and throws TooDeep once `levels` passes
+    /// kMaxNesting.
+    void check_nesting(std::size_t levels);
+
     std::vector<Token> tokens_;
     std::size_t position_ = 0;
     support::DiagnosticEngine& diagnostics_;
+    /// Levels enclosing the node being parsed.
+    std::size_t depth_ = 0;
+    /// Levels inside the expression the last parse_* call returned: 0 for
+    /// a leaf. Left folds (binary chains, postfix chains, casts) build
+    /// their nodes above an operand parsed at their own depth, so they
+    /// check depth_ + height_ instead of relying on Nest alone.
+    std::size_t height_ = 0;
 };
 
 /// Convenience wrapper: lex + parse. Program is only meaningful if

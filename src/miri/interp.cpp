@@ -11,15 +11,8 @@ using lang::Type;
 
 Interpreter::Interpreter(const lang::Program& program,
                          std::vector<std::int64_t> inputs, InterpLimits limits,
-                         const LoweredProgram* lowering)
-    : program_(program),
-      inputs_(std::move(inputs)),
-      limits_(limits),
-      lowering_(lowering) {
-    if (lowering_ != nullptr) {
-        static_slots_.assign(program_.statics.size(), kNoAlloc);
-    }
-}
+                         const LoweredProgram* /*ignored*/)
+    : program_(program), inputs_(std::move(inputs)), limits_(limits) {}
 
 void Interpreter::panic(std::string message, support::SourceSpan span) const {
     throw PanicException{std::move(message), span};
@@ -99,16 +92,11 @@ RunResult Interpreter::run() {
 }
 
 void Interpreter::setup_statics() {
-    for (std::size_t i = 0; i < program_.statics.size(); ++i) {
-        const auto& item = program_.statics[i];
+    for (const auto& item : program_.statics) {
         const AllocId alloc = mem_.allocate(item.type.size_bytes(),
                                             item.type.align_bytes(),
                                             AllocKind::Static, item.name, item.span);
-        if (lowering_ != nullptr) {
-            static_slots_[i] = alloc;
-        } else {
-            static_allocs_[item.name] = alloc;
-        }
+        static_allocs_[item.name] = alloc;
         const Value init = eval_expr(*item.init);
         mem_.store(mem_.base_pointer(alloc), item.type, init,
                    access_ctx(item.span));
@@ -132,36 +120,23 @@ const Interpreter::LocalSlot* Interpreter::find_local(const std::string& name) c
 }
 
 void Interpreter::declare_local(const std::string& name, const Type& type,
-                                const Value& value, support::SourceSpan span,
-                                std::int32_t slot) {
+                                const Value& value, support::SourceSpan span) {
     const AllocId alloc = mem_.allocate(type.size_bytes(), type.align_bytes(),
                                         AllocKind::Stack, name, span);
     mem_.store(mem_.base_pointer(alloc), type, value, access_ctx(span));
-    Frame& frame = frames_.back();
-    if (slot >= 0) {
-        // Slot-lowered: lookups go through the dense slot vector, so the
-        // scope entry skips the name/type copies and only remembers what
-        // kill_scope needs.
-        frame.slots[static_cast<std::size_t>(slot)] = {alloc, &type};
-        frame.scopes.back().locals.push_back({{}, alloc, {}, slot});
-        return;
-    }
-    frame.scopes.back().locals.push_back({name, alloc, type, -1});
+    frames_.back().scopes.back().locals.push_back({name, alloc, type});
 }
 
-void Interpreter::kill_scope(Frame& frame, Scope& scope) {
+void Interpreter::kill_scope(Scope& scope) {
     for (const LocalSlot& local : scope.locals) {
         mem_.kill(local.alloc);
-        if (local.slot >= 0) {
-            frame.slots[static_cast<std::size_t>(local.slot)] = {};
-        }
     }
     scope.locals.clear();
 }
 
 void Interpreter::kill_frame(Frame& frame) {
     for (auto& scope : frame.scopes) {
-        kill_scope(frame, scope);
+        kill_scope(scope);
     }
     frame.scopes.clear();
 }
@@ -188,21 +163,12 @@ Value Interpreter::call_function(std::int32_t fn_index, std::vector<Value> args,
         const lang::FnItem& fn =
             program_.functions[static_cast<std::size_t>(fn_index)];
         frames_.emplace_back();
-        frames_.back().fn = &fn;
         frames_.back().scopes.emplace_back();
-        if (lowering_ != nullptr) {
-            frames_.back().slots.assign(
-                lowering_->fn_slot_counts[static_cast<std::size_t>(fn_index)],
-                SlotState{});
-        }
         ExecResult exec;
         try {
             for (std::size_t i = 0; i < fn.params.size(); ++i) {
-                // Under lowering, parameters occupy slots 0..n-1 in order.
                 declare_local(fn.params[i].name, fn.params[i].type,
-                              i < args.size() ? args[i] : Value::unit(), fn.span,
-                              lowering_ != nullptr ? static_cast<std::int32_t>(i)
-                                                   : -1);
+                              i < args.size() ? args[i] : Value::unit(), fn.span);
             }
             exec = exec_block(fn.body);
         } catch (...) {
@@ -238,7 +204,7 @@ Interpreter::ExecResult Interpreter::exec_block(const lang::Block& block) {
         result = exec_statement(*stmt);
         if (result.flow != Flow::Normal) break;
     }
-    kill_scope(frames_.back(), frames_.back().scopes.back());
+    kill_scope(frames_.back().scopes.back());
     frames_.back().scopes.pop_back();
     return result;
 }
@@ -251,9 +217,7 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
             const Value value = eval_expr(*node.init);
             const Type& type =
                 node.declared_type ? *node.declared_type : node.init->type;
-            declare_local(node.name, type, value, node.span,
-                          lowering_ != nullptr ? lowering_->let_slots[node.id]
-                                               : -1);
+            declare_local(node.name, type, value, node.span);
             return {};
         }
         case lang::StmtKind::Assign: {
@@ -314,10 +278,6 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
             for (auto& scope : frames_.back().scopes) {
                 for (const LocalSlot& local : scope.locals) {
                     mem_.kill_for_tail_call(local.alloc);
-                    if (local.slot >= 0) {
-                        frames_.back().slots[static_cast<std::size_t>(
-                            local.slot)] = {};
-                    }
                 }
                 scope.locals.clear();
             }
@@ -341,27 +301,6 @@ Interpreter::Place Interpreter::eval_place(const lang::Expr& expr) {
     switch (expr.kind) {
         case lang::ExprKind::VarRef: {
             const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-            if (lowering_ != nullptr) {
-                const VarResolution& res = lowering_->var_refs[node.id];
-                if (res.kind == VarResolution::Kind::Local) {
-                    const SlotState& slot = frames_.back().slots
-                        [static_cast<std::size_t>(res.index)];
-                    if (slot.alloc != kNoAlloc) {
-                        return {mem_.base_pointer(slot.alloc), *slot.type};
-                    }
-                } else if (res.kind == VarResolution::Kind::Static) {
-                    const AllocId alloc =
-                        static_slots_[static_cast<std::size_t>(res.index)];
-                    if (alloc != kNoAlloc) {
-                        return {mem_.base_pointer(alloc),
-                                program_.statics[static_cast<std::size_t>(
-                                                     res.index)]
-                                    .type};
-                    }
-                }
-                throw std::logic_error("eval_place: unresolved name '" +
-                                       node.name + "'");
-            }
             if (const LocalSlot* local = find_local(node.name)) {
                 return {mem_.base_pointer(local->alloc), local->type};
             }
@@ -432,39 +371,6 @@ Value Interpreter::eval_expr(const lang::Expr& expr) {
             return Value::boolean(static_cast<const lang::BoolLitExpr&>(expr).value);
         case lang::ExprKind::VarRef: {
             const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-            if (lowering_ != nullptr) {
-                const VarResolution& res = lowering_->var_refs[node.id];
-                switch (res.kind) {
-                    case VarResolution::Kind::Local: {
-                        const Place place = eval_place(expr);
-                        return mem_.load(place.ptr, place.type,
-                                         access_ctx(node.span));
-                    }
-                    case VarResolution::Kind::Static: {
-                        if (static_slots_[static_cast<std::size_t>(
-                                res.index)] != kNoAlloc) {
-                            const Place place = eval_place(expr);
-                            return mem_.load(place.ptr, place.type,
-                                             access_ctx(node.span));
-                        }
-                        // Forward reference during static setup: like the
-                        // tree-walk, fall through to a function item of the
-                        // same name before giving up.
-                        break;
-                    }
-                    case VarResolution::Kind::Function:
-                        return Value::function(FnPtrVal{res.index});
-                    case VarResolution::Kind::Unresolved:
-                        break;
-                }
-                const lang::FnItem* fn = program_.find_function(node.name);
-                if (fn == nullptr) {
-                    throw std::logic_error("unresolved name '" + node.name +
-                                           "'");
-                }
-                return Value::function(FnPtrVal{
-                    static_cast<std::int32_t>(fn - program_.functions.data())});
-            }
             if (find_local(node.name) != nullptr ||
                 static_allocs_.count(node.name) != 0) {
                 const Place place = eval_place(expr);
@@ -812,39 +718,6 @@ Value Interpreter::call_fn_value(const FnPtrVal& fn, const Type& static_type,
 }
 
 Value Interpreter::eval_call(const lang::CallExpr& expr) {
-    if (lowering_ != nullptr) {
-        const CallResolution& res = lowering_->calls[expr.id];
-        if (res.kind == CallResolution::Kind::Intrinsic) {
-            return eval_intrinsic(expr);
-        }
-        std::vector<Value> args;
-        args.reserve(expr.args.size());
-        for (const auto& arg : expr.args) {
-            args.push_back(eval_expr(*arg));
-        }
-        switch (res.kind) {
-            case CallResolution::Kind::LocalFnPtr: {
-                const SlotState& slot =
-                    frames_.back().slots[static_cast<std::size_t>(res.index)];
-                if (slot.alloc == kNoAlloc) {
-                    // Same invariant break as a dead VarRef slot: surface
-                    // it as the tree-walk's error, never as wild memory.
-                    throw std::logic_error("call to unknown function '" +
-                                           expr.callee + "'");
-                }
-                const Value callee = mem_.load(mem_.base_pointer(slot.alloc),
-                                               *slot.type, access_ctx(expr.span));
-                return call_fn_value(callee.as_fn(), *slot.type,
-                                     std::move(args), expr.span,
-                                     /*is_become=*/false);
-            }
-            case CallResolution::Kind::Direct:
-                return call_function(res.index, std::move(args), expr.span);
-            default:
-                throw std::logic_error("call to unknown function '" +
-                                       expr.callee + "'");
-        }
-    }
     if (lang::is_intrinsic(expr.callee)) {
         return eval_intrinsic(expr);
     }

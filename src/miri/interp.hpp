@@ -46,14 +46,12 @@ struct RunResult {
 
 class Interpreter {
   public:
-    /// `program` must be type-checked (expression types annotated).
-    /// `lowering`, when non-null, must have been built by lower_program from
-    /// this exact program; names then resolve through dense slot indices
-    /// instead of the tree-walk scans. Both paths are observationally
-    /// identical (findings, outputs, step counts).
+    /// `program` must be type-checked (expression types annotated). The
+    /// lowering parameter is ignored: every run is the tree walk. It is
+    /// kept so four-argument callers still compile.
     Interpreter(const lang::Program& program, std::vector<std::int64_t> inputs,
                 InterpLimits limits = {},
-                const LoweredProgram* lowering = nullptr);
+                const LoweredProgram* /*ignored*/ = nullptr);
 
     /// Execute main (and all joined threads); never throws for program-level
     /// failures — UB and panics come back as RunResult::finding.
@@ -67,28 +65,17 @@ class Interpreter {
     };
 
     struct LocalSlot {
-        std::string name;       // empty under slot lowering (lookup is by slot)
+        std::string name;
         AllocId alloc = kNoAlloc;
-        lang::Type type;        // unit under slot lowering (type lives in SlotState)
-        std::int32_t slot = -1; // frame slot to clear on kill; -1 = tree-walk
+        lang::Type type;
     };
 
     struct Scope {
         std::vector<LocalSlot> locals;
     };
 
-    /// Dense per-frame local storage for the slot-lowered path: indexed by
-    /// the compile-time slot, kNoAlloc while the binding is not live. The
-    /// type pointer aliases AST-owned storage (stable for the whole run).
-    struct SlotState {
-        AllocId alloc = kNoAlloc;
-        const lang::Type* type = nullptr;
-    };
-
     struct Frame {
-        const lang::FnItem* fn = nullptr;
         std::vector<Scope> scopes;
-        std::vector<SlotState> slots;  // sized by the fn's slot count
     };
 
     enum class Flow { Normal, Return, TailCall };
@@ -144,12 +131,9 @@ class Interpreter {
     [[nodiscard]] AccessCtx access_ctx(support::SourceSpan span,
                                        bool atomic = false) const;
     const LocalSlot* find_local(const std::string& name) const;
-    /// `type` must reference AST-owned storage when `slot >= 0` (the slot
-    /// keeps a pointer to it for the rest of the binding's lifetime).
     void declare_local(const std::string& name, const lang::Type& type,
-                       const Value& value, support::SourceSpan span,
-                       std::int32_t slot = -1);
-    void kill_scope(Frame& frame, Scope& scope);
+                       const Value& value, support::SourceSpan span);
+    void kill_scope(Scope& scope);
     void kill_frame(Frame& frame);
     [[nodiscard]] std::int64_t signed_value(const Value& v, const lang::Type& t) const;
     Value arith_result(std::uint64_t bits, const lang::Type& type);
@@ -159,13 +143,10 @@ class Interpreter {
     const lang::Program& program_;
     std::vector<std::int64_t> inputs_;
     InterpLimits limits_;
-    /// Non-null => slot-lowered execution (see miri/lower.hpp).
-    const LoweredProgram* lowering_;
 
     MemoryModel mem_;
     std::vector<Frame> frames_;
-    std::map<std::string, AllocId> static_allocs_;      // tree-walk path
-    std::vector<AllocId> static_slots_;                 // slot-lowered path
+    std::map<std::string, AllocId> static_allocs_;
 
     // Threads & sync.
     ThreadId current_thread_ = 0;

@@ -1,10 +1,10 @@
-// Slot lowering — compile-time name resolution for the MiriLite interpreter.
+// Slot lowering — compile-time name resolution for the bytecode compiler
+// (vm::compile) and the static screener.
 //
 // The tree-walk interpreter resolves every name at runtime: locals by a
 // reverse scan over the frame's scope stack (string compares), statics
 // through a std::map<std::string, AllocId>, and function references through
-// Program::find_function. On the hot loop of a verification sweep that
-// bookkeeping dominates. This pass resolves all of it once, at compile
+// Program::find_function. This pass resolves all of it once, at compile
 // time, into dense indices:
 //
 //   * every `let` and parameter gets a unique frame slot (shadowing gets a
@@ -15,15 +15,16 @@
 //   * every direct call is classified Intrinsic / LocalFnPtr(slot) /
 //     Direct(fn index),
 //
-// so the interpreter reads std::vector slots instead of scanning maps.
+// so the VM and the screener read std::vector slots instead of scanning
+// maps.
 //
 // The tables are *side tables* keyed by AST NodeId (dense after
 // Program::renumber(), which lower_program performs). The AST itself is
 // never annotated, so a LoweredProgram is only meaningful when paired with
 // the exact Program it was built from — verify::Oracle owns such pairs
 // immutably. Programs mutated after lowering (repair patches, AST edits)
-// simply aren't paired with a LoweredProgram and take the tree-walk path;
-// there is no stale-annotation hazard.
+// simply aren't paired with a LoweredProgram; there is no stale-annotation
+// hazard.
 //
 // Resolution deliberately mirrors the *interpreter's* runtime lookup order
 // (which the type checker shares): intrinsics shadow everything in call
@@ -41,7 +42,7 @@ namespace rustbrain::miri {
 
 struct VarResolution {
     enum class Kind : std::uint8_t {
-        Unresolved,  // interpreter throws the same logic_error as tree-walk
+        Unresolved,  // the VM throws the same logic_error as the tree walk
         Local,       // index = frame slot
         Static,      // index = position in Program::statics
         Function,    // index = position in Program::functions
@@ -52,7 +53,7 @@ struct VarResolution {
 
 struct CallResolution {
     enum class Kind : std::uint8_t {
-        Unresolved,  // unknown callee — interpreter throws like tree-walk
+        Unresolved,  // unknown callee — the VM throws like the tree walk
         Intrinsic,   // dispatched by name (cold table, not a hot lookup)
         LocalFnPtr,  // index = frame slot holding the fn-pointer value
         Direct,      // index = position in Program::functions

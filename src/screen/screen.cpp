@@ -86,7 +86,7 @@ class AbstractInterpreter {
                         const miri::InterpLimits& limits,
                         const ScreenOptions& options, std::uint64_t ops_spent)
         : program_(program),
-          lowering_(lowering),
+          lowered_(lowering),
           inputs_(inputs),
           limits_(limits),
           options_(options),
@@ -206,7 +206,7 @@ class AbstractInterpreter {
             program_.functions[static_cast<std::size_t>(fn_index)];
         frames_.emplace_back();
         frames_.back().slots.resize(
-            lowering_.fn_slot_counts[static_cast<std::size_t>(fn_index)]);
+            lowered_.fn_slot_counts[static_cast<std::size_t>(fn_index)]);
         for (std::size_t i = 0; i < fn.params.size(); ++i) {
             // Under lowering, parameters occupy slots 0..n-1 in order.
             frames_.back().slots[i] =
@@ -274,7 +274,7 @@ class AbstractInterpreter {
                 const AbsValue value = eval_expr(*node.init);
                 const Type& type =
                     node.declared_type ? *node.declared_type : node.init->type;
-                const std::int32_t slot = lowering_.let_slots[node.id];
+                const std::int32_t slot = lowered_.let_slots[node.id];
                 if (slot < 0) throw Bail{"let without a lowered slot"};
                 frames_.back().slots[static_cast<std::size_t>(slot)] =
                     Slot{value, type};
@@ -337,7 +337,7 @@ class AbstractInterpreter {
         switch (expr.kind) {
             case lang::ExprKind::VarRef: {
                 const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-                const miri::VarResolution& res = lowering_.var_refs[node.id];
+                const miri::VarResolution& res = lowered_.var_refs[node.id];
                 if (res.kind == miri::VarResolution::Kind::Local) {
                     const auto& slot = frames_.back().slots
                         [static_cast<std::size_t>(res.index)];
@@ -473,7 +473,7 @@ class AbstractInterpreter {
                     static_cast<const lang::BoolLitExpr&>(expr).value));
             case lang::ExprKind::VarRef: {
                 const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-                const miri::VarResolution& res = lowering_.var_refs[node.id];
+                const miri::VarResolution& res = lowered_.var_refs[node.id];
                 switch (res.kind) {
                     case miri::VarResolution::Kind::Local:
                         return load_place(eval_place(expr));
@@ -786,7 +786,7 @@ class AbstractInterpreter {
     }
 
     AbsValue eval_call(const lang::CallExpr& expr) {
-        const miri::CallResolution& res = lowering_.calls[expr.id];
+        const miri::CallResolution& res = lowered_.calls[expr.id];
         if (res.kind == miri::CallResolution::Kind::Intrinsic) {
             return eval_intrinsic(expr);
         }
@@ -854,7 +854,7 @@ class AbstractInterpreter {
     }
 
     const lang::Program& program_;
-    const miri::LoweredProgram& lowering_;
+    const miri::LoweredProgram& lowered_;
     const std::vector<std::int64_t>& inputs_;
     const miri::InterpLimits& limits_;
     const ScreenOptions& options_;

@@ -2,7 +2,7 @@
 //
 // The screener is the rung between "no verify" and "full MiriLite" the
 // ROADMAP names: an abstract interpreter that propagates value / bounds /
-// initialization / borrow-state constraints over the slot-lowered program
+// initialization / borrow-state constraints over the lowered program
 // (reusing the dense indices from miri/lower.hpp — no name scans) and
 // returns a three-point verdict lattice:
 //

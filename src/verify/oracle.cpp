@@ -1,5 +1,6 @@
 #include "verify/oracle.hpp"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -18,21 +19,16 @@ namespace rustbrain::verify {
 const char* to_string(InterpTier tier) {
     switch (tier) {
         case InterpTier::Tree: return "tree";
-        case InterpTier::Slot: return "slot";
         case InterpTier::Vm: return "vm";
     }
-    return "slot";
-}
-
-const vm::VmProgram& CompiledProgram::bytecode() const {
-    std::call_once(vm_once_,
-                   [this] { vm_code_ = vm::compile(program, lowering); });
-    return vm_code_;
+    return "vm";
 }
 
 const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
-    std::call_once(opt_once_,
-                   [this] { opt_code_ = vm::optimize(bytecode()); });
+    std::call_once(vm_once_, [this] {
+        raw_code_ = vm::compile(program, lowering);
+        opt_code_ = vm::optimize(raw_code_);
+    });
     return opt_code_;
 }
 
@@ -245,32 +241,25 @@ miri::MiriReport Oracle::interpret(
     const CompiledProgram& compiled,
     const std::vector<std::vector<std::int64_t>>& input_sets) const {
     // Mirrors MiriLite::test (the uncached tree-walk reference) run for run,
-    // with the front end already paid and the slot-lowered program.
+    // with the front end already paid.
     miri::MiriReport report;
     const std::vector<std::vector<std::int64_t>> runs =
         input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
                            : input_sets;
+    miri::InterpLimits probe = limits_;
+    if (interp_ == InterpTier::Vm) {
+        probe.max_steps = std::min(limits_.max_steps, kVmAfterSteps);
+    }
     std::set<std::string> seen;
     for (const auto& inputs : runs) {
-        miri::RunResult result;
-        switch (interp_) {
-            case InterpTier::Tree: {
-                miri::Interpreter interp(compiled.program, inputs, limits_);
-                result = interp.run();
-                break;
-            }
-            case InterpTier::Slot: {
-                miri::Interpreter interp(compiled.program, inputs, limits_,
-                                         &compiled.lowering);
-                result = interp.run();
-                break;
-            }
-            case InterpTier::Vm: {
-                vm::Vm vm(compiled.program, compiled.optimized_bytecode(),
-                          inputs, limits_);
-                result = vm.run();
-                break;
-            }
+        miri::RunResult result =
+            miri::Interpreter(compiled.program, inputs, probe).run();
+        if (result.steps > probe.max_steps &&
+            probe.max_steps < limits_.max_steps) {
+            // Past the cap: restart from the beginning on the VM.
+            result = vm::Vm(compiled.program, compiled.optimized_bytecode(),
+                            inputs, limits_)
+                         .run();
         }
         report.total_steps += result.steps;
         report.outputs.push_back(std::move(result.output));

@@ -9,9 +9,9 @@
 // splits that work into two cached stages:
 //
 //   1. compile-once: a sharded program cache keyed by the FNV-1a hash of
-//      the source text holds parsed + typechecked + slot-lowered programs
-//      (see miri/lower.hpp), so each distinct source pays the front end
-//      exactly once per process;
+//      the source text holds parsed + typechecked + lowered programs (see
+//      miri/lower.hpp), so each distinct source pays the front end exactly
+//      once per process;
 //   2. report memoization: a sharded report cache keyed by (program
 //      fingerprint, input-set fingerprint, interpreter limits) returns the
 //      MiriReport of a previously-interpreted combination verbatim.
@@ -55,24 +55,31 @@
 
 namespace rustbrain::verify {
 
-/// Which interpreter executes uncached runs. All three tiers are
+/// Which interpreter executes uncached runs. Both tiers are
 /// observationally identical — byte-equal findings, outputs, and step
 /// counts (asserted corpus-wide in tests/miri_vm_test.cpp and the
 /// differential stress tests) — so the tier is a pure performance knob,
 /// exactly like the caches:
-///   Tree — PR 1's tree walk with name scans (the reference semantics);
-///   Slot — PR 4's slot-lowered tree walk (the long-time default);
-///   Vm   — the flat bytecode VM running vm::optimize output (dense
-///          instruction arrays over an explicit value stack; see src/vm/).
-enum class InterpTier { Tree, Slot, Vm };
+///   Tree — the tree walk (the reference semantics) for every run; never
+///          builds bytecode;
+///   Vm   — the tree walk capped at kVmAfterSteps; a run that passes the
+///          cap starts again from the beginning on the bytecode VM running
+///          vm::optimize output, under the real limits (DESIGN.md §12).
+enum class InterpTier { Tree, Vm };
 
-/// "tree" / "slot" / "vm".
+/// "tree" / "vm".
 [[nodiscard]] const char* to_string(InterpTier tier);
 
-/// A source text after the front end: parsed, typechecked and slot-lowered
+/// The Vm tier's tree-walk step cap. Runs are pure functions of (program,
+/// inputs, limits) and only the step counter reads max_steps, so a capped
+/// run that stops at or below the cap is the full run.
+inline constexpr std::uint64_t kVmAfterSteps = std::uint64_t{1} << 16;
+
+/// A source text after the front end: parsed, typechecked and lowered
 /// (when ok()), or the verbatim parse/typecheck error MiriLite would have
 /// reported. Immutable once built — the program/lowering pair is shared by
-/// every interpretation of this source.
+/// every interpretation of this source. The lowering is the input to the
+/// bytecode compiler and the screener; no interpreter executes it.
 struct CompiledProgram {
     enum class FrontEnd { Ok, ParseError, TypeError };
 
@@ -86,22 +93,17 @@ struct CompiledProgram {
 
     [[nodiscard]] bool ok() const { return front_end == FrontEnd::Ok; }
 
-    /// Bytecode for the vm tier, built lazily (thread-safe, exactly once)
-    /// on first use — so tree/slot oracles never pay for it, and the
-    /// compile-once program cache amortizes the bytecode compile across
-    /// every later vm interpretation of this source. Only valid when ok().
-    [[nodiscard]] const vm::VmProgram& bytecode() const;
-
-    /// vm::optimize(bytecode()) — what the vm tier runs — with the same
-    /// lazy, exactly-once contract stacked on top: the optimized program
-    /// is derived at most once per compiled source. The result aliases
-    /// bytecode()'s interned storage, which this object owns alongside it.
+    /// vm::optimize(vm::compile(program, lowering)) — what a restarted run
+    /// executes — built lazily (thread-safe, exactly once) on first use, so
+    /// only sources with a run past kVmAfterSteps pay for it, and the
+    /// program cache amortizes it across every later restart of this
+    /// source. Only valid when ok().
     [[nodiscard]] const vm::VmProgram& optimized_bytecode() const;
 
   private:
     mutable std::once_flag vm_once_;
-    mutable vm::VmProgram vm_code_;
-    mutable std::once_flag opt_once_;
+    /// The optimized program aliases the raw program's interned storage.
+    mutable vm::VmProgram raw_code_;
     mutable vm::VmProgram opt_code_;
 };
 
@@ -225,7 +227,7 @@ struct OracleOptions {
     bool caching = true;
     /// Which interpreter runs uncached work. Pure performance knob:
     /// reports are byte-identical across tiers.
-    InterpTier interp = InterpTier::Slot;
+    InterpTier interp = InterpTier::Vm;
 };
 
 /// Counters for Oracle::screen (oracle-lifetime, like VerifyCacheStats).
@@ -288,9 +290,9 @@ class Oracle {
     static const Oracle& shared_default();
 
   protected:
-    /// The uncached unit of work: run the slot-lowered interpreter once per
-    /// input vector. Virtual so tests can count real interpretations
-    /// through a counting double.
+    /// The uncached unit of work: run the tier's interpreter once per input
+    /// vector. Virtual so tests can count real interpretations through a
+    /// counting double, or force the VM on every run.
     [[nodiscard]] virtual miri::MiriReport interpret(
         const CompiledProgram& compiled,
         const std::vector<std::vector<std::int64_t>>& input_sets) const;
@@ -309,7 +311,7 @@ class Oracle {
     miri::InterpLimits limits_;
     std::shared_ptr<VerifyCache> cache_;
     bool caching_ = true;
-    InterpTier interp_ = InterpTier::Slot;
+    InterpTier interp_ = InterpTier::Vm;
     mutable std::atomic<std::uint64_t> screens_{0};
     mutable std::atomic<std::uint64_t> screen_proven_{0};
     mutable std::atomic<std::uint64_t> screen_likely_{0};

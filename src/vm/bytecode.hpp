@@ -1,7 +1,7 @@
 // Flat bytecode for MiriLite.
 //
-// vm::compile() takes a (type-checked, renumbered) program together with the
-// LoweredProgram slot tables one step further than PR 4's slot lowering: each
+// vm::compile() takes a (type-checked, renumbered) program together with its
+// LoweredProgram slot tables (miri/lower.hpp) one step further: each
 // function body and each static initializer is flattened into a dense array
 // of fixed-width instructions. Jump targets are instruction indices, so
 // control flow is `pc = target` instead of recursive AST descent, and every
@@ -234,9 +234,9 @@ struct VmProgram {
 [[nodiscard]] VmProgram compile(const lang::Program& program,
                                 const miri::LoweredProgram& lowering);
 
-/// Process-wide counters proving compilation laziness (the tree/slot tiers
-/// must never pay for bytecode) and pass coverage. Monotonic; tests diff
-/// before/after.
+/// Process-wide counters proving compilation laziness (the tree tier, and
+/// the vm tier's runs that stay under verify::kVmAfterSteps, must never pay
+/// for bytecode) and pass coverage. Monotonic; tests diff before/after.
 struct CompileStats {
     static std::atomic<std::uint64_t> bytecode_compiles;
     static std::atomic<std::uint64_t> optimize_passes;

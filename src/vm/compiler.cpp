@@ -44,7 +44,7 @@ IntrinsicId intrinsic_id(const std::string& name) {
 class Compiler {
   public:
     Compiler(const lang::Program& program, const miri::LoweredProgram& lowering)
-        : program_(program), lowering_(lowering) {}
+        : program_(program), lowered_(lowering) {}
 
     VmProgram compile() {
         out_.functions.resize(program_.functions.size());
@@ -147,7 +147,7 @@ class Compiler {
         VmFunction& meta = out_.functions[static_cast<std::size_t>(fn_index)];
         meta.entry = pc();
         meta.slot_count =
-            lowering_.fn_slot_counts[static_cast<std::size_t>(fn_index)];
+            lowered_.fn_slot_counts[static_cast<std::size_t>(fn_index)];
         meta.span = fn.span;
 
         slot_types_.assign(meta.slot_count, nullptr);
@@ -198,7 +198,7 @@ class Compiler {
                 compile_expr(*node.init);
                 const Type& type = node.declared_type ? *node.declared_type
                                                       : node.init->type;
-                const std::int32_t slot = lowering_.let_slots[node.id];
+                const std::int32_t slot = lowered_.let_slots[node.id];
                 slot_types_[static_cast<std::size_t>(slot)] = &type;
                 scopes_.back().slots.push_back(slot);
                 Instr& in = emit(Op::DeclLocal, node.span);
@@ -298,7 +298,7 @@ class Compiler {
         switch (expr.kind) {
             case lang::ExprKind::VarRef: {
                 const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-                const miri::VarResolution& res = lowering_.var_refs[node.id];
+                const miri::VarResolution& res = lowered_.var_refs[node.id];
                 if (res.kind == miri::VarResolution::Kind::Local) {
                     Instr& in = emit(Op::PlaceLocal);
                     in.a = res.index;
@@ -420,7 +420,7 @@ class Compiler {
     }
 
     void compile_var_ref(const lang::VarRefExpr& node) {
-        const miri::VarResolution& res = lowering_.var_refs[node.id];
+        const miri::VarResolution& res = lowered_.var_refs[node.id];
         switch (res.kind) {
             case miri::VarResolution::Kind::Local: {
                 Instr& in = emit(Op::LoadLocal, node.span);
@@ -574,7 +574,7 @@ class Compiler {
 
     void compile_call(const lang::CallExpr& node) {
         emit(Op::Step, node.span);
-        const miri::CallResolution& res = lowering_.calls[node.id];
+        const miri::CallResolution& res = lowered_.calls[node.id];
         for (const auto& arg : node.args) {
             compile_expr(*arg);
         }
@@ -628,7 +628,7 @@ class Compiler {
     }
 
     const lang::Program& program_;
-    const miri::LoweredProgram& lowering_;
+    const miri::LoweredProgram& lowered_;
     VmProgram out_;
     std::vector<ScopeInfo> scopes_;
     std::vector<const Type*> slot_types_;

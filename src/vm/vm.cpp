@@ -63,7 +63,7 @@ Vm::Vm(const lang::Program& program, const VmProgram& code,
       code_(code),
       inputs_(std::move(inputs)),
       limits_(limits) {
-    static_slots_.assign(program_.statics.size(), kNoAlloc);
+    static_allocs_.assign(program_.statics.size(), kNoAlloc);
     stack_.reserve(256);
     slots_.reserve(256);
     frames_.reserve(64);
@@ -149,7 +149,7 @@ void Vm::setup_statics() {
                                             item.type.align_bytes(),
                                             AllocKind::Static, item.name,
                                             item.span);
-        static_slots_[i] = alloc;
+        static_allocs_[i] = alloc;
         pc_ = code_.static_entries[i];
         const Value init = dispatch(frames_.size());
         mem_.store(mem_.base_pointer(alloc), item.type, init,
@@ -234,7 +234,7 @@ std::int32_t Vm::resolve_fn_target(const FnPtrVal& fn, const Type& static_type,
 miri::Value Vm::load_slot(std::int32_t slot_index, std::int32_t reg,
                           std::uint32_t name_idx, support::SourceSpan span) {
     const Frame& frame = frames_.back();
-    const SlotState& slot =
+    const LocalState& slot =
         slots_[frame.slot_base + static_cast<std::uint32_t>(slot_index)];
     if (slot.alloc == kNoAlloc) {
         throw std::logic_error("eval_place: unresolved name '" +
@@ -379,7 +379,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         VM_FETCH;
         const support::SourceSpan& span = span_of(in);
         step(span);
-        const AllocId alloc = static_slots_[static_cast<std::size_t>(in.a)];
+        const AllocId alloc = static_allocs_[static_cast<std::size_t>(in.a)];
         if (alloc != kNoAlloc) {
             stack_.push_back(mem_.load(mem_.base_pointer(alloc), type_of(in),
                                        access_ctx(span)));
@@ -401,7 +401,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
 
     VM_CASE(PlaceLocal): {
         VM_FETCH;
-        const SlotState& slot =
+        const LocalState& slot =
             slots_[frames_.back().slot_base + static_cast<std::uint32_t>(in.a)];
         if (slot.alloc == kNoAlloc) {
             throw std::logic_error("eval_place: unresolved name '" +
@@ -413,7 +413,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     }
     VM_CASE(PlaceStatic): {
         VM_FETCH;
-        const AllocId alloc = static_slots_[static_cast<std::size_t>(in.a)];
+        const AllocId alloc = static_allocs_[static_cast<std::size_t>(in.a)];
         if (alloc == kNoAlloc) {
             throw std::logic_error("eval_place: unresolved name '" +
                                    name_of(in) + "'");
@@ -539,7 +539,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     }
     VM_CASE(KillSlot): {
         VM_FETCH;
-        SlotState& slot =
+        LocalState& slot =
             slots_[frames_.back().slot_base + static_cast<std::uint32_t>(in.a)];
         if (slot.alloc != kNoAlloc) {
             mem_.kill(slot.alloc);
@@ -550,7 +550,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     }
     VM_CASE(KillSlotTail): {
         VM_FETCH;
-        SlotState& slot =
+        LocalState& slot =
             slots_[frames_.back().slot_base + static_cast<std::uint32_t>(in.a)];
         if (slot.alloc != kNoAlloc) {
             mem_.kill_for_tail_call(slot.alloc);
@@ -638,7 +638,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     VM_CASE(CallLocalPtr): {
         VM_FETCH;
         const support::SourceSpan& span = span_of(in);
-        const SlotState& slot =
+        const LocalState& slot =
             slots_[frames_.back().slot_base + static_cast<std::uint32_t>(in.a)];
         if (slot.alloc == kNoAlloc) {
             throw std::logic_error("call to unknown function '" + name_of(in) +
@@ -754,7 +754,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     VM_CASE(StoreLocal): {
         VM_FETCH;
         const Frame& frame = frames_.back();
-        const SlotState& slot =
+        const LocalState& slot =
             slots_[frame.slot_base + static_cast<std::uint32_t>(in.a)];
         if (slot.alloc == kNoAlloc) {
             throw std::logic_error("eval_place: unresolved name '" +

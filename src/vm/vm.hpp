@@ -1,7 +1,7 @@
-// Bytecode VM for MiriLite — the third interpreter tier.
+// Bytecode VM for MiriLite — the fast stage of the Oracle's default tier.
 //
 // Executes a vm::VmProgram over an explicit value stack and dense activation
-// records: one contiguous SlotState vector shared by every live frame, each
+// records: one contiguous LocalState vector shared by every live frame, each
 // frame owning a [slot_base, slot_base + slot_count) window plus a base
 // pointer into the value stack for its arguments. `become` reuses the top
 // frame in place (resize the slot window, keep the return pc), so tail-call
@@ -16,8 +16,8 @@
 // The VM reuses miri::MemoryModel, the vector-clock race detector, and the
 // thread/mutex/atomic bookkeeping verbatim, and enforces InterpLimits at the
 // same program points, so RunResults are byte-identical to miri::Interpreter
-// — findings, messages, spans, outputs, and step counts. The four-way
-// equivalence (tree / slot / vm / vm-optimized) is asserted corpus-wide by
+// — findings, messages, spans, outputs, and step counts. The three-way
+// equivalence (tree / vm / vm-optimized) is asserted corpus-wide by
 // tests/miri_vm_test.cpp and the differential stress tests.
 #pragma once
 
@@ -45,7 +45,7 @@ class Vm {
     miri::RunResult run();
 
   private:
-    struct SlotState {
+    struct LocalState {
         miri::AllocId alloc = miri::kNoAlloc;
         const lang::Type* type = nullptr;
     };
@@ -137,10 +137,10 @@ class Vm {
 
     miri::MemoryModel mem_;
     std::vector<miri::Value> stack_;
-    std::vector<SlotState> slots_;
+    std::vector<LocalState> slots_;
     std::vector<miri::Value> regs_;  // promoted locals (optimized tier)
     std::vector<Frame> frames_;
-    std::vector<miri::AllocId> static_slots_;
+    std::vector<miri::AllocId> static_allocs_;
     std::int32_t pc_ = 0;
 
     miri::ThreadId current_thread_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 namespace rustbrain::lang {
 namespace {
 
@@ -237,6 +240,54 @@ TEST(ParserTest, EqualityDetectsDifference) {
     const auto a = parse_ok("fn main() { let x = 1; }");
     const auto b = parse_ok("fn main() { let x = 2; }");
     EXPECT_FALSE(equals(a, b));
+}
+
+/// `fn main() { <head> open^n <leaf> close^n <tail> }` nests n levels in a
+/// body that is one level itself: n == kMaxNesting - 1 is at the cap.
+struct Shape {
+    const char* name;
+    const char* head;
+    const char* open;
+    const char* leaf;
+    const char* close;
+    const char* tail;
+
+    [[nodiscard]] std::string source(std::size_t n) const {
+        std::string out = std::string("fn main() { ") + head;
+        for (std::size_t i = 0; i < n; ++i) out += open;
+        out += leaf;
+        for (std::size_t i = 0; i < n; ++i) out += close;
+        return out + tail + " }";
+    }
+};
+
+TEST(ParserTest, NestingPastTheCapIsAParseError) {
+    const Shape shapes[] = {
+        {"parens", "let x = ", "(", "1", ")", ";"},
+        {"unary", "let x = ", "-", "1", "", ";"},
+        {"blocks", "", "{ ", "", "} ", ""},
+        {"if chain", "", "if true { } else ", "{ }", "", ""},
+        {"binary chain", "let x = ", "", "1", " + 1", ";"},
+        {"call chain", "let x = ", "", "f", "(1)", ";"},
+        {"index chain", "let x = ", "", "a", "[0]", ";"},
+        {"cast chain", "let x = ", "", "1", " as i64", ";"},
+    };
+    for (const Shape& shape : shapes) {
+        SCOPED_TRACE(shape.name);
+        parse_ok(shape.source(kMaxNesting - 1));
+        std::string error;
+        EXPECT_FALSE(try_parse(shape.source(kMaxNesting), &error));
+        // One located error, and parsing stops there.
+        EXPECT_EQ(error.rfind("error at 1:", 0), 0u) << error;
+        EXPECT_NE(error.find("nesting exceeds 256 levels"), std::string::npos)
+            << error;
+        EXPECT_EQ(error.find('\n'), error.size() - 1) << error;
+    }
+    // Far past the cap: one error, no stack exhaustion.
+    std::string error;
+    EXPECT_FALSE(try_parse(shapes[1].source(100'000), &error));
+    EXPECT_EQ(error.find('\n'), error.size() - 1) << error;
+    EXPECT_FALSE(try_parse(shapes[4].source(10'000), &error));
 }
 
 }  // namespace

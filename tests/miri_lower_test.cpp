@@ -1,9 +1,11 @@
-// Slot lowering: the slot-lowered interpreter must be observationally
+// Slot lowering: programs run from the lowering must be observationally
 // identical to the tree-walk reference — same findings (category, message,
 // span), same outputs, same step counts — over the whole corpus and over
 // targeted name-resolution shapes (shadowing, statics, fn pointers,
 // `become`), including the InterpLimits edges (step-limit exhaustion and
-// call-depth overflow).
+// call-depth overflow). The lowering's consumer that executes is the
+// bytecode VM (vm::compile), so each shape also runs there, next to the
+// default Oracle.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,35 +17,38 @@
 #include "miri/interp.hpp"
 #include "miri/lower.hpp"
 #include "miri/mirilite.hpp"
+#include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
+#include "vm/bytecode.hpp"
 
 namespace rustbrain::miri {
 namespace {
 
-using Inputs = std::vector<std::vector<std::int64_t>>;
+using agreement::expect_reports_equal;
+using agreement::Inputs;
 
-/// Run `source` through the tree-walk MiriLite and through an uncached
-/// Oracle (slot-lowered), and require byte-equal reports.
+/// Run `source` through the tree-walk MiriLite, an uncached default
+/// Oracle, and vm::Vm on vm::compile(program, lower_program(program)), and
+/// require byte-equal reports.
 void expect_paths_agree(const std::string& source, const Inputs& inputs,
                         InterpLimits limits = {}) {
     const MiriLite tree_walk(limits);
-    const MiriReport a = tree_walk.test_source(source, inputs);
+    const MiriReport reference = tree_walk.test_source(source, inputs);
 
     verify::OracleOptions options;
     options.limits = limits;
     options.caching = false;
     const verify::Oracle oracle(options);
-    const MiriReport b = oracle.test_source(source, inputs);
+    expect_reports_equal(reference, oracle.test_source(source, inputs),
+                         "default\n" + source);
 
-    ASSERT_EQ(a.findings.size(), b.findings.size()) << source;
-    for (std::size_t i = 0; i < a.findings.size(); ++i) {
-        EXPECT_EQ(a.findings[i].category, b.findings[i].category);
-        EXPECT_EQ(a.findings[i].message, b.findings[i].message);
-        EXPECT_EQ(a.findings[i].span.line, b.findings[i].span.line);
-        EXPECT_EQ(a.findings[i].span.column, b.findings[i].span.column);
-    }
-    EXPECT_EQ(a.outputs, b.outputs) << source;
-    EXPECT_EQ(a.total_steps, b.total_steps) << source;
+    auto program = lang::try_parse(source);
+    if (!program || !lang::type_check(*program)) return;
+    const LoweredProgram lowered = lower_program(*program);
+    const vm::VmProgram code = vm::compile(*program, lowered);
+    expect_reports_equal(
+        reference, agreement::vm_report(*program, code, inputs, limits),
+        "vm\n" + source);
 }
 
 TEST(MiriLowerTest, WholeCorpusAgreesBuggyAndFixed) {
@@ -56,113 +61,35 @@ TEST(MiriLowerTest, WholeCorpusAgreesBuggyAndFixed) {
 }
 
 TEST(MiriLowerTest, ShadowingResolvesToTheInnermostBinding) {
-    expect_paths_agree(R"(fn main() {
-    let x = 1;
-    let x = x + 10;
-    print_int(x);
-    {
-        let x = 100;
-        print_int(x);
-    }
-    print_int(x);
-}
-)",
-                       {});
+    expect_paths_agree(agreement::kShadowing, {});
 }
 
 TEST(MiriLowerTest, LoopRedeclarationGetsAFreshAllocationEachIteration) {
-    expect_paths_agree(R"(fn main() {
-    let mut i = 0;
-    while i < 3 {
-        let x = i * 2;
-        print_int(x);
-        i = i + 1;
-    }
-}
-)",
-                       {});
+    expect_paths_agree(agreement::kLoopRedeclaration, {});
 }
 
 TEST(MiriLowerTest, StaticsAndLocalsShareNamespaceWithLocalsWinning) {
-    expect_paths_agree(R"(static G: i32 = 7;
-fn main() {
-    print_int(G as i64);
-    let G = 40;
-    print_int(G);
-}
-)",
-                       {});
+    expect_paths_agree(agreement::kStaticsAndLocals, {});
 }
 
 TEST(MiriLowerTest, MutableStaticAccess) {
-    expect_paths_agree(R"(static mut COUNTER: i64 = 0;
-fn bump() {
-    unsafe {
-        COUNTER = COUNTER + 1;
-    }
-}
-fn main() {
-    bump();
-    bump();
-    unsafe {
-        print_int(COUNTER);
-    }
-}
-)",
-                       {});
+    expect_paths_agree(agreement::kMutableStatic, {});
 }
 
 TEST(MiriLowerTest, FunctionPointersThroughLocalsAndIndirectCalls) {
-    expect_paths_agree(R"(fn double(x: i64) -> i64 {
-    return x * 2;
-}
-fn main() {
-    let f = double;
-    print_int(f(21));
-}
-)",
-                       {});
+    expect_paths_agree(agreement::kFunctionPointers, {});
 }
 
 TEST(MiriLowerTest, BecomeTailCallsReleaseSlotsBeforeTheCallee) {
-    expect_paths_agree(R"(fn countdown(n: i64) {
-    if n == 0 {
-        print_int(0);
-        return;
-    }
-    become countdown(n - 1);
-}
-fn main() {
-    countdown(5000);
-}
-)",
-                       {});
+    expect_paths_agree(agreement::kBecomeTailCalls, {});
 }
 
 TEST(MiriLowerTest, SpawnedThreadsUseSlotFrames) {
-    expect_paths_agree(R"(static mut SHARED: i64 = 0;
-fn worker() {
-    unsafe {
-        SHARED = 5;
-    }
-}
-fn main() {
-    let handle = spawn(worker);
-    join(handle);
-    unsafe {
-        print_int(SHARED);
-    }
-}
-)",
-                       {});
+    expect_paths_agree(agreement::kSpawnedThreads, {});
 }
 
 TEST(MiriLowerTest, InputsFlowIdentically) {
-    expect_paths_agree(R"(fn main() {
-    print_int(input(0) + input(1));
-}
-)",
-                       {{3, 4}, {10, 20}});
+    expect_paths_agree(agreement::kInputs, {{3, 4}, {10, 20}});
 }
 
 // --- InterpLimits coverage (both paths) ------------------------------------
@@ -211,7 +138,7 @@ TEST(MiriLowerTest, CallDepthOverflowIsStableOnBothPaths) {
 }
 
 TEST(MiriLowerTest, DefaultLimitsAllowDeepBecomeChains) {
-    // `become` must stay O(1) in call depth on the slot path too.
+    // `become` must stay O(1) in call depth on the default tier too.
     verify::OracleOptions options;
     options.caching = false;
     const verify::Oracle oracle(options);

@@ -1,93 +1,66 @@
-// Bytecode VM tier: vm::Vm must be observationally identical to BOTH
-// reference interpreters — the tree walk and the slot-lowered walk — over
-// the whole corpus (buggy and fixed), the name-resolution/become/thread
-// shapes from miri_lower_test.cpp, and the InterpLimits edges swept at
-// every boundary (step-limit exhaustion at each possible program point,
-// call-depth overflow at the exact frame, mid-`become`, mid-recursion).
+// Bytecode VM: vm::Vm must be observationally identical to the reference
+// tree walk over the whole corpus (buggy and fixed), the
+// name-resolution/become/thread shapes in tier_agreement.hpp, and the
+// InterpLimits edges swept at every boundary (step-limit exhaustion at each
+// possible program point, call-depth overflow at the exact frame,
+// mid-`become`, mid-recursion). So must the Oracle's default tier, which
+// runs the tree walk and restarts runs past kVmAfterSteps on the VM.
 // "Identical" is byte-level: categories, messages, spans, outputs, and
 // step counts.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <cstdint>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dataset/corpus.hpp"
 #include "miri/interp.hpp"
 #include "miri/mirilite.hpp"
+#include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
-#include "vm/vm.hpp"
+#include "vm/bytecode.hpp"
 
 namespace rustbrain::miri {
 namespace {
 
-using Inputs = std::vector<std::vector<std::int64_t>>;
+using agreement::expect_reports_equal;
+using agreement::Inputs;
+using agreement::vm_report;
+using verify::kVmAfterSteps;
 
-void expect_reports_equal(const MiriReport& want, const MiriReport& got,
-                          const std::string& label) {
-    ASSERT_EQ(want.findings.size(), got.findings.size()) << label;
-    for (std::size_t i = 0; i < want.findings.size(); ++i) {
-        EXPECT_EQ(want.findings[i].category, got.findings[i].category)
-            << label;
-        EXPECT_EQ(want.findings[i].message, got.findings[i].message) << label;
-        EXPECT_EQ(want.findings[i].span.begin, got.findings[i].span.begin)
-            << label;
-        EXPECT_EQ(want.findings[i].span.end, got.findings[i].span.end)
-            << label;
-        EXPECT_EQ(want.findings[i].span.line, got.findings[i].span.line)
-            << label;
-        EXPECT_EQ(want.findings[i].span.column, got.findings[i].span.column)
-            << label;
-    }
-    EXPECT_EQ(want.outputs, got.outputs) << label;
-    EXPECT_EQ(want.total_steps, got.total_steps) << label;
-}
-
-/// Run `source` through the tree-walk MiriLite and through uncached slot
-/// and vm Oracles, and require byte-equal reports.
+/// Run `source` through the tree-walk MiriLite, an uncached default
+/// Oracle, and vm::Vm driven directly on the raw and the optimized
+/// bytecode; require byte-equal reports.
 void expect_tiers_agree(const std::string& source, const Inputs& inputs,
                         InterpLimits limits = {}) {
     const MiriLite tree_walk(limits);
     const MiriReport reference = tree_walk.test_source(source, inputs);
 
-    // Four-way: slot lowering, the VM on raw bytecode, and the VM on
-    // vm::optimize output all replay the tree walk byte for byte.
-    for (const verify::InterpTier tier :
-         {verify::InterpTier::Slot, verify::InterpTier::Vm}) {
-        verify::OracleOptions options;
-        options.limits = limits;
-        options.caching = false;
-        options.interp = tier;
-        const verify::Oracle oracle(options);
-        expect_reports_equal(reference, oracle.test_source(source, inputs),
-                             std::string(verify::to_string(tier)) + "\n" +
-                                 source);
-        if (tier != verify::InterpTier::Vm) continue;
+    verify::OracleOptions options;
+    options.limits = limits;
+    options.caching = false;
+    const verify::Oracle oracle(options);
+    expect_reports_equal(reference, oracle.test_source(source, inputs),
+                         "default\n" + source);
 
-        // The Oracle's vm tier always runs the optimized build, so the raw
-        // bytecode is driven directly, folded into a report the same way.
-        const auto compiled = oracle.compile(source);
-        if (!compiled->ok()) continue;  // front-end errors never run a VM
-        MiriReport raw;
-        std::set<std::string> seen;
-        for (const auto& run_inputs : inputs.empty() ? Inputs{{}} : inputs) {
-            vm::Vm machine(compiled->program, compiled->bytecode(), run_inputs,
-                           limits);
-            RunResult result = machine.run();
-            raw.total_steps += result.steps;
-            raw.outputs.push_back(std::move(result.output));
-            if (result.finding && seen.insert(result.finding->key()).second) {
-                raw.findings.push_back(*result.finding);
-            }
-        }
-        expect_reports_equal(reference, raw, "vm-raw\n" + source);
-    }
+    const auto compiled = oracle.compile(source);
+    if (!compiled->ok()) return;  // front-end errors never run a VM
+    expect_reports_equal(reference,
+                         vm_report(compiled->program,
+                                   vm::compile(compiled->program,
+                                               compiled->lowering),
+                                   inputs, limits),
+                         "vm-raw\n" + source);
+    expect_reports_equal(reference,
+                         vm_report(compiled->program,
+                                   compiled->optimized_bytecode(), inputs,
+                                   limits),
+                         "vm-opt\n" + source);
 }
 
 TEST(MiriVmTest, TierNamesRoundTrip) {
     EXPECT_STREQ(verify::to_string(verify::InterpTier::Tree), "tree");
-    EXPECT_STREQ(verify::to_string(verify::InterpTier::Slot), "slot");
     EXPECT_STREQ(verify::to_string(verify::InterpTier::Vm), "vm");
 }
 
@@ -100,116 +73,38 @@ TEST(MiriVmTest, WholeCorpusAgreesBuggyAndFixed) {
     }
 }
 
-// --- Name-resolution / control-flow shapes (miri_lower_test's set) ---------
+// --- Name-resolution / control-flow shapes (tier_agreement.hpp) ----------
 
 TEST(MiriVmTest, ShadowingResolvesToTheInnermostBinding) {
-    expect_tiers_agree(R"(fn main() {
-    let x = 1;
-    let x = x + 10;
-    print_int(x);
-    {
-        let x = 100;
-        print_int(x);
-    }
-    print_int(x);
-}
-)",
-                       {});
+    expect_tiers_agree(agreement::kShadowing, {});
 }
 
 TEST(MiriVmTest, LoopRedeclarationGetsAFreshAllocationEachIteration) {
-    expect_tiers_agree(R"(fn main() {
-    let mut i = 0;
-    while i < 3 {
-        let x = i * 2;
-        print_int(x);
-        i = i + 1;
-    }
-}
-)",
-                       {});
+    expect_tiers_agree(agreement::kLoopRedeclaration, {});
 }
 
 TEST(MiriVmTest, StaticsAndLocalsShareNamespaceWithLocalsWinning) {
-    expect_tiers_agree(R"(static G: i32 = 7;
-fn main() {
-    print_int(G as i64);
-    let G = 40;
-    print_int(G);
-}
-)",
-                       {});
+    expect_tiers_agree(agreement::kStaticsAndLocals, {});
 }
 
 TEST(MiriVmTest, MutableStaticAccess) {
-    expect_tiers_agree(R"(static mut COUNTER: i64 = 0;
-fn bump() {
-    unsafe {
-        COUNTER = COUNTER + 1;
-    }
-}
-fn main() {
-    bump();
-    bump();
-    unsafe {
-        print_int(COUNTER);
-    }
-}
-)",
-                       {});
+    expect_tiers_agree(agreement::kMutableStatic, {});
 }
 
 TEST(MiriVmTest, FunctionPointersThroughLocalsAndIndirectCalls) {
-    expect_tiers_agree(R"(fn double(x: i64) -> i64 {
-    return x * 2;
-}
-fn main() {
-    let f = double;
-    print_int(f(21));
-}
-)",
-                       {});
+    expect_tiers_agree(agreement::kFunctionPointers, {});
 }
 
 TEST(MiriVmTest, BecomeTailCallsReleaseSlotsBeforeTheCallee) {
-    expect_tiers_agree(R"(fn countdown(n: i64) {
-    if n == 0 {
-        print_int(0);
-        return;
-    }
-    become countdown(n - 1);
-}
-fn main() {
-    countdown(5000);
-}
-)",
-                       {});
+    expect_tiers_agree(agreement::kBecomeTailCalls, {});
 }
 
 TEST(MiriVmTest, SpawnedThreadsUseSlotFrames) {
-    expect_tiers_agree(R"(static mut SHARED: i64 = 0;
-fn worker() {
-    unsafe {
-        SHARED = 5;
-    }
-}
-fn main() {
-    let handle = spawn(worker);
-    join(handle);
-    unsafe {
-        print_int(SHARED);
-    }
-}
-)",
-                       {});
+    expect_tiers_agree(agreement::kSpawnedThreads, {});
 }
 
 TEST(MiriVmTest, InputsFlowIdentically) {
-    expect_tiers_agree(R"(fn main() {
-    print_int(input(0) + input(1));
-}
-)",
-                       {{3, 4}, {10, 20}});
+    expect_tiers_agree(agreement::kInputs, {{3, 4}, {10, 20}});
 }
 
 // --- Expression / operator coverage ----------------------------------------
@@ -332,7 +227,7 @@ fn main() {
 TEST(MiriVmTest, StepLimitExhaustionAgreesAtEveryBoundary) {
     // Learn the unconstrained step count, then sweep max_steps through
     // every value up to just past it: each sweep point dies (or completes)
-    // at a different instruction, and all three tiers must report the same
+    // at a different instruction, and every path must report the same
     // finding, span, and step count at each one.
     const MiriLite reference;
     const MiriReport full = reference.test_source(kMixedWorkload, {});
@@ -397,7 +292,6 @@ fn main() {
     verify::OracleOptions options;
     options.limits = two;
     options.caching = false;
-    options.interp = verify::InterpTier::Vm;
     const verify::Oracle oracle(options);
     const MiriReport report = oracle.test_source(source, {});
     EXPECT_TRUE(report.passed()) << report.summary();
@@ -432,6 +326,88 @@ TEST(MiriVmTest, MissingMainReportsTheSameCompileError) {
 TEST(MiriVmTest, FrontEndErrorsBypassTheVm) {
     expect_tiers_agree("fn main( {\n}\n", {});
     expect_tiers_agree("fn main() {\n    let x: bool = 3;\n}\n", {});
+}
+
+// --- The default tier's restart past kVmAfterSteps -------------------------
+
+/// Two input-driven loops of coprime step costs: any large total is reachable.
+constexpr const char* kTwoLoops = R"(fn main() {
+    let n = input(0);
+    let m = input(1);
+    let mut i: i64 = 0;
+    while i < n {
+        i = i + 1;
+    }
+    let mut j: i64 = 0;
+    while j < m {
+        j = j - -1;
+    }
+    print_int(i + j);
+}
+)";
+
+std::uint64_t reference_steps(const std::vector<std::int64_t>& inputs) {
+    return MiriLite().test_source(kTwoLoops, {inputs}).total_steps;
+}
+
+/// Inputs for which kTwoLoops runs exactly `steps` steps.
+std::vector<std::int64_t> inputs_for_steps(std::uint64_t steps) {
+    const std::uint64_t base = reference_steps({0, 0});
+    const std::uint64_t per_i = reference_steps({1, 0}) - base;
+    const std::uint64_t per_j = reference_steps({0, 1}) - base;
+    for (std::uint64_t m = 0; m < per_i; ++m) {
+        const std::uint64_t rest = steps - base - m * per_j;
+        if (rest % per_i == 0) {
+            return {static_cast<std::int64_t>(rest / per_i),
+                    static_cast<std::int64_t>(m)};
+        }
+    }
+    ADD_FAILURE() << "no inputs reach " << steps << " steps";
+    return {};
+}
+
+/// A default Oracle on a private store must match MiriLite byte for byte,
+/// and build bytecode exactly `compiles` times doing so.
+void expect_default_exact(const Inputs& inputs, InterpLimits limits,
+                          std::uint64_t compiles) {
+    verify::OracleOptions options;
+    options.limits = limits;
+    options.cache = std::make_shared<verify::VerifyCache>();
+    const verify::Oracle oracle(options);
+    const std::uint64_t before = vm::CompileStats::bytecode_compiles.load();
+    const MiriReport got = oracle.test_source(kTwoLoops, inputs);
+    EXPECT_EQ(vm::CompileStats::bytecode_compiles.load() - before, compiles);
+    expect_reports_equal(MiriLite(limits).test_source(kTwoLoops, inputs), got,
+                         "default");
+}
+
+TEST(MiriVmTest, DefaultTierRestartsOnlyRunsPastTheCapAndMatchesTheTreeWalk) {
+    // Runs that end just under, exactly at, and just past the cap; only
+    // the last two of these restart on the VM.
+    for (const std::uint64_t steps :
+         {kVmAfterSteps - 1, kVmAfterSteps, kVmAfterSteps + 1,
+          kVmAfterSteps + 2, 3 * kVmAfterSteps}) {
+        SCOPED_TRACE(steps);
+        const std::vector<std::int64_t> inputs = inputs_for_steps(steps);
+        ASSERT_EQ(reference_steps(inputs), steps);
+        expect_default_exact({inputs}, {}, steps > kVmAfterSteps ? 1 : 0);
+    }
+
+    // A real limit at or under the cap is the whole run, never a restart;
+    // past the cap it fires after the restart, at every offset of the loop
+    // body, where the VM must stop at the span and count the tree walk does.
+    for (std::uint64_t max_steps = kVmAfterSteps - 1;
+         max_steps <= kVmAfterSteps + 8; ++max_steps) {
+        SCOPED_TRACE(max_steps);
+        InterpLimits limits;
+        limits.max_steps = max_steps;
+        expect_default_exact({{1'000'000, 0}}, limits,
+                             max_steps > kVmAfterSteps ? 1 : 0);
+    }
+
+    // Several input sets, only one of them past the cap: one compile.
+    expect_default_exact({{3, 4}, inputs_for_steps(2 * kVmAfterSteps), {0, 9}},
+                         {}, 1);
 }
 
 }  // namespace

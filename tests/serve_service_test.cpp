@@ -232,6 +232,30 @@ TEST(RepairServerTest, LoopbackEndToEndIncludingTheBadRequestPath) {
     EXPECT_EQ(server.requests_served(), 3u);
 }
 
+TEST(RepairServerTest, DeeplyNestedSourceGetsAFramedResponse) {
+    // 100 000 unary minus signs: far past the parser's nesting cap.
+    ServerOptions options;
+    options.service = service_options();
+    RepairServer server(options);
+
+    RepairClient client(server.port());
+    RepairRequest request;
+    request.ticket = "deep";
+    request.ub_case = corpus().cases().front();
+    request.ub_case.buggy_source =
+        "fn main() { let x = " + std::string(100'000, '-') + "1; }";
+    const RepairResponse response = client.repair(request);
+    EXPECT_EQ(response.ticket, "deep");
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_FALSE(response.result.pass);
+
+    // The server is still up and answering on the same connection.
+    request.ticket = "after";
+    request.ub_case = corpus().cases().front();
+    EXPECT_TRUE(client.repair(request).ok);
+    server.stop();
+}
+
 TEST(RepairServerTest, ServeOnceShutsDownAfterTheRequestBudget) {
     ServerOptions options;
     options.service = service_options();

@@ -17,7 +17,8 @@ TEST(VerifyIdentityTest, EveryOracleConfigurationMatchesTheReference) {
     // The forge's rejection sampler verifies every candidate, so any row
     // that changed a verdict would change which candidates are accepted.
     auto forged = [](const Row& row) {
-        return gen::corpus_to_string(forge(7, 160, Oracle(options_for(row))));
+        return gen::corpus_to_string(
+            forge(7, 160, *make_oracle(row, options_for(row))));
     };
     const std::string want = forged(kReference);
     ASSERT_FALSE(want.empty());

@@ -165,10 +165,16 @@ TEST(VerifyOracleTest, WithoutCachingTheReferenceFixRunsPerCandidate) {
 TEST(VerifyOracleTest, FrontEndFailuresMatchMiriLiteVerbatim) {
     const miri::MiriLite reference;
     const auto oracle = cached_oracle();
+    std::string sum = "1";
+    for (int i = 1; i < 10'000; ++i) sum += " + 1";
     const std::vector<std::string> broken = {
         "fn main( {",                    // parse error
         "fn main() {\n    x = 1;\n}\n",  // typecheck error
         "fn not_main() {}\n",            // no main
+        // Nested past lang::kMaxNesting: without the cap, a 100 000-deep
+        // unary chain and a 10 000-term sum exhaust the native stack.
+        "fn main() { let x = " + std::string(100'000, '-') + "1; }",
+        "fn main() { let x = " + sum + "; }",
     };
     for (const std::string& source : broken) {
         SCOPED_TRACE(source);
@@ -178,6 +184,8 @@ TEST(VerifyOracleTest, FrontEndFailuresMatchMiriLiteVerbatim) {
             const miri::MiriReport b = oracle->test_source(source, {});
             ASSERT_EQ(a.findings.size(), b.findings.size());
             ASSERT_EQ(a.findings.size(), 1u);
+            EXPECT_EQ(b.findings.front().category,
+                      miri::UbCategory::CompileError);
             EXPECT_EQ(a.findings.front().category, b.findings.front().category);
             EXPECT_EQ(a.findings.front().message, b.findings.front().message);
         }

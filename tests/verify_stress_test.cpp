@@ -16,6 +16,7 @@
 #include "llm/caching_backend.hpp"
 #include "miri/mirilite.hpp"
 #include "verify/oracle.hpp"
+#include "vm/bytecode.hpp"
 
 namespace rustbrain::verify {
 namespace {
@@ -97,6 +98,47 @@ TEST(VerifyStressTest, ConcurrentOracleMatchesSerialAndStatsAddUp) {
     EXPECT_GT(stats.report_hits, 0u);
     EXPECT_LE(stats.programs, kCases);
     EXPECT_LE(stats.reports, kCases);
+}
+
+TEST(VerifyStressTest, ConcurrentRestartsPastTheCapCompileBytecodeOnce) {
+    // Every run passes kVmAfterSteps, so all eight threads restart on the
+    // VM: they must share one bytecode build and match a serial tree walk.
+    const std::string source = R"(fn main() {
+    let n = input(0);
+    let mut i: i64 = 0;
+    while i < n {
+        i = i + 1;
+    }
+    print_int(i);
+}
+)";
+    constexpr std::size_t kThreads = 8;
+    auto inputs_for = [](std::size_t t) {
+        return std::vector<std::vector<std::int64_t>>{
+            {static_cast<std::int64_t>(kVmAfterSteps / 4 + t)}};
+    };
+    std::vector<miri::MiriReport> expected;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        expected.push_back(miri::MiriLite().test_source(source, inputs_for(t)));
+        ASSERT_GT(expected.back().total_steps, kVmAfterSteps);
+    }
+
+    OracleOptions options;
+    options.cache = std::make_shared<VerifyCache>();
+    const Oracle shared(std::move(options));
+    const std::uint64_t compiles_before =
+        vm::CompileStats::bytecode_compiles.load();
+    std::vector<miri::MiriReport> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back(
+            [&, t] { got[t] = shared.test_source(source, inputs_for(t)); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(report_matches(got[t], expected[t])) << t;
+    }
+    EXPECT_EQ(vm::CompileStats::bytecode_compiles.load() - compiles_before, 1u);
 }
 
 TEST(VerifyStressTest, ConcurrentPromptCacheKeepsValuesAndCountsEveryLookup) {

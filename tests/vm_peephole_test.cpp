@@ -4,8 +4,8 @@
 // registers) and observationally (for every fused opcode, findings,
 // outputs, spans, and above all *step counts* are byte-identical to the
 // tree walk and to the unoptimized VM; five forged corpora render
-// bit-identically on the optimized vm tier and the tree walk; and the tree
-// tier never pays for a bytecode compile at all).
+// bit-identically with vm-opt on every run and on the tree walk; and the
+// tree tier never pays for a bytecode compile at all).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "core/batch_runner.hpp"
 #include "dataset/corpus.hpp"
 #include "gen/forge.hpp"
+#include "identity_matrix.hpp"
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
@@ -240,13 +241,12 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
     EXPECT_EQ(vm::CompileStats::bytecode_compiles.load(), compiles_before);
     EXPECT_EQ(vm::CompileStats::optimize_passes.load(), passes_before);
 
-    // The vm tier pays for the bytecode compile and the optimize pass, on
-    // first use.
+    // Running the VM pays for the bytecode compile and the optimize pass,
+    // on first use.
     {
         verify::OracleOptions options;
         options.caching = false;
-        options.interp = verify::InterpTier::Vm;
-        const verify::Oracle oracle(options);
+        const verify::identity::VmEverywhereOracle oracle(options);
         (void)oracle.test_source(source, {});
     }
     EXPECT_GT(vm::CompileStats::bytecode_compiles.load(), compiles_before);
@@ -256,7 +256,7 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
 TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
     // The torture screw: five independently forged corpora, every case
     // swept through the full repair engine, rendered with the serving
-    // codec, and byte-compared between the optimized vm tier and the tree
+    // codec, and byte-compared between vm-opt on every run and the tree
     // walk. Any divergence in any fused replay shows up here.
     kb::KnowledgeBase kbase;
     kb::seed_from_corpus(dataset::Corpus::standard(), kbase);
@@ -273,14 +273,11 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
         const dataset::Corpus corpus = gen::forge_corpus(forge_options);
         ASSERT_EQ(corpus.size(), 32u);
 
-        auto render_all = [&](verify::InterpTier tier) {
-            verify::OracleOptions oracle_options;
-            oracle_options.cache = std::make_shared<verify::VerifyCache>();
-            oracle_options.interp = tier;
+        auto render_all = [&](const verify::identity::Row& row) {
             core::EngineBuildContext context;
             context.knowledge_base = &kbase;
-            context.oracle =
-                std::make_shared<verify::Oracle>(std::move(oracle_options));
+            context.oracle = verify::identity::make_oracle(
+                row, verify::identity::options_for(row));
             const core::BatchRunner runner("rustbrain", {}, context,
                                            core::BatchOptions{1});
             const core::BatchReport report = runner.run(corpus);
@@ -292,9 +289,9 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
             return rendered;
         };
         const std::vector<std::string> vm_opt =
-            render_all(verify::InterpTier::Vm);
+            render_all(verify::identity::kVm);
         const std::vector<std::string> tree =
-            render_all(verify::InterpTier::Tree);
+            render_all(verify::identity::kReference);
         ASSERT_EQ(vm_opt.size(), tree.size());
         for (std::size_t i = 0; i < vm_opt.size(); ++i) {
             EXPECT_EQ(vm_opt[i], tree[i]) << "case " << corpus.cases()[i].id;
