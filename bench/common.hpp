@@ -169,59 +169,6 @@ inline std::string pct(double value) {
     return support::format_double(value, 1);
 }
 
-/// "87.5%" from a hits/total pair; "-" when nothing was looked up. Shared
-/// by the LLM prompt-cache and verify-cache columns.
-inline std::string hit_rate_cell(std::uint64_t hits, std::uint64_t total) {
-    if (total == 0) return "-";
-    return support::format_double(100.0 * static_cast<double>(hits) /
-                                      static_cast<double>(total),
-                                  1) +
-           "%";
-}
-
-/// Difference of two verify-cache snapshots (the hits/misses a single run
-/// observed between them).
-inline verify::VerifyCacheStats verify_delta(
-    const verify::VerifyCacheStats& before,
-    const verify::VerifyCacheStats& after) {
-    verify::VerifyCacheStats delta;
-    delta.program_hits = after.program_hits - before.program_hits;
-    delta.program_misses = after.program_misses - before.program_misses;
-    delta.report_hits = after.report_hits - before.report_hits;
-    delta.report_misses = after.report_misses - before.report_misses;
-    delta.programs = after.programs;
-    delta.reports = after.reports;
-    return delta;
-}
-
-/// A sweep's aggregate virtual-time breakdown (the merged SimClock
-/// categories of a BatchReport) with the share each category carried —
-/// "miri" is the verification line the Oracle accelerates. When `verify`
-/// is non-null, a verify-cache hit-rate column is appended per row so the
-/// table shows how much of the miri time was served from cache.
-inline std::string time_breakdown_table(
-    const core::BatchReport& report,
-    const verify::VerifyCacheStats* verify_stats = nullptr) {
-    std::vector<std::string> headers = {"category", "virtual min", "share"};
-    if (verify_stats != nullptr) headers.push_back("verify-cache hits");
-    support::TextTable table(headers);
-    const double total = report.clock.now_ms();
-    for (const auto& [category, ms] : report.clock.breakdown()) {
-        std::vector<std::string> row = {
-            category, support::format_double(ms / 60000.0, 1),
-            total > 0.0 ? pct(100.0 * ms / total) + "%" : "-"};
-        if (verify_stats != nullptr) {
-            row.push_back(category == "miri"
-                              ? hit_rate_cell(verify_stats->report_hits,
-                                              verify_stats->report_hits +
-                                                  verify_stats->report_misses)
-                              : "-");
-        }
-        table.add_row(row);
-    }
-    return table.render();
-}
-
 struct LabelledRates {
     std::string label;
     CategoryRates rates;

@@ -26,10 +26,10 @@ const char* to_string(InterpTier tier) {
 
 const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
     std::call_once(vm_once_, [this] {
-        raw_code_ = vm::compile(program, lowering);
-        opt_code_ = vm::optimize(raw_code_);
+        opt_code_ = std::make_unique<const vm::VmProgram>(
+            vm::optimize(vm::compile(program, lowering)));
     });
-    return opt_code_;
+    return *opt_code_;
 }
 
 // ---------------------------------------------------------------------------

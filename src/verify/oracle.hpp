@@ -102,9 +102,9 @@ struct CompiledProgram {
 
   private:
     mutable std::once_flag vm_once_;
-    /// The optimized program aliases the raw program's interned storage.
-    mutable vm::VmProgram raw_code_;
-    mutable vm::VmProgram opt_code_;
+    /// Null until the first restart; the raw compile output is dropped once
+    /// optimized (the optimized program borrows only from `program`).
+    mutable std::unique_ptr<const vm::VmProgram> opt_code_;
 };
 
 struct VerifyCacheStats {

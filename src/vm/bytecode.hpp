@@ -27,15 +27,14 @@
 // vm::optimize() (src/vm/peephole.cpp) derives a second, optimized program
 // from a compiled one: superinstruction fusion (with the constituent Step
 // bookkeeping folded in so step counts stay exact) and register promotion of
-// provably unaliased scalar locals. The optimized program shares the input
-// program's interned storage contract — keep the source VmProgram alive, or
-// at least the Program/strings it borrows from. DESIGN.md §11 documents the
+// provably unaliased scalar locals. Both programs borrow only from the
+// Program they were compiled from, never from each other, so the source
+// VmProgram may be dropped once optimized. DESIGN.md §11 documents the
 // legality argument.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -135,7 +134,7 @@ enum class CastKind : std::int32_t {
     RefToRaw,    // small = writable, imm = pointee size
     FnToInt,     // type = target
     IntToFn,
-    Unsupported, // aux = prebuilt logic_error message
+    Unsupported, // type = target, aux = source Type*; throws logic_error
 };
 
 enum class IntrinsicId : std::int32_t {
@@ -215,7 +214,7 @@ struct VmProgram {
     std::int32_t main_fn = -1;
 
     /// Interned side tables ([0] is the absent entry). `types`/`auxes`
-    /// alias storage owned by the AST or by `strings`.
+    /// alias storage owned by the AST.
     std::vector<support::SourceSpan> spans{support::SourceSpan{}};
     std::vector<const lang::Type*> types{nullptr};
     std::vector<const void*> auxes{nullptr};
@@ -224,9 +223,6 @@ struct VmProgram {
     /// Span indices replayed by StepN, one contiguous run per instruction
     /// (a = count, b = offset into this vector).
     std::vector<std::uint32_t> step_runs;
-
-    /// Owns strings referenced through `auxes` (deque: stable addresses).
-    std::deque<std::string> strings;
 };
 
 /// Flatten a lowered program into bytecode. `program` must be the exact

@@ -134,11 +134,6 @@ class Compiler {
         out_.code[static_cast<std::size_t>(at)].a = target;
     }
 
-    const std::string* intern(std::string text) {
-        out_.strings.push_back(std::move(text));
-        return &out_.strings.back();
-    }
-
     // -- functions ------------------------------------------------------
 
     void compile_function(std::int32_t fn_index) {
@@ -568,8 +563,8 @@ class Compiler {
         }
         Instr& in = emit(Op::Cast, node.span);
         in.a = static_cast<std::int32_t>(CastKind::Unsupported);
-        in.aux = ai(intern("eval_cast: unexpected cast " + source.to_string() +
-                           " as " + target.to_string()));
+        in.type = ti(&target);
+        in.aux = ai(&source);
     }
 
     void compile_call(const lang::CallExpr& node) {

@@ -251,7 +251,7 @@ VmProgram run_pass(const VmProgram& input,
     out.main_fn = input.main_fn;
     out.spans = input.spans;
     out.types = input.types;
-    out.auxes = input.auxes;  // aliases input's strings; keep input alive
+    out.auxes = input.auxes;
     out.fused = input.fused;
     out.step_runs = input.step_runs;
     out.code.reserve(input.code.size());

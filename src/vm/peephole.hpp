@@ -31,9 +31,8 @@ namespace rustbrain::vm {
 ///     later allocations — stay byte-identical.
 ///
 /// The result borrows the same Program-owned storage as `input` and
-/// additionally aliases strings owned by `input` itself; keep `input`
-/// alive alongside the optimized program (verify::CompiledProgram owns
-/// both).
+/// nothing from `input` itself, so `input` may be dropped afterwards
+/// (verify::CompiledProgram keeps only the optimized program).
 [[nodiscard]] VmProgram optimize(const VmProgram& input);
 
 }  // namespace rustbrain::vm

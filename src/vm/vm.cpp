@@ -1063,7 +1063,9 @@ miri::Value Vm::eval_cast(const Instr& in, const Value& operand) {
         case CastKind::Unsupported:
             break;
     }
-    throw std::logic_error(name_of(in));
+    throw std::logic_error("eval_cast: unexpected cast " +
+                           operand_type_of(in).to_string() + " as " +
+                           type_of(in).to_string());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Corpus serialization: byte-exact round trips over the standard and forged
-// corpora, file save/load, and the malformed-input error paths.
+// corpora, file save/load, the malformed-input error paths, and seeded
+// mutations of valid files.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,8 @@
 
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
+#include "mutation.hpp"
+#include "support/rng.hpp"
 
 namespace rustbrain::gen {
 namespace {
@@ -241,6 +244,34 @@ TEST(CorpusIoTest, SourcesWithoutTrailingNewlineRoundTrip) {
     const dataset::Corpus reloaded =
         corpus_from_string(corpus_to_string(corpus));
     expect_cases_equal(corpus, reloaded);
+}
+
+TEST(CorpusIoTest, MutatedFilesLoadOrThrowTheDocumentedErrors) {
+    // A corpus file is untrusted input: every mutation of a valid file
+    // either loads or throws std::runtime_error / std::invalid_argument.
+    const dataset::Corpus corpus = dataset::Corpus::standard();
+    const std::vector<dataset::UbCase>& standard = corpus.cases();
+    ForgeOptions options;
+    options.seed = 3;
+    options.count = 2;
+    dataset::UbCase with_inputs = standard[1];
+    with_inputs.inputs = {{1, -2}, {}};
+    const std::vector<std::string> seeds = {
+        corpus_to_string(dataset::Corpus({standard[0]})),
+        corpus_to_string(dataset::Corpus({with_inputs, standard[2]})),
+        corpus_to_string(forge_corpus(options))};
+
+    support::Rng rng(support::derive_seed(1, "corpus-mutation"));
+    std::size_t loaded = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string text = mutation::mutate(
+            seeds[static_cast<std::size_t>(i) % seeds.size()], seeds, rng);
+        ASSERT_TRUE(mutation::parses_or_rejects([&] {
+            (void)corpus_from_string(text);
+            ++loaded;
+        })) << "iteration " << i;
+    }
+    EXPECT_GT(loaded, 0u);  // some mutations (e.g. in source text) load
 }
 
 }  // namespace

@@ -3,7 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <exception>
+#include <optional>
 #include <string>
+#include <vector>
+
+#include "dataset/corpus.hpp"
+#include "lang/typecheck.hpp"
+#include "mutation.hpp"
+#include "support/rng.hpp"
 
 namespace rustbrain::lang {
 namespace {
@@ -288,6 +296,40 @@ TEST(ParserTest, NestingPastTheCapIsAParseError) {
     EXPECT_FALSE(try_parse(shapes[1].source(100'000), &error));
     EXPECT_EQ(error.find('\n'), error.size() - 1) << error;
     EXPECT_FALSE(try_parse(shapes[4].source(10'000), &error));
+}
+
+TEST(ParserTest, MutatedProgramsParseOrReportAnError) {
+    // Program text is untrusted input: every mutation of a corpus program
+    // either parses and typechecks, or is rejected with a diagnosed error
+    // string — the front end throws nothing.
+    const dataset::Corpus corpus = dataset::Corpus::standard();
+    std::vector<std::string> seeds;
+    for (const dataset::UbCase& ub_case : corpus.cases()) {
+        seeds.push_back(ub_case.buggy_source);
+        seeds.push_back(ub_case.reference_fix);
+    }
+    support::Rng rng(support::derive_seed(1, "lang-mutation"));
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < 2000; ++i) {
+        const std::string source =
+            mutation::mutate(seeds[i % seeds.size()], seeds, rng);
+        try {
+            std::string error;
+            std::optional<Program> program = try_parse(source, &error);
+            if (!program) {
+                EXPECT_FALSE(error.empty()) << "iteration " << i;
+                continue;
+            }
+            if (type_check(*program, &error)) {
+                ++accepted;
+            } else {
+                EXPECT_FALSE(error.empty()) << "iteration " << i;
+            }
+        } catch (const std::exception& error) {
+            ADD_FAILURE() << "iteration " << i << " threw: " << error.what();
+        }
+    }
+    EXPECT_GT(accepted, 0u);  // some mutations stay well-formed
 }
 
 }  // namespace

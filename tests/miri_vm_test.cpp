@@ -11,15 +11,21 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dataset/corpus.hpp"
+#include "lang/parser.hpp"
 #include "miri/interp.hpp"
+#include "miri/lower.hpp"
 #include "miri/mirilite.hpp"
 #include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
 #include "vm/bytecode.hpp"
+#include "vm/peephole.hpp"
+#include "vm/vm.hpp"
 
 namespace rustbrain::miri {
 namespace {
@@ -326,6 +332,31 @@ TEST(MiriVmTest, MissingMainReportsTheSameCompileError) {
 TEST(MiriVmTest, FrontEndErrorsBypassTheVm) {
     expect_tiers_agree("fn main( {\n}\n", {});
     expect_tiers_agree("fn main() {\n    let x: bool = 3;\n}\n", {});
+}
+
+TEST(MiriVmTest, UnsupportedCastReportsTheTreeWalksMessage) {
+    // The type checker admits no cast that compiles to CastKind::Unsupported,
+    // so this program skips it: its operand stays untyped (`()`). Both tiers
+    // throw the same internal error; the VM builds the message from the
+    // operand and target types at throw time, from an optimized program
+    // whose raw input is already gone.
+    std::optional<lang::Program> program =
+        lang::try_parse("fn main() {\n    let x = 1 as bool;\n}\n");
+    ASSERT_TRUE(program);
+    const vm::VmProgram code =
+        vm::optimize(vm::compile(*program, lower_program(*program)));
+    const auto logic_error_of = [](auto run) -> std::string {
+        try {
+            (void)run();
+        } catch (const std::logic_error& error) {
+            return error.what();
+        }
+        return "no std::logic_error";
+    };
+    EXPECT_EQ(logic_error_of([&] { return Interpreter(*program, {}).run(); }),
+              "eval_cast: unexpected cast () as bool");
+    EXPECT_EQ(logic_error_of([&] { return vm::Vm(*program, code, {}).run(); }),
+              "eval_cast: unexpected cast () as bool");
 }
 
 // --- The default tier's restart past kVmAfterSteps -------------------------

@@ -1,9 +1,10 @@
 // serve::RepairService + RepairServer/RepairClient — the service answers
 // exactly what a directly-built registry engine answers, deterministic
 // run_batch is byte-identical to a serial BatchRunner sweep at any worker
-// count, strategy errors come back as ok=false responses, feedback warms
-// across opted-in requests, stats add up, and the loopback socket path
-// round-trips real repairs plus the bad-request error path.
+// count (forged cases included), strategy errors come back as ok=false
+// responses, feedback warms across opted-in requests, stats add up, and
+// the loopback socket path round-trips real repairs plus the bad-request
+// error path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
 #include "dataset/corpus.hpp"
+#include "gen/forge.hpp"
 #include "kb/seed.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -71,10 +73,19 @@ TEST(RepairServiceTest, RepairMatchesADirectlyBuiltRegistryEngine) {
 TEST(RepairServiceTest, RunBatchAtFourWorkersIsByteIdenticalToSerialSweep) {
     // Deterministic mode: ordered merge + per-request engines + bit-identity
     // caches => the rendered results cannot depend on the worker count.
-    const std::size_t kCases = 24;
-    ASSERT_GE(corpus().size(), kCases);
+    // 24 hand-written cases plus 4 forged ones the caches have never seen.
+    const std::size_t kStandard = 24;
+    const std::size_t kForged = 4;
+    const std::size_t kCases = kStandard + kForged;
+    ASSERT_GE(corpus().size(), kStandard);
     std::vector<dataset::UbCase> subset(corpus().cases().begin(),
-                                        corpus().cases().begin() + kCases);
+                                        corpus().cases().begin() + kStandard);
+    gen::ForgeOptions forge_options;
+    forge_options.seed = 2025;
+    forge_options.count = kForged;
+    const dataset::Corpus forged = gen::forge_corpus(forge_options);
+    ASSERT_EQ(forged.size(), kForged);
+    subset.insert(subset.end(), forged.cases().begin(), forged.cases().end());
 
     RepairService service(service_options(/*workers=*/4));
     std::vector<RepairRequest> requests;

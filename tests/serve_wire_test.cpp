@@ -1,7 +1,8 @@
 // serve/wire — the framed text protocol: render/parse round-trip every
 // field byte-exactly (hexfloat doubles included), malformed payloads fail
 // naming the offending line, and framed fd I/O survives binary payloads,
-// reports clean EOF, and rejects hostile length prefixes.
+// reports clean EOF, and rejects hostile length prefixes. Seeded mutations
+// of valid streams either decode or fail with the documented exceptions.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -14,7 +15,9 @@
 
 #include "dataset/corpus.hpp"
 #include "gen/corpus_io.hpp"
+#include "mutation.hpp"
 #include "serve/wire.hpp"
+#include "support/rng.hpp"
 
 namespace rustbrain::serve {
 namespace {
@@ -357,6 +360,56 @@ TEST(ServeWireTest, ResponseShedFieldsRoundTrip) {
     EXPECT_TRUE(parsed.shed);
     EXPECT_EQ(parsed.retry_after_ms, shed.retry_after_ms);  // exact, not NEAR
     EXPECT_EQ(parsed.error, shed.error);
+}
+
+TEST(ServeWireTest, MutatedStreamsDecodeOrThrowTheDocumentedErrors) {
+    // Untrusted bytes from a socket: whatever arrives, FrameReader and the
+    // payload parsers either succeed or throw std::runtime_error /
+    // std::invalid_argument — nothing else escapes, nothing crashes.
+    RepairRequest request;
+    request.ticket = "t-0";
+    request.engine = "rustbrain";
+    request.options = "seed=7";
+    request.ub_case = dataset::Corpus::standard().cases().front();
+    request.ub_case.inputs = {{1, 2}, {3}};
+    RepairResponse ok;
+    ok.ticket = "t-1";
+    ok.ok = true;
+    ok.result = full_result();
+    RepairResponse shed;
+    shed.ticket = "t-2";
+    shed.shed = true;
+    shed.retry_after_ms = 12.5;
+    shed.error = "service overloaded; retry later";
+    const std::vector<std::string> payloads = {
+        render_request(request), render_response(ok), render_response(shed)};
+
+    support::Rng rng(support::derive_seed(1, "wire-mutation"));
+    std::size_t frames = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string& payload = payloads[static_cast<std::size_t>(i) %
+                                              payloads.size()];
+        // Mutate the payload under an honest prefix, or the framed stream
+        // itself (prefix included).
+        const std::string stream =
+            i % 2 == 0 ? frame(mutation::mutate(payload, payloads, rng))
+                       : mutation::mutate(frame(payload), payloads, rng);
+        FrameReader reader;
+        std::string decoded;
+        ASSERT_TRUE(mutation::parses_or_rejects([&] {
+            reader.feed(stream.data(), stream.size());
+            while (reader.next(decoded)) {
+                ++frames;
+                EXPECT_TRUE(mutation::parses_or_rejects(
+                    [&] { (void)parse_request(decoded); }))
+                    << "iteration " << i;
+                EXPECT_TRUE(mutation::parses_or_rejects(
+                    [&] { (void)parse_response(decoded); }))
+                    << "iteration " << i;
+            }
+        })) << "iteration " << i;
+    }
+    EXPECT_GT(frames, 1500u);  // most mutations still reach the parsers
 }
 
 }  // namespace

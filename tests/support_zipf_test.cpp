@@ -1,6 +1,6 @@
-// support::ZipfSampler — the deterministic traffic shape of the
-// traffic_replay bench: same seed + skew => same trace, skew 0 is uniform,
-// and higher skew concentrates mass on the low ranks.
+// support::ZipfSampler — the deterministic traffic shape of rbbench's
+// serve-open-loop workload: same seed + skew => same trace, skew 0 is
+// uniform, and higher skew concentrates mass on the low ranks.
 #include <gtest/gtest.h>
 
 #include <cmath>
