@@ -32,6 +32,53 @@ void VectorClock::merge(const VectorClock& other) {
 }
 
 // ---------------------------------------------------------------------------
+// Equality (vm::Vm's fixed-point check)
+// ---------------------------------------------------------------------------
+
+// A new field changes the struct size: extend the matching operator== to
+// cover it, then update the size here (x86-64 libstdc++ layout).
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(Allocation) == 312,
+              "operator==(Allocation, Allocation) must cover every field");
+static_assert(sizeof(MemoryModel) == 72,
+              "operator==(MemoryModel, MemoryModel) must cover every field");
+#endif
+
+bool operator==(const Allocation& a, const Allocation& b) {
+    return a.id == b.id && a.kind == b.kind && a.base == b.base &&
+           a.size == b.size && a.align == b.align && a.live == b.live &&
+           a.tail_call_killed == b.tail_call_killed &&
+           a.base_tag == b.base_tag && a.uniform_borrows == b.uniform_borrows &&
+           a.uninit_count == b.uninit_count && a.label == b.label &&
+           a.bytes == b.bytes && a.init == b.init && a.borrows == b.borrows &&
+           a.last_write == b.last_write && a.reads == b.reads &&
+           a.ptr_prov == b.ptr_prov && a.fn_prov == b.fn_prov;
+}
+
+bool operator==(const MemoryModel& a, const MemoryModel& b) {
+    return a.next_addr_ == b.next_addr_ && a.next_tag_ == b.next_tag_ &&
+           a.bytes_allocated_ == b.bytes_allocated_ &&
+           a.tag_origins_ == b.tag_origins_ && a.allocs_ == b.allocs_;
+}
+
+std::size_t MemoryModel::footprint_bytes() const {
+    std::size_t bytes = sizeof(MemoryModel) +
+                        allocs_.size() * sizeof(Allocation) +
+                        tag_origins_.size() * sizeof(TagOrigin);
+    for (const Allocation& alloc : allocs_) {
+        // A provenance map node counts as 64 bytes.
+        bytes += alloc.label.size() + alloc.bytes.size() + alloc.init.size() +
+                 alloc.borrows.size() * sizeof(BorrowStack) +
+                 alloc.last_write.size() * sizeof(AccessEpoch) +
+                 (alloc.ptr_prov.size() + alloc.fn_prov.size()) * 64;
+        for (const std::vector<AccessEpoch>& reads : alloc.reads) {
+            bytes += sizeof(reads) + reads.size() * sizeof(AccessEpoch);
+        }
+    }
+    return bytes;
+}
+
+// ---------------------------------------------------------------------------
 // MemoryModel
 // ---------------------------------------------------------------------------
 

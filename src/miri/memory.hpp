@@ -15,7 +15,9 @@
 // machine, so exceptional control flow is the honest model.)
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -44,6 +46,10 @@ class VectorClock {
 
     [[nodiscard]] std::size_t size() const { return clocks_.size(); }
 
+    friend bool operator==(const VectorClock& a, const VectorClock& b) {
+        return a.clocks_ == b.clocks_;
+    }
+
   private:
     std::vector<std::uint64_t> clocks_;
 };
@@ -66,12 +72,21 @@ struct BorrowEntry {
     Permission perm = Permission::Unique;
 };
 
+inline bool operator==(const BorrowEntry& a, const BorrowEntry& b) {
+    return a.tag == b.tag && a.perm == b.perm;
+}
+
 struct AccessEpoch {
     ThreadId tid = 0;
     std::uint64_t clock = 0;
     bool atomic = false;
     bool valid = false;
 };
+
+inline bool operator==(const AccessEpoch& a, const AccessEpoch& b) {
+    return a.tid == b.tid && a.clock == b.clock && a.atomic == b.atomic &&
+           a.valid == b.valid;
+}
 
 /// Per-byte borrow stack with inline storage for the common shapes (base
 /// tag alone, or base tag + one retag). Deeper retag chains spill into a
@@ -109,6 +124,14 @@ class BorrowStack {
             }
         }
         shrink_to(write);
+    }
+
+    /// Raw field equality, stale inline entries past size() included.
+    friend bool operator==(const BorrowStack& a, const BorrowStack& b) {
+        return a.size_ == b.size_ &&
+               std::equal(std::begin(a.inline_), std::end(a.inline_),
+                          std::begin(b.inline_)) &&
+               a.spill_ == b.spill_;
     }
 
   private:
@@ -162,6 +185,10 @@ struct Allocation {
     std::map<std::uint64_t, Pointer> ptr_prov;
     std::map<std::uint64_t, FnPtrVal> fn_prov;
 };
+
+/// Every field (memory.cpp pins the struct size so a new field cannot be
+/// left out).
+bool operator==(const Allocation& a, const Allocation& b);
 
 /// Context for a memory access: which thread, its vector clock, atomicity.
 struct AccessCtx {
@@ -236,6 +263,13 @@ class MemoryModel {
     [[nodiscard]] std::optional<Finding> check_leaks() const;
 
     [[nodiscard]] std::uint64_t bytes_allocated() const { return bytes_allocated_; }
+
+    /// Approximate heap bytes held: what copying this model costs.
+    [[nodiscard]] std::size_t footprint_bytes() const;
+
+    /// Every field of every allocation plus the tag, address and byte
+    /// counters — equal models behave identically from here on.
+    friend bool operator==(const MemoryModel& a, const MemoryModel& b);
 
   private:
     /// Shared validation pipeline; returns the allocation and base offset.

@@ -29,6 +29,21 @@ const std::vector<Value>& Value::as_array() const {
     return *elements_;
 }
 
+// Adding a field to Value changes its size: extend operator== to cover
+// it, then update the size here (x86-64 libstdc++ layout).
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(Value) == 64,
+              "operator==(Value, Value) must cover every field");
+#endif
+
+bool operator==(const Value& a, const Value& b) {
+    const bool same_elements =
+        a.elements_ == b.elements_ ||
+        (a.elements_ != nullptr && b.elements_ != nullptr &&
+         *a.elements_ == *b.elements_);
+    return a.kind_ == b.kind_ && a.scalar_ == b.scalar_ && a.ptr_ == b.ptr_ &&
+           a.fn_ == b.fn_ && same_elements;
+}
 
 std::int32_t fn_addr_to_index(std::uint64_t addr, std::size_t fn_count) {
     if (addr < kFnAddrBase) return FnPtrVal::kInvalidFn;

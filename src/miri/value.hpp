@@ -26,6 +26,10 @@ struct Pointer {
 
     [[nodiscard]] bool is_null() const { return addr == 0; }
     [[nodiscard]] bool has_provenance() const { return alloc != kNoAlloc; }
+
+    friend bool operator==(const Pointer& a, const Pointer& b) {
+        return a.addr == b.addr && a.alloc == b.alloc && a.tag == b.tag;
+    }
 };
 
 /// Virtual code addresses for function pointers: fn i lives at
@@ -45,6 +49,10 @@ struct FnPtrVal {
     std::int32_t fn_index = kInvalidFn;
 
     [[nodiscard]] bool valid() const { return fn_index >= 0; }
+
+    friend bool operator==(const FnPtrVal& a, const FnPtrVal& b) {
+        return a.fn_index == b.fn_index;
+    }
 };
 
 /// Tagged value union. Arrays appear transiently (literal evaluation) as a
@@ -101,6 +109,10 @@ class Value {
     [[nodiscard]] const Pointer& as_ptr() const;
     [[nodiscard]] const FnPtrVal& as_fn() const;
     [[nodiscard]] const std::vector<Value>& as_array() const;
+
+    /// Every field, arrays compared element by element (vm::Vm's
+    /// fixed-point check compares whole machine states).
+    friend bool operator==(const Value& a, const Value& b);
 
     /// Sign-extend the low `bytes` of the scalar to 64-bit signed.
     [[nodiscard]] std::int64_t as_signed(std::uint64_t bytes) const {

@@ -18,6 +18,7 @@
 // still shadow-allocate so address/id/tag streams stay identical.
 #include "vm/vm.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -77,6 +78,72 @@ void Vm::step(const support::SourceSpan& span) {
     if (++steps_ > limits_.max_steps) {
         panic("step limit exceeded (possible infinite loop)", span);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Loop fixed points (DESIGN.md §13)
+// ---------------------------------------------------------------------------
+
+void Vm::back_edge(std::int32_t target, std::size_t frame_floor) {
+    if (multithreaded_) {
+        // Thread bodies run below native frames the snapshot does not
+        // hold (DESIGN.md §13): never skip once a thread exists.
+        snapshot_.reset();
+        watch_at_ = std::numeric_limits<std::uint64_t>::max();
+        return;
+    }
+    if (snapshot_ == nullptr) {
+        const std::size_t bytes = state_bytes();
+        if (bytes > limits_.max_steps - steps_) {
+            watch_later(bytes);  // copying would cost more than running
+            return;
+        }
+        snapshot_ = std::make_unique<Snapshot>();
+        snapshot_->target = target;
+        snapshot_->frame_floor = frame_floor;
+        snapshot_->steps = steps_;
+        snapshot_->output_size = output_.size();
+        snapshot_->bytes = bytes;
+        snapshot_->state = live_state();
+        return;
+    }
+    const Snapshot& snap = *snapshot_;
+    if (target != snap.target || frame_floor != snap.frame_floor) {
+        // Another loop's back edge: wait for ours, but not forever.
+        if (steps_ - snap.steps >
+            std::max<std::uint64_t>(watch_interval_, snap.bytes)) {
+            watch_later(snap.bytes);
+        }
+        return;
+    }
+    if (snap.output_size != output_.size() || !(snap.state == live_state())) {
+        watch_later(snap.bytes);
+        return;
+    }
+    // One iteration took the machine from this state back to itself, so
+    // every later one repeats it, each costing delta steps: add as many
+    // whole iterations as fit under the limit, then interpret on.
+    const std::uint64_t delta = steps_ - snap.steps;
+    const std::uint64_t skip = (limits_.max_steps - steps_) / delta * delta;
+    steps_ += skip;
+    skipped_steps_ += skip;
+    snapshot_.reset();
+    watch_at_ = std::numeric_limits<std::uint64_t>::max();
+}
+
+void Vm::watch_later(std::size_t bytes) {
+    snapshot_.reset();
+    watch_at_ = steps_ + std::max<std::uint64_t>(watch_interval_, bytes);
+    watch_interval_ *= 2;
+}
+
+std::size_t Vm::state_bytes() const {
+    return mem_.footprint_bytes() +
+           (stack_.size() + regs_.size()) * sizeof(Value) +
+           slots_.size() * sizeof(LocalState) + frames_.size() * sizeof(Frame) +
+           static_allocs_.size() * sizeof(AllocId) +
+           threads_.size() * sizeof(ThreadState) +
+           mutexes_.size() * sizeof(MutexState) + atomic_vcs_.size() * 64;
 }
 
 VectorClock& Vm::current_vc() {
@@ -299,6 +366,11 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     }
     VM_CASE(Jump): {
         VM_FETCH;
+        // Only `while` jumps backward; past the watch threshold its back
+        // edge checks for a fixed point (DESIGN.md §13).
+        if (__builtin_expect(steps_ >= watch_at_, 0) && in.a < pc) {
+            back_edge(in.a, frame_floor);
+        }
         pc = in.a;
         VM_NEXT();
     }

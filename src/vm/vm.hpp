@@ -19,11 +19,23 @@
 // — findings, messages, spans, outputs, and step counts. The three-way
 // equivalence (tree / vm / vm-optimized) is asserted corpus-wide by
 // tests/miri_vm_test.cpp and the differential stress tests.
+//
+// Loop fixed points are skipped (DESIGN.md §13). Past kWatchAfterSteps, a
+// `while` back edge snapshots the whole machine state; if the next arrival
+// at the same back edge finds it unchanged, every later iteration repeats
+// that one forever, so the VM adds as many whole iterations' steps as fit
+// under max_steps at once and interprets only the last partial iteration —
+// the step-limit panic fires at the span and count the tree walk reports.
+// A mismatch drops the snapshot and retries after a doubling interval.
+// Multithreaded runs are never skipped.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "miri/interp.hpp"
@@ -44,10 +56,20 @@ class Vm {
     /// RunResult::finding, identical to miri::Interpreter::run().
     miri::RunResult run();
 
+    /// Steps added by loop fixed-point skips so far (0 when none fired).
+    [[nodiscard]] std::uint64_t skipped_steps() const { return skipped_steps_; }
+
+    /// The first back edge at or past this many steps takes a snapshot.
+    static constexpr std::uint64_t kWatchAfterSteps = std::uint64_t{1} << 12;
+
   private:
     struct LocalState {
         miri::AllocId alloc = miri::kNoAlloc;
         const lang::Type* type = nullptr;
+
+        friend bool operator==(const LocalState& a, const LocalState& b) {
+            return a.alloc == b.alloc && a.type == b.type;
+        }
     };
 
     struct Frame {
@@ -57,6 +79,12 @@ class Vm {
         std::uint32_t nargs = 0;
         std::uint32_t slot_base = 0;     // window start in slots_
         std::uint32_t reg_base = 0;      // window start in regs_
+
+        friend bool operator==(const Frame& a, const Frame& b) {
+            return a.fn == b.fn && a.ret_pc == b.ret_pc &&
+                   a.args_base == b.args_base && a.nargs == b.nargs &&
+                   a.slot_base == b.slot_base && a.reg_base == b.reg_base;
+        }
     };
 
     struct ThreadState {
@@ -65,11 +93,51 @@ class Vm {
         miri::VectorClock vc;
         bool executed = false;
         bool joined = false;
+
+        friend bool operator==(const ThreadState& a, const ThreadState& b) {
+            return a.id == b.id && a.entry_fn == b.entry_fn && a.vc == b.vc &&
+                   a.executed == b.executed && a.joined == b.joined;
+        }
     };
 
     struct MutexState {
         std::optional<miri::ThreadId> held_by;
         miri::VectorClock vc;
+
+        friend bool operator==(const MutexState& a, const MutexState& b) {
+            return a.held_by == b.held_by && a.vc == b.vc;
+        }
+    };
+
+    using AtomicClocks =
+        std::map<std::pair<miri::AllocId, std::uint64_t>, miri::VectorClock>;
+
+    /// Everything a loop iteration can change except steps_ and output_
+    /// (which only grows, so its length stands in for it). live_state()
+    /// lists the members in this order; pc_, inputs_, limits_ and the
+    /// program are rewritten before being read or never written.
+    using MachineState =
+        std::tuple<miri::MemoryModel, std::vector<miri::Value>,
+                   std::vector<LocalState>, std::vector<miri::Value>,
+                   std::vector<Frame>, std::vector<miri::AllocId>,
+                   std::vector<ThreadState>, miri::VectorClock,
+                   std::vector<MutexState>, AtomicClocks, bool,
+                   miri::ThreadId, std::uint32_t>;
+
+    [[nodiscard]] auto live_state() const {
+        return std::tie(mem_, stack_, slots_, regs_, frames_, static_allocs_,
+                        threads_, main_vc_, mutexes_, atomic_vcs_,
+                        multithreaded_, current_thread_, call_depth_);
+    }
+
+    /// The machine at one back edge, kept until the next arrival there.
+    struct Snapshot {
+        std::int32_t target = 0;
+        std::size_t frame_floor = 0;
+        std::uint64_t steps = 0;
+        std::size_t output_size = 0;
+        std::size_t bytes = 0;  // state_bytes() when taken
+        MachineState state;
     };
 
     void setup_statics();
@@ -93,6 +161,15 @@ class Vm {
     /// MemoryModel load — the exact LoadLocal tail.
     miri::Value load_slot(std::int32_t slot_index, std::int32_t reg,
                           std::uint32_t name_idx, support::SourceSpan span);
+
+    /// A backward Jump to `target` once steps_ reached watch_at_: take,
+    /// compare or drop the snapshot, and skip the fixed point on a match.
+    [[gnu::cold]] [[gnu::noinline]] void back_edge(std::int32_t target,
+                                                   std::size_t frame_floor);
+    /// Drop any snapshot; watch again after max(interval, bytes) steps.
+    void watch_later(std::size_t bytes);
+    /// Approximate heap bytes a snapshot of the machine would copy.
+    [[nodiscard]] std::size_t state_bytes() const;
 
     void step(const support::SourceSpan& span);
     /// Two back-to-back step()s with nothing observable between them (the
@@ -147,13 +224,19 @@ class Vm {
     std::vector<ThreadState> threads_;
     miri::VectorClock main_vc_;
     std::vector<MutexState> mutexes_;
-    std::map<std::pair<miri::AllocId, std::uint64_t>, miri::VectorClock>
-        atomic_vcs_;
+    AtomicClocks atomic_vcs_;
     bool multithreaded_ = false;
 
     std::vector<std::string> output_;
     std::uint64_t steps_ = 0;
     std::uint32_t call_depth_ = 0;
+
+    // Fixed-point watch (back_edge): the next step count at which a back
+    // edge is examined, the current retry interval, and the snapshot.
+    std::uint64_t watch_at_ = kWatchAfterSteps;
+    std::uint64_t watch_interval_ = std::uint64_t{1} << 10;
+    std::unique_ptr<Snapshot> snapshot_;
+    std::uint64_t skipped_steps_ = 0;
 };
 
 }  // namespace rustbrain::vm

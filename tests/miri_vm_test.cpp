@@ -4,7 +4,9 @@
 // InterpLimits edges swept at every boundary (step-limit exhaustion at each
 // possible program point, call-depth overflow at the exact frame,
 // mid-`become`, mid-recursion). So must the Oracle's default tier, which
-// runs the tree walk and restarts runs past kVmAfterSteps on the VM.
+// runs the tree walk and restarts runs past kVmAfterSteps on the VM, and
+// the VM's loop fixed-point skip: it fires on the forge's step-limit tails,
+// never on loops that change state, and stops at the exact limit.
 // "Identical" is byte-level: categories, messages, spans, outputs, and
 // step counts.
 #include <gtest/gtest.h>
@@ -31,39 +33,9 @@ namespace rustbrain::miri {
 namespace {
 
 using agreement::expect_reports_equal;
+using agreement::expect_tiers_agree;
 using agreement::Inputs;
-using agreement::vm_report;
 using verify::kVmAfterSteps;
-
-/// Run `source` through the tree-walk MiriLite, an uncached default
-/// Oracle, and vm::Vm driven directly on the raw and the optimized
-/// bytecode; require byte-equal reports.
-void expect_tiers_agree(const std::string& source, const Inputs& inputs,
-                        InterpLimits limits = {}) {
-    const MiriLite tree_walk(limits);
-    const MiriReport reference = tree_walk.test_source(source, inputs);
-
-    verify::OracleOptions options;
-    options.limits = limits;
-    options.caching = false;
-    const verify::Oracle oracle(options);
-    expect_reports_equal(reference, oracle.test_source(source, inputs),
-                         "default\n" + source);
-
-    const auto compiled = oracle.compile(source);
-    if (!compiled->ok()) return;  // front-end errors never run a VM
-    expect_reports_equal(reference,
-                         vm_report(compiled->program,
-                                   vm::compile(compiled->program,
-                                               compiled->lowering),
-                                   inputs, limits),
-                         "vm-raw\n" + source);
-    expect_reports_equal(reference,
-                         vm_report(compiled->program,
-                                   compiled->optimized_bytecode(), inputs,
-                                   limits),
-                         "vm-opt\n" + source);
-}
 
 TEST(MiriVmTest, TierNamesRoundTrip) {
     EXPECT_STREQ(verify::to_string(verify::InterpTier::Tree), "tree");
@@ -439,6 +411,156 @@ TEST(MiriVmTest, DefaultTierRestartsOnlyRunsPastTheCapAndMatchesTheTreeWalk) {
     // Several input sets, only one of them past the cap: one compile.
     expect_default_exact({{3, 4}, inputs_for_steps(2 * kVmAfterSteps), {0, 9}},
                          {}, 1);
+}
+
+// --- Loop fixed points (DESIGN.md §13) --------------------------------------
+
+TEST(MiriVmTest, LoopFixedPointsSkipToTheTreeWalksStepLimitPanic) {
+    // The forge's step-limit tails: the default tier restarts each on the
+    // VM, which must skip the idle loop yet report the tree walk's panic
+    // at the same span and step count, on raw and optimized bytecode.
+    for (const agreement::TailCase& tail : agreement::kStepLimitTails) {
+        SCOPED_TRACE(tail.source);
+        const agreement::TierRun run =
+            expect_tiers_agree(tail.source, tail.inputs);
+        ASSERT_EQ(run.reference.findings.size(), 1u);
+        EXPECT_EQ(run.reference.findings[0].message,
+                  "step limit exceeded (possible infinite loop)");
+        EXPECT_GT(run.raw_skipped, 0u);
+        EXPECT_GT(run.opt_skipped, 0u);
+    }
+}
+
+// Loops past the watch threshold whose iterations each change something
+// other than the step counter. Skipping any of them would be wrong. A
+// `warm` loop of 500 iterations runs 4006 steps.
+constexpr const char* kNearMisses[] = {
+    // A u8 counter (register-promoted on vm-opt) that overflows after 200
+    // iterations; the first loop carries the run past the threshold.
+    R"(fn main() {
+    let mut warm: i64 = 0;
+    while warm < 500 {
+        warm = warm + 1;
+    }
+    let mut i: i64 = 0;
+    let mut c: u8 = 55;
+    while i < 8 {
+        c = c + 1;
+    }
+}
+)",
+    // `&mut x` pushes a fresh borrow tag every iteration.
+    R"(fn main() {
+    let mut x: i64 = 1;
+    let mut p = &mut x as *mut i64;
+    let mut i: i64 = 0;
+    while i < 8 {
+        p = &mut x as *mut i64;
+    }
+}
+)",
+    // Output grows every iteration.
+    R"(fn main() {
+    let mut i: i64 = 0;
+    while i < 8 {
+        print_int(i);
+    }
+}
+)",
+    // Unlocking ticks the main thread's vector clock every iteration.
+    R"(fn main() {
+    let m = mutex_new();
+    let mut i: i64 = 0;
+    while i < 8 {
+        mutex_lock(m);
+        mutex_unlock(m);
+    }
+}
+)",
+    // A fixed point, but inside a spawned thread.
+    R"(fn worker() {
+    let mut i: i64 = 0;
+    while i < 8 {
+        i = i + 0;
+    }
+}
+fn main() {
+    let handle = spawn(worker);
+    join(handle);
+}
+)",
+    // `let` allocates a fresh slot every iteration. The first loop ends
+    // just under the threshold, so the state is still small enough to
+    // snapshot when the second one reaches it.
+    R"(fn main() {
+    let mut warm: i64 = 0;
+    while warm < 500 {
+        warm = warm + 1;
+    }
+    let mut i: i64 = 0;
+    while i < 8 {
+        let t: i64 = i;
+    }
+}
+)",
+};
+
+TEST(MiriVmTest, LoopsThatChangeStateAreNeverSkipped) {
+    InterpLimits limits;
+    limits.max_steps = 8 * vm::Vm::kWatchAfterSteps;
+    for (const char* source : kNearMisses) {
+        SCOPED_TRACE(source);
+        const agreement::TierRun run = expect_tiers_agree(source, {}, limits);
+        EXPECT_FALSE(run.reference.passed());
+        EXPECT_EQ(run.raw_skipped, 0u);
+        EXPECT_EQ(run.opt_skipped, 0u);
+    }
+}
+
+/// A fixed point whose body mixes register-promoted locals, fused
+/// binaries and a store through a raw pointer.
+constexpr const char* kMultiStepFixedPoint = R"(fn main() {
+    let mut x: i64 = 0;
+    let p = &mut x as *mut i64;
+    let mut acc: i64 = 7;
+    let mut i: i64 = 0;
+    while i < 4 {
+        acc = (acc * 3) - (acc * 2);
+        unsafe {
+            *p = acc + 1;
+        }
+        i = i * 1;
+    }
+}
+)";
+
+TEST(MiriVmTest, SkippedLoopHitsTheLimitAtEveryOffsetOfItsBody) {
+    // Sweep max_steps through a window wider than one iteration, well past
+    // the skip point: the limit lands at every step of the body, and the
+    // skip (a whole number of iterations) must leave the VM to stop at
+    // the tree walk's span and count each time.
+    constexpr std::uint64_t kFirst = 10'000;
+    constexpr std::uint64_t kWindow = 64;
+    std::uint64_t delta = 0;
+    std::uint64_t previous = 0;
+    for (std::uint64_t max_steps = kFirst; max_steps < kFirst + kWindow;
+         ++max_steps) {
+        SCOPED_TRACE(max_steps);
+        InterpLimits limits;
+        limits.max_steps = max_steps;
+        const agreement::TierRun run =
+            expect_tiers_agree(kMultiStepFixedPoint, {}, limits);
+        EXPECT_GT(run.raw_skipped, 0u);
+        EXPECT_EQ(run.raw_skipped, run.opt_skipped);
+        if (max_steps > kFirst && run.raw_skipped != previous && delta == 0) {
+            delta = run.raw_skipped - previous;
+        }
+        previous = run.raw_skipped;
+    }
+    // The skip grew by one iteration inside the window, so the window
+    // spans a whole iteration.
+    EXPECT_GT(delta, 1u);
+    EXPECT_LT(delta, kWindow);
 }
 
 }  // namespace

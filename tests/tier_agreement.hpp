@@ -1,6 +1,6 @@
 // Shared by the suites that hold an execution path to the tree walk: a
 // byte-level MiriReport comparison, the VM's runs folded into a report,
-// and the name-resolution / control-flow shapes both suites sweep.
+// the four-way tier check, and the program shapes the suites sweep.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "miri/mirilite.hpp"
+#include "verify/oracle.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/vm.hpp"
 
@@ -41,14 +42,18 @@ inline void expect_reports_equal(const MiriReport& want, const MiriReport& got,
 }
 
 /// `code` run on vm::Vm once per input vector, folded into a report the
-/// way MiriLite::test folds its runs.
+/// way MiriLite::test folds its runs. Adds the runs' fixed-point skips to
+/// `*skipped` when given.
 inline MiriReport vm_report(const lang::Program& program,
                             const vm::VmProgram& code, const Inputs& input_sets,
-                            const InterpLimits& limits) {
+                            const InterpLimits& limits,
+                            std::uint64_t* skipped = nullptr) {
     MiriReport report;
     std::set<std::string> seen;
     for (const auto& inputs : input_sets.empty() ? Inputs{{}} : input_sets) {
-        RunResult result = vm::Vm(program, code, inputs, limits).run();
+        vm::Vm machine(program, code, inputs, limits);
+        RunResult result = machine.run();
+        if (skipped != nullptr) *skipped += machine.skipped_steps();
         report.total_steps += result.steps;
         report.outputs.push_back(std::move(result.output));
         if (result.finding && seen.insert(result.finding->key()).second) {
@@ -57,6 +62,199 @@ inline MiriReport vm_report(const lang::Program& program,
     }
     return report;
 }
+
+/// The tree walk's report, and the steps the VM skipped (vm::Vm's loop
+/// fixed points) on the raw and on the optimized bytecode.
+struct TierRun {
+    MiriReport reference;
+    std::uint64_t raw_skipped = 0;
+    std::uint64_t opt_skipped = 0;
+};
+
+/// Run `source` through the tree-walk MiriLite, an uncached default
+/// Oracle, and vm::Vm driven directly on the raw and the optimized
+/// bytecode; require byte-equal reports.
+inline TierRun expect_tiers_agree(const std::string& source,
+                                  const Inputs& inputs,
+                                  InterpLimits limits = {}) {
+    TierRun run;
+    run.reference = MiriLite(limits).test_source(source, inputs);
+    const MiriReport& reference = run.reference;
+
+    verify::OracleOptions options;
+    options.limits = limits;
+    options.caching = false;
+    const verify::Oracle oracle(options);
+    expect_reports_equal(reference, oracle.test_source(source, inputs),
+                         "default\n" + source);
+
+    const auto compiled = oracle.compile(source);
+    if (!compiled->ok()) return run;  // front-end errors never run a VM
+    expect_reports_equal(
+        reference,
+        vm_report(compiled->program,
+                  vm::compile(compiled->program, compiled->lowering), inputs,
+                  limits, &run.raw_skipped),
+        "vm-raw\n" + source);
+    expect_reports_equal(reference,
+                         vm_report(compiled->program,
+                                   compiled->optimized_bytecode(), inputs,
+                                   limits, &run.opt_skipped),
+                         "vm-opt\n" + source);
+    return run;
+}
+
+// The six candidates of the seed-42, 560-case forge whose runs reach the
+// 2M-step limit: each `while` guard never changes, so after its first
+// iteration every iteration rewrites identical state. Three drop the
+// increment; three write `+ 0`, one of them in a pad loop before a
+// function-pointer cast.
+struct TailCase {
+    const char* source;
+    Inputs inputs;
+};
+
+inline const std::vector<TailCase> kStepLimitTails = {
+    {R"(fn main() {
+    let pad_slack_1: i64 = (25 * 3) + 3;
+    {
+        unsafe {
+            let arena = alloc(6 * 8, 8);
+            let base = arena as *mut i64;
+            let mut i: i64 = 0;
+            while i < 6 {
+                *offset(base, i as isize) = i;
+            }
+            print_int(*offset(base, 1));
+            dealloc(arena, 6 * 8, 8);
+        }
+    }
+    let pad_idle_0: i64 = 50;
+}
+)",
+     {{}}},
+    {R"(fn score(a: i64, b: i64) -> i64 {
+    return (a * 9) + b;
+}
+
+fn main() {
+    let mut pad_scratch_2: i64 = 0;
+    while pad_scratch_2 < 7 {
+        pad_scratch_2 = pad_scratch_2 + 0;
+    }
+    {
+        unsafe {
+            let addr = score as usize;
+            let f = addr as fn(i64) -> i64;
+            print_int(f(10));
+        }
+    }
+    let mut pad_stash_0: i64 = 0;
+    while pad_stash_0 < 8 {
+        pad_stash_0 = pad_stash_0 + 1;
+    }
+    let mut pad_scratch_1: i64 = 0;
+    while pad_scratch_1 < 6 {
+        pad_scratch_1 = pad_scratch_1 + 1;
+    }
+}
+
+fn unused_blend(x: i64) -> i64 {
+    return (x * 2) + 88;
+}
+)",
+     {{}}},
+    {R"(fn main() {
+    {
+        unsafe {
+            let p = alloc(3 * 8, 8);
+            let base = p as *mut i64;
+            let mut i: i64 = 0;
+            while i < (3 - 1) {
+                *offset(base, i as isize) = i * 2;
+                i = i + 0;
+            }
+            let mut total: i64 = 0;
+            i = 0;
+            while i < 3 {
+                total = total + *offset(base, i as isize);
+                i = i + 1;
+            }
+            print_int(total);
+            dealloc(p, 3 * 8, 8);
+        }
+    }
+    let pad_idle_0: i64 = 62;
+    let pad_slack_1: i64 = (56 * 3) + 3;
+}
+)",
+     {{}}},
+    {R"(fn main() {
+    unsafe {
+        let slab = alloc(3 * 8, 8);
+        let base = slab as *mut i64;
+        let mut i: i64 = 0;
+        while i < 3 {
+            *offset(base, i as isize) = i * 10;
+        }
+        let pick = input(0);
+        print_int(*offset(base, pick as isize));
+        dealloc(slab, 3 * 8, 8);
+    }
+    let pad_spare_0: i64 = (33 * 2) + 2;
+    let mut pad_idle_1: i64 = 0;
+    while pad_idle_1 < 9 {
+        pad_idle_1 = pad_idle_1 + 1;
+    }
+    let pad_spare_2: i64 = 80;
+}
+
+fn unused_route(x: i64) -> i64 {
+    return (x * 5) + 94;
+}
+)",
+     {{0}, {2}}},
+    {R"(fn main() {
+    {
+        unsafe {
+            let region = alloc(8 * 8, 8);
+            let base = region as *mut i64;
+            let mut i: i64 = 0;
+            while i < 8 {
+                *offset(base, i as isize) = i * 6;
+            }
+            let pick = input(0);
+            print_int(*offset(base, pick as isize));
+            dealloc(region, 8 * 8, 8);
+        }
+    }
+}
+)",
+     {{1}, {7}}},
+    {R"(fn main() {
+    let mut pad_spare_0: i64 = 0;
+    while pad_spare_0 < 1 {
+        pad_spare_0 = pad_spare_0 + 1;
+    }
+    unsafe {
+        let arena = alloc(4 * 8, 8);
+        let base = arena as *mut i64;
+        let mut i: i64 = 0;
+        while i <= 4 {
+            *offset(base, i as isize) = i;
+            i = i + 0;
+        }
+        print_int(*offset(base, 1));
+        dealloc(arena, 4 * 8, 8);
+    }
+}
+
+fn unused_probe(x: i64) -> i64 {
+    return (x * 4) + 64;
+}
+)",
+     {{}}},
+};
 
 // Name-resolution / control-flow shapes. kInputs runs over
 // {{3, 4}, {10, 20}}; the others take no inputs.

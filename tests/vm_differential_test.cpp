@@ -8,14 +8,27 @@
 // report here would split. Then end to end: every registry engine sweeps
 // the hand-written corpus under the `vm` row, and the forged corpus under
 // every row of identity_matrix.hpp, bit-identically to a serial tree walk.
+// Last, seeded mutants of the hand-written corpus and the forge's step-limit
+// tails run on every tier under a step limit low enough for the VM's loop
+// fixed-point skip to engage.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "dataset/corpus.hpp"
 #include "identity_matrix.hpp"
+#include "lang/parser.hpp"
+#include "lang/typecheck.hpp"
 #include "miri/mirilite.hpp"
+#include "mutation.hpp"
+#include "support/rng.hpp"
+#include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
+#include "vm/vm.hpp"
 
 namespace rustbrain::verify {
 namespace {
@@ -62,6 +75,64 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
     ASSERT_EQ(forged_corpus().size(), 560u);
     identity::expect_rows_match_reference(forged_corpus(), identity::kRows,
                                           /*runs_past_cap=*/true);
+}
+
+/// Longest digit run in `text`.
+std::size_t longest_digit_run(const std::string& text) {
+    std::size_t longest = 0;
+    std::size_t run = 0;
+    for (const char c : text) {
+        run = c >= '0' && c <= '9' ? run + 1 : 0;
+        longest = run > longest ? run : longest;
+    }
+    return longest;
+}
+
+TEST(VmDifferentialTest, MutatedProgramsAgreeAcrossTiers) {
+    // Every mutant that parses and typechecks must get the same report
+    // from the tree walk, the default tier, and the VM on raw and
+    // optimized bytecode. The step limit sits past the VM's watch
+    // threshold (but under kVmAfterSteps, so the default tier is the tree
+    // walk alone), so mutated loops exercise the fixed-point skip.
+    // Mutants with a number of six or more digits are left out: nothing
+    // caps an allocation's size yet, and `alloc(4294967296 * 8, 8)` would
+    // exhaust the host's memory.
+    struct Seed {
+        std::string source;
+        miri::agreement::Inputs inputs;
+    };
+    const dataset::Corpus corpus = dataset::Corpus::standard();
+    std::vector<Seed> seeds;
+    for (const dataset::UbCase& ub_case : corpus.cases()) {
+        seeds.push_back({ub_case.buggy_source, ub_case.inputs});
+        seeds.push_back({ub_case.reference_fix, ub_case.inputs});
+    }
+    for (const miri::agreement::TailCase& tail :
+         miri::agreement::kStepLimitTails) {
+        seeds.push_back({tail.source, tail.inputs});
+    }
+    std::vector<std::string> donors;
+    for (const Seed& seed : seeds) donors.push_back(seed.source);
+
+    miri::InterpLimits limits;
+    limits.max_steps = 4 * vm::Vm::kWatchAfterSteps;
+    support::Rng rng(support::derive_seed(1, "vm-mutation"));
+    std::size_t accepted = 0;
+    std::size_t skipped = 0;
+    for (std::size_t i = 0; i < 30000; ++i) {
+        const Seed& seed = seeds[i % seeds.size()];
+        const std::string source = mutation::mutate(seed.source, donors, rng);
+        if (longest_digit_run(source) > 5) continue;
+        std::optional<lang::Program> program = lang::try_parse(source);
+        if (!program || !lang::type_check(*program)) continue;
+        SCOPED_TRACE("iteration " + std::to_string(i));
+        const miri::agreement::TierRun run =
+            miri::agreement::expect_tiers_agree(source, seed.inputs, limits);
+        ++accepted;
+        if (run.raw_skipped > 0 && run.opt_skipped > 0) ++skipped;
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(skipped, 0u);  // the watch engaged and skipped some loops
 }
 
 }  // namespace
