@@ -35,7 +35,6 @@ ExprPtr IntLitExpr::clone() const {
     auto out = clone_base(*this);
     out->type = type;
     out->value = value;
-    out->suffix = suffix;
     return out;
 }
 
@@ -534,7 +533,7 @@ bool equals(const Expr& a, const Expr& b) {
         case ExprKind::IntLit: {
             const auto& x = static_cast<const IntLitExpr&>(a);
             const auto& y = static_cast<const IntLitExpr&>(b);
-            return x.value == y.value && x.suffix == y.suffix;
+            return x.value == y.value;
         }
         case ExprKind::BoolLit:
             return static_cast<const BoolLitExpr&>(a).value ==

@@ -73,8 +73,6 @@ struct IntLitExpr final : Expr {
     [[nodiscard]] ExprPtr clone() const override;
 
     std::uint64_t value = 0;
-    /// Optional explicit suffix type, e.g. `5usize`; None means "infer".
-    std::optional<ScalarKind> suffix;
 };
 
 struct BoolLitExpr final : Expr {

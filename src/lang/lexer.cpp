@@ -1,8 +1,5 @@
 #include "lang/lexer.hpp"
 
-#include <cctype>
-#include <unordered_map>
-
 namespace rustbrain::lang {
 
 const char* token_kind_name(TokenKind kind) {
@@ -60,18 +57,40 @@ const char* token_kind_name(TokenKind kind) {
 }
 
 namespace {
-const std::unordered_map<std::string_view, TokenKind>& keyword_table() {
-    static const std::unordered_map<std::string_view, TokenKind> table = {
-        {"fn", TokenKind::KwFn},         {"let", TokenKind::KwLet},
-        {"mut", TokenKind::KwMut},       {"if", TokenKind::KwIf},
-        {"else", TokenKind::KwElse},     {"while", TokenKind::KwWhile},
-        {"return", TokenKind::KwReturn}, {"unsafe", TokenKind::KwUnsafe},
-        {"static", TokenKind::KwStatic}, {"as", TokenKind::KwAs},
-        {"true", TokenKind::KwTrue},     {"false", TokenKind::KwFalse},
-        {"const", TokenKind::KwConst},   {"become", TokenKind::KwBecome},
-    };
-    return table;
+
+// ASCII classification without the locale: bytes >= 0x80 are none of these.
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_ident_start(char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
+constexpr bool is_ident_char(char c) { return is_ident_start(c) || is_digit(c); }
+constexpr bool is_hex_digit(char c) {
+    return is_digit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+TokenKind keyword_or_identifier(std::string_view text) {
+    switch (text[0]) {
+        case 'a': if (text == "as") return TokenKind::KwAs; break;
+        case 'b': if (text == "become") return TokenKind::KwBecome; break;
+        case 'c': if (text == "const") return TokenKind::KwConst; break;
+        case 'e': if (text == "else") return TokenKind::KwElse; break;
+        case 'f':
+            if (text == "fn") return TokenKind::KwFn;
+            if (text == "false") return TokenKind::KwFalse;
+            break;
+        case 'i': if (text == "if") return TokenKind::KwIf; break;
+        case 'l': if (text == "let") return TokenKind::KwLet; break;
+        case 'm': if (text == "mut") return TokenKind::KwMut; break;
+        case 'r': if (text == "return") return TokenKind::KwReturn; break;
+        case 's': if (text == "static") return TokenKind::KwStatic; break;
+        case 't': if (text == "true") return TokenKind::KwTrue; break;
+        case 'u': if (text == "unsafe") return TokenKind::KwUnsafe; break;
+        case 'w': if (text == "while") return TokenKind::KwWhile; break;
+        default: break;
+    }
+    return TokenKind::Identifier;
+}
+
 }  // namespace
 
 Lexer::Lexer(std::string_view source, support::DiagnosticEngine& diagnostics)
@@ -93,6 +112,11 @@ char Lexer::advance() {
     return c;
 }
 
+void Lexer::advance_columns(std::size_t count) {
+    position_ += count;
+    column_ += static_cast<std::uint32_t>(count);
+}
+
 void Lexer::skip_trivia() {
     for (;;) {
         if (at_end()) return;
@@ -102,13 +126,20 @@ void Lexer::skip_trivia() {
         } else if (c == '/' && peek(1) == '/') {
             while (!at_end() && peek() != '\n') advance();
         } else if (c == '/' && peek(1) == '*') {
+            support::SourceSpan opener;
+            opener.begin = static_cast<std::uint32_t>(position_);
+            opener.line = line_;
+            opener.column = column_;
             advance();
             advance();
             while (!at_end() && !(peek() == '*' && peek(1) == '/')) advance();
-            if (!at_end()) {
-                advance();
-                advance();
+            if (at_end()) {
+                opener.end = static_cast<std::uint32_t>(position_);
+                diagnostics_.error("unterminated block comment", opener);
+                return;
             }
+            advance();
+            advance();
         } else {
             return;
         }
@@ -127,22 +158,18 @@ support::SourceSpan Lexer::span_from(std::size_t start) const {
 Token Lexer::make_token(TokenKind kind, std::size_t start) {
     Token token;
     token.kind = kind;
-    token.text = std::string(source_.substr(start, position_ - start));
+    token.text = source_.substr(start, position_ - start);
     token.span = span_from(start);
     return token;
 }
 
 Token Lexer::lex_identifier_or_keyword() {
     const std::size_t start = position_;
-    while (!at_end() &&
-           (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')) {
-        advance();
-    }
+    std::size_t end = start + 1;
+    while (end < source_.size() && is_ident_char(source_[end])) ++end;
+    advance_columns(end - start);
     Token token = make_token(TokenKind::Identifier, start);
-    const auto& table = keyword_table();
-    if (auto it = table.find(token.text); it != table.end()) {
-        token.kind = it->second;
-    }
+    token.kind = keyword_or_identifier(token.text);
     return token;
 }
 
@@ -151,18 +178,15 @@ Token Lexer::lex_number() {
     std::uint64_t value = 0;
     bool overflow = false;
     if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-        advance();
-        advance();
+        advance_columns(2);
         bool any_digit = false;
-        while (!at_end() && (std::isxdigit(static_cast<unsigned char>(peek())) ||
-                             peek() == '_')) {
+        while (!at_end() && (is_hex_digit(peek()) || peek() == '_')) {
             const char c = advance();
             if (c == '_') continue;
             any_digit = true;
             const std::uint64_t digit =
-                std::isdigit(static_cast<unsigned char>(c))
-                    ? static_cast<std::uint64_t>(c - '0')
-                    : static_cast<std::uint64_t>(std::tolower(c) - 'a' + 10);
+                is_digit(c) ? static_cast<std::uint64_t>(c - '0')
+                            : static_cast<std::uint64_t>((c | 0x20) - 'a' + 10);
             if (value > (~0ULL - digit) / 16) overflow = true;
             value = value * 16 + digit;
         }
@@ -170,8 +194,7 @@ Token Lexer::lex_number() {
             diagnostics_.error("hex literal needs at least one digit", span_from(start));
         }
     } else {
-        while (!at_end() && (std::isdigit(static_cast<unsigned char>(peek())) ||
-                             peek() == '_')) {
+        while (!at_end() && (is_digit(peek()) || peek() == '_')) {
             const char c = advance();
             if (c == '_') continue;
             const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
@@ -199,10 +222,10 @@ Token Lexer::next_token() {
     }
     const std::size_t start = position_;
     const char c = peek();
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    if (is_ident_start(c)) {
         return lex_identifier_or_keyword();
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (is_digit(c)) {
         return lex_number();
     }
     advance();
@@ -282,6 +305,9 @@ Token Lexer::next_token() {
 
 std::vector<Token> Lexer::tokenize() {
     std::vector<Token> tokens;
+    // One token per two source bytes bounds formatted code (spaces and
+    // indentation), so the vector is sized once.
+    tokens.reserve(source_.size() / 2 + 1);
     for (;;) {
         Token token = next_token();
         const bool done = token.kind == TokenKind::EndOfFile;

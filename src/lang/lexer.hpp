@@ -1,6 +1,7 @@
 // Lexer for mini-Rust. Produces the full token stream in one pass; lexical
 // errors are reported through the DiagnosticEngine and yield Invalid tokens
-// so the parser can continue and report more.
+// so the parser can continue and report more. Token spellings are views
+// into the source, which must outlive the tokens.
 #pragma once
 
 #include <string_view>
@@ -22,6 +23,8 @@ class Lexer {
     [[nodiscard]] bool at_end() const { return position_ >= source_.size(); }
     [[nodiscard]] char peek(std::size_t lookahead = 0) const;
     char advance();
+    /// Advance over `count` bytes that hold no newline.
+    void advance_columns(std::size_t count);
     void skip_trivia();
     Token next_token();
     Token lex_identifier_or_keyword();

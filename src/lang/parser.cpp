@@ -140,7 +140,7 @@ FnItem Parser::parse_fn(bool is_unsafe) {
     FnItem fn;
     fn.is_unsafe = is_unsafe;
     const Token& name = expect(TokenKind::Identifier, "after 'fn'");
-    fn.name = name.text;
+    fn.name = std::string(name.text);
     fn.span = name.span;
 
     expect(TokenKind::LParen, "to open parameter list");
@@ -148,7 +148,7 @@ FnItem Parser::parse_fn(bool is_unsafe) {
         do {
             Param param;
             const Token& param_name = expect(TokenKind::Identifier, "parameter name");
-            param.name = param_name.text;
+            param.name = std::string(param_name.text);
             expect(TokenKind::Colon, "after parameter name");
             param.type = parse_type();
             fn.params.push_back(std::move(param));
@@ -172,7 +172,7 @@ StaticItem Parser::parse_static() {
     item.span = kw.span;
     item.is_mut = match(TokenKind::KwMut);
     const Token& name = expect(TokenKind::Identifier, "static name");
-    item.name = name.text;
+    item.name = std::string(name.text);
     expect(TokenKind::Colon, "after static name");
     item.type = parse_type();
     expect(TokenKind::Eq, "static initializer");
@@ -240,7 +240,7 @@ Type Parser::parse_type() {
         if (scalar_kind_from_name(name.text, kind)) {
             return Type::scalar(kind);
         }
-        diagnostics_.error("unknown type '" + name.text + "'", name.span);
+        diagnostics_.error("unknown type '" + std::string(name.text) + "'", name.span);
         return Type::unit();
     }
     diagnostics_.error(std::string("expected type, found ") +
@@ -297,7 +297,7 @@ StmtPtr Parser::parse_let() {
     stmt->span = expect(TokenKind::KwLet, "statement").span;
     stmt->is_mut = match(TokenKind::KwMut);
     const Token& name = expect(TokenKind::Identifier, "after 'let'");
-    stmt->name = name.text;
+    stmt->name = std::string(name.text);
     if (match(TokenKind::Colon)) {
         stmt->declared_type = parse_type();
     }
@@ -354,7 +354,7 @@ StmtPtr Parser::parse_become() {
     // followed by mandatory call arguments.
     auto callee = std::make_unique<VarRefExpr>();
     const Token& name = expect(TokenKind::Identifier, "after 'become'");
-    callee->name = name.text;
+    callee->name = std::string(name.text);
     callee->span = name.span;
     stmt->callee = std::move(callee);
     expect(TokenKind::LParen, "to open become arguments");
@@ -541,11 +541,6 @@ ExprPtr Parser::parse_primary() {
             auto node = std::make_unique<IntLitExpr>();
             node->span = token.span;
             node->value = token.int_value;
-            // Optional type suffix written as an adjacent identifier token is
-            // not produced by our lexer (suffixes are part of the literal in
-            // Rust); mini-Rust spells suffixed literals `5usize` which the
-            // lexer splits into IntLiteral + Identifier only when the suffix
-            // starts the next token — handle the common `as` pattern instead.
             return node;
         }
         case TokenKind::KwTrue:
@@ -562,14 +557,14 @@ ExprPtr Parser::parse_primary() {
                 advance();
                 auto node = std::make_unique<CallExpr>();
                 node->span = token.span;
-                node->callee = token.text;
+                node->callee = std::string(token.text);
                 node->args = parse_call_args();
                 ++height_;
                 return node;
             }
             auto node = std::make_unique<VarRefExpr>();
             node->span = token.span;
-            node->name = token.text;
+            node->name = std::string(token.text);
             return node;
         }
         case TokenKind::LParen: {

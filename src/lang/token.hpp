@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "support/source_span.hpp"
 
@@ -64,7 +64,7 @@ enum class TokenKind {
 
 struct Token {
     TokenKind kind = TokenKind::Invalid;
-    std::string text;          // identifier spelling / literal spelling
+    std::string_view text;     // spelling: a view into the lexed source
     std::uint64_t int_value = 0;  // for IntLiteral
     support::SourceSpan span;
 

@@ -82,7 +82,7 @@ const char* scalar_kind_name(ScalarKind kind) {
     return "?";
 }
 
-bool scalar_kind_from_name(const std::string& name, ScalarKind& out) {
+bool scalar_kind_from_name(std::string_view name, ScalarKind& out) {
     static const struct {
         const char* name;
         ScalarKind kind;

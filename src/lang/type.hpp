@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rustbrain::lang {
@@ -147,6 +148,6 @@ class Type {
 
 const char* scalar_kind_name(ScalarKind kind);
 /// Parse "i32" etc.; returns false if the name is not a scalar type.
-bool scalar_kind_from_name(const std::string& name, ScalarKind& out);
+bool scalar_kind_from_name(std::string_view name, ScalarKind& out);
 
 }  // namespace rustbrain::lang

@@ -345,10 +345,7 @@ Type TypeChecker::check_expr(Expr& expr, const std::optional<Type>& expected) {
     Type result = Type::unit();
     switch (expr.kind) {
         case ExprKind::IntLit: {
-            auto& node = static_cast<IntLitExpr&>(expr);
-            if (node.suffix) {
-                result = Type::scalar(*node.suffix);
-            } else if (expected && expected->is_integer()) {
+            if (expected && expected->is_integer()) {
                 result = *expected;
             } else {
                 result = Type::i32();
@@ -472,10 +469,7 @@ Type TypeChecker::check_unary(UnaryExpr& expr, const std::optional<Type>& expect
 }
 
 Type TypeChecker::check_binary(BinaryExpr& expr, const std::optional<Type>& expected) {
-    auto is_untyped_literal = [](const Expr& e) {
-        return e.kind == ExprKind::IntLit &&
-               !static_cast<const IntLitExpr&>(e).suffix.has_value();
-    };
+    auto is_untyped_literal = [](const Expr& e) { return e.kind == ExprKind::IntLit; };
 
     switch (expr.op) {
         case BinaryOp::Add:

@@ -15,7 +15,7 @@ BackendFactory sim_backend_factory() {
 
 std::uint64_t call_key(std::string_view session_tag, std::uint64_t session_seed,
                        const ChatRequest& request) {
-    std::uint64_t key = support::fnv1a64(session_tag);
+    std::uint64_t key = support::key_hash(session_tag);
     key = support::hash_combine(key, session_seed);
     key = support::hash_combine(key, request.sequence);
     std::uint64_t temperature_bits = 0;
@@ -25,7 +25,7 @@ std::uint64_t call_key(std::string_view session_tag, std::uint64_t session_seed,
     for (const ChatMessage& message : request.messages) {
         key = support::hash_combine(
             key, static_cast<std::uint64_t>(message.role));
-        key = support::hash_combine(key, support::fnv1a64(message.content));
+        key = support::hash_combine(key, support::key_hash(message.content));
     }
     return key;
 }

@@ -43,6 +43,14 @@ std::string field_str(const PromptSpec& spec, const std::string& key) {
 SimLLM::SimLLM(const ModelProfile& profile, std::uint64_t seed)
     : profile_(profile), session_base_(support::derive_seed(seed, profile.name)) {}
 
+const lang::Program* SimLLM::parsed(const std::string& code) {
+    if (memo_code_ != code) {
+        memo_program_ = lang::try_parse(code);
+        memo_code_ = code;
+    }
+    return memo_program_ ? &*memo_program_ : nullptr;
+}
+
 ChatResponse SimLLM::complete(const ChatRequest& request) {
     ++calls_;
     std::string prompt_text;
@@ -95,8 +103,8 @@ ChatResponse SimLLM::complete(const ChatRequest& request) {
 // ---------------------------------------------------------------------------
 
 std::string SimLLM::handle_extract_features(const PromptSpec& spec) {
-    auto program = lang::try_parse(spec.code);
-    if (!program) {
+    const lang::Program* program = parsed(spec.code);
+    if (program == nullptr) {
         return "category: compile.error\nfeatures: unparseable";
     }
     miri::Finding finding;
@@ -199,8 +207,8 @@ std::string SimLLM::handle_generate_solutions(const PromptSpec& spec,
 
 std::string SimLLM::handle_apply_rule(const PromptSpec& spec, double temperature,
                                       support::Rng& rng) {
-    auto program = lang::try_parse(spec.code);
-    if (!program) {
+    const lang::Program* program = parsed(spec.code);
+    if (program == nullptr) {
         return "note: could not parse input\ncode:\n" + spec.code;
     }
     const std::string rule_id = field_str(spec, "rule");
@@ -252,15 +260,17 @@ std::string SimLLM::handle_apply_rule(const PromptSpec& spec, double temperature
 
 std::string SimLLM::handle_extract_ast(const PromptSpec& spec,
                                        double temperature, support::Rng& rng) {
-    auto program = lang::try_parse(spec.code);
-    if (!program) {
+    const lang::Program* program = parsed(spec.code);
+    if (program == nullptr) {
         return "note: could not parse input\ncode:\n" + spec.code;
     }
     // LLM-based AST extraction preserves semantics but is imperfect: at
     // high temperature, stray edits creep into the reconstruction.
     if (rng.chance(profile_.hallucination_rate(temperature) * 0.5)) {
+        lang::Program noisy = program->clone();
         support::Rng fork = rng.fork("ast-noise");
-        mutate_program(*program, fork);
+        mutate_program(noisy, fork);
+        return "note: ast extracted\ncode:\n" + lang::print_program(noisy);
     }
     return "note: ast extracted\ncode:\n" + lang::print_program(*program);
 }

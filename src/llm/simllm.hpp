@@ -14,6 +14,10 @@
 // caching and transcript replay bit-identical to live runs, while a retry
 // of the same prompt at the next sequence number still samples a fresh
 // stream.
+// The one thing a session keeps between calls is the parse of the last
+// code it saw (a session's calls quote the same code over and over); the
+// parse is a function of the code alone, so the memo changes no response
+// (DESIGN.md §14).
 //
 // Model quality is expressed mechanistically:
 //  * competence (profile x category x prompt context) decides whether the
@@ -26,8 +30,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "lang/ast.hpp"
 #include "llm/backend.hpp"
 #include "llm/chat.hpp"
 #include "llm/profile.hpp"
@@ -58,9 +64,15 @@ class SimLLM final : public LlmBackend {
     std::string handle_extract_ast(const PromptSpec& spec, double temperature,
                                    support::Rng& rng);
 
+    /// The parse of `code`, or null when it does not parse. Memoized for
+    /// the last code seen; callers must not mutate the program (clone it).
+    const lang::Program* parsed(const std::string& code);
+
     ModelProfile profile_;
     std::uint64_t session_base_;  // derive_seed(seed, profile.name)
     std::uint64_t calls_ = 0;
+    std::optional<std::string> memo_code_;
+    std::optional<lang::Program> memo_program_;  // parse of *memo_code_
 };
 
 /// Parse helpers for the pipeline side (the "prompt engineering" that turns

@@ -1,6 +1,17 @@
-// Stable hashing utilities (FNV-1a) used for seed derivation and AST feature
-// hashing. std::hash is not stable across implementations, so everything
-// that influences experiment results goes through these.
+// Hashing utilities. Two families, chosen by where the value ends up:
+//
+//  * fnv1a64 (FNV-1a, byte at a time) for every value that reaches a
+//    result: seed derivation (derive_seed, SimLLM's prompt seed), AST
+//    feature hashing (vectorize), the corpus fingerprint and test goldens.
+//    std::hash is not stable across implementations, and changing one of
+//    these values changes experiment output, so they stay FNV-1a.
+//  * key_hash (multiply-mix, 16 bytes per step) for keys that only
+//    identify a cache entry and never reach a result: the VerifyCache
+//    fingerprint and collision check, and llm::call_key. Every lookup
+//    re-validates or is content-pure, so only speed and spread matter.
+//    Its value assumes a little-endian load and is not a stable format.
+//
+// DESIGN.md §14 gives the rule and where each one is used.
 #pragma once
 
 #include <cstdint>
@@ -27,5 +38,11 @@ constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
 }
 
 std::uint64_t fnv1a64_u64(std::uint64_t value, std::uint64_t seed = kFnvOffsetBasis);
+
+constexpr std::uint64_t kKeyHashSeed = 0xA0761D6478BD642FULL;
+
+/// Fast hash of `text` for cache keys only (see the header comment): two
+/// 64-bit words per step, folded by a 64x64->128-bit multiply.
+std::uint64_t key_hash(std::string_view text, std::uint64_t seed = kKeyHashSeed);
 
 }  // namespace rustbrain::support

@@ -32,6 +32,10 @@ const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
     return *opt_code_;
 }
 
+std::uint64_t source_fingerprint(std::string_view source) {
+    return support::key_hash(source);
+}
+
 // ---------------------------------------------------------------------------
 // VerifyCache
 // ---------------------------------------------------------------------------
@@ -142,7 +146,7 @@ const std::shared_ptr<VerifyCache>& VerifyCache::process_wide() {
 namespace {
 
 /// Seed for the independent second source hash (an arbitrary odd constant
-/// distinct from the FNV offset basis).
+/// distinct from key_hash's default seed).
 constexpr std::uint64_t kCheckSeed = 0x51ED270B8A2C1495ULL;
 
 ReportKeyView report_key(const CompiledProgram& compiled,
@@ -185,7 +189,7 @@ std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
     const std::string& source, std::uint64_t fingerprint) const {
     auto compiled = std::make_shared<CompiledProgram>();
     compiled->fingerprint = fingerprint;
-    compiled->check = support::fnv1a64(source, kCheckSeed);
+    compiled->check = support::key_hash(source, kCheckSeed);
     compiled->source = source;
 
     std::string parse_error;
@@ -209,7 +213,7 @@ std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
 
 std::shared_ptr<const CompiledProgram> Oracle::compile_guarded(
     const std::string& source, VerifyOutcome* outcome, bool* canonical) const {
-    const std::uint64_t fingerprint = support::fnv1a64(source);
+    const std::uint64_t fingerprint = source_fingerprint(source);
     if (!caching_) {
         if (canonical != nullptr) *canonical = false;
         return compile_uncached(source, fingerprint);

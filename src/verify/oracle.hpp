@@ -8,8 +8,8 @@
 // and re-typechecks the candidate from scratch on every call. The Oracle
 // splits that work into two cached stages:
 //
-//   1. compile-once: a sharded program cache keyed by the FNV-1a hash of
-//      the source text holds parsed + typechecked + lowered programs (see
+//   1. compile-once: a sharded program cache keyed by source_fingerprint
+//      (support::key_hash) of the source text holds parsed + typechecked + lowered programs (see
 //      miri/lower.hpp), so each distinct source pays the front end exactly
 //      once per process;
 //   2. report memoization: a sharded report cache keyed by (program
@@ -42,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -75,6 +76,10 @@ enum class InterpTier { Tree, Vm };
 /// run that stops at or below the cap is the full run.
 inline constexpr std::uint64_t kVmAfterSteps = std::uint64_t{1} << 16;
 
+/// The program cache's key for `source` (support::key_hash). It only
+/// identifies an entry; hits re-check the full source text.
+[[nodiscard]] std::uint64_t source_fingerprint(std::string_view source);
+
 /// A source text after the front end: parsed, typechecked and lowered
 /// (when ok()), or the verbatim parse/typecheck error MiriLite would have
 /// reported. Immutable once built — the program/lowering pair is shared by
@@ -83,7 +88,7 @@ inline constexpr std::uint64_t kVmAfterSteps = std::uint64_t{1} << 16;
 struct CompiledProgram {
     enum class FrontEnd { Ok, ParseError, TypeError };
 
-    std::uint64_t fingerprint = 0;  // FNV-1a of the source text
+    std::uint64_t fingerprint = 0;  // source_fingerprint(source)
     std::uint64_t check = 0;        // independent second hash (collision guard)
     std::string source;             // the exact text compiled (collision guard)
     FrontEnd front_end = FrontEnd::Ok;

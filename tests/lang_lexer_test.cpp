@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "lang/parser.hpp"
+
 namespace rustbrain::lang {
 namespace {
 
@@ -96,6 +100,92 @@ TEST(LexerTest, UnexpectedCharacterDiagnosed) {
         if (token.kind == TokenKind::Invalid) saw_invalid = true;
     }
     EXPECT_TRUE(saw_invalid);
+}
+
+TEST(LexerTest, UnterminatedBlockCommentIsALocatedError) {
+    support::DiagnosticEngine diagnostics;
+    Lexer lexer("fn main() { let x = 1; }\n  /* never closed", diagnostics);
+    const auto tokens = lexer.tokenize();
+    ASSERT_TRUE(diagnostics.has_errors());
+    EXPECT_NE(diagnostics.summary().find("unterminated block comment"),
+              std::string::npos)
+        << diagnostics.summary();
+    EXPECT_NE(diagnostics.summary().find("2:3"), std::string::npos)
+        << diagnostics.summary();
+    EXPECT_EQ(tokens.back().kind, TokenKind::EndOfFile);
+    // A closed comment at end of input stays fine.
+    EXPECT_EQ(lex_ok("a /* closed */").size(), 2u);
+    std::string error;
+    EXPECT_FALSE(try_parse("fn main() { let x = 1; } /* never closed", &error));
+    EXPECT_NE(error.find("unterminated block comment"), std::string::npos) << error;
+}
+
+// Keyword recognition must match whole identifiers only: every keyword,
+// and every keyword with one identifier character glued on either side.
+TEST(LexerTest, KeywordBoundaries) {
+    const std::pair<const char*, TokenKind> keywords[] = {
+        {"fn", TokenKind::KwFn},         {"let", TokenKind::KwLet},
+        {"mut", TokenKind::KwMut},       {"if", TokenKind::KwIf},
+        {"else", TokenKind::KwElse},     {"while", TokenKind::KwWhile},
+        {"return", TokenKind::KwReturn}, {"unsafe", TokenKind::KwUnsafe},
+        {"static", TokenKind::KwStatic}, {"as", TokenKind::KwAs},
+        {"true", TokenKind::KwTrue},     {"false", TokenKind::KwFalse},
+        {"const", TokenKind::KwConst},   {"become", TokenKind::KwBecome},
+    };
+    for (const auto& [spelling, kind] : keywords) {
+        SCOPED_TRACE(spelling);
+        const auto alone = lex_ok(spelling);
+        ASSERT_EQ(alone.size(), 2u);
+        EXPECT_EQ(alone[0].kind, kind);
+        EXPECT_EQ(alone[0].text, spelling);
+        for (const std::string glue : {"_", "x", "Z", "0", "9"}) {
+            // Token text views its source, so each source outlives its tokens.
+            const std::string glued_after = spelling + glue;
+            const auto after = lex_ok(glued_after);
+            ASSERT_EQ(after.size(), 2u) << glued_after;
+            EXPECT_EQ(after[0].kind, TokenKind::Identifier);
+            EXPECT_EQ(after[0].text, glued_after);
+            const std::string glued_before = glue + spelling;
+            const auto before = lex_ok(glued_before);
+            if (glue[0] >= '0' && glue[0] <= '9') {
+                // A leading digit is a literal of its own.
+                ASSERT_EQ(before.size(), 3u) << glued_before;
+                EXPECT_EQ(before[0].kind, TokenKind::IntLiteral);
+                EXPECT_EQ(before[1].kind, kind);
+            } else {
+                ASSERT_EQ(before.size(), 2u) << glued_before;
+                EXPECT_EQ(before[0].kind, TokenKind::Identifier);
+                EXPECT_EQ(before[0].text, glued_before);
+            }
+        }
+        // The keyword less its last character is an identifier.
+        const std::string prefix(spelling, std::string_view(spelling).size() - 1);
+        EXPECT_EQ(lex_ok(prefix)[0].kind, TokenKind::Identifier);
+    }
+    const auto underscore = lex_ok("_ _1 a_b");
+    ASSERT_EQ(underscore.size(), 4u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(underscore[i].kind, TokenKind::Identifier);
+    }
+    EXPECT_EQ(underscore[1].text, "_1");
+}
+
+TEST(LexerTest, NonAsciiBytesAreInvalid) {
+    for (int byte = 0x80; byte <= 0xFF; ++byte) {
+        SCOPED_TRACE(byte);
+        const std::string glyph(1, static_cast<char>(byte));
+        const std::string source = "a" + glyph + "b";
+        support::DiagnosticEngine diagnostics;
+        Lexer lexer(source, diagnostics);
+        const auto tokens = lexer.tokenize();
+        ASSERT_EQ(tokens.size(), 4u);
+        EXPECT_EQ(tokens[0].text, "a");
+        EXPECT_EQ(tokens[1].kind, TokenKind::Invalid);
+        EXPECT_EQ(tokens[1].text, glyph);
+        EXPECT_EQ(tokens[2].text, "b");
+        EXPECT_NE(diagnostics.summary().find("unexpected character '" + glyph + "'"),
+                  std::string::npos);
+    }
 }
 
 TEST(LexerTest, PunctuationInventory) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/forge.hpp"
 #include "lang/parser.hpp"
+#include "support/hashing.hpp"
 
 namespace rustbrain::lang {
 namespace {
@@ -111,6 +113,25 @@ TEST(PrinterTest, PrintedCastsKeepStructure) {
     const auto cast_sum = parse_ok("fn main() { let x = 1 + (2 as i64 as i32); }");
     EXPECT_FALSE(equals(sum_cast, cast_sum));
     expect_round_trip("fn main() { let x = (1 + 2) as i64; }");
+}
+
+TEST(PrinterTest, ForgedCorpusPrintsTheGoldenBytes) {
+    // FNV-1a over print_program of every buggy source and reference fix of
+    // the 560-case, seed-42 forge (the sweep benchmark's corpus). The
+    // golden was fingerprinted with the printer that built one temporary
+    // string per node; printing into one buffer must emit the same bytes.
+    gen::ForgeOptions options;
+    options.seed = 42;
+    options.count = 560;
+    const dataset::Corpus corpus = gen::forge_corpus(options);
+    ASSERT_EQ(corpus.size(), 560u);
+    std::uint64_t digest = support::fnv1a64("");
+    for (const dataset::UbCase& ub_case : corpus.cases()) {
+        for (const std::string* source : {&ub_case.buggy_source, &ub_case.reference_fix}) {
+            digest = support::fnv1a64(print_program(parse_ok(*source)), digest);
+        }
+    }
+    EXPECT_EQ(digest, 0x25DF564BF4CA8CE1ULL);
 }
 
 }  // namespace

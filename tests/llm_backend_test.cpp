@@ -1,17 +1,27 @@
 // The LlmBackend boundary: SimLLM's per-call purity, CachingBackend's
-// bit-identical memoization over a full-corpus sweep, and the
-// RecordingBackend/ReplayBackend golden-transcript round trip.
+// bit-identical memoization over a full-corpus sweep, the
+// RecordingBackend/ReplayBackend golden-transcript round trip, and
+// support::key_hash without a collision over every text one cold sweep
+// hashes into a cache key.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <string>
 
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
+#include "core/thinking_policy.hpp"
 #include "dataset/corpus.hpp"
+#include "gen/forge.hpp"
 #include "kb/seed.hpp"
 #include "llm/caching_backend.hpp"
 #include "llm/replay_backend.hpp"
 #include "llm/simllm.hpp"
+#include "support/hashing.hpp"
+#include "verify/oracle.hpp"
 
 namespace rustbrain::llm {
 namespace {
@@ -223,6 +233,100 @@ TEST(ReplayBackendTest, RecordingDelegatesAndStores) {
     const ChatResponse replayed = replay.complete(request);
     EXPECT_EQ(replayed.content, live.content);
     EXPECT_EQ(replayed.latency_ms, live.latency_ms);
+}
+
+/// Every distinct text a sweep hashes into a cache key: prompt messages
+/// (call_key), and sources (the Oracle's fingerprint).
+struct KeyedTexts {
+    std::mutex mutex;
+    std::set<std::string> texts;
+
+    void add(const std::string& text) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        texts.insert(text);
+    }
+};
+
+class CapturingBackend final : public LlmBackend {
+  public:
+    CapturingBackend(std::unique_ptr<LlmBackend> inner, KeyedTexts& keyed)
+        : inner_(std::move(inner)), keyed_(keyed) {}
+
+    ChatResponse complete(const ChatRequest& request) override {
+        for (const ChatMessage& message : request.messages) keyed_.add(message.content);
+        ChatResponse response = inner_->complete(request);
+        keyed_.add(parse_code_block(response.content));
+        return response;
+    }
+    [[nodiscard]] std::uint64_t calls_served() const override {
+        return inner_->calls_served();
+    }
+    [[nodiscard]] std::string description() const override {
+        return inner_->description();
+    }
+
+  private:
+    std::unique_ptr<LlmBackend> inner_;
+    KeyedTexts& keyed_;
+};
+
+class CapturingOracle final : public verify::Oracle {
+  public:
+    CapturingOracle(verify::OracleOptions options, KeyedTexts& keyed)
+        : Oracle(std::move(options)), keyed_(keyed) {}
+
+  protected:
+    [[nodiscard]] miri::MiriReport interpret(
+        const verify::CompiledProgram& compiled,
+        const std::vector<std::vector<std::int64_t>>& input_sets) const override {
+        keyed_.add(compiled.source);
+        return Oracle::interpret(compiled, input_sets);
+    }
+
+  private:
+    KeyedTexts& keyed_;
+};
+
+TEST(KeyHashTest, NoCollisionOverOneColdSweep) {
+    // The benchmark's cold sweep: 560 forged cases (seed 42), the paper
+    // policy at four workers on fresh prompt and verify caches.
+    gen::ForgeOptions forge;
+    forge.seed = 42;
+    forge.count = 560;
+    const dataset::Corpus forged = gen::forge_corpus(forge);
+    kb::KnowledgeBase kbase;
+    kb::seed_from_corpus(forged, kbase);
+
+    KeyedTexts keyed;
+    for (const dataset::UbCase& ub_case : forged.cases()) {
+        keyed.add(ub_case.buggy_source);
+        keyed.add(ub_case.reference_fix);
+    }
+    verify::OracleOptions oracle_options;
+    oracle_options.cache = std::make_shared<verify::VerifyCache>();
+    core::EngineBuildContext context;
+    context.knowledge_base = &kbase;
+    context.oracle = std::make_shared<CapturingOracle>(std::move(oracle_options), keyed);
+    context.backend_factory = caching_backend_factory(
+        std::make_shared<PromptCache>(),
+        [&keyed](const ModelProfile& profile, std::uint64_t session_seed) {
+            return std::make_unique<CapturingBackend>(
+                sim_backend_factory()(profile, session_seed), keyed);
+        });
+    core::EngineOptions options = core::EngineOptions::parse("model=gpt-4");
+    core::set_policy_option(options, "paper");
+    const core::BatchRunner runner("rustbrain", options, context,
+                                   core::BatchOptions{4});
+    ASSERT_EQ(runner.run(forged).results.size(), 560u);
+
+    // Thousands of distinct sources and prompts, no two sharing a key.
+    EXPECT_GT(keyed.texts.size(), 2000u);
+    std::map<std::uint64_t, const std::string*> owners;
+    for (const std::string& text : keyed.texts) {
+        EXPECT_EQ(verify::source_fingerprint(text), support::key_hash(text));
+        const auto [it, fresh] = owners.emplace(support::key_hash(text), &text);
+        EXPECT_TRUE(fresh) << "key_hash collision:\n" << *it->second << "\n---\n" << text;
+    }
 }
 
 }  // namespace

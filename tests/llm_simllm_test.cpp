@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "dataset/corpus.hpp"
+#include "gen/forge.hpp"
+#include "lang/printer.hpp"
 #include "lang/parser.hpp"
 #include "llm/hallucinate.hpp"
 #include "llm/rules.hpp"
@@ -235,6 +237,65 @@ TEST(SimLlmTest, ExtractAstReturnsProgram) {
         llm.complete(make_request("extract_ast", {}, kBuggy, 0.1));
     const std::string code = parse_code_block(response.content);
     EXPECT_TRUE(lang::try_parse(code).has_value());
+}
+
+TEST(SimLlmTest, ParseMemoLeavesEveryResponseUnchanged) {
+    // A session parses each quoted code once and reuses it; a fresh SimLLM
+    // per call parses from scratch. For every forged case, one session
+    // serves the buggy source's and then the reference fix's calls (so the
+    // memo is filled, reused and replaced); each response must equal the
+    // fresh one. extract_ast at 1.5 mutates a clone of the memoized parse,
+    // and the apply_rule after it checks the memo came through unchanged.
+    gen::ForgeOptions options;
+    options.seed = 42;
+    options.count = 560;
+    const dataset::Corpus forged = gen::forge_corpus(options);
+    constexpr std::uint64_t kSeed = 17;
+    std::size_t calls = 0;
+    std::size_t noisy_asts = 0;
+    for (const dataset::UbCase& ub_case : forged.cases()) {
+        SCOPED_TRACE(ub_case.id);
+        SimLLM session(gpt4_profile(), kSeed);
+        std::uint64_t sequence = 0;
+        auto expect_pure = [&](const std::string& task,
+                               std::map<std::string, std::string> fields,
+                               const std::string& code, double temperature) {
+            const ChatRequest request = make_request(
+                task, std::move(fields), code, temperature, {}, {}, sequence++);
+            const ChatResponse got = session.complete(request);
+            const ChatResponse want = SimLLM(gpt4_profile(), kSeed).complete(request);
+            EXPECT_EQ(got.content, want.content) << task << " at " << temperature;
+            EXPECT_EQ(got.latency_ms, want.latency_ms);
+            ++calls;
+            return got.content;
+        };
+        const std::string category = miri::ub_category_label(ub_case.category);
+        for (const std::string* code : {&ub_case.buggy_source, &ub_case.reference_fix}) {
+            expect_pure("extract_features",
+                        {{"error_category", category}, {"error_message", "ub"}},
+                        *code, 0.5);
+            expect_pure("generate_solutions",
+                        {{"error_category", category}, {"count", "3"}}, *code, 0.7);
+            for (const RepairRule& rule : rule_library()) {
+                expect_pure("apply_rule",
+                            {{"rule", rule.id}, {"error_category", category}},
+                            *code, 0.9);
+            }
+            const std::string printed =
+                "note: ast extracted\ncode:\n" +
+                lang::print_program(*lang::try_parse(*code));
+            for (const double temperature : {0.0, 0.7, 1.5}) {
+                noisy_asts += expect_pure("extract_ast", {}, *code, temperature) !=
+                              printed;
+            }
+            expect_pure("apply_rule",
+                        {{"rule", rule_library().front().id},
+                         {"error_category", category}},
+                        *code, 0.9);
+        }
+    }
+    EXPECT_EQ(calls, forged.size() * 2 * (rule_library().size() + 6));
+    EXPECT_GT(noisy_asts, 0u);  // the clone-then-mutate path ran
 }
 
 TEST(ProfileTest, CompetenceOrdering) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/hashing.hpp"
 #include "support/sim_clock.hpp"
 
@@ -66,6 +68,32 @@ TEST(HashingTest, Fnv1aStable) {
 TEST(HashingTest, U64HashDiffers) {
     EXPECT_NE(fnv1a64_u64(1), fnv1a64_u64(2));
     EXPECT_EQ(fnv1a64_u64(77), fnv1a64_u64(77));
+}
+
+TEST(HashingTest, KeyHashSeesEverySingleBitFlip) {
+    // Every length from empty through four full 16-byte steps, every bit.
+    for (std::size_t length = 0; length <= 64; ++length) {
+        std::string text(length, '\0');
+        for (std::size_t i = 0; i < length; ++i) {
+            text[i] = static_cast<char>(i * 37 + 11);
+        }
+        const std::uint64_t base = key_hash(text);
+        for (std::size_t bit = 0; bit < length * 8; ++bit) {
+            std::string flipped = text;
+            flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+            EXPECT_NE(key_hash(flipped), base) << "length " << length << " bit " << bit;
+        }
+        // Appending a zero byte is a different key too.
+        EXPECT_NE(key_hash(text + '\0'), base) << "length " << length;
+    }
+}
+
+TEST(HashingTest, KeyHashDependsOnTheSeed) {
+    for (const char* text : {"", "a", "fn main() { }\n", "0123456789abcdef0"}) {
+        EXPECT_NE(key_hash(text), key_hash(text, 1)) << text;
+        EXPECT_NE(key_hash(text, 1), key_hash(text, 2)) << text;
+        EXPECT_EQ(key_hash(text, 5), key_hash(text, 5)) << text;
+    }
 }
 
 TEST(SimClockTest, ChargesAccumulate) {

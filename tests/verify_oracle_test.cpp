@@ -21,7 +21,6 @@
 #include "gen/forge.hpp"
 #include "identity_matrix.hpp"
 #include "miri/mirilite.hpp"
-#include "support/hashing.hpp"
 #include "verify/oracle.hpp"
 
 namespace rustbrain::verify {
@@ -125,11 +124,10 @@ TEST(VerifyOracleTest, JudgeInterpretsTheReferenceFixOncePerCase) {
 
     // Four candidate interpretations, ONE reference interpretation: the
     // three later judgments reuse the memoized reference report.
-    const std::uint64_t reference_key =
-        support::fnv1a64(ub_case.reference_fix);
+    const std::uint64_t reference_key = source_fingerprint(ub_case.reference_fix);
     EXPECT_EQ(oracle.interpretations.at(reference_key), 1);
     for (const std::string& candidate : candidates) {
-        EXPECT_EQ(oracle.interpretations.at(support::fnv1a64(candidate)), 1)
+        EXPECT_EQ(oracle.interpretations.at(source_fingerprint(candidate)), 1)
             << candidate;
     }
 }
@@ -156,7 +154,7 @@ TEST(VerifyOracleTest, WithoutCachingTheReferenceFixRunsPerCandidate) {
         EXPECT_TRUE(
             dataset::judge_semantics(candidate, ub_case, oracle).acceptable());
     }
-    EXPECT_EQ(oracle.interpretations.at(support::fnv1a64(ub_case.reference_fix)),
+    EXPECT_EQ(oracle.interpretations.at(source_fingerprint(ub_case.reference_fix)),
               3);
 }
 
