@@ -1,12 +1,13 @@
 #include "agents/abstract_reasoning_agent.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 
 #include "analysis/prune.hpp"
-#include "analysis/vectorize.hpp"
-#include "kb/seed.hpp"
-#include "llm/simllm.hpp"
 #include "lang/parser.hpp"
+#include "llm/simllm.hpp"
+#include "verify/oracle.hpp"
 
 namespace rustbrain::agents {
 
@@ -25,26 +26,36 @@ ReasoningResult AbstractReasoningAgent::consult(const std::string& code,
     spec.code = code;
     const llm::ChatResponse response = context.call_llm(spec);
     const std::string ast_source = llm::parse_code_block(response.content);
-    auto program = lang::try_parse(ast_source);
-    if (!program) {
-        // Extraction noise produced garbage — fall back to the raw code.
-        program = lang::try_parse(code);
-        if (!program) return result;
-    }
 
-    // 2. Algorithm 1 pruning + vectorization (whole-AST fallback when the
-    //    program has little unsafe code to anchor the pruning).
-    analysis::PruneStats stats;
-    analysis::prune_ast(*program, &stats);
-    result.retained_fraction = stats.retained_fraction();
-    const analysis::AstVector probe =
-        analysis::vectorize(kb::prune_or_whole(*program));
+    // 2. Algorithm 1 pruning + vectorization (analysis::probe_ast). Most
+    //    replies reproduce `code`, which fast thinking already compiled, so
+    //    its probe is read off the cached program. A reply that differs is
+    //    probed here and kept out of the program cache (nothing verifies
+    //    it); one that fails to parse is extraction noise, and the raw code
+    //    stands in for it.
+    std::optional<analysis::AstProbe> reply_probe;
+    if (ast_source != code) {
+        if (const auto program = lang::try_parse(ast_source)) {
+            reply_probe = analysis::probe_ast(*program);
+        }
+    }
+    std::shared_ptr<const verify::CompiledProgram> compiled;
+    if (!reply_probe) {
+        compiled = verify::resolve(context.oracle).compile(code);
+        if (compiled->front_end ==
+            verify::CompiledProgram::FrontEnd::ParseError) {
+            return result;
+        }
+    }
+    const analysis::AstProbe& probe =
+        reply_probe ? *reply_probe : compiled->kb_probe();
+    result.retained_fraction = probe.retained_fraction;
 
     // 3. Similarity search scoped to the error category; the clock pays per
-    //    entry scanned.
+    //    KB entry (the paper's full scan), whatever the category index skips.
     context.clock.charge(
         "kb", 2200.0 + 24.0 * static_cast<double>(context.knowledge_base->size()));
-    const auto hits = context.knowledge_base->query(probe, 3, min_similarity_,
+    const auto hits = context.knowledge_base->query(probe.vector, 3, min_similarity_,
                                                     context.case_hint, category);
     result.hits = hits.size();
     for (const kb::KbHit& hit : hits) {

@@ -3,7 +3,9 @@
 // Pipeline: ask the LLM to extract the AST (instead of a syn-style parser) →
 // prune irrelevant nodes with Algorithm 1 → vectorize → query the knowledge
 // base by cosine similarity → return the retrieved exemplar rules, which the
-// fix agents splice into their prompts as few-shot guidance.
+// fix agents splice into their prompts as few-shot guidance. A reply that
+// reproduces the code reads the probe memoized on the code's compiled
+// program (DESIGN.md §15).
 #pragma once
 
 #include <string>

@@ -195,4 +195,17 @@ Program prune_ast(const Program& program, PruneStats* stats) {
     return pruned;
 }
 
+AstProbe probe_ast(const Program& program) {
+    PruneStats stats;
+    const Program pruned = prune_ast(program, &stats);
+    AstProbe probe;
+    probe.retained_fraction = stats.retained_fraction();
+    // Panics and thread bugs prune to near-empty skeletons that all look
+    // alike.
+    const bool fallback =
+        stats.pruned_nodes < 10 || stats.retained_fraction() < 0.15;
+    probe.vector = vectorize(fallback ? program : pruned);
+    return probe;
+}
+
 }  // namespace rustbrain::analysis

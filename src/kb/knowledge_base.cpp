@@ -4,7 +4,11 @@
 
 namespace rustbrain::kb {
 
-void KnowledgeBase::add(KbEntry entry) { entries_.push_back(std::move(entry)); }
+void KnowledgeBase::add(KbEntry entry) {
+    by_category_[static_cast<std::size_t>(entry.category)].push_back(
+        entries_.size());
+    entries_.push_back(std::move(entry));
+}
 
 std::vector<KbHit> KnowledgeBase::query(const analysis::AstVector& probe,
                                         std::size_t k, double min_similarity,
@@ -13,13 +17,20 @@ std::vector<KbHit> KnowledgeBase::query(const analysis::AstVector& probe,
     const {
     queries_.fetch_add(1, std::memory_order_relaxed);
     std::vector<KbHit> hits;
-    for (const KbEntry& entry : entries_) {
-        if (!exclude_hint.empty() && entry.source_hint == exclude_hint) continue;
-        if (category.has_value() && entry.category != *category) continue;
+    auto consider = [&](const KbEntry& entry) {
+        if (!exclude_hint.empty() && entry.source_hint == exclude_hint) return;
         const double similarity = analysis::cosine_similarity(probe, entry.vector);
         if (similarity >= min_similarity) {
             hits.push_back({&entry, similarity});
         }
+    };
+    if (category.has_value()) {
+        for (const std::size_t index :
+             by_category_[static_cast<std::size_t>(*category)]) {
+            consider(entries_[index]);
+        }
+    } else {
+        for (const KbEntry& entry : entries_) consider(entry);
     }
     std::stable_sort(hits.begin(), hits.end(),
                      [](const KbHit& a, const KbHit& b) {

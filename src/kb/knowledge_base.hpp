@@ -7,6 +7,7 @@
 // exemplars in subsequent LLM prompts.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -37,20 +38,24 @@ class KnowledgeBase {
     // concurrent BatchRunner workers), which makes copy/move user-provided.
     KnowledgeBase(const KnowledgeBase& other)
         : entries_(other.entries_),
+          by_category_(other.by_category_),
           queries_(other.queries_.load()),
           hits_(other.hits_.load()) {}
     KnowledgeBase(KnowledgeBase&& other) noexcept
         : entries_(std::move(other.entries_)),
+          by_category_(std::move(other.by_category_)),
           queries_(other.queries_.load()),
           hits_(other.hits_.load()) {}
     KnowledgeBase& operator=(const KnowledgeBase& other) {
         entries_ = other.entries_;
+        by_category_ = other.by_category_;
         queries_ = other.queries_.load();
         hits_ = other.hits_.load();
         return *this;
     }
     KnowledgeBase& operator=(KnowledgeBase&& other) noexcept {
         entries_ = std::move(other.entries_);
+        by_category_ = std::move(other.by_category_);
         queries_ = other.queries_.load();
         hits_ = other.hits_.load();
         return *this;
@@ -62,12 +67,15 @@ class KnowledgeBase {
     /// Entries whose source_hint equals `exclude_hint` are skipped so a
     /// query never trivially retrieves itself. When `category` is set, only
     /// entries for that error category are considered — the KB is indexed
-    /// by error pattern, not just code shape (Fig 6's "error AST").
+    /// by error pattern, not just code shape (Fig 6's "error AST"), and
+    /// such a query scans only that category's entries.
     [[nodiscard]] std::vector<KbHit> query(
         const analysis::AstVector& probe, std::size_t k, double min_similarity,
         const std::string& exclude_hint = "",
         std::optional<miri::UbCategory> category = std::nullopt) const;
 
+    /// Every entry, in insertion order.
+    [[nodiscard]] const std::vector<KbEntry>& entries() const { return entries_; }
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
     [[nodiscard]] bool empty() const { return entries_.empty(); }
 
@@ -77,6 +85,10 @@ class KnowledgeBase {
 
   private:
     std::vector<KbEntry> entries_;
+    /// Indices into entries_ per category, in insertion order, so a
+    /// category-scoped query meets its entries in the order a full scan
+    /// would and ties sort identically.
+    std::array<std::vector<std::size_t>, miri::kUbCategoryCount> by_category_;
     mutable std::atomic<std::uint64_t> queries_{0};
     mutable std::atomic<std::uint64_t> hits_{0};
 };

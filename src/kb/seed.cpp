@@ -7,18 +7,6 @@
 
 namespace rustbrain::kb {
 
-lang::Program prune_or_whole(const lang::Program& program) {
-    analysis::PruneStats stats;
-    lang::Program pruned = analysis::prune_ast(program, &stats);
-    // Programs with little or no unsafe code (panics, thread bugs) prune to
-    // near-empty skeletons that all look alike; fall back to the full AST so
-    // the vector still carries the program's structure.
-    if (stats.pruned_nodes < 10 || stats.retained_fraction() < 0.15) {
-        return program.clone();
-    }
-    return pruned;
-}
-
 SeedStats seed_from_corpus(const dataset::Corpus& corpus, KnowledgeBase& kb) {
     SeedStats stats;
     const verify::Oracle& oracle = verify::Oracle::shared_default();
@@ -40,7 +28,10 @@ SeedStats seed_from_corpus(const dataset::Corpus& corpus, KnowledgeBase& kb) {
         KbEntry entry;
         entry.source_hint = ub_case.id;
         entry.category = ub_case.category;
-        entry.vector = analysis::vectorize(prune_or_whole(program));
+        // Not compiled->kb_probe(): seeding runs on the process-wide Oracle,
+        // whose entries would pin the memo for good, while repair-time
+        // consults usually run on their own Oracle and never read it.
+        entry.vector = analysis::probe_ast(program).vector;
 
         for (const llm::RepairRule* rule :
              llm::rules_for_category(ub_case.category)) {

@@ -2,8 +2,9 @@
 //
 // For each corpus case, every affinity rule is replayed: rules whose patch
 // passes MiriLite *and* matches the developer reference semantics become the
-// entry's verified fixes. The entry's vector is the Algorithm-1-pruned AST
-// of the buggy program — matching how queries are formed at repair time.
+// entry's verified fixes. The entry's vector is analysis::probe_ast of the
+// buggy program, compiled through the Oracle: the probe a repair-time
+// consult of that source reads off its compiled program (DESIGN.md §15).
 #pragma once
 
 #include "dataset/corpus.hpp"
@@ -22,10 +23,5 @@ struct SeedStats {
 /// Cases with no verified rule contribute no entry (the KB only stores
 /// knowledge that actually worked).
 SeedStats seed_from_corpus(const dataset::Corpus& corpus, KnowledgeBase& kb);
-
-/// Algorithm-1 pruning with a degenerate-case fallback: when pruning keeps
-/// almost nothing (programs whose bug involves no unsafe code), vectorize
-/// the whole program instead. Shared by KB seeding and query formation.
-lang::Program prune_or_whole(const lang::Program& program);
 
 }  // namespace rustbrain::kb

@@ -56,7 +56,7 @@ ChatResponse CachingBackend::complete(const ChatRequest& request) {
     ++calls_;
     const std::uint64_t key = call_key(session_tag_, session_seed_, request);
     if (auto cached = cache_->lookup(key)) {
-        return *cached;
+        return std::move(*cached);
     }
     const ChatResponse response = inner_->complete(request);
     cache_->insert(key, response);

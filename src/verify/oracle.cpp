@@ -32,6 +32,14 @@ const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
     return *opt_code_;
 }
 
+const analysis::AstProbe& CompiledProgram::kb_probe() const {
+    std::call_once(probe_once_, [this] {
+        probe_ = std::make_unique<const analysis::AstProbe>(
+            analysis::probe_ast(program));
+    });
+    return *probe_;
+}
+
 std::uint64_t source_fingerprint(std::string_view source) {
     return support::key_hash(source);
 }
@@ -292,7 +300,7 @@ miri::MiriReport Oracle::test_source(
     const ReportKeyView key = report_key(*compiled, input_sets, limits_);
     if (auto cached = cache_->lookup_report(key)) {
         if (outcome != nullptr) outcome->report_cached = true;
-        return *cached;
+        return std::move(*cached);
     }
     const miri::MiriReport report = interpret(*compiled, input_sets);
     cache_->insert_report(key, report);

@@ -46,6 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/prune.hpp"
 #include "lang/ast.hpp"
 #include "miri/interp.hpp"
 #include "miri/lower.hpp"
@@ -105,11 +106,23 @@ struct CompiledProgram {
     /// source. Only valid when ok().
     [[nodiscard]] const vm::VmProgram& optimized_bytecode() const;
 
+    /// analysis::probe_ast(program) — what a knowledge-base consult of this
+    /// source reads — built lazily (thread-safe, exactly once) on first
+    /// use, so only consulted sources pay for it. A pure function of
+    /// the source text: the typecheck only writes Expr::type and lowering
+    /// only renumbers, and the probe reads neither. Valid unless
+    /// front_end == ParseError.
+    [[nodiscard]] const analysis::AstProbe& kb_probe() const;
+
   private:
     mutable std::once_flag vm_once_;
     /// Null until the first restart; the raw compile output is dropped once
     /// optimized (the optimized program borrows only from `program`).
     mutable std::unique_ptr<const vm::VmProgram> opt_code_;
+    mutable std::once_flag probe_once_;
+    /// Null until the first consult, so the many never-consulted candidates
+    /// carry a pointer rather than a whole vector.
+    mutable std::unique_ptr<const analysis::AstProbe> probe_;
 };
 
 struct VerifyCacheStats {
@@ -275,7 +288,8 @@ class Oracle {
 
     /// Front-end half only: the cached parsed + typechecked + lowered
     /// program for `source` (subsystems that also need the AST — KB
-    /// seeding, the forge — share the compile with later verifications).
+    /// seeding and consults, the forge — share the compile with later
+    /// verifications).
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile(
         const std::string& source, VerifyOutcome* outcome = nullptr) const;
 

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+
 #include "agents/abstract_reasoning_agent.hpp"
 #include "agents/fix_agents.hpp"
 #include "agents/rollback_agent.hpp"
+#include "analysis/prune.hpp"
+#include "analysis/vectorize.hpp"
 #include "core/trace.hpp"
 #include "dataset/corpus.hpp"
-#include "llm/simllm.hpp"
 #include "kb/seed.hpp"
+#include "kb_reference.hpp"
+#include "lang/parser.hpp"
+#include "llm/simllm.hpp"
 #include "miri/mirilite.hpp"
 
 namespace rustbrain::agents {
@@ -131,6 +139,125 @@ TEST(ReasoningAgentTest, NoKbMeansNoExemplars) {
         agent.consult("fn main() { }", miri::UbCategory::Alloc, context);
     EXPECT_TRUE(result.exemplar_rules.empty());
     EXPECT_EQ(result.hits, 0u);
+}
+
+/// Passes SimLLM's replies through, except that every fifth is replaced by
+/// one that does not parse, and remembers the last reply it returned.
+class RecordingBackend final : public llm::LlmBackend {
+  public:
+    explicit RecordingBackend(llm::LlmBackend& inner) : inner_(inner) {}
+
+    llm::ChatResponse complete(const llm::ChatRequest& request) override {
+        llm::ChatResponse response = inner_.complete(request);
+        if (++calls_ % 5 == 0) {
+            response.content = "note: ast extracted\ncode:\nfn main( {";
+        }
+        last_reply = response.content;
+        return response;
+    }
+    [[nodiscard]] std::uint64_t calls_served() const override { return calls_; }
+    [[nodiscard]] std::string description() const override {
+        return "recording(" + inner_.description() + ")";
+    }
+
+    std::string last_reply;
+
+  private:
+    llm::LlmBackend& inner_;
+    std::uint64_t calls_ = 0;
+};
+
+/// The consult as it ran before the probe was memoized: parse the reply
+/// (else the code), prune twice, vectorize, scan the KB linearly.
+ReasoningResult reference_consult(const std::string& reply,
+                                  const std::string& code,
+                                  miri::UbCategory category,
+                                  const kb::KnowledgeBase& kbase,
+                                  const std::string& case_hint) {
+    ReasoningResult result;
+    auto program = lang::try_parse(llm::parse_code_block(reply));
+    if (!program) {
+        program = lang::try_parse(code);
+        if (!program) return result;
+    }
+    analysis::PruneStats stats;
+    analysis::prune_ast(*program, &stats);
+    result.retained_fraction = stats.retained_fraction();
+    analysis::PruneStats again;
+    const lang::Program pruned = analysis::prune_ast(*program, &again);
+    const bool whole = again.pruned_nodes < 10 || again.retained_fraction() < 0.15;
+    const analysis::AstVector probe = whole
+                                          ? analysis::vectorize(program->clone())
+                                          : analysis::vectorize(pruned);
+    const auto hits =
+        kb::reference::linear_query(kbase, probe, 3, 0.60, case_hint, category);
+    result.hits = hits.size();
+    for (const kb::KbHit& hit : hits) {
+        result.best_similarity = std::max(result.best_similarity, hit.similarity);
+        for (const std::string& rule : hit.entry->rule_ids) {
+            if (std::find(result.exemplar_rules.begin(), result.exemplar_rules.end(),
+                          rule) == result.exemplar_rules.end()) {
+                result.exemplar_rules.push_back(rule);
+            }
+        }
+    }
+    return result;
+}
+
+TEST(ReasoningAgentTest, ConsultMatchesTheUnmemoizedPipeline) {
+    const dataset::Corpus& forged = kb::reference::forged_seed42();
+    verify::OracleOptions options;
+    options.cache = std::make_shared<verify::VerifyCache>();
+    const verify::Oracle own_oracle(options);
+    AbstractReasoningAgent agent;
+    std::size_t identical = 0;
+    std::size_t rewritten = 0;
+    std::size_t unparsable = 0;
+    std::size_t with_hits = 0;
+    for (const verify::Oracle* oracle : {&own_oracle,
+                                         static_cast<const verify::Oracle*>(nullptr)}) {
+        for (const double temperature : {0.0, 0.7, 1.5}) {
+            llm::SimLLM sim(llm::gpt4_profile(), 42);
+            RecordingBackend backend(sim);
+            support::SimClock clock;
+            AgentContext context{backend, clock};
+            context.temperature = temperature;
+            context.knowledge_base = &seeded_kb();
+            context.oracle = oracle;
+            for (const dataset::UbCase& ub_case : forged.cases()) {
+                context.case_hint = ub_case.id;
+                const ReasoningResult got = agent.consult(
+                    ub_case.buggy_source, ub_case.category, context);
+                const ReasoningResult want = reference_consult(
+                    backend.last_reply, ub_case.buggy_source, ub_case.category,
+                    seeded_kb(), ub_case.id);
+                const std::string label =
+                    ub_case.id + " t=" + std::to_string(temperature) +
+                    (oracle == nullptr ? " default oracle" : " own oracle");
+                EXPECT_EQ(want.exemplar_rules, got.exemplar_rules) << label;
+                EXPECT_EQ(want.hits, got.hits) << label;
+                EXPECT_EQ(want.best_similarity, got.best_similarity) << label;
+                EXPECT_EQ(want.retained_fraction, got.retained_fraction) << label;
+                if (::testing::Test::HasFailure()) return;
+
+                const std::string reply = llm::parse_code_block(backend.last_reply);
+                if (reply == ub_case.buggy_source) {
+                    ++identical;
+                } else if (lang::try_parse(reply)) {
+                    ++rewritten;
+                } else {
+                    ++unparsable;
+                }
+                with_hits += got.hits > 0 ? 1 : 0;
+            }
+        }
+    }
+    // Every branch of the consult ran: replies that reproduce the code,
+    // hallucinated rewrites, and replies that fall back to the code.
+    EXPECT_GT(identical, 0u);
+    EXPECT_GT(rewritten, 0u);
+    EXPECT_GT(unparsable, 0u);
+    EXPECT_GT(with_hits, 0u);
 }
 
 TEST(AgentContextTest, VerifyChargesMiriTime) {

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "analysis/prune.hpp"
 #include "analysis/vectorize.hpp"
 #include "dataset/corpus.hpp"
 #include "kb/seed.hpp"
+#include "kb_reference.hpp"
 #include "lang/parser.hpp"
 
 namespace rustbrain::kb {
@@ -25,7 +32,7 @@ const KnowledgeBase& seeded_kb() {
 analysis::AstVector probe_for(const std::string& case_id) {
     const auto* ub_case = corpus().find(case_id);
     auto program = lang::try_parse(ub_case->buggy_source);
-    return analysis::vectorize(prune_or_whole(*program));
+    return analysis::probe_ast(*program).vector;
 }
 
 TEST(KbTest, SeedingCoversMostCases) {
@@ -107,13 +114,150 @@ TEST(KbTest, StatisticsAccumulate) {
     EXPECT_EQ(kbase.hits_returned(), 2u);
 }
 
-TEST(KbTest, PruneOrWholeFallsBackOnUnsafeFreeCode) {
+TEST(KbTest, ProbeFallsBackToTheWholeUnsafeFreeProgram) {
     auto program = lang::try_parse(
         "fn main() { let a = [1, 2, 3]; print_int(a[0] as i64); }");
-    const lang::Program result = prune_or_whole(*program);
-    // No unsafe code: pruning would leave a skeleton, so the whole program
-    // must be used.
-    EXPECT_GT(result.node_count(), 5u);
+    ASSERT_TRUE(program.has_value());
+    // No unsafe code: pruning would leave a skeleton, so the vector must be
+    // the whole program's.
+    const analysis::AstProbe probe = analysis::probe_ast(*program);
+    EXPECT_EQ(probe.vector, analysis::vectorize(*program));
+    EXPECT_LT(probe.retained_fraction, 1.0);
+}
+
+std::vector<std::optional<miri::UbCategory>> categories_and_none() {
+    std::vector<std::optional<miri::UbCategory>> out{std::nullopt};
+    for (std::size_t i = 0; i < miri::kUbCategoryCount; ++i) {
+        out.emplace_back(static_cast<miri::UbCategory>(i));
+    }
+    return out;
+}
+
+TEST(KbTest, QueryMatchesALinearScan) {
+    const KnowledgeBase& kbase = seeded_kb();
+    const dataset::Corpus& forged = reference::forged_seed42();
+    ASSERT_EQ(forged.size(), 560u);
+    std::size_t compared = 0;
+    std::size_t nonempty = 0;
+    for (std::size_t i = 0; i < forged.size(); ++i) {
+        const dataset::UbCase& ub_case = forged.cases()[i];
+        const auto program = lang::try_parse(ub_case.buggy_source);
+        ASSERT_TRUE(program.has_value()) << ub_case.id;
+        const analysis::AstVector probe = analysis::probe_ast(*program).vector;
+        // A real entry's hint, so exclusion drops something in some
+        // categories and nothing in the others.
+        const std::string excluded =
+            kbase.entries()[i % kbase.size()].source_hint;
+        for (const auto& category : categories_and_none()) {
+            for (const std::string& exclude : {std::string(), excluded}) {
+                for (const std::size_t k : {1u, 3u, 10u}) {
+                    for (const double min_similarity : {0.0, 0.6}) {
+                        const std::string label =
+                            ub_case.id + " k=" + std::to_string(k) +
+                            " min=" + std::to_string(min_similarity) +
+                            " exclude=" + exclude + " category=" +
+                            (category ? miri::ub_category_name(*category)
+                                      : "none");
+                        const auto want = reference::linear_query(
+                            kbase, probe, k, min_similarity, exclude, category);
+                        const auto got = kbase.query(probe, k, min_similarity,
+                                                     exclude, category);
+                        reference::expect_same_hits(want, got, label);
+                        if (::testing::Test::HasFailure()) return;
+                        ++compared;
+                        nonempty += want.empty() ? 0 : 1;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 560u * 16 * 2 * 3 * 2);
+    EXPECT_GT(nonempty, compared / 4);  // not vacuous
+}
+
+KnowledgeBase duplicate_vector_kb() {
+    // Equal vectors across and within categories: every similarity ties,
+    // so only insertion order decides the ranking.
+    KnowledgeBase kbase;
+    const std::vector<std::pair<std::string, miri::UbCategory>> layout = {
+        {"a", miri::UbCategory::Alloc},  {"b", miri::UbCategory::Panic},
+        {"c", miri::UbCategory::Alloc},  {"d", miri::UbCategory::Panic},
+        {"e", miri::UbCategory::Alloc},  {"f", miri::UbCategory::DataRace},
+    };
+    for (const auto& [hint, category] : layout) {
+        KbEntry entry;
+        entry.source_hint = hint;
+        entry.category = category;
+        entry.vector[3] = 0.6F;
+        entry.vector[7] = 0.8F;
+        entry.rule_ids = {"rule-" + hint};
+        kbase.add(std::move(entry));
+    }
+    return kbase;
+}
+
+std::vector<std::string> hints_of(const std::vector<KbHit>& hits) {
+    std::vector<std::string> out;
+    for (const KbHit& hit : hits) out.push_back(hit.entry->source_hint);
+    return out;
+}
+
+TEST(KbTest, TiesKeepInsertionOrder) {
+    const KnowledgeBase kbase = duplicate_vector_kb();
+    const analysis::AstVector probe = kbase.entries().front().vector;
+    using Hints = std::vector<std::string>;
+    EXPECT_EQ(hints_of(kbase.query(probe, 10, 0.0, "", miri::UbCategory::Alloc)),
+              (Hints{"a", "c", "e"}));
+    EXPECT_EQ(hints_of(kbase.query(probe, 2, 0.0, "a", miri::UbCategory::Alloc)),
+              (Hints{"c", "e"}));
+    EXPECT_EQ(hints_of(kbase.query(probe, 10, 0.0, "", miri::UbCategory::Panic)),
+              (Hints{"b", "d"}));
+    EXPECT_EQ(hints_of(kbase.query(probe, 4, 0.0)),
+              (Hints{"a", "b", "c", "d"}));
+    EXPECT_TRUE(kbase.query(probe, 10, 0.0, "", miri::UbCategory::Uninit).empty());
+    for (const auto& category : categories_and_none()) {
+        for (const std::string exclude : {"", "c", "f"}) {
+            reference::expect_same_hits(
+                reference::linear_query(kbase, probe, 10, 0.0, exclude, category),
+                kbase.query(probe, 10, 0.0, exclude, category), exclude);
+        }
+    }
+}
+
+/// The category index must travel with the entries through every copy and
+/// move, pointing into the new owner's entries.
+void expect_indexed_like(const KnowledgeBase& original,
+                         const KnowledgeBase& copy, const std::string& label) {
+    ASSERT_EQ(copy.size(), original.size()) << label;
+    const analysis::AstVector probe = probe_for("alloc/double_free_0");
+    for (const auto& category : categories_and_none()) {
+        const auto got = copy.query(probe, 10, 0.0, "", category);
+        reference::expect_same_hits(
+            reference::linear_query(copy, probe, 10, 0.0, "", category), got,
+            label);
+        EXPECT_EQ(hints_of(got),
+                  hints_of(original.query(probe, 10, 0.0, "", category)))
+            << label;
+    }
+}
+
+TEST(KbTest, CopiesAndMovesCarryTheCategoryIndex) {
+    const KnowledgeBase& original = seeded_kb();
+    const KnowledgeBase copied(original);
+    expect_indexed_like(original, copied, "copy-constructed");
+
+    KnowledgeBase source(original);
+    KnowledgeBase move_assigned = duplicate_vector_kb();
+    move_assigned = std::move(source);
+    expect_indexed_like(original, move_assigned, "move-assigned");
+
+    KnowledgeBase copy_assigned = duplicate_vector_kb();
+    copy_assigned = original;
+    expect_indexed_like(original, copy_assigned, "copy-assigned");
+
+    KnowledgeBase donor(original);
+    const KnowledgeBase move_constructed(std::move(donor));
+    expect_indexed_like(original, move_constructed, "move-constructed");
 }
 
 }  // namespace
