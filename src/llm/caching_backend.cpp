@@ -13,10 +13,10 @@ std::optional<ChatResponse> PromptCache::lookup(std::uint64_t key) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const ChatResponse* entry = shard.entries.find(key);
     if (entry == nullptr) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        ++shard.misses;
         return std::nullopt;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.hits;
     return *entry;
 }
 
@@ -31,10 +31,10 @@ void PromptCache::insert(std::uint64_t key, const ChatResponse& response) {
 
 PromptCacheStats PromptCache::stats() const {
     PromptCacheStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
     for (const Shard& shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
+        stats.hits += shard.hits;
+        stats.misses += shard.misses;
         stats.entries += shard.entries.size();
         const support::LruStats& lru = shard.entries.stats();
         stats.evictions += lru.evictions;

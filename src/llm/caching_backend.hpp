@@ -18,10 +18,12 @@
 // shard is bounded by a support::LruMap: a full shard evicts its
 // least-recently-used entry, so hot entries survive pressure. Dropping
 // entries is always safe — bit-identity means only speed is at stake.
+// A shard owns a whole cache line and counts its own hits and misses
+// under the lock a lookup already holds, so a hit writes no line another
+// shard's lookups touch (DESIGN.md §16).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -67,15 +69,17 @@ class PromptCache {
     static constexpr std::size_t kShards = 16;
     /// Per-shard cap: ~512k responses total.
     static constexpr std::size_t kDefaultEntriesPerShard = 32768;
-    struct Shard {
+    /// 64, not hardware_destructive_interference_size: GCC warns that the
+    /// latter may vary between builds (-Winterference-size).
+    struct alignas(64) Shard {
         mutable std::mutex mutex;
         support::LruMap<std::uint64_t, ChatResponse> entries;
+        std::uint64_t hits = 0;  // guarded by mutex, like the entries
+        std::uint64_t misses = 0;
     };
     Shard& shard_for(std::uint64_t key) { return shards_[key % kShards]; }
 
     std::array<Shard, kShards> shards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
 };
 
 class CachingBackend final : public LlmBackend {

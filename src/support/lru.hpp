@@ -4,21 +4,46 @@
 // with an LruMap rather than flushing the whole shard at its cap: a flush
 // drops hot entries along with cold ones, which is hostile to a long-lived
 // service whose whole value is keeping the hot set warm across requests.
-// LruMap keeps an access-ordered list next to the index: find() moves an
-// entry to the front, insertion past capacity evicts from the back, and
-// every eviction records how long the victim had been idle (in accesses),
-// so cache pressure is observable instead of silent. The caches'
-// bit-identity contract means dropping any entry is always safe.
+// find() moves an entry to the front of the access order, insertion past
+// capacity evicts from the back, and every eviction records how long the
+// victim had been idle (in accesses), so cache pressure is observable
+// instead of silent. The caches' bit-identity contract means dropping any
+// entry is always safe.
 //
-// Not thread-safe by itself: callers shard and lock exactly as they did
-// around the unordered_map this replaces.
+// Layout (DESIGN.md §16). A warm sweep is almost nothing but lookups, so
+// a lookup is one probe of two flat arrays:
+//   - the slab: every entry is a Node {key, value, last_touch, prev, next}
+//     in one std::vector, the access order a doubly linked list threaded
+//     through it by 32-bit slot numbers. The slab grows by doubling as
+//     entries arrive (it is never reserved to capacity); at capacity an
+//     eviction reuses the victim's slot, so it never shrinks or holes.
+//   - the index: an open-addressed, power-of-two std::vector<uint32_t> of
+//     slot numbers, kept at most half full, probed linearly and deleted
+//     from by backward shift (no tombstones). Growing it rebuilds only
+//     this array; nodes never move for it.
+// The home slot comes from the *high* bits of key * 2^64/phi. The caches
+// route a key to its shard by key % 16, so every key within one shard
+// shares its low 4 bits; an index homed on the low bits would use a
+// sixteenth of its slots.
+//
+// Pointers returned by find()/find_if()/peek() stay valid until the next
+// insert(), which may grow (and so move) the slab. Callers copy what they
+// need before inserting.
+//
+// find_if() is the validated hit: callers whose entries carry full key
+// material (hash-collision checks) pass the check, and only an entry that
+// passes is promoted — a mismatching probe is a miss that leaves the LRU
+// order alone, in one probe instead of peek() followed by find().
+//
+// Not thread-safe by itself: the caches shard it and lock each shard.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace rustbrain::support {
 
@@ -31,6 +56,9 @@ struct LruStats {
 
 template <typename Key, typename Value>
 class LruMap {
+    static_assert(std::is_integral_v<Key>,
+                  "LruMap keys are integers (the caches key by hash)");
+
   public:
     LruMap() = default;
 
@@ -38,59 +66,164 @@ class LruMap {
     /// default-constructed). `capacity` 0 means 1.
     void configure(std::size_t capacity) {
         capacity_ = capacity == 0 ? 1 : capacity;
+        assert(capacity_ < kNone && "LruMap slots are 32-bit");
     }
 
     /// The entry for `key`, promoted to most-recently-used; null if absent.
     Value* find(const Key& key) {
-        auto it = index_.find(key);
-        if (it == index_.end()) return nullptr;
-        ++tick_;
-        it->second->last_touch = tick_;
-        order_.splice(order_.begin(), order_, it->second);
-        return &it->second->value;
+        return find_if(key, [](const Value&) { return true; });
     }
 
-    /// The entry for `key` with no LRU promotion — for callers that must
-    /// validate the entry first (hash-collision checks): a mismatching
-    /// probe is a miss and must not refresh the colliding owner's slot.
-    /// Promote with find() once the match check succeeds.
+    /// The entry for `key` if `valid(entry)` holds, promoted to
+    /// most-recently-used; null if absent or invalid. An invalid entry (a
+    /// hash collision) is a miss and keeps its LRU position.
+    template <class Valid>
+    Value* find_if(const Key& key, Valid&& valid) {
+        const std::uint32_t slot = slot_of(key);
+        if (slot == kNone) return nullptr;
+        Node& node = nodes_[slot];
+        if (!valid(static_cast<const Value&>(node.value))) return nullptr;
+        node.last_touch = ++tick_;
+        if (slot != head_) {
+            unlink(slot);
+            push_front(slot);
+        }
+        return &node.value;
+    }
+
+    /// The entry for `key` with no LRU promotion; null if absent.
     Value* peek(const Key& key) {
-        auto it = index_.find(key);
-        return it == index_.end() ? nullptr : &it->second->value;
+        const std::uint32_t slot = slot_of(key);
+        return slot == kNone ? nullptr : &nodes_[slot].value;
     }
 
     /// Insert a fresh entry as most-recently-used, evicting the
     /// least-recently-used one first when at capacity. Precondition: `key`
-    /// is absent (callers always find() first under the same lock).
+    /// is absent (callers always probe first under the same lock).
+    /// Invalidates every pointer find()/find_if()/peek() returned.
     Value& insert(const Key& key, Value value) {
-        if (order_.size() >= capacity_) {
-            const Node& victim = order_.back();
+        assert(slot_of(key) == kNone && "LruMap::insert: key already present");
+        std::uint32_t slot = 0;
+        if (nodes_.size() >= capacity_) {
+            slot = tail_;
+            Node& victim = nodes_[slot];
             ++stats_.evictions;
             stats_.evicted_idle_ticks += tick_ - victim.last_touch;
-            index_.erase(victim.key);
-            order_.pop_back();
+            unindex(victim.key);
+            unlink(slot);
+            victim.key = key;
+            victim.value = std::move(value);
+        } else {
+            if (2 * (nodes_.size() + 1) > index_.size()) grow_index();
+            slot = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.push_back(Node{key, std::move(value)});
         }
-        ++tick_;
-        order_.push_front(Node{key, std::move(value), tick_});
-        index_.emplace(key, order_.begin());
-        return order_.front().value;
+        Node& node = nodes_[slot];
+        node.last_touch = ++tick_;
+        push_front(slot);
+        place(slot);
+        return node.value;
     }
 
-    [[nodiscard]] std::size_t size() const { return order_.size(); }
+    [[nodiscard]] std::size_t size() const { return nodes_.size(); }
     [[nodiscard]] std::size_t capacity() const { return capacity_; }
     [[nodiscard]] const LruStats& stats() const { return stats_; }
 
   private:
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    static constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+    static constexpr std::size_t kMinIndex = 8;
+
     struct Node {
         Key key;
         Value value;
         std::uint64_t last_touch = 0;
+        std::uint32_t prev = kNone;  // toward the most recently used
+        std::uint32_t next = kNone;  // toward the eviction victim
     };
+    // Slab growth must move values, never copy them.
+    static_assert(std::is_nothrow_move_constructible_v<Node>,
+                  "LruMap values must be nothrow-move-constructible");
+
+    [[nodiscard]] std::size_t home(const Key& key) const {
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(key) * kGolden) >> shift_);
+    }
+
+    /// The slot holding `key`, or kNone.
+    [[nodiscard]] std::uint32_t slot_of(const Key& key) const {
+        if (index_.empty()) return kNone;
+        const std::size_t mask = index_.size() - 1;
+        for (std::size_t pos = home(key);; pos = (pos + 1) & mask) {
+            const std::uint32_t slot = index_[pos];
+            if (slot == kNone || nodes_[slot].key == key) return slot;
+        }
+    }
+
+    /// Records `slot` in the index (its key is absent and the index has
+    /// room).
+    void place(std::uint32_t slot) {
+        const std::size_t mask = index_.size() - 1;
+        std::size_t pos = home(nodes_[slot].key);
+        while (index_[pos] != kNone) pos = (pos + 1) & mask;
+        index_[pos] = slot;
+    }
+
+    /// Removes `key` (present) from the index by backward shift: each
+    /// later entry of the probe run moves back into the hole unless its
+    /// home lies between the hole and itself, so no tombstones are left.
+    void unindex(const Key& key) {
+        const std::size_t mask = index_.size() - 1;
+        std::size_t hole = home(key);
+        while (nodes_[index_[hole]].key != key) hole = (hole + 1) & mask;
+        for (std::size_t pos = (hole + 1) & mask; index_[pos] != kNone;
+             pos = (pos + 1) & mask) {
+            const std::size_t from_home =
+                (pos - home(nodes_[index_[pos]].key)) & mask;
+            if (from_home >= ((pos - hole) & mask)) {
+                index_[hole] = index_[pos];
+                hole = pos;
+            }
+        }
+        index_[hole] = kNone;
+    }
+
+    /// Doubles the index (at least kMinIndex slots) and re-places every
+    /// node; the slab is untouched.
+    void grow_index() {
+        const std::size_t size =
+            index_.empty() ? kMinIndex : 2 * index_.size();
+        index_.assign(size, kNone);
+        int bits = 0;
+        while ((std::size_t{1} << bits) < size) ++bits;
+        shift_ = 64 - bits;
+        for (std::uint32_t slot = 0; slot < nodes_.size(); ++slot) place(slot);
+    }
+
+    void unlink(std::uint32_t slot) {
+        Node& node = nodes_[slot];
+        if (node.prev != kNone) nodes_[node.prev].next = node.next;
+        else head_ = node.next;
+        if (node.next != kNone) nodes_[node.next].prev = node.prev;
+        else tail_ = node.prev;
+    }
+
+    void push_front(std::uint32_t slot) {
+        Node& node = nodes_[slot];
+        node.prev = kNone;
+        node.next = head_;
+        if (head_ != kNone) nodes_[head_].prev = slot;
+        else tail_ = slot;
+        head_ = slot;
+    }
 
     std::size_t capacity_ = 1;
     std::uint64_t tick_ = 0;  // access clock: one tick per find-hit/insert
-    std::list<Node> order_;   // front = most recent, back = eviction victim
-    std::unordered_map<Key, typename std::list<Node>::iterator> index_;
+    std::vector<Node> nodes_;
+    std::vector<std::uint32_t> index_;  // slot numbers; kNone = empty
+    int shift_ = 64;                    // 64 - log2(index_.size())
+    std::uint32_t head_ = kNone;        // most recently used
+    std::uint32_t tail_ = kNone;        // the eviction victim
     LruStats stats_;
 };
 

@@ -60,48 +60,48 @@ std::shared_ptr<const CompiledProgram> VerifyCache::lookup_program(
     std::uint64_t key, const std::string& source) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    // peek + find: a fingerprint collision (source mismatch) is a miss
-    // and must not promote the colliding owner's entry to MRU.
-    const auto* entry = shard.programs.peek(key);
-    if (entry == nullptr || (*entry)->source != source) {
-        program_misses_.fetch_add(1, std::memory_order_relaxed);
+    // A fingerprint collision (source mismatch) is a miss and must not
+    // promote the colliding owner's entry to MRU.
+    const auto* entry = shard.programs.find_if(
+        key, [&](const auto& owner) { return owner->source == source; });
+    if (entry == nullptr) {
+        ++shard.program_misses;
         return nullptr;
     }
-    program_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *shard.programs.find(key);
+    ++shard.program_hits;
+    return *entry;
 }
 
 std::shared_ptr<const CompiledProgram> VerifyCache::insert_program(
     std::uint64_t key, std::shared_ptr<const CompiledProgram> compiled) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto* entry = shard.programs.peek(key);
-    if (entry == nullptr) {
+    if (shard.programs.peek(key) == nullptr) {
         shard.programs.insert(key, compiled);
         return compiled;
     }
-    if ((*entry)->source == compiled->source) {
-        // A racing thread's entry is just as canonical; promote it — this
-        // was a genuine access to that program.
-        return *shard.programs.find(key);
-    }
-    // Hash collision: the slot belongs to a different source.
-    return nullptr;
+    // A racing thread's entry for the same source is just as canonical;
+    // promote it — this was a genuine access to that program.
+    const auto* entry = shard.programs.find_if(key, [&](const auto& owner) {
+        return owner->source == compiled->source;
+    });
+    // Otherwise a hash collision: the slot belongs to a different source.
+    return entry == nullptr ? nullptr : *entry;
 }
 
 std::optional<miri::MiriReport> VerifyCache::lookup_report(
     const ReportKeyView& key) {
     Shard& shard = shard_for(key.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    // peek + find: a hash collision (key mismatch) is a miss and must not
-    // promote the colliding owner's entry to MRU.
-    const ReportEntry* entry = shard.reports.peek(key.hash);
-    if (entry == nullptr || !entry->matches(key)) {
-        report_misses_.fetch_add(1, std::memory_order_relaxed);
+    // A hash collision (key mismatch) is a miss and must not promote the
+    // colliding owner's entry to MRU.
+    const ReportEntry* entry = shard.reports.find_if(
+        key.hash, [&](const ReportEntry& owner) { return owner.matches(key); });
+    if (entry == nullptr) {
+        ++shard.report_misses;
         return std::nullopt;
     }
-    report_hits_.fetch_add(1, std::memory_order_relaxed);
-    shard.reports.find(key.hash);  // promote the validated hit
+    ++shard.report_hits;
     return entry->report;
 }
 
@@ -123,12 +123,12 @@ void VerifyCache::insert_report(const ReportKeyView& key,
 
 VerifyCacheStats VerifyCache::stats() const {
     VerifyCacheStats stats;
-    stats.program_hits = program_hits_.load(std::memory_order_relaxed);
-    stats.program_misses = program_misses_.load(std::memory_order_relaxed);
-    stats.report_hits = report_hits_.load(std::memory_order_relaxed);
-    stats.report_misses = report_misses_.load(std::memory_order_relaxed);
     for (const Shard& shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mutex);
+        stats.program_hits += shard.program_hits;
+        stats.program_misses += shard.program_misses;
+        stats.report_hits += shard.report_hits;
+        stats.report_misses += shard.report_misses;
         stats.programs += shard.programs.size();
         stats.reports += shard.reports.size();
         const support::LruStats& programs = shard.programs.stats();

@@ -21,7 +21,8 @@
 // sweeps and forge runs with the cache on and off produce identical
 // CaseResults and corpora. The cache is therefore a pure performance
 // knob, exactly like llm::PromptCache, whose design this mirrors (16-way
-// sharding, atomic hit/miss counters, process-wide shared store).
+// cache-line-aligned shards counting their own hits and misses,
+// process-wide shared store).
 //
 // Screening on demand: test_source always interprets. A caller that wants
 // the static pre-screener's verdict (screen/screen.hpp) asks for it with
@@ -221,19 +222,23 @@ class VerifyCache {
                    input_sets == *key.input_sets;
         }
     };
-    struct Shard {
+    /// One cache line at least, so no two shards' locks and LRU fields
+    /// share one; 64, not hardware_destructive_interference_size, which
+    /// GCC warns may vary between builds (-Winterference-size). The
+    /// counters are guarded by mutex, like the maps.
+    struct alignas(64) Shard {
         mutable std::mutex mutex;
         support::LruMap<std::uint64_t, std::shared_ptr<const CompiledProgram>>
             programs;
         support::LruMap<std::uint64_t, ReportEntry> reports;
+        std::uint64_t program_hits = 0;
+        std::uint64_t program_misses = 0;
+        std::uint64_t report_hits = 0;
+        std::uint64_t report_misses = 0;
     };
     Shard& shard_for(std::uint64_t key) { return shards_[key % kShards]; }
 
     std::array<Shard, kShards> shards_;
-    std::atomic<std::uint64_t> program_hits_{0};
-    std::atomic<std::uint64_t> program_misses_{0};
-    std::atomic<std::uint64_t> report_hits_{0};
-    std::atomic<std::uint64_t> report_misses_{0};
 };
 
 struct OracleOptions {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <optional>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "kb/seed.hpp"
 #include "kb_reference.hpp"
 #include "lang/parser.hpp"
+#include "support/rng.hpp"
 
 namespace rustbrain::kb {
 namespace {
@@ -222,6 +224,71 @@ TEST(KbTest, TiesKeepInsertionOrder) {
                 kbase.query(probe, 10, 0.0, exclude, category), exclude);
         }
     }
+}
+
+TEST(KbTest, BatchedScanMatchesALinearScanForEveryRemainder) {
+    // query scores entries four at a time and keeps only the best k: every
+    // count of scanned entries mod 4, exclusions inside a batch, tied
+    // duplicate vectors and cuts at k must still give the linear scan's
+    // hits, bit for bit, in its order.
+    support::Rng rng(2323);
+    const auto random_vector = [&rng] {
+        analysis::AstVector vector{};
+        double norm = 0.0;
+        for (float& x : vector) {
+            x = static_cast<float>(rng.next_gaussian());
+            norm += static_cast<double>(x) * x;
+        }
+        for (float& x : vector) x = static_cast<float>(x / std::sqrt(norm));
+        return vector;
+    };
+    std::size_t compared = 0;
+    for (std::size_t count = 1; count <= 9; ++count) {
+        // `count` Alloc entries interleaved with Panic ones; every other
+        // Alloc entry shares one vector (ties), and a third of them share
+        // the hint "mid", so excluding it empties batch lanes.
+        KnowledgeBase kbase;
+        const analysis::AstVector shared = random_vector();
+        for (std::size_t i = 0; i < count; ++i) {
+            KbEntry entry;
+            entry.source_hint = i % 3 == 1 ? "mid" : "alloc" + std::to_string(i);
+            entry.category = miri::UbCategory::Alloc;
+            entry.vector = i % 2 == 0 ? shared : random_vector();
+            kbase.add(std::move(entry));
+            KbEntry other;
+            other.source_hint = "panic" + std::to_string(i);
+            other.category = miri::UbCategory::Panic;
+            other.vector = i % 3 == 0 ? shared : random_vector();
+            kbase.add(std::move(other));
+        }
+        for (const analysis::AstVector& probe : {shared, random_vector()}) {
+            for (const std::optional<miri::UbCategory> category :
+                 {std::optional<miri::UbCategory>(miri::UbCategory::Alloc),
+                  std::optional<miri::UbCategory>(miri::UbCategory::Panic),
+                  std::optional<miri::UbCategory>()}) {
+                for (const std::string exclude : {"", "mid", "alloc0", "panic1"}) {
+                    for (const double min_similarity : {-1.0, 0.0}) {
+                        for (const std::size_t k : {1u, 3u, 20u}) {
+                            const std::string label =
+                                std::to_string(count) + " entries, exclude '" +
+                                exclude + "', min " +
+                                std::to_string(min_similarity) + ", k " +
+                                std::to_string(k);
+                            reference::expect_same_hits(
+                                reference::linear_query(kbase, probe, k,
+                                                        min_similarity,
+                                                        exclude, category),
+                                kbase.query(probe, k, min_similarity, exclude,
+                                            category),
+                                label);
+                            ++compared;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 9u * 2 * 3 * 4 * 2 * 3);
 }
 
 /// The category index must travel with the entries through every copy and
