@@ -1,7 +1,5 @@
 #include "lang/typecheck.hpp"
 
-#include <algorithm>
-
 namespace rustbrain::lang {
 
 // ---------------------------------------------------------------------------
@@ -9,31 +7,37 @@ namespace rustbrain::lang {
 // ---------------------------------------------------------------------------
 
 const std::vector<IntrinsicInfo>& intrinsic_table() {
+    using Id = IntrinsicId;
     static const std::vector<IntrinsicInfo> table = {
-        {"alloc", 2, false},        // alloc(size, align) -> *mut u8
-        {"dealloc", 3, true},       // dealloc(ptr, size, align)
-        {"offset", 2, true},        // offset(ptr, count) -> ptr
-        {"print_int", 1, false},    // print_int(i64-convertible)
-        {"print_bool", 1, false},   // print_bool(bool)
-        {"input", 1, false},        // input(index) -> i64
-        {"assert", 1, false},       // assert(bool)
-        {"panic", 0, false},        // panic()
-        {"spawn", 1, false},        // spawn(fn() ) -> i64 handle
-        {"join", 1, false},         // join(handle)
-        {"mutex_new", 0, false},    // mutex_new() -> i64
-        {"mutex_lock", 1, false},   // mutex_lock(id)
-        {"mutex_unlock", 1, false}, // mutex_unlock(id)
-        {"atomic_load", 1, true},   // atomic_load(*const/mut i64) -> i64
-        {"atomic_store", 2, true},  // atomic_store(*mut i64, i64)
-        {"atomic_fetch_add", 2, true},  // atomic_fetch_add(*mut i64, i64) -> i64
+        {"alloc", 2, false, Id::Alloc},         // alloc(size, align) -> *mut u8
+        {"dealloc", 3, true, Id::Dealloc},      // dealloc(ptr, size, align)
+        {"offset", 2, true, Id::Offset},        // offset(ptr, count) -> ptr
+        {"print_int", 1, false, Id::PrintInt},  // print_int(i64-convertible)
+        {"print_bool", 1, false, Id::PrintBool},  // print_bool(bool)
+        {"input", 1, false, Id::Input},         // input(index) -> i64
+        {"assert", 1, false, Id::Assert},       // assert(bool)
+        {"panic", 0, false, Id::Panic},         // panic()
+        {"spawn", 1, false, Id::Spawn},         // spawn(fn() ) -> i64 handle
+        {"join", 1, false, Id::Join},           // join(handle)
+        {"mutex_new", 0, false, Id::MutexNew},  // mutex_new() -> i64
+        {"mutex_lock", 1, false, Id::MutexLock},      // mutex_lock(id)
+        {"mutex_unlock", 1, false, Id::MutexUnlock},  // mutex_unlock(id)
+        {"atomic_load", 1, true, Id::AtomicLoad},     // atomic_load(*const/mut i64) -> i64
+        {"atomic_store", 2, true, Id::AtomicStore},   // atomic_store(*mut i64, i64)
+        {"atomic_fetch_add", 2, true, Id::AtomicFetchAdd},  // atomic_fetch_add(*mut i64, i64) -> i64
     };
     return table;
 }
 
+IntrinsicId intrinsic_id(const std::string& name) {
+    for (const auto& info : intrinsic_table()) {
+        if (info.name == name) return info.id;
+    }
+    return IntrinsicId::Unknown;
+}
+
 bool is_intrinsic(const std::string& name) {
-    const auto& table = intrinsic_table();
-    return std::any_of(table.begin(), table.end(),
-                       [&](const IntrinsicInfo& info) { return info.name == name; });
+    return intrinsic_id(name) != IntrinsicId::Unknown;
 }
 
 namespace {

@@ -8,6 +8,7 @@
 // for typed loads/stores and cast semantics.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,15 +18,40 @@
 
 namespace rustbrain::lang {
 
+/// The built-in intrinsics, in intrinsic_table() order. MiriLite's machine
+/// core (miri/machine.hpp) dispatches on these ids.
+enum class IntrinsicId : std::int32_t {
+    Alloc,
+    Dealloc,
+    Offset,
+    PrintInt,
+    PrintBool,
+    Input,
+    Assert,
+    Panic,
+    Spawn,
+    Join,
+    MutexNew,
+    MutexLock,
+    MutexUnlock,
+    AtomicLoad,
+    AtomicStore,
+    AtomicFetchAdd,
+    Unknown,  // not an intrinsic
+};
+
 struct IntrinsicInfo {
     std::string name;
     std::size_t arity;
     bool requires_unsafe;
+    IntrinsicId id;
 };
 
 /// True if `name` is one of the built-in intrinsics (alloc, dealloc, offset,
 /// print_int, ...).
 bool is_intrinsic(const std::string& name);
+/// The intrinsic called `name`, or IntrinsicId::Unknown.
+IntrinsicId intrinsic_id(const std::string& name);
 const std::vector<IntrinsicInfo>& intrinsic_table();
 
 class TypeChecker {

@@ -1,0 +1,190 @@
+// MiriLite's machine core: the state every execution tier keeps and the one
+// copy of the rules that act on it.
+//
+// A Machine holds a run's inputs and limits, its MemoryModel, the threads,
+// mutexes and atomic clocks of the vector-clock race detector, the printed
+// output and the step and call-depth counters. It implements step
+// accounting, call entry, function-pointer resolution, every intrinsic
+// (dispatched on lang::IntrinsicId) and the post-main teardown checks. The
+// tree walk (miri::Interpreter) and the VM (vm::Vm) each own one Machine and
+// keep only what is really theirs: walking the AST or dispatching bytecode,
+// their frames, and the VM's fixed-point snapshot. The static screener owns
+// one for its steps, calls and side-effect-free intrinsics.
+//
+// Threading model: `spawn(f)` registers a thread; its body executes at the
+// matching `join` (or is reported as leaked at main exit). Running threads
+// to completion at join points keeps execution deterministic, and the
+// vector-clock race detector is interleaving-insensitive: it flags
+// conflicting accesses that are unordered by happens-before regardless of
+// the order in which they actually executed, so races are still caught.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "lang/ast.hpp"
+#include "lang/typecheck.hpp"
+#include "miri/memory.hpp"
+#include "miri/scalar.hpp"
+#include "miri/value.hpp"
+
+namespace rustbrain::miri {
+
+struct InterpLimits {
+    std::uint64_t max_steps = 2'000'000;
+    std::uint32_t max_call_depth = 200;
+};
+
+struct RunResult {
+    std::optional<Finding> finding;
+    std::vector<std::string> output;
+    std::uint64_t steps = 0;
+
+    [[nodiscard]] bool clean() const { return !finding.has_value(); }
+};
+
+struct ThreadState {
+    ThreadId id = 0;
+    std::int32_t entry_fn = -1;
+    VectorClock vc;
+    bool executed = false;
+    bool joined = false;
+
+    friend bool operator==(const ThreadState& a, const ThreadState& b) {
+        return a.id == b.id && a.entry_fn == b.entry_fn && a.vc == b.vc &&
+               a.executed == b.executed && a.joined == b.joined;
+    }
+};
+
+struct MutexState {
+    std::optional<ThreadId> held_by;
+    VectorClock vc;
+
+    friend bool operator==(const MutexState& a, const MutexState& b) {
+        return a.held_by == b.held_by && a.vc == b.vc;
+    }
+};
+
+using AtomicClocks = std::map<std::pair<AllocId, std::uint64_t>, VectorClock>;
+
+/// The static facts an intrinsic needs besides its argument values. The
+/// VM stores them in the instruction; the tree walk reads them per call.
+struct IntrinsicFacts {
+    std::uint64_t pointee_size = 0;  // offset: the pointer's element size
+    std::uint8_t int_width = 8;      // offset: count's bytes; print_int: the argument's
+    bool is_signed = false;          // print_int: the argument is signed
+};
+
+IntrinsicFacts intrinsic_facts(lang::IntrinsicId id, const lang::CallExpr& call);
+
+struct Machine {
+    Machine(const lang::Program& program, std::vector<std::int64_t> inputs,
+            InterpLimits limits);
+
+    const lang::Program& program;
+    std::vector<std::int64_t> inputs;
+    InterpLimits limits;
+
+    MemoryModel mem;
+    ThreadId current_thread = 0;
+    std::vector<ThreadState> threads;  // index = id - 1 (main is id 0)
+    VectorClock main_vc;
+    std::vector<MutexState> mutexes;
+    AtomicClocks atomic_vcs;
+    bool multithreaded = false;
+
+    std::vector<std::string> output;
+    std::uint64_t steps = 0;
+    std::uint32_t call_depth = 0;
+
+    /// Everything a run can change except steps and output (which only
+    /// grows); program, inputs and limits are never written. vm::Vm's
+    /// fixed-point snapshot compares it whole.
+    [[nodiscard]] auto live_state() const {
+        return std::tie(mem, threads, main_vc, mutexes, atomic_vcs,
+                        multithreaded, current_thread, call_depth);
+    }
+
+    void step(const support::SourceSpan& span) {
+        if (++steps > limits.max_steps) {
+            panic("step limit exceeded (possible infinite loop)", span);
+        }
+    }
+
+    /// Index of `main`; CompileError UB when the program has none.
+    [[nodiscard]] std::int32_t main_fn() const;
+
+    /// Entering function `fn_index`: FuncCall UB when it names no
+    /// function, a stack-overflow panic past max_call_depth. The caller
+    /// decrements call_depth when the call returns.
+    void enter_call(std::int32_t fn_index, const support::SourceSpan& span);
+
+    /// The function `fn` names, checked against `static_type` when that
+    /// is a fn-pointer type. Misuse is FuncCall/FuncPointer UB, or TailCall
+    /// UB for `become`.
+    [[nodiscard]] std::int32_t resolve_fn_target(const FnPtrVal& fn,
+                                                 const lang::Type& static_type,
+                                                 support::SourceSpan span,
+                                                 bool is_become) const;
+
+    [[nodiscard]] VectorClock& current_vc() {
+        return current_thread == 0 ? main_vc : threads[current_thread - 1].vc;
+    }
+
+    [[nodiscard]] AccessCtx access_ctx(support::SourceSpan span,
+                                       bool atomic = false) const {
+        AccessCtx ctx;
+        ctx.tid = current_thread;
+        // Skip race bookkeeping entirely until the first spawn:
+        // single-threaded programs cannot race and this keeps the common
+        // path fast.
+        ctx.vc = multithreaded ? (current_thread == 0
+                                      ? &main_vc
+                                      : &threads[current_thread - 1].vc)
+                               : nullptr;
+        ctx.atomic = atomic;
+        ctx.span = span;
+        return ctx;
+    }
+
+    /// Runs the body of function `entry_fn` as the current thread.
+    using ThreadBody =
+        std::function<void(std::int32_t entry_fn, support::SourceSpan span)>;
+
+    /// Intrinsic `id` on evaluated `args`. `join` of a thread not yet run
+    /// calls `run_body` with the thread made current and a fresh call depth.
+    Value intrinsic(lang::IntrinsicId id, const std::vector<Value>& args,
+                    const IntrinsicFacts& facts, support::SourceSpan span,
+                    const ThreadBody& run_body);
+
+    /// Run `main_body` (which runs statics and main), then the post-main
+    /// teardown checks; UB and panics come back as RunResult::finding.
+    template <typename MainBody>
+    RunResult run(MainBody&& main_body) {
+        RunResult result;
+        try {
+            main_body();
+            teardown();
+        } catch (const UbException& ub) {
+            result.finding = ub.finding;
+        } catch (const PanicException& p) {
+            result.finding = Finding{UbCategory::Panic, p.message, p.span};
+        }
+        result.output = output;
+        result.steps = steps;
+        return result;
+    }
+
+  private:
+    /// Post-main checks (mirrors Miri's machine teardown): leaked threads,
+    /// held mutexes, leaked heap memory.
+    void teardown() const;
+};
+
+}  // namespace rustbrain::miri

@@ -560,8 +560,9 @@ Pointer MemoryModel::retag_raw(const Pointer& p, std::uint64_t size, bool writab
     return Pointer{p.addr, p.alloc, tag};
 }
 
-Pointer MemoryModel::offset_pointer(const Pointer& p, std::int64_t byte_delta,
-                                    support::SourceSpan span) {
+Pointer MemoryModel::offset_pointer(const Pointer& p, std::int64_t count,
+                                    support::SourceSpan span,
+                                    std::uint64_t element_size) {
     if (!p.has_provenance()) {
         ub(UbCategory::Provenance,
            "pointer arithmetic on a pointer without provenance", span);
@@ -571,15 +572,26 @@ Pointer MemoryModel::offset_pointer(const Pointer& p, std::int64_t byte_delta,
         ub(UbCategory::DanglingPointer,
            "pointer arithmetic on dead allocation '" + alloc.label + "'", span);
     }
-    const std::int64_t new_addr = static_cast<std::int64_t>(p.addr) + byte_delta;
-    // Rust's offset contract: must stay within [base, base + size] inclusive.
-    if (new_addr < static_cast<std::int64_t>(alloc.base) ||
-        new_addr > static_cast<std::int64_t>(alloc.base + alloc.size)) {
+    auto out_of_bounds = [&](const std::string& offset) {
         ub(UbCategory::Provenance,
-           "pointer arithmetic out of bounds: offset " + std::to_string(byte_delta) +
-               " from offset " + std::to_string(p.addr - alloc.base) + " of " +
-               std::to_string(alloc.size) + "-byte allocation '" + alloc.label + "'",
+           "pointer arithmetic out of bounds: offset " + offset + " from offset " +
+               std::to_string(p.addr - alloc.base) + " of " +
+               std::to_string(alloc.size) + "-byte allocation '" + alloc.label +
+               "'",
            span);
+    };
+    std::int64_t byte_delta = 0;
+    if (__builtin_mul_overflow(count, element_size, &byte_delta)) {
+        out_of_bounds(std::to_string(count) + " * " +
+                      std::to_string(element_size) + " bytes (overflows)");
+    }
+    // Rust's offset contract: must stay within [base, base + size] inclusive.
+    std::int64_t new_addr = 0;
+    if (__builtin_add_overflow(static_cast<std::int64_t>(p.addr), byte_delta,
+                               &new_addr) ||
+        new_addr < static_cast<std::int64_t>(alloc.base) ||
+        new_addr > static_cast<std::int64_t>(alloc.base + alloc.size)) {
+        out_of_bounds(std::to_string(byte_delta));
     }
     return Pointer{static_cast<std::uint64_t>(new_addr), p.alloc, p.tag};
 }

@@ -255,9 +255,13 @@ class MemoryModel {
     Pointer retag_raw(const Pointer& p, std::uint64_t size, bool writable,
                       support::SourceSpan span);
 
-    /// `offset(p, n)` — inbounds pointer arithmetic; one-past-end allowed.
-    Pointer offset_pointer(const Pointer& p, std::int64_t byte_delta,
-                           support::SourceSpan span);
+    /// `offset(p, count)` on a pointer to `element_size`-byte elements
+    /// (1: `count` is a byte delta) — inbounds pointer arithmetic;
+    /// one-past-end allowed. A byte delta or address that overflows i64
+    /// is out of bounds too.
+    Pointer offset_pointer(const Pointer& p, std::int64_t count,
+                           support::SourceSpan span,
+                           std::uint64_t element_size = 1);
 
     /// Leak check: any live heap allocation is an Alloc finding.
     [[nodiscard]] std::optional<Finding> check_leaks() const;

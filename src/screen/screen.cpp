@@ -1,10 +1,11 @@
 #include "screen/screen.hpp"
 
 #include <exception>
-#include <limits>
 #include <optional>
 #include <utility>
 
+#include "lang/typecheck.hpp"
+#include "miri/scalar.hpp"
 #include "miri/value.hpp"
 
 namespace rustbrain::screen {
@@ -14,6 +15,7 @@ namespace {
 using lang::Type;
 using miri::Finding;
 using miri::UbCategory;
+using miri::UbException;
 using miri::Value;
 
 // ---------------------------------------------------------------------------
@@ -21,44 +23,12 @@ using miri::Value;
 // ---------------------------------------------------------------------------
 
 /// The run leaves the modelled subset (or an internal invariant broke):
-/// degrade to Unknown. Never escapes screen_program.
+/// degrade to Unknown. Never escapes screen_program. A definite finding on
+/// the concrete path is a miri::UbException or miri::PanicException, as in
+/// the interpreter.
 struct Bail {
     std::string reason;
 };
-
-/// A definite finding on a fully-concrete path: the run would end with
-/// exactly this Finding under MiriLite.
-struct Definite {
-    Finding finding;
-};
-
-/// One abstract value with its propagated constraint. Concrete execution
-/// keeps `range` a singleton mirroring `value`; a non-singleton range with
-/// no exact value is representable (future widening) but any such value
-/// reaching a step-, output- or control-flow-relevant position bails.
-struct AbsValue {
-    Value value;       // exact payload (valid when exact)
-    Interval range;    // value constraint (singleton when exact)
-    bool exact = true;
-};
-
-AbsValue make_abs(Value value) {
-    AbsValue out;
-    // Arrays have no single bit pattern; their elements carry their own
-    // constraints. Every other kind gets its exact singleton interval.
-    if (value.kind() != Value::Kind::Array) {
-        out.range =
-            Interval::singleton(static_cast<std::int64_t>(value.bits()));
-    }
-    out.value = std::move(value);
-    return out;
-}
-
-/// The payload of an abstract value that must be exact to proceed.
-const Value& exact(const AbsValue& v) {
-    if (!v.exact) throw Bail{"non-singleton constraint reached an exact position"};
-    return v.value;
-}
 
 // ---------------------------------------------------------------------------
 // The mirror interpreter
@@ -74,10 +44,13 @@ struct RunScreen {
 };
 
 /// Mirrors miri::Interpreter statement for statement over the modelled
-/// subset. Step accounting is charged at exactly the interpreter's sites
-/// (every exec_statement entry, every eval_expr entry, one extra step per
+/// subset, on the same machine core: steps are charged through
+/// miri::Machine::step at exactly the interpreter's sites (every
+/// exec_statement entry, every eval_expr entry, one extra step per
 /// while-loop iteration), so the screener exceeds the step limit exactly
-/// where MiriLite does.
+/// where MiriLite does, and scalars go through the same kernel. The
+/// machine's memory and threads stay unused: every construct that would
+/// touch them bails.
 class AbstractInterpreter {
   public:
     AbstractInterpreter(const lang::Program& program,
@@ -85,35 +58,30 @@ class AbstractInterpreter {
                         const std::vector<std::int64_t>& inputs,
                         const miri::InterpLimits& limits,
                         const ScreenOptions& options, std::uint64_t ops_spent)
-        : program_(program),
-          lowered_(lowering),
-          inputs_(inputs),
-          limits_(limits),
+        : lowered_(lowering),
           options_(options),
+          machine_(program, inputs, limits),
           ops_(ops_spent) {
-        statics_.resize(program_.statics.size());
+        statics_.resize(program.statics.size());
     }
 
     [[nodiscard]] RunScreen screen() {
         RunScreen run;
         try {
             setup_statics();
-            const lang::FnItem* main_fn = program_.find_function("main");
-            if (main_fn == nullptr) {
-                throw Definite{Finding{UbCategory::CompileError,
-                                       "program has no 'main' function",
-                                       {}}};
-            }
-            const std::int32_t main_index = static_cast<std::int32_t>(
-                main_fn - program_.functions.data());
-            call_function(main_index, {}, main_fn->span);
+            const std::int32_t main_fn = machine_.main_fn();
+            call_function(main_fn, {},
+                          program().functions[static_cast<std::size_t>(main_fn)].span);
             // Post-main teardown: leaked threads, held mutexes and heap
             // leaks are impossible here — every construct that could
             // create one (spawn, mutex_new, alloc) bails first.
             run.outcome = RunScreen::Outcome::Clean;
-        } catch (const Definite& definite) {
+        } catch (const UbException& ub) {
             run.outcome = RunScreen::Outcome::Definite;
-            run.finding = definite.finding;
+            run.finding = ub.finding;
+        } catch (const miri::PanicException& p) {
+            run.outcome = RunScreen::Outcome::Definite;
+            run.finding = Finding{UbCategory::Panic, p.message, p.span};
         } catch (const Bail& bail) {
             run.outcome = RunScreen::Outcome::Bail;
             run.reason = bail.reason;
@@ -130,7 +98,7 @@ class AbstractInterpreter {
 
   private:
     struct Slot {
-        AbsValue value;
+        Value value;
         Type type;
     };
     struct Frame {
@@ -147,17 +115,13 @@ class AbstractInterpreter {
     struct ExecResult {
         enum class Flow { Normal, Return };
         Flow flow = Flow::Normal;
-        AbsValue value;
+        Value value;
     };
 
-    // -- cost accounting (mirrors Interpreter::step) ------------------------
+    // -- cost accounting ----------------------------------------------------
 
     void step(const support::SourceSpan& span) {
-        if (++steps_ > limits_.max_steps) {
-            throw Definite{Finding{
-                UbCategory::Panic,
-                "step limit exceeded (possible infinite loop)", span}};
-        }
+        machine_.step(span);
         charge();
     }
 
@@ -167,91 +131,53 @@ class AbstractInterpreter {
         }
     }
 
-    [[noreturn]] void panic(std::string message, support::SourceSpan span) {
-        throw Definite{Finding{UbCategory::Panic, std::move(message), span}};
-    }
+    const lang::Program& program() const { return machine_.program; }
 
     // -- statics ------------------------------------------------------------
 
     void setup_statics() {
-        for (std::size_t i = 0; i < program_.statics.size(); ++i) {
-            const lang::StaticItem& item = program_.statics[i];
+        for (std::size_t i = 0; i < program().statics.size(); ++i) {
+            const lang::StaticItem& item = program().statics[i];
             // The interpreter allocates before evaluating the initializer;
             // a self-reference would read uninitialized memory there. Here
             // the static stays unset during its own init, so a self-
             // reference falls through to the function-name path and bails —
             // Unknown, which is always sound.
-            const AbsValue init = eval_expr(*item.init);
+            const Value init = eval_expr(*item.init);
             statics_[i] = Slot{init, item.type};
         }
     }
 
     // -- calls --------------------------------------------------------------
 
-    AbsValue call_function(std::int32_t fn_index, std::vector<AbsValue> args,
-                           support::SourceSpan span) {
-        if (fn_index < 0 ||
-            static_cast<std::size_t>(fn_index) >= program_.functions.size()) {
-            throw Definite{Finding{UbCategory::FuncCall,
-                                   "calling a pointer that is not a function",
-                                   span}};
-        }
-        if (++call_depth_ > limits_.max_call_depth) {
-            --call_depth_;
-            panic("stack overflow: call depth exceeded " +
-                      std::to_string(limits_.max_call_depth),
-                  span);
-        }
+    Value call_function(std::int32_t fn_index, std::vector<Value> args,
+                        support::SourceSpan span) {
+        machine_.enter_call(fn_index, span);
         const lang::FnItem& fn =
-            program_.functions[static_cast<std::size_t>(fn_index)];
+            program().functions[static_cast<std::size_t>(fn_index)];
         frames_.emplace_back();
         frames_.back().slots.resize(
             lowered_.fn_slot_counts[static_cast<std::size_t>(fn_index)]);
         for (std::size_t i = 0; i < fn.params.size(); ++i) {
             // Under lowering, parameters occupy slots 0..n-1 in order.
             frames_.back().slots[i] =
-                Slot{i < args.size() ? args[i] : make_abs(Value::unit()),
+                Slot{i < args.size() ? args[i] : Value::unit(),
                      fn.params[i].type};
         }
         const ExecResult exec = exec_block(fn.body);
         frames_.pop_back();
-        --call_depth_;
+        --machine_.call_depth;
         if (exec.flow == ExecResult::Flow::Return) return exec.value;
-        return make_abs(Value::unit());
+        return Value::unit();
     }
 
-    std::int32_t resolve_fn_target(const miri::FnPtrVal& fn,
-                                   const Type& static_type,
-                                   support::SourceSpan span) const {
-        if (!fn.valid() ||
-            static_cast<std::size_t>(fn.fn_index) >= program_.functions.size()) {
-            throw Definite{Finding{UbCategory::FuncCall,
-                                   "calling a pointer that is not a function",
-                                   span}};
-        }
-        const lang::FnItem& target =
-            program_.functions[static_cast<std::size_t>(fn.fn_index)];
-        if (static_type.is_fn_ptr() && !(target.fn_type() == static_type)) {
-            throw Definite{Finding{
-                UbCategory::FuncPointer,
-                "call through a function pointer with the wrong signature: "
-                "pointer says " +
-                    static_type.to_string() + " but '" + target.name + "' is " +
-                    target.fn_type().to_string(),
-                span}};
-        }
-        return fn.fn_index;
-    }
-
-    AbsValue call_fn_value(const AbsValue& callee, const Type& static_type,
-                           std::vector<AbsValue> args,
-                           support::SourceSpan span) {
-        const Value& fn_value = exact(callee);
-        if (fn_value.kind() != Value::Kind::Fn) {
+    Value call_fn_value(const Value& callee, const Type& static_type,
+                        std::vector<Value> args, support::SourceSpan span) {
+        if (callee.kind() != Value::Kind::Fn) {
             throw Bail{"indirect call through a non-function value"};
         }
-        const std::int32_t target =
-            resolve_fn_target(fn_value.as_fn(), static_type, span);
+        const std::int32_t target = machine_.resolve_fn_target(
+            callee.as_fn(), static_type, span, /*is_become=*/false);
         return call_function(target, std::move(args), span);
     }
 
@@ -271,7 +197,7 @@ class AbstractInterpreter {
         switch (stmt.kind) {
             case lang::StmtKind::Let: {
                 const auto& node = static_cast<const lang::LetStmt&>(stmt);
-                const AbsValue value = eval_expr(*node.init);
+                const Value value = eval_expr(*node.init);
                 const Type& type =
                     node.declared_type ? *node.declared_type : node.init->type;
                 const std::int32_t slot = lowered_.let_slots[node.id];
@@ -282,7 +208,7 @@ class AbstractInterpreter {
             }
             case lang::StmtKind::Assign: {
                 const auto& node = static_cast<const lang::AssignStmt&>(stmt);
-                const AbsValue value = eval_expr(*node.value);
+                const Value value = eval_expr(*node.value);
                 const PlaceRef place = eval_place(*node.place);
                 store_place(place, value);
                 return {};
@@ -293,7 +219,7 @@ class AbstractInterpreter {
             }
             case lang::StmtKind::If: {
                 const auto& node = static_cast<const lang::IfStmt&>(stmt);
-                if (exact(eval_expr(*node.condition)).as_bool()) {
+                if (eval_expr(*node.condition).as_bool()) {
                     return exec_block(node.then_block);
                 }
                 if (node.else_block) {
@@ -303,7 +229,7 @@ class AbstractInterpreter {
             }
             case lang::StmtKind::While: {
                 const auto& node = static_cast<const lang::WhileStmt&>(stmt);
-                while (exact(eval_expr(*node.condition)).as_bool()) {
+                while (eval_expr(*node.condition).as_bool()) {
                     step(node.span);
                     ExecResult result = exec_block(node.body);
                     if (result.flow != ExecResult::Flow::Normal) return result;
@@ -314,8 +240,8 @@ class AbstractInterpreter {
                 const auto& node = static_cast<const lang::ReturnStmt&>(stmt);
                 ExecResult result;
                 result.flow = ExecResult::Flow::Return;
-                result.value = node.value ? eval_expr(*node.value)
-                                          : make_abs(Value::unit());
+                result.value =
+                    node.value ? eval_expr(*node.value) : Value::unit();
                 return result;
             }
             case lang::StmtKind::Block:
@@ -372,19 +298,8 @@ class AbstractInterpreter {
                 if (!place.type.is_array()) {
                     throw Bail{"indexing a non-array place"};
                 }
-                const AbsValue index = eval_expr(*node.index);
-                const std::uint64_t len = place.type.array_length();
-                // Bounds constraint: the index interval must sit inside
-                // [0, len). A singleton that escapes is the interpreter's
-                // exact panic; len is checked against the *unsigned* index
-                // exactly as the interpreter compares it.
-                const std::uint64_t i = exact(index).bits();
-                if (i >= len) {
-                    panic("index out of bounds: the len is " +
-                              std::to_string(len) + " but the index is " +
-                              std::to_string(i),
-                          node.span);
-                }
+                const std::uint64_t i = eval_expr(*node.index).bits();
+                miri::check_index(i, place.type.array_length(), node.span);
                 place.path.push_back(i);
                 place.type = place.type.element();
                 return place;
@@ -396,9 +311,9 @@ class AbstractInterpreter {
         }
     }
 
-    AbsValue load_path(const Value& root, const std::vector<std::uint64_t>& path,
-                       std::size_t depth) const {
-        if (depth == path.size()) return make_abs(root);
+    Value load_path(const Value& root, const std::vector<std::uint64_t>& path,
+                    std::size_t depth) const {
+        if (depth == path.size()) return root;
         if (root.kind() != Value::Kind::Array) {
             throw Bail{"path load through a non-array value"};
         }
@@ -435,42 +350,29 @@ class AbstractInterpreter {
         return *slot;
     }
 
-    AbsValue load_place(const PlaceRef& place) {
+    Value load_place(const PlaceRef& place) {
         charge();
-        return load_path(exact(place_root(place).value), place.path, 0);
+        return load_path(place_root(place).value, place.path, 0);
     }
 
-    void store_place(const PlaceRef& place, const AbsValue& value) {
+    void store_place(const PlaceRef& place, const Value& value) {
         charge();
         Slot& root = place_root(place);
-        if (place.path.empty()) {
-            root.value = value;
-            return;
-        }
-        root.value = make_abs(
-            store_path(exact(root.value), place.path, 0, exact(value)));
+        root.value = store_path(root.value, place.path, 0, value);
     }
 
     // -- expressions --------------------------------------------------------
 
-    std::int64_t signed_value(const Value& v, const Type& t) const {
-        return v.as_signed(t.size_bytes());
-    }
-
-    AbsValue arith_result(std::uint64_t bits, const Type& type) const {
-        return make_abs(Value::scalar(miri::truncate_to_type(bits, type)));
-    }
-
-    AbsValue eval_expr(const lang::Expr& expr) {
+    Value eval_expr(const lang::Expr& expr) {
         step(expr.span);
         switch (expr.kind) {
             case lang::ExprKind::IntLit: {
                 const auto& node = static_cast<const lang::IntLitExpr&>(expr);
-                return arith_result(node.value, expr.type);
+                return miri::arith_result(node.value, expr.type);
             }
             case lang::ExprKind::BoolLit:
-                return make_abs(Value::boolean(
-                    static_cast<const lang::BoolLitExpr&>(expr).value));
+                return Value::boolean(
+                    static_cast<const lang::BoolLitExpr&>(expr).value);
             case lang::ExprKind::VarRef: {
                 const auto& node = static_cast<const lang::VarRefExpr&>(expr);
                 const miri::VarResolution& res = lowered_.var_refs[node.id];
@@ -487,17 +389,16 @@ class AbstractInterpreter {
                         // like the interpreter.
                         break;
                     case miri::VarResolution::Kind::Function:
-                        return make_abs(
-                            Value::function(miri::FnPtrVal{res.index}));
+                        return Value::function(miri::FnPtrVal{res.index});
                     case miri::VarResolution::Kind::Unresolved:
                         break;
                 }
-                const lang::FnItem* fn = program_.find_function(node.name);
+                const lang::FnItem* fn = program().find_function(node.name);
                 if (fn == nullptr) {
                     throw Bail{"unresolved name '" + node.name + "'"};
                 }
-                return make_abs(Value::function(miri::FnPtrVal{
-                    static_cast<std::int32_t>(fn - program_.functions.data())}));
+                return Value::function(miri::FnPtrVal{
+                    static_cast<std::int32_t>(fn - program().functions.data())});
             }
             case lang::ExprKind::Unary:
                 return eval_unary(static_cast<const lang::UnaryExpr&>(expr));
@@ -511,8 +412,8 @@ class AbstractInterpreter {
                 return eval_call(static_cast<const lang::CallExpr&>(expr));
             case lang::ExprKind::CallPtr: {
                 const auto& node = static_cast<const lang::CallPtrExpr&>(expr);
-                const AbsValue callee = eval_expr(*node.callee);
-                std::vector<AbsValue> args;
+                const Value callee = eval_expr(*node.callee);
+                std::vector<Value> args;
                 args.reserve(node.args.size());
                 for (const auto& arg : node.args) {
                     args.push_back(eval_expr(*arg));
@@ -525,43 +426,31 @@ class AbstractInterpreter {
                 std::vector<Value> elements;
                 elements.reserve(node.elements.size());
                 for (const auto& element : node.elements) {
-                    elements.push_back(exact(eval_expr(*element)));
+                    elements.push_back(eval_expr(*element));
                 }
-                return make_abs(Value::array(std::move(elements)));
+                return Value::array(std::move(elements));
             }
             case lang::ExprKind::ArrayRepeat: {
                 const auto& node =
                     static_cast<const lang::ArrayRepeatExpr&>(expr);
-                const AbsValue element = eval_expr(*node.element);
-                return make_abs(Value::array(
-                    std::vector<Value>(node.count, exact(element))));
+                const Value element = eval_expr(*node.element);
+                return Value::array(std::vector<Value>(node.count, element));
             }
         }
-        return make_abs(Value::unit());
+        return Value::unit();
     }
 
-    AbsValue eval_unary(const lang::UnaryExpr& expr) {
+    Value eval_unary(const lang::UnaryExpr& expr) {
         switch (expr.op) {
-            case lang::UnaryOp::Neg: {
-                const AbsValue operand = eval_expr(*expr.operand);
-                const std::int64_t value =
-                    signed_value(exact(operand), expr.operand->type);
-                const std::uint64_t size = expr.type.size_bytes();
-                const std::int64_t min_value =
-                    size >= 8 ? std::numeric_limits<std::int64_t>::min()
-                              : -(1LL << (size * 8 - 1));
-                if (value == min_value) {
-                    panic("attempt to negate with overflow", expr.span);
-                }
-                return arith_result(static_cast<std::uint64_t>(-value),
-                                    expr.type);
-            }
+            case lang::UnaryOp::Neg:
+                return miri::negate(eval_expr(*expr.operand), expr.type,
+                                    expr.span);
             case lang::UnaryOp::Not: {
-                const AbsValue operand = eval_expr(*expr.operand);
+                const Value operand = eval_expr(*expr.operand);
                 if (expr.type.is_bool()) {
-                    return make_abs(Value::boolean(!exact(operand).as_bool()));
+                    return Value::boolean(!operand.as_bool());
                 }
-                return arith_result(~exact(operand).bits(), expr.type);
+                return miri::bitwise_not(operand, expr.type);
             }
             case lang::UnaryOp::Deref:
                 throw Bail{"dereferences are not modelled"};
@@ -569,228 +458,61 @@ class AbstractInterpreter {
             case lang::UnaryOp::AddrOfMut:
                 throw Bail{"borrows are not modelled"};
         }
-        return make_abs(Value::unit());
+        return Value::unit();
     }
 
-    AbsValue eval_binary(const lang::BinaryExpr& expr) {
+    Value eval_binary(const lang::BinaryExpr& expr) {
         using lang::BinaryOp;
         // Short-circuit operators first (the skipped operand must not be
         // evaluated — its steps never happen).
         if (expr.op == BinaryOp::And) {
-            if (!exact(eval_expr(*expr.lhs)).as_bool()) {
-                return make_abs(Value::boolean(false));
+            if (!eval_expr(*expr.lhs).as_bool()) {
+                return Value::boolean(false);
             }
-            return make_abs(
-                Value::boolean(exact(eval_expr(*expr.rhs)).as_bool()));
+            return Value::boolean(eval_expr(*expr.rhs).as_bool());
         }
         if (expr.op == BinaryOp::Or) {
-            if (exact(eval_expr(*expr.lhs)).as_bool()) {
-                return make_abs(Value::boolean(true));
+            if (eval_expr(*expr.lhs).as_bool()) {
+                return Value::boolean(true);
             }
-            return make_abs(
-                Value::boolean(exact(eval_expr(*expr.rhs)).as_bool()));
+            return Value::boolean(eval_expr(*expr.rhs).as_bool());
         }
 
-        const Value lhs = exact(eval_expr(*expr.lhs));
-        const Value rhs = exact(eval_expr(*expr.rhs));
-        const Type& operand_type = expr.lhs->type;
-        const std::uint64_t size = operand_type.size_bytes();
-        const bool is_signed = operand_type.is_signed_integer();
-
-        switch (expr.op) {
-            case BinaryOp::Add:
-            case BinaryOp::Sub:
-            case BinaryOp::Mul: {
-                const char* name = expr.op == BinaryOp::Add   ? "add"
-                                   : expr.op == BinaryOp::Sub ? "subtract"
-                                                              : "multiply";
-                if (size >= 8) {
-                    if (is_signed) {
-                        const std::int64_t a = signed_value(lhs, operand_type);
-                        const std::int64_t b = signed_value(rhs, operand_type);
-                        std::int64_t out = 0;
-                        bool overflow = false;
-                        if (expr.op == BinaryOp::Add) {
-                            overflow = __builtin_add_overflow(a, b, &out);
-                        } else if (expr.op == BinaryOp::Sub) {
-                            overflow = __builtin_sub_overflow(a, b, &out);
-                        } else {
-                            overflow = __builtin_mul_overflow(a, b, &out);
-                        }
-                        if (overflow) {
-                            panic(std::string("attempt to ") + name +
-                                      " with overflow",
-                                  expr.span);
-                        }
-                        return arith_result(static_cast<std::uint64_t>(out),
-                                            expr.type);
-                    }
-                    const std::uint64_t a = lhs.bits();
-                    const std::uint64_t b = rhs.bits();
-                    std::uint64_t out = 0;
-                    bool overflow = false;
-                    if (expr.op == BinaryOp::Add) {
-                        overflow = __builtin_add_overflow(a, b, &out);
-                    } else if (expr.op == BinaryOp::Sub) {
-                        overflow = __builtin_sub_overflow(a, b, &out);
-                    } else {
-                        overflow = __builtin_mul_overflow(a, b, &out);
-                    }
-                    if (overflow) {
-                        panic(std::string("attempt to ") + name +
-                                  " with overflow",
-                              expr.span);
-                    }
-                    return arith_result(out, expr.type);
-                }
-                // Narrow widths: the mathematically-correct result fits in
-                // i64; the overflow check is interval containment against
-                // the operand width's representable range.
-                const std::int64_t a =
-                    is_signed ? signed_value(lhs, operand_type)
-                              : static_cast<std::int64_t>(lhs.bits());
-                const std::int64_t b =
-                    is_signed ? signed_value(rhs, operand_type)
-                              : static_cast<std::int64_t>(rhs.bits());
-                std::int64_t wide = 0;
-                if (expr.op == BinaryOp::Add) wide = a + b;
-                if (expr.op == BinaryOp::Sub) wide = a - b;
-                if (expr.op == BinaryOp::Mul) wide = a * b;
-                const Interval representable =
-                    Interval::type_range(size, is_signed);
-                if (!Interval::singleton(wide).within(representable)) {
-                    panic(std::string("attempt to ") + name + " with overflow",
-                          expr.span);
-                }
-                return arith_result(static_cast<std::uint64_t>(wide),
-                                    expr.type);
-            }
-            case BinaryOp::Div:
-            case BinaryOp::Rem: {
-                const bool is_div = expr.op == BinaryOp::Div;
-                if (rhs.bits() == 0) {
-                    panic(is_div ? "attempt to divide by zero"
-                                 : "attempt to calculate the remainder with a "
-                                   "divisor of zero",
-                          expr.span);
-                }
-                if (is_signed) {
-                    const std::int64_t a = signed_value(lhs, operand_type);
-                    const std::int64_t b = signed_value(rhs, operand_type);
-                    const std::int64_t min_value =
-                        size >= 8 ? std::numeric_limits<std::int64_t>::min()
-                                  : -(1LL << (size * 8 - 1));
-                    if (a == min_value && b == -1) {
-                        panic(is_div
-                                  ? "attempt to divide with overflow"
-                                  : "attempt to calculate the remainder with "
-                                    "overflow",
-                              expr.span);
-                    }
-                    const std::int64_t out = is_div ? a / b : a % b;
-                    return arith_result(static_cast<std::uint64_t>(out),
-                                        expr.type);
-                }
-                const std::uint64_t out = is_div ? lhs.bits() / rhs.bits()
-                                                 : lhs.bits() % rhs.bits();
-                return arith_result(out, expr.type);
-            }
-            case BinaryOp::Shl:
-            case BinaryOp::Shr: {
-                const std::uint64_t shift = rhs.bits();
-                if (shift >= size * 8) {
-                    panic(expr.op == BinaryOp::Shl
-                              ? "attempt to shift left with overflow"
-                              : "attempt to shift right with overflow",
-                          expr.span);
-                }
-                if (expr.op == BinaryOp::Shl) {
-                    return arith_result(lhs.bits() << shift, expr.type);
-                }
-                if (is_signed) {
-                    return arith_result(
-                        static_cast<std::uint64_t>(
-                            signed_value(lhs, operand_type) >>
-                            static_cast<std::int64_t>(shift)),
-                        expr.type);
-                }
-                return arith_result(lhs.bits() >> shift, expr.type);
-            }
-            case BinaryOp::BitAnd:
-                return arith_result(lhs.bits() & rhs.bits(), expr.type);
-            case BinaryOp::BitOr:
-                return arith_result(lhs.bits() | rhs.bits(), expr.type);
-            case BinaryOp::BitXor:
-                return arith_result(lhs.bits() ^ rhs.bits(), expr.type);
-            case BinaryOp::Eq:
-                return make_abs(Value::boolean(lhs.bits() == rhs.bits()));
-            case BinaryOp::Ne:
-                return make_abs(Value::boolean(lhs.bits() != rhs.bits()));
-            case BinaryOp::Lt:
-            case BinaryOp::Le:
-            case BinaryOp::Gt:
-            case BinaryOp::Ge: {
-                bool result = false;
-                if (is_signed) {
-                    const std::int64_t a = signed_value(lhs, operand_type);
-                    const std::int64_t b = signed_value(rhs, operand_type);
-                    result = expr.op == BinaryOp::Lt   ? a < b
-                             : expr.op == BinaryOp::Le ? a <= b
-                             : expr.op == BinaryOp::Gt ? a > b
-                                                       : a >= b;
-                } else {
-                    const std::uint64_t a = lhs.bits();
-                    const std::uint64_t b = rhs.bits();
-                    result = expr.op == BinaryOp::Lt   ? a < b
-                             : expr.op == BinaryOp::Le ? a <= b
-                             : expr.op == BinaryOp::Gt ? a > b
-                                                       : a >= b;
-                }
-                return make_abs(Value::boolean(result));
-            }
-            case BinaryOp::And:
-            case BinaryOp::Or:
-                break;  // handled above
-        }
-        return make_abs(Value::unit());
+        const Value lhs = eval_expr(*expr.lhs);
+        const Value rhs = eval_expr(*expr.rhs);
+        return miri::binary_op(expr.op, expr.type, expr.lhs->type, expr.span,
+                               lhs, rhs);
     }
 
-    AbsValue eval_cast(const lang::CastExpr& expr) {
-        const AbsValue operand_abs = eval_expr(*expr.operand);
-        const Value& operand = exact(operand_abs);
+    Value eval_cast(const lang::CastExpr& expr) {
+        const Value operand = eval_expr(*expr.operand);
         const Type& source = expr.operand->type;
         const Type& target = expr.target;
-
-        if ((source.is_integer() || source.is_bool()) && target.is_integer()) {
-            const std::uint64_t wide =
-                source.is_signed_integer()
-                    ? static_cast<std::uint64_t>(signed_value(operand, source))
-                    : operand.bits();
-            return arith_result(wide, target);
+        switch (miri::classify_cast(source, target)) {
+            case miri::CastKind::IntFromInt:
+                return miri::int_cast(operand, source.is_signed_integer(),
+                                      source.size_bytes(), target);
+            case miri::CastKind::FnToInt:
+                return miri::arith_result(operand.bits(), target);
+            case miri::CastKind::IntToFn:
+                return Value::function(miri::FnPtrVal{miri::fn_addr_to_index(
+                    operand.bits(), program().functions.size())});
+            case miri::CastKind::FnToFn:
+                return operand;
+            default:
+                // Everything producing or consuming data pointers (int ->
+                // raw ptr, ref -> raw ptr, raw -> raw, ptr -> int) leaves
+                // the modelled domain: pointer values never exist here.
+                throw Bail{"pointer casts are not modelled"};
         }
-        if (source.is_fn_ptr() && target.is_integer()) {
-            return arith_result(operand.bits(), target);
-        }
-        if (source.is_integer() && target.is_fn_ptr()) {
-            return make_abs(Value::function(miri::FnPtrVal{
-                miri::fn_addr_to_index(operand.bits(),
-                                       program_.functions.size())}));
-        }
-        if (source.is_fn_ptr() && target.is_fn_ptr()) {
-            return operand_abs;
-        }
-        // Everything producing or consuming data pointers (int -> raw ptr,
-        // ref -> raw ptr, raw -> raw, ptr -> int) leaves the modelled
-        // domain: pointer values never exist here.
-        throw Bail{"pointer casts are not modelled"};
     }
 
-    AbsValue eval_call(const lang::CallExpr& expr) {
+    Value eval_call(const lang::CallExpr& expr) {
         const miri::CallResolution& res = lowered_.calls[expr.id];
         if (res.kind == miri::CallResolution::Kind::Intrinsic) {
             return eval_intrinsic(expr);
         }
-        std::vector<AbsValue> args;
+        std::vector<Value> args;
         args.reserve(expr.args.size());
         for (const auto& arg : expr.args) {
             args.push_back(eval_expr(*arg));
@@ -812,75 +534,46 @@ class AbstractInterpreter {
         }
     }
 
-    AbsValue eval_intrinsic(const lang::CallExpr& expr) {
-        const std::string& name = expr.callee;
-        std::vector<AbsValue> args;
+    Value eval_intrinsic(const lang::CallExpr& expr) {
+        std::vector<Value> args;
         args.reserve(expr.args.size());
         for (const auto& arg : expr.args) {
             args.push_back(eval_expr(*arg));
         }
-
-        const bool needs_arg = name == "print_int" || name == "print_bool" ||
-                               name == "assert";
-        if (needs_arg && (args.empty() || expr.args.empty())) {
-            throw Bail{"intrinsic '" + name + "' with no argument"};
+        const lang::IntrinsicId id = lang::intrinsic_id(expr.callee);
+        switch (id) {
+            case lang::IntrinsicId::PrintInt:
+            case lang::IntrinsicId::PrintBool:
+            case lang::IntrinsicId::Assert:
+                if (args.empty() || expr.args.empty()) {
+                    throw Bail{"intrinsic '" + expr.callee + "' with no argument"};
+                }
+                [[fallthrough]];
+            case lang::IntrinsicId::Input:
+            case lang::IntrinsicId::Panic:
+                // Output is not observed; a printed value must still be a
+                // scalar for the run to stay in the modelled subset.
+                return machine_.intrinsic(id, args,
+                                          miri::intrinsic_facts(id, expr),
+                                          expr.span, {});
+            default:
+                // alloc / dealloc / offset (heap + provenance), spawn /
+                // join / mutex_* / atomic_* (concurrency): outside the
+                // modelled domain.
+                throw Bail{"intrinsic '" + expr.callee + "' is not modelled"};
         }
-        if (name == "print_int" || name == "print_bool") {
-            // Output is not observed, but the printed value must be exact
-            // (and a scalar) for the run to stay in the modelled subset.
-            (void)exact(args[0]).bits();
-            return make_abs(Value::unit());
-        }
-        if (name == "input") {
-            const std::uint64_t index =
-                args.empty() ? 0 : exact(args[0]).bits();
-            const std::int64_t value =
-                index < inputs_.size() ? inputs_[index] : 0;
-            return make_abs(
-                Value::scalar(static_cast<std::uint64_t>(value)));
-        }
-        if (name == "assert") {
-            if (!exact(args[0]).as_bool()) {
-                panic("assertion failed", expr.span);
-            }
-            return make_abs(Value::unit());
-        }
-        if (name == "panic") {
-            panic("explicit panic", expr.span);
-        }
-        // alloc / dealloc / offset (heap + provenance), spawn / join /
-        // mutex_* / atomic_* (concurrency): outside the modelled domain.
-        throw Bail{"intrinsic '" + name + "' is not modelled"};
     }
 
-    const lang::Program& program_;
     const miri::LoweredProgram& lowered_;
-    const std::vector<std::int64_t>& inputs_;
-    const miri::InterpLimits& limits_;
     const ScreenOptions& options_;
 
+    miri::Machine machine_;
     std::vector<Frame> frames_;
     std::vector<std::optional<Slot>> statics_;
-    std::uint64_t steps_ = 0;
     std::uint64_t ops_ = 0;
-    std::uint32_t call_depth_ = 0;
 };
 
 }  // namespace
-
-Interval Interval::full() {
-    return {std::numeric_limits<std::int64_t>::min(),
-            std::numeric_limits<std::int64_t>::max()};
-}
-
-Interval Interval::type_range(std::uint64_t size_bytes, bool is_signed) {
-    if (size_bytes >= 8) return full();
-    if (is_signed) {
-        return {-(1LL << (size_bytes * 8 - 1)),
-                (1LL << (size_bytes * 8 - 1)) - 1};
-    }
-    return {0, static_cast<std::int64_t>((1ULL << (size_bytes * 8)) - 1)};
-}
 
 const char* verdict_kind_name(VerdictKind kind) {
     switch (kind) {

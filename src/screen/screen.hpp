@@ -1,32 +1,31 @@
-// Static UB pre-screener — constraint propagation over LoweredProgram.
+// Static UB pre-screener — concrete mirror execution over LoweredProgram.
 //
 // The screener is the rung between "no verify" and "full MiriLite" the
-// ROADMAP names: an abstract interpreter that propagates value / bounds /
-// initialization / borrow-state constraints over the lowered program
-// (reusing the dense indices from miri/lower.hpp — no name scans) and
-// returns a three-point verdict lattice:
+// ROADMAP names: a mirror of the interpreter that walks the lowered program
+// (reusing the dense indices from miri/lower.hpp — no name scans) on plain
+// miri::Values with the run's concrete inputs, over the subset of
+// constructs it models, and returns a three-point verdict lattice:
 //
 //   ProvenSafe   the screener walked every input run to completion through
 //                constructs it models exactly and proved no UB fires.
 //   LikelyUB     a definite finding (category + span) on a concrete path.
 //   Unknown      anything the screener does not model: references, raw
-//                pointers, heap intrinsics, threads/atomics, `become`,
-//                non-singleton constraints reaching control flow, or the
-//                op budget running out. Unknown is always sound.
+//                pointers, heap intrinsics, threads/atomics, `become`, or
+//                the op budget running out. Unknown is always sound.
 //
 // Verdicts are advisory: MiriLite stays the authority on every report, and
 // verify::Oracle::screen asks for a verdict only on behalf of the
 // `screened` thinking policy.
 //
 // Soundness contract: ProvenSafe must NEVER contradict MiriLite. The
-// screener guarantees this by construction — it only reports ProvenSafe
-// when every abstract value on the executed path stayed a singleton
-// interval (exact), every construct was one it mirrors operation-for-
-// operation (including step accounting, so step-limit exhaustion is a
-// definite finding), and every run finished cleanly within the interpreter
-// limits. Everything else degrades to Unknown; errors never escape
-// screen_program (asserted over the hand-written + forged corpora in
-// tests/screen_soundness_test.cpp).
+// screener guarantees this by construction — it evaluates scalars, steps,
+// calls and the intrinsics it models through MiriLite's own machine core
+// (miri/scalar.hpp, miri/machine.hpp), mirrors every other construct it
+// accepts operation-for-operation (including step accounting, so step-limit
+// exhaustion is a definite finding), and reports ProvenSafe only when every
+// run finished cleanly within the interpreter limits. Everything else
+// degrades to Unknown; errors never escape screen_program (asserted over
+// the hand-written + forged corpora in tests/screen_soundness_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -35,39 +34,11 @@
 
 #include "lang/ast.hpp"
 #include "miri/finding.hpp"
-#include "miri/interp.hpp"
+#include "miri/machine.hpp"
 #include "miri/lower.hpp"
 #include "support/source_span.hpp"
 
 namespace rustbrain::screen {
-
-/// Closed signed interval [lo, hi] — the screener's value-constraint
-/// domain. Concrete execution keeps every interval a singleton; joins (and
-/// the full range) exist for the lattice operations the checks are written
-/// against, so widening a future non-concrete source of values (symbolic
-/// inputs, merged branches) slots in without touching the checks.
-struct Interval {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-
-    static Interval singleton(std::int64_t value) { return {value, value}; }
-    static Interval full();
-    /// The representable range of an integer of `size_bytes` bytes
-    /// (size_bytes < 8; 8-byte widths use the hardware-overflow path).
-    static Interval type_range(std::uint64_t size_bytes, bool is_signed);
-
-    [[nodiscard]] bool is_singleton() const { return lo == hi; }
-    [[nodiscard]] bool contains(std::int64_t value) const {
-        return lo <= value && value <= hi;
-    }
-    /// True when every value of this interval lies inside `other`.
-    [[nodiscard]] bool within(const Interval& other) const {
-        return other.lo <= lo && hi <= other.hi;
-    }
-    [[nodiscard]] Interval join(const Interval& other) const {
-        return {lo < other.lo ? lo : other.lo, hi > other.hi ? hi : other.hi};
-    }
-};
 
 enum class VerdictKind {
     ProvenSafe,

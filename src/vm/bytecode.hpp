@@ -12,11 +12,12 @@
 // The contract is *byte-identity* with miri::Interpreter: the compiler emits
 // one Step instruction (or folds one into the leading opcode) exactly where
 // the tree walk calls step(), preserves its evaluation and allocation
-// orders, and the VM reuses miri::MemoryModel unchanged — so findings,
-// messages, spans, outputs, and step counts reproduce rule for rule. A
-// VmProgram is a side structure like LoweredProgram: it borrows type and
-// name storage from the exact Program it was compiled from and is only
-// meaningful next to it (verify::Oracle owns such pairs immutably).
+// orders, and the VM calls the same machine core (miri/machine.hpp,
+// miri/scalar.hpp) — so findings, messages, spans, outputs, and step counts
+// reproduce rule for rule. A VmProgram is a side structure like
+// LoweredProgram: it borrows type and name storage from the exact Program it
+// was compiled from and is only meaningful next to it (verify::Oracle owns
+// such pairs immutably).
 //
 // Instructions are packed to 32 bytes (half the original 56): spans, type
 // pointers, and aux pointers are interned into side tables on the VmProgram
@@ -80,11 +81,14 @@ enum class Op : std::uint8_t {
     KillSlotTail,// become: kill_for_tail_call + clear
 
     // Arithmetic / casts -------------------------------------------------
-    Neg,         // a unused; type = result, aux = operand Type*
+    Neg,         // type = operand and result
     NotBool,
     NotBits,     // type = result
     Binary,      // a = lang::BinaryOp; type = result, aux = operand Type*
-    Cast,        // a = CastKind (below)
+    Cast,        // a = miri::CastKind: IntFromInt b = source signed,
+                 //   small = source size; PtrToInt/FnToInt/IntFromInt
+                 //   type = target; RefToRaw small = writable, imm =
+                 //   pointee size; Unsupported type = target, aux = source
     MakeArray,   // pop a elements; push array
     MakeRepeat,  // pop element; push array of imm copies
 
@@ -94,7 +98,8 @@ enum class Op : std::uint8_t {
     CallPtr,      // b = nargs; callee value sits below the args
     TailCall,     // b = nargs; become — frame reused in place
     CallUnknown,  // args evaluated, then the tree walk's logic_error
-    Intrinsic,    // a = IntrinsicId, b = nargs
+    Intrinsic,    // a = lang::IntrinsicId, b = nargs; miri::IntrinsicFacts
+                  //   in imm = pointee size, small = int width, ex = signed
     Ret,          // pop frame; result stays on the value stack
     Halt,         // end of a static-initializer chunk
 
@@ -125,36 +130,6 @@ enum class Op : std::uint8_t {
                     //   in fused[imm].branch_target (no inline field free)
     LocalImmBranch, // [BinaryLocalImm(cmp), JumpIfFalse] — target in
                     //   fused[b].branch_target
-};
-
-enum class CastKind : std::int32_t {
-    IntFromInt,  // b = source signed, small = source size; type = target
-    IntToRawPtr,
-    PtrToInt,    // type = target
-    RefToRaw,    // small = writable, imm = pointee size
-    FnToInt,     // type = target
-    IntToFn,
-    Unsupported, // type = target, aux = source Type*; throws logic_error
-};
-
-enum class IntrinsicId : std::int32_t {
-    Alloc,
-    Dealloc,
-    Offset,     // small = count-arg size, imm = element size
-    PrintInt,   // small = signed, imm = arg size
-    PrintBool,
-    Input,
-    Assert,
-    Panic,
-    Spawn,
-    Join,
-    MutexNew,
-    MutexLock,
-    MutexUnlock,
-    AtomicLoad,
-    AtomicStore,
-    AtomicFetchAdd,
-    Unknown,    // aux = name; throws the tree walk's logic_error
 };
 
 /// One fixed-width instruction, packed to 32 bytes (a 56-byte layout with

@@ -9,7 +9,8 @@
 #include <map>
 #include <stdexcept>
 
-#include "miri/value.hpp"
+#include "lang/typecheck.hpp"
+#include "miri/machine.hpp"
 #include "vm/bytecode.hpp"
 
 namespace rustbrain::vm {
@@ -20,26 +21,6 @@ std::atomic<std::uint64_t> CompileStats::optimize_passes{0};
 namespace {
 
 using lang::Type;
-
-IntrinsicId intrinsic_id(const std::string& name) {
-    if (name == "alloc") return IntrinsicId::Alloc;
-    if (name == "dealloc") return IntrinsicId::Dealloc;
-    if (name == "offset") return IntrinsicId::Offset;
-    if (name == "print_int") return IntrinsicId::PrintInt;
-    if (name == "print_bool") return IntrinsicId::PrintBool;
-    if (name == "input") return IntrinsicId::Input;
-    if (name == "assert") return IntrinsicId::Assert;
-    if (name == "panic") return IntrinsicId::Panic;
-    if (name == "spawn") return IntrinsicId::Spawn;
-    if (name == "join") return IntrinsicId::Join;
-    if (name == "mutex_new") return IntrinsicId::MutexNew;
-    if (name == "mutex_lock") return IntrinsicId::MutexLock;
-    if (name == "mutex_unlock") return IntrinsicId::MutexUnlock;
-    if (name == "atomic_load") return IntrinsicId::AtomicLoad;
-    if (name == "atomic_store") return IntrinsicId::AtomicStore;
-    if (name == "atomic_fetch_add") return IntrinsicId::AtomicFetchAdd;
-    return IntrinsicId::Unknown;
-}
 
 class Compiler {
   public:
@@ -463,9 +444,7 @@ class Compiler {
         switch (node.op) {
             case lang::UnaryOp::Neg: {
                 compile_expr(*node.operand);
-                Instr& in = emit(Op::Neg, node.span);
-                in.type = ti(&node.type);
-                in.aux = ai(&node.operand->type);
+                emit(Op::Neg, node.span).type = ti(&node.type);
                 return;
             }
             case lang::UnaryOp::Not: {
@@ -517,54 +496,33 @@ class Compiler {
         compile_expr(*node.operand);
         const Type& source = node.operand->type;
         const Type& target = node.target;
-        // Same dispatch chain as eval_cast, resolved at compile time.
-        if ((source.is_integer() || source.is_bool()) && target.is_integer()) {
-            Instr& in = emit(Op::Cast, node.span);
-            in.a = static_cast<std::int32_t>(CastKind::IntFromInt);
-            in.b = source.is_signed_integer() ? 1 : 0;
-            in.small = static_cast<std::uint8_t>(source.size_bytes());
-            in.type = ti(&target);
-            return;
-        }
-        if (source.is_integer() && target.is_raw_ptr()) {
-            emit(Op::Cast, node.span).a =
-                static_cast<std::int32_t>(CastKind::IntToRawPtr);
-            return;
-        }
-        if (source.is_any_pointer() && target.is_integer()) {
-            Instr& in = emit(Op::Cast, node.span);
-            in.a = static_cast<std::int32_t>(CastKind::PtrToInt);
-            in.type = ti(&target);
-            return;
-        }
-        if (source.is_raw_ptr() && target.is_raw_ptr()) {
+        const miri::CastKind kind = miri::classify_cast(source, target);
+        if (kind == miri::CastKind::RawToRaw || kind == miri::CastKind::FnToFn) {
             return;  // identity: value unchanged
         }
-        if (source.is_ref() && target.is_raw_ptr()) {
-            Instr& in = emit(Op::Cast, node.span);
-            in.a = static_cast<std::int32_t>(CastKind::RefToRaw);
-            in.small = target.is_mut() ? 1 : 0;
-            in.imm = source.element().size_bytes();
-            return;
-        }
-        if (source.is_fn_ptr() && target.is_integer()) {
-            Instr& in = emit(Op::Cast, node.span);
-            in.a = static_cast<std::int32_t>(CastKind::FnToInt);
-            in.type = ti(&target);
-            return;
-        }
-        if (source.is_integer() && target.is_fn_ptr()) {
-            emit(Op::Cast, node.span).a =
-                static_cast<std::int32_t>(CastKind::IntToFn);
-            return;
-        }
-        if (source.is_fn_ptr() && target.is_fn_ptr()) {
-            return;  // identity
-        }
         Instr& in = emit(Op::Cast, node.span);
-        in.a = static_cast<std::int32_t>(CastKind::Unsupported);
-        in.type = ti(&target);
-        in.aux = ai(&source);
+        in.a = static_cast<std::int32_t>(kind);
+        switch (kind) {
+            case miri::CastKind::IntFromInt:
+                in.b = source.is_signed_integer() ? 1 : 0;
+                in.small = static_cast<std::uint8_t>(source.size_bytes());
+                in.type = ti(&target);
+                break;
+            case miri::CastKind::PtrToInt:
+            case miri::CastKind::FnToInt:
+                in.type = ti(&target);
+                break;
+            case miri::CastKind::RefToRaw:
+                in.small = target.is_mut() ? 1 : 0;
+                in.imm = source.element().size_bytes();
+                break;
+            case miri::CastKind::Unsupported:
+                in.type = ti(&target);
+                in.aux = ai(&source);
+                break;
+            default:
+                break;
+        }
     }
 
     void compile_call(const lang::CallExpr& node) {
@@ -575,30 +533,14 @@ class Compiler {
         }
         switch (res.kind) {
             case miri::CallResolution::Kind::Intrinsic: {
+                const lang::IntrinsicId id = lang::intrinsic_id(node.callee);
+                const miri::IntrinsicFacts facts = miri::intrinsic_facts(id, node);
                 Instr& in = emit(Op::Intrinsic, node.span);
-                in.a = static_cast<std::int32_t>(intrinsic_id(node.callee));
+                in.a = static_cast<std::int32_t>(id);
                 in.b = static_cast<std::int32_t>(node.args.size());
-                switch (static_cast<IntrinsicId>(in.a)) {
-                    case IntrinsicId::Offset:
-                        if (node.args.size() > 1) {
-                            in.small = static_cast<std::uint8_t>(
-                                node.args[1]->type.size_bytes());
-                            in.imm = node.args[0]->type.element().size_bytes();
-                        }
-                        break;
-                    case IntrinsicId::PrintInt:
-                        if (!node.args.empty()) {
-                            in.small =
-                                node.args[0]->type.is_signed_integer() ? 1 : 0;
-                            in.imm = node.args[0]->type.size_bytes();
-                        }
-                        break;
-                    case IntrinsicId::Unknown:
-                        in.aux = ai(&node.callee);
-                        break;
-                    default:
-                        break;
-                }
+                in.small = facts.int_width;
+                in.ex = facts.is_signed ? 1 : 0;
+                in.imm = facts.pointee_size;
                 return;
             }
             case miri::CallResolution::Kind::LocalFnPtr: {

@@ -5,20 +5,23 @@
 // frame owning a [slot_base, slot_base + slot_count) window plus a base
 // pointer into the value stack for its arguments. `become` reuses the top
 // frame in place (resize the slot window, keep the return pc), so tail-call
-// chains use O(1) native stack and never grow call_depth_, exactly like the
-// tree walk's trampoline.
+// chains use O(1) native stack and never grow the call depth, exactly like
+// the tree walk's trampoline.
 //
 // The same Vm runs both plain programs (straight from vm::compile) and
 // optimized ones (vm::optimize): superinstructions and register-promoted
 // locals are just additional opcodes / a per-frame register window that
 // plain programs never use. Dispatch is computed-goto (labels as values).
 //
-// The VM reuses miri::MemoryModel, the vector-clock race detector, and the
-// thread/mutex/atomic bookkeeping verbatim, and enforces InterpLimits at the
-// same program points, so RunResults are byte-identical to miri::Interpreter
-// — findings, messages, spans, outputs, and step counts. The three-way
-// equivalence (tree / vm / vm-optimized) is asserted corpus-wide by
-// tests/miri_vm_test.cpp and the differential stress tests.
+// The VM owns only its dispatch loop, frames, value stack and registers, and
+// the fixed-point snapshot below. Memory, threads, step accounting,
+// arithmetic, casts, intrinsics and teardown are the machine core it shares
+// with miri::Interpreter (miri/machine.hpp, miri/scalar.hpp), and it calls
+// that core at the program points the tree walk does, so RunResults are
+// byte-identical — findings, messages, spans, outputs, and step counts. The
+// three-way equivalence (tree / vm / vm-optimized) of control flow and step
+// accounting is asserted corpus-wide by tests/miri_vm_test.cpp and the
+// differential stress tests.
 //
 // Loop fixed points are skipped (DESIGN.md §13). Past kWatchAfterSteps, a
 // `while` back edge snapshots the whole machine state; if the next arrival
@@ -31,15 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
 #include <tuple>
-#include <utility>
 #include <vector>
 
-#include "miri/interp.hpp"
-#include "miri/memory.hpp"
+#include "miri/machine.hpp"
 #include "miri/value.hpp"
 #include "vm/bytecode.hpp"
 
@@ -87,47 +86,23 @@ class Vm {
         }
     };
 
-    struct ThreadState {
-        miri::ThreadId id = 0;
-        std::int32_t entry_fn = -1;
-        miri::VectorClock vc;
-        bool executed = false;
-        bool joined = false;
-
-        friend bool operator==(const ThreadState& a, const ThreadState& b) {
-            return a.id == b.id && a.entry_fn == b.entry_fn && a.vc == b.vc &&
-                   a.executed == b.executed && a.joined == b.joined;
-        }
-    };
-
-    struct MutexState {
-        std::optional<miri::ThreadId> held_by;
-        miri::VectorClock vc;
-
-        friend bool operator==(const MutexState& a, const MutexState& b) {
-            return a.held_by == b.held_by && a.vc == b.vc;
-        }
-    };
-
-    using AtomicClocks =
-        std::map<std::pair<miri::AllocId, std::uint64_t>, miri::VectorClock>;
-
-    /// Everything a loop iteration can change except steps_ and output_
-    /// (which only grows, so its length stands in for it). live_state()
-    /// lists the members in this order; pc_, inputs_, limits_ and the
-    /// program are rewritten before being read or never written.
+    /// Everything a loop iteration can change except steps and output
+    /// (which only grows, so its length stands in for it): the VM's own
+    /// stack, slots, registers, frames and statics, then the machine core's
+    /// live_state(). live_state() lists the members in this order; pc_ and
+    /// the program are rewritten before being read or never written.
     using MachineState =
-        std::tuple<miri::MemoryModel, std::vector<miri::Value>,
-                   std::vector<LocalState>, std::vector<miri::Value>,
-                   std::vector<Frame>, std::vector<miri::AllocId>,
-                   std::vector<ThreadState>, miri::VectorClock,
-                   std::vector<MutexState>, AtomicClocks, bool,
+        std::tuple<std::vector<miri::Value>, std::vector<LocalState>,
+                   std::vector<miri::Value>, std::vector<Frame>,
+                   std::vector<miri::AllocId>, miri::MemoryModel,
+                   std::vector<miri::ThreadState>, miri::VectorClock,
+                   std::vector<miri::MutexState>, miri::AtomicClocks, bool,
                    miri::ThreadId, std::uint32_t>;
 
     [[nodiscard]] auto live_state() const {
-        return std::tie(mem_, stack_, slots_, regs_, frames_, static_allocs_,
-                        threads_, main_vc_, mutexes_, atomic_vcs_,
-                        multithreaded_, current_thread_, call_depth_);
+        return std::tuple_cat(
+            std::tie(stack_, slots_, regs_, frames_, static_allocs_),
+            m_.live_state());
     }
 
     /// The machine at one back edge, kept until the next arrival there.
@@ -146,15 +121,6 @@ class Vm {
     void enter_function(std::int32_t fn_index, std::uint32_t nargs,
                         std::int32_t ret_pc, support::SourceSpan span);
     void do_intrinsic(const Instr& in);
-    void run_thread(ThreadState& thread, support::SourceSpan span);
-    std::int32_t resolve_fn_target(const miri::FnPtrVal& fn,
-                                   const lang::Type& static_type,
-                                   support::SourceSpan span,
-                                   bool is_become) const;
-    miri::Value eval_binary(lang::BinaryOp op, const lang::Type& result_type,
-                            const lang::Type& operand_type,
-                            support::SourceSpan span, const miri::Value& lhs,
-                            const miri::Value& rhs);
     miri::Value eval_cast(const Instr& in, const miri::Value& operand);
 
     /// Fused-load helper: dead-slot check, then register read or
@@ -162,7 +128,7 @@ class Vm {
     miri::Value load_slot(std::int32_t slot_index, std::int32_t reg,
                           std::uint32_t name_idx, support::SourceSpan span);
 
-    /// A backward Jump to `target` once steps_ reached watch_at_: take,
+    /// A backward Jump to `target` once the step count reached watch_at_: take,
     /// compare or drop the snapshot, and skip the fixed point on a match.
     [[gnu::cold]] [[gnu::noinline]] void back_edge(std::int32_t target,
                                                    std::size_t frame_floor);
@@ -171,24 +137,19 @@ class Vm {
     /// Approximate heap bytes a snapshot of the machine would copy.
     [[nodiscard]] std::size_t state_bytes() const;
 
-    void step(const support::SourceSpan& span);
     /// Two back-to-back step()s with nothing observable between them (the
     /// leading [Step, LoadLocal-entry] pair of every fused binary): bulk
     /// increment away from the limit, exact sequential replay near it so a
     /// step-limit panic reports the same span and count as the expansion.
     void step2(const support::SourceSpan& first,
                const support::SourceSpan& second) {
-        if (steps_ + 2 <= limits_.max_steps) {
-            steps_ += 2;
+        if (m_.steps + 2 <= m_.limits.max_steps) {
+            m_.steps += 2;
         } else {
-            step(first);
-            step(second);
+            m_.step(first);
+            m_.step(second);
         }
     }
-    [[noreturn]] void panic(std::string message, support::SourceSpan span) const;
-    [[nodiscard]] miri::AccessCtx access_ctx(support::SourceSpan span,
-                                             bool atomic = false) const;
-    miri::VectorClock& current_vc();
 
     // Side-table accessors for the packed Instr.
     [[nodiscard]] const support::SourceSpan& span_of(const Instr& in) const {
@@ -207,29 +168,14 @@ class Vm {
         return *static_cast<const lang::Type*>(code_.auxes[in.aux]);
     }
 
-    const lang::Program& program_;
     const VmProgram& code_;
-    std::vector<std::int64_t> inputs_;
-    miri::InterpLimits limits_;
-
-    miri::MemoryModel mem_;
+    miri::Machine m_;
     std::vector<miri::Value> stack_;
     std::vector<LocalState> slots_;
     std::vector<miri::Value> regs_;  // promoted locals (optimized tier)
     std::vector<Frame> frames_;
     std::vector<miri::AllocId> static_allocs_;
     std::int32_t pc_ = 0;
-
-    miri::ThreadId current_thread_ = 0;
-    std::vector<ThreadState> threads_;
-    miri::VectorClock main_vc_;
-    std::vector<MutexState> mutexes_;
-    AtomicClocks atomic_vcs_;
-    bool multithreaded_ = false;
-
-    std::vector<std::string> output_;
-    std::uint64_t steps_ = 0;
-    std::uint32_t call_depth_ = 0;
 
     // Fixed-point watch (back_edge): the next step count at which a back
     // edge is examined, the current retry interval, and the snapshot.

@@ -299,6 +299,48 @@ fn main() {
 })");
 }
 
+TEST(MiriProvenance, OffsetWhoseByteDeltaOverflowsIsOutOfBounds) {
+    // 2^62 elements of 8 bytes: the byte delta overflows i64 (it would
+    // wrap to 0 and leave the pointer where it was).
+    expect_ub(R"(
+fn main() {
+    unsafe {
+        let p = alloc(8, 8) as *mut i64;
+        let q = offset(p, 4611686018427387904);
+        *q = 1;
+        dealloc(p as *mut u8, 8, 8);
+    }
+})",
+              UbCategory::Provenance);
+}
+
+TEST(MiriProvenance, OffsetWhoseByteDeltaWrapsToAnElementIsOutOfBounds) {
+    // (2^61 + 1) * 8 wraps to 8: unchecked, the write lands on element 1.
+    expect_ub(R"(
+fn main() {
+    unsafe {
+        let p = alloc(16, 8) as *mut i64;
+        let q = offset(p, 2305843009213693953);
+        *q = 7;
+        print_int(*q);
+        dealloc(p as *mut u8, 16, 8);
+    }
+})",
+              UbCategory::Provenance);
+}
+
+TEST(MiriProvenance, OffsetWhoseAddressOverflowsIsOutOfBounds) {
+    expect_ub(R"(
+fn main() {
+    unsafe {
+        let p = alloc(8, 8);
+        let q = offset(p, 9223372036854775807);
+        dealloc(p, 8, 8);
+    }
+})",
+              UbCategory::Provenance);
+}
+
 // --- uninit ---------------------------------------------------------------------
 
 TEST(MiriUninit, ReadFreshHeap) {

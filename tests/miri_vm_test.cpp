@@ -164,6 +164,8 @@ TEST(MiriVmTest, ArithmeticEdgesAgree) {
     print_int(a >> 1);
     let small: u8 = input(0) as u8;
     print_int((small + 1) as i64);
+    let wide: u32 = input(0) as u32;
+    print_int((wide * wide) as i64);
 }
 )";
     expect_tiers_agree(source, {{6, 3},
@@ -171,7 +173,53 @@ TEST(MiriVmTest, ArithmeticEdgesAgree) {
                                 {5, 0},
                                 {-9223372036854775807 - 1, -1},
                                 {255, 2},
-                                {1, 200}});
+                                {1, 200},
+                                {4000000000, 1}});
+}
+
+TEST(MiriVmTest, OverflowingOffsetsAgree) {
+    // The byte delta count * size and the address p + delta are checked
+    // once, in MemoryModel::offset_pointer: the same located Provenance
+    // finding on every tier.
+    for (const char* source : {R"(fn main() {
+    unsafe {
+        let p = alloc(8, 8) as *mut i64;
+        let q = offset(p, input(0));
+        *q = 1;
+        dealloc(p as *mut u8, 8, 8);
+    }
+}
+)",
+                               R"(fn main() {
+    unsafe {
+        let p = alloc(16, 8) as *mut i64;
+        let q = offset(p, input(0));
+        *q = 7;
+        print_int(*q);
+        dealloc(p as *mut u8, 16, 8);
+    }
+}
+)",
+                               R"(fn main() {
+    unsafe {
+        let p = alloc(8, 8);
+        let q = offset(p, input(0));
+        dealloc(p, 8, 8);
+    }
+}
+)"}) {
+        SCOPED_TRACE(source);
+        const agreement::TierRun run = expect_tiers_agree(
+            source, {{4611686018427387904}, {2305843009213693953},
+                     {9223372036854775807}});
+        ASSERT_FALSE(run.reference.findings.empty());
+        for (const Finding& finding : run.reference.findings) {
+            EXPECT_EQ(finding.category, UbCategory::Provenance);
+            EXPECT_EQ(finding.message.rfind("pointer arithmetic out of bounds", 0),
+                      0u)
+                << finding.message;
+        }
+    }
 }
 
 // --- InterpLimits parity (satellite: boundary sweeps on the VM path) -------

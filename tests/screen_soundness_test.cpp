@@ -287,28 +287,5 @@ TEST(ScreenSoundnessTest, OracleScreensOnlyWhenAsked) {
     EXPECT_EQ(stats.ops, proven->ops + pinned->ops);
 }
 
-// --- the constraint domain ---------------------------------------------------
-
-TEST(ScreenSoundnessTest, IntervalLatticeBehaves) {
-    const Interval five = Interval::singleton(5);
-    EXPECT_TRUE(five.is_singleton());
-    EXPECT_TRUE(five.contains(5));
-    EXPECT_FALSE(five.contains(6));
-
-    const Interval joined = five.join(Interval::singleton(-3));
-    EXPECT_FALSE(joined.is_singleton());
-    EXPECT_TRUE(joined.contains(0));
-    EXPECT_TRUE(five.within(joined));
-    EXPECT_FALSE(joined.within(five));
-
-    const Interval i8 = Interval::type_range(1, /*is_signed=*/true);
-    EXPECT_EQ(i8.lo, -128);
-    EXPECT_EQ(i8.hi, 127);
-    const Interval u16 = Interval::type_range(2, /*is_signed=*/false);
-    EXPECT_EQ(u16.lo, 0);
-    EXPECT_EQ(u16.hi, 65535);
-    EXPECT_TRUE(i8.within(Interval::full()));
-}
-
 }  // namespace
 }  // namespace rustbrain::screen
