@@ -164,6 +164,7 @@ Program prune_ast(const Program& program, PruneStats* stats) {
     }
 
     Program pruned;
+    pruned.type_pool = program.type_pool;  // the copied nodes name its types
     // Statics touched by unsafe code stay.
     for (const auto& item : program.statics) {
         if (names.count(item.name) != 0 || item.is_mut) {

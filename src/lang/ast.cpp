@@ -201,13 +201,35 @@ FnItem FnItem::clone() const {
     return out;
 }
 
-Type FnItem::fn_type() const {
-    std::vector<Type> param_types;
-    param_types.reserve(params.size());
-    for (const auto& param : params) {
-        param_types.push_back(param.type);
+namespace {
+
+std::vector<Type> param_types(const FnItem& fn) {
+    std::vector<Type> out;
+    out.reserve(fn.params.size());
+    for (const auto& param : fn.params) {
+        out.push_back(param.type);
     }
-    return Type::fn_ptr(std::move(param_types), return_type);
+    return out;
+}
+
+}  // namespace
+
+Type FnItem::fn_type(TypePool& types) const {
+    return types.fn_ptr(param_types(*this), return_type);
+}
+
+bool FnItem::has_fn_type(const Type& type) const {
+    if (!type.is_fn_ptr() || !(type.fn_return() == return_type)) return false;
+    const std::vector<Type>& want = type.fn_params();
+    if (want.size() != params.size()) return false;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        if (!(want[i] == params[i].type)) return false;
+    }
+    return true;
+}
+
+std::string FnItem::fn_type_spelling() const {
+    return fn_ptr_spelling(param_types(*this), return_type);
 }
 
 StaticItem StaticItem::clone() const {
@@ -221,8 +243,14 @@ StaticItem StaticItem::clone() const {
     return out;
 }
 
+TypePool& Program::types() {
+    if (!type_pool) type_pool = std::make_shared<TypePool>();
+    return *type_pool;
+}
+
 Program Program::clone() const {
     Program out;
+    out.type_pool = type_pool;
     out.functions.reserve(functions.size());
     for (const auto& fn : functions) {
         out.functions.push_back(fn.clone());

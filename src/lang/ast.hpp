@@ -284,7 +284,12 @@ struct FnItem {
     support::SourceSpan span;
 
     [[nodiscard]] FnItem clone() const;
-    [[nodiscard]] Type fn_type() const;
+    /// The fn-pointer type of this function, interned in `types`.
+    [[nodiscard]] Type fn_type(TypePool& types) const;
+    /// True when `type` is this function's fn-pointer type; builds nothing.
+    [[nodiscard]] bool has_fn_type(const Type& type) const;
+    /// fn_type()'s spelling, without interning it.
+    [[nodiscard]] std::string fn_type_spelling() const;
 };
 
 struct StaticItem {
@@ -300,10 +305,17 @@ struct StaticItem {
 
 class Program {
   public:
+    /// Owns the composite types this program's nodes name (DESIGN.md §18).
+    /// Clones share it, and it is declared first so it outlives the nodes.
+    /// Null until the first composite type is interned.
+    std::shared_ptr<TypePool> type_pool;
     std::vector<FnItem> functions;
     std::vector<StaticItem> statics;
 
     [[nodiscard]] Program clone() const;
+
+    /// The program's type pool, made on first use.
+    TypePool& types();
 
     [[nodiscard]] const FnItem* find_function(const std::string& name) const;
     [[nodiscard]] FnItem* find_function(const std::string& name);

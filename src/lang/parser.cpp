@@ -110,7 +110,13 @@ Program Parser::parse_program() {
     } catch (const TooDeep&) {
         // The located error is recorded; the partial program is unusable.
     }
+    program.type_pool = std::move(types_);
     return program;
+}
+
+TypePool& Parser::types() {
+    if (!types_) types_ = std::make_shared<TypePool>();
+    return *types_;
 }
 
 void Parser::parse_items(Program& program) {
@@ -193,13 +199,13 @@ Type Parser::parse_type() {
         } else {
             diagnostics_.error("raw pointer type needs 'const' or 'mut'", peek().span);
         }
-        return Type::raw_ptr(parse_type(), is_mut);
+        return types().raw_ptr(parse_type(), is_mut);
     }
     // "&T" / "&mut T"
     if (match(TokenKind::Amp)) {
         const Nest nest(*this);
         const bool is_mut = match(TokenKind::KwMut);
-        return Type::reference(parse_type(), is_mut);
+        return types().reference(parse_type(), is_mut);
     }
     // "[T; N]"
     if (match(TokenKind::LBracket)) {
@@ -208,7 +214,7 @@ Type Parser::parse_type() {
         expect(TokenKind::Semicolon, "in array type");
         const Token& len = expect(TokenKind::IntLiteral, "array length");
         expect(TokenKind::RBracket, "to close array type");
-        return Type::array(std::move(element), len.int_value);
+        return types().array(element, len.int_value);
     }
     // "fn(T, ...) -> T"
     if (match(TokenKind::KwFn)) {
@@ -225,7 +231,7 @@ Type Parser::parse_type() {
         if (match(TokenKind::Arrow)) {
             ret = parse_type();
         }
-        return Type::fn_ptr(std::move(params), std::move(ret));
+        return types().fn_ptr(std::move(params), ret);
     }
     // "()"
     if (check(TokenKind::LParen) && peek(1).is(TokenKind::RParen)) {

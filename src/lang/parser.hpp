@@ -54,6 +54,9 @@ class Parser {
 
     // Types --------------------------------------------------------------
     Type parse_type();
+    /// The pool the parsed program will own, made on the first composite
+    /// type.
+    TypePool& types();
 
     // Statements -----------------------------------------------------------
     Block parse_block();
@@ -103,6 +106,7 @@ class Parser {
     /// their nodes above an operand parsed at their own depth, so they
     /// check depth_ + height_ instead of relying on Nest alone.
     std::size_t height_ = 0;
+    std::shared_ptr<TypePool> types_;
 };
 
 /// Convenience wrapper: lex + parse. Program is only meaningful if

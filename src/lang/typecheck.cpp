@@ -371,7 +371,7 @@ Type TypeChecker::check_expr(Expr& expr, const std::optional<Type>& expected) {
                 result = item->type;
             } else if (const FnItem* fn =
                            program_ ? program_->find_function(node.name) : nullptr) {
-                result = fn->fn_type();
+                result = fn->fn_type(program_->types());
             } else {
                 error("unknown name '" + node.name + "'", node.span);
                 result = Type::unit();
@@ -412,7 +412,7 @@ Type TypeChecker::check_expr(Expr& expr, const std::optional<Type>& expected) {
                     error("array literal elements have mixed types", node.span);
                 }
             }
-            result = Type::array(element_type, node.elements.size());
+            result = program_->types().array(element_type, node.elements.size());
             break;
         }
         case ExprKind::ArrayRepeat: {
@@ -422,7 +422,7 @@ Type TypeChecker::check_expr(Expr& expr, const std::optional<Type>& expected) {
                 element_expected = expected->element();
             }
             const Type element_type = check_expr(*node.element, element_expected);
-            result = Type::array(element_type, node.count);
+            result = program_->types().array(element_type, node.count);
             break;
         }
     }
@@ -466,7 +466,7 @@ Type TypeChecker::check_unary(UnaryExpr& expr, const std::optional<Type>& expect
             const bool want_mut = expr.op == UnaryOp::AddrOfMut;
             require_place(*expr.operand, want_mut,
                           want_mut ? "'&mut' operand" : "'&' operand");
-            return Type::reference(operand, want_mut);
+            return program_->types().reference(operand, want_mut);
         }
     }
     return Type::unit();
@@ -727,7 +727,7 @@ Type TypeChecker::check_intrinsic(CallExpr& expr) {
         if (!size.is_integer() || !align.is_integer()) {
             error("alloc(size, align) takes integers", expr.span);
         }
-        return Type::raw_ptr(Type::u8(), /*is_mut=*/true);
+        return program_->types().raw_ptr(Type::u8(), /*is_mut=*/true);
     }
     if (name == "dealloc") {
         const Type ptr = arg_type(0, std::nullopt);
@@ -746,7 +746,7 @@ Type TypeChecker::check_intrinsic(CallExpr& expr) {
         const Type count = arg_type(1, Type::scalar(ScalarKind::Isize));
         if (!ptr.is_raw_ptr()) {
             error("offset's first argument must be a raw pointer", expr.span);
-            return Type::raw_ptr(Type::u8(), false);
+            return program_->types().raw_ptr(Type::u8(), false);
         }
         if (!count.is_integer()) {
             error("offset's count must be an integer", expr.span);

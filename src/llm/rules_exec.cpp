@@ -93,9 +93,10 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
     if (shared.empty()) return std::nullopt;
 
     Program program = input.clone();
-    auto atomic_ptr = [](const std::string& name) {
-        return mk_cast(mk_unary(UnaryOp::AddrOfMut, mk_var(name)),
-                       Type::raw_ptr(Type::i64(), true));
+    const Type mut_i64_ptr = program.types().raw_ptr(Type::i64(), true);
+    const Type const_i64_ptr = program.types().raw_ptr(Type::i64(), false);
+    auto atomic_ptr = [&](const std::string& name) {
+        return mk_cast(mk_unary(UnaryOp::AddrOfMut, mk_var(name)), mut_i64_ptr);
     };
     bool changed = false;
     for (const std::string& name : shared) {
@@ -143,7 +144,7 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
             ++real_reads;
             std::vector<ExprPtr> args;
             args.push_back(
-                mk_cast(atomic_ptr(name), Type::raw_ptr(Type::i64(), false)));
+                mk_cast(atomic_ptr(name), const_i64_ptr));
             return mk_call("atomic_load", std::move(args));
         });
         changed |= real_reads > 0;
@@ -305,8 +306,8 @@ MaybeProgram fix_fnptr_cast_sig(const Program& input, const miri::Finding&) {
             if (!cast.target.is_fn_ptr()) continue;
             const FnItem* origin = trace_fn_origin(program, *cast.operand);
             if (origin == nullptr) continue;
-            const Type actual = origin->fn_type();
-            if (actual == cast.target) continue;
+            if (origin->has_fn_type(cast.target)) continue;
+            const Type actual = origin->fn_type(program.types());
             cast.target = actual;
             cast_var = let.name;
             correct_sig = actual;
@@ -354,7 +355,7 @@ MaybeProgram direct_call_replace(const Program& input, const miri::Finding&) {
                 const FnItem* unique = nullptr;
                 for (const auto& fn : program.functions) {
                     if (fn.name == "main") continue;
-                    if (fn.fn_type() == cast.target) {
+                    if (fn.has_fn_type(cast.target)) {
                         if (unique != nullptr) {
                             unique = nullptr;
                             break;

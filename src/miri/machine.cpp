@@ -71,13 +71,13 @@ std::int32_t Machine::resolve_fn_target(const FnPtrVal& fn,
     }
     const lang::FnItem& target =
         program.functions[static_cast<std::size_t>(fn.fn_index)];
-    if (static_type.is_fn_ptr() && !(target.fn_type() == static_type)) {
+    if (static_type.is_fn_ptr() && !target.has_fn_type(static_type)) {
         throw UbException{Finding{
             is_become ? UbCategory::TailCall : UbCategory::FuncPointer,
             std::string(is_become ? "tail call" : "call") +
                 " through a function pointer with the wrong signature: pointer says " +
                 static_type.to_string() + " but '" + target.name + "' is " +
-                target.fn_type().to_string(),
+                target.fn_type_spelling(),
             span}};
     }
     return fn.fn_index;

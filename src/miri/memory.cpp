@@ -114,10 +114,8 @@ AllocId MemoryModel::allocate_shadow(std::uint64_t size, std::uint64_t align,
                            /*materialize=*/false);
 }
 
-AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
-                                     AllocKind kind, std::string label,
-                                     support::SourceSpan span,
-                                     bool materialize) {
+std::uint64_t MemoryModel::reserve(std::uint64_t size, std::uint64_t align,
+                                   support::SourceSpan span) {
     if (align == 0 || (align & (align - 1)) != 0) {
         ub(UbCategory::Alloc,
            "invalid allocation alignment " + std::to_string(align) +
@@ -135,6 +133,23 @@ AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
     if (next_addr_ >= kFnAddrBase) {
         ub(UbCategory::Alloc, "address space exhausted", span);
     }
+    if (alloc_size > kMaxBytesPerRun - bytes_allocated_) {
+        ub(UbCategory::Alloc,
+           "out of memory: allocating " + std::to_string(alloc_size) +
+               " bytes passes the run's cap of " +
+               std::to_string(kMaxBytesPerRun) + " bytes",
+           span);
+    }
+    bytes_allocated_ += alloc_size;
+    return base;
+}
+
+AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
+                                     AllocKind kind, std::string label,
+                                     support::SourceSpan span,
+                                     bool materialize) {
+    const std::uint64_t base = reserve(size, align, span);
+    const std::uint64_t alloc_size = std::max<std::uint64_t>(size, 1);
 
     Allocation alloc;
     alloc.id = static_cast<AllocId>(allocs_.size() + 1);
@@ -153,7 +168,6 @@ AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
             stack.push_back({alloc.base_tag, Permission::Unique});
         }
     }
-    bytes_allocated_ += alloc_size;
     allocs_.push_back(std::move(alloc));
     return allocs_.back().id;
 }

@@ -198,6 +198,14 @@ struct AccessCtx {
     support::SourceSpan span;
 };
 
+/// The most bytes one run may allocate, counted cumulatively: stack,
+/// static and heap allocations alike, dead ones included (they keep their
+/// per-byte state for diagnostics). Passing it is an Alloc finding on every
+/// tier, so no single request can exhaust the host's memory. The largest
+/// total any standard-corpus, forged-corpus or test program reaches is
+/// 1,200,008 bytes (150,000 `become` frames of one i64); this is 4.4x that.
+inline constexpr std::uint64_t kMaxBytesPerRun = std::uint64_t{5} << 20;
+
 class MemoryModel {
   public:
     MemoryModel();
@@ -217,6 +225,13 @@ class MemoryModel {
     AllocId allocate_shadow(std::uint64_t size, std::uint64_t align,
                             AllocKind kind, std::string label,
                             support::SourceSpan span);
+    /// The bookkeeping every allocation starts with, without making one:
+    /// validates the alignment, bumps the address space and charges
+    /// kMaxBytesPerRun, raising Alloc UB where allocate() would. Returns
+    /// the base address. The screener mirrors the interpreter's
+    /// allocations through it.
+    std::uint64_t reserve(std::uint64_t size, std::uint64_t align,
+                          support::SourceSpan span);
     /// Heap deallocation with full layout validation.
     void deallocate(const Pointer& p, std::uint64_t size, std::uint64_t align,
                     support::SourceSpan span);

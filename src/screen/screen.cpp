@@ -48,9 +48,11 @@ struct RunScreen {
 /// miri::Machine::step at exactly the interpreter's sites (every
 /// exec_statement entry, every eval_expr entry, one extra step per
 /// while-loop iteration), so the screener exceeds the step limit exactly
-/// where MiriLite does, and scalars go through the same kernel. The
-/// machine's memory and threads stay unused: every construct that would
-/// touch them bails.
+/// where MiriLite does, and scalars go through the same kernel. Stack and
+/// static allocations are charged to the machine's memory (reserve) without
+/// being made, so the per-run memory cap fires where MiriLite's does; no
+/// other memory or thread state is used: every construct that would touch
+/// it bails.
 class AbstractInterpreter {
   public:
     AbstractInterpreter(const lang::Program& program,
@@ -133,6 +135,12 @@ class AbstractInterpreter {
 
     const lang::Program& program() const { return machine_.program; }
 
+    /// Charges a stack or static allocation the interpreter makes here, so
+    /// the memory cap fires at the same allocation with the same finding.
+    void reserve(const Type& type, support::SourceSpan span) {
+        machine_.mem.reserve(type.size_bytes(), type.align_bytes(), span);
+    }
+
     // -- statics ------------------------------------------------------------
 
     void setup_statics() {
@@ -143,6 +151,7 @@ class AbstractInterpreter {
             // the static stays unset during its own init, so a self-
             // reference falls through to the function-name path and bails —
             // Unknown, which is always sound.
+            reserve(item.type, item.span);
             const Value init = eval_expr(*item.init);
             statics_[i] = Slot{init, item.type};
         }
@@ -159,6 +168,7 @@ class AbstractInterpreter {
         frames_.back().slots.resize(
             lowered_.fn_slot_counts[static_cast<std::size_t>(fn_index)]);
         for (std::size_t i = 0; i < fn.params.size(); ++i) {
+            reserve(fn.params[i].type, fn.span);
             // Under lowering, parameters occupy slots 0..n-1 in order.
             frames_.back().slots[i] =
                 Slot{i < args.size() ? args[i] : Value::unit(),
@@ -200,6 +210,7 @@ class AbstractInterpreter {
                 const Value value = eval_expr(*node.init);
                 const Type& type =
                     node.declared_type ? *node.declared_type : node.init->type;
+                reserve(type, node.span);
                 const std::int32_t slot = lowered_.let_slots[node.id];
                 if (slot < 0) throw Bail{"let without a lowered slot"};
                 frames_.back().slots[static_cast<std::size_t>(slot)] =

@@ -188,10 +188,11 @@ struct VmProgram {
     /// CompileError finding as the tree walk).
     std::int32_t main_fn = -1;
 
-    /// Interned side tables ([0] is the absent entry). `types`/`auxes`
-    /// alias storage owned by the AST.
+    /// Interned side tables ([0] is the absent entry). `types` holds one
+    /// handle per distinct type, valid while the program's type pool lives;
+    /// `auxes` alias storage owned by the AST.
     std::vector<support::SourceSpan> spans{support::SourceSpan{}};
-    std::vector<const lang::Type*> types{nullptr};
+    std::vector<lang::Type> types{lang::Type()};
     std::vector<const void*> auxes{nullptr};
     /// Cold operands of superinstructions (vm::optimize only).
     std::vector<FusedDetail> fused;

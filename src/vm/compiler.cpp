@@ -8,6 +8,7 @@
 #include <array>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "lang/typecheck.hpp"
 #include "miri/machine.hpp"
@@ -77,9 +78,9 @@ class Compiler {
     std::uint32_t ti(const Type* type) {
         if (type == nullptr) return 0;
         auto [it, inserted] =
-            type_ids_.try_emplace(type, static_cast<std::uint32_t>(
-                                            out_.types.size()));
-        if (inserted) out_.types.push_back(type);
+            type_ids_.try_emplace(type->node(), static_cast<std::uint32_t>(
+                                                    out_.types.size()));
+        if (inserted) out_.types.push_back(*type);
         return it->second;
     }
 
@@ -570,7 +571,8 @@ class Compiler {
     std::vector<ScopeInfo> scopes_;
     std::vector<const Type*> slot_types_;
     std::map<std::array<std::uint32_t, 4>, std::uint32_t> span_ids_;
-    std::map<const Type*, std::uint32_t> type_ids_;
+    /// One entry per distinct interned type (DESIGN.md §18).
+    std::unordered_map<const lang::TypeNode*, std::uint32_t> type_ids_;
     std::map<const void*, std::uint32_t> aux_ids_;
 };
 

@@ -372,8 +372,7 @@ void promote_function(VmProgram& out, VmFunction& fn, std::size_t begin,
             case Op::DeclLocal:
             case Op::DeclParam: {
                 s->declared = true;
-                const lang::Type* type = out.types[ins.type];
-                if (type == nullptr || !type->is_integer()) {
+                if (ins.type == 0 || !out.types[ins.type].is_integer()) {
                     s->integer_only = false;
                 }
                 break;

@@ -745,7 +745,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
                                         Value::scalar(in.imm));
         Value& top = stack_.back();  // outer lhs, combined in place
         top = miri::binary_op(
-            static_cast<lang::BinaryOp>(d.outer_op), *code_.types[d.outer_type],
+            static_cast<lang::BinaryOp>(d.outer_op), code_.types[d.outer_type],
             *static_cast<const lang::Type*>(code_.auxes[d.outer_aux]),
             code_.spans[d.outer_span], top, inner);
         ++pc;

@@ -156,7 +156,7 @@ class Vm {
         return code_.spans[in.span];
     }
     [[nodiscard]] const lang::Type& type_of(const Instr& in) const {
-        return *code_.types[in.type];
+        return code_.types[in.type];
     }
     [[nodiscard]] const std::string& name_of(const Instr& in) const {
         return *static_cast<const std::string*>(code_.auxes[in.aux]);

@@ -44,7 +44,8 @@ TEST(ParserTest, UnsafeFnAndParams) {
     EXPECT_TRUE(f.is_unsafe);
     ASSERT_EQ(f.params.size(), 2u);
     EXPECT_EQ(f.params[0].type, Type::i32());
-    EXPECT_EQ(f.params[1].type, Type::raw_ptr(Type::u8(), true));
+    TypePool pool;
+    EXPECT_EQ(f.params[1].type, pool.raw_ptr(Type::u8(), true));
     EXPECT_EQ(f.return_type, Type::i64());
 }
 
@@ -165,7 +166,8 @@ fn main() {
     let x = a[2];
 })");
     const auto& a = static_cast<const LetStmt&>(*program.functions[0].body.statements[0]);
-    EXPECT_EQ(*a.declared_type, Type::array(Type::i32(), 3));
+    TypePool pool;
+    EXPECT_EQ(*a.declared_type, pool.array(Type::i32(), 3));
     const auto& b = static_cast<const LetStmt&>(*program.functions[0].body.statements[1]);
     EXPECT_EQ(b.init->kind, ExprKind::ArrayRepeat);
     const auto& x = static_cast<const LetStmt&>(*program.functions[0].body.statements[2]);

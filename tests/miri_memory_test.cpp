@@ -2,6 +2,9 @@
 // clocks, epochs — below the interpreter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "miri/memory.hpp"
 
 namespace rustbrain::miri {
@@ -74,7 +77,8 @@ TEST(MemoryTest, PartialOverwriteClearsPointerProvenance) {
     MemoryModel mem;
     const AllocId target = mem.allocate(4, 4, AllocKind::Stack, "t", {});
     const AllocId holder = mem.allocate(8, 8, AllocKind::Stack, "slot", {});
-    const Type ptr_type = Type::raw_ptr(Type::i32(), false);
+    lang::TypePool pool;
+    const Type ptr_type = pool.raw_ptr(Type::i32(), false);
 
     mem.store(mem.base_pointer(holder), ptr_type,
               Value::pointer(mem.base_pointer(target)), ctx());
@@ -90,7 +94,8 @@ TEST(MemoryTest, StoredPointerKeepsProvenance) {
     MemoryModel mem;
     const AllocId target = mem.allocate(4, 4, AllocKind::Stack, "t", {});
     const AllocId holder = mem.allocate(8, 8, AllocKind::Stack, "slot", {});
-    const Type ptr_type = Type::raw_ptr(Type::i32(), false);
+    lang::TypePool pool;
+    const Type ptr_type = pool.raw_ptr(Type::i32(), false);
     mem.store(mem.base_pointer(holder), ptr_type,
               Value::pointer(mem.base_pointer(target)), ctx());
     const Value reloaded = mem.load(mem.base_pointer(holder), ptr_type, ctx());
@@ -296,7 +301,8 @@ TEST(MemoryTest, DeallocValidation) {
 
 TEST(MemoryTest, ArrayStoreLoadElementwise) {
     MemoryModel mem;
-    const Type array_type = Type::array(Type::i32(), 3);
+    lang::TypePool pool;
+    const Type array_type = pool.array(Type::i32(), 3);
     const AllocId id = mem.allocate(array_type.size_bytes(),
                                     array_type.align_bytes(), AllocKind::Stack,
                                     "a", {});
@@ -328,6 +334,34 @@ TEST(ValueTest, TruncateToType) {
     EXPECT_EQ(truncate_to_type(0x1FF, Type::u8()), 0xFFu);
     EXPECT_EQ(truncate_to_type(0x1FF, Type::i64()), 0x1FFu);
     EXPECT_EQ(truncate_to_type(7, Type::unit()), 0u);
+}
+
+TEST(MemoryTest, RunCapCountsEveryAllocationUpToTheLastByte) {
+    // Shadow allocations charge the cap like materialized ones, so the
+    // edge is checked without building 5 MiB of per-byte state.
+    MemoryModel mem;
+    mem.allocate_shadow(kMaxBytesPerRun - 2, 1, AllocKind::Stack, "a", {});
+    mem.allocate(1, 1, AllocKind::Heap, "heap", {});
+    mem.reserve(0, 1, {});  // a unit local still takes one byte
+    EXPECT_EQ(mem.bytes_allocated(), kMaxBytesPerRun);
+    try {
+        mem.allocate(1, 1, AllocKind::Heap, "heap", {});
+        FAIL() << "allocation past the cap succeeded";
+    } catch (const UbException& ub) {
+        EXPECT_EQ(ub.finding.category, UbCategory::Alloc);
+        EXPECT_EQ(ub.finding.message,
+                  "out of memory: allocating 1 bytes passes the run's cap of " +
+                      std::to_string(kMaxBytesPerRun) + " bytes");
+    }
+    EXPECT_EQ(mem.bytes_allocated(), kMaxBytesPerRun);
+}
+
+TEST(MemoryTest, RunCapRejectsOneHugeAllocationBeforeMaterializing) {
+    MemoryModel mem;
+    EXPECT_THROW(mem.allocate(std::uint64_t{1} << 40, 8, AllocKind::Heap, "heap", {}),
+                 UbException);
+    EXPECT_EQ(mem.allocation_count(), 0u);
+    EXPECT_EQ(mem.bytes_allocated(), 0u);
 }
 
 }  // namespace

@@ -347,10 +347,11 @@ TEST(MiriScalarTest, IntCastsWrapModuloTheTargetWidth) {
 }
 
 TEST(MiriScalarTest, CastsAreClassifiedByTheirStaticTypes) {
+    lang::TypePool pool;
     const Type i32 = Type::i32();
-    const Type raw = Type::raw_ptr(i32, /*is_mut=*/true);
-    const Type ref = Type::reference(i32, /*is_mut=*/false);
-    const Type fn = Type::fn_ptr({}, Type::unit());
+    const Type raw = pool.raw_ptr(i32, /*is_mut=*/true);
+    const Type ref = pool.reference(i32, /*is_mut=*/false);
+    const Type fn = pool.fn_ptr({}, Type::unit());
     EXPECT_EQ(classify_cast(i32, Type::u8()), CastKind::IntFromInt);
     EXPECT_EQ(classify_cast(Type::boolean(), i32), CastKind::IntFromInt);
     EXPECT_EQ(classify_cast(i32, raw), CastKind::IntToRawPtr);

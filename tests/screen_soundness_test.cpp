@@ -238,6 +238,21 @@ TEST(ScreenSoundnessTest, StepLimitExhaustionIsADefinitePanic) {
     expect_sound(source, {}, limits);
 }
 
+TEST(ScreenSoundnessTest, MemoryCapIsTheInterpretersFinding) {
+    // The screener charges each stack allocation it mirrors to the same
+    // per-run cap, so it pins MiriLite's finding rather than proving safe.
+    const std::string source =
+        "fn main() {\n    let a: [i64; 700000] = [0; 700000];\n"
+        "    print_int(a[0]);\n}\n";
+    const Observed o = observe(source, {{}});
+    ASSERT_TRUE(o.compiled_ok);
+    EXPECT_EQ(o.verdict.kind, VerdictKind::LikelyUB);
+    EXPECT_EQ(o.verdict.category, miri::UbCategory::Alloc);
+    ASSERT_EQ(o.miri.findings.size(), 1u);
+    EXPECT_EQ(o.verdict.detail, o.miri.findings.front().message);
+    expect_sound_observed(o, source);
+}
+
 TEST(ScreenSoundnessTest, OpBudgetExhaustionDegradesToUnknown) {
     ScreenOptions options;
     options.max_ops = 50;  // far below the honest cost of the loop

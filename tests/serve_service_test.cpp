@@ -267,6 +267,32 @@ TEST(RepairServerTest, DeeplyNestedSourceGetsAFramedResponse) {
     server.stop();
 }
 
+TEST(RepairServerTest, OverCapAllocationGetsAFindingAndServingGoesOn) {
+    // alloc(100000000, 8) once ended the process with std::bad_alloc; the
+    // per-run memory cap turns it into an Alloc finding.
+    ServerOptions options;
+    options.service = service_options();
+    RepairServer server(options);
+
+    RepairClient client(server.port());
+    RepairRequest request;
+    request.ticket = "huge";
+    request.ub_case = corpus().cases().front();
+    request.ub_case.buggy_source =
+        "fn main() {\n    unsafe {\n        let p = alloc(100000000, 8);\n"
+        "        dealloc(p, 100000000, 8);\n    }\n}\n";
+    const RepairResponse response = client.repair(request);
+    EXPECT_EQ(response.ticket, "huge");
+    ASSERT_TRUE(response.ok) << response.error;
+    ASSERT_FALSE(response.result.error_trajectory.empty());
+    EXPECT_GE(response.result.error_trajectory.front(), 1u);
+
+    request.ticket = "after";
+    request.ub_case = corpus().cases().front();
+    EXPECT_TRUE(client.repair(request).ok);
+    server.stop();
+}
+
 TEST(RepairServerTest, ServeOnceShutsDownAfterTheRequestBudget) {
     ServerOptions options;
     options.service = service_options();

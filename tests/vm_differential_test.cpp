@@ -77,26 +77,14 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
                                           /*runs_past_cap=*/true);
 }
 
-/// Longest digit run in `text`.
-std::size_t longest_digit_run(const std::string& text) {
-    std::size_t longest = 0;
-    std::size_t run = 0;
-    for (const char c : text) {
-        run = c >= '0' && c <= '9' ? run + 1 : 0;
-        longest = run > longest ? run : longest;
-    }
-    return longest;
-}
-
 TEST(VmDifferentialTest, MutatedProgramsAgreeAcrossTiers) {
     // Every mutant that parses and typechecks must get the same report
     // from the tree walk, the default tier, and the VM on raw and
     // optimized bytecode. The step limit sits past the VM's watch
     // threshold (but under kVmAfterSteps, so the default tier is the tree
     // walk alone), so mutated loops exercise the fixed-point skip.
-    // Mutants with a number of six or more digits are left out: nothing
-    // caps an allocation's size yet, and `alloc(4294967296 * 8, 8)` would
-    // exhaust the host's memory.
+    // Mutants with huge numbers are kept: `alloc(4294967296 * 8, 8)` meets
+    // the per-run memory cap (miri::kMaxBytesPerRun) on every tier.
     struct Seed {
         std::string source;
         miri::agreement::Inputs inputs;
@@ -122,7 +110,6 @@ TEST(VmDifferentialTest, MutatedProgramsAgreeAcrossTiers) {
     for (std::size_t i = 0; i < 30000; ++i) {
         const Seed& seed = seeds[i % seeds.size()];
         const std::string source = mutation::mutate(seed.source, donors, rng);
-        if (longest_digit_run(source) > 5) continue;
         std::optional<lang::Program> program = lang::try_parse(source);
         if (!program || !lang::type_check(*program)) continue;
         SCOPED_TRACE("iteration " + std::to_string(i));
@@ -133,6 +120,28 @@ TEST(VmDifferentialTest, MutatedProgramsAgreeAcrossTiers) {
     }
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(skipped, 0u);  // the watch engaged and skipped some loops
+}
+
+TEST(VmDifferentialTest, MemoryCapIsOneFindingOnEveryTier) {
+    // Past miri::kMaxBytesPerRun a heap or a stack allocation is an Alloc
+    // finding, raised before any per-byte state exists, identically on
+    // every tier.
+    const std::vector<std::string> sources = {
+        "fn main() {\n    unsafe {\n        let p = alloc(100000000, 8);\n"
+        "        dealloc(p, 100000000, 8);\n    }\n}\n",
+        "fn main() {\n    let a: [i64; 700000] = [0; 700000];\n"
+        "    print_int(a[0]);\n}\n",
+    };
+    for (const std::string& source : sources) {
+        SCOPED_TRACE(source);
+        const miri::agreement::TierRun run =
+            miri::agreement::expect_tiers_agree(source, {{}});
+        ASSERT_EQ(run.reference.findings.size(), 1u);
+        const miri::Finding& finding = run.reference.findings.front();
+        EXPECT_EQ(finding.category, miri::UbCategory::Alloc);
+        EXPECT_EQ(finding.message.rfind("out of memory: allocating ", 0), 0u)
+            << finding.message;
+    }
 }
 
 }  // namespace
