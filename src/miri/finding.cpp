@@ -74,4 +74,23 @@ std::string Finding::key() const {
     return std::string(ub_category_name(category)) + "|" + message;
 }
 
+void FaultRecord::record(UbCategory category, const char* message,
+                         const support::SourceSpan& span) {
+    record(category, std::string(message), span);
+}
+
+void FaultRecord::record(UbCategory category, std::string&& message,
+                         const support::SourceSpan& span) {
+    raised_ = true;
+    finding_ = Finding{category, std::move(message), span};
+    steps_at_ = steps_ != nullptr ? *steps_ : 0;
+    output_at_ = output_ != nullptr ? output_->size() : 0;
+}
+
+std::optional<Finding> FaultRecord::take() {
+    if (!raised_) return std::nullopt;
+    raised_ = false;
+    return std::move(finding_);
+}
+
 }  // namespace rustbrain::miri

@@ -20,9 +20,12 @@ Interpreter::Interpreter(const lang::Program& program,
 RunResult Interpreter::run() {
     return m_.run([this] {
         setup_statics();
+        if (m_.faulted()) return;
         const std::int32_t main_fn = m_.main_fn();
+        if (main_fn < 0) return;
         call_function(main_fn, {},
-                      m_.program.functions[static_cast<std::size_t>(main_fn)].span);
+                      m_.program.functions[static_cast<std::size_t>(main_fn)].span,
+                      Type::unit());
     });
 }
 
@@ -32,7 +35,9 @@ void Interpreter::setup_statics() {
             m_.mem.allocate(item.type.size_bytes(), item.type.align_bytes(),
                             AllocKind::Static, item.name, item.span);
         static_allocs_[item.name] = alloc;
+        if (m_.faulted()) return;
         const Value init = eval_expr(*item.init);
+        if (m_.faulted()) return;
         m_.mem.store(m_.mem.base_pointer(alloc), item.type, init,
                      m_.access_ctx(item.span));
     }
@@ -77,8 +82,9 @@ void Interpreter::kill_frame(Frame& frame) {
 }
 
 Value Interpreter::call_function(std::int32_t fn_index, std::vector<Value> args,
-                                 support::SourceSpan span) {
-    m_.enter_call(fn_index, span);
+                                 support::SourceSpan span,
+                                 const Type& result_type) {
+    if (!m_.enter_call(fn_index, span)) return neutral_value(result_type);
     Value result = Value::unit();
     // Trampoline: a `become` in the callee surfaces as Flow::TailCall and
     // replaces this frame in place, so arbitrarily long tail-call chains
@@ -88,21 +94,19 @@ Value Interpreter::call_function(std::int32_t fn_index, std::vector<Value> args,
             m_.program.functions[static_cast<std::size_t>(fn_index)];
         frames_.emplace_back();
         frames_.back().scopes.emplace_back();
-        ExecResult exec;
-        try {
-            for (std::size_t i = 0; i < fn.params.size(); ++i) {
-                declare_local(fn.params[i].name, fn.params[i].type,
-                              i < args.size() ? args[i] : Value::unit(), fn.span);
-            }
-            exec = exec_block(fn.body);
-        } catch (...) {
-            kill_frame(frames_.back());
-            frames_.pop_back();
-            --m_.call_depth;
-            throw;
+        for (std::size_t i = 0; i < fn.params.size(); ++i) {
+            declare_local(fn.params[i].name, fn.params[i].type,
+                          i < args.size() ? args[i] : Value::unit(), fn.span);
         }
+        ExecResult exec = exec_block(fn.body);
         kill_frame(frames_.back());
         frames_.pop_back();
+        if (m_.faulted()) {
+            // The body stopped early: its result (or tail-call target) is
+            // not the function's.
+            result = neutral_value(result_type);
+            break;
+        }
         if (exec.flow == Flow::TailCall) {
             fn_index = exec.tail_fn;
             args = std::move(exec.tail_args);
@@ -135,6 +139,7 @@ Interpreter::ExecResult Interpreter::exec_block(const lang::Block& block) {
 
 Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
     m_.step(stmt.span);
+    if (m_.faulted()) return {};
     switch (stmt.kind) {
         case lang::StmtKind::Let: {
             const auto& node = static_cast<const lang::LetStmt&>(stmt);
@@ -168,7 +173,7 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
         }
         case lang::StmtKind::While: {
             const auto& node = static_cast<const lang::WhileStmt&>(stmt);
-            while (eval_expr(*node.condition).as_bool()) {
+            while (!m_.faulted() && eval_expr(*node.condition).as_bool()) {
                 m_.step(node.span);
                 ExecResult result = exec_block(node.body);
                 if (result.flow != Flow::Normal) return result;
@@ -255,7 +260,10 @@ Interpreter::Place Interpreter::eval_place(const lang::Expr& expr) {
                 array_type = base_place.type;
             }
             const std::uint64_t i = eval_expr(*node.index).bits();
-            check_index(i, array_type.array_length(), node.span);
+            if (!check_index(m_.faults, i, array_type.array_length(),
+                             node.span)) {
+                return {Pointer{}, array_type.element()};
+            }
             Pointer element_ptr = base_ptr;
             element_ptr.addr += i * array_type.element().size_bytes();
             return {element_ptr, array_type.element()};
@@ -320,7 +328,8 @@ Value Interpreter::eval_expr(const lang::Expr& expr) {
         case lang::ExprKind::ArrayRepeat: {
             const auto& node = static_cast<const lang::ArrayRepeatExpr&>(expr);
             const Value element = eval_expr(*node.element);
-            return Value::array(std::vector<Value>(node.count, element));
+            return m_.array_repeat(element, node.count,
+                                   node.element->type.size_bytes(), node.span);
         }
     }
     return Value::unit();
@@ -329,7 +338,8 @@ Value Interpreter::eval_expr(const lang::Expr& expr) {
 Value Interpreter::eval_unary(const lang::UnaryExpr& expr) {
     switch (expr.op) {
         case lang::UnaryOp::Neg:
-            return negate(eval_expr(*expr.operand), expr.type, expr.span);
+            return negate(m_.faults, eval_expr(*expr.operand), expr.type,
+                          expr.span);
         case lang::UnaryOp::Not: {
             const Value operand = eval_expr(*expr.operand);
             if (expr.type.is_bool()) {
@@ -367,7 +377,8 @@ Value Interpreter::eval_binary(const lang::BinaryExpr& expr) {
 
     const Value lhs = eval_expr(*expr.lhs);
     const Value rhs = eval_expr(*expr.rhs);
-    return binary_op(expr.op, expr.type, expr.lhs->type, expr.span, lhs, rhs);
+    return binary_op(m_.faults, expr.op, expr.type, expr.lhs->type, expr.span,
+                     lhs, rhs);
 }
 
 Value Interpreter::eval_cast(const lang::CastExpr& expr) {
@@ -412,7 +423,7 @@ Value Interpreter::eval_call(const lang::CallExpr& expr) {
         // plain stack, so its pushes and pops nest around this call.
         return m_.intrinsic(id, args, intrinsic_facts(id, expr), expr.span,
                             [this](std::int32_t entry_fn, support::SourceSpan span) {
-                                call_function(entry_fn, {}, span);
+                                call_function(entry_fn, {}, span, Type::unit());
                             });
     }
     // Local fn-pointer variable called by name?
@@ -423,7 +434,7 @@ Value Interpreter::eval_call(const lang::CallExpr& expr) {
                         m_.access_ctx(expr.span));
         return call_function(m_.resolve_fn_target(callee.as_fn(), local->type,
                                                   expr.span, /*is_become=*/false),
-                             std::move(args), expr.span);
+                             std::move(args), expr.span, expr.type);
     }
     const lang::FnItem* fn = m_.program.find_function(expr.callee);
     if (fn == nullptr) {
@@ -431,7 +442,7 @@ Value Interpreter::eval_call(const lang::CallExpr& expr) {
     }
     return call_function(
         static_cast<std::int32_t>(fn - m_.program.functions.data()),
-        std::move(args), expr.span);
+        std::move(args), expr.span, expr.type);
 }
 
 Value Interpreter::eval_call_ptr(const lang::CallPtrExpr& expr) {
@@ -443,7 +454,7 @@ Value Interpreter::eval_call_ptr(const lang::CallPtrExpr& expr) {
     }
     return call_function(m_.resolve_fn_target(callee.as_fn(), expr.callee->type,
                                               expr.span, /*is_become=*/false),
-                         std::move(args), expr.span);
+                         std::move(args), expr.span, expr.type);
 }
 
 }  // namespace rustbrain::miri

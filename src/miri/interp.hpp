@@ -36,7 +36,9 @@ class Interpreter {
                 const LoweredProgram* /*ignored*/ = nullptr);
 
     /// Execute main (and all joined threads); never throws for program-level
-    /// failures — UB and panics come back as RunResult::finding.
+    /// failures — UB and panics come back as RunResult::finding. The walk
+    /// checks for a fault at each statement, each `while` iteration and
+    /// each call, and unwinds by returning (DESIGN.md §19).
     RunResult run();
 
   private:
@@ -74,8 +76,10 @@ class Interpreter {
 
     // Execution ---------------------------------------------------------
     void setup_statics();
+    /// A faulted call yields neutral_value(result_type), the call
+    /// expression's static type.
     Value call_function(std::int32_t fn_index, std::vector<Value> args,
-                        support::SourceSpan span);
+                        support::SourceSpan span, const lang::Type& result_type);
     ExecResult exec_block(const lang::Block& block);
     ExecResult exec_statement(const lang::Stmt& stmt);
 

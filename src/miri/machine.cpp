@@ -10,7 +10,7 @@ using lang::IntrinsicId;
 // there why it is left out), then update the size here (x86-64 libstdc++
 // layout).
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(Machine) == 296,
+static_assert(sizeof(Machine) == 400,
               "Machine::live_state() must cover every member a run can change");
 #endif
 
@@ -30,57 +30,75 @@ IntrinsicFacts intrinsic_facts(IntrinsicId id, const lang::CallExpr& call) {
 
 Machine::Machine(const lang::Program& program_in,
                  std::vector<std::int64_t> inputs_in, InterpLimits limits_in)
-    : program(program_in), inputs(std::move(inputs_in)), limits(limits_in) {}
+    : program(program_in),
+      inputs(std::move(inputs_in)),
+      limits(limits_in),
+      mem(faults) {
+    faults.watch(&steps, &output);
+}
 
-std::int32_t Machine::main_fn() const {
+std::int32_t Machine::main_fn() {
     const lang::FnItem* main = program.find_function("main");
     if (main == nullptr) {
-        throw UbException{Finding{UbCategory::CompileError,
-                                  "program has no 'main' function", {}}};
+        faults.raise(UbCategory::CompileError, "program has no 'main' function",
+                     {});
+        return -1;
     }
     return static_cast<std::int32_t>(main - program.functions.data());
 }
 
-void Machine::enter_call(std::int32_t fn_index, const support::SourceSpan& span) {
+bool Machine::enter_call(std::int32_t fn_index, const support::SourceSpan& span) {
+    if (faulted()) return false;
     if (fn_index < 0 ||
         static_cast<std::size_t>(fn_index) >= program.functions.size()) {
-        throw UbException{Finding{UbCategory::FuncCall,
-                                  "calling a pointer that is not a function",
-                                  span}};
+        faults.raise(UbCategory::FuncCall,
+                     "calling a pointer that is not a function", span);
+        return false;
     }
     if (++call_depth > limits.max_call_depth) {
         --call_depth;
-        panic("stack overflow: call depth exceeded " +
+        panic(faults,
+              "stack overflow: call depth exceeded " +
                   std::to_string(limits.max_call_depth),
               span);
+        return false;
     }
+    return true;
 }
 
 std::int32_t Machine::resolve_fn_target(const FnPtrVal& fn,
                                         const lang::Type& static_type,
                                         support::SourceSpan span,
-                                        bool is_become) const {
+                                        bool is_become) {
     if (!fn.valid() ||
         static_cast<std::size_t>(fn.fn_index) >= program.functions.size()) {
-        throw UbException{
-            Finding{is_become ? UbCategory::TailCall : UbCategory::FuncCall,
-                    is_become
-                        ? "tail call through a pointer that is not a function"
-                        : "calling a pointer that is not a function",
-                    span}};
+        faults.raise(is_become ? UbCategory::TailCall : UbCategory::FuncCall,
+                     is_become
+                         ? "tail call through a pointer that is not a function"
+                         : "calling a pointer that is not a function",
+                     span);
+        return FnPtrVal::kInvalidFn;
     }
     const lang::FnItem& target =
         program.functions[static_cast<std::size_t>(fn.fn_index)];
     if (static_type.is_fn_ptr() && !target.has_fn_type(static_type)) {
-        throw UbException{Finding{
+        faults.raise(
             is_become ? UbCategory::TailCall : UbCategory::FuncPointer,
             std::string(is_become ? "tail call" : "call") +
                 " through a function pointer with the wrong signature: pointer says " +
                 static_type.to_string() + " but '" + target.name + "' is " +
                 target.fn_type_spelling(),
-            span}};
+            span);
+        return FnPtrVal::kInvalidFn;
     }
     return fn.fn_index;
+}
+
+Value Machine::array_repeat(const Value& element, std::uint64_t count,
+                            std::uint64_t element_size,
+                            const support::SourceSpan& span) {
+    if (!mem.fits_in_cap(count, element_size, span)) return Value::array({});
+    return Value::array(std::vector<Value>(count, element));
 }
 
 Value Machine::intrinsic(IntrinsicId id, const std::vector<Value>& args,
@@ -116,10 +134,11 @@ Value Machine::intrinsic(IntrinsicId id, const std::vector<Value>& args,
                 index < inputs.size() ? inputs[index] : 0));
         }
         case IntrinsicId::Assert:
-            if (!args[0].as_bool()) panic("assertion failed", span);
+            if (!args[0].as_bool()) panic(faults, "assertion failed", span);
             return Value::unit();
         case IntrinsicId::Panic:
-            panic("explicit panic", span);
+            panic(faults, "explicit panic", span);
+            return Value::unit();
         case IntrinsicId::Spawn: {
             multithreaded = true;
             ThreadState thread;
@@ -135,16 +154,16 @@ Value Machine::intrinsic(IntrinsicId id, const std::vector<Value>& args,
         case IntrinsicId::Join: {
             const std::uint64_t handle = arg_bits(0);
             if (handle == 0 || handle > threads.size()) {
-                throw UbException{Finding{UbCategory::Concurrency,
-                                          "joining an invalid thread handle",
-                                          span}};
+                faults.raise(UbCategory::Concurrency,
+                             "joining an invalid thread handle", span);
+                return Value::unit();
             }
             // By index: the body may spawn threads and grow `threads`.
             const std::size_t index = handle - 1;
             if (threads[index].joined) {
-                throw UbException{
-                    Finding{UbCategory::Concurrency,
-                            "joining a thread that was already joined", span}};
+                faults.raise(UbCategory::Concurrency,
+                             "joining a thread that was already joined", span);
+                return Value::unit();
             }
             if (!threads[index].executed) {
                 const ThreadId saved_thread = current_thread;
@@ -168,28 +187,30 @@ Value Machine::intrinsic(IntrinsicId id, const std::vector<Value>& args,
         case IntrinsicId::MutexUnlock: {
             const std::uint64_t handle = arg_bits(0);
             if (handle == 0 || handle > mutexes.size()) {
-                throw UbException{Finding{UbCategory::Concurrency,
-                                          "invalid mutex handle", span}};
+                faults.raise(UbCategory::Concurrency, "invalid mutex handle",
+                             span);
+                return Value::unit();
             }
             MutexState& mutex = mutexes[handle - 1];
             if (id == IntrinsicId::MutexLock) {
                 if (mutex.held_by.has_value()) {
-                    throw UbException{Finding{
+                    faults.raise(
                         UbCategory::Concurrency,
                         *mutex.held_by == current_thread
                             ? "deadlock: thread re-locking a mutex it already holds"
                             : "deadlock: locking a mutex held by a finished thread",
-                        span}};
+                        span);
+                    return Value::unit();
                 }
                 mutex.held_by = current_thread;
                 current_vc().merge(mutex.vc);  // acquire
             } else {
                 if (!mutex.held_by.has_value() ||
                     *mutex.held_by != current_thread) {
-                    throw UbException{
-                        Finding{UbCategory::Concurrency,
-                                "unlocking a mutex not held by this thread",
-                                span}};
+                    faults.raise(UbCategory::Concurrency,
+                                 "unlocking a mutex not held by this thread",
+                                 span);
+                    return Value::unit();
                 }
                 mutex.held_by.reset();
                 mutex.vc.merge(current_vc());  // release
@@ -225,25 +246,27 @@ Value Machine::intrinsic(IntrinsicId id, const std::vector<Value>& args,
     throw std::logic_error("unhandled intrinsic");
 }
 
-void Machine::teardown() const {
+void Machine::teardown() {
     for (const ThreadState& thread : threads) {
         if (!thread.joined) {
-            throw UbException{Finding{
+            faults.raise(
                 UbCategory::Concurrency,
                 "thread leaked: spawned thread was never joined before main exited",
-                {}}};
+                {});
+            return;
         }
     }
     for (std::size_t i = 0; i < mutexes.size(); ++i) {
         if (mutexes[i].held_by.has_value()) {
-            throw UbException{Finding{
-                UbCategory::Concurrency,
-                "mutex " + std::to_string(i + 1) + " still held at main exit",
-                {}}};
+            faults.raise(UbCategory::Concurrency,
+                         "mutex " + std::to_string(i + 1) +
+                             " still held at main exit",
+                         {});
+            return;
         }
     }
     if (auto leak = mem.check_leaks()) {
-        throw UbException{*leak};
+        faults.raise(leak->category, std::move(leak->message), leak->span);
     }
 }
 

@@ -11,6 +11,14 @@
 // their frames, and the VM's fixed-point snapshot. The static screener owns
 // one for its steps, calls and side-effect-free intrinsics.
 //
+// No rule throws. A failed check is raised on the Machine's FaultRecord,
+// which keeps the run's first finding with the step count and output
+// length at that moment, and the rule returns a neutral result. The tiers
+// check faulted() at statement boundaries, loop iterations and calls
+// (including a join), never use a faulted call's result as a frame or
+// function index, and stop; run() builds the RunResult from the record
+// (DESIGN.md §19).
+//
 // Threading model: `spawn(f)` registers a thread; its body executes at the
 // matching `join` (or is reported as leaked at main exit). Running threads
 // to completion at join points keeps execution deterministic, and the
@@ -86,11 +94,15 @@ IntrinsicFacts intrinsic_facts(lang::IntrinsicId id, const lang::CallExpr& call)
 struct Machine {
     Machine(const lang::Program& program, std::vector<std::int64_t> inputs,
             InterpLimits limits);
+    // `faults` watches this machine's counters and `mem` reports to it.
+    Machine(const Machine&) = delete;
+    Machine& operator=(const Machine&) = delete;
 
     const lang::Program& program;
     std::vector<std::int64_t> inputs;
     InterpLimits limits;
 
+    FaultRecord faults;
     MemoryModel mem;
     ThreadId current_thread = 0;
     std::vector<ThreadState> threads;  // index = id - 1 (main is id 0)
@@ -104,34 +116,48 @@ struct Machine {
     std::uint32_t call_depth = 0;
 
     /// Everything a run can change except steps and output (which only
-    /// grows); program, inputs and limits are never written. vm::Vm's
-    /// fixed-point snapshot compares it whole.
+    /// grows); program, inputs and limits are never written, and faults
+    /// is left out because a run stops at its first fault, before any
+    /// snapshot. vm::Vm's fixed-point snapshot compares it whole.
     [[nodiscard]] auto live_state() const {
         return std::tie(mem, threads, main_vc, mutexes, atomic_vcs,
                         multithreaded, current_thread, call_depth);
     }
 
+    [[nodiscard]] bool faulted() const { return faults.raised(); }
+
+    /// Past the limit every step raises again, which costs the record's
+    /// one branch.
     void step(const support::SourceSpan& span) {
-        if (++steps > limits.max_steps) {
-            panic("step limit exceeded (possible infinite loop)", span);
+        if (__builtin_expect(++steps > limits.max_steps, 0)) {
+            panic(faults, "step limit exceeded (possible infinite loop)", span);
         }
     }
 
-    /// Index of `main`; CompileError UB when the program has none.
-    [[nodiscard]] std::int32_t main_fn() const;
+    /// Index of `main`; -1 after CompileError UB when the program has none.
+    [[nodiscard]] std::int32_t main_fn();
 
-    /// Entering function `fn_index`: FuncCall UB when it names no
-    /// function, a stack-overflow panic past max_call_depth. The caller
+    /// Entering function `fn_index`: false once the run has faulted,
+    /// including FuncCall UB when it names no function and a stack-overflow
+    /// panic past max_call_depth. On true the caller pushes the frame and
     /// decrements call_depth when the call returns.
-    void enter_call(std::int32_t fn_index, const support::SourceSpan& span);
+    [[nodiscard]] bool enter_call(std::int32_t fn_index,
+                                  const support::SourceSpan& span);
 
     /// The function `fn` names, checked against `static_type` when that
     /// is a fn-pointer type. Misuse is FuncCall/FuncPointer UB, or TailCall
-    /// UB for `become`.
+    /// UB for `become`, and yields -1.
     [[nodiscard]] std::int32_t resolve_fn_target(const FnPtrVal& fn,
                                                  const lang::Type& static_type,
                                                  support::SourceSpan span,
-                                                 bool is_become) const;
+                                                 bool is_become);
+
+    /// `[element; count]` with elements of `element_size` bytes. Checked
+    /// against the run's remaining memory cap before any Value is built
+    /// (MemoryModel::fits_in_cap); past it, an empty array.
+    [[nodiscard]] Value array_repeat(const Value& element, std::uint64_t count,
+                                     std::uint64_t element_size,
+                                     const support::SourceSpan& span);
 
     [[nodiscard]] VectorClock& current_vc() {
         return current_thread == 0 ? main_vc : threads[current_thread - 1].vc;
@@ -159,24 +185,25 @@ struct Machine {
 
     /// Intrinsic `id` on evaluated `args`. `join` of a thread not yet run
     /// calls `run_body` with the thread made current and a fresh call depth.
+    /// A failed check yields the intrinsic's neutral result.
     Value intrinsic(lang::IntrinsicId id, const std::vector<Value>& args,
                     const IntrinsicFacts& facts, support::SourceSpan span,
                     const ThreadBody& run_body);
 
     /// Run `main_body` (which runs statics and main), then the post-main
-    /// teardown checks; UB and panics come back as RunResult::finding.
+    /// teardown checks. A fault comes back as RunResult::finding with the
+    /// steps and output the run had when it was raised.
     template <typename MainBody>
     RunResult run(MainBody&& main_body) {
+        main_body();
+        if (!faulted()) teardown();
         RunResult result;
-        try {
-            main_body();
-            teardown();
-        } catch (const UbException& ub) {
-            result.finding = ub.finding;
-        } catch (const PanicException& p) {
-            result.finding = Finding{UbCategory::Panic, p.message, p.span};
+        if (faulted()) {
+            result.finding = faults.finding();
+            output.resize(faults.output_size());
+            steps = faults.steps();
         }
-        result.output = output;
+        result.output = std::move(output);
         result.steps = steps;
         return result;
     }
@@ -184,7 +211,7 @@ struct Machine {
   private:
     /// Post-main checks (mirrors Miri's machine teardown): leaked threads,
     /// held mutexes, leaked heap memory.
-    void teardown() const;
+    void teardown();
 };
 
 }  // namespace rustbrain::miri

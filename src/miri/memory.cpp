@@ -1,6 +1,7 @@
 #include "miri/memory.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace rustbrain::miri {
@@ -40,7 +41,7 @@ void VectorClock::merge(const VectorClock& other) {
 #if defined(__x86_64__) && defined(__GLIBCXX__)
 static_assert(sizeof(Allocation) == 312,
               "operator==(Allocation, Allocation) must cover every field");
-static_assert(sizeof(MemoryModel) == 72,
+static_assert(sizeof(MemoryModel) == 80,
               "operator==(MemoryModel, MemoryModel) must cover every field");
 #endif
 
@@ -56,7 +57,8 @@ bool operator==(const Allocation& a, const Allocation& b) {
 }
 
 bool operator==(const MemoryModel& a, const MemoryModel& b) {
-    return a.next_addr_ == b.next_addr_ && a.next_tag_ == b.next_tag_ &&
+    return a.faults_ == b.faults_ && a.next_addr_ == b.next_addr_ &&
+           a.next_tag_ == b.next_tag_ &&
            a.bytes_allocated_ == b.bytes_allocated_ &&
            a.tag_origins_ == b.tag_origins_ && a.allocs_ == b.allocs_;
 }
@@ -82,11 +84,20 @@ std::size_t MemoryModel::footprint_bytes() const {
 // MemoryModel
 // ---------------------------------------------------------------------------
 
-MemoryModel::MemoryModel() = default;
+MemoryModel::MemoryModel(FaultRecord& faults) : faults_(&faults) {}
 
 void MemoryModel::ub(UbCategory category, std::string message,
                      support::SourceSpan span) const {
-    throw UbException{Finding{category, std::move(message), span}};
+    faults_->raise(category, std::move(message), span);
+}
+
+void MemoryModel::out_of_memory(std::uint64_t bytes,
+                                support::SourceSpan span) const {
+    ub(UbCategory::Alloc,
+       "out of memory: allocating " + std::to_string(bytes) +
+           " bytes passes the run's cap of " + std::to_string(kMaxBytesPerRun) +
+           " bytes",
+       span);
 }
 
 BorrowTag MemoryModel::fresh_tag(TagOrigin origin) {
@@ -121,6 +132,7 @@ std::uint64_t MemoryModel::reserve(std::uint64_t size, std::uint64_t align,
            "invalid allocation alignment " + std::to_string(align) +
                " (must be a power of two)",
            span);
+        return 0;
     }
     // Unit-sized locals still get a 1-byte allocation so they have identity.
     const std::uint64_t alloc_size = std::max<std::uint64_t>(size, 1);
@@ -132,16 +144,26 @@ std::uint64_t MemoryModel::reserve(std::uint64_t size, std::uint64_t align,
     next_addr_ = base + alloc_size + 16;
     if (next_addr_ >= kFnAddrBase) {
         ub(UbCategory::Alloc, "address space exhausted", span);
+        return 0;
     }
     if (alloc_size > kMaxBytesPerRun - bytes_allocated_) {
-        ub(UbCategory::Alloc,
-           "out of memory: allocating " + std::to_string(alloc_size) +
-               " bytes passes the run's cap of " +
-               std::to_string(kMaxBytesPerRun) + " bytes",
-           span);
+        out_of_memory(alloc_size, span);
+        return 0;
     }
     bytes_allocated_ += alloc_size;
     return base;
+}
+
+bool MemoryModel::fits_in_cap(std::uint64_t count, std::uint64_t element_size,
+                              support::SourceSpan span) {
+    std::uint64_t bytes = 0;
+    if (__builtin_mul_overflow(count, std::max<std::uint64_t>(element_size, 1),
+                               &bytes)) {
+        bytes = std::numeric_limits<std::uint64_t>::max();
+    }
+    if (bytes <= kMaxBytesPerRun - bytes_allocated_) return true;
+    out_of_memory(bytes, span);
+    return false;
 }
 
 AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
@@ -149,6 +171,7 @@ AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
                                      support::SourceSpan span,
                                      bool materialize) {
     const std::uint64_t base = reserve(size, align, span);
+    if (base == 0) return kNoAlloc;
     const std::uint64_t alloc_size = std::max<std::uint64_t>(size, 1);
 
     Allocation alloc;
@@ -176,28 +199,38 @@ void MemoryModel::throw_bad_alloc_id() {
     throw std::logic_error("MemoryModel::get: bad allocation id");
 }
 
+Pointer MemoryModel::refused_base_pointer(AllocId id) {
+    if (id != kNoAlloc) throw_bad_alloc_id();
+    return Pointer{};
+}
+
 void MemoryModel::deallocate(const Pointer& p, std::uint64_t size,
                              std::uint64_t align, support::SourceSpan span) {
     if (p.is_null()) {
         ub(UbCategory::Alloc, "deallocating the null pointer", span);
+        return;
     }
     if (!p.has_provenance()) {
         ub(UbCategory::Provenance,
            "deallocating a pointer without provenance (int-to-pointer cast)", span);
+        return;
     }
     Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
         ub(UbCategory::Alloc,
            "double free: allocation '" + alloc.label + "' was already deallocated",
            span);
+        return;
     }
     if (alloc.kind != AllocKind::Heap) {
         ub(UbCategory::Alloc,
            "deallocating non-heap memory ('" + alloc.label + "')", span);
+        return;
     }
     if (p.addr != alloc.base) {
         ub(UbCategory::Alloc,
            "dealloc pointer does not point to the start of the allocation", span);
+        return;
     }
     if (size != alloc.size || align != alloc.align) {
         ub(UbCategory::Alloc,
@@ -205,13 +238,17 @@ void MemoryModel::deallocate(const Pointer& p, std::uint64_t size,
                ", align " + std::to_string(alloc.align) + "), freed with (size " +
                std::to_string(size) + ", align " + std::to_string(align) + ")",
            span);
+        return;
     }
     alloc.live = false;
 }
 
-void MemoryModel::kill(AllocId id) { get(id).live = false; }
+void MemoryModel::kill(AllocId id) {
+    if (id != kNoAlloc) get(id).live = false;
+}
 
 void MemoryModel::kill_for_tail_call(AllocId id) {
+    if (id == kNoAlloc) return;
     Allocation& alloc = get(id);
     alloc.live = false;
     alloc.tail_call_killed = true;
@@ -221,17 +258,19 @@ void MemoryModel::kill_for_tail_call(AllocId id) {
 // Access validation
 // ---------------------------------------------------------------------------
 
-Allocation& MemoryModel::check_access(const Pointer& p, std::uint64_t size,
+Allocation* MemoryModel::check_access(const Pointer& p, std::uint64_t size,
                                       bool write, const AccessCtx& ctx,
                                       std::uint64_t& offset_out,
                                       std::uint64_t align) {
     if (p.is_null()) {
         ub(UbCategory::DanglingPointer, "null pointer dereference", ctx.span);
+        return nullptr;
     }
     if (!p.has_provenance()) {
         ub(UbCategory::Provenance,
            "dereferencing a pointer without provenance (created from an integer)",
            ctx.span);
+        return nullptr;
     }
     Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
@@ -240,9 +279,12 @@ Allocation& MemoryModel::check_access(const Pointer& p, std::uint64_t size,
                "use after free: local '" + alloc.label +
                    "' died when its frame was popped by a become tail call",
                ctx.span);
+        } else {
+            ub(UbCategory::DanglingPointer,
+               "use after free: allocation '" + alloc.label + "' is dead",
+               ctx.span);
         }
-        ub(UbCategory::DanglingPointer,
-           "use after free: allocation '" + alloc.label + "' is dead", ctx.span);
+        return nullptr;
     }
     if (p.addr < alloc.base || p.addr + size > alloc.base + alloc.size) {
         ub(UbCategory::Provenance,
@@ -250,6 +292,7 @@ Allocation& MemoryModel::check_access(const Pointer& p, std::uint64_t size,
                std::to_string(p.addr - alloc.base) + " of " +
                std::to_string(alloc.size) + "-byte allocation '" + alloc.label + "'",
            ctx.span);
+        return nullptr;
     }
     if (align > 1 && p.addr % align != 0) {
         ub(UbCategory::Unaligned,
@@ -257,15 +300,18 @@ Allocation& MemoryModel::check_access(const Pointer& p, std::uint64_t size,
                " at misaligned address (addr % " + std::to_string(align) + " == " +
                std::to_string(p.addr % align) + ")",
            ctx.span);
+        return nullptr;
     }
     const std::uint64_t offset = p.addr - alloc.base;
-    borrow_use(alloc, offset, size, p.tag, write, ctx.span);
-    race_check(alloc, offset, size, write, ctx);
+    if (!borrow_use(alloc, offset, size, p.tag, write, ctx.span) ||
+        !race_check(alloc, offset, size, write, ctx)) {
+        return nullptr;
+    }
     offset_out = offset;
-    return alloc;
+    return &alloc;
 }
 
-void MemoryModel::borrow_use(Allocation& alloc, std::uint64_t offset,
+bool MemoryModel::borrow_use(Allocation& alloc, std::uint64_t offset,
                              std::uint64_t size, BorrowTag tag, bool write,
                              support::SourceSpan span) {
     auto category_for = [&](BorrowTag failing) {
@@ -290,11 +336,13 @@ void MemoryModel::borrow_use(Allocation& alloc, std::uint64_t offset,
                      : "read through an invalidated borrow of '" + alloc.label +
                            "' (tag no longer on the borrow stack)",
                span);
+            return false;
         }
         const BorrowEntry entry = stack[static_cast<std::size_t>(found)];
         if (write && entry.perm == Permission::SharedRO) {
             ub(category_for(tag),
                "write through a read-only borrow of '" + alloc.label + "'", span);
+            return false;
         }
         const std::size_t top = static_cast<std::size_t>(found) + 1;
         if (top == stack.size()) {
@@ -309,11 +357,12 @@ void MemoryModel::borrow_use(Allocation& alloc, std::uint64_t offset,
             stack.remove_unique_above(top);
         }
     }
+    return true;
 }
 
-void MemoryModel::race_check(Allocation& alloc, std::uint64_t offset,
+bool MemoryModel::race_check(Allocation& alloc, std::uint64_t offset,
                              std::uint64_t size, bool write, const AccessCtx& ctx) {
-    if (ctx.vc == nullptr) return;  // single-threaded fast path
+    if (ctx.vc == nullptr) return true;  // single-threaded fast path
     if (alloc.last_write.empty()) {
         // First clocked access: materialize the race-detection arrays.
         alloc.last_write.resize(alloc.size);
@@ -334,6 +383,7 @@ void MemoryModel::race_check(Allocation& alloc, std::uint64_t offset,
                    std::to_string(last_write.tid) + " and " +
                    std::to_string(ctx.tid),
                ctx.span);
+            return false;
         }
         if (write) {
             for (const AccessEpoch& read : reads) {
@@ -344,6 +394,7 @@ void MemoryModel::race_check(Allocation& alloc, std::uint64_t offset,
                            "' between threads " + std::to_string(read.tid) + " and " +
                            std::to_string(ctx.tid),
                        ctx.span);
+                    return false;
                 }
             }
         }
@@ -365,6 +416,7 @@ void MemoryModel::race_check(Allocation& alloc, std::uint64_t offset,
             }
         }
     }
+    return true;
 }
 
 void MemoryModel::clear_provenance_overlapping(Allocation& alloc,
@@ -412,11 +464,12 @@ Value MemoryModel::load(const Pointer& p, const lang::Type& type,
     } else {
         fast = nullptr;
     }
-    Allocation& alloc =
-        fast != nullptr
-            ? *fast
-            : check_access(p, size, /*write=*/false, ctx, offset,
-                           type.align_bytes());
+    Allocation* checked =
+        fast != nullptr ? fast
+                        : check_access(p, size, /*write=*/false, ctx, offset,
+                                       type.align_bytes());
+    if (checked == nullptr) return neutral_value(type);
+    Allocation& alloc = *checked;
     if (fast == nullptr) {
         for (std::uint64_t i = offset; i < offset + size; ++i) {
             if (!alloc.init[i]) {
@@ -424,6 +477,7 @@ Value MemoryModel::load(const Pointer& p, const lang::Type& type,
                    "reading uninitialized memory in '" + alloc.label +
                        "' at offset " + std::to_string(i),
                    ctx.span);
+                return neutral_value(type);
             }
         }
     }
@@ -438,6 +492,7 @@ Value MemoryModel::load(const Pointer& p, const lang::Type& type,
                "invalid bool value " + std::to_string(bits) +
                    " (must be 0 or 1) loaded from '" + alloc.label + "'",
                ctx.span);
+            return neutral_value(type);
         }
         return Value::boolean(bits != 0);
     }
@@ -451,6 +506,7 @@ Value MemoryModel::load(const Pointer& p, const lang::Type& type,
         if (type.is_ref() && loaded.is_null()) {
             ub(UbCategory::Validity,
                "loaded a null reference from '" + alloc.label + "'", ctx.span);
+            return neutral_value(type);
         }
         return Value::pointer(loaded);
     }
@@ -484,11 +540,12 @@ void MemoryModel::store(const Pointer& p, const lang::Type& type,
 
     std::uint64_t offset = 0;
     Allocation* fast = try_fast_access(p, size, ctx, offset, type.align_bytes());
-    Allocation& alloc =
-        fast != nullptr
-            ? *fast
-            : check_access(p, size, /*write=*/true, ctx, offset,
-                           type.align_bytes());
+    Allocation* checked =
+        fast != nullptr ? fast
+                        : check_access(p, size, /*write=*/true, ctx, offset,
+                                       type.align_bytes());
+    if (checked == nullptr) return;
+    Allocation& alloc = *checked;
     if (!alloc.ptr_prov.empty() || !alloc.fn_prov.empty()) {
         clear_provenance_overlapping(alloc, offset, size);
     }
@@ -524,22 +581,29 @@ Pointer MemoryModel::retag_ref(const Pointer& p, std::uint64_t size, bool is_mut
     if (p.is_null()) {
         ub(UbCategory::DanglingPointer, "creating a reference from a null pointer",
            span);
+        return Pointer{};
     }
     if (!p.has_provenance()) {
         ub(UbCategory::Provenance,
            "creating a reference from a pointer without provenance", span);
+        return Pointer{};
     }
     Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
         ub(UbCategory::DanglingPointer,
            "creating a reference into dead allocation '" + alloc.label + "'", span);
+        return Pointer{};
     }
     if (p.addr < alloc.base || p.addr + size > alloc.base + alloc.size) {
         ub(UbCategory::Provenance, "reference would be out of bounds", span);
+        return Pointer{};
     }
     const std::uint64_t offset = p.addr - alloc.base;
     // Creating the reference is itself a use of the parent pointer.
-    borrow_use(alloc, offset, std::max<std::uint64_t>(size, 1), p.tag, is_mut, span);
+    if (!borrow_use(alloc, offset, std::max<std::uint64_t>(size, 1), p.tag,
+                    is_mut, span)) {
+        return Pointer{};
+    }
     const BorrowTag tag = fresh_tag(TagOrigin::Ref);
     const Permission perm = is_mut ? Permission::Unique : Permission::SharedRO;
     alloc.uniform_borrows = false;
@@ -560,10 +624,13 @@ Pointer MemoryModel::retag_raw(const Pointer& p, std::uint64_t size, bool writab
     if (!alloc.live) {
         ub(UbCategory::DanglingPointer,
            "casting a reference into dead allocation '" + alloc.label + "'", span);
+        return Pointer{};
     }
     const std::uint64_t offset = p.addr - alloc.base;
-    borrow_use(alloc, offset, std::max<std::uint64_t>(size, 1), p.tag, writable,
-               span);
+    if (!borrow_use(alloc, offset, std::max<std::uint64_t>(size, 1), p.tag,
+                    writable, span)) {
+        return Pointer{};
+    }
     const BorrowTag tag = fresh_tag(TagOrigin::Raw);
     const Permission perm = writable ? Permission::SharedRW : Permission::SharedRO;
     alloc.uniform_borrows = false;
@@ -580,11 +647,13 @@ Pointer MemoryModel::offset_pointer(const Pointer& p, std::int64_t count,
     if (!p.has_provenance()) {
         ub(UbCategory::Provenance,
            "pointer arithmetic on a pointer without provenance", span);
+        return Pointer{};
     }
     const Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
         ub(UbCategory::DanglingPointer,
            "pointer arithmetic on dead allocation '" + alloc.label + "'", span);
+        return Pointer{};
     }
     auto out_of_bounds = [&](const std::string& offset) {
         ub(UbCategory::Provenance,
@@ -598,6 +667,7 @@ Pointer MemoryModel::offset_pointer(const Pointer& p, std::int64_t count,
     if (__builtin_mul_overflow(count, element_size, &byte_delta)) {
         out_of_bounds(std::to_string(count) + " * " +
                       std::to_string(element_size) + " bytes (overflows)");
+        return Pointer{};
     }
     // Rust's offset contract: must stay within [base, base + size] inclusive.
     std::int64_t new_addr = 0;
@@ -606,6 +676,7 @@ Pointer MemoryModel::offset_pointer(const Pointer& p, std::int64_t count,
         new_addr < static_cast<std::int64_t>(alloc.base) ||
         new_addr > static_cast<std::int64_t>(alloc.base + alloc.size)) {
         out_of_bounds(std::to_string(byte_delta));
+        return Pointer{};
     }
     return Pointer{static_cast<std::uint64_t>(new_addr), p.alloc, p.tag};
 }

@@ -10,9 +10,12 @@
 //   * alignment and typed-value validity checks
 //   * per-byte access epochs + vector clocks for data-race detection
 //
-// UB unwinds via UbException; the interpreter catches it at thread top level
-// and converts it into a Finding. (UB genuinely terminates the abstract
-// machine, so exceptional control flow is the honest model.)
+// A failed check raises its finding on the run's FaultRecord and the
+// operation returns a neutral result without touching the state the check
+// guards: a load yields neutral_value, a store, retag or free changes
+// nothing, a refused allocation is kNoAlloc (DESIGN.md §19). UB ends the
+// abstract machine, so the first finding is the run's; the tiers stop at
+// their next fault check.
 #pragma once
 
 #include <algorithm>
@@ -30,10 +33,6 @@
 namespace rustbrain::miri {
 
 using ThreadId = std::uint32_t;
-
-struct UbException {
-    Finding finding;
-};
 
 /// Vector clock for happens-before tracking.
 class VectorClock {
@@ -201,17 +200,23 @@ struct AccessCtx {
 /// The most bytes one run may allocate, counted cumulatively: stack,
 /// static and heap allocations alike, dead ones included (they keep their
 /// per-byte state for diagnostics). Passing it is an Alloc finding on every
-/// tier, so no single request can exhaust the host's memory. The largest
-/// total any standard-corpus, forged-corpus or test program reaches is
-/// 1,200,008 bytes (150,000 `become` frames of one i64); this is 4.4x that.
+/// tier, so no single request can exhaust the host's memory; an array
+/// repeat is checked against what is left before its value is built
+/// (fits_in_cap). The largest total any standard-corpus, forged-corpus or
+/// test program reaches is 1,200,008 bytes (150,000 `become` frames of one
+/// i64); this is 4.4x that.
 inline constexpr std::uint64_t kMaxBytesPerRun = std::uint64_t{5} << 20;
 
 class MemoryModel {
   public:
-    MemoryModel();
+    /// Failed checks are raised on `faults`, which must outlive the model
+    /// and its copies.
+    explicit MemoryModel(FaultRecord& faults);
 
     // Allocation lifecycle ---------------------------------------------
-    /// Create a new allocation; throws UbException (Alloc) on invalid layout.
+    /// Create a new allocation. An invalid layout, an exhausted address
+    /// space or the run's cap raises Alloc UB and returns kNoAlloc, which
+    /// base_pointer maps to the null pointer and kill ignores.
     AllocId allocate(std::uint64_t size, std::uint64_t align, AllocKind kind,
                      std::string label, support::SourceSpan span);
     /// allocate() minus the per-byte state (bytes / init / borrow stacks).
@@ -228,14 +233,22 @@ class MemoryModel {
     /// The bookkeeping every allocation starts with, without making one:
     /// validates the alignment, bumps the address space and charges
     /// kMaxBytesPerRun, raising Alloc UB where allocate() would. Returns
-    /// the base address. The screener mirrors the interpreter's
-    /// allocations through it.
+    /// the base address, or 0 after raising. The screener mirrors the
+    /// interpreter's allocations through it.
     std::uint64_t reserve(std::uint64_t size, std::uint64_t align,
                           support::SourceSpan span);
+    /// Whether `count` elements of `element_size` bytes (a zero-sized
+    /// element counts as one byte, so the number of values is bounded
+    /// too) fit in what is left of kMaxBytesPerRun; raises reserve()'s
+    /// Alloc finding when not. Charges nothing: the allocation that stores
+    /// the array does.
+    bool fits_in_cap(std::uint64_t count, std::uint64_t element_size,
+                     support::SourceSpan span);
     /// Heap deallocation with full layout validation.
     void deallocate(const Pointer& p, std::uint64_t size, std::uint64_t align,
                     support::SourceSpan span);
     /// Stack scope exit / program teardown: mark dead, keep for diagnostics.
+    /// kNoAlloc (a refused allocation) is ignored.
     void kill(AllocId id);
     /// Frame popped by a `become` tail call: dead, and later accesses are
     /// classified as TailCall UB.
@@ -251,9 +264,14 @@ class MemoryModel {
     }
     [[nodiscard]] std::size_t allocation_count() const { return allocs_.size(); }
 
-    /// Pointer to an allocation's base carrying its base (Unique) tag.
+    /// Pointer to an allocation's base carrying its base (Unique) tag; the
+    /// null pointer for kNoAlloc.
     [[nodiscard]] Pointer base_pointer(AllocId id) const {
-        const Allocation& alloc = get(id);
+        // One unsigned compare: kNoAlloc wraps past every valid index.
+        if (__builtin_expect(id - 1u >= allocs_.size(), 0)) {
+            return refused_base_pointer(id);
+        }
+        const Allocation& alloc = allocs_[id - 1];
         return Pointer{alloc.base, alloc.id, alloc.base_tag};
     }
 
@@ -287,12 +305,14 @@ class MemoryModel {
     [[nodiscard]] std::size_t footprint_bytes() const;
 
     /// Every field of every allocation plus the tag, address and byte
-    /// counters — equal models behave identically from here on.
+    /// counters and the fault record — equal models behave identically
+    /// from here on.
     friend bool operator==(const MemoryModel& a, const MemoryModel& b);
 
   private:
-    /// Shared validation pipeline; returns the allocation and base offset.
-    Allocation& check_access(const Pointer& p, std::uint64_t size, bool write,
+    /// Shared validation pipeline; returns the allocation and base offset,
+    /// or nullptr after raising.
+    Allocation* check_access(const Pointer& p, std::uint64_t size, bool write,
                              const AccessCtx& ctx, std::uint64_t& offset_out,
                              std::uint64_t align = 1);
     /// Fast path for the overwhelmingly common access shape: in-bounds,
@@ -317,16 +337,20 @@ class MemoryModel {
         offset_out = p.addr - alloc.base;
         return &alloc;
     }
-    void borrow_use(Allocation& alloc, std::uint64_t offset, std::uint64_t size,
+    /// False after raising.
+    bool borrow_use(Allocation& alloc, std::uint64_t offset, std::uint64_t size,
                     BorrowTag tag, bool write, support::SourceSpan span);
-    void race_check(Allocation& alloc, std::uint64_t offset, std::uint64_t size,
+    bool race_check(Allocation& alloc, std::uint64_t offset, std::uint64_t size,
                     bool write, const AccessCtx& ctx);
     void clear_provenance_overlapping(Allocation& alloc, std::uint64_t offset,
                                       std::uint64_t size);
 
-    [[noreturn]] void ub(UbCategory category, std::string message,
-                         support::SourceSpan span) const;
+    [[gnu::cold]] void ub(UbCategory category, std::string message,
+                          support::SourceSpan span) const;
+    [[gnu::cold]] void out_of_memory(std::uint64_t bytes,
+                                     support::SourceSpan span) const;
     [[noreturn]] static void throw_bad_alloc_id();
+    [[nodiscard]] static Pointer refused_base_pointer(AllocId id);
 
     AllocId allocate_common(std::uint64_t size, std::uint64_t align,
                             AllocKind kind, std::string label,
@@ -335,6 +359,7 @@ class MemoryModel {
     BorrowTag fresh_tag(TagOrigin origin);
     [[nodiscard]] TagOrigin origin_of(BorrowTag tag) const;
 
+    FaultRecord* faults_;
     std::vector<Allocation> allocs_;
     /// Origin per tag, indexed by tag - 1 (fresh_tag hands them out densely
     /// starting at 1).

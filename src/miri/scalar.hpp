@@ -5,9 +5,9 @@
 // all evaluate scalars here, so the tiers cannot drift apart on a value or
 // a message; tests/miri_scalar_test.cpp checks the kernel against an
 // independent __int128 reference. Every function is inline: the tree walk
-// and the VM's fused opcodes call them on their hottest paths. Panics throw
-// PanicException; each tier turns it into a Panic finding at its run
-// boundary.
+// and the VM's fused opcodes call them on their hottest paths. A panic is
+// raised on the run's FaultRecord and the function returns a neutral value
+// (DESIGN.md §19); the tier stops at its next fault check.
 //
 // Operands arrive as Values whose bits may exceed the operand width (an
 // unsigned value is read zero-extended, a signed one sign-extended from the
@@ -20,27 +20,23 @@
 #include <utility>
 
 #include "lang/ast.hpp"
+#include "miri/finding.hpp"
 #include "miri/value.hpp"
 #include "support/source_span.hpp"
 
 namespace rustbrain::miri {
 
-/// A Rust panic in the interpreted program.
-struct PanicException {
-    std::string message;
-    support::SourceSpan span;
-};
-
-// Out of line and cold, so that the many inlined call sites of the kernel
-// and of Machine::step stay small: a literal message costs the call site a
-// pointer, not a std::string construction.
-[[noreturn]] [[gnu::cold]] [[gnu::noinline]] inline void panic(
-    std::string message, support::SourceSpan span) {
-    throw PanicException{std::move(message), span};
+/// A Rust panic in the interpreted program. FaultRecord::record is out of
+/// line and cold, so the many inlined call sites of the kernel and of
+/// Machine::step stay small: a literal message costs the call site a
+/// pointer, not a std::string construction.
+inline void panic(FaultRecord& faults, const char* message,
+                  const support::SourceSpan& span) {
+    faults.raise(UbCategory::Panic, message, span);
 }
-[[noreturn]] [[gnu::cold]] [[gnu::noinline]] inline void panic(
-    const char* message, const support::SourceSpan& span) {
-    throw PanicException{message, span};
+inline void panic(FaultRecord& faults, std::string message,
+                  const support::SourceSpan& span) {
+    faults.raise(UbCategory::Panic, std::move(message), span);
 }
 
 /// `bits` as a value of integer `type`: truncated to its width.
@@ -110,8 +106,10 @@ inline bool compare(lang::BinaryOp op, T a, T b) {
 }  // namespace scalar_detail
 
 /// Every BinaryOp except the short-circuit And/Or, which the tiers
-/// evaluate as control flow. `operand_type` is the left operand's type.
-inline Value binary_op(lang::BinaryOp op, const lang::Type& result_type,
+/// evaluate as control flow. `operand_type` is the left operand's type. A
+/// panic yields 0.
+inline Value binary_op(FaultRecord& faults, lang::BinaryOp op,
+                       const lang::Type& result_type,
                        const lang::Type& operand_type,
                        const support::SourceSpan& span, const Value& lhs,
                        const Value& rhs) {
@@ -125,10 +123,12 @@ inline Value binary_op(lang::BinaryOp op, const lang::Type& result_type,
             std::uint64_t bits = 0;
             if (scalar_detail::checked_arith(op, size, is_signed, lhs, rhs,
                                              bits)) {
-                panic(op == BinaryOp::Add   ? "attempt to add with overflow"
+                panic(faults,
+                      op == BinaryOp::Add   ? "attempt to add with overflow"
                       : op == BinaryOp::Sub ? "attempt to subtract with overflow"
                                             : "attempt to multiply with overflow",
                       span);
+                return Value::scalar(0);
             }
             return arith_result(bits, result_type);
         }
@@ -136,17 +136,21 @@ inline Value binary_op(lang::BinaryOp op, const lang::Type& result_type,
         case BinaryOp::Rem: {
             const bool is_div = op == BinaryOp::Div;
             if (rhs.bits() == 0) {
-                panic(is_div ? "attempt to divide by zero"
+                panic(faults,
+                      is_div ? "attempt to divide by zero"
                              : "attempt to calculate the remainder with a divisor of zero",
                       span);
+                return Value::scalar(0);
             }
             if (is_signed) {
                 const std::int64_t a = lhs.as_signed(size);
                 const std::int64_t b = rhs.as_signed(size);
                 if (a == scalar_detail::signed_min(size) && b == -1) {
-                    panic(is_div ? "attempt to divide with overflow"
+                    panic(faults,
+                          is_div ? "attempt to divide with overflow"
                                  : "attempt to calculate the remainder with overflow",
                           span);
+                    return Value::scalar(0);
                 }
                 return arith_result(static_cast<std::uint64_t>(is_div ? a / b : a % b),
                                     result_type);
@@ -159,9 +163,11 @@ inline Value binary_op(lang::BinaryOp op, const lang::Type& result_type,
         case BinaryOp::Shr: {
             const std::uint64_t shift = rhs.bits();
             if (shift >= size * 8) {
-                panic(op == BinaryOp::Shl ? "attempt to shift left with overflow"
+                panic(faults,
+                      op == BinaryOp::Shl ? "attempt to shift left with overflow"
                                           : "attempt to shift right with overflow",
                       span);
+                return Value::scalar(0);
             }
             if (op == BinaryOp::Shl) {
                 return arith_result(lhs.bits() << shift, result_type);
@@ -199,13 +205,14 @@ inline Value binary_op(lang::BinaryOp op, const lang::Type& result_type,
     return Value::unit();
 }
 
-/// Unary minus on a signed integer of `type`.
-inline Value negate(const Value& operand, const lang::Type& type,
-                    const support::SourceSpan& span) {
+/// Unary minus on a signed integer of `type`; a panic yields 0.
+inline Value negate(FaultRecord& faults, const Value& operand,
+                    const lang::Type& type, const support::SourceSpan& span) {
     const std::uint64_t size = type.size_bytes();
     const std::int64_t value = operand.as_signed(size);
     if (value == scalar_detail::signed_min(size)) {
-        panic("attempt to negate with overflow", span);
+        panic(faults, "attempt to negate with overflow", span);
+        return Value::scalar(0);
     }
     return arith_result(static_cast<std::uint64_t>(-value), type);
 }
@@ -253,14 +260,18 @@ inline CastKind classify_cast(const lang::Type& source,
     return CastKind::Unsupported;
 }
 
-/// Array indexing: panics unless `index < len`.
-inline void check_index(std::uint64_t index, std::uint64_t len,
-                        const support::SourceSpan& span) {
-    if (index >= len) {
-        panic("index out of bounds: the len is " + std::to_string(len) +
+/// Array indexing: false, after a panic, unless `index < len`. A tier
+/// then forms no element pointer from `index`.
+inline bool check_index(FaultRecord& faults, std::uint64_t index,
+                        std::uint64_t len, const support::SourceSpan& span) {
+    if (__builtin_expect(index < len, 1)) return true;
+    if (!faults.raised()) {
+        panic(faults,
+              "index out of bounds: the len is " + std::to_string(len) +
                   " but the index is " + std::to_string(index),
               span);
     }
+    return false;
 }
 
 }  // namespace rustbrain::miri

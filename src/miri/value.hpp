@@ -132,6 +132,19 @@ class Value {
     std::shared_ptr<std::vector<Value>> elements_;
 };
 
+/// What a failed check yields in place of a result of `type` (DESIGN.md
+/// §19): zero, the null pointer without provenance, the invalid function,
+/// or an empty array. Every later use of it is harmless to the host: a
+/// load or store through it fails its own check, a store of it writes
+/// nothing, and the run ends at the tier's next fault check.
+inline Value neutral_value(const lang::Type& type) {
+    if (type.is_array()) return Value::array({});
+    if (type.is_any_pointer()) return Value::pointer(Pointer{});
+    if (type.is_fn_ptr()) return Value::function(FnPtrVal{});
+    if (type.is_unit()) return Value::unit();
+    return Value::scalar(0);
+}
+
 /// kInvalidFn when the address is not a valid function address.
 std::int32_t fn_addr_to_index(std::uint64_t addr, std::size_t fn_count);
 

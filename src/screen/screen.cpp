@@ -14,8 +14,6 @@ namespace {
 
 using lang::Type;
 using miri::Finding;
-using miri::UbCategory;
-using miri::UbException;
 using miri::Value;
 
 // ---------------------------------------------------------------------------
@@ -24,8 +22,8 @@ using miri::Value;
 
 /// The run leaves the modelled subset (or an internal invariant broke):
 /// degrade to Unknown. Never escapes screen_program. A definite finding on
-/// the concrete path is a miri::UbException or miri::PanicException, as in
-/// the interpreter.
+/// the concrete path is recorded on the machine's FaultRecord, as in the
+/// interpreter, and wins over a Bail thrown after it.
 struct Bail {
     std::string reason;
 };
@@ -52,7 +50,9 @@ struct RunScreen {
 /// static allocations are charged to the machine's memory (reserve) without
 /// being made, so the per-run memory cap fires where MiriLite's does; no
 /// other memory or thread state is used: every construct that would touch
-/// it bails.
+/// it bails. After a fault the mirror stops at the interpreter's fault
+/// checks (statements, loop iterations, calls); until then it charges no
+/// ops, so a Definite verdict costs what it cost when faults unwound.
 class AbstractInterpreter {
   public:
     AbstractInterpreter(const lang::Program& program,
@@ -71,19 +71,17 @@ class AbstractInterpreter {
         RunScreen run;
         try {
             setup_statics();
-            const std::int32_t main_fn = machine_.main_fn();
-            call_function(main_fn, {},
-                          program().functions[static_cast<std::size_t>(main_fn)].span);
+            const std::int32_t main_fn =
+                machine_.faulted() ? -1 : machine_.main_fn();
+            if (main_fn >= 0) {
+                call_function(main_fn, {},
+                              program().functions[static_cast<std::size_t>(main_fn)].span,
+                              Type::unit());
+            }
             // Post-main teardown: leaked threads, held mutexes and heap
             // leaks are impossible here — every construct that could
             // create one (spawn, mutex_new, alloc) bails first.
             run.outcome = RunScreen::Outcome::Clean;
-        } catch (const UbException& ub) {
-            run.outcome = RunScreen::Outcome::Definite;
-            run.finding = ub.finding;
-        } catch (const miri::PanicException& p) {
-            run.outcome = RunScreen::Outcome::Definite;
-            run.finding = Finding{UbCategory::Panic, p.message, p.span};
         } catch (const Bail& bail) {
             run.outcome = RunScreen::Outcome::Bail;
             run.reason = bail.reason;
@@ -93,6 +91,10 @@ class AbstractInterpreter {
         } catch (...) {
             run.outcome = RunScreen::Outcome::Bail;
             run.reason = "unexpected error";
+        }
+        if (machine_.faulted()) {
+            run.outcome = RunScreen::Outcome::Definite;
+            run.finding = machine_.faults.finding();
         }
         run.ops = ops_;
         return run;
@@ -128,6 +130,7 @@ class AbstractInterpreter {
     }
 
     void charge() {
+        if (machine_.faulted()) return;
         if (++ops_ > options_.max_ops) {
             throw Bail{"screening op budget exhausted"};
         }
@@ -152,7 +155,9 @@ class AbstractInterpreter {
             // reference falls through to the function-name path and bails —
             // Unknown, which is always sound.
             reserve(item.type, item.span);
+            if (machine_.faulted()) return;
             const Value init = eval_expr(*item.init);
+            if (machine_.faulted()) return;
             statics_[i] = Slot{init, item.type};
         }
     }
@@ -160,8 +165,10 @@ class AbstractInterpreter {
     // -- calls --------------------------------------------------------------
 
     Value call_function(std::int32_t fn_index, std::vector<Value> args,
-                        support::SourceSpan span) {
-        machine_.enter_call(fn_index, span);
+                        support::SourceSpan span, const Type& result_type) {
+        if (!machine_.enter_call(fn_index, span)) {
+            return miri::neutral_value(result_type);
+        }
         const lang::FnItem& fn =
             program().functions[static_cast<std::size_t>(fn_index)];
         frames_.emplace_back();
@@ -177,18 +184,20 @@ class AbstractInterpreter {
         const ExecResult exec = exec_block(fn.body);
         frames_.pop_back();
         --machine_.call_depth;
+        if (machine_.faulted()) return miri::neutral_value(result_type);
         if (exec.flow == ExecResult::Flow::Return) return exec.value;
         return Value::unit();
     }
 
     Value call_fn_value(const Value& callee, const Type& static_type,
-                        std::vector<Value> args, support::SourceSpan span) {
+                        std::vector<Value> args, support::SourceSpan span,
+                        const Type& result_type) {
         if (callee.kind() != Value::Kind::Fn) {
             throw Bail{"indirect call through a non-function value"};
         }
         const std::int32_t target = machine_.resolve_fn_target(
             callee.as_fn(), static_type, span, /*is_become=*/false);
-        return call_function(target, std::move(args), span);
+        return call_function(target, std::move(args), span, result_type);
     }
 
     // -- statements ---------------------------------------------------------
@@ -204,6 +213,7 @@ class AbstractInterpreter {
 
     ExecResult exec_statement(const lang::Stmt& stmt) {
         step(stmt.span);
+        if (machine_.faulted()) return {};
         switch (stmt.kind) {
             case lang::StmtKind::Let: {
                 const auto& node = static_cast<const lang::LetStmt&>(stmt);
@@ -240,7 +250,8 @@ class AbstractInterpreter {
             }
             case lang::StmtKind::While: {
                 const auto& node = static_cast<const lang::WhileStmt&>(stmt);
-                while (eval_expr(*node.condition).as_bool()) {
+                while (!machine_.faulted() &&
+                       eval_expr(*node.condition).as_bool()) {
                     step(node.span);
                     ExecResult result = exec_block(node.body);
                     if (result.flow != ExecResult::Flow::Normal) return result;
@@ -310,7 +321,10 @@ class AbstractInterpreter {
                     throw Bail{"indexing a non-array place"};
                 }
                 const std::uint64_t i = eval_expr(*node.index).bits();
-                miri::check_index(i, place.type.array_length(), node.span);
+                // A failed check leaves the path out of range; load_place
+                // and store_place look at the fault first.
+                miri::check_index(machine_.faults, i,
+                                  place.type.array_length(), node.span);
                 place.path.push_back(i);
                 place.type = place.type.element();
                 return place;
@@ -363,11 +377,13 @@ class AbstractInterpreter {
 
     Value load_place(const PlaceRef& place) {
         charge();
+        if (machine_.faulted()) return miri::neutral_value(place.type);
         return load_path(place_root(place).value, place.path, 0);
     }
 
     void store_place(const PlaceRef& place, const Value& value) {
         charge();
+        if (machine_.faulted()) return;
         Slot& root = place_root(place);
         root.value = store_path(root.value, place.path, 0, value);
     }
@@ -430,7 +446,7 @@ class AbstractInterpreter {
                     args.push_back(eval_expr(*arg));
                 }
                 return call_fn_value(callee, node.callee->type, std::move(args),
-                                     node.span);
+                                     node.span, expr.type);
             }
             case lang::ExprKind::ArrayLit: {
                 const auto& node = static_cast<const lang::ArrayLitExpr&>(expr);
@@ -445,7 +461,9 @@ class AbstractInterpreter {
                 const auto& node =
                     static_cast<const lang::ArrayRepeatExpr&>(expr);
                 const Value element = eval_expr(*node.element);
-                return Value::array(std::vector<Value>(node.count, element));
+                return machine_.array_repeat(element, node.count,
+                                             node.element->type.size_bytes(),
+                                             node.span);
             }
         }
         return Value::unit();
@@ -454,8 +472,8 @@ class AbstractInterpreter {
     Value eval_unary(const lang::UnaryExpr& expr) {
         switch (expr.op) {
             case lang::UnaryOp::Neg:
-                return miri::negate(eval_expr(*expr.operand), expr.type,
-                                    expr.span);
+                return miri::negate(machine_.faults, eval_expr(*expr.operand),
+                                    expr.type, expr.span);
             case lang::UnaryOp::Not: {
                 const Value operand = eval_expr(*expr.operand);
                 if (expr.type.is_bool()) {
@@ -491,8 +509,8 @@ class AbstractInterpreter {
 
         const Value lhs = eval_expr(*expr.lhs);
         const Value rhs = eval_expr(*expr.rhs);
-        return miri::binary_op(expr.op, expr.type, expr.lhs->type, expr.span,
-                               lhs, rhs);
+        return miri::binary_op(machine_.faults, expr.op, expr.type,
+                               expr.lhs->type, expr.span, lhs, rhs);
     }
 
     Value eval_cast(const lang::CastExpr& expr) {
@@ -536,10 +554,11 @@ class AbstractInterpreter {
                     throw Bail{"call through a dead fn-pointer slot"};
                 }
                 return call_fn_value(slot->value, slot->type, std::move(args),
-                                     expr.span);
+                                     expr.span, expr.type);
             }
             case miri::CallResolution::Kind::Direct:
-                return call_function(res.index, std::move(args), expr.span);
+                return call_function(res.index, std::move(args), expr.span,
+                                     expr.type);
             default:
                 throw Bail{"call to unknown function '" + expr.callee + "'"};
         }

@@ -76,7 +76,7 @@ enum class InterpTier { Tree, Vm };
 /// The Vm tier's tree-walk step cap. Runs are pure functions of (program,
 /// inputs, limits) and only the step counter reads max_steps, so a capped
 /// run that stops at or below the cap is the full run.
-inline constexpr std::uint64_t kVmAfterSteps = std::uint64_t{1} << 16;
+inline constexpr std::uint64_t kVmAfterSteps = std::uint64_t{1} << 10;
 
 /// The program cache's key for `source` (support::key_hash). It only
 /// identifies an entry; hits re-check the full source text.

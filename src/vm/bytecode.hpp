@@ -90,7 +90,8 @@ enum class Op : std::uint8_t {
                  //   type = target; RefToRaw small = writable, imm =
                  //   pointee size; Unsupported type = target, aux = source
     MakeArray,   // pop a elements; push array
-    MakeRepeat,  // pop element; push array of imm copies
+    MakeRepeat,  // pop element; push array of imm copies of element type
+                 //   `type`, checked against the memory cap at span
 
     // Calls --------------------------------------------------------------
     CallDirect,   // a = fn index, b = nargs

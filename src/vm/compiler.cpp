@@ -390,7 +390,9 @@ class Compiler {
                     static_cast<const lang::ArrayRepeatExpr&>(expr);
                 emit(Op::Step, expr.span);
                 compile_expr(*node.element);
-                emit(Op::MakeRepeat).imm = node.count;
+                Instr& in = emit(Op::MakeRepeat, expr.span);
+                in.imm = node.count;
+                in.type = ti(&node.element->type);
                 return;
             }
         }

@@ -8,15 +8,25 @@
 // shared branch for the predictor to mispredict). Labels as values are a
 // GCC/Clang extension, the only compilers the build's warning flags
 // support. The label table in dispatch() must list every Op in exact enum
-// order.
+// order. A computed goto does not run the destructors of the handler's
+// locals, so no handler keeps a local that owns memory (an array Value):
+// it works on the value stack in place, by reference or through
+// temporaries that die with their full expression.
 //
 // Superinstruction handlers (BinaryLocals, BinaryLocalImm, StoreLocal,
 // CompareBranch) execute the *exact* expansion of their fused window —
 // the same step() calls at the same spans interleaved with the same memory
-// accesses — so a panic or UB thrown mid-window observes the same step
+// accesses — so a panic or UB raised mid-window records the same step
 // snapshot as the unfused program. Register-promoted locals (Instr::ex /
 // FusedDetail::*_reg) skip the MemoryModel round trip; their declarations
 // still shadow-allocate so address/id/tag streams stay identical.
+//
+// A fault is recorded, not thrown (DESIGN.md §19): dispatch returns as
+// soon as it sees one at a statement's Step, a backward Jump, a call or an
+// intrinsic (a join runs a thread body in a nested dispatch), and every
+// native caller of dispatch checks again before using its result. Between
+// the fault and that check, handlers run on the neutral values the machine
+// core returns, which keep the value stack's shape.
 #include "vm/vm.hpp"
 
 #include <algorithm>
@@ -36,6 +46,9 @@ using miri::Pointer;
 using miri::Value;
 
 namespace {
+/// The missing-argument value DeclParam reads by reference.
+const Value kUnit;
+
 /// Store+load round trip for a promoted integer slot, collapsed: store
 /// truncates to the type's width (little-endian), load zero-extends — the
 /// composition is truncate_to_type on the raw bits. (Only integer slots are
@@ -72,13 +85,9 @@ void Vm::back_edge(std::int32_t target, std::size_t frame_floor) {
             watch_later(bytes);  // copying would cost more than running
             return;
         }
-        snapshot_ = std::make_unique<Snapshot>();
-        snapshot_->target = target;
-        snapshot_->frame_floor = frame_floor;
-        snapshot_->steps = m_.steps;
-        snapshot_->output_size = m_.output.size();
-        snapshot_->bytes = bytes;
-        snapshot_->state = live_state();
+        snapshot_ = std::make_unique<Snapshot>(
+            Snapshot{target, frame_floor, m_.steps, m_.output.size(), bytes,
+                     live_state()});
         return;
     }
     const Snapshot& snap = *snapshot_;
@@ -128,7 +137,9 @@ std::size_t Vm::state_bytes() const {
 miri::RunResult Vm::run() {
     return m_.run([this] {
         setup_statics();
+        if (m_.faulted()) return;
         const std::int32_t main_fn = m_.main_fn();
+        if (main_fn < 0) return;
         run_function(main_fn,
                      code_.functions[static_cast<std::size_t>(main_fn)].span);
     });
@@ -141,8 +152,10 @@ void Vm::setup_statics() {
             m_.mem.allocate(item.type.size_bytes(), item.type.align_bytes(),
                             AllocKind::Static, item.name, item.span);
         static_allocs_[i] = alloc;
+        if (m_.faulted()) return;
         pc_ = code_.static_entries[i];
         const Value init = dispatch(frames_.size());
+        if (m_.faulted()) return;
         m_.mem.store(m_.mem.base_pointer(alloc), item.type, init,
                      m_.access_ctx(item.span));
     }
@@ -150,13 +163,13 @@ void Vm::setup_statics() {
 
 miri::Value Vm::run_function(std::int32_t fn_index, support::SourceSpan span) {
     const std::size_t frame_floor = frames_.size();
-    enter_function(fn_index, 0, /*ret_pc=*/-1, span);
+    if (!enter_function(fn_index, 0, /*ret_pc=*/-1, span)) return Value::unit();
     return dispatch(frame_floor);
 }
 
-void Vm::enter_function(std::int32_t fn_index, std::uint32_t nargs,
+bool Vm::enter_function(std::int32_t fn_index, std::uint32_t nargs,
                         std::int32_t ret_pc, support::SourceSpan span) {
-    m_.enter_call(fn_index, span);
+    if (!m_.enter_call(fn_index, span)) return false;
     const VmFunction& fn = code_.functions[static_cast<std::size_t>(fn_index)];
     Frame frame;
     frame.fn = fn_index;
@@ -169,6 +182,7 @@ void Vm::enter_function(std::int32_t fn_index, std::uint32_t nargs,
     slots_.resize(slots_.size() + fn.slot_count);
     regs_.resize(regs_.size() + fn.reg_count);
     pc_ = fn.entry;
+    return true;
 }
 
 miri::Value Vm::load_slot(std::int32_t slot_index, std::int32_t reg,
@@ -197,6 +211,10 @@ miri::Value Vm::load_slot(std::int32_t slot_index, std::int32_t reg,
         code[static_cast<std::size_t>(pc)].op)]
 
 #define VM_FETCH const Instr& in = code[static_cast<std::size_t>(pc)]
+
+// The run has faulted: leave dispatch. Every native caller checks again.
+#define VM_STOP_IF_FAULTED()                        \
+    if (__builtin_expect(m_.faulted(), 0)) return Value::unit()
 
 miri::Value Vm::dispatch(std::size_t frame_floor) {
     // The program counter lives in a local so the hot loop keeps it in a
@@ -234,15 +252,20 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     VM_CASE(Step): {
         VM_FETCH;
         m_.step(span_of(in));
+        VM_STOP_IF_FAULTED();
         ++pc;
         VM_NEXT();
     }
     VM_CASE(Jump): {
         VM_FETCH;
-        // Only `while` jumps backward; past the watch threshold its back
-        // edge checks for a fixed point (DESIGN.md §13).
-        if (__builtin_expect(m_.steps >= watch_at_, 0) && in.a < pc) {
-            back_edge(in.a, frame_floor);
+        // Only `while` jumps backward: each iteration checks for a fault,
+        // and past the watch threshold its back edge checks for a fixed
+        // point (DESIGN.md §13).
+        if (in.a < pc) {
+            VM_STOP_IF_FAULTED();
+            if (__builtin_expect(m_.steps >= watch_at_, 0)) {
+                back_edge(in.a, frame_floor);
+            }
         }
         pc = in.a;
         VM_NEXT();
@@ -383,8 +406,11 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         stack_.pop_back();
         Pointer element_ptr = stack_.back().as_ptr();
         stack_.pop_back();
-        miri::check_index(i, in.imm, span_of(in));
-        element_ptr.addr += i * static_cast<std::uint64_t>(in.a);
+        if (miri::check_index(m_.faults, i, in.imm, span_of(in))) {
+            element_ptr.addr += i * static_cast<std::uint64_t>(in.a);
+        } else {
+            element_ptr = Pointer{};
+        }
         stack_.push_back(Value::pointer(element_ptr));
         ++pc;
         VM_NEXT();
@@ -426,6 +452,8 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
             const AllocId alloc =
                 m_.mem.allocate(type.size_bytes(), type.align_bytes(),
                               AllocKind::Stack, name_of(in), span);
+            // A refused allocation has faulted the run.
+            if (alloc == kNoAlloc) return Value::unit();
             m_.mem.store(m_.mem.base_pointer(alloc), type, stack_.back(),
                          m_.access_ctx(span));
             stack_.pop_back();
@@ -438,6 +466,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
             const AllocId alloc =
                 m_.mem.allocate_shadow(type.size_bytes(), type.align_bytes(),
                                      AllocKind::Stack, name_of(in), span);
+            if (alloc == kNoAlloc) return Value::unit();
             regs_[frames_.back().reg_base + (in.ex - 1u)] =
                 reg_normalize(stack_.back(), type);
             stack_.pop_back();
@@ -452,14 +481,15 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const Type& type = type_of(in);
         const support::SourceSpan& span = span_of(in);
         const Frame& frame = frames_.back();
-        const Value value =
+        const Value& value =
             static_cast<std::uint32_t>(in.b) < frame.nargs
                 ? stack_[frame.args_base + static_cast<std::uint32_t>(in.b)]
-                : Value::unit();
+                : kUnit;
         if (in.ex == 0) {
             const AllocId alloc =
                 m_.mem.allocate(type.size_bytes(), type.align_bytes(),
                               AllocKind::Stack, name_of(in), span);
+            if (alloc == kNoAlloc) return Value::unit();
             m_.mem.store(m_.mem.base_pointer(alloc), type, value,
                          m_.access_ctx(span));
             slots_[frame.slot_base + static_cast<std::uint32_t>(in.a)] = {
@@ -468,6 +498,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
             const AllocId alloc =
                 m_.mem.allocate_shadow(type.size_bytes(), type.align_bytes(),
                                      AllocKind::Stack, name_of(in), span);
+            if (alloc == kNoAlloc) return Value::unit();
             regs_[frame.reg_base + (in.ex - 1u)] = reg_normalize(value, type);
             slots_[frame.slot_base + static_cast<std::uint32_t>(in.a)] = {
                 alloc, &type};
@@ -506,7 +537,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     VM_CASE(Neg): {
         VM_FETCH;
         stack_.back() =
-            miri::negate(stack_.back(), type_of(in), span_of(in));
+            miri::negate(m_.faults, stack_.back(), type_of(in), span_of(in));
         ++pc;
         VM_NEXT();
     }
@@ -526,8 +557,9 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const Value rhs = std::move(stack_.back());
         stack_.pop_back();
         Value& top = stack_.back();  // lhs, combined in place
-        top = miri::binary_op(static_cast<lang::BinaryOp>(in.a), type_of(in),
-                          operand_type_of(in), span_of(in), top, rhs);
+        top = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.a),
+                              type_of(in), operand_type_of(in), span_of(in),
+                              top, rhs);
         ++pc;
         VM_NEXT();
     }
@@ -551,18 +583,19 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
     }
     VM_CASE(MakeRepeat): {
         VM_FETCH;
-        const Value element = stack_.back();
-        stack_.pop_back();
-        stack_.push_back(Value::array(
-            std::vector<Value>(static_cast<std::size_t>(in.imm), element)));
+        Value& top = stack_.back();  // the element, replaced by the array
+        top = m_.array_repeat(top, in.imm, type_of(in).size_bytes(),
+                              span_of(in));
         ++pc;
         VM_NEXT();
     }
 
     VM_CASE(CallDirect): {
         VM_FETCH;
-        enter_function(in.a, static_cast<std::uint32_t>(in.b), pc + 1,
-                       span_of(in));
+        if (!enter_function(in.a, static_cast<std::uint32_t>(in.b), pc + 1,
+                            span_of(in))) {
+            return Value::unit();
+        }
         pc = pc_;
         VM_NEXT();
     }
@@ -579,7 +612,10 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
                                          *slot.type, m_.access_ctx(span));
         const std::int32_t target = m_.resolve_fn_target(
             callee.as_fn(), *slot.type, span, /*is_become=*/false);
-        enter_function(target, static_cast<std::uint32_t>(in.b), pc + 1, span);
+        if (!enter_function(target, static_cast<std::uint32_t>(in.b), pc + 1,
+                            span)) {
+            return Value::unit();
+        }
         pc = pc_;
         VM_NEXT();
     }
@@ -591,7 +627,10 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const std::int32_t target = m_.resolve_fn_target(
             stack_[callee_at].as_fn(), type_of(in), span, /*is_become=*/false);
         stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(callee_at));
-        enter_function(target, static_cast<std::uint32_t>(in.b), pc + 1, span);
+        if (!enter_function(target, static_cast<std::uint32_t>(in.b), pc + 1,
+                            span)) {
+            return Value::unit();
+        }
         pc = pc_;
         VM_NEXT();
     }
@@ -602,6 +641,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const std::int32_t target =
             m_.resolve_fn_target(stack_[callee_at].as_fn(), type_of(in),
                               span_of(in), /*is_become=*/true);
+        VM_STOP_IF_FAULTED();
         stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(callee_at));
         // Reuse the frame in place: resize the slot and register windows
         // for the target, keep ret_pc, leave the call depth untouched.
@@ -627,6 +667,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         VM_FETCH;
         pc_ = pc;
         do_intrinsic(in);
+        VM_STOP_IF_FAULTED();
         pc = pc_;
         ++pc;
         VM_NEXT();
@@ -663,7 +704,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         m_.step(code_.spans[d.rhs_span]);
         const Value rhs =
             load_slot(in.b, d.rhs_reg, d.rhs_name, code_.spans[d.rhs_span]);
-        stack_.push_back(miri::binary_op(static_cast<lang::BinaryOp>(in.small),
+        stack_.push_back(miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
                                      type_of(in), operand_type_of(in),
                                      span_of(in), lhs, rhs));
         ++pc;
@@ -676,7 +717,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const Value lhs =
             load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
         m_.step(code_.spans[d.rhs_span]);  // the folded PushInt's step
-        stack_.push_back(miri::binary_op(static_cast<lang::BinaryOp>(in.small),
+        stack_.push_back(miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
                                      type_of(in), operand_type_of(in),
                                      span_of(in), lhs, Value::scalar(in.imm)));
         ++pc;
@@ -708,7 +749,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         stack_.pop_back();
         const Value lhs = std::move(stack_.back());
         stack_.pop_back();
-        const Value cond = miri::binary_op(static_cast<lang::BinaryOp>(in.small),
+        const Value cond = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
                                        type_of(in), operand_type_of(in),
                                        span_of(in), lhs, rhs);
         pc = cond.as_bool() ? pc + 1 : in.a;
@@ -729,6 +770,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
                     static_cast<std::size_t>(in.b) + i]]);
             }
         }
+        VM_STOP_IF_FAULTED();
         ++pc;
         VM_NEXT();
     }
@@ -739,13 +781,14 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const Value local =
             load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
         m_.step(code_.spans[d.rhs_span]);  // the folded PushInt's step
-        const Value inner = miri::binary_op(static_cast<lang::BinaryOp>(in.small),
+        const Value inner = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
                                         type_of(in), operand_type_of(in),
                                         span_of(in), local,
                                         Value::scalar(in.imm));
         Value& top = stack_.back();  // outer lhs, combined in place
         top = miri::binary_op(
-            static_cast<lang::BinaryOp>(d.outer_op), code_.types[d.outer_type],
+            m_.faults, static_cast<lang::BinaryOp>(d.outer_op),
+            code_.types[d.outer_type],
             *static_cast<const lang::Type*>(code_.auxes[d.outer_aux]),
             code_.spans[d.outer_span], top, inner);
         ++pc;
@@ -755,7 +798,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         VM_FETCH;
         m_.step(code_.spans[static_cast<std::uint32_t>(in.a)]);  // PushInt's step
         Value& top = stack_.back();  // lhs, combined in place
-        top = miri::binary_op(static_cast<lang::BinaryOp>(in.small), type_of(in),
+        top = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small), type_of(in),
                           operand_type_of(in), span_of(in), top,
                           Value::scalar(in.imm));
         ++pc;
@@ -770,7 +813,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         m_.step(code_.spans[d.rhs_span]);
         const Value rhs =
             load_slot(in.b, d.rhs_reg, d.rhs_name, code_.spans[d.rhs_span]);
-        const Value cond = miri::binary_op(static_cast<lang::BinaryOp>(in.small),
+        const Value cond = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
                                        type_of(in), operand_type_of(in),
                                        span_of(in), lhs, rhs);
         pc = cond.as_bool() ? pc + 1 : d.branch_target;
@@ -783,7 +826,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const Value lhs =
             load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
         m_.step(code_.spans[d.rhs_span]);  // the folded PushInt's step
-        const Value cond = miri::binary_op(static_cast<lang::BinaryOp>(in.small),
+        const Value cond = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
                                        type_of(in), operand_type_of(in),
                                        span_of(in), lhs, Value::scalar(in.imm));
         pc = cond.as_bool() ? pc + 1 : d.branch_target;
@@ -796,6 +839,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
 #undef VM_CASE
 #undef VM_NEXT
 #undef VM_FETCH
+#undef VM_STOP_IF_FAULTED
 
 // ---------------------------------------------------------------------------
 // Casts and intrinsics
@@ -839,7 +883,8 @@ void Vm::do_intrinsic(const Instr& in) {
     stack_.push_back(m_.intrinsic(
         static_cast<lang::IntrinsicId>(in.a), args, facts, span_of(in),
         [this](std::int32_t entry_fn, support::SourceSpan span) {
-            // Exceptions end the whole run, so only success restores pc_.
+            // The thread body's dispatch moves pc_; put it back for the
+            // Intrinsic handler.
             const std::int32_t saved_pc = pc_;
             run_function(entry_fn, span);
             pc_ = saved_pc;

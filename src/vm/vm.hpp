@@ -118,8 +118,10 @@ class Vm {
     void setup_statics();
     miri::Value run_function(std::int32_t fn_index, support::SourceSpan span);
     miri::Value dispatch(std::size_t frame_floor);
-    void enter_function(std::int32_t fn_index, std::uint32_t nargs,
-                        std::int32_t ret_pc, support::SourceSpan span);
+    /// False, with no frame pushed, once the run has faulted.
+    [[nodiscard]] bool enter_function(std::int32_t fn_index,
+                                      std::uint32_t nargs, std::int32_t ret_pc,
+                                      support::SourceSpan span);
     void do_intrinsic(const Instr& in);
     miri::Value eval_cast(const Instr& in, const miri::Value& operand);
 

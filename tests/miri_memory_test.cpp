@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "miri/memory.hpp"
@@ -12,7 +13,31 @@ namespace {
 
 using lang::Type;
 
-AccessCtx ctx() { return AccessCtx{}; }
+/// Where a faulting call is made; the recorded finding must carry it.
+const support::SourceSpan kSite{40, 52, 7, 3};
+
+AccessCtx ctx(support::SourceSpan span = {}) {
+    AccessCtx out;
+    out.span = span;
+    return out;
+}
+
+/// The one fault recorded since the last check, taken off `faults`, is
+/// `category` with `message` at `span`.
+::testing::AssertionResult Faulted(FaultRecord& faults, UbCategory category,
+                                   const std::string& message,
+                                   support::SourceSpan span = kSite) {
+    const std::optional<Finding> finding = faults.take();
+    if (!finding) return ::testing::AssertionFailure() << "no fault recorded";
+    if (finding->category != category || finding->message != message ||
+        finding->span.begin != span.begin || finding->span.end != span.end ||
+        finding->span.line != span.line || finding->span.column != span.column) {
+        return ::testing::AssertionFailure()
+               << "recorded " << finding->to_string() << " (span "
+               << finding->span.begin << ".." << finding->span.end << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
 
 TEST(VectorClockTest, GetSetMerge) {
     VectorClock a;
@@ -39,7 +64,8 @@ TEST(VectorClockTest, Increment) {
 }
 
 TEST(MemoryTest, AllocateAndRoundTripScalar) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(8, 8, AllocKind::Heap, "h", {});
     const Pointer p = mem.base_pointer(id);
     mem.store(p, Type::i64(), Value::scalar(0xDEADBEEF), ctx());
@@ -48,7 +74,8 @@ TEST(MemoryTest, AllocateAndRoundTripScalar) {
 }
 
 TEST(MemoryTest, AddressesAligned) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId a = mem.allocate(1, 1, AllocKind::Stack, "a", {});
     const AllocId b = mem.allocate(8, 8, AllocKind::Stack, "b", {});
     EXPECT_EQ(mem.get(b).base % 8, 0u);
@@ -56,25 +83,25 @@ TEST(MemoryTest, AddressesAligned) {
 }
 
 TEST(MemoryTest, GuardGapBetweenAllocations) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId a = mem.allocate(8, 1, AllocKind::Stack, "a", {});
     const AllocId b = mem.allocate(8, 1, AllocKind::Stack, "b", {});
     EXPECT_GE(mem.get(b).base, mem.get(a).base + 8 + 16);
 }
 
 TEST(MemoryTest, UninitReadThrows) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(4, 4, AllocKind::Heap, "h", {});
-    try {
-        mem.load(mem.base_pointer(id), Type::i32(), ctx());
-        FAIL() << "expected Uninit UB";
-    } catch (const UbException& ub) {
-        EXPECT_EQ(ub.finding.category, UbCategory::Uninit);
-    }
+    mem.load(mem.base_pointer(id), Type::i32(), ctx(kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::Uninit,
+                        "reading uninitialized memory in 'h' at offset 0"));
 }
 
 TEST(MemoryTest, PartialOverwriteClearsPointerProvenance) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId target = mem.allocate(4, 4, AllocKind::Stack, "t", {});
     const AllocId holder = mem.allocate(8, 8, AllocKind::Stack, "slot", {});
     lang::TypePool pool;
@@ -91,7 +118,8 @@ TEST(MemoryTest, PartialOverwriteClearsPointerProvenance) {
 }
 
 TEST(MemoryTest, StoredPointerKeepsProvenance) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId target = mem.allocate(4, 4, AllocKind::Stack, "t", {});
     const AllocId holder = mem.allocate(8, 8, AllocKind::Stack, "slot", {});
     lang::TypePool pool;
@@ -104,17 +132,25 @@ TEST(MemoryTest, StoredPointerKeepsProvenance) {
 }
 
 TEST(MemoryTest, OffsetStaysInBounds) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(8, 8, AllocKind::Heap, "h", {});
     const Pointer p = mem.base_pointer(id);
     const Pointer end = mem.offset_pointer(p, 8, {});  // one-past-end OK
     EXPECT_EQ(end.addr, p.addr + 8);
-    EXPECT_THROW(mem.offset_pointer(p, 9, {}), UbException);
-    EXPECT_THROW(mem.offset_pointer(p, -1, {}), UbException);
+    EXPECT_EQ(mem.offset_pointer(p, 9, kSite), Pointer{});
+    EXPECT_TRUE(Faulted(faults, UbCategory::Provenance,
+                        "pointer arithmetic out of bounds: offset 9 from offset 0 "
+                        "of 8-byte allocation 'h'"));
+    EXPECT_EQ(mem.offset_pointer(p, -1, kSite), Pointer{});
+    EXPECT_TRUE(Faulted(faults, UbCategory::Provenance,
+                        "pointer arithmetic out of bounds: offset -1 from offset 0 "
+                        "of 8-byte allocation 'h'"));
 }
 
 TEST(MemoryTest, RetagRefChainReadWrite) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(4, 4, AllocKind::Stack, "x", {});
     const Pointer base = mem.base_pointer(id);
     mem.store(base, Type::i32(), Value::scalar(5), ctx());
@@ -125,23 +161,23 @@ TEST(MemoryTest, RetagRefChainReadWrite) {
 }
 
 TEST(MemoryTest, WriteThroughBaseInvalidatesRef) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(4, 4, AllocKind::Stack, "x", {});
     const Pointer base = mem.base_pointer(id);
     mem.store(base, Type::i32(), Value::scalar(5), ctx());
     const Pointer ref = mem.retag_ref(base, 4, /*is_mut=*/false, {});
     // Direct write via the base tag invalidates the shared ref above it.
     mem.store(base, Type::i32(), Value::scalar(9), ctx());
-    try {
-        mem.load(ref, Type::i32(), ctx());
-        FAIL() << "expected borrow UB";
-    } catch (const UbException& ub) {
-        EXPECT_EQ(ub.finding.category, UbCategory::BothBorrow);
-    }
+    mem.load(ref, Type::i32(), ctx(kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::BothBorrow,
+                        "read through an invalidated borrow of 'x' (tag no "
+                        "longer on the borrow stack)"));
 }
 
 TEST(MemoryTest, ReadDoesNotInvalidateSharedRefs) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(4, 4, AllocKind::Stack, "x", {});
     const Pointer base = mem.base_pointer(id);
     mem.store(base, Type::i32(), Value::scalar(5), ctx());
@@ -155,32 +191,34 @@ TEST(MemoryTest, ReadDoesNotInvalidateSharedRefs) {
 }
 
 TEST(MemoryTest, RawFromSharedRefIsReadOnly) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(4, 4, AllocKind::Stack, "x", {});
     const Pointer base = mem.base_pointer(id);
     mem.store(base, Type::i32(), Value::scalar(5), ctx());
     const Pointer shared = mem.retag_ref(base, 4, false, {});
     const Pointer raw = mem.retag_raw(shared, 4, /*writable=*/false, {});
     EXPECT_EQ(mem.load(raw, Type::i32(), ctx()).bits(), 5u);
-    EXPECT_THROW(mem.store(raw, Type::i32(), Value::scalar(1), ctx()), UbException);
+    mem.store(raw, Type::i32(), Value::scalar(1), ctx(kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::StackBorrow,
+                        "write through a read-only borrow of 'x'"));
 }
 
 TEST(MemoryTest, KilledAllocationRejectsAccess) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(4, 4, AllocKind::Stack, "x", {});
     const Pointer p = mem.base_pointer(id);
     mem.store(p, Type::i32(), Value::scalar(1), ctx());
     mem.kill(id);
-    try {
-        mem.load(p, Type::i32(), ctx());
-        FAIL() << "expected dangling UB";
-    } catch (const UbException& ub) {
-        EXPECT_EQ(ub.finding.category, UbCategory::DanglingPointer);
-    }
+    mem.load(p, Type::i32(), ctx(kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::DanglingPointer,
+                        "use after free: allocation 'x' is dead"));
 }
 
 TEST(MemoryTest, LeakCheckFindsLiveHeap) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     mem.allocate(8, 8, AllocKind::Heap, "h", {});
     const auto leak = mem.check_leaks();
     ASSERT_TRUE(leak.has_value());
@@ -188,14 +226,16 @@ TEST(MemoryTest, LeakCheckFindsLiveHeap) {
 }
 
 TEST(MemoryTest, LeakCheckIgnoresStackAndStatic) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     mem.allocate(8, 8, AllocKind::Stack, "s", {});
     mem.allocate(8, 8, AllocKind::Static, "g", {});
     EXPECT_FALSE(mem.check_leaks().has_value());
 }
 
 TEST(MemoryTest, RaceDetectedBetweenUnorderedWrites) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(8, 8, AllocKind::Static, "g", {});
     const Pointer p = mem.base_pointer(id);
 
@@ -212,16 +252,16 @@ TEST(MemoryTest, RaceDetectedBetweenUnorderedWrites) {
     AccessCtx c1;
     c1.tid = 1;
     c1.vc = &vc1;
-    try {
-        mem.store(p, Type::i64(), Value::scalar(2), c1);
-        FAIL() << "expected data race";
-    } catch (const UbException& ub) {
-        EXPECT_EQ(ub.finding.category, UbCategory::DataRace);
-    }
+    c1.span = kSite;
+    mem.store(p, Type::i64(), Value::scalar(2), c1);
+    EXPECT_TRUE(Faulted(faults, UbCategory::DataRace,
+                        "write-after-write data race on 'g' between threads 0 "
+                        "and 1"));
 }
 
 TEST(MemoryTest, NoRaceWhenOrdered) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(8, 8, AllocKind::Static, "g", {});
     const Pointer p = mem.base_pointer(id);
 
@@ -239,11 +279,13 @@ TEST(MemoryTest, NoRaceWhenOrdered) {
     AccessCtx c1;
     c1.tid = 1;
     c1.vc = &vc1;
-    EXPECT_NO_THROW(mem.store(p, Type::i64(), Value::scalar(2), c1));
+    mem.store(p, Type::i64(), Value::scalar(2), c1);
+    EXPECT_FALSE(faults.raised());
 }
 
 TEST(MemoryTest, BothAtomicIsNotARace) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(8, 8, AllocKind::Static, "g", {});
     const Pointer p = mem.base_pointer(id);
 
@@ -261,11 +303,13 @@ TEST(MemoryTest, BothAtomicIsNotARace) {
     c1.tid = 1;
     c1.vc = &vc1;
     c1.atomic = true;
-    EXPECT_NO_THROW(mem.store(p, Type::i64(), Value::scalar(2), c1));
+    mem.store(p, Type::i64(), Value::scalar(2), c1);
+    EXPECT_FALSE(faults.raised());
 }
 
 TEST(MemoryTest, MixedAtomicNonAtomicRaces) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(8, 8, AllocKind::Static, "g", {});
     const Pointer p = mem.base_pointer(id);
 
@@ -283,24 +327,43 @@ TEST(MemoryTest, MixedAtomicNonAtomicRaces) {
     c1.tid = 1;
     c1.vc = &vc1;
     c1.atomic = false;
-    EXPECT_THROW(mem.store(p, Type::i64(), Value::scalar(2), c1), UbException);
+    c1.span = kSite;
+    mem.store(p, Type::i64(), Value::scalar(2), c1);
+    EXPECT_TRUE(Faulted(faults, UbCategory::DataRace,
+                        "write-after-write data race on 'g' between threads 0 "
+                        "and 1"));
 }
 
 TEST(MemoryTest, DeallocValidation) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     const AllocId id = mem.allocate(16, 8, AllocKind::Heap, "h", {});
     const Pointer p = mem.base_pointer(id);
-    EXPECT_THROW(mem.deallocate(p, 8, 8, {}), UbException);   // wrong size
-    EXPECT_THROW(mem.deallocate(p, 16, 4, {}), UbException);  // wrong align
+    mem.deallocate(p, 8, 8, kSite);  // wrong size
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "dealloc layout mismatch: allocated (size 16, align 8), "
+                        "freed with (size 8, align 8)"));
+    mem.deallocate(p, 16, 4, kSite);  // wrong align
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "dealloc layout mismatch: allocated (size 16, align 8), "
+                        "freed with (size 16, align 4)"));
     Pointer inner = p;
     inner.addr += 8;
-    EXPECT_THROW(mem.deallocate(inner, 16, 8, {}), UbException);  // not start
-    EXPECT_NO_THROW(mem.deallocate(p, 16, 8, {}));
-    EXPECT_THROW(mem.deallocate(p, 16, 8, {}), UbException);  // double free
+    mem.deallocate(inner, 16, 8, kSite);  // not start
+    EXPECT_TRUE(Faulted(
+        faults, UbCategory::Alloc,
+        "dealloc pointer does not point to the start of the allocation"));
+    // None of the failed frees touched the allocation.
+    mem.deallocate(p, 16, 8, {});
+    EXPECT_FALSE(faults.raised());
+    mem.deallocate(p, 16, 8, kSite);  // double free
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "double free: allocation 'h' was already deallocated"));
 }
 
 TEST(MemoryTest, ArrayStoreLoadElementwise) {
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     lang::TypePool pool;
     const Type array_type = pool.array(Type::i32(), 3);
     const AllocId id = mem.allocate(array_type.size_bytes(),
@@ -339,29 +402,76 @@ TEST(ValueTest, TruncateToType) {
 TEST(MemoryTest, RunCapCountsEveryAllocationUpToTheLastByte) {
     // Shadow allocations charge the cap like materialized ones, so the
     // edge is checked without building 5 MiB of per-byte state.
-    MemoryModel mem;
+    FaultRecord faults;
+    MemoryModel mem(faults);
     mem.allocate_shadow(kMaxBytesPerRun - 2, 1, AllocKind::Stack, "a", {});
     mem.allocate(1, 1, AllocKind::Heap, "heap", {});
     mem.reserve(0, 1, {});  // a unit local still takes one byte
     EXPECT_EQ(mem.bytes_allocated(), kMaxBytesPerRun);
-    try {
-        mem.allocate(1, 1, AllocKind::Heap, "heap", {});
-        FAIL() << "allocation past the cap succeeded";
-    } catch (const UbException& ub) {
-        EXPECT_EQ(ub.finding.category, UbCategory::Alloc);
-        EXPECT_EQ(ub.finding.message,
-                  "out of memory: allocating 1 bytes passes the run's cap of " +
-                      std::to_string(kMaxBytesPerRun) + " bytes");
-    }
+    EXPECT_FALSE(faults.raised());
+    EXPECT_EQ(mem.allocate(1, 1, AllocKind::Heap, "heap", kSite), kNoAlloc)
+        << "allocation past the cap succeeded";
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "out of memory: allocating 1 bytes passes the run's cap of " +
+                            std::to_string(kMaxBytesPerRun) + " bytes"));
     EXPECT_EQ(mem.bytes_allocated(), kMaxBytesPerRun);
 }
 
 TEST(MemoryTest, RunCapRejectsOneHugeAllocationBeforeMaterializing) {
-    MemoryModel mem;
-    EXPECT_THROW(mem.allocate(std::uint64_t{1} << 40, 8, AllocKind::Heap, "heap", {}),
-                 UbException);
+    FaultRecord faults;
+    MemoryModel mem(faults);
+    EXPECT_EQ(mem.allocate(std::uint64_t{1} << 40, 8, AllocKind::Heap, "heap",
+                           kSite),
+              kNoAlloc);
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "out of memory: allocating 1099511627776 bytes passes "
+                        "the run's cap of " +
+                            std::to_string(kMaxBytesPerRun) + " bytes"));
     EXPECT_EQ(mem.allocation_count(), 0u);
     EXPECT_EQ(mem.bytes_allocated(), 0u);
+}
+
+TEST(MemoryTest, RepeatCapCheckCountsWhatIsLeftAndChargesNothing) {
+    FaultRecord faults;
+    MemoryModel mem(faults);
+    mem.allocate_shadow(kMaxBytesPerRun - 100, 1, AllocKind::Stack, "a", {});
+    EXPECT_TRUE(mem.fits_in_cap(25, 4, kSite));
+    EXPECT_TRUE(mem.fits_in_cap(100, 0, kSite));  // one byte per element
+    EXPECT_FALSE(faults.raised());
+    EXPECT_EQ(mem.bytes_allocated(), kMaxBytesPerRun - 100);
+    EXPECT_FALSE(mem.fits_in_cap(101, 0, kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "out of memory: allocating 101 bytes passes the run's "
+                        "cap of " +
+                            std::to_string(kMaxBytesPerRun) + " bytes"));
+    // count * size past 2^64 saturates rather than wrapping under the cap.
+    EXPECT_FALSE(mem.fits_in_cap(std::uint64_t{1} << 62, 8, kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "out of memory: allocating 18446744073709551615 bytes "
+                        "passes the run's cap of " +
+                            std::to_string(kMaxBytesPerRun) + " bytes"));
+    EXPECT_EQ(mem.bytes_allocated(), kMaxBytesPerRun - 100);
+}
+
+TEST(MemoryTest, FirstFaultWinsAndFailedChecksLeaveStateAlone) {
+    FaultRecord faults;
+    MemoryModel mem(faults);
+    const AllocId id = mem.allocate(8, 8, AllocKind::Heap, "h", {});
+    const Pointer p = mem.base_pointer(id);
+    mem.load(p, Type::i64(), ctx(kSite));  // uninit: the first fault
+    const support::SourceSpan later{90, 95, 12, 1};
+    EXPECT_EQ(mem.load(Pointer{}, Type::i64(), ctx(later)).bits(), 0u);
+    mem.deallocate(p, 4, 8, later);
+    EXPECT_TRUE(mem.get(id).live);  // the failed free changed nothing
+    mem.store(p, Type::i64(), Value::scalar(7), ctx(later));
+    EXPECT_TRUE(Faulted(faults, UbCategory::Uninit,
+                        "reading uninitialized memory in 'h' at offset 0"));
+    // A refused allocation is kNoAlloc: the null pointer, and kill ignores it.
+    EXPECT_EQ(mem.allocate(8, 3, AllocKind::Stack, "odd", kSite), kNoAlloc);
+    EXPECT_EQ(mem.base_pointer(kNoAlloc), Pointer{});
+    mem.kill(kNoAlloc);
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "invalid allocation alignment 3 (must be a power of two)"));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -196,13 +197,33 @@ Outcome reference_binary(BinaryOp op, const IntType& t, i128 a, i128 b) {
     return panics("unreachable");
 }
 
+/// Where a kernel call is made; a recorded panic must carry it.
+const support::SourceSpan kSite{40, 52, 7, 3};
+
+/// What the kernel recorded, if anything, on a fresh FaultRecord: a Panic
+/// at kSite with the neutral result 0, or else a message naming what was
+/// recorded instead (which then matches no reference outcome).
+std::optional<std::string> recorded_panic(FaultRecord& faults,
+                                          const Value& result) {
+    const std::optional<Finding> finding = faults.take();
+    if (!finding) return std::nullopt;
+    if (finding->category == UbCategory::Panic && finding->span.begin == kSite.begin &&
+        finding->span.end == kSite.end && finding->span.line == kSite.line &&
+        finding->span.column == kSite.column && result.bits() == 0) {
+        return finding->message;
+    }
+    return "recorded " + finding->to_string() + " with result " +
+           std::to_string(result.bits());
+}
+
 template <typename Eval>
 Outcome run_kernel(Eval eval) {
-    try {
-        return {false, "", eval().bits()};
-    } catch (const PanicException& p) {
-        return {true, p.message, 0};
+    FaultRecord faults;
+    const Value result = eval(faults);
+    if (std::optional<std::string> message = recorded_panic(faults, result)) {
+        return {true, *message, 0};
     }
+    return {false, "", result.bits()};
 }
 
 const std::vector<BinaryOp> kOps = {
@@ -260,8 +281,9 @@ void check_binary_ops(const IntType& t) {
             for (const i128 b : values) {
                 const Value rhs = Value::scalar(t.bits(b));
                 mismatches.check(
-                    reference_binary(op, t, a, b), run_kernel([&] {
-                        return binary_op(op, result_type, type, {}, lhs, rhs);
+                    reference_binary(op, t, a, b), run_kernel([&](FaultRecord& faults) {
+                        return binary_op(faults, op, result_type, type, kSite,
+                                         lhs, rhs);
                     }),
                     [&] {
                         return type.to_string() + " " + to_string(a) + " op#" +
@@ -283,12 +305,14 @@ void check_unary_ops(const IntType& t) {
                                      ? panics("attempt to negate with overflow")
                                      : value_of(t, -a);
             mismatches.check(want,
-                             run_kernel([&] { return negate(operand, type, {}); }),
+                             run_kernel([&](FaultRecord& faults) {
+                                 return negate(faults, operand, type, kSite);
+                             }),
                              [&] { return "-" + to_string(a) + " as " + type.to_string(); });
         }
         // !a == -a - 1 on every two's-complement width.
         mismatches.check(value_of(t, -a - 1),
-                         run_kernel([&] { return bitwise_not(operand, type); }),
+                         run_kernel([&](FaultRecord&) { return bitwise_not(operand, type); }),
                          [&] { return "!" + to_string(a) + " as " + type.to_string(); });
     }
 }
@@ -321,7 +345,7 @@ TEST(MiriScalarTest, IntCastsWrapModuloTheTargetWidth) {
                 // signedness.
                 const Type target_type = target.type();
                 mismatches.check(
-                    value_of(target, v), run_kernel([&] {
+                    value_of(target, v), run_kernel([&](FaultRecord&) {
                         return int_cast(operand, source.is_signed,
                                         source.width / 8, target_type);
                     }),
@@ -334,7 +358,7 @@ TEST(MiriScalarTest, IntCastsWrapModuloTheTargetWidth) {
     }
     for (const IntType& target : kAllTypes) {
         for (const bool b : {false, true}) {
-            mismatches.check(value_of(target, b ? 1 : 0), run_kernel([&] {
+            mismatches.check(value_of(target, b ? 1 : 0), run_kernel([&](FaultRecord&) {
                                  return int_cast(Value::boolean(b), false, 1,
                                                  target.type());
                              }),
@@ -366,13 +390,12 @@ TEST(MiriScalarTest, CastsAreClassifiedByTheirStaticTypes) {
 }
 
 TEST(MiriScalarTest, IndexChecksPanicWithRustsMessage) {
-    EXPECT_NO_THROW(check_index(2, 3, {}));
-    try {
-        check_index(3, 3, {});
-        FAIL() << "index 3 of 3 must panic";
-    } catch (const PanicException& p) {
-        EXPECT_EQ(p.message, "index out of bounds: the len is 3 but the index is 3");
-    }
+    FaultRecord faults;
+    EXPECT_TRUE(check_index(faults, 2, 3, kSite));
+    EXPECT_FALSE(faults.raised());
+    EXPECT_FALSE(check_index(faults, 3, 3, kSite)) << "index 3 of 3 must panic";
+    EXPECT_EQ(recorded_panic(faults, Value::scalar(0)),
+              "index out of bounds: the len is 3 but the index is 3");
 }
 
 }  // namespace

@@ -253,6 +253,23 @@ TEST(ScreenSoundnessTest, MemoryCapIsTheInterpretersFinding) {
     expect_sound_observed(o, source);
 }
 
+TEST(ScreenSoundnessTest, ArrayRepeatPastTheCapIsTheInterpretersFinding) {
+    // The screener builds a repeat through the machine core's cap check,
+    // so it pins MiriLite's finding, at the same span, before building a
+    // value.
+    const std::string source =
+        "fn main() {\n    let a = [0; 100000000];\n    print_int(a[0]);\n}\n";
+    const Observed o = observe(source, {{}});
+    ASSERT_TRUE(o.compiled_ok);
+    EXPECT_EQ(o.verdict.kind, VerdictKind::LikelyUB);
+    EXPECT_EQ(o.verdict.category, miri::UbCategory::Alloc);
+    ASSERT_EQ(o.miri.findings.size(), 1u);
+    EXPECT_EQ(o.verdict.detail, o.miri.findings.front().message);
+    EXPECT_EQ(o.verdict.span.begin, o.miri.findings.front().span.begin);
+    EXPECT_EQ(o.verdict.span.end, o.miri.findings.front().span.end);
+    expect_sound_observed(o, source);
+}
+
 TEST(ScreenSoundnessTest, OpBudgetExhaustionDegradesToUnknown) {
     ScreenOptions options;
     options.max_ops = 50;  // far below the honest cost of the loop

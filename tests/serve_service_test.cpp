@@ -293,6 +293,32 @@ TEST(RepairServerTest, OverCapAllocationGetsAFindingAndServingGoesOn) {
     server.stop();
 }
 
+TEST(RepairServerTest, OverCapArrayRepeatGetsAFindingAndServingGoesOn) {
+    // [0; 100000000] once built 10^8 values and ended the process with
+    // std::bad_alloc; the repeat is now checked against the memory cap
+    // first, so the request gets its finding back in a frame.
+    ServerOptions options;
+    options.service = service_options();
+    RepairServer server(options);
+
+    RepairClient client(server.port());
+    RepairRequest request;
+    request.ticket = "repeat";
+    request.ub_case = corpus().cases().front();
+    request.ub_case.buggy_source =
+        "fn main() {\n    let a = [0; 100000000];\n    print_int(a[0]);\n}\n";
+    const RepairResponse response = client.repair(request);
+    EXPECT_EQ(response.ticket, "repeat");
+    ASSERT_TRUE(response.ok) << response.error;
+    ASSERT_FALSE(response.result.error_trajectory.empty());
+    EXPECT_GE(response.result.error_trajectory.front(), 1u);
+
+    request.ticket = "after";
+    request.ub_case = corpus().cases().front();
+    EXPECT_TRUE(client.repair(request).ok);
+    server.stop();
+}
+
 TEST(RepairServerTest, ServeOnceShutsDownAfterTheRequestBudget) {
     ServerOptions options;
     options.service = service_options();

@@ -81,8 +81,8 @@ TEST(VmDifferentialTest, MutatedProgramsAgreeAcrossTiers) {
     // Every mutant that parses and typechecks must get the same report
     // from the tree walk, the default tier, and the VM on raw and
     // optimized bytecode. The step limit sits past the VM's watch
-    // threshold (but under kVmAfterSteps, so the default tier is the tree
-    // walk alone), so mutated loops exercise the fixed-point skip.
+    // threshold, so mutated loops exercise the fixed-point skip, and past
+    // kVmAfterSteps, so long runs exercise the default tier's restart.
     // Mutants with huge numbers are kept: `alloc(4294967296 * 8, 8)` meets
     // the per-run memory cap (miri::kMaxBytesPerRun) on every tier.
     struct Seed {
@@ -141,6 +141,60 @@ TEST(VmDifferentialTest, MemoryCapIsOneFindingOnEveryTier) {
         EXPECT_EQ(finding.category, miri::UbCategory::Alloc);
         EXPECT_EQ(finding.message.rfind("out of memory: allocating ", 0), 0u)
             << finding.message;
+    }
+}
+
+TEST(VmDifferentialTest, ArrayValuesThroughCallsAndRepeatsAgreeAcrossTiers) {
+    // Arrays passed and returned by value and repeated inside repeats.
+    // Under the ASan build this also checks that the VM's handlers release
+    // every array value they touch.
+    const std::vector<std::string> sources = {
+        "fn first(a: [i64; 2]) -> i64 {\n    return a[0];\n}\n\n"
+        "fn main() {\n    print_int(first([1, 2]));\n}\n",
+        "fn pair() -> [i64; 2] {\n    return [3, 4];\n}\n\n"
+        "fn main() {\n    let p = pair();\n    print_int(p[1]);\n}\n",
+        "fn main() {\n    let a = [[5; 2]; 3];\n    print_int(a[2][1]);\n"
+        "    let b = [[0; 0]; 4];\n}\n",
+    };
+    for (const std::string& source : sources) {
+        SCOPED_TRACE(source);
+        const miri::agreement::TierRun run =
+            miri::agreement::expect_tiers_agree(source, {{}});
+        EXPECT_TRUE(run.reference.findings.empty());
+    }
+}
+
+TEST(VmDifferentialTest, ArrayRepeatPastTheCapIsOneFindingOnEveryTier) {
+    // An array repeat is checked against what is left of the run's memory
+    // cap before any element value is built, so `[0; 100000000]` is the
+    // cap's Alloc finding at the repeat on every tier rather than 10^8
+    // materialized values ending the process with std::bad_alloc.
+    struct Case {
+        std::string source;
+        std::uint64_t bytes;
+    };
+    const std::vector<Case> cases = {
+        {"fn main() {\n    let a = [0; 100000000];\n}\n", 400000000},
+        // What is left of the cap bounds the second repeat.
+        {"fn main() {\n    let a = [0; 800000];\n    let b = [0; 800000];\n"
+         "    print_int(a[0] + b[0]);\n}\n",
+         3200000},
+        // A zero-sized element counts as one byte, so the number of
+        // values is bounded too.
+        {"fn main() {\n    let a = [[0; 0]; 100000000];\n}\n", 100000000},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.source);
+        const miri::agreement::TierRun run =
+            miri::agreement::expect_tiers_agree(c.source, {{}});
+        ASSERT_EQ(run.reference.findings.size(), 1u);
+        const miri::Finding& finding = run.reference.findings.front();
+        EXPECT_EQ(finding.category, miri::UbCategory::Alloc);
+        EXPECT_EQ(finding.message,
+                  "out of memory: allocating " + std::to_string(c.bytes) +
+                      " bytes passes the run's cap of " +
+                      std::to_string(miri::kMaxBytesPerRun) + " bytes");
+        EXPECT_EQ(finding.span.column, 13u);  // the repeat, not the `let`
     }
 }
 
