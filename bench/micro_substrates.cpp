@@ -17,7 +17,6 @@
 #include "lang/typecheck.hpp"
 #include "llm/rules.hpp"
 #include "miri/interp.hpp"
-#include "miri/lower.hpp"
 #include "verify/oracle.hpp"
 #include "vm/peephole.hpp"
 #include "vm/vm.hpp"
@@ -164,10 +163,9 @@ enum class Rung { Tree, Vm, VmOpt };
 void BM_InterpRung(benchmark::State& state, const char* source, Rung rung) {
     auto program = lang::try_parse(source);
     lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
     const bool wants_vm = rung == Rung::Vm || rung == Rung::VmOpt;
     const vm::VmProgram bytecode =
-        wants_vm ? vm::compile(*program, lowered) : vm::VmProgram{};
+        wants_vm ? vm::compile(*program) : vm::VmProgram{};
     const vm::VmProgram optimized =
         rung == Rung::VmOpt ? vm::optimize(bytecode) : vm::VmProgram{};
     for (auto _ : state) {

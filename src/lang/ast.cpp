@@ -49,6 +49,7 @@ ExprPtr VarRefExpr::clone() const {
     auto out = clone_base(*this);
     out->type = type;
     out->name = name;
+    out->binding = binding;
     return out;
 }
 
@@ -90,6 +91,7 @@ ExprPtr CallExpr::clone() const {
     out->type = type;
     out->callee = callee;
     out->args = clone_exprs(args);
+    out->binding = binding;
     return out;
 }
 
@@ -131,6 +133,7 @@ StmtPtr LetStmt::clone() const {
     out->is_mut = is_mut;
     out->declared_type = declared_type;
     out->init = clone_expr(init);
+    out->slot = slot;
     return out;
 }
 
@@ -198,6 +201,7 @@ FnItem FnItem::clone() const {
     out.body = body.clone();
     out.id = id;
     out.span = span;
+    out.slot_count = slot_count;
     return out;
 }
 

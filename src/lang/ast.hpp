@@ -5,7 +5,9 @@
 // whole programs) and supports structural equality (used by tests and by the
 // knowledge base to deduplicate exemplars). Node ids are assigned by
 // Program::renumber() and are stable for a given tree shape, which the
-// pruning algorithm and patch rules use to address nodes.
+// pruning algorithm and patch rules use to address nodes. The type checker
+// writes each expression's type and each name's Binding onto the nodes;
+// every MiriLite tier reads both and runs only type-checked trees.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +70,25 @@ struct Expr {
 
 using ExprPtr = std::unique_ptr<Expr>;
 
+/// What a name denotes, written by the type checker (DESIGN.md §4) and read
+/// by every tier instead of a lookup. Valid only after type_check accepted
+/// this exact tree.
+struct Binding {
+    enum class Kind : std::uint8_t {
+        None,       // not bound: the tree was not (or not successfully) checked
+        Local,      // index = frame slot
+        Static,     // index = position in Program::statics
+        Function,   // index = position in Program::functions
+        Intrinsic,  // index = lang::IntrinsicId (call position only)
+    };
+    Kind kind = Kind::None;
+    std::int32_t index = -1;
+
+    bool operator==(const Binding& other) const {
+        return kind == other.kind && index == other.index;
+    }
+};
+
 struct IntLitExpr final : Expr {
     IntLitExpr() : Expr(ExprKind::IntLit) {}
     [[nodiscard]] ExprPtr clone() const override;
@@ -87,6 +108,8 @@ struct VarRefExpr final : Expr {
     [[nodiscard]] ExprPtr clone() const override;
 
     std::string name;
+    /// Local, Static or Function.
+    Binding binding;
 };
 
 struct UnaryExpr final : Expr {
@@ -128,6 +151,8 @@ struct CallExpr final : Expr {
 
     std::string callee;
     std::vector<ExprPtr> args;
+    /// Intrinsic, Local (a fn-pointer local) or Function.
+    Binding binding;
 };
 
 struct CallPtrExpr final : Expr {
@@ -200,6 +225,8 @@ struct LetStmt final : Stmt {
     bool is_mut = false;
     std::optional<Type> declared_type;
     ExprPtr init;  // always present (mini-Rust requires initialization)
+    /// The frame slot the binding lives in (type checker).
+    std::int32_t slot = -1;
 };
 
 struct AssignStmt final : Stmt {
@@ -282,6 +309,9 @@ struct FnItem {
     Block body;
     NodeId id = kInvalidNodeId;
     support::SourceSpan span;
+    /// Frame slots a call needs: parameters take 0..n-1, then each `let`
+    /// a fresh one in source order (type checker).
+    std::uint32_t slot_count = 0;
 
     [[nodiscard]] FnItem clone() const;
     /// The fn-pointer type of this function, interned in `types`.
@@ -296,7 +326,7 @@ struct StaticItem {
     std::string name;
     bool is_mut = false;
     Type type;
-    ExprPtr init;  // restricted to literal / array-repeat by the parser
+    ExprPtr init;  // literals and arrays of them, no names (type checker)
     NodeId id = kInvalidNodeId;
     support::SourceSpan span;
 

@@ -41,11 +41,37 @@ bool is_intrinsic(const std::string& name) {
 }
 
 namespace {
-const IntrinsicInfo* find_intrinsic(const std::string& name) {
-    for (const auto& info : intrinsic_table()) {
-        if (info.name == name) return &info;
+/// True when `expr` names a variable or calls a function anywhere inside.
+bool names_or_calls(const Expr& expr) {
+    switch (expr.kind) {
+        case ExprKind::IntLit:
+        case ExprKind::BoolLit:
+            return false;
+        case ExprKind::VarRef:
+        case ExprKind::Call:
+        case ExprKind::CallPtr:
+            return true;
+        case ExprKind::Unary:
+            return names_or_calls(*static_cast<const UnaryExpr&>(expr).operand);
+        case ExprKind::Binary: {
+            const auto& node = static_cast<const BinaryExpr&>(expr);
+            return names_or_calls(*node.lhs) || names_or_calls(*node.rhs);
+        }
+        case ExprKind::Cast:
+            return names_or_calls(*static_cast<const CastExpr&>(expr).operand);
+        case ExprKind::Index: {
+            const auto& node = static_cast<const IndexExpr&>(expr);
+            return names_or_calls(*node.base) || names_or_calls(*node.index);
+        }
+        case ExprKind::ArrayLit:
+            for (const auto& element : static_cast<const ArrayLitExpr&>(expr).elements) {
+                if (names_or_calls(*element)) return true;
+            }
+            return false;
+        case ExprKind::ArrayRepeat:
+            return names_or_calls(*static_cast<const ArrayRepeatExpr&>(expr).element);
     }
-    return nullptr;
+    return false;
 }
 }  // namespace
 
@@ -116,11 +142,14 @@ void TypeChecker::check_static(StaticItem& item) {
         return;
     }
     // Static initializers must be constant: int/bool literals or array
-    // repeat/literal of literals (no calls, no references).
+    // repeat/literal of literals, with no call and no name anywhere inside.
+    // So no initializer can see a static before it is set, and no tier
+    // needs a rule for that.
     const Expr& init = *item.init;
     const bool constant =
-        init.kind == ExprKind::IntLit || init.kind == ExprKind::BoolLit ||
-        init.kind == ExprKind::ArrayRepeat || init.kind == ExprKind::ArrayLit;
+        (init.kind == ExprKind::IntLit || init.kind == ExprKind::BoolLit ||
+         init.kind == ExprKind::ArrayRepeat || init.kind == ExprKind::ArrayLit) &&
+        !names_or_calls(init);
     if (!constant) {
         error("static initializer must be a literal or array of literals", item.span);
     }
@@ -136,19 +165,26 @@ void TypeChecker::check_function(FnItem& fn) {
     current_fn_ = &fn;
     unsafe_depth_ = fn.is_unsafe ? 1 : 0;
     scopes_.clear();
+    next_slot_ = 0;
     push_scope();
     for (const auto& param : fn.params) {
-        // Parameters are immutable bindings (mini-Rust has no `mut x: T`).
+        // Parameters are immutable bindings (mini-Rust has no `mut x: T`),
+        // and take slots 0..n-1 in order.
         declare_local(param.name, param.type, /*is_mut=*/false);
     }
     check_block(fn.body, /*enters_scope=*/false);
     pop_scope();
+    fn.slot_count = static_cast<std::uint32_t>(next_slot_);
     current_fn_ = nullptr;
 }
 
-void TypeChecker::declare_local(const std::string& name, Type type, bool is_mut) {
+std::int32_t TypeChecker::declare_local(const std::string& name, Type type,
+                                        bool is_mut) {
     // Shadowing is allowed (like Rust): later declarations win on lookup.
-    scopes_.back().locals.push_back({name, std::move(type), is_mut});
+    // Every binding gets a fresh slot, so a shadowed one stays live (and
+    // is killed) exactly where the tree walk's allocation does.
+    scopes_.back().locals.push_back({name, std::move(type), is_mut, next_slot_});
+    return next_slot_++;
 }
 
 const TypeChecker::LocalVar* TypeChecker::lookup_local(const std::string& name) const {
@@ -181,7 +217,7 @@ void TypeChecker::check_statement(Stmt& stmt) {
                       node.span);
             }
             const Type var_type = node.declared_type ? *node.declared_type : init_type;
-            declare_local(node.name, var_type, node.is_mut);
+            node.slot = declare_local(node.name, var_type, node.is_mut);
             break;
         }
         case StmtKind::Assign: {
@@ -360,17 +396,24 @@ Type TypeChecker::check_expr(Expr& expr, const std::optional<Type>& expected) {
             result = Type::boolean();
             break;
         case ExprKind::VarRef: {
+            // Locals, then statics, then function items.
             auto& node = static_cast<VarRefExpr&>(expr);
+            node.binding = {};
             if (const LocalVar* local = lookup_local(node.name)) {
+                node.binding = {Binding::Kind::Local, local->slot};
                 result = local->type;
             } else if (const StaticItem* item =
                            program_ ? program_->find_static(node.name) : nullptr) {
                 if (item->is_mut) {
                     require_unsafe("access to 'static mut'", node.span);
                 }
+                node.binding = {Binding::Kind::Static,
+                                static_cast<std::int32_t>(item - program_->statics.data())};
                 result = item->type;
             } else if (const FnItem* fn =
                            program_ ? program_->find_function(node.name) : nullptr) {
+                node.binding = {Binding::Kind::Function,
+                                static_cast<std::int32_t>(fn - program_->functions.data())};
                 result = fn->fn_type(program_->types());
             } else {
                 error("unknown name '" + node.name + "'", node.span);
@@ -625,36 +668,43 @@ Type TypeChecker::check_index(IndexExpr& expr) {
 }
 
 Type TypeChecker::check_call(CallExpr& expr) {
-    if (is_intrinsic(expr.callee)) {
+    // Call position: intrinsics, then a local *of fn-pointer type* (a local
+    // of another type does not shadow a function item here), then the
+    // function item.
+    expr.binding = {};
+    if (const IntrinsicId id = intrinsic_id(expr.callee); id != IntrinsicId::Unknown) {
+        expr.binding = {Binding::Kind::Intrinsic, static_cast<std::int32_t>(id)};
         return check_intrinsic(expr);
+    }
+    if (const LocalVar* local = lookup_local(expr.callee);
+        local != nullptr && local->type.is_fn_ptr()) {
+        // A call through a local fn-pointer variable spelled `f(x)`.
+        expr.binding = {Binding::Kind::Local, local->slot};
+        const auto& params = local->type.fn_params();
+        if (params.size() != expr.args.size()) {
+            error("call argument count mismatch for '" + expr.callee + "'",
+                  expr.span);
+            return local->type.fn_return();
+        }
+        for (std::size_t i = 0; i < expr.args.size(); ++i) {
+            const Type arg = check_expr(*expr.args[i], params[i]);
+            if (!(arg == params[i])) {
+                error("argument " + std::to_string(i + 1) + " to '" + expr.callee +
+                          "' has type " + arg.to_string() + ", expected " +
+                          params[i].to_string(),
+                      expr.span);
+            }
+        }
+        return local->type.fn_return();
     }
     const FnItem* fn = program_ ? program_->find_function(expr.callee) : nullptr;
     if (fn == nullptr) {
-        // Calling through a local fn-pointer variable spelled `f(x)` —
-        // resolve as an indirect call if a local with that name exists.
-        if (const LocalVar* local = lookup_local(expr.callee);
-            local != nullptr && local->type.is_fn_ptr()) {
-            const auto& params = local->type.fn_params();
-            if (params.size() != expr.args.size()) {
-                error("call argument count mismatch for '" + expr.callee + "'",
-                      expr.span);
-                return local->type.fn_return();
-            }
-            for (std::size_t i = 0; i < expr.args.size(); ++i) {
-                const Type arg = check_expr(*expr.args[i], params[i]);
-                if (!(arg == params[i])) {
-                    error("argument " + std::to_string(i + 1) + " to '" + expr.callee +
-                              "' has type " + arg.to_string() + ", expected " +
-                              params[i].to_string(),
-                          expr.span);
-                }
-            }
-            return local->type.fn_return();
-        }
         error("call to unknown function '" + expr.callee + "'", expr.span);
         for (auto& arg : expr.args) check_expr(*arg);
         return Type::unit();
     }
+    expr.binding = {Binding::Kind::Function,
+                    static_cast<std::int32_t>(fn - program_->functions.data())};
     if (fn->is_unsafe) {
         require_unsafe(("call to unsafe fn '" + expr.callee + "'").c_str(), expr.span);
     }
@@ -704,7 +754,9 @@ Type TypeChecker::check_call_ptr(CallPtrExpr& expr) {
 }
 
 Type TypeChecker::check_intrinsic(CallExpr& expr) {
-    const IntrinsicInfo* info = find_intrinsic(expr.callee);
+    // check_call bound the callee; the table is in IntrinsicId order.
+    const IntrinsicInfo* info =
+        &intrinsic_table()[static_cast<std::size_t>(expr.binding.index)];
     if (info->requires_unsafe) {
         require_unsafe(("call to '" + expr.callee + "'").c_str(), expr.span);
     }

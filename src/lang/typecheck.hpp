@@ -5,7 +5,10 @@
 // unsafe-fn calls, `static mut` access and int->fn-pointer casts are only
 // legal inside `unsafe`), while MiriLite finds the *dynamic* UB. It also
 // annotates every expression with its type, which the interpreter relies on
-// for typed loads/stores and cast semantics.
+// for typed loads/stores and cast semantics, and is the only name resolver:
+// it writes every name's Binding, every `let`'s frame slot and every
+// function's slot count onto the tree, in the order the tiers run them
+// (DESIGN.md §4).
 #pragma once
 
 #include <cstdint>
@@ -67,6 +70,7 @@ class TypeChecker {
         std::string name;
         Type type;
         bool is_mut = false;
+        std::int32_t slot = -1;
     };
 
     struct Scope {
@@ -76,7 +80,8 @@ class TypeChecker {
     // Environment ----------------------------------------------------------
     void push_scope() { scopes_.emplace_back(); }
     void pop_scope() { scopes_.pop_back(); }
-    void declare_local(const std::string& name, Type type, bool is_mut);
+    /// Declares a local in the innermost scope; returns its fresh slot.
+    std::int32_t declare_local(const std::string& name, Type type, bool is_mut);
     [[nodiscard]] const LocalVar* lookup_local(const std::string& name) const;
 
     // Items ------------------------------------------------------------
@@ -110,6 +115,7 @@ class TypeChecker {
     Program* program_ = nullptr;
     const FnItem* current_fn_ = nullptr;
     std::vector<Scope> scopes_;
+    std::int32_t next_slot_ = 0;
     int unsafe_depth_ = 0;
 };
 

@@ -30,11 +30,12 @@ RunResult Interpreter::run() {
 }
 
 void Interpreter::setup_statics() {
+    static_allocs_.reserve(m_.program.statics.size());
     for (const auto& item : m_.program.statics) {
         const AllocId alloc =
             m_.mem.allocate(item.type.size_bytes(), item.type.align_bytes(),
                             AllocKind::Static, item.name, item.span);
-        static_allocs_[item.name] = alloc;
+        static_allocs_.push_back(alloc);
         if (m_.faulted()) return;
         const Value init = eval_expr(*item.init);
         if (m_.faulted()) return;
@@ -47,38 +48,22 @@ void Interpreter::setup_statics() {
 // Frames / locals
 // ---------------------------------------------------------------------------
 
-const Interpreter::LocalSlot* Interpreter::find_local(const std::string& name) const {
-    if (frames_.empty()) return nullptr;
-    const Frame& frame = frames_.back();
-    for (auto scope = frame.scopes.rbegin(); scope != frame.scopes.rend(); ++scope) {
-        for (auto local = scope->locals.rbegin(); local != scope->locals.rend();
-             ++local) {
-            if (local->name == name) return &*local;
-        }
-    }
-    return nullptr;
-}
-
-void Interpreter::declare_local(const std::string& name, const Type& type,
-                                const Value& value, support::SourceSpan span) {
+void Interpreter::declare_local(std::int32_t slot, const std::string& name,
+                                const Type& type, const Value& value,
+                                support::SourceSpan span) {
     const AllocId alloc = m_.mem.allocate(type.size_bytes(), type.align_bytes(),
                                           AllocKind::Stack, name, span);
     m_.mem.store(m_.mem.base_pointer(alloc), type, value, m_.access_ctx(span));
-    frames_.back().scopes.back().locals.push_back({name, alloc, type});
+    const std::size_t at = frames_.back().slot_base + static_cast<std::size_t>(slot);
+    slots_[at] = {alloc, type};
+    live_.push_back(at);
 }
 
-void Interpreter::kill_scope(Scope& scope) {
-    for (const LocalSlot& local : scope.locals) {
-        m_.mem.kill(local.alloc);
+void Interpreter::kill_to(std::size_t mark) {
+    for (std::size_t i = mark; i < live_.size(); ++i) {
+        m_.mem.kill(slots_[live_[i]].alloc);
     }
-    scope.locals.clear();
-}
-
-void Interpreter::kill_frame(Frame& frame) {
-    for (auto& scope : frame.scopes) {
-        kill_scope(scope);
-    }
-    frame.scopes.clear();
+    if (live_.size() > mark) live_.resize(mark);
 }
 
 Value Interpreter::call_function(std::int32_t fn_index, std::vector<Value> args,
@@ -92,14 +77,17 @@ Value Interpreter::call_function(std::int32_t fn_index, std::vector<Value> args,
     while (true) {
         const lang::FnItem& fn =
             m_.program.functions[static_cast<std::size_t>(fn_index)];
-        frames_.emplace_back();
-        frames_.back().scopes.emplace_back();
+        const Frame frame{slots_.size(), live_.size()};
+        frames_.push_back(frame);
+        slots_.resize(frame.slot_base + fn.slot_count);
         for (std::size_t i = 0; i < fn.params.size(); ++i) {
-            declare_local(fn.params[i].name, fn.params[i].type,
+            declare_local(static_cast<std::int32_t>(i), fn.params[i].name,
+                          fn.params[i].type,
                           i < args.size() ? args[i] : Value::unit(), fn.span);
         }
         ExecResult exec = exec_block(fn.body);
-        kill_frame(frames_.back());
+        kill_to(frame.live_base);
+        slots_.resize(frame.slot_base);
         frames_.pop_back();
         if (m_.faulted()) {
             // The body stopped early: its result (or tail-call target) is
@@ -126,14 +114,13 @@ Value Interpreter::call_function(std::int32_t fn_index, std::vector<Value> args,
 // ---------------------------------------------------------------------------
 
 Interpreter::ExecResult Interpreter::exec_block(const lang::Block& block) {
-    frames_.back().scopes.emplace_back();
+    const std::size_t mark = live_.size();
     ExecResult result;
     for (const auto& stmt : block.statements) {
         result = exec_statement(*stmt);
         if (result.flow != Flow::Normal) break;
     }
-    kill_scope(frames_.back().scopes.back());
-    frames_.back().scopes.pop_back();
+    kill_to(mark);
     return result;
 }
 
@@ -146,7 +133,7 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
             const Value value = eval_expr(*node.init);
             const Type& type =
                 node.declared_type ? *node.declared_type : node.init->type;
-            declare_local(node.name, type, value, node.span);
+            declare_local(node.slot, node.name, type, value, node.span);
             return {};
         }
         case lang::StmtKind::Assign: {
@@ -201,15 +188,14 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
             }
             // Guaranteed tail call: the current frame's locals die *before*
             // the callee runs. Pointers into this frame become dangling, and
-            // accesses to them are classified as TailCall UB. The scope
-            // structure is kept so enclosing blocks unwind normally on the
-            // way out to the call_function trampoline.
-            for (auto& scope : frames_.back().scopes) {
-                for (const LocalSlot& local : scope.locals) {
-                    m_.mem.kill_for_tail_call(local.alloc);
-                }
-                scope.locals.clear();
+            // accesses to them are classified as TailCall UB. Enclosing
+            // blocks then find nothing left to kill on the way out to the
+            // call_function trampoline.
+            const std::size_t base = frames_.back().live_base;
+            for (std::size_t i = base; i < live_.size(); ++i) {
+                m_.mem.kill_for_tail_call(slots_[live_[i]].alloc);
             }
+            live_.resize(base);
             ExecResult result;
             result.flow = Flow::TailCall;
             // Validate now so a bad target is attributed to the become site.
@@ -229,15 +215,17 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
 Interpreter::Place Interpreter::eval_place(const lang::Expr& expr) {
     switch (expr.kind) {
         case lang::ExprKind::VarRef: {
-            const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-            if (const LocalSlot* local = find_local(node.name)) {
-                return {m_.mem.base_pointer(local->alloc), local->type};
+            const lang::Binding& binding =
+                static_cast<const lang::VarRefExpr&>(expr).binding;
+            if (binding.kind == lang::Binding::Kind::Local) {
+                return {m_.mem.base_pointer(local(binding.index).alloc), expr.type};
             }
-            if (auto it = static_allocs_.find(node.name); it != static_allocs_.end()) {
-                const lang::StaticItem* item = m_.program.find_static(node.name);
-                return {m_.mem.base_pointer(it->second), item->type};
+            if (binding.kind == lang::Binding::Kind::Static) {
+                return {m_.mem.base_pointer(
+                            static_allocs_[static_cast<std::size_t>(binding.index)]),
+                        expr.type};
             }
-            throw std::logic_error("eval_place: unresolved name '" + node.name + "'");
+            break;
         }
         case lang::ExprKind::Unary: {
             const auto& node = static_cast<const lang::UnaryExpr&>(expr);
@@ -288,19 +276,13 @@ Value Interpreter::eval_expr(const lang::Expr& expr) {
         case lang::ExprKind::BoolLit:
             return Value::boolean(static_cast<const lang::BoolLitExpr&>(expr).value);
         case lang::ExprKind::VarRef: {
-            const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-            if (find_local(node.name) != nullptr ||
-                static_allocs_.count(node.name) != 0) {
-                const Place place = eval_place(expr);
-                return m_.mem.load(place.ptr, place.type, m_.access_ctx(node.span));
+            const lang::Binding& binding =
+                static_cast<const lang::VarRefExpr&>(expr).binding;
+            if (binding.kind == lang::Binding::Kind::Function) {
+                return Value::function(FnPtrVal{binding.index});
             }
-            // Function item used as a value.
-            const lang::FnItem* fn = m_.program.find_function(node.name);
-            if (fn == nullptr) {
-                throw std::logic_error("unresolved name '" + node.name + "'");
-            }
-            return Value::function(FnPtrVal{
-                static_cast<std::int32_t>(fn - m_.program.functions.data())});
+            const Place place = eval_place(expr);
+            return m_.mem.load(place.ptr, place.type, m_.access_ctx(expr.span));
         }
         case lang::ExprKind::Unary:
             return eval_unary(static_cast<const lang::UnaryExpr&>(expr));
@@ -417,32 +399,32 @@ Value Interpreter::eval_call(const lang::CallExpr& expr) {
     for (const auto& arg : expr.args) {
         args.push_back(eval_expr(*arg));
     }
-    if (const lang::IntrinsicId id = lang::intrinsic_id(expr.callee);
-        id != lang::IntrinsicId::Unknown) {
-        // A joined thread's body runs on its own frame stack: frames_ is a
-        // plain stack, so its pushes and pops nest around this call.
-        return m_.intrinsic(id, args, intrinsic_facts(id, expr), expr.span,
-                            [this](std::int32_t entry_fn, support::SourceSpan span) {
-                                call_function(entry_fn, {}, span, Type::unit());
-                            });
+    switch (expr.binding.kind) {
+        case lang::Binding::Kind::Intrinsic: {
+            const auto id = static_cast<lang::IntrinsicId>(expr.binding.index);
+            // A joined thread's body runs on its own frames: frames_,
+            // slots_ and live_ are plain stacks, so its pushes and pops
+            // nest around this call.
+            return m_.intrinsic(
+                id, args, intrinsic_facts(id, expr), expr.span,
+                [this](std::int32_t entry_fn, support::SourceSpan span) {
+                    call_function(entry_fn, {}, span, Type::unit());
+                });
+        }
+        case lang::Binding::Kind::Local: {
+            // A fn-pointer local called by name.
+            const LocalSlot& callee = local(expr.binding.index);
+            const Value value = m_.mem.load(m_.mem.base_pointer(callee.alloc),
+                                            callee.type, m_.access_ctx(expr.span));
+            return call_function(
+                m_.resolve_fn_target(value.as_fn(), callee.type, expr.span,
+                                     /*is_become=*/false),
+                std::move(args), expr.span, expr.type);
+        }
+        default:  // Binding::Kind::Function
+            return call_function(expr.binding.index, std::move(args), expr.span,
+                                 expr.type);
     }
-    // Local fn-pointer variable called by name?
-    if (const LocalSlot* local = find_local(expr.callee);
-        local != nullptr && local->type.is_fn_ptr()) {
-        const Value callee =
-            m_.mem.load(m_.mem.base_pointer(local->alloc), local->type,
-                        m_.access_ctx(expr.span));
-        return call_function(m_.resolve_fn_target(callee.as_fn(), local->type,
-                                                  expr.span, /*is_become=*/false),
-                             std::move(args), expr.span, expr.type);
-    }
-    const lang::FnItem* fn = m_.program.find_function(expr.callee);
-    if (fn == nullptr) {
-        throw std::logic_error("call to unknown function '" + expr.callee + "'");
-    }
-    return call_function(
-        static_cast<std::int32_t>(fn - m_.program.functions.data()),
-        std::move(args), expr.span, expr.type);
 }
 
 Value Interpreter::eval_call_ptr(const lang::CallPtrExpr& expr) {

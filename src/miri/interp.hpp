@@ -2,11 +2,14 @@
 // tier every other tier is checked against.
 //
 // The interpreter walks the type-checked AST and owns only what is its own:
-// frames of named scopes, the static-name table and the evaluation order.
-// Everything else — step accounting, arithmetic and casts (miri/scalar.hpp),
-// intrinsics, threads and the post-main teardown (miri/machine.hpp) — is the
-// machine core that vm::Vm and the static screener share, so the tiers
-// differ only in how they reach those rules (DESIGN.md §17).
+// frames of slots, the statics' allocations and the evaluation order. It
+// looks up no name: each one was bound once by the type checker (DESIGN.md
+// §4), so a local is a slot index, a static an index into the statics, and
+// a callee an intrinsic id, a slot or a function index. Everything else —
+// step accounting, arithmetic and casts (miri/scalar.hpp), intrinsics,
+// threads and the post-main teardown (miri/machine.hpp) — is the machine
+// core that vm::Vm and the static screener share, so the tiers differ only
+// in how they reach those rules (DESIGN.md §17).
 //
 // Deviation from real Rust (documented in DESIGN.md): mini-Rust has no
 // static borrow checker, so misuse of safe references (e.g. `&mut` while `&`
@@ -14,8 +17,8 @@
 // error. The paper's both-borrow UB category relies on this.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,9 +31,9 @@ namespace rustbrain::miri {
 
 class Interpreter {
   public:
-    /// `program` must be type-checked (expression types annotated). The
-    /// lowering parameter is ignored: every run is the tree walk. It is
-    /// kept so four-argument callers still compile.
+    /// `program` must have passed lang::type_check (types and bindings
+    /// annotated). The lowering parameter is ignored; it is kept so
+    /// four-argument callers still compile.
     Interpreter(const lang::Program& program, std::vector<std::int64_t> inputs,
                 InterpLimits limits = {},
                 const LoweredProgram* /*ignored*/ = nullptr);
@@ -49,17 +52,14 @@ class Interpreter {
     };
 
     struct LocalSlot {
-        std::string name;
         AllocId alloc = kNoAlloc;
         lang::Type type;
     };
 
-    struct Scope {
-        std::vector<LocalSlot> locals;
-    };
-
+    /// Where a call's slots and kill list start in slots_ and live_.
     struct Frame {
-        std::vector<Scope> scopes;
+        std::size_t slot_base = 0;
+        std::size_t live_base = 0;
     };
 
     enum class Flow { Normal, Return, TailCall };
@@ -93,15 +93,27 @@ class Interpreter {
     Place eval_place(const lang::Expr& expr);
 
     // Helpers -----------------------------------------------------------
-    const LocalSlot* find_local(const std::string& name) const;
-    void declare_local(const std::string& name, const lang::Type& type,
-                       const Value& value, support::SourceSpan span);
-    void kill_scope(Scope& scope);
-    void kill_frame(Frame& frame);
+    void declare_local(std::int32_t slot, const std::string& name,
+                       const lang::Type& type, const Value& value,
+                       support::SourceSpan span);
+    LocalSlot& local(std::int32_t slot) {
+        return slots_[frames_.back().slot_base + static_cast<std::size_t>(slot)];
+    }
+    /// Kills the locals declared since live_ held `mark` entries, in
+    /// declaration order — a scope exit (or, at the frame's base, the
+    /// frame's own exit).
+    void kill_to(std::size_t mark);
 
     Machine m_;
     std::vector<Frame> frames_;
-    std::map<std::string, AllocId> static_allocs_;
+    /// Every active call's slots, innermost frame last.
+    std::vector<LocalSlot> slots_;
+    /// The kill list: each live local's index into slots_, in declaration
+    /// order. A block remembers its length on entry and kills back to it
+    /// on exit, which kills scopes innermost first and each front to back.
+    std::vector<std::size_t> live_;
+    /// Indexed like Program::statics.
+    std::vector<AllocId> static_allocs_;
 };
 
 }  // namespace rustbrain::miri

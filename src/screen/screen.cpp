@@ -56,12 +56,10 @@ struct RunScreen {
 class AbstractInterpreter {
   public:
     AbstractInterpreter(const lang::Program& program,
-                        const miri::LoweredProgram& lowering,
                         const std::vector<std::int64_t>& inputs,
                         const miri::InterpLimits& limits,
                         const ScreenOptions& options, std::uint64_t ops_spent)
-        : lowered_(lowering),
-          options_(options),
+        : options_(options),
           machine_(program, inputs, limits),
           ops_(ops_spent) {
         statics_.resize(program.statics.size());
@@ -149,11 +147,8 @@ class AbstractInterpreter {
     void setup_statics() {
         for (std::size_t i = 0; i < program().statics.size(); ++i) {
             const lang::StaticItem& item = program().statics[i];
-            // The interpreter allocates before evaluating the initializer;
-            // a self-reference would read uninitialized memory there. Here
-            // the static stays unset during its own init, so a self-
-            // reference falls through to the function-name path and bails —
-            // Unknown, which is always sound.
+            // An initializer names nothing (the type checker's rule), so
+            // no static is read before it is set.
             reserve(item.type, item.span);
             if (machine_.faulted()) return;
             const Value init = eval_expr(*item.init);
@@ -172,11 +167,10 @@ class AbstractInterpreter {
         const lang::FnItem& fn =
             program().functions[static_cast<std::size_t>(fn_index)];
         frames_.emplace_back();
-        frames_.back().slots.resize(
-            lowered_.fn_slot_counts[static_cast<std::size_t>(fn_index)]);
+        frames_.back().slots.resize(fn.slot_count);
         for (std::size_t i = 0; i < fn.params.size(); ++i) {
             reserve(fn.params[i].type, fn.span);
-            // Under lowering, parameters occupy slots 0..n-1 in order.
+            // Parameters occupy slots 0..n-1 in order.
             frames_.back().slots[i] =
                 Slot{i < args.size() ? args[i] : Value::unit(),
                      fn.params[i].type};
@@ -221,9 +215,7 @@ class AbstractInterpreter {
                 const Type& type =
                     node.declared_type ? *node.declared_type : node.init->type;
                 reserve(type, node.span);
-                const std::int32_t slot = lowered_.let_slots[node.id];
-                if (slot < 0) throw Bail{"let without a lowered slot"};
-                frames_.back().slots[static_cast<std::size_t>(slot)] =
+                frames_.back().slots[static_cast<std::size_t>(node.slot)] =
                     Slot{value, type};
                 return {};
             }
@@ -284,31 +276,31 @@ class AbstractInterpreter {
     PlaceRef eval_place(const lang::Expr& expr) {
         switch (expr.kind) {
             case lang::ExprKind::VarRef: {
-                const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-                const miri::VarResolution& res = lowered_.var_refs[node.id];
-                if (res.kind == miri::VarResolution::Kind::Local) {
+                const lang::Binding& binding =
+                    static_cast<const lang::VarRefExpr&>(expr).binding;
+                if (binding.kind == lang::Binding::Kind::Local) {
                     const auto& slot = frames_.back().slots
-                        [static_cast<std::size_t>(res.index)];
+                        [static_cast<std::size_t>(binding.index)];
                     if (!slot.has_value()) throw Bail{"read of a dead slot"};
                     PlaceRef place;
                     place.is_static = false;
-                    place.index = res.index;
+                    place.index = binding.index;
                     place.type = slot->type;
                     return place;
                 }
-                if (res.kind == miri::VarResolution::Kind::Static) {
+                if (binding.kind == lang::Binding::Kind::Static) {
                     const auto& slot =
-                        statics_[static_cast<std::size_t>(res.index)];
+                        statics_[static_cast<std::size_t>(binding.index)];
                     if (!slot.has_value()) {
                         throw Bail{"read of an uninitialized static"};
                     }
                     PlaceRef place;
                     place.is_static = true;
-                    place.index = res.index;
+                    place.index = binding.index;
                     place.type = slot->type;
                     return place;
                 }
-                throw Bail{"unresolved place name '" + node.name + "'"};
+                throw Bail{"expression is not a modelled place"};
             }
             case lang::ExprKind::Index: {
                 const auto& node = static_cast<const lang::IndexExpr&>(expr);
@@ -401,31 +393,12 @@ class AbstractInterpreter {
                 return Value::boolean(
                     static_cast<const lang::BoolLitExpr&>(expr).value);
             case lang::ExprKind::VarRef: {
-                const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-                const miri::VarResolution& res = lowered_.var_refs[node.id];
-                switch (res.kind) {
-                    case miri::VarResolution::Kind::Local:
-                        return load_place(eval_place(expr));
-                    case miri::VarResolution::Kind::Static:
-                        if (statics_[static_cast<std::size_t>(res.index)]
-                                .has_value()) {
-                            return load_place(eval_place(expr));
-                        }
-                        // Forward reference during static setup falls
-                        // through to a function item of the same name,
-                        // like the interpreter.
-                        break;
-                    case miri::VarResolution::Kind::Function:
-                        return Value::function(miri::FnPtrVal{res.index});
-                    case miri::VarResolution::Kind::Unresolved:
-                        break;
+                const lang::Binding& binding =
+                    static_cast<const lang::VarRefExpr&>(expr).binding;
+                if (binding.kind == lang::Binding::Kind::Function) {
+                    return Value::function(miri::FnPtrVal{binding.index});
                 }
-                const lang::FnItem* fn = program().find_function(node.name);
-                if (fn == nullptr) {
-                    throw Bail{"unresolved name '" + node.name + "'"};
-                }
-                return Value::function(miri::FnPtrVal{
-                    static_cast<std::int32_t>(fn - program().functions.data())});
+                return load_place(eval_place(expr));
             }
             case lang::ExprKind::Unary:
                 return eval_unary(static_cast<const lang::UnaryExpr&>(expr));
@@ -537,8 +510,8 @@ class AbstractInterpreter {
     }
 
     Value eval_call(const lang::CallExpr& expr) {
-        const miri::CallResolution& res = lowered_.calls[expr.id];
-        if (res.kind == miri::CallResolution::Kind::Intrinsic) {
+        const lang::Binding& binding = expr.binding;
+        if (binding.kind == lang::Binding::Kind::Intrinsic) {
             return eval_intrinsic(expr);
         }
         std::vector<Value> args;
@@ -546,22 +519,17 @@ class AbstractInterpreter {
         for (const auto& arg : expr.args) {
             args.push_back(eval_expr(*arg));
         }
-        switch (res.kind) {
-            case miri::CallResolution::Kind::LocalFnPtr: {
-                const auto& slot =
-                    frames_.back().slots[static_cast<std::size_t>(res.index)];
-                if (!slot.has_value()) {
-                    throw Bail{"call through a dead fn-pointer slot"};
-                }
-                return call_fn_value(slot->value, slot->type, std::move(args),
-                                     expr.span, expr.type);
+        if (binding.kind == lang::Binding::Kind::Local) {
+            const auto& slot =
+                frames_.back().slots[static_cast<std::size_t>(binding.index)];
+            if (!slot.has_value()) {
+                throw Bail{"call through a dead fn-pointer slot"};
             }
-            case miri::CallResolution::Kind::Direct:
-                return call_function(res.index, std::move(args), expr.span,
-                                     expr.type);
-            default:
-                throw Bail{"call to unknown function '" + expr.callee + "'"};
+            return call_fn_value(slot->value, slot->type, std::move(args),
+                                 expr.span, expr.type);
         }
+        return call_function(binding.index, std::move(args), expr.span,
+                             expr.type);
     }
 
     Value eval_intrinsic(const lang::CallExpr& expr) {
@@ -570,7 +538,7 @@ class AbstractInterpreter {
         for (const auto& arg : expr.args) {
             args.push_back(eval_expr(*arg));
         }
-        const lang::IntrinsicId id = lang::intrinsic_id(expr.callee);
+        const auto id = static_cast<lang::IntrinsicId>(expr.binding.index);
         switch (id) {
             case lang::IntrinsicId::PrintInt:
             case lang::IntrinsicId::PrintBool:
@@ -594,7 +562,6 @@ class AbstractInterpreter {
         }
     }
 
-    const miri::LoweredProgram& lowered_;
     const ScreenOptions& options_;
 
     miri::Machine machine_;
@@ -615,7 +582,7 @@ const char* verdict_kind_name(VerdictKind kind) {
 }
 
 ScreenVerdict screen_program(
-    const lang::Program& program, const miri::LoweredProgram& lowering,
+    const lang::Program& program,
     const std::vector<std::vector<std::int64_t>>& input_sets,
     const miri::InterpLimits& limits, const ScreenOptions& options) {
     ScreenVerdict verdict;
@@ -627,8 +594,7 @@ ScreenVerdict screen_program(
         for (const auto& inputs : runs) {
             // The op budget spans all runs, so screening cost is bounded
             // per candidate, not per input vector.
-            AbstractInterpreter interp(program, lowering, inputs, limits,
-                                       options, ops);
+            AbstractInterpreter interp(program, inputs, limits, options, ops);
             const RunScreen run = interp.screen();
             ops = run.ops;
             if (run.outcome == RunScreen::Outcome::Bail) {
@@ -657,6 +623,13 @@ ScreenVerdict screen_program(
         verdict.detail = "screening failed unexpectedly";
     }
     return verdict;
+}
+
+ScreenVerdict screen_program(
+    const lang::Program& program, const miri::LoweredProgram& /*ignored*/,
+    const std::vector<std::vector<std::int64_t>>& input_sets,
+    const miri::InterpLimits& limits, const ScreenOptions& options) {
+    return screen_program(program, input_sets, limits, options);
 }
 
 }  // namespace rustbrain::screen

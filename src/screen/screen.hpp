@@ -1,9 +1,10 @@
-// Static UB pre-screener — concrete mirror execution over LoweredProgram.
+// Static UB pre-screener — concrete mirror execution of a type-checked
+// program.
 //
 // The screener is the rung between "no verify" and "full MiriLite" the
-// ROADMAP names: a mirror of the interpreter that walks the lowered program
-// (reusing the dense indices from miri/lower.hpp — no name scans) on plain
-// miri::Values with the run's concrete inputs, over the subset of
+// ROADMAP names: a mirror of the interpreter that walks the type-checked
+// tree (reading the Bindings the type checker wrote — no name scans) on
+// plain miri::Values with the run's concrete inputs, over the subset of
 // constructs it models, and returns a three-point verdict lattice:
 //
 //   ProvenSafe   the screener walked every input run to completion through
@@ -35,7 +36,7 @@
 #include "lang/ast.hpp"
 #include "miri/finding.hpp"
 #include "miri/machine.hpp"
-#include "miri/lower.hpp"
+#include "miri/lower.hpp"  // LoweredProgram, for the old screen_program
 #include "support/source_span.hpp"
 
 namespace rustbrain::screen {
@@ -72,10 +73,17 @@ struct ScreenVerdict {
     std::uint64_t ops = 0;
 };
 
-/// Screen `program` (paired with its exact lowering — see miri/lower.hpp)
-/// against every input vector, mirroring verify::Oracle::interpret's run
-/// normalization (an empty `input_sets` means one run with no inputs).
-/// Never throws: every internal error degrades to an Unknown verdict.
+/// Screen `program`, which must have passed lang::type_check, against every
+/// input vector, mirroring verify::Oracle::interpret's run normalization
+/// (an empty `input_sets` means one run with no inputs). Never throws:
+/// every internal error degrades to an Unknown verdict.
+[[nodiscard]] ScreenVerdict screen_program(
+    const lang::Program& program,
+    const std::vector<std::vector<std::int64_t>>& input_sets,
+    const miri::InterpLimits& limits, const ScreenOptions& options = {});
+
+/// The same; the lowering is ignored. Kept so callers that still pass one
+/// compile.
 [[nodiscard]] ScreenVerdict screen_program(
     const lang::Program& program, const miri::LoweredProgram& lowering,
     const std::vector<std::vector<std::int64_t>>& input_sets,

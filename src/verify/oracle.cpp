@@ -27,7 +27,7 @@ const char* to_string(InterpTier tier) {
 const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
     std::call_once(vm_once_, [this] {
         opt_code_ = std::make_unique<const vm::VmProgram>(
-            vm::optimize(vm::compile(program, lowering)));
+            vm::optimize(vm::compile(program)));
     });
     return *opt_code_;
 }
@@ -213,9 +213,7 @@ std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
     if (!lang::type_check(compiled->program, &type_error)) {
         compiled->front_end = CompiledProgram::FrontEnd::TypeError;
         compiled->error = std::move(type_error);
-        return compiled;
     }
-    compiled->lowering = miri::lower_program(compiled->program);
     return compiled;
 }
 
@@ -312,8 +310,8 @@ std::optional<screen::ScreenVerdict> Oracle::screen(
     const std::vector<std::vector<std::int64_t>>& input_sets) const {
     const std::shared_ptr<const CompiledProgram> compiled = compile(source);
     if (!compiled->ok()) return std::nullopt;
-    screen::ScreenVerdict verdict = screen::screen_program(
-        compiled->program, compiled->lowering, input_sets, limits_);
+    screen::ScreenVerdict verdict =
+        screen::screen_program(compiled->program, input_sets, limits_);
     screens_.fetch_add(1, std::memory_order_relaxed);
     screen_ops_.fetch_add(verdict.ops, std::memory_order_relaxed);
     switch (verdict.kind) {

@@ -9,9 +9,9 @@
 // splits that work into two cached stages:
 //
 //   1. compile-once: a sharded program cache keyed by source_fingerprint
-//      (support::key_hash) of the source text holds parsed + typechecked + lowered programs (see
-//      miri/lower.hpp), so each distinct source pays the front end exactly
-//      once per process;
+//      (support::key_hash) of the source text holds parsed and typechecked
+//      programs, every name bound on the tree (DESIGN.md §4), so each
+//      distinct source pays the front end exactly once per process;
 //   2. report memoization: a sharded report cache keyed by (program
 //      fingerprint, input-set fingerprint, interpreter limits) returns the
 //      MiriReport of a previously-interpreted combination verbatim.
@@ -50,7 +50,6 @@
 #include "analysis/prune.hpp"
 #include "lang/ast.hpp"
 #include "miri/interp.hpp"
-#include "miri/lower.hpp"
 #include "miri/mirilite.hpp"
 #include "screen/screen.hpp"
 #include "support/lru.hpp"
@@ -82,11 +81,12 @@ inline constexpr std::uint64_t kVmAfterSteps = std::uint64_t{1} << 10;
 /// identifies an entry; hits re-check the full source text.
 [[nodiscard]] std::uint64_t source_fingerprint(std::string_view source);
 
-/// A source text after the front end: parsed, typechecked and lowered
-/// (when ok()), or the verbatim parse/typecheck error MiriLite would have
-/// reported. Immutable once built — the program/lowering pair is shared by
-/// every interpretation of this source. The lowering is the input to the
-/// bytecode compiler and the screener; no interpreter executes it.
+/// A source text after the front end: parsed and typechecked (when ok()),
+/// or the verbatim parse/typecheck error MiriLite would have reported.
+/// Immutable once built — the program, its types and bindings written by
+/// the type checker, is shared by every interpretation of this source, and
+/// every tier runs it as it stands. No tier runs a program that failed the
+/// type check.
 struct CompiledProgram {
     enum class FrontEnd { Ok, ParseError, TypeError };
 
@@ -96,11 +96,10 @@ struct CompiledProgram {
     FrontEnd front_end = FrontEnd::Ok;
     std::string error;              // set unless front_end == Ok
     lang::Program program;          // valid only when ok()
-    miri::LoweredProgram lowering;  // valid only when ok()
 
     [[nodiscard]] bool ok() const { return front_end == FrontEnd::Ok; }
 
-    /// vm::optimize(vm::compile(program, lowering)) — what a restarted run
+    /// vm::optimize(vm::compile(program)) — what a restarted run
     /// executes — built lazily (thread-safe, exactly once) on first use, so
     /// only sources with a run past kVmAfterSteps pay for it, and the
     /// program cache amortizes it across every later restart of this
@@ -110,8 +109,8 @@ struct CompiledProgram {
     /// analysis::probe_ast(program) — what a knowledge-base consult of this
     /// source reads — built lazily (thread-safe, exactly once) on first
     /// use, so only consulted sources pay for it. A pure function of
-    /// the source text: the typecheck only writes Expr::type and lowering
-    /// only renumbers, and the probe reads neither. Valid unless
+    /// the source text: the typecheck only writes types and bindings, and
+    /// the probe reads neither. Valid unless
     /// front_end == ParseError.
     [[nodiscard]] const analysis::AstProbe& kb_probe() const;
 
@@ -291,8 +290,7 @@ class Oracle {
         const std::string& source,
         const std::vector<std::vector<std::int64_t>>& input_sets) const;
 
-    /// Front-end half only: the cached parsed + typechecked + lowered
-    /// program for `source` (subsystems that also need the AST — KB
+    /// Front-end half only: the cached parsed + typechecked program for `source` (subsystems that also need the AST — KB
     /// seeding and consults, the forge — share the compile with later
     /// verifications).
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile(

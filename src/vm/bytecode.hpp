@@ -1,23 +1,22 @@
 // Flat bytecode for MiriLite.
 //
-// vm::compile() takes a (type-checked, renumbered) program together with its
-// LoweredProgram slot tables (miri/lower.hpp) one step further: each
-// function body and each static initializer is flattened into a dense array
-// of fixed-width instructions. Jump targets are instruction indices, so
-// control flow is `pc = target` instead of recursive AST descent, and every
-// operand the tree walk recomputed per visit (slot indices, statically known
-// place types, truncated literals, overflow widths) is resolved once at
-// compile time and stored inline.
+// vm::compile() flattens a type-checked program into a dense array of
+// fixed-width instructions, one chunk per function body and per static
+// initializer. It resolves no name: each local, static and callee is the
+// Binding the type checker wrote on the node (DESIGN.md §4), stored inline
+// as a slot or an index. Jump targets are instruction indices, so control
+// flow is `pc = target` instead of recursive AST descent, and every
+// operand the tree walk recomputed per visit (statically known place types,
+// truncated literals, overflow widths) is resolved once at compile time.
 //
 // The contract is *byte-identity* with miri::Interpreter: the compiler emits
 // one Step instruction (or folds one into the leading opcode) exactly where
 // the tree walk calls step(), preserves its evaluation and allocation
 // orders, and the VM calls the same machine core (miri/machine.hpp,
 // miri/scalar.hpp) — so findings, messages, spans, outputs, and step counts
-// reproduce rule for rule. A VmProgram is a side structure like
-// LoweredProgram: it borrows type and name storage from the exact Program it
-// was compiled from and is only meaningful next to it (verify::Oracle owns
-// such pairs immutably).
+// reproduce rule for rule. A VmProgram borrows type and name storage from
+// the exact Program it was compiled from and is only meaningful next to it
+// (verify::Oracle owns such pairs immutably).
 //
 // Instructions are packed to 32 bytes (half the original 56): spans, type
 // pointers, and aux pointers are interned into side tables on the VmProgram
@@ -40,7 +39,7 @@
 #include <vector>
 
 #include "lang/ast.hpp"
-#include "miri/lower.hpp"
+#include "miri/lower.hpp"  // LoweredProgram, for the two-argument compile
 
 namespace rustbrain::vm {
 
@@ -60,13 +59,11 @@ enum class Op : std::uint8_t {
     PushBool,    // step; push boolean(a)
     PushFn,      // step; push function(a)
     LoadLocal,   // step; slot a live ? push load : logic_error (name in aux)
-    LoadStatic,  // step; static a live ? push load : fn fallback b / throw
-    ThrowUnresolved, // step; throw logic_error("unresolved name '…'")
+    LoadStatic,  // step; static a live ? push load : logic_error
 
     // Places (no step; mirror eval_place) ------------------------------
     PlaceLocal,      // slot a live ? push base ptr : logic_error
     PlaceStatic,     // static a live ? push base ptr : logic_error
-    PlaceUnresolved, // throw logic_error("eval_place: unresolved name '…'")
     AsPtr,           // top.as_ptr() — force the tree walk's conversion point
     IndexPlace,      // pop index, pop base; bounds-check (len=imm, elem=a)
 
@@ -95,10 +92,9 @@ enum class Op : std::uint8_t {
 
     // Calls --------------------------------------------------------------
     CallDirect,   // a = fn index, b = nargs
-    CallLocalPtr, // a = slot, b = nargs, type = slot Type*, aux = name
+    CallLocalPtr, // a = slot, b = nargs, aux = name
     CallPtr,      // b = nargs; callee value sits below the args
     TailCall,     // b = nargs; become — frame reused in place
-    CallUnknown,  // args evaluated, then the tree walk's logic_error
     Intrinsic,    // a = lang::IntrinsicId, b = nargs; miri::IntrinsicFacts
                   //   in imm = pointee size, small = int width, ex = signed
     Ret,          // pop frame; result stays on the value stack
@@ -202,8 +198,9 @@ struct VmProgram {
     std::vector<std::uint32_t> step_runs;
 };
 
-/// Flatten a lowered program into bytecode. `program` must be the exact
-/// (type-checked, renumbered) tree `lowering` was built from.
+/// Flatten a program that passed lang::type_check into bytecode.
+[[nodiscard]] VmProgram compile(const lang::Program& program);
+/// The same; the lowering is ignored. Kept so two-argument callers compile.
 [[nodiscard]] VmProgram compile(const lang::Program& program,
                                 const miri::LoweredProgram& lowering);
 

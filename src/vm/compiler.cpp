@@ -25,8 +25,7 @@ using lang::Type;
 
 class Compiler {
   public:
-    Compiler(const lang::Program& program, const miri::LoweredProgram& lowering)
-        : program_(program), lowered_(lowering) {}
+    explicit Compiler(const lang::Program& program) : program_(program) {}
 
     VmProgram compile() {
         out_.functions.resize(program_.functions.size());
@@ -48,9 +47,9 @@ class Compiler {
 
   private:
     // A lexical scope's declared slots, in declaration order — the static
-    // kill list. Slots are unique per binding (lower.cpp hands shadowing a
-    // fresh slot), so "kill slot if live" at runtime exactly reproduces the
-    // tree walk's dynamic scope.locals contents at any exit point.
+    // kill list. Slots are unique per binding (the type checker hands
+    // shadowing a fresh slot), so "kill slot if live" at runtime exactly
+    // reproduces the tree walk's kill list at any exit point.
     struct ScopeInfo {
         std::vector<std::int32_t> slots;
     };
@@ -123,16 +122,13 @@ class Compiler {
             program_.functions[static_cast<std::size_t>(fn_index)];
         VmFunction& meta = out_.functions[static_cast<std::size_t>(fn_index)];
         meta.entry = pc();
-        meta.slot_count =
-            lowered_.fn_slot_counts[static_cast<std::size_t>(fn_index)];
+        meta.slot_count = fn.slot_count;
         meta.span = fn.span;
 
-        slot_types_.assign(meta.slot_count, nullptr);
         scopes_.clear();
-        scopes_.emplace_back();  // parameter scope (call_function's scopes[0])
+        scopes_.emplace_back();  // parameter scope (killed at the frame's exit)
         for (std::size_t i = 0; i < fn.params.size(); ++i) {
             const std::int32_t slot = static_cast<std::int32_t>(i);
-            slot_types_[static_cast<std::size_t>(slot)] = &fn.params[i].type;
             scopes_.back().slots.push_back(slot);
             Instr& in = emit(Op::DeclParam, fn.span);
             in.a = slot;
@@ -143,7 +139,7 @@ class Compiler {
         emit(Op::DropArgs);
         compile_block(fn.body);
         // Falling off the end: exec_block killed the body scope; the frame
-        // result is unit and kill_frame reaps the parameters.
+        // result is unit and call_function's exit reaps the parameters.
         emit(Op::PushUnit);
         emit_scope_kills(scopes_.back(), Op::KillSlot);
         emit(Op::Ret);
@@ -175,11 +171,9 @@ class Compiler {
                 compile_expr(*node.init);
                 const Type& type = node.declared_type ? *node.declared_type
                                                       : node.init->type;
-                const std::int32_t slot = lowered_.let_slots[node.id];
-                slot_types_[static_cast<std::size_t>(slot)] = &type;
-                scopes_.back().slots.push_back(slot);
+                scopes_.back().slots.push_back(node.slot);
                 Instr& in = emit(Op::DeclLocal, node.span);
-                in.a = slot;
+                in.a = node.slot;
                 in.type = ti(&type);
                 in.aux = ai(&node.name);
                 return;
@@ -231,8 +225,8 @@ class Compiler {
                     emit(Op::PushUnit);
                 }
                 // Unwind order: each exec_block kills its scope as the
-                // Return flow propagates (innermost first), then kill_frame
-                // reaps the parameter scope.
+                // Return flow propagates (innermost first), then
+                // call_function's exit reaps the parameter scope.
                 for (auto scope = scopes_.rbegin(); scope != scopes_.rend();
                      ++scope) {
                     emit_scope_kills(*scope, Op::KillSlot);
@@ -269,28 +263,24 @@ class Compiler {
     // -- places ---------------------------------------------------------
 
     /// Compile eval_place(expr): pushes the place pointer; returns the
-    /// statically known place type (null only on the unresolved throw
-    /// paths, which never reach a consumer).
+    /// statically known place type.
     const Type* compile_place(const lang::Expr& expr) {
         switch (expr.kind) {
             case lang::ExprKind::VarRef: {
                 const auto& node = static_cast<const lang::VarRefExpr&>(expr);
-                const miri::VarResolution& res = lowered_.var_refs[node.id];
-                if (res.kind == miri::VarResolution::Kind::Local) {
+                if (node.binding.kind == lang::Binding::Kind::Local) {
                     Instr& in = emit(Op::PlaceLocal);
-                    in.a = res.index;
+                    in.a = node.binding.index;
                     in.aux = ai(&node.name);
-                    return slot_types_[static_cast<std::size_t>(res.index)];
+                    return &expr.type;
                 }
-                if (res.kind == miri::VarResolution::Kind::Static) {
+                if (node.binding.kind == lang::Binding::Kind::Static) {
                     Instr& in = emit(Op::PlaceStatic);
-                    in.a = res.index;
+                    in.a = node.binding.index;
                     in.aux = ai(&node.name);
-                    return &program_.statics[static_cast<std::size_t>(res.index)]
-                                .type;
+                    return &expr.type;
                 }
-                emit(Op::PlaceUnresolved).aux = ai(&node.name);
-                return nullptr;
+                break;
             }
             case lang::ExprKind::Unary: {
                 const auto& node = static_cast<const lang::UnaryExpr&>(expr);
@@ -399,47 +389,27 @@ class Compiler {
     }
 
     void compile_var_ref(const lang::VarRefExpr& node) {
-        const miri::VarResolution& res = lowered_.var_refs[node.id];
-        switch (res.kind) {
-            case miri::VarResolution::Kind::Local: {
+        switch (node.binding.kind) {
+            case lang::Binding::Kind::Local: {
                 Instr& in = emit(Op::LoadLocal, node.span);
-                in.a = res.index;
-                in.type =
-                    ti(slot_types_[static_cast<std::size_t>(res.index)]);
+                in.a = node.binding.index;
+                in.type = ti(&node.type);
                 in.aux = ai(&node.name);
                 return;
             }
-            case miri::VarResolution::Kind::Static: {
+            case lang::Binding::Kind::Static: {
                 Instr& in = emit(Op::LoadStatic, node.span);
-                in.a = res.index;
-                in.type = ti(
-                    &program_.statics[static_cast<std::size_t>(res.index)].type);
+                in.a = node.binding.index;
+                in.type = ti(&node.type);
                 in.aux = ai(&node.name);
-                // Forward reference during static setup falls through to a
-                // same-named function item, like the tree walk.
-                in.b = function_fallback(node.name);
                 return;
             }
-            case miri::VarResolution::Kind::Function: {
+            default: {  // Binding::Kind::Function
                 Instr& in = emit(Op::PushFn, node.span);
-                in.a = res.index;
+                in.a = node.binding.index;
                 return;
             }
-            case miri::VarResolution::Kind::Unresolved:
-                break;
         }
-        const std::int32_t fallback = function_fallback(node.name);
-        if (fallback >= 0) {
-            emit(Op::PushFn, node.span).a = fallback;
-        } else {
-            emit(Op::ThrowUnresolved, node.span).aux = ai(&node.name);
-        }
-    }
-
-    std::int32_t function_fallback(const std::string& name) const {
-        const lang::FnItem* fn = program_.find_function(name);
-        if (fn == nullptr) return -1;
-        return static_cast<std::int32_t>(fn - program_.functions.data());
     }
 
     void compile_unary(const lang::UnaryExpr& node) {
@@ -530,13 +500,12 @@ class Compiler {
 
     void compile_call(const lang::CallExpr& node) {
         emit(Op::Step, node.span);
-        const miri::CallResolution& res = lowered_.calls[node.id];
         for (const auto& arg : node.args) {
             compile_expr(*arg);
         }
-        switch (res.kind) {
-            case miri::CallResolution::Kind::Intrinsic: {
-                const lang::IntrinsicId id = lang::intrinsic_id(node.callee);
+        switch (node.binding.kind) {
+            case lang::Binding::Kind::Intrinsic: {
+                const auto id = static_cast<lang::IntrinsicId>(node.binding.index);
                 const miri::IntrinsicFacts facts = miri::intrinsic_facts(id, node);
                 Instr& in = emit(Op::Intrinsic, node.span);
                 in.a = static_cast<std::int32_t>(id);
@@ -546,32 +515,25 @@ class Compiler {
                 in.imm = facts.pointee_size;
                 return;
             }
-            case miri::CallResolution::Kind::LocalFnPtr: {
+            case lang::Binding::Kind::Local: {
                 Instr& in = emit(Op::CallLocalPtr, node.span);
-                in.a = res.index;
+                in.a = node.binding.index;
                 in.b = static_cast<std::int32_t>(node.args.size());
-                in.type =
-                    ti(slot_types_[static_cast<std::size_t>(res.index)]);
                 in.aux = ai(&node.callee);
                 return;
             }
-            case miri::CallResolution::Kind::Direct: {
+            default: {  // Binding::Kind::Function
                 Instr& in = emit(Op::CallDirect, node.span);
-                in.a = res.index;
+                in.a = node.binding.index;
                 in.b = static_cast<std::int32_t>(node.args.size());
                 return;
             }
-            case miri::CallResolution::Kind::Unresolved:
-                emit(Op::CallUnknown, node.span).aux = ai(&node.callee);
-                return;
         }
     }
 
     const lang::Program& program_;
-    const miri::LoweredProgram& lowered_;
     VmProgram out_;
     std::vector<ScopeInfo> scopes_;
-    std::vector<const Type*> slot_types_;
     std::map<std::array<std::uint32_t, 4>, std::uint32_t> span_ids_;
     /// One entry per distinct interned type (DESIGN.md §18).
     std::unordered_map<const lang::TypeNode*, std::uint32_t> type_ids_;
@@ -580,9 +542,13 @@ class Compiler {
 
 }  // namespace
 
+VmProgram compile(const lang::Program& program) {
+    return Compiler(program).compile();
+}
+
 VmProgram compile(const lang::Program& program,
-                  const miri::LoweredProgram& lowering) {
-    return Compiler(program, lowering).compile();
+                  const miri::LoweredProgram& /*ignored*/) {
+    return compile(program);
 }
 
 }  // namespace rustbrain::vm

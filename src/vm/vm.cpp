@@ -229,8 +229,8 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         &&lbl_AndJump,     &&lbl_OrJump,       &&lbl_BoolNorm,
         &&lbl_Pop,         &&lbl_PushUnit,     &&lbl_PushInt,
         &&lbl_PushBool,    &&lbl_PushFn,       &&lbl_LoadLocal,
-        &&lbl_LoadStatic,  &&lbl_ThrowUnresolved,
-        &&lbl_PlaceLocal,  &&lbl_PlaceStatic,  &&lbl_PlaceUnresolved,
+        &&lbl_LoadStatic,
+        &&lbl_PlaceLocal,  &&lbl_PlaceStatic,
         &&lbl_AsPtr,       &&lbl_IndexPlace,   &&lbl_LoadThrough,
         &&lbl_StorePlace,  &&lbl_RetagRef,     &&lbl_DeclLocal,
         &&lbl_DeclParam,   &&lbl_DropArgs,     &&lbl_KillSlot,
@@ -238,7 +238,7 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         &&lbl_NotBits,     &&lbl_Binary,       &&lbl_Cast,
         &&lbl_MakeArray,   &&lbl_MakeRepeat,   &&lbl_CallDirect,
         &&lbl_CallLocalPtr,&&lbl_CallPtr,      &&lbl_TailCall,
-        &&lbl_CallUnknown, &&lbl_Intrinsic,    &&lbl_Ret,
+        &&lbl_Intrinsic,   &&lbl_Ret,
         &&lbl_Halt,        &&lbl_BinaryLocals, &&lbl_BinaryLocalImm,
         &&lbl_StoreLocal,  &&lbl_CompareBranch,&&lbl_StepN,
         &&lbl_BinaryAccImm,&&lbl_BinaryStackImm,&&lbl_LocalsBranch,
@@ -348,23 +348,13 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const support::SourceSpan& span = span_of(in);
         m_.step(span);
         const AllocId alloc = static_allocs_[static_cast<std::size_t>(in.a)];
-        if (alloc != kNoAlloc) {
-            stack_.push_back(m_.mem.load(m_.mem.base_pointer(alloc),
-                                         type_of(in), m_.access_ctx(span)));
-        } else if (in.b >= 0) {
-            // Forward reference during static setup: fall through to the
-            // same-named function item, like the tree walk.
-            stack_.push_back(Value::function(FnPtrVal{in.b}));
-        } else {
+        if (alloc == kNoAlloc) {
             throw std::logic_error("unresolved name '" + name_of(in) + "'");
         }
+        stack_.push_back(m_.mem.load(m_.mem.base_pointer(alloc), type_of(in),
+                                     m_.access_ctx(span)));
         ++pc;
         VM_NEXT();
-    }
-    VM_CASE(ThrowUnresolved): {
-        VM_FETCH;
-        m_.step(span_of(in));
-        throw std::logic_error("unresolved name '" + name_of(in) + "'");
     }
 
     VM_CASE(PlaceLocal): {
@@ -389,11 +379,6 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         stack_.push_back(Value::pointer(m_.mem.base_pointer(alloc)));
         ++pc;
         VM_NEXT();
-    }
-    VM_CASE(PlaceUnresolved): {
-        VM_FETCH;
-        throw std::logic_error("eval_place: unresolved name '" + name_of(in) +
-                               "'");
     }
     VM_CASE(AsPtr): {
         (void)stack_.back().as_ptr();
@@ -657,11 +642,6 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
             static_cast<std::uint32_t>(stack_.size() - frame.nargs);
         pc = fn.entry;
         VM_NEXT();
-    }
-    VM_CASE(CallUnknown): {
-        VM_FETCH;
-        throw std::logic_error("call to unknown function '" + name_of(in) +
-                               "'");
     }
     VM_CASE(Intrinsic): {
         VM_FETCH;

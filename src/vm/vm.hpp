@@ -46,8 +46,7 @@ namespace rustbrain::vm {
 
 class Vm {
   public:
-    /// `program` must be the exact tree `code` was compiled from (same
-    /// pairing contract as LoweredProgram).
+    /// `program` must be the exact tree `code` was compiled from.
     Vm(const lang::Program& program, const VmProgram& code,
        std::vector<std::int64_t> inputs, miri::InterpLimits limits = {});
 

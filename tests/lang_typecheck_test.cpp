@@ -123,6 +123,56 @@ TEST(TypecheckTest, StaticInitMustBeConstant) {
     expect_rejects("static G: i64 = input(0); fn main() { }", "literal");
 }
 
+TEST(TypecheckTest, StaticInitNamesNothingAtAnyDepth) {
+    // Neither a name nor a call may hide inside an array initializer: no
+    // initializer can then read a static before it is set.
+    expect_rejects(
+        "static A: [i64; 1] = [B]; static B: i64 = 1; "
+        "fn main() { print_int(A[0]); }",
+        "literal");
+    expect_rejects(
+        "static A: [i64; 1] = [f()]; static B: i64 = 1; "
+        "fn f() -> i64 { return B; } fn main() { print_int(A[0]); }",
+        "literal");
+    expect_rejects("static B: i64 = 1; static A: [i64; 2] = [B; 2]; fn main() { }",
+                   "literal");
+    expect_checks("static A: [i64; 3] = [1, 2, 3]; static Z: [bool; 2] = [true; 2]; "
+                  "fn main() { }");
+}
+
+TEST(TypecheckTest, FnPointerLocalShadowsAFunctionItemInCallPosition) {
+    // Call position tries intrinsics, then a local of fn-pointer type, then
+    // the function item — the order every tier runs.
+    constexpr const char* kItems =
+        "fn f(x: i64) -> i64 { return x; } "
+        "fn g(x: i64, y: i64) -> i64 { return x + y; } ";
+    expect_rejects(std::string(kItems) +
+                       "fn main() { let f: fn(i64, i64) -> i64 = g; print_int(f(5)); }",
+                   "call argument count mismatch for 'f'");
+    Program program = parse_ok(
+        std::string(kItems) +
+        "fn main() { let f: fn(i64, i64) -> i64 = g; print_int(f(1, 2)); }");
+    ASSERT_TRUE(type_check(program));
+    const auto& print = static_cast<const CallExpr&>(
+        *static_cast<const ExprStmt&>(*program.functions[2].body.statements[1]).expr);
+    EXPECT_EQ(print.binding, (Binding{Binding::Kind::Intrinsic,
+                                      static_cast<std::int32_t>(IntrinsicId::PrintInt)}));
+    const auto& call = static_cast<const CallExpr&>(*print.args[0]);
+    EXPECT_EQ(call.binding, (Binding{Binding::Kind::Local, 0}));
+    // A local of another type does not shadow the item.
+    Program item = parse_ok(std::string(kItems) +
+                            "fn main() { let f: i64 = 1; print_int(f(5) + f); }");
+    ASSERT_TRUE(type_check(item));
+    const auto& sum = static_cast<const BinaryExpr&>(
+        *static_cast<const CallExpr&>(
+             *static_cast<const ExprStmt&>(*item.functions[2].body.statements[1]).expr)
+             .args[0]);
+    EXPECT_EQ(static_cast<const CallExpr&>(*sum.lhs).binding,
+              (Binding{Binding::Kind::Function, 0}));
+    EXPECT_EQ(static_cast<const VarRefExpr&>(*sum.rhs).binding,
+              (Binding{Binding::Kind::Local, 0}));
+}
+
 TEST(TypecheckTest, StaticInitTypeMismatch) {
     expect_rejects("static G: i64 = true; fn main() { }", "initialized with");
 }

@@ -73,8 +73,7 @@ TEST(MiriFaultTest, NoRunThrowsOnAnyTier) {
         const std::shared_ptr<const verify::CompiledProgram> compiled =
             oracle.compile(source.text);
         ASSERT_TRUE(compiled->ok()) << compiled->error;
-        const vm::VmProgram raw =
-            vm::compile(compiled->program, compiled->lowering);
+        const vm::VmProgram raw = vm::compile(compiled->program);
         const vm::VmProgram& optimized = compiled->optimized_bytecode();
         const Inputs input_sets = source.inputs.empty() ? Inputs{{}} : source.inputs;
         for (const std::vector<std::int64_t>& inputs : input_sets) {
@@ -108,7 +107,7 @@ TEST(MiriFaultTest, NoRunThrowsOnAnyTier) {
             // on a finding or on a clean run throws nothing.
             const Since since;
             const screen::ScreenVerdict verdict = screen::screen_program(
-                compiled->program, compiled->lowering, source.inputs, limits);
+                compiled->program, source.inputs, limits);
             if (verdict.kind == screen::VerdictKind::Unknown) {
                 EXPECT_LE(since.count(), 1u) << "screener: " << verdict.detail;
             } else {
@@ -265,7 +264,7 @@ TEST(MiriFaultTest, ARecordedFaultReportsTheStateItWasRaisedIn) {
         const auto compiled = oracle.compile(c.source);
         ASSERT_TRUE(compiled->ok());
         const screen::ScreenVerdict verdict = screen::screen_program(
-            compiled->program, compiled->lowering, c.inputs, InterpLimits{});
+            compiled->program, c.inputs, InterpLimits{});
         EXPECT_EQ(verdict.kind, screen::VerdictKind::LikelyUB);
         EXPECT_EQ(verdict.category, c.category);
         EXPECT_EQ(verdict.detail, c.message);

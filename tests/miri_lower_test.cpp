@@ -1,11 +1,11 @@
-// Slot lowering: programs run from the lowering must be observationally
+// Slot frames: every tier runs off the slots and bindings the type checker
+// writes (DESIGN.md §4), and programs run from them must be observationally
 // identical to the tree-walk reference — same findings (category, message,
 // span), same outputs, same step counts — over the whole corpus and over
 // targeted name-resolution shapes (shadowing, statics, fn pointers,
 // `become`), including the InterpLimits edges (step-limit exhaustion and
-// call-depth overflow). The lowering's consumer that executes is the
-// bytecode VM (vm::compile), so each shape also runs there, next to the
-// default Oracle.
+// call-depth overflow). Each shape runs on the bytecode VM (vm::compile)
+// next to the default Oracle.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +15,6 @@
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 #include "miri/interp.hpp"
-#include "miri/lower.hpp"
 #include "miri/mirilite.hpp"
 #include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
@@ -28,8 +27,8 @@ using agreement::expect_reports_equal;
 using agreement::Inputs;
 
 /// Run `source` through the tree-walk MiriLite, an uncached default
-/// Oracle, and vm::Vm on vm::compile(program, lower_program(program)), and
-/// require byte-equal reports.
+/// Oracle, and vm::Vm on vm::compile(program), and require byte-equal
+/// reports.
 void expect_paths_agree(const std::string& source, const Inputs& inputs,
                         InterpLimits limits = {}) {
     const MiriLite tree_walk(limits);
@@ -44,8 +43,7 @@ void expect_paths_agree(const std::string& source, const Inputs& inputs,
 
     auto program = lang::try_parse(source);
     if (!program || !lang::type_check(*program)) return;
-    const LoweredProgram lowered = lower_program(*program);
-    const vm::VmProgram code = vm::compile(*program, lowered);
+    const vm::VmProgram code = vm::compile(*program);
     expect_reports_equal(
         reference, agreement::vm_report(*program, code, inputs, limits),
         "vm\n" + source);
@@ -169,10 +167,9 @@ fn main() {
 )");
     ASSERT_TRUE(program.has_value());
     ASSERT_TRUE(lang::type_check(*program));
-    const LoweredProgram lowered = lower_program(*program);
-    ASSERT_EQ(lowered.fn_slot_counts.size(), 2u);
-    EXPECT_EQ(lowered.fn_slot_counts[0], 3u);  // a, b, c
-    EXPECT_EQ(lowered.fn_slot_counts[1], 2u);  // x, y
+    ASSERT_EQ(program->functions.size(), 2u);
+    EXPECT_EQ(program->functions[0].slot_count, 3u);  // a, b, c
+    EXPECT_EQ(program->functions[1].slot_count, 2u);  // x, y
 }
 
 }  // namespace

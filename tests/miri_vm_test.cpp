@@ -21,7 +21,6 @@
 #include "dataset/corpus.hpp"
 #include "lang/parser.hpp"
 #include "miri/interp.hpp"
-#include "miri/lower.hpp"
 #include "miri/mirilite.hpp"
 #include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
@@ -35,6 +34,7 @@ namespace {
 using agreement::expect_reports_equal;
 using agreement::expect_tiers_agree;
 using agreement::Inputs;
+using agreement::TierRun;
 using verify::kVmAfterSteps;
 
 TEST(MiriVmTest, TierNamesRoundTrip) {
@@ -345,6 +345,47 @@ fn main() {
 
 // --- Front-end and degenerate programs -------------------------------------
 
+/// expect_tiers_agree, plus an uncached Oracle on the tree tier.
+TierRun expect_every_tier_agrees(const std::string& source) {
+    TierRun run = expect_tiers_agree(source, {});
+    verify::OracleOptions options;
+    options.caching = false;
+    options.interp = verify::InterpTier::Tree;
+    expect_reports_equal(run.reference,
+                         verify::Oracle(options).test_source(source, {}),
+                         "tree\n" + source);
+    return run;
+}
+
+TEST(MiriVmTest, FnPointerLocalShadowsAFunctionItemInCallPosition) {
+    const TierRun run = expect_every_tier_agrees(agreement::kLocalFnPtrShadowsItem);
+    EXPECT_TRUE(run.reference.passed()) << run.reference.summary();
+    EXPECT_EQ(run.reference.outputs,
+              std::vector<std::vector<std::string>>{{"3"}});
+
+    const TierRun rejected =
+        expect_every_tier_agrees(agreement::kLocalFnPtrArityMismatch);
+    ASSERT_EQ(rejected.reference.findings.size(), 1u);
+    EXPECT_EQ(rejected.reference.findings[0].category, UbCategory::CompileError);
+    EXPECT_NE(rejected.reference.findings[0].message.find(
+                  "call argument count mismatch for 'f'"),
+              std::string::npos)
+        << rejected.reference.findings[0].message;
+}
+
+TEST(MiriVmTest, StaticInitializersThatNameAStaticAreCompileErrors) {
+    for (const char* source : {agreement::kStaticNamesLaterStatic,
+                               agreement::kStaticCallReadsLaterStatic}) {
+        const TierRun run = expect_every_tier_agrees(source);
+        ASSERT_EQ(run.reference.findings.size(), 1u) << source;
+        EXPECT_EQ(run.reference.findings[0].category, UbCategory::CompileError);
+        EXPECT_NE(run.reference.findings[0].message.find(
+                      "static initializer must be a literal"),
+                  std::string::npos)
+            << run.reference.findings[0].message;
+    }
+}
+
 TEST(MiriVmTest, MissingMainReportsTheSameCompileError) {
     expect_tiers_agree("fn helper() {\n}\n", {});
 }
@@ -363,8 +404,7 @@ TEST(MiriVmTest, UnsupportedCastReportsTheTreeWalksMessage) {
     std::optional<lang::Program> program =
         lang::try_parse("fn main() {\n    let x = 1 as bool;\n}\n");
     ASSERT_TRUE(program);
-    const vm::VmProgram code =
-        vm::optimize(vm::compile(*program, lower_program(*program)));
+    const vm::VmProgram code = vm::optimize(vm::compile(*program));
     const auto logic_error_of = [](auto run) -> std::string {
         try {
             (void)run();

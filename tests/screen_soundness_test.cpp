@@ -52,8 +52,7 @@ Observed observe(const std::string& source, const Inputs& inputs,
     const auto compiled = oracle.compile(source);
     out.compiled_ok = compiled->ok();
     if (!out.compiled_ok) return out;
-    out.verdict = screen_program(compiled->program, compiled->lowering,
-                                 inputs, limits, options);
+    out.verdict = screen_program(compiled->program, inputs, limits, options);
     out.miri = oracle.test_source(source, inputs);
     return out;
 }

@@ -92,8 +92,7 @@ inline TierRun expect_tiers_agree(const std::string& source,
     if (!compiled->ok()) return run;  // front-end errors never run a VM
     expect_reports_equal(
         reference,
-        vm_report(compiled->program,
-                  vm::compile(compiled->program, compiled->lowering), inputs,
+        vm_report(compiled->program, vm::compile(compiled->program), inputs,
                   limits, &run.raw_skipped),
         "vm-raw\n" + source);
     expect_reports_equal(reference,
@@ -342,6 +341,54 @@ fn main() {
 
 inline constexpr const char* kInputs = R"(fn main() {
     print_int(input(0) + input(1));
+}
+)";
+
+// Names are bound by the type checker alone, so each shape below is one a
+// type checker and a run once disagreed on.
+
+/// A fn-pointer local shadows the function item `f` in call position:
+/// prints 3. `f(5)` in the same program is a call argument count mismatch.
+inline constexpr const char* kLocalFnPtrShadowsItem = R"(fn f(x: i64) -> i64 {
+    return x;
+}
+fn g(x: i64, y: i64) -> i64 {
+    return x + y;
+}
+fn main() {
+    let f: fn(i64, i64) -> i64 = g;
+    print_int(f(1, 2));
+}
+)";
+
+inline constexpr const char* kLocalFnPtrArityMismatch = R"(fn f(x: i64) -> i64 {
+    return x;
+}
+fn g(x: i64, y: i64) -> i64 {
+    return x + y;
+}
+fn main() {
+    let f: fn(i64, i64) -> i64 = g;
+    print_int(f(5));
+}
+)";
+
+/// Static initializers that name a later static, directly or through a
+/// call: both are compile errors.
+inline constexpr const char* kStaticNamesLaterStatic = R"(static A: [i64; 1] = [B];
+static B: i64 = 1;
+fn main() {
+    print_int(A[0]);
+}
+)";
+
+inline constexpr const char* kStaticCallReadsLaterStatic = R"(static A: [i64; 1] = [f()];
+static B: i64 = 1;
+fn f() -> i64 {
+    return B;
+}
+fn main() {
+    print_int(A[0]);
 }
 )";
 

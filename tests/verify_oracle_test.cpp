@@ -227,7 +227,12 @@ TEST(VerifyOracleTest, CompileSharesOneCanonicalProgram) {
     const auto second = oracle->compile(source);
     EXPECT_EQ(first.get(), second.get());
     ASSERT_TRUE(first->ok());
-    EXPECT_EQ(first->lowering.fn_slot_counts.size(), 1u);
+    // The shared program carries the type checker's bindings.
+    ASSERT_EQ(first->program.functions.size(), 1u);
+    const auto& stmt = static_cast<const lang::ExprStmt&>(
+        *first->program.functions[0].body.statements.at(0));
+    EXPECT_EQ(static_cast<const lang::CallExpr&>(*stmt.expr).binding.kind,
+              lang::Binding::Kind::Intrinsic);
 }
 
 TEST(VerifyOracleTest, DisabledCachingStoresNothing) {

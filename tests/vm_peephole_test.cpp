@@ -22,7 +22,6 @@
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 #include "miri/interp.hpp"
-#include "miri/lower.hpp"
 #include "serve/wire.hpp"
 #include "verify/oracle.hpp"
 #include "vm/bytecode.hpp"
@@ -34,11 +33,10 @@ namespace {
 
 using Inputs = std::vector<std::vector<std::int64_t>>;
 
-/// Parse → typecheck → lower → compile → optimize, keeping every owner
+/// Parse → typecheck → compile → optimize, keeping every owner
 /// alive together (VmProgram borrows type and name storage from program).
 struct Compiled {
     lang::Program program;
-    miri::LoweredProgram lowered;
     vm::VmProgram raw;
     vm::VmProgram optimized;
 
@@ -53,8 +51,7 @@ struct Compiled {
         if (!lang::type_check(program, &error)) {
             throw std::runtime_error("typecheck: " + error);
         }
-        lowered = miri::lower_program(program);
-        raw = vm::compile(program, lowered);
+        raw = vm::compile(program);
         optimized = vm::optimize(raw);
     }
 };

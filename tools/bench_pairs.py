@@ -1,0 +1,242 @@
+#!/usr/bin/env python3
+"""Compare a change against its parent with alternating benchmark pairs.
+
+    python3 tools/bench_pairs.py --out BENCH_pr<N>.json [--parent REV]
+        [--pairs 5] [--seconds 10] [--workloads W ...] [--traced W ...]
+
+Run from the repository root. The change is the working tree; the parent
+is REV (default HEAD~1), exported with `git archive` into --scratch, or an
+existing checkout of it given with --parent-dir (a `git worktree` works).
+Each side builds `rbbench/` from its own sources into its own
+CARGO_TARGET_DIR under --scratch, so neither reuses the other's objects.
+
+The pairs protocol:
+  * Each side first runs once untimed per workload (build and warm-up);
+    that run is not recorded.
+  * Pair i runs `python3 rbbench/run.py --workload W --seed <seed-base + i>
+    --seconds S --trace 0` on both sides, the same seed on each. Even pairs
+    run the parent first, odd pairs the change first, so drift over the
+    session falls on both sides alike.
+  * Every run must print `"correct": true` and `"failed": 0`; a run that
+    does not is recorded and makes the script exit 1.
+  * For each workload and each end-to-end metric BENCHMARK.json lists,
+    the report gives each side's min, Q1, median, Q3 and max, and how many
+    pairs the change won (better in the metric's direction).
+  * No regression: on every workload no end-to-end metric's median is
+    worse than the parent's by more than its BENCHMARK.json bound.
+  * Claiming a gain needs at least 10 pairs on the claimed workload and 5
+    on every other: the change must win at least 9 of 10 pairs, and its
+    median must beat the parent's by more than the parent's Q3 - Q1.
+--traced W runs one `--trace 1` run of the change per listed workload and
+records its per-layer split; its replay mismatches count as failures.
+
+The report also records the seeds, `nproc` and the CPU model. It is a
+report, not a gate: numbers from different machines do not compare.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+WORKLOADS = ("sweep-cold", "sweep-warm", "serve-open-loop", "forge")
+
+
+def log(message):
+    print(f"[bench_pairs] {message}", file=sys.stderr, flush=True)
+
+
+def export_parent(rev, scratch):
+    """Extracts `rev`'s tracked files into a fresh directory under scratch."""
+    target = tempfile.mkdtemp(prefix="parent-", dir=scratch)
+    archive = os.path.join(scratch, "parent.tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev],
+                   check=True)
+    with tarfile.open(archive) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(target, filter="data")
+        else:
+            tar.extractall(target)
+    os.remove(archive)
+    return target
+
+
+def run_bench(checkout, target_dir, workload, seed, seconds, trace):
+    """One rbbench run; returns its JSON result, or None when it failed."""
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+    command = [sys.executable, "rbbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", str(trace)]
+    result = subprocess.run(command, cwd=checkout, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    lines = result.stdout.strip().splitlines()
+    if result.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+
+
+def healthy(result):
+    return (result is not None and result.get("correct") is True
+            and result.get("failed") == 0)
+
+
+def summarize(values):
+    ordered = sorted(values)
+    if len(ordered) >= 2:
+        q1, median, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = ordered[0]
+    return {"min": ordered[0], "q1": q1, "median": median, "q3": q3,
+            "max": ordered[-1], "runs": ordered}
+
+
+def revision(checkout, rev="HEAD"):
+    """`rev` in the git checkout, marked dirty when its tracked files
+    differ from it; None when `checkout` is no git checkout."""
+    if not os.path.exists(os.path.join(checkout, ".git")):
+        return None
+    def git(*command):
+        return subprocess.run(["git", "-C", checkout, *command], text=True,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL)
+    head = git("rev-parse", rev)
+    if head.returncode != 0:
+        return None
+    if rev != "HEAD":
+        return head.stdout.strip()
+    dirty = git("diff", "--quiet", "HEAD").returncode != 0
+    return head.stdout.strip() + ("+dirty" if dirty else "")
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0], epilog=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, help="report path (JSON)")
+    parser.add_argument("--parent", default="HEAD~1", help="parent revision")
+    parser.add_argument("--parent-dir",
+                        help="existing checkout of the parent (skips export)")
+    parser.add_argument("--scratch", default=".bench_pairs",
+                        help="directory for the parent export and builds")
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                        default=list(WORKLOADS))
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seed-base", type=int, default=1)
+    parser.add_argument("--traced", nargs="*", choices=WORKLOADS, default=[],
+                        help="workloads to run once traced on the change")
+    args = parser.parse_args()
+    if args.pairs < 1 or args.seconds < 1:
+        parser.error("--pairs and --seconds must be >= 1")
+
+    change_dir = os.getcwd()
+    with open(os.path.join(change_dir, "BENCHMARK.json")) as spec_file:
+        end_to_end = json.load(spec_file)["end_to_end"]
+    scratch = os.path.abspath(args.scratch)
+    os.makedirs(scratch, exist_ok=True)
+    parent_dir = (os.path.abspath(args.parent_dir) if args.parent_dir
+                  else export_parent(args.parent, scratch))
+    sides = {
+        "parent": (parent_dir, os.path.join(scratch, "parent-target")),
+        "change": (change_dir, os.path.join(scratch, "change-target")),
+    }
+    seeds = [args.seed_base + i for i in range(args.pairs)]
+    failures = []
+    report = {
+        "protocol": "alternating parent/change pairs, same seed per pair; "
+                    "see tools/bench_pairs.py --help",
+        "parent": (revision(parent_dir) if args.parent_dir
+                   else revision(change_dir, args.parent)) or args.parent,
+        "change": revision(change_dir),
+        "seconds": args.seconds,
+        "seeds": seeds,
+        "nproc": os.cpu_count(),
+        "cpu_model": cpu_model(),
+        "workloads": {},
+        "traced": {},
+    }
+
+    for workload in args.workloads:
+        for side, (checkout, target) in sides.items():
+            log(f"{workload}: warm-up on {side}")
+            if not healthy(run_bench(checkout, target, workload,
+                                     args.seed_base, 1, 0)):
+                failures.append(f"{workload} warm-up on {side}")
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout, target = sides[side]
+                result = run_bench(checkout, target, workload, seed,
+                                   args.seconds, 0)
+                if not healthy(result):
+                    failures.append(f"{workload} seed {seed} on {side}")
+                    result = None
+                runs[side].append(result)
+            log(f"{workload}: pair {i + 1}/{args.pairs} done")
+
+        entry = {}
+        for metric in end_to_end:
+            name = metric["name"]
+            lower = metric["better"] == "lower"
+            values = {side: [r["metrics"][name]["value"] if r else None
+                             for r in runs[side]] for side in runs}
+            pairs = [(p, c) for p, c in zip(values["parent"], values["change"])
+                     if p is not None and c is not None]
+            if not pairs:
+                continue
+            wins = sum(1 for p, c in pairs if (c < p if lower else c > p))
+            parent = summarize([p for p, _ in pairs])
+            change = summarize([c for _, c in pairs])
+            worse = ((change["median"] - parent["median"]) / parent["median"]
+                     if lower else
+                     (parent["median"] - change["median"]) / parent["median"])
+            entry[name] = {
+                "unit": metric["unit"], "better": metric["better"],
+                "bound": metric["bound"], "parent": parent, "change": change,
+                "change_wins": wins, "pairs": len(pairs),
+                "median_worse_by": worse,
+                "within_bound": worse <= metric["bound"],
+            }
+        report["workloads"][workload] = entry
+
+    for workload in args.traced:
+        checkout, target = sides["change"]
+        log(f"{workload}: traced run on change")
+        result = run_bench(checkout, target, workload, args.seed_base,
+                           args.seconds, 1)
+        if not healthy(result):
+            failures.append(f"{workload} traced on change")
+        report["traced"][workload] = result
+
+    report["failures"] = failures
+    with open(args.out, "w") as out:
+        json.dump(report, out, indent=2, sort_keys=True)
+        out.write("\n")
+    log(f"wrote {args.out}")
+    if failures:
+        log("failed runs: " + ", ".join(failures))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
