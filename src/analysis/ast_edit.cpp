@@ -126,90 +126,21 @@ StmtPtr mk_unsafe(Block block) {
 
 namespace {
 
-bool for_each_block_in(Block& block, const std::function<bool(Block&)>& fn) {
-    if (fn(block)) return true;
-    for (auto& stmt : block.statements) {
-        switch (stmt->kind) {
-            case StmtKind::If: {
-                auto& node = static_cast<IfStmt&>(*stmt);
-                if (for_each_block_in(node.then_block, fn)) return true;
-                if (node.else_block && for_each_block_in(*node.else_block, fn)) {
-                    return true;
-                }
-                break;
-            }
-            case StmtKind::While:
-                if (for_each_block_in(static_cast<WhileStmt&>(*stmt).body, fn)) {
-                    return true;
-                }
-                break;
-            case StmtKind::Block:
-                if (for_each_block_in(static_cast<BlockStmt&>(*stmt).block, fn)) {
-                    return true;
-                }
-                break;
-            case StmtKind::Unsafe:
-                if (for_each_block_in(static_cast<UnsafeStmt&>(*stmt).block, fn)) {
-                    return true;
-                }
-                break;
-            default:
-                break;
-        }
-    }
-    return false;
-}
-
+using BlockFn = std::function<bool(Block&)>;
 using Rewriter = std::function<std::optional<ExprPtr>(const Expr&)>;
 
-int rewrite_slot(ExprPtr& slot, const Rewriter& fn);
-
-int rewrite_children(Expr& expr, const Rewriter& fn) {
-    int count = 0;
-    switch (expr.kind) {
-        case ExprKind::Unary:
-            count += rewrite_slot(static_cast<UnaryExpr&>(expr).operand, fn);
-            break;
-        case ExprKind::Binary: {
-            auto& node = static_cast<BinaryExpr&>(expr);
-            count += rewrite_slot(node.lhs, fn);
-            count += rewrite_slot(node.rhs, fn);
-            break;
-        }
-        case ExprKind::Cast:
-            count += rewrite_slot(static_cast<CastExpr&>(expr).operand, fn);
-            break;
-        case ExprKind::Index: {
-            auto& node = static_cast<IndexExpr&>(expr);
-            count += rewrite_slot(node.base, fn);
-            count += rewrite_slot(node.index, fn);
-            break;
-        }
-        case ExprKind::Call:
-            for (auto& arg : static_cast<CallExpr&>(expr).args) {
-                count += rewrite_slot(arg, fn);
-            }
-            break;
-        case ExprKind::CallPtr: {
-            auto& node = static_cast<CallPtrExpr&>(expr);
-            count += rewrite_slot(node.callee, fn);
-            for (auto& arg : node.args) {
-                count += rewrite_slot(arg, fn);
-            }
-            break;
-        }
-        case ExprKind::ArrayLit:
-            for (auto& element : static_cast<ArrayLitExpr&>(expr).elements) {
-                count += rewrite_slot(element, fn);
-            }
-            break;
-        case ExprKind::ArrayRepeat:
-            count += rewrite_slot(static_cast<ArrayRepeatExpr&>(expr).element, fn);
-            break;
-        default:
-            break;
+/// `block`, then every block nested in it, pre-order, until `fn` says stop.
+bool visit_blocks(Block& block, const BlockFn& fn) {
+    if (fn(block)) return true;
+    bool stop = false;
+    for (auto& stmt : block.statements) {
+        for_each_child(*stmt, Overload{
+            [](ExprPtr&) {},
+            [&](Block& inner) { stop = stop || visit_blocks(inner, fn); },
+        });
+        if (stop) return true;
     }
-    return count;
+    return false;
 }
 
 int rewrite_slot(ExprPtr& slot, const Rewriter& fn) {
@@ -218,75 +149,27 @@ int rewrite_slot(ExprPtr& slot, const Rewriter& fn) {
         slot = std::move(*replacement);
         return 1;
     }
-    return rewrite_children(*slot, fn);
+    int count = 0;
+    for_each_child(*slot, [&](ExprPtr& child) { count += rewrite_slot(child, fn); });
+    return count;
 }
-
-int rewrite_stmt(Stmt& stmt, const Rewriter& fn);
 
 int rewrite_block(Block& block, const Rewriter& fn) {
     int count = 0;
     for (auto& stmt : block.statements) {
-        count += rewrite_stmt(*stmt, fn);
-    }
-    return count;
-}
-
-int rewrite_stmt(Stmt& stmt, const Rewriter& fn) {
-    int count = 0;
-    switch (stmt.kind) {
-        case StmtKind::Let:
-            count += rewrite_slot(static_cast<LetStmt&>(stmt).init, fn);
-            break;
-        case StmtKind::Assign: {
-            auto& node = static_cast<AssignStmt&>(stmt);
-            count += rewrite_slot(node.place, fn);
-            count += rewrite_slot(node.value, fn);
-            break;
-        }
-        case StmtKind::Expr:
-            count += rewrite_slot(static_cast<ExprStmt&>(stmt).expr, fn);
-            break;
-        case StmtKind::If: {
-            auto& node = static_cast<IfStmt&>(stmt);
-            count += rewrite_slot(node.condition, fn);
-            count += rewrite_block(node.then_block, fn);
-            if (node.else_block) count += rewrite_block(*node.else_block, fn);
-            break;
-        }
-        case StmtKind::While: {
-            auto& node = static_cast<WhileStmt&>(stmt);
-            count += rewrite_slot(node.condition, fn);
-            count += rewrite_block(node.body, fn);
-            break;
-        }
-        case StmtKind::Return: {
-            auto& node = static_cast<ReturnStmt&>(stmt);
-            if (node.value) count += rewrite_slot(node.value, fn);
-            break;
-        }
-        case StmtKind::Block:
-            count += rewrite_block(static_cast<BlockStmt&>(stmt).block, fn);
-            break;
-        case StmtKind::Unsafe:
-            count += rewrite_block(static_cast<UnsafeStmt&>(stmt).block, fn);
-            break;
-        case StmtKind::Become: {
-            auto& node = static_cast<BecomeStmt&>(stmt);
-            count += rewrite_slot(node.callee, fn);
-            for (auto& arg : node.args) {
-                count += rewrite_slot(arg, fn);
-            }
-            break;
-        }
+        for_each_child(*stmt, Overload{
+            [&](ExprPtr& slot) { count += rewrite_slot(slot, fn); },
+            [&](Block& inner) { count += rewrite_block(inner, fn); },
+        });
     }
     return count;
 }
 
 }  // namespace
 
-bool for_each_block(Program& program, const std::function<bool(Block&)>& fn) {
+bool for_each_block(Program& program, const BlockFn& fn) {
     for (auto& function : program.functions) {
-        if (for_each_block_in(function.body, fn)) return true;
+        if (visit_blocks(function.body, fn)) return true;
     }
     return false;
 }
@@ -344,56 +227,7 @@ bool stmt_mentions(const Stmt& stmt, const std::string& name) {
             found = true;
         }
     };
-    // Walk just this statement by wrapping it in a fake block view.
-    switch (stmt.kind) {
-        case StmtKind::Let: {
-            const auto& node = static_cast<const LetStmt&>(stmt);
-            if (node.name == name) return true;
-            walk_expr(*node.init, callbacks, false);
-            break;
-        }
-        case StmtKind::Assign: {
-            const auto& node = static_cast<const AssignStmt&>(stmt);
-            walk_expr(*node.place, callbacks, false);
-            walk_expr(*node.value, callbacks, false);
-            break;
-        }
-        case StmtKind::Expr:
-            walk_expr(*static_cast<const ExprStmt&>(stmt).expr, callbacks, false);
-            break;
-        case StmtKind::If: {
-            const auto& node = static_cast<const IfStmt&>(stmt);
-            walk_expr(*node.condition, callbacks, false);
-            walk_block(node.then_block, callbacks, false);
-            if (node.else_block) walk_block(*node.else_block, callbacks, false);
-            break;
-        }
-        case StmtKind::While: {
-            const auto& node = static_cast<const WhileStmt&>(stmt);
-            walk_expr(*node.condition, callbacks, false);
-            walk_block(node.body, callbacks, false);
-            break;
-        }
-        case StmtKind::Return: {
-            const auto& node = static_cast<const ReturnStmt&>(stmt);
-            if (node.value) walk_expr(*node.value, callbacks, false);
-            break;
-        }
-        case StmtKind::Block:
-            walk_block(static_cast<const BlockStmt&>(stmt).block, callbacks, false);
-            break;
-        case StmtKind::Unsafe:
-            walk_block(static_cast<const UnsafeStmt&>(stmt).block, callbacks, false);
-            break;
-        case StmtKind::Become: {
-            const auto& node = static_cast<const BecomeStmt&>(stmt);
-            walk_expr(*node.callee, callbacks, false);
-            for (const auto& arg : node.args) {
-                walk_expr(*arg, callbacks, false);
-            }
-            break;
-        }
-    }
+    walk_stmt(stmt, callbacks, false);
     return found;
 }
 
@@ -413,14 +247,6 @@ bool move_stmt(Block& block, std::size_t from, std::size_t to) {
         block.statements.begin() + static_cast<std::ptrdiff_t>(to),
         std::move(stmt));
     return true;
-}
-
-int count_statements(const Program& program) {
-    int count = 0;
-    WalkCallbacks callbacks;
-    callbacks.on_stmt = [&](const Stmt&, bool) { ++count; };
-    walk_program(program, callbacks);
-    return count;
 }
 
 }  // namespace rustbrain::analysis

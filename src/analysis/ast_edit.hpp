@@ -72,7 +72,4 @@ bool stmt_calls(const lang::Stmt& stmt, const std::string& callee);
 /// the same block, interpreted before removal). Returns false on bad input.
 bool move_stmt(lang::Block& block, std::size_t from, std::size_t to);
 
-/// Total statement count across all (nested) blocks.
-int count_statements(const lang::Program& program);
-
 }  // namespace rustbrain::analysis

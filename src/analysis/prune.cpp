@@ -39,46 +39,21 @@ bool block_relevant(const Block& block, const std::set<std::string>& names) {
 }
 
 bool stmt_relevant(const Stmt& stmt, const std::set<std::string>& names) {
-    switch (stmt.kind) {
-        case StmtKind::Unsafe:
-            return true;  // Principle 1: unsafe regions are always kept.
-        case StmtKind::Let: {
-            const auto& node = static_cast<const LetStmt&>(stmt);
-            return names.count(node.name) != 0 || mentions(*node.init, names);
-        }
-        case StmtKind::Assign: {
-            const auto& node = static_cast<const AssignStmt&>(stmt);
-            return mentions(*node.place, names) || mentions(*node.value, names);
-        }
-        case StmtKind::Expr:
-            return mentions(*static_cast<const ExprStmt&>(stmt).expr, names);
-        case StmtKind::If: {
-            const auto& node = static_cast<const IfStmt&>(stmt);
-            if (mentions(*node.condition, names)) return true;
-            if (block_relevant(node.then_block, names)) return true;
-            return node.else_block && block_relevant(*node.else_block, names);
-        }
-        case StmtKind::While: {
-            const auto& node = static_cast<const WhileStmt&>(stmt);
-            return mentions(*node.condition, names) ||
-                   block_relevant(node.body, names);
-        }
-        case StmtKind::Return: {
-            const auto& node = static_cast<const ReturnStmt&>(stmt);
-            return node.value && mentions(*node.value, names);
-        }
-        case StmtKind::Block:
-            return block_relevant(static_cast<const BlockStmt&>(stmt).block, names);
-        case StmtKind::Become: {
-            const auto& node = static_cast<const BecomeStmt&>(stmt);
-            if (mentions(*node.callee, names)) return true;
-            for (const auto& arg : node.args) {
-                if (mentions(*arg, names)) return true;
-            }
-            return false;
-        }
+    if (stmt.kind == StmtKind::Unsafe) {
+        return true;  // Principle 1: unsafe regions are always kept.
     }
-    return false;
+    if (stmt.kind == StmtKind::Let &&
+        names.count(static_cast<const LetStmt&>(stmt).name) != 0) {
+        return true;
+    }
+    bool relevant = false;
+    for_each_child(stmt, Overload{
+        [&](const Expr& child) { relevant = relevant || mentions(child, names); },
+        [&](const Block& child) {
+            relevant = relevant || block_relevant(child, names);
+        },
+    });
+    return relevant;
 }
 
 Block prune_block(const Block& block, const std::set<std::string>& names) {

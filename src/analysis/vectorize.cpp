@@ -4,7 +4,6 @@
 #include <functional>
 #include <string>
 
-#include "analysis/walk.hpp"
 #include "lang/typecheck.hpp"
 #include "support/hashing.hpp"
 
@@ -73,113 +72,25 @@ AstVector vectorize(const Program& program) {
             bump(vec, token);
             bump(vec, parent + ">" + token, 0.5F);
             if (in_unsafe) bump(vec, "unsafe~" + token, 0.5F);
-            switch (expr.kind) {
-                case ExprKind::Unary:
-                    visit_expr(*static_cast<const UnaryExpr&>(expr).operand, token,
-                               in_unsafe);
-                    break;
-                case ExprKind::Binary: {
-                    const auto& node = static_cast<const BinaryExpr&>(expr);
-                    visit_expr(*node.lhs, token, in_unsafe);
-                    visit_expr(*node.rhs, token, in_unsafe);
-                    break;
-                }
-                case ExprKind::Cast: {
-                    const auto& node = static_cast<const CastExpr&>(expr);
-                    visit_expr(*node.operand, token, in_unsafe);
-                    break;
-                }
-                case ExprKind::Index: {
-                    const auto& node = static_cast<const IndexExpr&>(expr);
-                    visit_expr(*node.base, token, in_unsafe);
-                    visit_expr(*node.index, token, in_unsafe);
-                    break;
-                }
-                case ExprKind::Call:
-                    for (const auto& arg : static_cast<const CallExpr&>(expr).args) {
-                        visit_expr(*arg, token, in_unsafe);
-                    }
-                    break;
-                case ExprKind::CallPtr: {
-                    const auto& node = static_cast<const CallPtrExpr&>(expr);
-                    visit_expr(*node.callee, token, in_unsafe);
-                    for (const auto& arg : node.args) {
-                        visit_expr(*arg, token, in_unsafe);
-                    }
-                    break;
-                }
-                case ExprKind::ArrayLit:
-                    for (const auto& element :
-                         static_cast<const ArrayLitExpr&>(expr).elements) {
-                        visit_expr(*element, token, in_unsafe);
-                    }
-                    break;
-                case ExprKind::ArrayRepeat:
-                    visit_expr(*static_cast<const ArrayRepeatExpr&>(expr).element,
-                               token, in_unsafe);
-                    break;
-                default:
-                    break;
-            }
+            for_each_child(expr, [&](const Expr& child) {
+                visit_expr(child, token, in_unsafe);
+            });
         };
 
     std::function<void(const Block&, bool)> visit_block = [&](const Block& block,
                                                               bool in_unsafe) {
         std::string prev = "^";
-        for (const auto& stmt : block.statements) {
-            const std::string token = stmt_kind_name(stmt->kind);
+        for (const auto& owned : block.statements) {
+            const Stmt& stmt = *owned;
+            const std::string token = stmt_kind_name(stmt.kind);
             bump(vec, "stmt:" + token);
             bump(vec, "seq:" + prev + ">" + token, 0.5F);
             prev = token;
-            switch (stmt->kind) {
-                case StmtKind::Let:
-                    visit_expr(*static_cast<const LetStmt&>(*stmt).init, token,
-                               in_unsafe);
-                    break;
-                case StmtKind::Assign: {
-                    const auto& node = static_cast<const AssignStmt&>(*stmt);
-                    visit_expr(*node.place, token, in_unsafe);
-                    visit_expr(*node.value, token, in_unsafe);
-                    break;
-                }
-                case StmtKind::Expr:
-                    visit_expr(*static_cast<const ExprStmt&>(*stmt).expr, token,
-                               in_unsafe);
-                    break;
-                case StmtKind::If: {
-                    const auto& node = static_cast<const IfStmt&>(*stmt);
-                    visit_expr(*node.condition, token, in_unsafe);
-                    visit_block(node.then_block, in_unsafe);
-                    if (node.else_block) visit_block(*node.else_block, in_unsafe);
-                    break;
-                }
-                case StmtKind::While: {
-                    const auto& node = static_cast<const WhileStmt&>(*stmt);
-                    visit_expr(*node.condition, token, in_unsafe);
-                    visit_block(node.body, in_unsafe);
-                    break;
-                }
-                case StmtKind::Return: {
-                    const auto& node = static_cast<const ReturnStmt&>(*stmt);
-                    if (node.value) visit_expr(*node.value, token, in_unsafe);
-                    break;
-                }
-                case StmtKind::Block:
-                    visit_block(static_cast<const BlockStmt&>(*stmt).block,
-                                in_unsafe);
-                    break;
-                case StmtKind::Unsafe:
-                    visit_block(static_cast<const UnsafeStmt&>(*stmt).block, true);
-                    break;
-                case StmtKind::Become: {
-                    const auto& node = static_cast<const BecomeStmt&>(*stmt);
-                    visit_expr(*node.callee, token, in_unsafe);
-                    for (const auto& arg : node.args) {
-                        visit_expr(*arg, token, in_unsafe);
-                    }
-                    break;
-                }
-            }
+            const bool inner = in_unsafe || stmt.kind == StmtKind::Unsafe;
+            for_each_child(stmt, Overload{
+                [&](const Expr& child) { visit_expr(child, token, in_unsafe); },
+                [&](const Block& child) { visit_block(child, inner); },
+            });
         }
     };
 

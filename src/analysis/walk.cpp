@@ -10,109 +10,19 @@ using namespace lang;
 
 void walk_expr(const Expr& expr, const WalkCallbacks& callbacks, bool in_unsafe) {
     if (callbacks.on_expr) callbacks.on_expr(expr, in_unsafe);
-    switch (expr.kind) {
-        case ExprKind::IntLit:
-        case ExprKind::BoolLit:
-        case ExprKind::VarRef:
-            break;
-        case ExprKind::Unary:
-            walk_expr(*static_cast<const UnaryExpr&>(expr).operand, callbacks,
-                      in_unsafe);
-            break;
-        case ExprKind::Binary: {
-            const auto& node = static_cast<const BinaryExpr&>(expr);
-            walk_expr(*node.lhs, callbacks, in_unsafe);
-            walk_expr(*node.rhs, callbacks, in_unsafe);
-            break;
-        }
-        case ExprKind::Cast:
-            walk_expr(*static_cast<const CastExpr&>(expr).operand, callbacks,
-                      in_unsafe);
-            break;
-        case ExprKind::Index: {
-            const auto& node = static_cast<const IndexExpr&>(expr);
-            walk_expr(*node.base, callbacks, in_unsafe);
-            walk_expr(*node.index, callbacks, in_unsafe);
-            break;
-        }
-        case ExprKind::Call:
-            for (const auto& arg : static_cast<const CallExpr&>(expr).args) {
-                walk_expr(*arg, callbacks, in_unsafe);
-            }
-            break;
-        case ExprKind::CallPtr: {
-            const auto& node = static_cast<const CallPtrExpr&>(expr);
-            walk_expr(*node.callee, callbacks, in_unsafe);
-            for (const auto& arg : node.args) {
-                walk_expr(*arg, callbacks, in_unsafe);
-            }
-            break;
-        }
-        case ExprKind::ArrayLit:
-            for (const auto& element :
-                 static_cast<const ArrayLitExpr&>(expr).elements) {
-                walk_expr(*element, callbacks, in_unsafe);
-            }
-            break;
-        case ExprKind::ArrayRepeat:
-            walk_expr(*static_cast<const ArrayRepeatExpr&>(expr).element, callbacks,
-                      in_unsafe);
-            break;
-    }
+    for_each_child(expr, [&](const Expr& child) {
+        walk_expr(child, callbacks, in_unsafe);
+    });
 }
 
-namespace {
 void walk_stmt(const Stmt& stmt, const WalkCallbacks& callbacks, bool in_unsafe) {
     if (callbacks.on_stmt) callbacks.on_stmt(stmt, in_unsafe);
-    switch (stmt.kind) {
-        case StmtKind::Let:
-            walk_expr(*static_cast<const LetStmt&>(stmt).init, callbacks, in_unsafe);
-            break;
-        case StmtKind::Assign: {
-            const auto& node = static_cast<const AssignStmt&>(stmt);
-            walk_expr(*node.place, callbacks, in_unsafe);
-            walk_expr(*node.value, callbacks, in_unsafe);
-            break;
-        }
-        case StmtKind::Expr:
-            walk_expr(*static_cast<const ExprStmt&>(stmt).expr, callbacks, in_unsafe);
-            break;
-        case StmtKind::If: {
-            const auto& node = static_cast<const IfStmt&>(stmt);
-            walk_expr(*node.condition, callbacks, in_unsafe);
-            walk_block(node.then_block, callbacks, in_unsafe);
-            if (node.else_block) walk_block(*node.else_block, callbacks, in_unsafe);
-            break;
-        }
-        case StmtKind::While: {
-            const auto& node = static_cast<const WhileStmt&>(stmt);
-            walk_expr(*node.condition, callbacks, in_unsafe);
-            walk_block(node.body, callbacks, in_unsafe);
-            break;
-        }
-        case StmtKind::Return: {
-            const auto& node = static_cast<const ReturnStmt&>(stmt);
-            if (node.value) walk_expr(*node.value, callbacks, in_unsafe);
-            break;
-        }
-        case StmtKind::Block:
-            walk_block(static_cast<const BlockStmt&>(stmt).block, callbacks,
-                       in_unsafe);
-            break;
-        case StmtKind::Unsafe:
-            walk_block(static_cast<const UnsafeStmt&>(stmt).block, callbacks, true);
-            break;
-        case StmtKind::Become: {
-            const auto& node = static_cast<const BecomeStmt&>(stmt);
-            walk_expr(*node.callee, callbacks, in_unsafe);
-            for (const auto& arg : node.args) {
-                walk_expr(*arg, callbacks, in_unsafe);
-            }
-            break;
-        }
-    }
+    const bool inner = in_unsafe || stmt.kind == StmtKind::Unsafe;
+    for_each_child(stmt, Overload{
+        [&](const Expr& child) { walk_expr(child, callbacks, inner); },
+        [&](const Block& child) { walk_block(child, callbacks, inner); },
+    });
 }
-}  // namespace
 
 void walk_block(const Block& block, const WalkCallbacks& callbacks, bool in_unsafe) {
     for (const auto& stmt : block.statements) {
@@ -152,32 +62,6 @@ std::vector<std::string> names_used_in_unsafe(const Program& program) {
     };
     walk_program(program, callbacks);
     return {names.begin(), names.end()};
-}
-
-bool contains_unsafe(const Stmt& stmt) {
-    bool found = stmt.kind == StmtKind::Unsafe;
-    if (found) return true;
-    WalkCallbacks callbacks;
-    callbacks.on_stmt = [&](const Stmt& inner, bool) {
-        if (inner.kind == StmtKind::Unsafe) found = true;
-    };
-    switch (stmt.kind) {
-        case StmtKind::If: {
-            const auto& node = static_cast<const IfStmt&>(stmt);
-            walk_block(node.then_block, callbacks, false);
-            if (node.else_block) walk_block(*node.else_block, callbacks, false);
-            break;
-        }
-        case StmtKind::While:
-            walk_block(static_cast<const WhileStmt&>(stmt).body, callbacks, false);
-            break;
-        case StmtKind::Block:
-            walk_block(static_cast<const BlockStmt&>(stmt).block, callbacks, false);
-            break;
-        default:
-            break;
-    }
-    return found;
 }
 
 }  // namespace rustbrain::analysis

@@ -17,6 +17,8 @@ struct WalkCallbacks {
 };
 
 void walk_program(const lang::Program& program, const WalkCallbacks& callbacks);
+void walk_stmt(const lang::Stmt& stmt, const WalkCallbacks& callbacks,
+               bool in_unsafe);
 void walk_block(const lang::Block& block, const WalkCallbacks& callbacks,
                 bool in_unsafe);
 void walk_expr(const lang::Expr& expr, const WalkCallbacks& callbacks,
@@ -24,8 +26,5 @@ void walk_expr(const lang::Expr& expr, const WalkCallbacks& callbacks,
 
 /// Names referenced anywhere inside unsafe regions of the program.
 std::vector<std::string> names_used_in_unsafe(const lang::Program& program);
-
-/// True if the statement contains (or is) an unsafe block.
-bool contains_unsafe(const lang::Stmt& stmt);
 
 }  // namespace rustbrain::analysis

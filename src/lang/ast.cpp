@@ -293,258 +293,64 @@ const StaticItem* Program::find_static(const std::string& name) const {
 
 namespace {
 
-class Renumberer {
-  public:
-    explicit Renumberer(NodeId start) : next_(start) {}
+/// Gives each node under the visited one the next id, in pre-order.
+struct Renumber {
+    NodeId next;
 
-    void visit(Expr& expr) {
-        expr.id = next_++;
-        switch (expr.kind) {
-            case ExprKind::IntLit:
-            case ExprKind::BoolLit:
-            case ExprKind::VarRef:
-                break;
-            case ExprKind::Unary:
-                visit(*static_cast<UnaryExpr&>(expr).operand);
-                break;
-            case ExprKind::Binary: {
-                auto& node = static_cast<BinaryExpr&>(expr);
-                visit(*node.lhs);
-                visit(*node.rhs);
-                break;
-            }
-            case ExprKind::Cast:
-                visit(*static_cast<CastExpr&>(expr).operand);
-                break;
-            case ExprKind::Index: {
-                auto& node = static_cast<IndexExpr&>(expr);
-                visit(*node.base);
-                visit(*node.index);
-                break;
-            }
-            case ExprKind::Call:
-                for (auto& arg : static_cast<CallExpr&>(expr).args) visit(*arg);
-                break;
-            case ExprKind::CallPtr: {
-                auto& node = static_cast<CallPtrExpr&>(expr);
-                visit(*node.callee);
-                for (auto& arg : node.args) visit(*arg);
-                break;
-            }
-            case ExprKind::ArrayLit:
-                for (auto& element : static_cast<ArrayLitExpr&>(expr).elements) {
-                    visit(*element);
-                }
-                break;
-            case ExprKind::ArrayRepeat:
-                visit(*static_cast<ArrayRepeatExpr&>(expr).element);
-                break;
-        }
+    void operator()(Expr& expr) {
+        expr.id = next++;
+        for_each_child(expr, *this);
     }
-
-    void visit(Stmt& stmt) {
-        stmt.id = next_++;
-        switch (stmt.kind) {
-            case StmtKind::Let:
-                visit(*static_cast<LetStmt&>(stmt).init);
-                break;
-            case StmtKind::Assign: {
-                auto& node = static_cast<AssignStmt&>(stmt);
-                visit(*node.place);
-                visit(*node.value);
-                break;
-            }
-            case StmtKind::Expr:
-                visit(*static_cast<ExprStmt&>(stmt).expr);
-                break;
-            case StmtKind::If: {
-                auto& node = static_cast<IfStmt&>(stmt);
-                visit(*node.condition);
-                visit(node.then_block);
-                if (node.else_block) visit(*node.else_block);
-                break;
-            }
-            case StmtKind::While: {
-                auto& node = static_cast<WhileStmt&>(stmt);
-                visit(*node.condition);
-                visit(node.body);
-                break;
-            }
-            case StmtKind::Return: {
-                auto& node = static_cast<ReturnStmt&>(stmt);
-                if (node.value) visit(*node.value);
-                break;
-            }
-            case StmtKind::Block:
-                visit(static_cast<BlockStmt&>(stmt).block);
-                break;
-            case StmtKind::Unsafe:
-                visit(static_cast<UnsafeStmt&>(stmt).block);
-                break;
-            case StmtKind::Become: {
-                auto& node = static_cast<BecomeStmt&>(stmt);
-                visit(*node.callee);
-                for (auto& arg : node.args) visit(*arg);
-                break;
-            }
-        }
+    void operator()(ExprPtr& slot) { (*this)(*slot); }
+    void operator()(Stmt& stmt) {
+        stmt.id = next++;
+        for_each_child(stmt, *this);
     }
-
-    void visit(Block& block) {
-        for (auto& stmt : block.statements) {
-            visit(*stmt);
-        }
+    void operator()(Block& block) {
+        for (auto& stmt : block.statements) (*this)(*stmt);
     }
+};
 
-    [[nodiscard]] NodeId next() const { return next_; }
+/// Counts the nodes under the visited one, the visited one included.
+struct Count {
+    std::uint32_t nodes = 0;
 
-  private:
-    NodeId next_;
+    void operator()(const Expr& expr) {
+        ++nodes;
+        for_each_child(expr, *this);
+    }
+    void operator()(const Stmt& stmt) {
+        ++nodes;
+        for_each_child(stmt, *this);
+    }
+    void operator()(const Block& block) {
+        for (const auto& stmt : block.statements) (*this)(*stmt);
+    }
 };
 
 }  // namespace
 
 std::uint32_t Program::renumber() {
-    NodeId next = 1;
+    Renumber number{1};
     for (auto& item : statics) {
-        item.id = next++;
-        if (item.init) {
-            Renumberer expr_pass(next);
-            expr_pass.visit(*item.init);
-            next = expr_pass.next();
-        }
+        item.id = number.next++;
+        if (item.init) number(*item.init);
     }
     for (auto& fn : functions) {
-        fn.id = next++;
-        Renumberer fn_pass(next);
-        fn_pass.visit(fn.body);
-        next = fn_pass.next();
+        fn.id = number.next++;
+        number(fn.body);
     }
-    return next - 1;
+    return number.next - 1;
 }
 
-namespace {
-
-class NodeCounter {
-  public:
-    std::uint32_t count = 0;
-
-    void visit(const Expr& expr) {
-        ++count;
-        switch (expr.kind) {
-            case ExprKind::IntLit:
-            case ExprKind::BoolLit:
-            case ExprKind::VarRef:
-                break;
-            case ExprKind::Unary:
-                visit(*static_cast<const UnaryExpr&>(expr).operand);
-                break;
-            case ExprKind::Binary: {
-                const auto& node = static_cast<const BinaryExpr&>(expr);
-                visit(*node.lhs);
-                visit(*node.rhs);
-                break;
-            }
-            case ExprKind::Cast:
-                visit(*static_cast<const CastExpr&>(expr).operand);
-                break;
-            case ExprKind::Index: {
-                const auto& node = static_cast<const IndexExpr&>(expr);
-                visit(*node.base);
-                visit(*node.index);
-                break;
-            }
-            case ExprKind::Call:
-                for (const auto& arg : static_cast<const CallExpr&>(expr).args) {
-                    visit(*arg);
-                }
-                break;
-            case ExprKind::CallPtr: {
-                const auto& node = static_cast<const CallPtrExpr&>(expr);
-                visit(*node.callee);
-                for (const auto& arg : node.args) visit(*arg);
-                break;
-            }
-            case ExprKind::ArrayLit:
-                for (const auto& element :
-                     static_cast<const ArrayLitExpr&>(expr).elements) {
-                    visit(*element);
-                }
-                break;
-            case ExprKind::ArrayRepeat:
-                visit(*static_cast<const ArrayRepeatExpr&>(expr).element);
-                break;
-        }
-    }
-
-    void visit(const Stmt& stmt) {
-        ++count;
-        switch (stmt.kind) {
-            case StmtKind::Let:
-                visit(*static_cast<const LetStmt&>(stmt).init);
-                break;
-            case StmtKind::Assign: {
-                const auto& node = static_cast<const AssignStmt&>(stmt);
-                visit(*node.place);
-                visit(*node.value);
-                break;
-            }
-            case StmtKind::Expr:
-                visit(*static_cast<const ExprStmt&>(stmt).expr);
-                break;
-            case StmtKind::If: {
-                const auto& node = static_cast<const IfStmt&>(stmt);
-                visit(*node.condition);
-                visit(node.then_block);
-                if (node.else_block) visit(*node.else_block);
-                break;
-            }
-            case StmtKind::While: {
-                const auto& node = static_cast<const WhileStmt&>(stmt);
-                visit(*node.condition);
-                visit(node.body);
-                break;
-            }
-            case StmtKind::Return: {
-                const auto& node = static_cast<const ReturnStmt&>(stmt);
-                if (node.value) visit(*node.value);
-                break;
-            }
-            case StmtKind::Block:
-                visit(static_cast<const BlockStmt&>(stmt).block);
-                break;
-            case StmtKind::Unsafe:
-                visit(static_cast<const UnsafeStmt&>(stmt).block);
-                break;
-            case StmtKind::Become: {
-                const auto& node = static_cast<const BecomeStmt&>(stmt);
-                visit(*node.callee);
-                for (const auto& arg : node.args) visit(*arg);
-                break;
-            }
-        }
-    }
-
-    void visit(const Block& block) {
-        for (const auto& stmt : block.statements) {
-            visit(*stmt);
-        }
-    }
-};
-
-}  // namespace
-
 std::uint32_t Program::node_count() const {
-    NodeCounter counter;
+    Count count;
+    count.nodes = static_cast<std::uint32_t>(statics.size() + functions.size());
     for (const auto& item : statics) {
-        ++counter.count;
-        if (item.init) counter.visit(*item.init);
+        if (item.init) count(*item.init);
     }
-    for (const auto& fn : functions) {
-        ++counter.count;
-        counter.visit(fn.body);
-    }
-    return counter.count;
+    for (const auto& fn : functions) count(fn.body);
+    return count.nodes;
 }
 
 // --------------------------------------------------------------------------

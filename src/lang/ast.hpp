@@ -8,12 +8,21 @@
 // pruning algorithm and patch rules use to address nodes. The type checker
 // writes each expression's type and each name's Binding onto the nodes;
 // every MiriLite tier reads both and runs only type-checked trees.
+//
+// The child order (DESIGN.md §3) is written down once, in for_each_child:
+// source order, e.g. a Binary's lhs then rhs, an If's condition, then-block,
+// else-block, a CallPtr's or Become's callee then its arguments. Each node
+// comes before its children (pre-order), so the order renumber() gives ids
+// in is the order every structural walk visits in (analysis::walk_program,
+// rewrite_exprs, pruning, vectorizing), and it is MiriLite's evaluation
+// order too, except that an assignment evaluates its value before its place.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -291,6 +300,148 @@ struct BecomeStmt final : Stmt {
     ExprPtr callee;  // VarRef to a function or a fn-pointer-typed expression
     std::vector<ExprPtr> args;
 };
+
+// ---------------------------------------------------------------------------
+// Child enumeration
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// `To`, const when `From` is.
+template <typename To, typename From>
+using like_t = std::conditional_t<std::is_const_v<From>, const To, To>;
+
+/// A const node hands a child expression over as `const Expr&`, a mutable
+/// one as its owning `ExprPtr&`, so the visitor may replace the subtree.
+template <typename Slot, typename Visitor>
+void visit_slot(Slot& slot, Visitor& visit) {
+    if constexpr (std::is_const_v<Slot>) {
+        visit(static_cast<const Expr&>(*slot));
+    } else {
+        visit(slot);
+    }
+}
+
+template <typename Slots, typename Visitor>
+void visit_slots(Slots& slots, Visitor& visit) {
+    for (auto& slot : slots) visit_slot(slot, visit);
+}
+
+}  // namespace detail
+
+/// Calls `visit` on each child of `expr` in the child order (see the file
+/// comment): `const Expr&` per child of a const node, `ExprPtr&` per child
+/// of a mutable one.
+template <typename E, typename Visitor>
+std::enable_if_t<std::is_same_v<std::remove_const_t<E>, Expr>> for_each_child(
+    E& expr, Visitor&& visit) {
+    using detail::like_t;
+    using detail::visit_slot;
+    using detail::visit_slots;
+    switch (expr.kind) {
+        case ExprKind::IntLit:
+        case ExprKind::BoolLit:
+        case ExprKind::VarRef:
+            break;
+        case ExprKind::Unary:
+            visit_slot(static_cast<like_t<UnaryExpr, E>&>(expr).operand, visit);
+            break;
+        case ExprKind::Binary: {
+            auto& node = static_cast<like_t<BinaryExpr, E>&>(expr);
+            visit_slot(node.lhs, visit);
+            visit_slot(node.rhs, visit);
+            break;
+        }
+        case ExprKind::Cast:
+            visit_slot(static_cast<like_t<CastExpr, E>&>(expr).operand, visit);
+            break;
+        case ExprKind::Index: {
+            auto& node = static_cast<like_t<IndexExpr, E>&>(expr);
+            visit_slot(node.base, visit);
+            visit_slot(node.index, visit);
+            break;
+        }
+        case ExprKind::Call:
+            visit_slots(static_cast<like_t<CallExpr, E>&>(expr).args, visit);
+            break;
+        case ExprKind::CallPtr: {
+            auto& node = static_cast<like_t<CallPtrExpr, E>&>(expr);
+            visit_slot(node.callee, visit);
+            visit_slots(node.args, visit);
+            break;
+        }
+        case ExprKind::ArrayLit:
+            visit_slots(static_cast<like_t<ArrayLitExpr, E>&>(expr).elements, visit);
+            break;
+        case ExprKind::ArrayRepeat:
+            visit_slot(static_cast<like_t<ArrayRepeatExpr, E>&>(expr).element, visit);
+            break;
+    }
+}
+
+/// Calls `visit` on each child of `stmt` in the child order: expressions as
+/// for an Expr, and each nested `Block` (const when `stmt` is). A `return`
+/// without a value and an `if` without an `else` skip the absent child.
+template <typename S, typename Visitor>
+std::enable_if_t<std::is_same_v<std::remove_const_t<S>, Stmt>> for_each_child(
+    S& stmt, Visitor&& visit) {
+    using detail::like_t;
+    using detail::visit_slot;
+    using detail::visit_slots;
+    switch (stmt.kind) {
+        case StmtKind::Let:
+            visit_slot(static_cast<like_t<LetStmt, S>&>(stmt).init, visit);
+            break;
+        case StmtKind::Assign: {
+            auto& node = static_cast<like_t<AssignStmt, S>&>(stmt);
+            visit_slot(node.place, visit);
+            visit_slot(node.value, visit);
+            break;
+        }
+        case StmtKind::Expr:
+            visit_slot(static_cast<like_t<ExprStmt, S>&>(stmt).expr, visit);
+            break;
+        case StmtKind::If: {
+            auto& node = static_cast<like_t<IfStmt, S>&>(stmt);
+            visit_slot(node.condition, visit);
+            visit(node.then_block);
+            if (node.else_block) visit(*node.else_block);
+            break;
+        }
+        case StmtKind::While: {
+            auto& node = static_cast<like_t<WhileStmt, S>&>(stmt);
+            visit_slot(node.condition, visit);
+            visit(node.body);
+            break;
+        }
+        case StmtKind::Return: {
+            auto& node = static_cast<like_t<ReturnStmt, S>&>(stmt);
+            if (node.value) visit_slot(node.value, visit);
+            break;
+        }
+        case StmtKind::Block:
+            visit(static_cast<like_t<BlockStmt, S>&>(stmt).block);
+            break;
+        case StmtKind::Unsafe:
+            visit(static_cast<like_t<UnsafeStmt, S>&>(stmt).block);
+            break;
+        case StmtKind::Become: {
+            auto& node = static_cast<like_t<BecomeStmt, S>&>(stmt);
+            visit_slot(node.callee, visit);
+            visit_slots(node.args, visit);
+            break;
+        }
+    }
+}
+
+/// One visitor out of several lambdas, e.g. one for expressions and one for
+/// blocks: `for_each_child(stmt, Overload{on_expr, on_block})`.
+template <typename... Fs>
+struct Overload : Fs... {
+    using Fs::operator()...;
+};
+template <typename... Fs>
+Overload(Fs...) -> Overload<Fs...>;
 
 // ---------------------------------------------------------------------------
 // Items & program

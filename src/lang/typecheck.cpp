@@ -41,37 +41,15 @@ bool is_intrinsic(const std::string& name) {
 }
 
 namespace {
-/// True when `expr` names a variable or calls a function anywhere inside.
-bool names_or_calls(const Expr& expr) {
-    switch (expr.kind) {
-        case ExprKind::IntLit:
-        case ExprKind::BoolLit:
-            return false;
-        case ExprKind::VarRef:
-        case ExprKind::Call:
-        case ExprKind::CallPtr:
-            return true;
-        case ExprKind::Unary:
-            return names_or_calls(*static_cast<const UnaryExpr&>(expr).operand);
-        case ExprKind::Binary: {
-            const auto& node = static_cast<const BinaryExpr&>(expr);
-            return names_or_calls(*node.lhs) || names_or_calls(*node.rhs);
-        }
-        case ExprKind::Cast:
-            return names_or_calls(*static_cast<const CastExpr&>(expr).operand);
-        case ExprKind::Index: {
-            const auto& node = static_cast<const IndexExpr&>(expr);
-            return names_or_calls(*node.base) || names_or_calls(*node.index);
-        }
-        case ExprKind::ArrayLit:
-            for (const auto& element : static_cast<const ArrayLitExpr&>(expr).elements) {
-                if (names_or_calls(*element)) return true;
-            }
-            return false;
-        case ExprKind::ArrayRepeat:
-            return names_or_calls(*static_cast<const ArrayRepeatExpr&>(expr).element);
+/// True when `expr` holds no name and no call anywhere inside.
+bool only_literals(const Expr& expr) {
+    if (expr.kind == ExprKind::VarRef || expr.kind == ExprKind::Call ||
+        expr.kind == ExprKind::CallPtr) {
+        return false;
     }
-    return false;
+    bool only = true;
+    for_each_child(expr, [&](const Expr& child) { only = only && only_literals(child); });
+    return only;
 }
 }  // namespace
 
@@ -149,7 +127,7 @@ void TypeChecker::check_static(StaticItem& item) {
     const bool constant =
         (init.kind == ExprKind::IntLit || init.kind == ExprKind::BoolLit ||
          init.kind == ExprKind::ArrayRepeat || init.kind == ExprKind::ArrayLit) &&
-        !names_or_calls(init);
+        only_literals(init);
     if (!constant) {
         error("static initializer must be a literal or array of literals", item.span);
     }

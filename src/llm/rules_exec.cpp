@@ -456,26 +456,12 @@ MaybeProgram become_to_return_call(const Program& input, const miri::Finding&) {
                     changed = true;
                     return true;
                 }
-                // Recurse.
-                switch (stmt->kind) {
-                    case StmtKind::If: {
-                        auto& node = static_cast<IfStmt&>(*stmt);
-                        if (visit(node.then_block)) return true;
-                        if (node.else_block && visit(*node.else_block)) return true;
-                        break;
-                    }
-                    case StmtKind::While:
-                        if (visit(static_cast<WhileStmt&>(*stmt).body)) return true;
-                        break;
-                    case StmtKind::Block:
-                        if (visit(static_cast<BlockStmt&>(*stmt).block)) return true;
-                        break;
-                    case StmtKind::Unsafe:
-                        if (visit(static_cast<UnsafeStmt&>(*stmt).block)) return true;
-                        break;
-                    default:
-                        break;
-                }
+                bool found = false;
+                for_each_child(*stmt, Overload{
+                    [](ExprPtr&) {},
+                    [&](Block& inner) { found = found || visit(inner); },
+                });
+                if (found) return true;
             }
             return false;
         };
