@@ -232,7 +232,16 @@ bool stmt_mentions(const Stmt& stmt, const std::string& name) {
 }
 
 bool stmt_calls(const Stmt& stmt, const std::string& callee) {
-    return stmt_mentions(stmt, callee);
+    bool found = false;
+    WalkCallbacks callbacks;
+    callbacks.on_expr = [&](const Expr& expr, bool) {
+        if (expr.kind == ExprKind::Call &&
+            static_cast<const CallExpr&>(expr).callee == callee) {
+            found = true;
+        }
+    };
+    walk_stmt(stmt, callbacks, false);
+    return found;
 }
 
 bool move_stmt(Block& block, std::size_t from, std::size_t to) {

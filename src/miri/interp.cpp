@@ -29,6 +29,27 @@ RunResult Interpreter::run() {
     });
 }
 
+ScreenRun Interpreter::screen(std::uint64_t max_ops, std::uint64_t ops_spent) {
+    screening_ = true;
+    max_ops_ = max_ops;
+    ops_ = ops_spent;
+    RunResult result = run();
+    ScreenRun screen;
+    screen.ops = ops_;
+    if (stopped_) {
+        screen.stop = std::move(result.finding->message);
+    } else {
+        screen.finding = std::move(result.finding);
+    }
+    return screen;
+}
+
+void Interpreter::stop(std::string reason) {
+    if (m_.faulted()) return;
+    stopped_ = true;
+    m_.faults.raise(UbCategory::CompileError, std::move(reason), {});
+}
+
 void Interpreter::setup_statics() {
     static_allocs_.reserve(m_.program.statics.size());
     for (const auto& item : m_.program.statics) {
@@ -125,7 +146,7 @@ Interpreter::ExecResult Interpreter::exec_block(const lang::Block& block) {
 }
 
 Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
-    m_.step(stmt.span);
+    step(stmt.span);
     if (m_.faulted()) return {};
     switch (stmt.kind) {
         case lang::StmtKind::Let: {
@@ -140,6 +161,7 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
             const auto& node = static_cast<const lang::AssignStmt&>(stmt);
             const Value value = eval_expr(*node.value);
             const Place place = eval_place(*node.place);
+            if (screening_) charge();
             m_.mem.store(place.ptr, place.type, value, m_.access_ctx(node.span));
             return {};
         }
@@ -161,7 +183,7 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
         case lang::StmtKind::While: {
             const auto& node = static_cast<const lang::WhileStmt&>(stmt);
             while (!m_.faulted() && eval_expr(*node.condition).as_bool()) {
-                m_.step(node.span);
+                step(node.span);
                 ExecResult result = exec_block(node.body);
                 if (result.flow != Flow::Normal) return result;
             }
@@ -179,6 +201,10 @@ Interpreter::ExecResult Interpreter::exec_statement(const lang::Stmt& stmt) {
         case lang::StmtKind::Unsafe:
             return exec_block(static_cast<const lang::UnsafeStmt&>(stmt).block);
         case lang::StmtKind::Become: {
+            if (screening_) {
+                stop("tail calls (become) are not modelled");
+                return {};
+            }
             const auto& node = static_cast<const lang::BecomeStmt&>(stmt);
             const Value callee = eval_expr(*node.callee);
             std::vector<Value> args;
@@ -230,6 +256,10 @@ Interpreter::Place Interpreter::eval_place(const lang::Expr& expr) {
         case lang::ExprKind::Unary: {
             const auto& node = static_cast<const lang::UnaryExpr&>(expr);
             if (node.op != lang::UnaryOp::Deref) break;
+            if (screening_) {
+                stop("deref places are not modelled");
+                return {Pointer{}, expr.type};
+            }
             const Value ptr_value = eval_expr(*node.operand);
             return {ptr_value.as_ptr(), expr.type};
         }
@@ -239,6 +269,10 @@ Interpreter::Place Interpreter::eval_place(const lang::Expr& expr) {
             Pointer base_ptr;
             Type array_type = base_type;
             if (base_type.is_ref() && base_type.element().is_array()) {
+                if (screening_) {
+                    stop("indexing through a reference is not modelled");
+                    return {Pointer{}, expr.type};
+                }
                 // Indexing through a reference loads the reference value.
                 base_ptr = eval_expr(*node.base).as_ptr();
                 array_type = base_type.element();
@@ -267,7 +301,7 @@ Interpreter::Place Interpreter::eval_place(const lang::Expr& expr) {
 // ---------------------------------------------------------------------------
 
 Value Interpreter::eval_expr(const lang::Expr& expr) {
-    m_.step(expr.span);
+    step(expr.span);
     switch (expr.kind) {
         case lang::ExprKind::IntLit: {
             const auto& node = static_cast<const lang::IntLitExpr&>(expr);
@@ -282,6 +316,7 @@ Value Interpreter::eval_expr(const lang::Expr& expr) {
                 return Value::function(FnPtrVal{binding.index});
             }
             const Place place = eval_place(expr);
+            if (screening_) charge();
             return m_.mem.load(place.ptr, place.type, m_.access_ctx(expr.span));
         }
         case lang::ExprKind::Unary:
@@ -292,6 +327,7 @@ Value Interpreter::eval_expr(const lang::Expr& expr) {
             return eval_cast(static_cast<const lang::CastExpr&>(expr));
         case lang::ExprKind::Index: {
             const Place place = eval_place(expr);
+            if (screening_) charge();
             return m_.mem.load(place.ptr, place.type, m_.access_ctx(expr.span));
         }
         case lang::ExprKind::Call:
@@ -330,11 +366,19 @@ Value Interpreter::eval_unary(const lang::UnaryExpr& expr) {
             return bitwise_not(operand, expr.type);
         }
         case lang::UnaryOp::Deref: {
+            if (screening_) {
+                stop("dereferences are not modelled");
+                return neutral_value(expr.type);
+            }
             const Place place = eval_place(expr);
             return m_.mem.load(place.ptr, place.type, m_.access_ctx(expr.span));
         }
         case lang::UnaryOp::AddrOf:
         case lang::UnaryOp::AddrOfMut: {
+            if (screening_) {
+                stop("borrows are not modelled");
+                return neutral_value(expr.type);
+            }
             const Place place = eval_place(*expr.operand);
             const bool is_mut = expr.op == lang::UnaryOp::AddrOfMut;
             const Pointer tagged = m_.mem.retag_ref(
@@ -367,7 +411,14 @@ Value Interpreter::eval_cast(const lang::CastExpr& expr) {
     const Value operand = eval_expr(*expr.operand);
     const Type& source = expr.operand->type;
     const Type& target = expr.target;
-    switch (classify_cast(source, target)) {
+    const CastKind kind = classify_cast(source, target);
+    if (screening_ && kind != CastKind::IntFromInt &&
+        kind != CastKind::FnToInt && kind != CastKind::IntToFn &&
+        kind != CastKind::FnToFn) {
+        stop("pointer casts are not modelled");
+        return neutral_value(target);
+    }
+    switch (kind) {
         case CastKind::IntFromInt:
             return int_cast(operand, source.is_signed_integer(),
                             source.size_bytes(), target);
@@ -402,6 +453,14 @@ Value Interpreter::eval_call(const lang::CallExpr& expr) {
     switch (expr.binding.kind) {
         case lang::Binding::Kind::Intrinsic: {
             const auto id = static_cast<lang::IntrinsicId>(expr.binding.index);
+            if (screening_ && id != lang::IntrinsicId::Input &&
+                id != lang::IntrinsicId::PrintInt &&
+                id != lang::IntrinsicId::PrintBool &&
+                id != lang::IntrinsicId::Assert &&
+                id != lang::IntrinsicId::Panic) {
+                stop("intrinsic '" + expr.callee + "' is not modelled");
+                return neutral_value(expr.type);
+            }
             // A joined thread's body runs on its own frames: frames_,
             // slots_ and live_ are plain stacks, so its pushes and pops
             // nest around this call.

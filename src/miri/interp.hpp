@@ -8,8 +8,12 @@
 // a callee an intrinsic id, a slot or a function index. Everything else —
 // step accounting, arithmetic and casts (miri/scalar.hpp), intrinsics,
 // threads and the post-main teardown (miri/machine.hpp) — is the machine
-// core that vm::Vm and the static screener share, so the tiers differ only
-// in how they reach those rules (DESIGN.md §17).
+// core that vm::Vm shares, so the tiers differ only in how they reach
+// those rules (DESIGN.md §17).
+//
+// The static pre-screener (screen/screen.hpp) runs this walk too, through
+// screen(): the same run, charged an op budget and stopped at the
+// constructs a screening does not accept (DESIGN.md §7).
 //
 // Deviation from real Rust (documented in DESIGN.md): mini-Rust has no
 // static borrow checker, so misuse of safe references (e.g. `&mut` while `&`
@@ -19,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,17 @@
 #include "miri/value.hpp"
 
 namespace rustbrain::miri {
+
+/// What one screening run (Interpreter::screen) came to.
+struct ScreenRun {
+    /// The run's first finding, when one was recorded before any stop.
+    std::optional<Finding> finding;
+    /// Why the run stopped short: the op budget ran out or it reached a
+    /// construct a screening does not accept.
+    std::optional<std::string> stop;
+    /// Ops spent, counting the `ops_spent` the run was given.
+    std::uint64_t ops = 0;
+};
 
 class Interpreter {
   public:
@@ -43,6 +59,16 @@ class Interpreter {
     /// checks for a fault at each statement, each `while` iteration and
     /// each call, and unwinds by returning (DESIGN.md §19).
     RunResult run();
+
+    /// run() as a screening: one op is charged at every step, every place
+    /// load (a VarRef or Index read) and every Assign store, counting from
+    /// `ops_spent` and only until the run faults. Past `max_ops` ops, or at
+    /// a `become`, a dereference, a borrow, indexing through a reference, a
+    /// pointer cast or an intrinsic other than input, print_int,
+    /// print_bool, assert and panic, the run stops short: the stop is
+    /// raised on the fault record, so the walk ends at its next fault
+    /// check. Call run() or screen() once per Interpreter.
+    ScreenRun screen(std::uint64_t max_ops, std::uint64_t ops_spent);
 
   private:
     // A memory place: typed pointer.
@@ -92,6 +118,21 @@ class Interpreter {
 
     Place eval_place(const lang::Expr& expr);
 
+    // Screening ---------------------------------------------------------
+    /// Machine::step, plus a screening's op charge.
+    void step(const support::SourceSpan& span) {
+        m_.step(span);
+        if (__builtin_expect(screening_, 0)) charge();
+    }
+    /// One op; past the budget, a stop. Free once the run has faulted.
+    void charge() {
+        if (m_.faulted()) return;
+        if (++ops_ > max_ops_) stop("screening op budget exhausted");
+    }
+    /// Ends the screening unless a fault is already recorded; the reason
+    /// is the recorded message.
+    void stop(std::string reason);
+
     // Helpers -----------------------------------------------------------
     void declare_local(std::int32_t slot, const std::string& name,
                        const lang::Type& type, const Value& value,
@@ -114,6 +155,12 @@ class Interpreter {
     std::vector<std::size_t> live_;
     /// Indexed like Program::statics.
     std::vector<AllocId> static_allocs_;
+
+    bool screening_ = false;
+    /// The recorded fault is a screening stop, not a finding.
+    bool stopped_ = false;
+    std::uint64_t max_ops_ = 0;
+    std::uint64_t ops_ = 0;
 };
 
 }  // namespace rustbrain::miri

@@ -8,8 +8,8 @@
 // (dispatched on lang::IntrinsicId) and the post-main teardown checks. The
 // tree walk (miri::Interpreter) and the VM (vm::Vm) each own one Machine and
 // keep only what is really theirs: walking the AST or dispatching bytecode,
-// their frames, and the VM's fixed-point snapshot. The static screener owns
-// one for its steps, calls and side-effect-free intrinsics.
+// their frames, and the VM's fixed-point snapshot. The static screener has
+// none of its own: it runs the tree walk (Interpreter::screen).
 //
 // No rule throws. A failed check is raised on the Machine's FaultRecord,
 // which keeps the run's first finding with the step count and output

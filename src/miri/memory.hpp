@@ -233,8 +233,7 @@ class MemoryModel {
     /// The bookkeeping every allocation starts with, without making one:
     /// validates the alignment, bumps the address space and charges
     /// kMaxBytesPerRun, raising Alloc UB where allocate() would. Returns
-    /// the base address, or 0 after raising. The screener mirrors the
-    /// interpreter's allocations through it.
+    /// the base address, or 0 after raising.
     std::uint64_t reserve(std::uint64_t size, std::uint64_t align,
                           support::SourceSpan span);
     /// Whether `count` elements of `element_size` bytes (a zero-sized

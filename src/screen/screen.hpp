@@ -1,32 +1,30 @@
-// Static UB pre-screener — concrete mirror execution of a type-checked
+// Static UB pre-screener — a budgeted MiriLite run of a type-checked
 // program.
 //
 // The screener is the rung between "no verify" and "full MiriLite" the
-// ROADMAP names: a mirror of the interpreter that walks the type-checked
-// tree (reading the Bindings the type checker wrote — no name scans) on
-// plain miri::Values with the run's concrete inputs, over the subset of
-// constructs it models, and returns a three-point verdict lattice:
+// ROADMAP names. It runs the tree walk itself (miri::Interpreter::screen)
+// on the run's concrete inputs, charged an op budget and stopped at every
+// construct it does not accept, and returns a three-point verdict lattice:
 //
-//   ProvenSafe   the screener walked every input run to completion through
-//                constructs it models exactly and proved no UB fires.
-//   LikelyUB     a definite finding (category + span) on a concrete path.
-//   Unknown      anything the screener does not model: references, raw
-//                pointers, heap intrinsics, threads/atomics, `become`, or
-//                the op budget running out. Unknown is always sound.
+//   ProvenSafe   every input run finished within the budget, touching
+//                only accepted constructs, and MiriLite found no UB.
+//   LikelyUB     a run's first finding (category + span) on a concrete
+//                path, recorded before any stop.
+//   Unknown      a run reached a construct a screening does not accept
+//                (references, raw pointers, heap intrinsics,
+//                threads/atomics, `become`) or the op budget ran out.
+//                Unknown is always sound.
 //
 // Verdicts are advisory: MiriLite stays the authority on every report, and
 // verify::Oracle::screen asks for a verdict only on behalf of the
 // `screened` thinking policy.
 //
-// Soundness contract: ProvenSafe must NEVER contradict MiriLite. The
-// screener guarantees this by construction — it evaluates scalars, steps,
-// calls and the intrinsics it models through MiriLite's own machine core
-// (miri/scalar.hpp, miri/machine.hpp), mirrors every other construct it
-// accepts operation-for-operation (including step accounting, so step-limit
-// exhaustion is a definite finding), and reports ProvenSafe only when every
-// run finished cleanly within the interpreter limits. Everything else
-// degrades to Unknown; errors never escape screen_program (asserted over
-// the hand-written + forged corpora in tests/screen_soundness_test.cpp).
+// Soundness contract: ProvenSafe must NEVER contradict MiriLite. It holds
+// by construction: a ProvenSafe run is a complete MiriLite run under the
+// same limits, so it reports what interpretation reports (DESIGN.md §7
+// lists the stop and charge sites). Errors never escape screen_program
+// (asserted over the hand-written + forged corpora in
+// tests/screen_soundness_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -59,7 +57,7 @@ struct ScreenOptions {
 
 struct ScreenVerdict {
     VerdictKind kind = VerdictKind::Unknown;
-    /// ProvenSafe = 1.0 (exact on the modelled subset), LikelyUB = 0.95
+    /// ProvenSafe = 1.0 (a complete MiriLite run), LikelyUB = 0.95
     /// (the concrete path is exact but MiriLite stays the authority),
     /// Unknown = 0.0.
     double confidence = 0.0;
@@ -74,7 +72,7 @@ struct ScreenVerdict {
 };
 
 /// Screen `program`, which must have passed lang::type_check, against every
-/// input vector, mirroring verify::Oracle::interpret's run normalization
+/// input vector, following verify::Oracle::interpret's run normalization
 /// (an empty `input_sets` means one run with no inputs). Never throws:
 /// every internal error degrades to an Unknown verdict.
 [[nodiscard]] ScreenVerdict screen_program(

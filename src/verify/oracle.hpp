@@ -285,7 +285,9 @@ class Oracle {
 
     /// The static pre-screener's verdict on `source` over `input_sets`
     /// (default ScreenOptions, this Oracle's limits), compiled through the
-    /// program cache; nullopt when the front end fails. Never interprets.
+    /// program cache; nullopt when the front end fails. Runs the tree walk
+    /// under a screening budget (screen::screen_program) and never reads or
+    /// fills the report cache.
     [[nodiscard]] std::optional<screen::ScreenVerdict> screen(
         const std::string& source,
         const std::vector<std::vector<std::int64_t>>& input_sets) const;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/ast_edit.hpp"
 #include "analysis/features.hpp"
 #include "analysis/walk.hpp"
@@ -169,6 +171,26 @@ fn main() {
         return true;
     });
     EXPECT_TRUE(found_mention);
+}
+
+TEST(AstEditTest, StmtCallsSeesOnlyADirectCall) {
+    // A statement that declares or reads a variable named `join` calls
+    // nothing, so reorder_join_before_access must not take it for a join.
+    const auto calls_join = [](lang::Program program) {
+        std::vector<bool> calls;
+        for_each_block(program, [&](lang::Block& block) {
+            for (const auto& stmt : block.statements) {
+                calls.push_back(stmt_calls(*stmt, "join"));
+            }
+            return !block.statements.empty();  // main's body
+        });
+        return calls;
+    };
+    EXPECT_EQ(calls_join(parse("fn main() { let join = 1; print_int(join); }")),
+              (std::vector<bool>{false, false}));
+    EXPECT_EQ(calls_join(parse(
+                  "fn f() { } fn main() { let h = spawn(f); join(h); }")),
+              (std::vector<bool>{false, true}));
 }
 
 }  // namespace

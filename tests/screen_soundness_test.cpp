@@ -6,9 +6,10 @@
 // hand-written corpus plus a 560-case forged corpus (the miri_lower_test
 // observational-identity pattern), then end to end: every registry engine
 // sweeping under the `screened` policy reproduces goldens fingerprinted
-// when the Oracle still screened before every interpretation. Plus:
-// unsupported constructs degrade to Unknown (never throw), and
-// Oracle::screen screens only when asked.
+// when the Oracle still screened before every interpretation. A digest of
+// every verdict field over some 4,500 programs pins where a screening
+// charges ops and stops. Plus: unsupported constructs degrade to Unknown
+// (never throw), and Oracle::screen screens only when asked.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,8 +25,11 @@
 #include "identity_matrix.hpp"
 #include "kb/seed.hpp"
 #include "miri/mirilite.hpp"
+#include "mutation.hpp"
 #include "screen/screen.hpp"
 #include "support/hashing.hpp"
+#include "support/rng.hpp"
+#include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
 
 namespace rustbrain::screen {
@@ -174,6 +178,100 @@ TEST(ScreenSoundnessTest, EveryRegistryEngineSweepsBitIdenticallyScreenOnOrOff) 
                       std::string(golden.engine) != "expert");
         }
     }
+}
+
+// --- verdict fingerprint -----------------------------------------------------
+
+/// Every field of a verdict, one line.
+std::string render_verdict(const ScreenVerdict& verdict) {
+    return std::string(verdict_kind_name(verdict.kind)) + " " +
+           std::to_string(verdict.confidence) + " " +
+           miri::ub_category_label(verdict.category) + " " +
+           std::to_string(verdict.span.begin) + ":" +
+           std::to_string(verdict.span.end) + ":" +
+           std::to_string(verdict.span.line) + ":" +
+           std::to_string(verdict.span.column) + " " +
+           std::to_string(verdict.ops) + " " + verdict.detail;
+}
+
+TEST(ScreenSoundnessTest, VerdictsMatchTheirFingerprint) {
+    // Every verdict field of a wide input set under several op budgets and
+    // interpreter limits: the standard corpus, two 560-case forges, 2,000
+    // type-checked mutants and the indirect-call programs. The digest pins
+    // the verdicts the screener gave when it was a separate interpreter
+    // mirroring the tree walk; screening on the tree walk reproduces them.
+    struct Program {
+        std::string source;
+        Inputs inputs;
+    };
+    std::vector<Program> programs;
+    const auto add_corpus = [&](const dataset::Corpus& corpus) {
+        for (const dataset::UbCase& ub_case : corpus.cases()) {
+            programs.push_back({ub_case.buggy_source, ub_case.inputs});
+            programs.push_back({ub_case.reference_fix, ub_case.inputs});
+        }
+    };
+    const dataset::Corpus standard = dataset::Corpus::standard();
+    add_corpus(standard);
+    for (const std::uint64_t seed : {7, 42}) {
+        const dataset::Corpus forged = verify::identity::forge(
+            seed, 560,
+            verify::Oracle(verify::identity::options_for(
+                verify::identity::kDefaultSerial)));
+        ASSERT_EQ(forged.size(), 560u);
+        add_corpus(forged);
+    }
+    programs.push_back({miri::agreement::kIndirectCallWithArgs, {}});
+    programs.push_back({miri::agreement::kFnTableCallWithArgs, {}});
+
+    std::vector<std::string> donors;
+    for (const dataset::UbCase& ub_case : standard.cases()) {
+        donors.push_back(ub_case.buggy_source);
+        donors.push_back(ub_case.reference_fix);
+    }
+    verify::OracleOptions oracle_options;
+    oracle_options.caching = false;
+    const verify::Oracle oracle(oracle_options);
+    support::Rng rng(support::derive_seed(1, "screen-fingerprint"));
+    std::size_t mutants = 0;
+    for (std::size_t i = 0; mutants < 2000 && i < 100000; ++i) {
+        const dataset::UbCase& seed =
+            standard.cases()[i % standard.cases().size()];
+        const std::string& source =
+            i % 2 == 0 ? seed.buggy_source : seed.reference_fix;
+        std::string mutant = mutation::mutate(source, donors, rng);
+        if (!oracle.compile(mutant)->ok()) continue;
+        programs.push_back({std::move(mutant), seed.inputs});
+        ++mutants;
+    }
+    ASSERT_EQ(mutants, 2000u);
+
+    struct Setting {
+        miri::InterpLimits limits;
+        ScreenOptions options;
+    };
+    std::vector<Setting> settings = {{{}, {}}};
+    for (const std::uint64_t max_ops : {1, 10, 100, 1000}) {
+        settings.push_back({{}, ScreenOptions{max_ops}});
+    }
+    // A step limit and a call depth low enough for runs to reach them (a
+    // depth of 1 is main alone).
+    settings.push_back({miri::InterpLimits{30, 3}, {}});
+    settings.push_back({miri::InterpLimits{300, 1}, {}});
+
+    ASSERT_EQ(programs.size(), 4494u);
+    std::uint64_t h = support::fnv1a64("");
+    for (const Program& program : programs) {
+        const auto compiled = oracle.compile(program.source);
+        ASSERT_TRUE(compiled->ok()) << program.source;
+        for (const Setting& setting : settings) {
+            const ScreenVerdict verdict =
+                screen_program(compiled->program, program.inputs,
+                               setting.limits, setting.options);
+            h = support::fnv1a64(render_verdict(verdict) + "\n", h);
+        }
+    }
+    EXPECT_EQ(h, 0x2b3eb5a89915aceeULL);
 }
 
 // --- error paths: degrade to Unknown, never throw ----------------------------

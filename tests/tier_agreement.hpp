@@ -382,6 +382,56 @@ fn main() {
 }
 )";
 
+/// Indirect calls with arguments: the callee is evaluated before the
+/// arguments, left to right. Every operand prints, so an order change shows
+/// in the output. Prints 1 2 3 30, then 0 1 2 3 30.
+inline constexpr const char* kIndirectCallWithArgs = R"(fn add(x: i64, y: i64) -> i64 {
+    print_int(3);
+    return x + y;
+}
+fn pick() -> fn(i64, i64) -> i64 {
+    print_int(0);
+    return add;
+}
+fn a() -> i64 {
+    print_int(1);
+    return 10;
+}
+fn b() -> i64 {
+    print_int(2);
+    return 20;
+}
+fn main() {
+    let f = add;
+    print_int((f)(a(), b()));
+    print_int((pick())(a(), b()));
+}
+)";
+
+/// A call through a fn-pointer table: the index, then the argument.
+/// Prints 0 1 3 5.
+inline constexpr const char* kFnTableCallWithArgs = R"(fn twice(x: i64) -> i64 {
+    print_int(2);
+    return x * 2;
+}
+fn succ(x: i64) -> i64 {
+    print_int(3);
+    return x + 1;
+}
+fn i() -> i64 {
+    print_int(0);
+    return 1;
+}
+fn x() -> i64 {
+    print_int(1);
+    return 4;
+}
+fn main() {
+    let fs: [fn(i64) -> i64; 2] = [twice, succ];
+    print_int(fs[i()](x()));
+}
+)";
+
 inline constexpr const char* kStaticCallReadsLaterStatic = R"(static A: [i64; 1] = [f()];
 static B: i64 = 1;
 fn f() -> i64 {

@@ -164,6 +164,28 @@ TEST(VmDifferentialTest, ArrayValuesThroughCallsAndRepeatsAgreeAcrossTiers) {
     }
 }
 
+TEST(VmDifferentialTest, IndirectCallsWithArgumentsAgreeAcrossTiers) {
+    // The callee of `(f)(a(), b())` and `fs[i()](x())` is evaluated before
+    // the arguments, left to right, on every tier; each operand prints.
+    struct Case {
+        const char* source;
+        std::vector<std::string> output;
+    };
+    const std::vector<Case> cases = {
+        {miri::agreement::kIndirectCallWithArgs,
+         {"1", "2", "3", "30", "0", "1", "2", "3", "30"}},
+        {miri::agreement::kFnTableCallWithArgs, {"0", "1", "3", "5"}},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.source);
+        const miri::agreement::TierRun run =
+            miri::agreement::expect_tiers_agree(c.source, {{}});
+        EXPECT_TRUE(run.reference.findings.empty());
+        ASSERT_EQ(run.reference.outputs.size(), 1u);
+        EXPECT_EQ(run.reference.outputs.front(), c.output);
+    }
+}
+
 TEST(VmDifferentialTest, ArrayRepeatPastTheCapIsOneFindingOnEveryTier) {
     // An array repeat is checked against what is left of the run's memory
     // cap before any element value is built, so `[0; 100000000]` is the

@@ -5,10 +5,13 @@
         [--pairs 5] [--seconds 10] [--workloads W ...] [--traced W ...]
 
 Run from the repository root. The change is the working tree; the parent
-is REV (default HEAD~1), exported with `git archive` into --scratch, or an
-existing checkout of it given with --parent-dir (a `git worktree` works).
-Each side builds `rbbench/` from its own sources into its own
-CARGO_TARGET_DIR under --scratch, so neither reuses the other's objects.
+is REV (default HEAD~1), exported with `git archive` into a fresh
+directory under --scratch, or an existing checkout of it given with
+--parent-dir (a `git worktree` works). Each side builds `rbbench/` from its
+own sources into a CARGO_TARGET_DIR under --scratch tied to that checkout,
+so neither reuses the other's objects, and a later run with the same
+--scratch builds its own export afresh. An export and its build are
+removed when the script ends.
 
 The pairs protocol:
   * Each side first runs once untimed per workload (build and warm-up);
@@ -35,8 +38,10 @@ report, not a gate: numbers from different machines do not compare.
 """
 
 import argparse
+import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,6 +68,14 @@ def export_parent(rev, scratch):
             tar.extractall(target)
     os.remove(archive)
     return target
+
+
+def target_dir_for(scratch, checkout):
+    """The CARGO_TARGET_DIR of `checkout`: one per checkout path, since a
+    CMake build directory only builds the sources it was configured with."""
+    digest = hashlib.sha1(os.path.abspath(checkout).encode()).hexdigest()
+    return os.path.join(scratch,
+                        f"target-{os.path.basename(checkout)}-{digest[:12]}")
 
 
 def run_bench(checkout, target_dir, workload, seed, seconds, trace):
@@ -154,10 +167,20 @@ def main():
     os.makedirs(scratch, exist_ok=True)
     parent_dir = (os.path.abspath(args.parent_dir) if args.parent_dir
                   else export_parent(args.parent, scratch))
-    sides = {
-        "parent": (parent_dir, os.path.join(scratch, "parent-target")),
-        "change": (change_dir, os.path.join(scratch, "change-target")),
-    }
+    sides = {side: (checkout, target_dir_for(scratch, checkout))
+             for side, checkout in (("parent", parent_dir),
+                                    ("change", change_dir))}
+    try:
+        return compare(args, sides, end_to_end)
+    finally:
+        if not args.parent_dir:
+            shutil.rmtree(parent_dir, ignore_errors=True)
+            shutil.rmtree(sides["parent"][1], ignore_errors=True)
+
+
+def compare(args, sides, end_to_end):
+    """Runs the pairs and traced runs, writes the report; the exit code."""
+    parent_dir, change_dir = sides["parent"][0], sides["change"][0]
     seeds = [args.seed_base + i for i in range(args.pairs)]
     failures = []
     report = {
