@@ -2,7 +2,7 @@
 // rbbench's per-layer replay does not time: printing, the interpreter-tier
 // ladder on synthetic loop-, call- and memory-heavy workloads, the Oracle
 // uncached and memoized, pruning, vectorization, KB query, rule
-// application. Parse, type check, lowering, bytecode compile and optimize,
+// application. Parse, type check, lowering, bytecode compile,
 // screening and corpus interpretation are rbbench's `lang.*`, `miri.*`,
 // `vm.*` and `screen.*` metrics (rbbench/METRICS.md). Not a paper figure —
 // performance guardrails for the toolchain the experiments run on.
@@ -18,7 +18,6 @@
 #include "llm/rules.hpp"
 #include "miri/interp.hpp"
 #include "verify/oracle.hpp"
-#include "vm/peephole.hpp"
 #include "vm/vm.hpp"
 
 namespace {
@@ -154,20 +153,16 @@ fn main() {
 )";
 }
 
-// The execution-tier ladder: each workload on the tree walk, the VM on
-// raw bytecode, and the VM on vm::optimize output, with the bytecode
-// compiled once up front (the Oracle's program cache amortizes it the
-// same way).
-enum class Rung { Tree, Vm, VmOpt };
+// The execution-tier ladder: each workload on the tree walk and on the VM,
+// with the bytecode compiled once up front (the Oracle's program cache
+// amortizes it the same way).
+enum class Rung { Tree, Vm };
 
 void BM_InterpRung(benchmark::State& state, const char* source, Rung rung) {
     auto program = lang::try_parse(source);
     lang::type_check(*program);
-    const bool wants_vm = rung == Rung::Vm || rung == Rung::VmOpt;
     const vm::VmProgram bytecode =
-        wants_vm ? vm::compile(*program) : vm::VmProgram{};
-    const vm::VmProgram optimized =
-        rung == Rung::VmOpt ? vm::optimize(bytecode) : vm::VmProgram{};
+        rung == Rung::Vm ? vm::compile(*program) : vm::VmProgram{};
     for (auto _ : state) {
         miri::RunResult result;
         switch (rung) {
@@ -181,11 +176,6 @@ void BM_InterpRung(benchmark::State& state, const char* source, Rung rung) {
                 result = machine.run();
                 break;
             }
-            case Rung::VmOpt: {
-                vm::Vm machine(*program, optimized, {});
-                result = machine.run();
-                break;
-            }
         }
         benchmark::DoNotOptimize(result);
     }
@@ -194,20 +184,14 @@ BENCHMARK_CAPTURE(BM_InterpRung, loop_heavy_tree, interp_ladder_source(),
                   Rung::Tree);
 BENCHMARK_CAPTURE(BM_InterpRung, loop_heavy_vm, interp_ladder_source(),
                   Rung::Vm);
-BENCHMARK_CAPTURE(BM_InterpRung, loop_heavy_vm_opt, interp_ladder_source(),
-                  Rung::VmOpt);
 BENCHMARK_CAPTURE(BM_InterpRung, call_heavy_tree, interp_call_ladder_source(),
                   Rung::Tree);
 BENCHMARK_CAPTURE(BM_InterpRung, call_heavy_vm, interp_call_ladder_source(),
                   Rung::Vm);
-BENCHMARK_CAPTURE(BM_InterpRung, call_heavy_vm_opt,
-                  interp_call_ladder_source(), Rung::VmOpt);
 BENCHMARK_CAPTURE(BM_InterpRung, memory_heavy_tree,
                   interp_memory_ladder_source(), Rung::Tree);
 BENCHMARK_CAPTURE(BM_InterpRung, memory_heavy_vm,
                   interp_memory_ladder_source(), Rung::Vm);
-BENCHMARK_CAPTURE(BM_InterpRung, memory_heavy_vm_opt,
-                  interp_memory_ladder_source(), Rung::VmOpt);
 
 void BM_OracleUncached(benchmark::State& state) {
     const auto* ub_case = corpus().find("uninit/partial_init_0");

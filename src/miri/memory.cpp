@@ -111,20 +111,6 @@ TagOrigin MemoryModel::origin_of(BorrowTag tag) const {
     return tag_origins_[tag - 1];
 }
 
-AllocId MemoryModel::allocate(std::uint64_t size, std::uint64_t align,
-                              AllocKind kind, std::string label,
-                              support::SourceSpan span) {
-    return allocate_common(size, align, kind, std::move(label), span,
-                           /*materialize=*/true);
-}
-
-AllocId MemoryModel::allocate_shadow(std::uint64_t size, std::uint64_t align,
-                                     AllocKind kind, std::string label,
-                                     support::SourceSpan span) {
-    return allocate_common(size, align, kind, std::move(label), span,
-                           /*materialize=*/false);
-}
-
 std::uint64_t MemoryModel::reserve(std::uint64_t size, std::uint64_t align,
                                    support::SourceSpan span) {
     if (align == 0 || (align & (align - 1)) != 0) {
@@ -166,10 +152,9 @@ bool MemoryModel::fits_in_cap(std::uint64_t count, std::uint64_t element_size,
     return false;
 }
 
-AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
-                                     AllocKind kind, std::string label,
-                                     support::SourceSpan span,
-                                     bool materialize) {
+AllocId MemoryModel::allocate(std::uint64_t size, std::uint64_t align,
+                              AllocKind kind, std::string label,
+                              support::SourceSpan span) {
     const std::uint64_t base = reserve(size, align, span);
     if (base == 0) return kNoAlloc;
     const std::uint64_t alloc_size = std::max<std::uint64_t>(size, 1);
@@ -183,13 +168,11 @@ AllocId MemoryModel::allocate_common(std::uint64_t size, std::uint64_t align,
     alloc.label = std::move(label);
     alloc.base_tag = fresh_tag(TagOrigin::Base);
     alloc.uninit_count = alloc_size;
-    if (materialize) {
-        alloc.bytes.assign(alloc_size, 0);
-        alloc.init.assign(alloc_size, 0);
-        alloc.borrows.resize(alloc_size);
-        for (auto& stack : alloc.borrows) {
-            stack.push_back({alloc.base_tag, Permission::Unique});
-        }
+    alloc.bytes.assign(alloc_size, 0);
+    alloc.init.assign(alloc_size, 0);
+    alloc.borrows.resize(alloc_size);
+    for (auto& stack : alloc.borrows) {
+        stack.push_back({alloc.base_tag, Permission::Unique});
     }
     allocs_.push_back(std::move(alloc));
     return allocs_.back().id;
@@ -240,18 +223,32 @@ void MemoryModel::deallocate(const Pointer& p, std::uint64_t size,
            span);
         return;
     }
+    die(alloc);
+}
+
+void MemoryModel::die(Allocation& alloc) {
+    if (!alloc.live) return;
     alloc.live = false;
+    bytes_allocated_ -= alloc.size;
+    // Swapping with empty containers frees their storage; clear() keeps it.
+    std::vector<std::uint8_t>().swap(alloc.bytes);
+    std::vector<std::uint8_t>().swap(alloc.init);
+    std::vector<BorrowStack>().swap(alloc.borrows);
+    std::vector<AccessEpoch>().swap(alloc.last_write);
+    std::vector<std::vector<AccessEpoch>>().swap(alloc.reads);
+    std::map<std::uint64_t, Pointer>().swap(alloc.ptr_prov);
+    std::map<std::uint64_t, FnPtrVal>().swap(alloc.fn_prov);
 }
 
 void MemoryModel::kill(AllocId id) {
-    if (id != kNoAlloc) get(id).live = false;
+    if (id != kNoAlloc) die(get(id));
 }
 
 void MemoryModel::kill_for_tail_call(AllocId id) {
     if (id == kNoAlloc) return;
     Allocation& alloc = get(id);
-    alloc.live = false;
     alloc.tail_call_killed = true;
+    die(alloc);
 }
 
 // ---------------------------------------------------------------------------

@@ -197,14 +197,14 @@ struct AccessCtx {
     support::SourceSpan span;
 };
 
-/// The most bytes one run may allocate, counted cumulatively: stack,
-/// static and heap allocations alike, dead ones included (they keep their
-/// per-byte state for diagnostics). Passing it is an Alloc finding on every
-/// tier, so no single request can exhaust the host's memory; an array
-/// repeat is checked against what is left before its value is built
-/// (fits_in_cap). The largest total any standard-corpus, forged-corpus or
-/// test program reaches is 1,200,008 bytes (150,000 `become` frames of one
-/// i64); this is 4.4x that.
+/// The most bytes one run may hold live at once: stack, static and heap
+/// allocations alike. A dead allocation gives its bytes back, along with
+/// its per-byte state. Passing the cap is an Alloc finding on every tier,
+/// so no single request can exhaust the host's memory; an array repeat is
+/// checked against what is left before its value is built (fits_in_cap).
+/// Counted cumulatively, the largest total any standard-corpus,
+/// forged-corpus or test program reaches is 1,200,008 bytes (150,000
+/// `become` frames of one i64); this is 4.4x that.
 inline constexpr std::uint64_t kMaxBytesPerRun = std::uint64_t{5} << 20;
 
 class MemoryModel {
@@ -219,17 +219,6 @@ class MemoryModel {
     /// base_pointer maps to the null pointer and kill ignores.
     AllocId allocate(std::uint64_t size, std::uint64_t align, AllocKind kind,
                      std::string label, support::SourceSpan span);
-    /// allocate() minus the per-byte state (bytes / init / borrow stacks).
-    /// For register-promoted locals (vm::optimize): the allocation must go
-    /// through the identical bookkeeping — same layout UB checks, same
-    /// address-space bump, same AllocId / base-tag / bytes_allocated streams,
-    /// all observable through ptr-to-int casts and later allocations — but is
-    /// guaranteed never to be loaded/stored through, so materializing its
-    /// contents would be pure waste. kill() and check_leaks() treat it like
-    /// any other stack allocation.
-    AllocId allocate_shadow(std::uint64_t size, std::uint64_t align,
-                            AllocKind kind, std::string label,
-                            support::SourceSpan span);
     /// The bookkeeping every allocation starts with, without making one:
     /// validates the alignment, bumps the address space and charges
     /// kMaxBytesPerRun, raising Alloc UB where allocate() would. Returns
@@ -243,13 +232,18 @@ class MemoryModel {
     /// the array does.
     bool fits_in_cap(std::uint64_t count, std::uint64_t element_size,
                      support::SourceSpan span);
-    /// Heap deallocation with full layout validation.
+    /// Heap deallocation with full layout validation; a freed allocation
+    /// dies as kill() leaves it.
     void deallocate(const Pointer& p, std::uint64_t size, std::uint64_t align,
                     support::SourceSpan span);
-    /// Stack scope exit / program teardown: mark dead, keep for diagnostics.
-    /// kNoAlloc (a refused allocation) is ignored.
+    /// Stack scope exit / program teardown: mark dead, release the per-byte
+    /// state and take the size off the run's cap charge. The dead record
+    /// keeps what the use-after-free, double-free, tail-call and leak
+    /// diagnostics read (id, kind, base, size, align, liveness, base tag,
+    /// label). kNoAlloc (a refused allocation) is ignored, and an
+    /// allocation already dead is left as it is.
     void kill(AllocId id);
-    /// Frame popped by a `become` tail call: dead, and later accesses are
+    /// Frame popped by a `become` tail call: kill(), and later accesses are
     /// classified as TailCall UB.
     void kill_for_tail_call(AllocId id);
 
@@ -298,6 +292,7 @@ class MemoryModel {
     /// Leak check: any live heap allocation is an Alloc finding.
     [[nodiscard]] std::optional<Finding> check_leaks() const;
 
+    /// Bytes held by live allocations: what the run cap charges.
     [[nodiscard]] std::uint64_t bytes_allocated() const { return bytes_allocated_; }
 
     /// Approximate heap bytes held: what copying this model costs.
@@ -351,9 +346,8 @@ class MemoryModel {
     [[noreturn]] static void throw_bad_alloc_id();
     [[nodiscard]] static Pointer refused_base_pointer(AllocId id);
 
-    AllocId allocate_common(std::uint64_t size, std::uint64_t align,
-                            AllocKind kind, std::string label,
-                            support::SourceSpan span, bool materialize);
+    /// The live-to-dead transition shared by kill() and deallocate().
+    void die(Allocation& alloc);
 
     BorrowTag fresh_tag(TagOrigin origin);
     [[nodiscard]] TagOrigin origin_of(BorrowTag tag) const;

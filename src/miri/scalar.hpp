@@ -1,11 +1,11 @@
 // MiriLite's scalar kernel: the one copy of the arithmetic, negation, bitwise
 // not, integer cast and array-bounds rules, with Rust's panic messages.
 //
-// The tree walk, the VM (plain and fused opcodes) and the static screener
-// all evaluate scalars here, so the tiers cannot drift apart on a value or
-// a message; tests/miri_scalar_test.cpp checks the kernel against an
-// independent __int128 reference. Every function is inline: the tree walk
-// and the VM's fused opcodes call them on their hottest paths. A panic is
+// The tree walk (which the static screener runs) and the VM both evaluate
+// scalars here, so the tiers cannot drift apart on a value or a message;
+// tests/miri_scalar_test.cpp checks the kernel against an independent
+// __int128 reference. Every function is inline: the tree walk and the VM's
+// arithmetic opcodes call them on their hottest paths. A panic is
 // raised on the run's FaultRecord and the function returns a neutral value
 // (DESIGN.md §19); the tier stops at its next fault check.
 //

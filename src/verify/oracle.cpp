@@ -7,7 +7,6 @@
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 #include "support/hashing.hpp"
-#include "vm/peephole.hpp"
 #include "vm/vm.hpp"
 
 namespace rustbrain::verify {
@@ -24,12 +23,11 @@ const char* to_string(InterpTier tier) {
     return "vm";
 }
 
-const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
+const vm::VmProgram& CompiledProgram::bytecode() const {
     std::call_once(vm_once_, [this] {
-        opt_code_ = std::make_unique<const vm::VmProgram>(
-            vm::optimize(vm::compile(program)));
+        code_ = std::make_unique<const vm::VmProgram>(vm::compile(program));
     });
-    return *opt_code_;
+    return *code_;
 }
 
 const analysis::AstProbe& CompiledProgram::kb_probe() const {
@@ -267,9 +265,9 @@ miri::MiriReport Oracle::interpret(
         if (result.steps > probe.max_steps &&
             probe.max_steps < limits_.max_steps) {
             // Past the cap: restart from the beginning on the VM.
-            result = vm::Vm(compiled.program, compiled.optimized_bytecode(),
-                            inputs, limits_)
-                         .run();
+            result =
+                vm::Vm(compiled.program, compiled.bytecode(), inputs, limits_)
+                    .run();
         }
         report.total_steps += result.steps;
         report.outputs.push_back(std::move(result.output));

@@ -66,7 +66,7 @@ namespace rustbrain::verify {
 ///          builds bytecode;
 ///   Vm   — the tree walk capped at kVmAfterSteps; a run that passes the
 ///          cap starts again from the beginning on the bytecode VM running
-///          vm::optimize output, under the real limits (DESIGN.md §12).
+///          vm::compile output, under the real limits (DESIGN.md §12).
 enum class InterpTier { Tree, Vm };
 
 /// "tree" / "vm".
@@ -99,12 +99,11 @@ struct CompiledProgram {
 
     [[nodiscard]] bool ok() const { return front_end == FrontEnd::Ok; }
 
-    /// vm::optimize(vm::compile(program)) — what a restarted run
-    /// executes — built lazily (thread-safe, exactly once) on first use, so
-    /// only sources with a run past kVmAfterSteps pay for it, and the
-    /// program cache amortizes it across every later restart of this
-    /// source. Only valid when ok().
-    [[nodiscard]] const vm::VmProgram& optimized_bytecode() const;
+    /// vm::compile(program) — what a restarted run executes — built lazily
+    /// (thread-safe, exactly once) on first use, so only sources with a
+    /// run past kVmAfterSteps pay for it, and the program cache amortizes
+    /// it across every later restart of this source. Only valid when ok().
+    [[nodiscard]] const vm::VmProgram& bytecode() const;
 
     /// analysis::probe_ast(program) — what a knowledge-base consult of this
     /// source reads — built lazily (thread-safe, exactly once) on first
@@ -116,9 +115,8 @@ struct CompiledProgram {
 
   private:
     mutable std::once_flag vm_once_;
-    /// Null until the first restart; the raw compile output is dropped once
-    /// optimized (the optimized program borrows only from `program`).
-    mutable std::unique_ptr<const vm::VmProgram> opt_code_;
+    /// Null until the first restart; borrows from `program`.
+    mutable std::unique_ptr<const vm::VmProgram> code_;
     mutable std::once_flag probe_once_;
     /// Null until the first consult, so the many never-consulted candidates
     /// carry a pointer rather than a whole vector.

@@ -24,13 +24,8 @@
 // "absent" entry ({} span / null pointer), so zero-initialized fields keep
 // their old meaning.
 //
-// vm::optimize() (src/vm/peephole.cpp) derives a second, optimized program
-// from a compiled one: superinstruction fusion (with the constituent Step
-// bookkeeping folded in so step counts stay exact) and register promotion of
-// provably unaliased scalar locals. Both programs borrow only from the
-// Program they were compiled from, never from each other, so the source
-// VmProgram may be dropped once optimized. DESIGN.md §11 documents the
-// legality argument.
+// There is one bytecode form: the VM runs vm::compile output as it stands
+// (DESIGN.md §11).
 #pragma once
 
 #include <atomic>
@@ -96,37 +91,9 @@ enum class Op : std::uint8_t {
     CallPtr,      // b = nargs; callee value sits below the args
     TailCall,     // b = nargs; become — frame reused in place
     Intrinsic,    // a = lang::IntrinsicId, b = nargs; miri::IntrinsicFacts
-                  //   in imm = pointee size, small = int width, ex = signed
+                  //   in imm = pointee size, small = int width, flag = signed
     Ret,          // pop frame; result stays on the value stack
     Halt,         // end of a static-initializer chunk
-
-    // Superinstructions (emitted only by vm::optimize) -------------------
-    // Each is the *exact* expansion of the listed window: the handler
-    // replays the constituent step() calls (at the original spans, in the
-    // original interleaving with memory accesses), so step counts and any
-    // mid-window panic/UB snapshot stay byte-identical.
-    BinaryLocals,   // [Step, LoadLocal lhs, LoadLocal rhs, Binary]
-                    //   small = binop, a/b = lhs/rhs slot, imm = fused index
-    BinaryLocalImm, // [Step, LoadLocal lhs, PushInt, Binary]
-                    //   small = binop, a = lhs slot, b = fused index,
-                    //   imm = pre-truncated literal
-    StoreLocal,     // [PlaceLocal, StorePlace] — a = slot, no steps
-    CompareBranch,  // [Binary(cmp), JumpIfFalse] — small = binop, a = target
-
-    // Second-stage superinstructions: fuse across first-stage output.
-    // Nested expressions emit their entry Steps back to back (a chain of k
-    // binary nodes puts k Steps in a row before the first operand), and
-    // left-leaning accumulation chains leave [BinaryLocalImm, Binary]
-    // pairs. Same exact-replay contract as above.
-    StepN,          // a consecutive Steps — a = count, b = step_runs offset
-    BinaryAccImm,   // [BinaryLocalImm, Binary]: pop stack lhs, combine with
-                    //   (local `small` imm) via fused[b]'s outer operator
-    BinaryStackImm, // [PushInt, Binary]: pop lhs, eval with literal imm —
-                    //   small = binop, a = span index of the PushInt's step
-    LocalsBranch,   // [BinaryLocals(cmp), JumpIfFalse] — loop heads; target
-                    //   in fused[imm].branch_target (no inline field free)
-    LocalImmBranch, // [BinaryLocalImm(cmp), JumpIfFalse] — target in
-                    //   fused[b].branch_target
 };
 
 /// One fixed-width instruction, packed to 32 bytes (a 56-byte layout with
@@ -136,7 +103,7 @@ enum class Op : std::uint8_t {
 struct Instr {
     Op op = Op::Step;
     std::uint8_t small = 0;   // narrow operand (old `c`): sizes ≤ 8, flags
-    std::uint16_t ex = 0;     // register promotion: reg index + 1, 0 = none
+    std::uint8_t flag = 0;    // second narrow operand: Intrinsic's signedness
     std::int32_t a = 0;
     std::int32_t b = 0;
     std::uint32_t span = 0;   // index into VmProgram::spans
@@ -146,33 +113,9 @@ struct Instr {
 };
 static_assert(sizeof(Instr) == 32, "Instr must stay one half cache line");
 
-/// Cold per-superinstruction operands: the constituent spans (step replay +
-/// access contexts) and names (dead-slot diagnostics), plus the promoted
-/// register of each fused load (-1 = the slot stays memory-resident).
-struct FusedDetail {
-    std::uint32_t step_span = 0;  // leading Step's span
-    std::uint32_t lhs_span = 0;   // lhs LoadLocal's span
-    std::uint32_t rhs_span = 0;   // rhs LoadLocal's / PushInt's span
-    std::uint32_t lhs_name = 0;   // aux index of the lhs slot's name
-    std::uint32_t rhs_name = 0;   // aux index of the rhs slot's name
-    std::int32_t lhs_reg = -1;
-    std::int32_t rhs_reg = -1;
-    /// BinaryAccImm only: the folded outer Binary (operator, result type,
-    /// operand Type*, span) applied to [stack top, inner result].
-    std::uint8_t outer_op = 0;
-    std::uint32_t outer_span = 0;
-    std::uint32_t outer_type = 0;
-    std::uint32_t outer_aux = 0;
-    /// LocalsBranch / LocalImmBranch only: the folded JumpIfFalse's target.
-    std::int32_t branch_target = -1;
-};
-
 struct VmFunction {
     std::int32_t entry = 0;
     std::uint32_t slot_count = 0;
-    /// Registers this frame needs for promoted locals (vm::optimize only;
-    /// 0 straight out of vm::compile).
-    std::uint32_t reg_count = 0;
     support::SourceSpan span;  // depth-check / param-declaration span
 };
 
@@ -191,11 +134,6 @@ struct VmProgram {
     std::vector<support::SourceSpan> spans{support::SourceSpan{}};
     std::vector<lang::Type> types{lang::Type()};
     std::vector<const void*> auxes{nullptr};
-    /// Cold operands of superinstructions (vm::optimize only).
-    std::vector<FusedDetail> fused;
-    /// Span indices replayed by StepN, one contiguous run per instruction
-    /// (a = count, b = offset into this vector).
-    std::vector<std::uint32_t> step_runs;
 };
 
 /// Flatten a program that passed lang::type_check into bytecode.
@@ -204,12 +142,11 @@ struct VmProgram {
 [[nodiscard]] VmProgram compile(const lang::Program& program,
                                 const miri::LoweredProgram& lowering);
 
-/// Process-wide counters proving compilation laziness (the tree tier, and
+/// Process-wide counter proving compilation laziness (the tree tier, and
 /// the vm tier's runs that stay under verify::kVmAfterSteps, must never pay
-/// for bytecode) and pass coverage. Monotonic; tests diff before/after.
+/// for bytecode). Monotonic; tests diff before/after.
 struct CompileStats {
     static std::atomic<std::uint64_t> bytecode_compiles;
-    static std::atomic<std::uint64_t> optimize_passes;
 };
 
 }  // namespace rustbrain::vm

@@ -17,7 +17,6 @@
 namespace rustbrain::vm {
 
 std::atomic<std::uint64_t> CompileStats::bytecode_compiles{0};
-std::atomic<std::uint64_t> CompileStats::optimize_passes{0};
 
 namespace {
 
@@ -511,7 +510,7 @@ class Compiler {
                 in.a = static_cast<std::int32_t>(id);
                 in.b = static_cast<std::int32_t>(node.args.size());
                 in.small = facts.int_width;
-                in.ex = facts.is_signed ? 1 : 0;
+                in.flag = facts.is_signed ? 1 : 0;
                 in.imm = facts.pointee_size;
                 return;
             }

@@ -13,14 +13,6 @@
 // it works on the value stack in place, by reference or through
 // temporaries that die with their full expression.
 //
-// Superinstruction handlers (BinaryLocals, BinaryLocalImm, StoreLocal,
-// CompareBranch) execute the *exact* expansion of their fused window —
-// the same step() calls at the same spans interleaved with the same memory
-// accesses — so a panic or UB raised mid-window records the same step
-// snapshot as the unfused program. Register-promoted locals (Instr::ex /
-// FusedDetail::*_reg) skip the MemoryModel round trip; their declarations
-// still shadow-allocate so address/id/tag streams stay identical.
-//
 // A fault is recorded, not thrown (DESIGN.md §19): dispatch returns as
 // soon as it sees one at a statement's Step, a backward Jump, a call or an
 // intrinsic (a join runs a thread body in a nested dispatch), and every
@@ -48,14 +40,6 @@ using miri::Value;
 namespace {
 /// The missing-argument value DeclParam reads by reference.
 const Value kUnit;
-
-/// Store+load round trip for a promoted integer slot, collapsed: store
-/// truncates to the type's width (little-endian), load zero-extends — the
-/// composition is truncate_to_type on the raw bits. (Only integer slots are
-/// promoted; bool loads add a validity check, so bools stay in memory.)
-Value reg_normalize(const Value& value, const Type& type) {
-    return Value::scalar(miri::truncate_to_type(value.bits(), type));
-}
 }  // namespace
 
 Vm::Vm(const lang::Program& program, const VmProgram& code,
@@ -122,7 +106,7 @@ void Vm::watch_later(std::size_t bytes) {
 
 std::size_t Vm::state_bytes() const {
     return m_.mem.footprint_bytes() +
-           (stack_.size() + regs_.size()) * sizeof(Value) +
+           stack_.size() * sizeof(Value) +
            slots_.size() * sizeof(LocalState) + frames_.size() * sizeof(Frame) +
            static_allocs_.size() * sizeof(AllocId) +
            m_.threads.size() * sizeof(miri::ThreadState) +
@@ -177,28 +161,10 @@ bool Vm::enter_function(std::int32_t fn_index, std::uint32_t nargs,
     frame.args_base = static_cast<std::uint32_t>(stack_.size() - nargs);
     frame.nargs = nargs;
     frame.slot_base = static_cast<std::uint32_t>(slots_.size());
-    frame.reg_base = static_cast<std::uint32_t>(regs_.size());
     frames_.push_back(frame);
     slots_.resize(slots_.size() + fn.slot_count);
-    regs_.resize(regs_.size() + fn.reg_count);
     pc_ = fn.entry;
     return true;
-}
-
-miri::Value Vm::load_slot(std::int32_t slot_index, std::int32_t reg,
-                          std::uint32_t name_idx, support::SourceSpan span) {
-    const Frame& frame = frames_.back();
-    const LocalState& slot =
-        slots_[frame.slot_base + static_cast<std::uint32_t>(slot_index)];
-    if (slot.alloc == kNoAlloc) {
-        throw std::logic_error("eval_place: unresolved name '" +
-                               name_at(name_idx) + "'");
-    }
-    if (reg >= 0) {
-        return regs_[frame.reg_base + static_cast<std::uint32_t>(reg)];
-    }
-    return m_.mem.load(m_.mem.base_pointer(slot.alloc), *slot.type,
-                       m_.access_ctx(span));
 }
 
 // ---------------------------------------------------------------------------
@@ -238,14 +204,10 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         &&lbl_NotBits,     &&lbl_Binary,       &&lbl_Cast,
         &&lbl_MakeArray,   &&lbl_MakeRepeat,   &&lbl_CallDirect,
         &&lbl_CallLocalPtr,&&lbl_CallPtr,      &&lbl_TailCall,
-        &&lbl_Intrinsic,   &&lbl_Ret,
-        &&lbl_Halt,        &&lbl_BinaryLocals, &&lbl_BinaryLocalImm,
-        &&lbl_StoreLocal,  &&lbl_CompareBranch,&&lbl_StepN,
-        &&lbl_BinaryAccImm,&&lbl_BinaryStackImm,&&lbl_LocalsBranch,
-        &&lbl_LocalImmBranch,
+        &&lbl_Intrinsic,   &&lbl_Ret,          &&lbl_Halt,
     };
     static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                      static_cast<std::size_t>(Op::LocalImmBranch) + 1,
+                      static_cast<std::size_t>(Op::Halt) + 1,
                   "label table must cover every Op");
     VM_NEXT();
 
@@ -338,8 +300,14 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         VM_FETCH;
         const support::SourceSpan& span = span_of(in);
         m_.step(span);
-        stack_.push_back(load_slot(in.a, static_cast<std::int32_t>(in.ex) - 1,
-                                   in.aux, span));
+        const LocalState& slot =
+            slots_[frames_.back().slot_base + static_cast<std::uint32_t>(in.a)];
+        if (slot.alloc == kNoAlloc) {
+            throw std::logic_error("eval_place: unresolved name '" +
+                                   name_of(in) + "'");
+        }
+        stack_.push_back(m_.mem.load(m_.mem.base_pointer(slot.alloc),
+                                     *slot.type, m_.access_ctx(span)));
         ++pc;
         VM_NEXT();
     }
@@ -433,31 +401,16 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         VM_FETCH;
         const Type& type = type_of(in);
         const support::SourceSpan& span = span_of(in);
-        if (in.ex == 0) {
-            const AllocId alloc =
-                m_.mem.allocate(type.size_bytes(), type.align_bytes(),
-                              AllocKind::Stack, name_of(in), span);
-            // A refused allocation has faulted the run.
-            if (alloc == kNoAlloc) return Value::unit();
-            m_.mem.store(m_.mem.base_pointer(alloc), type, stack_.back(),
-                         m_.access_ctx(span));
-            stack_.pop_back();
-            slots_[frames_.back().slot_base +
-                   static_cast<std::uint32_t>(in.a)] = {alloc, &type};
-        } else {
-            // Register-promoted local: identical allocation bookkeeping
-            // (the address/id/tag streams are observable), value kept in
-            // the frame's register window instead of memory.
-            const AllocId alloc =
-                m_.mem.allocate_shadow(type.size_bytes(), type.align_bytes(),
-                                     AllocKind::Stack, name_of(in), span);
-            if (alloc == kNoAlloc) return Value::unit();
-            regs_[frames_.back().reg_base + (in.ex - 1u)] =
-                reg_normalize(stack_.back(), type);
-            stack_.pop_back();
-            slots_[frames_.back().slot_base +
-                   static_cast<std::uint32_t>(in.a)] = {alloc, &type};
-        }
+        const AllocId alloc =
+            m_.mem.allocate(type.size_bytes(), type.align_bytes(),
+                            AllocKind::Stack, name_of(in), span);
+        // A refused allocation has faulted the run.
+        if (alloc == kNoAlloc) return Value::unit();
+        m_.mem.store(m_.mem.base_pointer(alloc), type, stack_.back(),
+                     m_.access_ctx(span));
+        stack_.pop_back();
+        slots_[frames_.back().slot_base + static_cast<std::uint32_t>(in.a)] = {
+            alloc, &type};
         ++pc;
         VM_NEXT();
     }
@@ -470,24 +423,14 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
             static_cast<std::uint32_t>(in.b) < frame.nargs
                 ? stack_[frame.args_base + static_cast<std::uint32_t>(in.b)]
                 : kUnit;
-        if (in.ex == 0) {
-            const AllocId alloc =
-                m_.mem.allocate(type.size_bytes(), type.align_bytes(),
-                              AllocKind::Stack, name_of(in), span);
-            if (alloc == kNoAlloc) return Value::unit();
-            m_.mem.store(m_.mem.base_pointer(alloc), type, value,
-                         m_.access_ctx(span));
-            slots_[frame.slot_base + static_cast<std::uint32_t>(in.a)] = {
-                alloc, &type};
-        } else {
-            const AllocId alloc =
-                m_.mem.allocate_shadow(type.size_bytes(), type.align_bytes(),
-                                     AllocKind::Stack, name_of(in), span);
-            if (alloc == kNoAlloc) return Value::unit();
-            regs_[frame.reg_base + (in.ex - 1u)] = reg_normalize(value, type);
-            slots_[frame.slot_base + static_cast<std::uint32_t>(in.a)] = {
-                alloc, &type};
-        }
+        const AllocId alloc =
+            m_.mem.allocate(type.size_bytes(), type.align_bytes(),
+                            AllocKind::Stack, name_of(in), span);
+        if (alloc == kNoAlloc) return Value::unit();
+        m_.mem.store(m_.mem.base_pointer(alloc), type, value,
+                     m_.access_ctx(span));
+        slots_[frame.slot_base + static_cast<std::uint32_t>(in.a)] = {alloc,
+                                                                      &type};
         ++pc;
         VM_NEXT();
     }
@@ -628,14 +571,12 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
                               span_of(in), /*is_become=*/true);
         VM_STOP_IF_FAULTED();
         stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(callee_at));
-        // Reuse the frame in place: resize the slot and register windows
-        // for the target, keep ret_pc, leave the call depth untouched.
+        // Reuse the frame in place: resize the slot window for the target,
+        // keep ret_pc, leave the call depth untouched.
         Frame& frame = frames_.back();
         const VmFunction& fn = code_.functions[static_cast<std::size_t>(target)];
         slots_.resize(frame.slot_base);
         slots_.resize(frame.slot_base + fn.slot_count);
-        regs_.resize(frame.reg_base);
-        regs_.resize(frame.reg_base + fn.reg_count);
         frame.fn = target;
         frame.nargs = static_cast<std::uint32_t>(in.b);
         frame.args_base =
@@ -657,7 +598,6 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         const Frame frame = frames_.back();
         frames_.pop_back();
         slots_.resize(frame.slot_base);
-        regs_.resize(frame.reg_base);
         --m_.call_depth;
         if (frames_.size() == frame_floor) {
             Value result = std::move(stack_.back());
@@ -671,146 +611,6 @@ miri::Value Vm::dispatch(std::size_t frame_floor) {
         Value result = std::move(stack_.back());
         stack_.pop_back();
         return result;
-    }
-
-    // -- superinstructions (vm::optimize) -------------------------------
-
-    VM_CASE(BinaryLocals): {
-        VM_FETCH;
-        const FusedDetail& d = code_.fused[static_cast<std::size_t>(in.imm)];
-        step2(code_.spans[d.step_span], code_.spans[d.lhs_span]);
-        const Value lhs =
-            load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
-        m_.step(code_.spans[d.rhs_span]);
-        const Value rhs =
-            load_slot(in.b, d.rhs_reg, d.rhs_name, code_.spans[d.rhs_span]);
-        stack_.push_back(miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
-                                     type_of(in), operand_type_of(in),
-                                     span_of(in), lhs, rhs));
-        ++pc;
-        VM_NEXT();
-    }
-    VM_CASE(BinaryLocalImm): {
-        VM_FETCH;
-        const FusedDetail& d = code_.fused[static_cast<std::size_t>(in.b)];
-        step2(code_.spans[d.step_span], code_.spans[d.lhs_span]);
-        const Value lhs =
-            load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
-        m_.step(code_.spans[d.rhs_span]);  // the folded PushInt's step
-        stack_.push_back(miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
-                                     type_of(in), operand_type_of(in),
-                                     span_of(in), lhs, Value::scalar(in.imm)));
-        ++pc;
-        VM_NEXT();
-    }
-    VM_CASE(StoreLocal): {
-        VM_FETCH;
-        const Frame& frame = frames_.back();
-        const LocalState& slot =
-            slots_[frame.slot_base + static_cast<std::uint32_t>(in.a)];
-        if (slot.alloc == kNoAlloc) {
-            throw std::logic_error("eval_place: unresolved name '" +
-                                   name_of(in) + "'");
-        }
-        if (in.ex != 0) {
-            regs_[frame.reg_base + (in.ex - 1u)] =
-                reg_normalize(stack_.back(), type_of(in));
-        } else {
-            m_.mem.store(m_.mem.base_pointer(slot.alloc), type_of(in),
-                         stack_.back(), m_.access_ctx(span_of(in)));
-        }
-        stack_.pop_back();
-        ++pc;
-        VM_NEXT();
-    }
-    VM_CASE(CompareBranch): {
-        VM_FETCH;
-        const Value rhs = std::move(stack_.back());
-        stack_.pop_back();
-        const Value lhs = std::move(stack_.back());
-        stack_.pop_back();
-        const Value cond = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
-                                       type_of(in), operand_type_of(in),
-                                       span_of(in), lhs, rhs);
-        pc = cond.as_bool() ? pc + 1 : in.a;
-        VM_NEXT();
-    }
-    VM_CASE(StepN): {
-        VM_FETCH;
-        const std::uint64_t n = static_cast<std::uint64_t>(in.a);
-        if (m_.steps + n <= m_.limits.max_steps) {
-            // Bulk fast path: nothing between consecutive Steps can throw,
-            // so only the final count is observable.
-            m_.steps += n;
-        } else {
-            // Near the limit: replay one by one so the panic reports the
-            // exact step's span the unfused program would.
-            for (std::uint64_t i = 0; i < n; ++i) {
-                m_.step(code_.spans[code_.step_runs[
-                    static_cast<std::size_t>(in.b) + i]]);
-            }
-        }
-        VM_STOP_IF_FAULTED();
-        ++pc;
-        VM_NEXT();
-    }
-    VM_CASE(BinaryAccImm): {
-        VM_FETCH;
-        const FusedDetail& d = code_.fused[static_cast<std::size_t>(in.b)];
-        step2(code_.spans[d.step_span], code_.spans[d.lhs_span]);
-        const Value local =
-            load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
-        m_.step(code_.spans[d.rhs_span]);  // the folded PushInt's step
-        const Value inner = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
-                                        type_of(in), operand_type_of(in),
-                                        span_of(in), local,
-                                        Value::scalar(in.imm));
-        Value& top = stack_.back();  // outer lhs, combined in place
-        top = miri::binary_op(
-            m_.faults, static_cast<lang::BinaryOp>(d.outer_op),
-            code_.types[d.outer_type],
-            *static_cast<const lang::Type*>(code_.auxes[d.outer_aux]),
-            code_.spans[d.outer_span], top, inner);
-        ++pc;
-        VM_NEXT();
-    }
-    VM_CASE(BinaryStackImm): {
-        VM_FETCH;
-        m_.step(code_.spans[static_cast<std::uint32_t>(in.a)]);  // PushInt's step
-        Value& top = stack_.back();  // lhs, combined in place
-        top = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small), type_of(in),
-                          operand_type_of(in), span_of(in), top,
-                          Value::scalar(in.imm));
-        ++pc;
-        VM_NEXT();
-    }
-    VM_CASE(LocalsBranch): {
-        VM_FETCH;
-        const FusedDetail& d = code_.fused[static_cast<std::size_t>(in.imm)];
-        step2(code_.spans[d.step_span], code_.spans[d.lhs_span]);
-        const Value lhs =
-            load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
-        m_.step(code_.spans[d.rhs_span]);
-        const Value rhs =
-            load_slot(in.b, d.rhs_reg, d.rhs_name, code_.spans[d.rhs_span]);
-        const Value cond = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
-                                       type_of(in), operand_type_of(in),
-                                       span_of(in), lhs, rhs);
-        pc = cond.as_bool() ? pc + 1 : d.branch_target;
-        VM_NEXT();
-    }
-    VM_CASE(LocalImmBranch): {
-        VM_FETCH;
-        const FusedDetail& d = code_.fused[static_cast<std::size_t>(in.b)];
-        step2(code_.spans[d.step_span], code_.spans[d.lhs_span]);
-        const Value lhs =
-            load_slot(in.a, d.lhs_reg, d.lhs_name, code_.spans[d.lhs_span]);
-        m_.step(code_.spans[d.rhs_span]);  // the folded PushInt's step
-        const Value cond = miri::binary_op(m_.faults, static_cast<lang::BinaryOp>(in.small),
-                                       type_of(in), operand_type_of(in),
-                                       span_of(in), lhs, Value::scalar(in.imm));
-        pc = cond.as_bool() ? pc + 1 : d.branch_target;
-        VM_NEXT();
     }
 
     throw std::logic_error("vm dispatch: fell out of the opcode table");
@@ -859,7 +659,7 @@ void Vm::do_intrinsic(const Instr& in) {
     std::vector<Value> args(stack_.end() - static_cast<std::ptrdiff_t>(nargs),
                             stack_.end());
     stack_.resize(stack_.size() - nargs);
-    const miri::IntrinsicFacts facts{in.imm, in.small, in.ex != 0};
+    const miri::IntrinsicFacts facts{in.imm, in.small, in.flag != 0};
     stack_.push_back(m_.intrinsic(
         static_cast<lang::IntrinsicId>(in.a), args, facts, span_of(in),
         [this](std::int32_t entry_fn, support::SourceSpan span) {

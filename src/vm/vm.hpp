@@ -8,20 +8,19 @@
 // chains use O(1) native stack and never grow the call depth, exactly like
 // the tree walk's trampoline.
 //
-// The same Vm runs both plain programs (straight from vm::compile) and
-// optimized ones (vm::optimize): superinstructions and register-promoted
-// locals are just additional opcodes / a per-frame register window that
-// plain programs never use. Dispatch is computed-goto (labels as values).
+// The VM runs vm::compile output as it stands: there is one bytecode form,
+// and every local lives in MiriLite's memory model, as on the tree walk.
+// Dispatch is computed-goto (labels as values).
 //
-// The VM owns only its dispatch loop, frames, value stack and registers, and
-// the fixed-point snapshot below. Memory, threads, step accounting,
+// The VM owns only its dispatch loop, frames and value stack, and the
+// fixed-point snapshot below. Memory, threads, step accounting,
 // arithmetic, casts, intrinsics and teardown are the machine core it shares
 // with miri::Interpreter (miri/machine.hpp, miri/scalar.hpp), and it calls
 // that core at the program points the tree walk does, so RunResults are
 // byte-identical — findings, messages, spans, outputs, and step counts. The
-// three-way equivalence (tree / vm / vm-optimized) of control flow and step
-// accounting is asserted corpus-wide by tests/miri_vm_test.cpp and the
-// differential stress tests.
+// equivalence of the two tiers' control flow and step accounting is
+// asserted corpus-wide by tests/miri_vm_test.cpp and the differential
+// stress tests.
 //
 // Loop fixed points are skipped (DESIGN.md §13). Past kWatchAfterSteps, a
 // `while` back edge snapshots the whole machine state; if the next arrival
@@ -76,23 +75,22 @@ class Vm {
         std::uint32_t args_base = 0;     // value-stack index of arg 0
         std::uint32_t nargs = 0;
         std::uint32_t slot_base = 0;     // window start in slots_
-        std::uint32_t reg_base = 0;      // window start in regs_
 
         friend bool operator==(const Frame& a, const Frame& b) {
             return a.fn == b.fn && a.ret_pc == b.ret_pc &&
                    a.args_base == b.args_base && a.nargs == b.nargs &&
-                   a.slot_base == b.slot_base && a.reg_base == b.reg_base;
+                   a.slot_base == b.slot_base;
         }
     };
 
     /// Everything a loop iteration can change except steps and output
     /// (which only grows, so its length stands in for it): the VM's own
-    /// stack, slots, registers, frames and statics, then the machine core's
+    /// stack, slots, frames and statics, then the machine core's
     /// live_state(). live_state() lists the members in this order; pc_ and
     /// the program are rewritten before being read or never written.
     using MachineState =
         std::tuple<std::vector<miri::Value>, std::vector<LocalState>,
-                   std::vector<miri::Value>, std::vector<Frame>,
+                   std::vector<Frame>,
                    std::vector<miri::AllocId>, miri::MemoryModel,
                    std::vector<miri::ThreadState>, miri::VectorClock,
                    std::vector<miri::MutexState>, miri::AtomicClocks, bool,
@@ -100,7 +98,7 @@ class Vm {
 
     [[nodiscard]] auto live_state() const {
         return std::tuple_cat(
-            std::tie(stack_, slots_, regs_, frames_, static_allocs_),
+            std::tie(stack_, slots_, frames_, static_allocs_),
             m_.live_state());
     }
 
@@ -124,11 +122,6 @@ class Vm {
     void do_intrinsic(const Instr& in);
     miri::Value eval_cast(const Instr& in, const miri::Value& operand);
 
-    /// Fused-load helper: dead-slot check, then register read or
-    /// MemoryModel load — the exact LoadLocal tail.
-    miri::Value load_slot(std::int32_t slot_index, std::int32_t reg,
-                          std::uint32_t name_idx, support::SourceSpan span);
-
     /// A backward Jump to `target` once the step count reached watch_at_: take,
     /// compare or drop the snapshot, and skip the fixed point on a match.
     [[gnu::cold]] [[gnu::noinline]] void back_edge(std::int32_t target,
@@ -137,20 +130,6 @@ class Vm {
     void watch_later(std::size_t bytes);
     /// Approximate heap bytes a snapshot of the machine would copy.
     [[nodiscard]] std::size_t state_bytes() const;
-
-    /// Two back-to-back step()s with nothing observable between them (the
-    /// leading [Step, LoadLocal-entry] pair of every fused binary): bulk
-    /// increment away from the limit, exact sequential replay near it so a
-    /// step-limit panic reports the same span and count as the expansion.
-    void step2(const support::SourceSpan& first,
-               const support::SourceSpan& second) {
-        if (m_.steps + 2 <= m_.limits.max_steps) {
-            m_.steps += 2;
-        } else {
-            m_.step(first);
-            m_.step(second);
-        }
-    }
 
     // Side-table accessors for the packed Instr.
     [[nodiscard]] const support::SourceSpan& span_of(const Instr& in) const {
@@ -162,9 +141,6 @@ class Vm {
     [[nodiscard]] const std::string& name_of(const Instr& in) const {
         return *static_cast<const std::string*>(code_.auxes[in.aux]);
     }
-    [[nodiscard]] const std::string& name_at(std::uint32_t aux_idx) const {
-        return *static_cast<const std::string*>(code_.auxes[aux_idx]);
-    }
     [[nodiscard]] const lang::Type& operand_type_of(const Instr& in) const {
         return *static_cast<const lang::Type*>(code_.auxes[in.aux]);
     }
@@ -173,7 +149,6 @@ class Vm {
     miri::Machine m_;
     std::vector<miri::Value> stack_;
     std::vector<LocalState> slots_;
-    std::vector<miri::Value> regs_;  // promoted locals (optimized tier)
     std::vector<Frame> frames_;
     std::vector<miri::AllocId> static_allocs_;
     std::int32_t pc_ = 0;

@@ -40,7 +40,7 @@
 
 namespace rustbrain::verify::identity {
 
-/// Runs vm-opt on every run, not only on runs past kVmAfterSteps. The
+/// Runs the VM on every run, not only on runs past kVmAfterSteps. The
 /// Oracle offers no such mode; tests use this double to keep the VM's
 /// byte-identity covered on every program.
 class VmEverywhereOracle final : public Oracle {
@@ -53,7 +53,7 @@ class VmEverywhereOracle final : public Oracle {
         const std::vector<std::vector<std::int64_t>>& input_sets)
         const override {
         return miri::agreement::vm_report(
-            compiled.program, compiled.optimized_bytecode(), input_sets,
+            compiled.program, compiled.bytecode(), input_sets,
             limits());
     }
 };

@@ -2,9 +2,8 @@
 // suite checks both halves of that contract on every tier:
 //   - no run throws: every buggy and fixed program of the standard corpus
 //     and the six step-limit tails run on the tree walk, the default
-//     Oracle, vm::Vm on raw and on optimized bytecode, and the screener
-//     (whatever its verdict) without a C++ throw (throw_counter.cpp counts
-//     them);
+//     Oracle, vm::Vm and the screener (whatever its verdict) without a
+//     C++ throw (throw_counter.cpp counts them);
 //   - a recorded fault reports what an unwound one did: the first finding,
 //     and the steps and output at the moment it was raised, although each
 //     tier runs on to its next fault check. The expected reports below
@@ -75,8 +74,7 @@ TEST(MiriFaultTest, NoRunThrowsOnAnyTier) {
         const std::shared_ptr<const verify::CompiledProgram> compiled =
             oracle.compile(source.text);
         ASSERT_TRUE(compiled->ok()) << compiled->error;
-        const vm::VmProgram raw = vm::compile(compiled->program);
-        const vm::VmProgram& optimized = compiled->optimized_bytecode();
+        const vm::VmProgram& code = compiled->bytecode();
         const Inputs input_sets = source.inputs.empty() ? Inputs{{}} : source.inputs;
         for (const std::vector<std::int64_t>& inputs : input_sets) {
             ++runs;
@@ -89,13 +87,8 @@ TEST(MiriFaultTest, NoRunThrowsOnAnyTier) {
             }
             {
                 const Since since;
-                (void)vm::Vm(compiled->program, raw, inputs, limits).run();
-                EXPECT_EQ(since.count(), 0u) << "vm, raw bytecode";
-            }
-            {
-                const Since since;
-                (void)vm::Vm(compiled->program, optimized, inputs, limits).run();
-                EXPECT_EQ(since.count(), 0u) << "vm, optimized bytecode";
+                (void)vm::Vm(compiled->program, code, inputs, limits).run();
+                EXPECT_EQ(since.count(), 0u) << "vm";
             }
         }
         {
@@ -241,8 +234,7 @@ TEST(MiriFaultTest, ARecordedFaultReportsTheStateItWasRaisedIn) {
     for (const SnapshotCase& c : snapshot_cases()) {
         SCOPED_TRACE(c.name);
         const Since since;
-        // Tree walk, default Oracle and vm::Vm on raw and optimized
-        // bytecode, byte for byte.
+        // Tree walk, default Oracle and vm::Vm, byte for byte.
         const agreement::TierRun run =
             agreement::expect_tiers_agree(c.source, c.inputs);
         EXPECT_EQ(since.count(), 0u);

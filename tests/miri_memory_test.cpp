@@ -216,6 +216,105 @@ TEST(MemoryTest, KilledAllocationRejectsAccess) {
                         "use after free: allocation 'x' is dead"));
 }
 
+TEST(MemoryTest, DeadAllocationsDropTheirBytesAndKeepTheirDiagnostics) {
+    FaultRecord faults;
+    MemoryModel mem(faults);
+    const AllocId x = mem.allocate(64, 8, AllocKind::Stack, "x", {});
+    const AllocId y = mem.allocate(64, 8, AllocKind::Stack, "y", {});
+    const AllocId h = mem.allocate(64, 8, AllocKind::Heap, "h", {});
+    const AllocId leaked = mem.allocate(16, 8, AllocKind::Heap, "l", {});
+    const Pointer px = mem.base_pointer(x);
+    const Pointer py = mem.base_pointer(y);
+    const Pointer ph = mem.base_pointer(h);
+    // Per-byte state of every kind: bytes, init, a retagged borrow stack,
+    // race epochs and both provenance maps.
+    VectorClock vc;
+    vc.set(0, 1);
+    AccessCtx clocked;
+    clocked.vc = &vc;
+    mem.store(px, Type::i64(), Value::scalar(7), clocked);
+    lang::TypePool pool;
+    Pointer second = px;
+    second.addr += 8;
+    mem.store(second, pool.raw_ptr(Type::i64(), true), Value::pointer(py),
+              ctx());
+    const Pointer ref = mem.retag_ref(px, 8, /*is_mut=*/false, {});
+    EXPECT_FALSE(faults.raised());
+    EXPECT_EQ(mem.bytes_allocated(), 64u * 3 + 16);
+
+    const std::size_t before = mem.footprint_bytes();
+    mem.kill(x);
+    EXPECT_LT(mem.footprint_bytes(), before);
+    EXPECT_EQ(mem.bytes_allocated(), 64u * 2 + 16);
+    const Allocation& dead = mem.get(x);
+    EXPECT_FALSE(dead.live);
+    EXPECT_EQ(dead.size, 64u);
+    EXPECT_EQ(dead.label, "x");
+    EXPECT_TRUE(dead.bytes.empty() && dead.init.empty() &&
+                dead.borrows.empty() && dead.last_write.empty() &&
+                dead.reads.empty() && dead.ptr_prov.empty() &&
+                dead.fn_prov.empty());
+    EXPECT_EQ(dead.bytes.capacity(), 0u);
+
+    mem.load(px, Type::i64(), ctx(kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::DanglingPointer,
+                        "use after free: allocation 'x' is dead"));
+    mem.store(ref, Type::i64(), Value::scalar(1), ctx(kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::DanglingPointer,
+                        "use after free: allocation 'x' is dead"));
+    EXPECT_EQ(mem.retag_ref(px, 8, /*is_mut=*/true, kSite), Pointer{});
+    EXPECT_TRUE(Faulted(faults, UbCategory::DanglingPointer,
+                        "creating a reference into dead allocation 'x'"));
+    EXPECT_EQ(mem.retag_raw(ref, 8, /*writable=*/false, kSite), Pointer{});
+    EXPECT_TRUE(Faulted(faults, UbCategory::DanglingPointer,
+                        "casting a reference into dead allocation 'x'"));
+    EXPECT_EQ(mem.offset_pointer(px, 1, kSite, 8), Pointer{});
+    EXPECT_TRUE(Faulted(faults, UbCategory::DanglingPointer,
+                        "pointer arithmetic on dead allocation 'x'"));
+
+    mem.kill_for_tail_call(y);
+    EXPECT_EQ(mem.bytes_allocated(), 64u + 16);
+    mem.load(py, Type::i64(), ctx(kSite));
+    EXPECT_TRUE(Faulted(faults, UbCategory::TailCall,
+                        "use after free: local 'y' died when its frame was "
+                        "popped by a become tail call"));
+
+    mem.deallocate(ph, 64, 8, {});
+    EXPECT_FALSE(faults.raised());
+    EXPECT_EQ(mem.bytes_allocated(), 16u);
+    mem.deallocate(ph, 64, 8, kSite);
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "double free: allocation 'h' was already deallocated"));
+    mem.kill(h);  // already dead: charged off once only
+    mem.kill(x);
+    EXPECT_EQ(mem.bytes_allocated(), 16u);
+
+    const std::optional<Finding> leak = mem.check_leaks();
+    ASSERT_TRUE(leak.has_value());
+    EXPECT_EQ(leak->message,
+              "memory leaked: 16-byte heap allocation was never deallocated");
+    mem.deallocate(mem.base_pointer(leaked), 16, 8, {});
+    EXPECT_FALSE(mem.check_leaks().has_value());
+    EXPECT_EQ(mem.bytes_allocated(), 0u);
+}
+
+TEST(MemoryTest, DeadBytesLeaveTheRunCap) {
+    // The cap counts live bytes: a dead allocation's size is free again.
+    FaultRecord faults;
+    MemoryModel mem(faults);
+    const AllocId big = mem.allocate(kMaxBytesPerRun - 8, 1, AllocKind::Stack,
+                                     "big", {});
+    EXPECT_EQ(mem.allocate(64, 1, AllocKind::Stack, "a", kSite), kNoAlloc);
+    EXPECT_TRUE(Faulted(faults, UbCategory::Alloc,
+                        "out of memory: allocating 64 bytes passes the run's "
+                        "cap of " +
+                            std::to_string(kMaxBytesPerRun) + " bytes"));
+    mem.kill(big);
+    EXPECT_TRUE(mem.fits_in_cap(kMaxBytesPerRun, 1, kSite));
+    EXPECT_NE(mem.allocate(64, 1, AllocKind::Stack, "a", {}), kNoAlloc);
+    EXPECT_FALSE(faults.raised());
+}
+
 TEST(MemoryTest, LeakCheckFindsLiveHeap) {
     FaultRecord faults;
     MemoryModel mem(faults);
@@ -400,11 +499,11 @@ TEST(ValueTest, TruncateToType) {
 }
 
 TEST(MemoryTest, RunCapCountsEveryAllocationUpToTheLastByte) {
-    // Shadow allocations charge the cap like materialized ones, so the
-    // edge is checked without building 5 MiB of per-byte state.
+    // reserve() charges the cap as allocate() does, so the edge is checked
+    // without building 5 MiB of per-byte state.
     FaultRecord faults;
     MemoryModel mem(faults);
-    mem.allocate_shadow(kMaxBytesPerRun - 2, 1, AllocKind::Stack, "a", {});
+    mem.reserve(kMaxBytesPerRun - 2, 1, {});
     mem.allocate(1, 1, AllocKind::Heap, "heap", {});
     mem.reserve(0, 1, {});  // a unit local still takes one byte
     EXPECT_EQ(mem.bytes_allocated(), kMaxBytesPerRun);
@@ -434,7 +533,7 @@ TEST(MemoryTest, RunCapRejectsOneHugeAllocationBeforeMaterializing) {
 TEST(MemoryTest, RepeatCapCheckCountsWhatIsLeftAndChargesNothing) {
     FaultRecord faults;
     MemoryModel mem(faults);
-    mem.allocate_shadow(kMaxBytesPerRun - 100, 1, AllocKind::Stack, "a", {});
+    mem.reserve(kMaxBytesPerRun - 100, 1, {});
     EXPECT_TRUE(mem.fits_in_cap(25, 4, kSite));
     EXPECT_TRUE(mem.fits_in_cap(100, 0, kSite));  // one byte per element
     EXPECT_FALSE(faults.raised());

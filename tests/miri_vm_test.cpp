@@ -25,7 +25,6 @@
 #include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
 #include "vm/bytecode.hpp"
-#include "vm/peephole.hpp"
 #include "vm/vm.hpp"
 
 namespace rustbrain::miri {
@@ -399,12 +398,11 @@ TEST(MiriVmTest, UnsupportedCastReportsTheTreeWalksMessage) {
     // The type checker admits no cast that compiles to CastKind::Unsupported,
     // so this program skips it: its operand stays untyped (`()`). Both tiers
     // throw the same internal error; the VM builds the message from the
-    // operand and target types at throw time, from an optimized program
-    // whose raw input is already gone.
+    // operand and target types at throw time.
     std::optional<lang::Program> program =
         lang::try_parse("fn main() {\n    let x = 1 as bool;\n}\n");
     ASSERT_TRUE(program);
-    const vm::VmProgram code = vm::optimize(vm::compile(*program));
+    const vm::VmProgram code = vm::compile(*program);
     const auto logic_error_of = [](auto run) -> std::string {
         try {
             (void)run();
@@ -506,7 +504,7 @@ TEST(MiriVmTest, DefaultTierRestartsOnlyRunsPastTheCapAndMatchesTheTreeWalk) {
 TEST(MiriVmTest, LoopFixedPointsSkipToTheTreeWalksStepLimitPanic) {
     // The forge's step-limit tails: the default tier restarts each on the
     // VM, which must skip the idle loop yet report the tree walk's panic
-    // at the same span and step count, on raw and optimized bytecode.
+    // at the same span and step count.
     for (const agreement::TailCase& tail : agreement::kStepLimitTails) {
         SCOPED_TRACE(tail.source);
         const agreement::TierRun run =
@@ -514,8 +512,7 @@ TEST(MiriVmTest, LoopFixedPointsSkipToTheTreeWalksStepLimitPanic) {
         ASSERT_EQ(run.reference.findings.size(), 1u);
         EXPECT_EQ(run.reference.findings[0].message,
                   "step limit exceeded (possible infinite loop)");
-        EXPECT_GT(run.raw_skipped, 0u);
-        EXPECT_GT(run.opt_skipped, 0u);
+        EXPECT_GT(run.skipped, 0u);
     }
 }
 
@@ -523,8 +520,8 @@ TEST(MiriVmTest, LoopFixedPointsSkipToTheTreeWalksStepLimitPanic) {
 // other than the step counter. Skipping any of them would be wrong. A
 // `warm` loop of 500 iterations runs 4006 steps.
 constexpr const char* kNearMisses[] = {
-    // A u8 counter (register-promoted on vm-opt) that overflows after 200
-    // iterations; the first loop carries the run past the threshold.
+    // A u8 counter that overflows after 200 iterations; the first loop
+    // carries the run past the threshold.
     R"(fn main() {
     let mut warm: i64 = 0;
     while warm < 500 {
@@ -600,13 +597,12 @@ TEST(MiriVmTest, LoopsThatChangeStateAreNeverSkipped) {
         SCOPED_TRACE(source);
         const agreement::TierRun run = expect_tiers_agree(source, {}, limits);
         EXPECT_FALSE(run.reference.passed());
-        EXPECT_EQ(run.raw_skipped, 0u);
-        EXPECT_EQ(run.opt_skipped, 0u);
+        EXPECT_EQ(run.skipped, 0u);
     }
 }
 
-/// A fixed point whose body mixes register-promoted locals, fused
-/// binaries and a store through a raw pointer.
+/// A fixed point whose body mixes loads of locals, nested binaries and a
+/// store through a raw pointer.
 constexpr const char* kMultiStepFixedPoint = R"(fn main() {
     let mut x: i64 = 0;
     let p = &mut x as *mut i64;
@@ -638,12 +634,11 @@ TEST(MiriVmTest, SkippedLoopHitsTheLimitAtEveryOffsetOfItsBody) {
         limits.max_steps = max_steps;
         const agreement::TierRun run =
             expect_tiers_agree(kMultiStepFixedPoint, {}, limits);
-        EXPECT_GT(run.raw_skipped, 0u);
-        EXPECT_EQ(run.raw_skipped, run.opt_skipped);
-        if (max_steps > kFirst && run.raw_skipped != previous && delta == 0) {
-            delta = run.raw_skipped - previous;
+        EXPECT_GT(run.skipped, 0u);
+        if (max_steps > kFirst && run.skipped != previous && delta == 0) {
+            delta = run.skipped - previous;
         }
-        previous = run.raw_skipped;
+        previous = run.skipped;
     }
     // The skip grew by one iteration inside the window, so the window
     // spans a whole iteration.

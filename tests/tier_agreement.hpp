@@ -1,6 +1,6 @@
 // Shared by the suites that hold an execution path to the tree walk: a
 // byte-level MiriReport comparison, the VM's runs folded into a report,
-// the four-way tier check, and the program shapes the suites sweep.
+// the three-way tier check, and the program shapes the suites sweep.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -64,16 +64,15 @@ inline MiriReport vm_report(const lang::Program& program,
 }
 
 /// The tree walk's report, and the steps the VM skipped (vm::Vm's loop
-/// fixed points) on the raw and on the optimized bytecode.
+/// fixed points).
 struct TierRun {
     MiriReport reference;
-    std::uint64_t raw_skipped = 0;
-    std::uint64_t opt_skipped = 0;
+    std::uint64_t skipped = 0;
 };
 
 /// Run `source` through the tree-walk MiriLite, an uncached default
-/// Oracle, and vm::Vm driven directly on the raw and the optimized
-/// bytecode; require byte-equal reports.
+/// Oracle, and vm::Vm driven directly on every run; require byte-equal
+/// reports.
 inline TierRun expect_tiers_agree(const std::string& source,
                                   const Inputs& inputs,
                                   InterpLimits limits = {}) {
@@ -90,16 +89,10 @@ inline TierRun expect_tiers_agree(const std::string& source,
 
     const auto compiled = oracle.compile(source);
     if (!compiled->ok()) return run;  // front-end errors never run a VM
-    expect_reports_equal(
-        reference,
-        vm_report(compiled->program, vm::compile(compiled->program), inputs,
-                  limits, &run.raw_skipped),
-        "vm-raw\n" + source);
     expect_reports_equal(reference,
-                         vm_report(compiled->program,
-                                   compiled->optimized_bytecode(), inputs,
-                                   limits, &run.opt_skipped),
-                         "vm-opt\n" + source);
+                         vm_report(compiled->program, compiled->bytecode(),
+                                   inputs, limits, &run.skipped),
+                         "vm\n" + source);
     return run;
 }
 

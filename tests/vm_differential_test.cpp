@@ -1,33 +1,41 @@
 // Differential stress for the interpreter tiers: every buggy source and
 // reference fix of a 560-case forged corpus must produce a byte-identical
 // MiriReport (outputs, step counts, findings with spans) under the tree
-// tier, the default tier (tree walk, restarted on vm-opt past
+// tier, the default tier (tree walk, restarted on the VM past
 // kVmAfterSteps) and the VM on every run (identity::VmEverywhereOracle).
-// The tier is a pure performance knob — if any opcode, fused replay, kill
-// order, or limit check drifted from the tree walk by even one step, a
-// report here would split. Then end to end: every registry engine sweeps
-// the hand-written corpus under the `vm` row, and the forged corpus under
-// every row of identity_matrix.hpp, bit-identically to a serial tree walk.
-// Last, seeded mutants of the hand-written corpus and the forge's step-limit
-// tails run on every tier under a step limit low enough for the VM's loop
-// fixed-point skip to engage.
+// The tier is a pure performance knob — if any opcode, kill order, or
+// limit check drifted from the tree walk by even one step, a report here
+// would split. Then end to end: every registry engine sweeps the
+// hand-written corpus under the `vm` row, the forged corpus under every
+// row of identity_matrix.hpp, and five more forges render through the
+// full repair engine, bit-identically to a serial tree walk. Seeded
+// mutants of the hand-written corpus and the forge's step-limit tails run
+// on every tier under a step limit low enough for the VM's loop
+// fixed-point skip to engage. Last, the tree tier never compiles bytecode.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/batch_runner.hpp"
 #include "dataset/corpus.hpp"
+#include "gen/forge.hpp"
 #include "identity_matrix.hpp"
+#include "kb/seed.hpp"
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 #include "miri/mirilite.hpp"
 #include "mutation.hpp"
+#include "serve/wire.hpp"
 #include "support/rng.hpp"
 #include "tier_agreement.hpp"
 #include "verify/oracle.hpp"
+#include "vm/bytecode.hpp"
 #include "vm/vm.hpp"
 
 namespace rustbrain::verify {
@@ -79,8 +87,8 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
 
 TEST(VmDifferentialTest, MutatedProgramsAgreeAcrossTiers) {
     // Every mutant that parses and typechecks must get the same report
-    // from the tree walk, the default tier, and the VM on raw and
-    // optimized bytecode. The step limit sits past the VM's watch
+    // from the tree walk, the default tier, and the VM on every run. The
+    // step limit sits past the VM's watch
     // threshold, so mutated loops exercise the fixed-point skip, and past
     // kVmAfterSteps, so long runs exercise the default tier's restart.
     // Mutants with huge numbers are kept: `alloc(4294967296 * 8, 8)` meets
@@ -116,7 +124,7 @@ TEST(VmDifferentialTest, MutatedProgramsAgreeAcrossTiers) {
         const miri::agreement::TierRun run =
             miri::agreement::expect_tiers_agree(source, seed.inputs, limits);
         ++accepted;
-        if (run.raw_skipped > 0 && run.opt_skipped > 0) ++skipped;
+        if (run.skipped > 0) ++skipped;
     }
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(skipped, 0u);  // the watch engaged and skipped some loops
@@ -142,6 +150,17 @@ TEST(VmDifferentialTest, MemoryCapIsOneFindingOnEveryTier) {
         EXPECT_EQ(finding.message.rfind("out of memory: allocating ", 0), 0u)
             << finding.message;
     }
+}
+
+TEST(VmDifferentialTest, DeadAllocationsGiveTheirBytesBackOnEveryTier) {
+    // 100,000 iterations each declare a 64-byte array: 6.4 MB in all, past
+    // miri::kMaxBytesPerRun, but only 64 bytes are live at once, and the
+    // cap counts live bytes.
+    const miri::agreement::TierRun run = miri::agreement::expect_tiers_agree(
+        "fn main() { let mut i = 0; while i < 100000 { "
+        "let a: [i64; 8] = [0; 8]; i = i + 1; } }",
+        {{}});
+    EXPECT_TRUE(run.reference.findings.empty()) << run.reference.summary();
 }
 
 TEST(VmDifferentialTest, ArrayValuesThroughCallsAndRepeatsAgreeAcrossTiers) {
@@ -218,6 +237,76 @@ TEST(VmDifferentialTest, ArrayRepeatPastTheCapIsOneFindingOnEveryTier) {
                       std::to_string(miri::kMaxBytesPerRun) + " bytes");
         EXPECT_EQ(finding.span.column, 13u);  // the repeat, not the `let`
     }
+}
+
+TEST(VmDifferentialTest, FiveForgedCorporaRenderByteIdenticalVmVsTree) {
+    // Five independently forged corpora, every case swept through the full
+    // repair engine, rendered with the serving codec, and byte-compared
+    // between the VM on every run and the tree walk.
+    kb::KnowledgeBase kbase;
+    kb::seed_from_corpus(dataset::Corpus::standard(), kbase);
+    for (const unsigned seed : {11u, 22u, 33u, 44u, 55u}) {
+        SCOPED_TRACE(seed);
+        gen::ForgeOptions forge_options;
+        forge_options.seed = seed;
+        forge_options.count = 32;
+        OracleOptions forge_oracle_options;
+        forge_oracle_options.cache = std::make_shared<VerifyCache>();
+        const Oracle forge_oracle(std::move(forge_oracle_options));
+        forge_options.oracle = &forge_oracle;
+        const dataset::Corpus corpus = gen::forge_corpus(forge_options);
+        ASSERT_EQ(corpus.size(), 32u);
+
+        auto render_all = [&](const identity::Row& row) {
+            core::EngineBuildContext context;
+            context.knowledge_base = &kbase;
+            context.oracle =
+                identity::make_oracle(row, identity::options_for(row));
+            const core::BatchRunner runner("rustbrain", {}, context,
+                                           core::BatchOptions{1});
+            const core::BatchReport report = runner.run(corpus);
+            std::vector<std::string> rendered;
+            rendered.reserve(report.results.size());
+            for (const core::CaseResult& result : report.results) {
+                rendered.push_back(serve::render_case_result(result));
+            }
+            return rendered;
+        };
+        const std::vector<std::string> vm = render_all(identity::kVm);
+        const std::vector<std::string> tree = render_all(identity::kReference);
+        ASSERT_EQ(vm.size(), tree.size());
+        for (std::size_t i = 0; i < vm.size(); ++i) {
+            EXPECT_EQ(vm[i], tree[i]) << "case " << corpus.cases()[i].id;
+        }
+    }
+}
+
+TEST(VmDifferentialTest, TreeTierNeverCompilesBytecode) {
+    // Bytecode is built on first VM use, so a tree-tier Oracle must leave
+    // the process-wide compile counter untouched.
+    const char* source = "fn main() { print_int(6 * 7); }";
+    const std::uint64_t compiles_before =
+        vm::CompileStats::bytecode_compiles.load();
+    {
+        OracleOptions options;
+        options.caching = false;
+        options.interp = InterpTier::Tree;
+        const Oracle oracle(options);
+        for (int i = 0; i < 3; ++i) {
+            const miri::MiriReport report = oracle.test_source(source, {});
+            EXPECT_EQ(report.outputs.front().front(), "42");
+        }
+    }
+    EXPECT_EQ(vm::CompileStats::bytecode_compiles.load(), compiles_before);
+
+    // Running the VM pays for the bytecode compile, on first use.
+    {
+        OracleOptions options;
+        options.caching = false;
+        const identity::VmEverywhereOracle oracle(options);
+        (void)oracle.test_source(source, {});
+    }
+    EXPECT_GT(vm::CompileStats::bytecode_compiles.load(), compiles_before);
 }
 
 }  // namespace

@@ -30,8 +30,10 @@ The pairs protocol:
   * Claiming a gain needs at least 10 pairs on the claimed workload and 5
     on every other: the change must win at least 9 of 10 pairs, and its
     median must beat the parent's by more than the parent's Q3 - Q1.
---traced W runs one `--trace 1` run of the change per listed workload and
-records its per-layer split; its replay mismatches count as failures.
+--traced W runs one `--trace 1` run per side for each listed workload,
+the parent first, and records both per-layer splits as
+traced[W] = {"parent": ..., "change": ...}. A traced run that fails on
+either side (its replay mismatches included) counts as a failure.
 
 The report also records the seeds, `nproc` and the CPU model. It is a
 report, not a gate: numbers from different machines do not compare.
@@ -155,7 +157,8 @@ def main():
     parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1)
     parser.add_argument("--traced", nargs="*", choices=WORKLOADS, default=[],
-                        help="workloads to run once traced on the change")
+                        help="workloads to run once traced on each side, "
+                             "parent first; a failure on either side counts")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be >= 1")
@@ -242,13 +245,16 @@ def compare(args, sides, end_to_end):
         report["workloads"][workload] = entry
 
     for workload in args.traced:
-        checkout, target = sides["change"]
-        log(f"{workload}: traced run on change")
-        result = run_bench(checkout, target, workload, args.seed_base,
-                           args.seconds, 1)
-        if not healthy(result):
-            failures.append(f"{workload} traced on change")
-        report["traced"][workload] = result
+        traced = {}
+        for side in ("parent", "change"):
+            checkout, target = sides[side]
+            log(f"{workload}: traced run on {side}")
+            result = run_bench(checkout, target, workload, args.seed_base,
+                               args.seconds, 1)
+            if not healthy(result):
+                failures.append(f"{workload} traced on {side}")
+            traced[side] = result
+        report["traced"][workload] = traced
 
     report["failures"] = failures
     with open(args.out, "w") as out:
