@@ -20,6 +20,7 @@
 #include "core/engine_registry.hpp"
 #include "core/thinking_policy.hpp"
 #include "dataset/corpus.hpp"
+#include "identity_matrix.hpp"
 #include "kb/seed.hpp"
 #include "support/hashing.hpp"
 
@@ -136,6 +137,126 @@ TEST(PaperPolicyGoldenTest, DefaultPolicyIsPaper) {
         SCOPED_TRACE(golden.engine);
         const BatchRunner runner(golden.engine, {}, kb_context(), BatchOptions{1});
         EXPECT_EQ(fingerprint(runner.run(corpus())), golden.digest);
+    }
+}
+
+// --- full-render goldens per engine and policy ------------------------------
+// The fingerprint above skips the switch and screen fields, so it cannot
+// see a decision the policies route differently. These digests cover every
+// byte serve::render_case_result writes (plus the merged clock) for each
+// LLM engine under each policy that needs no screener (`screened` has its
+// own full-render goldens in screen_soundness_test). Every sweep starts
+// from one warm feedback snapshot, so feedback-guided takes its intuition
+// arm on the shapes the snapshot is confident about.
+
+const FeedbackStore& warm_feedback() {
+    static const FeedbackStore store = [] {
+        FeedbackStore feedback;
+        EngineBuildContext context = kb_context();
+        context.feedback = &feedback;
+        const auto learner = EngineRegistry::builtin().build("rustbrain", {}, context);
+        for (const dataset::UbCase& ub_case : corpus().cases()) {
+            (void)learner->repair(ub_case);
+        }
+        return feedback;
+    }();
+    return store;
+}
+
+std::uint64_t render_digest(const BatchReport& report) {
+    std::uint64_t h = support::kFnvOffsetBasis;
+    for (const std::string& line : verify::identity::render(report)) {
+        h = support::fnv1a64(line, h);
+    }
+    return h;
+}
+
+struct RenderGolden {
+    const char* engine;
+    const char* policy;
+    std::uint64_t digest;
+};
+
+// Captured before the engines shared one skeleton (core::LlmEngine).
+constexpr RenderGolden kRenderGoldens[] = {
+    {"rustbrain", "paper", 0xca2d437917896fceULL},
+    {"rustbrain", "feedback-guided", 0x78e360b4ec1dc7beULL},
+    {"rustbrain", "budget;ms=400", 0xaafcb87aa5fac4e2ULL},
+    {"rustbrain", "fast-only", 0xd196f283a1c18fcaULL},
+    {"rustbrain", "slow-all", 0xe46bc69fe04a1a00ULL},
+    {"standalone", "paper", 0x9a1b5ee84b98b523ULL},
+    {"standalone", "feedback-guided", 0x9a1b5ee84b98b523ULL},
+    {"standalone", "budget;ms=400", 0x82810df364d64da1ULL},
+    {"standalone", "fast-only", 0x7711150eddf005cbULL},
+    {"standalone", "slow-all", 0x9a1b5ee84b98b523ULL},
+    {"fixed-pipeline", "paper", 0xedc93aa29627c3ebULL},
+    {"fixed-pipeline", "feedback-guided", 0xedc93aa29627c3ebULL},
+    {"fixed-pipeline", "budget;ms=400", 0xc171b68330d79284ULL},
+    {"fixed-pipeline", "fast-only", 0xb69090e8aff103e8ULL},
+    {"fixed-pipeline", "slow-all", 0xedc93aa29627c3ebULL},
+};
+
+TEST(EnginePolicyRenderGoldenTest, EveryEngineAndPolicyRendersTheGoldenBytes) {
+    ASSERT_GT(warm_feedback().records(), 0u);
+    for (const RenderGolden& golden : kRenderGoldens) {
+        SCOPED_TRACE(std::string(golden.engine) + " policy=" + golden.policy);
+        const BatchRunner runner(golden.engine,
+                                 EngineOptions::parse(std::string("policy=") +
+                                                      golden.policy),
+                                 kb_context(), BatchOptions{4}, &warm_feedback());
+        EXPECT_EQ(render_digest(runner.run(corpus())), golden.digest);
+    }
+}
+
+// rbbench's span builder reads the trace stream, so its order, labels,
+// values and timestamps are pinned too: one engine per sweep, every case
+// repaired in corpus order with a recorder attached. A private Oracle cache
+// keeps the Verify events' "cached" labels independent of earlier tests.
+std::uint64_t trace_digest(const std::string& engine_id, const std::string& policy) {
+    TraceRecorder recorder;
+    EngineBuildContext context = kb_context();
+    context.trace = &recorder;
+    verify::OracleOptions oracle_options;
+    oracle_options.cache = std::make_shared<verify::VerifyCache>();
+    context.oracle = std::make_shared<verify::Oracle>(oracle_options);
+    const auto engine = EngineRegistry::builtin().build(
+        engine_id, EngineOptions::parse("policy=" + policy), context);
+    for (const dataset::UbCase& ub_case : corpus().cases()) {
+        (void)engine->repair(ub_case);
+    }
+    std::uint64_t h = support::kFnvOffsetBasis;
+    for (const TraceEvent& event : recorder.events()) {
+        h = support::fnv1a64(trace_event_kind_name(event.kind), h);
+        h = support::fnv1a64(event.label, h);
+        feed_u64(h, event.value);
+        feed_double(h, event.clock_ms);
+    }
+    return h;
+}
+
+struct TraceGolden {
+    const char* engine;
+    const char* policy;
+    std::uint64_t digest;
+};
+
+constexpr TraceGolden kTraceGoldens[] = {
+    {"rustbrain", "paper", 0x7df0da216b3d578dULL},
+    {"rustbrain", "budget;ms=400", 0x57fa6222d9f87bf8ULL},
+    {"rustbrain", "fast-only", 0xfd70a307d40ec2afULL},
+    {"rustbrain", "slow-all", 0xb055ac7fb37e7dafULL},
+    {"standalone", "paper", 0x216de751b677d79dULL},
+    {"standalone", "budget;ms=400", 0x5bea180cbab5e52dULL},
+    {"standalone", "fast-only", 0xc5e7a2afebb27b22ULL},
+    {"fixed-pipeline", "paper", 0xe2072d40d35cbbacULL},
+    {"fixed-pipeline", "budget;ms=400", 0xf4696a92257eb508ULL},
+    {"fixed-pipeline", "fast-only", 0x08cfe85af0a269deULL},
+};
+
+TEST(EnginePolicyRenderGoldenTest, EveryEngineAndPolicyEmitsTheGoldenTrace) {
+    for (const TraceGolden& golden : kTraceGoldens) {
+        SCOPED_TRACE(std::string(golden.engine) + " policy=" + golden.policy);
+        EXPECT_EQ(trace_digest(golden.engine, golden.policy), golden.digest);
     }
 }
 
