@@ -14,8 +14,7 @@
 #include <memory>
 #include <string>
 
-#include "core/repair_engine.hpp"
-#include "core/thinking_policy.hpp"
+#include "core/llm_engine.hpp"
 #include "dataset/case.hpp"
 #include "llm/backend.hpp"
 #include "verify/oracle.hpp"
@@ -34,7 +33,7 @@ struct FixedPipelineConfig {
     std::string policy = "paper";
 };
 
-class FixedPipelineRepair final : public core::RepairEngine {
+class FixedPipelineRepair final : public core::LlmEngine {
   public:
     explicit FixedPipelineRepair(
         FixedPipelineConfig config, llm::BackendFactory backend_factory = {},
@@ -47,9 +46,6 @@ class FixedPipelineRepair final : public core::RepairEngine {
 
   private:
     FixedPipelineConfig config_;
-    llm::BackendFactory backend_factory_;
-    std::shared_ptr<const verify::Oracle> oracle_;
-    std::shared_ptr<const core::ThinkingPolicy> policy_;
 };
 
 }  // namespace rustbrain::baselines

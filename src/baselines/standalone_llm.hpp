@@ -9,8 +9,7 @@
 #include <memory>
 #include <string>
 
-#include "core/repair_engine.hpp"
-#include "core/thinking_policy.hpp"
+#include "core/llm_engine.hpp"
 #include "dataset/case.hpp"
 #include "llm/backend.hpp"
 #include "verify/oracle.hpp"
@@ -29,7 +28,7 @@ struct StandaloneConfig {
     std::string policy = "paper";
 };
 
-class StandaloneLlmRepair final : public core::RepairEngine {
+class StandaloneLlmRepair final : public core::LlmEngine {
   public:
     explicit StandaloneLlmRepair(
         StandaloneConfig config, llm::BackendFactory backend_factory = {},
@@ -42,9 +41,6 @@ class StandaloneLlmRepair final : public core::RepairEngine {
 
   private:
     StandaloneConfig config_;
-    llm::BackendFactory backend_factory_;
-    std::shared_ptr<const verify::Oracle> oracle_;
-    std::shared_ptr<const core::ThinkingPolicy> policy_;
 };
 
 }  // namespace rustbrain::baselines

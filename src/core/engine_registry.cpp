@@ -1,8 +1,5 @@
 #include "core/engine_registry.hpp"
 
-#include <stdexcept>
-#include <utility>
-
 #include "baselines/expert_model.hpp"
 #include "baselines/fixed_pipeline.hpp"
 #include "baselines/standalone_llm.hpp"
@@ -24,52 +21,25 @@ EngineOptions EngineOptions::parse(const std::string& spec) {
 // EngineRegistry
 // ---------------------------------------------------------------------------
 
-void EngineRegistry::add(Entry entry) {
-    if (entries_.count(entry.id) != 0) {
-        throw std::invalid_argument("duplicate engine id: " + entry.id);
-    }
-    entries_.emplace(entry.id, std::move(entry));
-}
-
-bool EngineRegistry::contains(const std::string& id) const {
-    return entries_.count(id) != 0;
-}
-
-const EngineRegistry::Entry* EngineRegistry::find(const std::string& id) const {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> EngineRegistry::ids() const {
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [id, entry] : entries_) out.push_back(id);
-    return out;
-}
-
-std::string EngineRegistry::help() const {
-    std::string out;
-    for (const auto& [id, entry] : entries_) {
-        out += "  " + id + " — " + entry.description + "\n";
-    }
-    return out;
-}
-
 std::unique_ptr<RepairEngine> EngineRegistry::build(
     const std::string& id, const EngineOptions& options,
     const EngineBuildContext& context) const {
-    const Entry* entry = find(id);
-    if (entry == nullptr) {
-        std::string message = "unknown engine id '" + id + "'; available:";
-        for (const std::string& known : ids()) message += ' ' + known;
-        throw std::invalid_argument(message);
-    }
-    std::unique_ptr<RepairEngine> engine = entry->build(options, context);
+    std::unique_ptr<RepairEngine> engine = Registry::build(id, options, context);
     engine->set_trace_sink(context.trace);
     return engine;
 }
 
 namespace {
+
+/// The four settings every LLM engine reads; each engine's defaults stay
+/// its config's own.
+template <class Config>
+void read_llm_settings(const EngineOptions& options, Config& config) {
+    config.model = options.get("model", config.model);
+    config.temperature = options.get_double("temperature", config.temperature);
+    config.seed = options.get_u64("seed", config.seed);
+    config.policy = options.get("policy", config.policy);
+}
 
 std::unique_ptr<RepairEngine> build_rustbrain(const EngineOptions& options,
                                               const EngineBuildContext& context) {
@@ -77,9 +47,7 @@ std::unique_ptr<RepairEngine> build_rustbrain(const EngineOptions& options,
                          "rollback", "features", "max_solutions", "max_steps",
                          "judge_error", "policy"});
     RustBrainConfig config;
-    config.model = options.get("model", config.model);
-    config.temperature = options.get_double("temperature", config.temperature);
-    config.seed = options.get_u64("seed", config.seed);
+    read_llm_settings(options, config);
     config.use_knowledge_base =
         options.get_bool("knowledge", config.use_knowledge_base);
     config.use_feedback = options.get_bool("feedback", config.use_feedback);
@@ -92,7 +60,6 @@ std::unique_ptr<RepairEngine> build_rustbrain(const EngineOptions& options,
         options.get_int("max_steps", config.max_steps_per_solution);
     config.internal_judge_error =
         options.get_double("judge_error", config.internal_judge_error);
-    config.policy = options.get("policy", config.policy);
     return std::make_unique<RustBrain>(
         config, config.use_knowledge_base ? context.knowledge_base : nullptr,
         config.use_feedback ? context.feedback : nullptr,
@@ -103,11 +70,8 @@ std::unique_ptr<RepairEngine> build_standalone(const EngineOptions& options,
                                                const EngineBuildContext& context) {
     options.check_known({"model", "temperature", "seed", "attempts", "policy"});
     baselines::StandaloneConfig config;
-    config.model = options.get("model", config.model);
-    config.temperature = options.get_double("temperature", config.temperature);
+    read_llm_settings(options, config);
     config.attempts = options.get_int("attempts", config.attempts);
-    config.seed = options.get_u64("seed", config.seed);
-    config.policy = options.get("policy", config.policy);
     return std::make_unique<baselines::StandaloneLlmRepair>(
         config, context.backend_factory, context.oracle);
 }
@@ -117,12 +81,9 @@ std::unique_ptr<RepairEngine> build_fixed_pipeline(
     options.check_known({"model", "temperature", "seed", "max_iterations",
                          "policy"});
     baselines::FixedPipelineConfig config;
-    config.model = options.get("model", config.model);
-    config.temperature = options.get_double("temperature", config.temperature);
+    read_llm_settings(options, config);
     config.max_iterations =
         options.get_int("max_iterations", config.max_iterations);
-    config.seed = options.get_u64("seed", config.seed);
-    config.policy = options.get("policy", config.policy);
     return std::make_unique<baselines::FixedPipelineRepair>(
         config, context.backend_factory, context.oracle);
 }

@@ -8,19 +8,15 @@
 // loudly instead of silently running the default.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <initializer_list>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/feedback.hpp"
 #include "core/repair_engine.hpp"
 #include "kb/knowledge_base.hpp"
 #include "llm/backend.hpp"
 #include "support/options.hpp"
+#include "support/registry.hpp"
 
 namespace rustbrain::verify {
 class Oracle;
@@ -50,29 +46,16 @@ struct EngineBuildContext {
     std::shared_ptr<const verify::Oracle> oracle;
 };
 
-class EngineRegistry {
+class EngineRegistry
+    : public support::Registry<std::unique_ptr<RepairEngine>(
+          const EngineOptions& options, const EngineBuildContext& context)> {
   public:
-    using Builder = std::function<std::unique_ptr<RepairEngine>(
-        const EngineOptions& options, const EngineBuildContext& context)>;
+    EngineRegistry() : Registry("engine") {}
 
-    struct Entry {
-        std::string id;
-        std::string description;
-        Builder build;
-    };
-
-    /// Register an engine; throws std::invalid_argument on a duplicate id.
-    void add(Entry entry);
-
-    [[nodiscard]] bool contains(const std::string& id) const;
-    [[nodiscard]] const Entry* find(const std::string& id) const;
-    [[nodiscard]] std::vector<std::string> ids() const;  // sorted
-    /// "id — description" lines, one per engine (for --engine usage text).
-    [[nodiscard]] std::string help() const;
-
-    /// Build an engine by id. Throws std::invalid_argument listing the
-    /// available ids when `id` is unknown, or naming the offending key when
-    /// `options` contains one the engine does not understand.
+    /// Build an engine by id and attach `context.trace` to it. Throws
+    /// std::invalid_argument listing the available ids when `id` is
+    /// unknown, or naming the offending key when `options` contains one the
+    /// engine does not understand.
     [[nodiscard]] std::unique_ptr<RepairEngine> build(
         const std::string& id, const EngineOptions& options = {},
         const EngineBuildContext& context = {}) const;
@@ -80,9 +63,6 @@ class EngineRegistry {
     /// The four paper engines: rustbrain, standalone, fixed-pipeline,
     /// expert. Registered eagerly (no static-initialization-order games).
     static const EngineRegistry& builtin();
-
-  private:
-    std::map<std::string, Entry> entries_;
 };
 
 }  // namespace rustbrain::core

@@ -3,10 +3,12 @@
 // The paper's evaluation is "run N repair strategies over one corpus and
 // compare"; this is the seam that makes a strategy a value. RustBrain and
 // the three baselines (StandaloneLlmRepair, FixedPipelineRepair,
-// ExpertModelRepair) all implement repair()/name()/config_summary(), are
-// constructible by string id through core::EngineRegistry, talk to the
-// model exclusively through an injected llm::LlmBackend, and report their
-// statistics through core::TraceSink events.
+// ExpertModelRepair) all implement repair()/name()/config_summary() and are
+// constructible by string id through core::EngineRegistry. The three
+// LLM-backed engines share one skeleton, core::LlmEngine
+// (core/llm_engine.hpp): one repair session per case whose TraceStats
+// tallies the trace straight into the CaseResult, so the engines differ
+// only in their attempt loops.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +71,9 @@ class RepairEngine {
     /// "model=gpt-4 temperature=0.5 knowledge=on seed=42".
     [[nodiscard]] virtual std::string config_summary() const = 0;
 
-    /// Attach an observer for per-case trace events (may be null). The
-    /// engine always keeps its own TraceStats; the sink sees the same
-    /// event stream. Attaching a sink never changes results.
+    /// Attach an observer for per-case trace events (may be null). It sees
+    /// the same event stream the engine tallies its CaseResult from;
+    /// attaching a sink never changes results.
     void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
     [[nodiscard]] TraceSink* trace_sink() const { return trace_sink_; }
 

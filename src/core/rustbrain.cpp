@@ -1,8 +1,10 @@
 #include "core/rustbrain.hpp"
 
-#include <stdexcept>
+#include <utility>
 
 #include "agents/abstract_reasoning_agent.hpp"
+#include "core/fast_thinking.hpp"
+#include "core/slow_thinking.hpp"
 #include "dataset/semantic.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -12,17 +14,11 @@ namespace rustbrain::core {
 RustBrain::RustBrain(RustBrainConfig config, const kb::KnowledgeBase* knowledge_base,
                      FeedbackStore* feedback, llm::BackendFactory backend_factory,
                      std::shared_ptr<const verify::Oracle> oracle)
-    : config_(std::move(config)),
+    : LlmEngine(llm_settings(config), "", std::move(backend_factory),
+                std::move(oracle)),
+      config_(std::move(config)),
       knowledge_base_(knowledge_base),
-      feedback_(feedback),
-      backend_factory_(std::move(backend_factory)),
-      oracle_(std::move(oracle)),
-      policy_(parse_policy_spec(config_.policy)) {
-    if (llm::find_profile(config_.model) == nullptr) {
-        throw std::invalid_argument("unknown model profile: " + config_.model);
-    }
-    if (!backend_factory_) backend_factory_ = llm::sim_backend_factory();
-}
+      feedback_(feedback) {}
 
 std::string RustBrain::config_summary() const {
     std::string summary = "model=" + config_.model;
@@ -37,31 +33,21 @@ std::string RustBrain::config_summary() const {
     summary +=
         std::string(" features=") + (config_.use_feature_extraction ? "on" : "off");
     summary += " max_solutions=" + std::to_string(config_.max_solutions);
-    summary += " policy=" + policy_->descriptor();
+    summary += " policy=" + policy().descriptor();
     summary += " seed=" + std::to_string(config_.seed);
     return summary;
 }
 
 CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
-    CaseResult result;
-    result.case_id = ub_case.id;
+    Session session(*this, ub_case);
+    CaseResult& result = session.result;
+    support::SimClock& clock = session.clock;
+    agents::AgentContext& context = session.context;
+    const verify::Oracle& verifier = oracle();
+    const ThinkingPolicy& policy = this->policy();
+    FeedbackStore* const feedback = config_.use_feedback ? feedback_ : nullptr;
 
-    // A fresh backend session per case, deterministically seeded.
-    const auto backend =
-        backend_factory_(*llm::find_profile(config_.model),
-                         support::derive_seed(config_.seed, ub_case.id));
-    support::SimClock clock;
-    TraceStats stats;
-    TraceTee tee(&stats, trace_sink_);
-
-    const verify::Oracle& verifier = this->oracle();
     PolicySignals signals;
-    agents::AgentContext context{*backend, clock};
-    context.trace = &tee;
-    context.temperature = config_.temperature;
-    context.inputs = &ub_case.inputs;
-    context.oracle = &verifier;
-    context.screen_verdicts = policy_->needs_screen_verdict();
     context.knowledge_base =
         config_.use_knowledge_base ? knowledge_base_ : nullptr;
     context.case_hint = ub_case.id;
@@ -71,43 +57,32 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
     SlowThinkingOptions slow_options;
     slow_options.use_adaptive_rollback = config_.use_adaptive_rollback;
     slow_options.max_steps_per_solution = config_.max_steps_per_solution;
-    slow_options.policy = policy_.get();
+    slow_options.policy = &policy;
     SlowThinking slow_stage(slow_options);
 
     // --- Fast thinking (F1 + features) -------------------------------------
     FastThinkingResult fast = fast_stage.run(
-        ub_case.buggy_source, ub_case.difficulty,
-        config_.use_feedback ? feedback_ : nullptr, context);
+        ub_case.buggy_source, ub_case.difficulty, feedback, context);
     if (fast.already_clean) {
         result.pass = true;
         result.exec = true;
         result.final_source = ub_case.buggy_source;
-        result.screens = stats.screens();
-        result.screen_proven_safe = stats.screen_proven_safe();
-        result.screen_likely_ub = stats.screen_likely_ub();
-        result.screen_unknown = stats.screen_unknown();
-        result.time_ms = clock.now_ms();
-        result.time_breakdown = clock.breakdown();
-        return result;
+        return session.finish();
     }
 
     // --- The thinking switch ------------------------------------------------
     // Self-learning shortcut: once feedback is confident about this error
     // signature, skip the (expensive) KB lookup — the paper's reduced-KB-
     // dependence effect. The confidence also feeds the policy's signals.
+    const bool feedback_known = feedback != nullptr && !fast.feature_key.empty();
     const bool feedback_confident =
-        config_.use_feedback && feedback_ != nullptr &&
-        !fast.feature_key.empty() && feedback_->is_confident(fast.feature_key);
+        feedback_known && feedback->is_confident(fast.feature_key);
     signals.feedback_confident = feedback_confident;
     signals.feedback_score =
-        (config_.use_feedback && feedback_ != nullptr && !fast.feature_key.empty())
-            ? feedback_->best_score(fast.feature_key)
-            : 0.0;
+        feedback_known ? feedback->best_score(fast.feature_key) : 0.0;
     signals.elapsed_ms = clock.now_ms();
 
-    const ThinkingMode mode = policy_->choose_mode(signals);
-    context.emit(TraceEventKind::ThinkingSwitch,
-                 mode == ThinkingMode::FastOnly ? "fast-only" : "escalate");
+    const ThinkingMode mode = choose_mode(policy, signals, context);
 
     // --- Abstract reasoning: knowledge-base consultation --------------------
     bool kb_skip_emitted = false;
@@ -122,8 +97,7 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
             if (!consult.exemplar_rules.empty()) {
                 // Exemplars sharpen generation: regenerate solutions with them.
                 fast = fast_stage.run(ub_case.buggy_source, ub_case.difficulty,
-                                      config_.use_feedback ? feedback_ : nullptr,
-                                      context);
+                                      feedback, context);
             }
         } else if (feedback_confident && !kb_skip_emitted) {
             kb_skip_emitted = true;
@@ -154,9 +128,8 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
     SlowThinkingResult slow;
     if (mode == ThinkingMode::Escalate) {
         consult_knowledge_base();
-        slow = slow_stage.run(ub_case.buggy_source, fast, oracle,
-                              config_.use_feedback ? feedback_ : nullptr, context,
-                              ThinkingMode::Escalate);
+        slow = slow_stage.run(ub_case.buggy_source, fast, oracle, feedback,
+                              context, ThinkingMode::Escalate);
     } else {
         // Trust the intuition: apply the top-ranked solution once. The
         // intuition arm skips abstract reasoning entirely; when feedback
@@ -169,9 +142,8 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
         // If the shortcut fails, the policy may escalate into the full
         // loop after all (the guarded fast path of feedback-guided
         // switching).
-        slow = slow_stage.run(ub_case.buggy_source, fast, oracle,
-                              config_.use_feedback ? feedback_ : nullptr, context,
-                              ThinkingMode::FastOnly);
+        slow = slow_stage.run(ub_case.buggy_source, fast, oracle, feedback,
+                              context, ThinkingMode::FastOnly);
         if (!(slow.pass && slow.acceptable)) {
             // The stage's result was moved into `slow`; repoint the
             // trajectory signals at the live vectors before the policy
@@ -179,13 +151,12 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
             signals.error_trajectory = &slow.error_trajectory;
             signals.attempt_triplets = &slow.attempt_triplets;
             signals.elapsed_ms = clock.now_ms();
-            if (policy_->escalate_on_failure(signals)) {
+            if (policy.escalate_on_failure(signals)) {
                 context.emit(TraceEventKind::ThinkingSwitch, "escalate");
                 consult_knowledge_base();
-                const SlowThinkingResult full = slow_stage.run(
-                    ub_case.buggy_source, fast, oracle,
-                    config_.use_feedback ? feedback_ : nullptr, context,
-                    ThinkingMode::Escalate);
+                const SlowThinkingResult full =
+                    slow_stage.run(ub_case.buggy_source, fast, oracle, feedback,
+                                   context, ThinkingMode::Escalate);
                 // Prefer the escalated outcome unless the probe already
                 // found a Miri-clean fallback the full loop could not.
                 if (full.pass || !slow.pass) slow = full;
@@ -201,26 +172,7 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
             .acceptable();
     result.winning_rule = slow.winning_rule;
     result.final_source = slow.final_source;
-    // Statistics come from the trace — the single source (the stages emit,
-    // TraceStats tallies).
-    result.solutions_generated = stats.solutions_generated();
-    result.steps_executed = stats.steps_executed();
-    result.rollbacks = stats.rollbacks();
-    result.error_trajectory = stats.error_trajectory();
-    result.llm_calls = stats.llm_calls();
-    result.kb_consulted = stats.kb_consulted();
-    result.kb_skipped_by_feedback = stats.kb_skipped();
-    result.thinking_switches = stats.thinking_switches();
-    result.escalations = stats.escalations();
-    result.early_stops = stats.early_stops();
-    result.attempts_skipped = stats.attempts_skipped();
-    result.screens = stats.screens();
-    result.screen_proven_safe = stats.screen_proven_safe();
-    result.screen_likely_ub = stats.screen_likely_ub();
-    result.screen_unknown = stats.screen_unknown();
-    result.time_ms = clock.now_ms();
-    result.time_breakdown = clock.breakdown();
-    return result;
+    return session.finish();
 }
 
 }  // namespace rustbrain::core

@@ -6,9 +6,10 @@
 // agents, verify, adaptively roll back), and the feedback loop that feeds
 // evaluation triplets back into future fast-thinking runs.
 //
-// Implements core::RepairEngine; all model traffic flows through an
-// injected llm::BackendFactory (default: SimLLM), and per-case statistics
-// are tallied from core::TraceSink events.
+// A core::LlmEngine: the shared skeleton opens each repair's session
+// (backend from the injected llm::BackendFactory, default SimLLM; the
+// trace tallied into the CaseResult); this class keeps only the fast/slow
+// orchestration, the KB consult and the semantic judge.
 //
 // Every stochastic choice derives from `config.seed` + the case id, so whole
 // experiment sweeps are reproducible bit-for-bit.
@@ -18,11 +19,8 @@
 #include <memory>
 #include <string>
 
-#include "core/fast_thinking.hpp"
 #include "core/feedback.hpp"
-#include "core/repair_engine.hpp"
-#include "core/slow_thinking.hpp"
-#include "core/thinking_policy.hpp"
+#include "core/llm_engine.hpp"
 #include "dataset/case.hpp"
 #include "kb/knowledge_base.hpp"
 #include "llm/backend.hpp"
@@ -53,7 +51,7 @@ struct RustBrainConfig {
     std::string policy = "paper";
 };
 
-class RustBrain final : public RepairEngine {
+class RustBrain final : public LlmEngine {
   public:
     /// `knowledge_base` may be null (disables KB regardless of config);
     /// `feedback` may be null (disables the self-learning loop);
@@ -70,19 +68,11 @@ class RustBrain final : public RepairEngine {
     [[nodiscard]] std::string config_summary() const override;
 
     [[nodiscard]] const RustBrainConfig& config() const { return config_; }
-    [[nodiscard]] const ThinkingPolicy& policy() const { return *policy_; }
 
   private:
-    [[nodiscard]] const verify::Oracle& oracle() const {
-        return verify::resolve(oracle_.get());
-    }
-
     RustBrainConfig config_;
     const kb::KnowledgeBase* knowledge_base_;
     FeedbackStore* feedback_;
-    llm::BackendFactory backend_factory_;
-    std::shared_ptr<const verify::Oracle> oracle_;
-    std::shared_ptr<const ThinkingPolicy> policy_;
 };
 
 }  // namespace rustbrain::core

@@ -2,6 +2,7 @@
 
 #include "agents/fix_agents.hpp"
 #include "agents/rollback_agent.hpp"
+#include "core/llm_engine.hpp"
 
 namespace rustbrain::core {
 
@@ -42,35 +43,23 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
             if (index < fast.solutions.size()) plan.push_back(index);
         }
     }
-    signals.attempts_planned = plan.size();
+    const AttemptGate gate(policy, mode, static_cast<int>(plan.size()), signals,
+                           context);
 
     for (std::size_t k = 0; k < plan.size(); ++k) {
-        signals.attempt_index = k;
-        signals.elapsed_ms = context.clock.now_ms();
-        int max_steps = options_.max_steps_per_solution;
-        if (mode == ThinkingMode::FastOnly) {
-            // The intuition arm still honors the policy's refinement grant
-            // (fast-only pins it to one application; feedback-guided keeps
-            // the full grant so its shortcut matches the deliberate loop's
-            // first attempt).
-            max_steps = policy.refinement_steps(signals, max_steps);
-        } else {
-            const AttemptAction action = policy.gate_attempt(signals);
-            if (action == AttemptAction::Skip) {
-                context.emit(TraceEventKind::ThinkingSwitch, "skip", plan[k]);
-                continue;
-            }
-            if (action == AttemptAction::Stop) {
-                context.emit(TraceEventKind::ThinkingSwitch, "stop", plan[k]);
-                break;
-            }
-            const int granted =
-                policy.refinement_steps(signals, options_.max_steps_per_solution);
-            if (granted != options_.max_steps_per_solution) {
-                context.emit(TraceEventKind::ThinkingSwitch, "steps",
-                             static_cast<std::uint64_t>(granted < 0 ? 0 : granted));
-            }
-            max_steps = granted;
+        const AttemptAction action = gate.before(k, plan[k]);
+        if (action == AttemptAction::Skip) continue;
+        if (action == AttemptAction::Stop) break;
+        // The intuition arm honors the policy's refinement grant too
+        // (fast-only pins it to one application; feedback-guided keeps the
+        // full grant so its shortcut matches the deliberate loop's first
+        // attempt), but only the deliberate loop reports a deviation.
+        const int max_steps =
+            policy.refinement_steps(signals, options_.max_steps_per_solution);
+        if (mode == ThinkingMode::Escalate &&
+            max_steps != options_.max_steps_per_solution) {
+            context.emit(TraceEventKind::ThinkingSwitch, "steps",
+                         static_cast<std::uint64_t>(max_steps < 0 ? 0 : max_steps));
         }
 
         const Solution& solution = fast.solutions[plan[k]];

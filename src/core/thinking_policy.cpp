@@ -193,48 +193,6 @@ const ThinkingPolicy& paper_thinking_policy() {
 // PolicyRegistry
 // ---------------------------------------------------------------------------
 
-void PolicyRegistry::add(Entry entry) {
-    if (entries_.count(entry.id) != 0) {
-        throw std::invalid_argument("duplicate policy id: " + entry.id);
-    }
-    entries_.emplace(entry.id, std::move(entry));
-}
-
-bool PolicyRegistry::contains(const std::string& id) const {
-    return entries_.count(id) != 0;
-}
-
-const PolicyRegistry::Entry* PolicyRegistry::find(const std::string& id) const {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> PolicyRegistry::ids() const {
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [id, entry] : entries_) out.push_back(id);
-    return out;
-}
-
-std::string PolicyRegistry::help() const {
-    std::string out;
-    for (const auto& [id, entry] : entries_) {
-        out += "  " + id + " — " + entry.description + "\n";
-    }
-    return out;
-}
-
-std::shared_ptr<const ThinkingPolicy> PolicyRegistry::build(
-    const std::string& id, const support::OptionMap& options) const {
-    const Entry* entry = find(id);
-    if (entry == nullptr) {
-        std::string message = "unknown policy id '" + id + "'; available:";
-        for (const std::string& known : ids()) message += ' ' + known;
-        throw std::invalid_argument(message);
-    }
-    return entry->build(options);
-}
-
 const PolicyRegistry& PolicyRegistry::builtin() {
     static const PolicyRegistry registry = [] {
         PolicyRegistry r;

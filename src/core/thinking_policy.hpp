@@ -22,8 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +30,7 @@
 #include "miri/finding.hpp"
 #include "screen/screen.hpp"
 #include "support/options.hpp"
+#include "support/registry.hpp"
 
 namespace rustbrain::core {
 
@@ -167,38 +166,15 @@ const ThinkingPolicy& paper_thinking_policy();
 /// keys both throw std::invalid_argument with a message listing what IS
 /// available, so a typo in a sweep config fails loudly instead of
 /// silently running the default switch.
-class PolicyRegistry {
+class PolicyRegistry
+    : public support::Registry<std::shared_ptr<const ThinkingPolicy>(
+          const support::OptionMap& options)> {
   public:
-    using Builder = std::function<std::shared_ptr<const ThinkingPolicy>(
-        const support::OptionMap& options)>;
-
-    struct Entry {
-        std::string id;
-        std::string description;
-        Builder build;
-    };
-
-    /// Register a policy; throws std::invalid_argument on a duplicate id.
-    void add(Entry entry);
-
-    [[nodiscard]] bool contains(const std::string& id) const;
-    [[nodiscard]] const Entry* find(const std::string& id) const;
-    [[nodiscard]] std::vector<std::string> ids() const;  // sorted
-    /// "id — description" lines, one per policy (for --policy usage text).
-    [[nodiscard]] std::string help() const;
-
-    /// Build a policy by id. Throws std::invalid_argument listing the
-    /// available ids when `id` is unknown, or naming the offending key when
-    /// `options` contains one the policy does not understand.
-    [[nodiscard]] std::shared_ptr<const ThinkingPolicy> build(
-        const std::string& id, const support::OptionMap& options = {}) const;
+    PolicyRegistry() : Registry("policy") {}
 
     /// The six built-in strategies: paper (default), feedback-guided,
     /// screened, budget, fast-only, slow-all.
     static const PolicyRegistry& builtin();
-
-  private:
-    std::map<std::string, Entry> entries_;
 };
 
 /// Parse a policy spec — "id", "id,k=v,...", or "id;k=v;..." (';' lets the

@@ -1,5 +1,7 @@
 #include "core/trace.hpp"
 
+#include "core/repair_engine.hpp"
+
 namespace rustbrain::core {
 
 const char* trace_event_kind_name(TraceEventKind kind) {
@@ -23,39 +25,40 @@ const char* trace_event_kind_name(TraceEventKind kind) {
 }
 
 void TraceStats::on_event(const TraceEvent& event) {
+    CaseResult& r = result_;
     switch (event.kind) {
         case TraceEventKind::LlmCall:
-            ++llm_calls_;
+            ++r.llm_calls;
             break;
         case TraceEventKind::StepExecuted:
-            ++steps_executed_;
+            ++r.steps_executed;
             break;
         case TraceEventKind::StepVerified:
-            trajectory_.push_back(static_cast<std::size_t>(event.value));
+            r.error_trajectory.push_back(static_cast<std::size_t>(event.value));
             break;
         case TraceEventKind::KbConsult:
-            kb_consulted_ = true;
+            r.kb_consulted = true;
             break;
         case TraceEventKind::KbSkip:
-            kb_skipped_ = true;
+            r.kb_skipped_by_feedback = true;
             break;
         case TraceEventKind::Rollback:
-            ++rollbacks_;
+            ++r.rollbacks;
             break;
         case TraceEventKind::SolutionsGenerated:
-            solutions_ = static_cast<int>(event.value);
+            r.solutions_generated = static_cast<int>(event.value);
             break;
         case TraceEventKind::ThinkingSwitch:
-            ++thinking_switches_;
-            if (event.label == "escalate") ++escalations_;
-            if (event.label == "stop") ++early_stops_;
-            if (event.label == "skip") ++attempts_skipped_;
+            ++r.thinking_switches;
+            if (event.label == "escalate") ++r.escalations;
+            if (event.label == "stop") ++r.early_stops;
+            if (event.label == "skip") ++r.attempts_skipped;
             break;
         case TraceEventKind::Screen:
-            ++screens_;
-            if (event.label == "proven-safe") ++screen_proven_safe_;
-            if (event.label == "likely-ub") ++screen_likely_ub_;
-            if (event.label == "unknown") ++screen_unknown_;
+            ++r.screens;
+            if (event.label == "proven-safe") ++r.screen_proven_safe;
+            if (event.label == "likely-ub") ++r.screen_likely_ub;
+            if (event.label == "unknown") ++r.screen_unknown;
             break;
         case TraceEventKind::StageEnter:
         case TraceEventKind::StageExit:

@@ -2,12 +2,14 @@
 //
 // Fast/slow thinking, the agents and the baselines emit typed events
 // (stage enter/exit, LLM calls, verification runs, KB consultations,
-// rollbacks) instead of bumping ad-hoc counters. Engines tally the events
-// with a TraceStats sink, which is the single source for every statistic
-// in CaseResult; callers can attach their own sink (via
-// RepairEngine::set_trace_sink or EngineBuildContext::trace) to observe a
-// repair live or record it for inspection. Emission never consumes
-// randomness or virtual time, so tracing cannot perturb results.
+// rollbacks) instead of bumping ad-hoc counters. Each repair session
+// (core::LlmEngine) attaches a TraceStats that tallies the events straight
+// into the CaseResult being built, so the trace is the single source for
+// every statistic in CaseResult and no engine copies a counter by hand.
+// Callers can attach their own sink (via RepairEngine::set_trace_sink or
+// EngineBuildContext::trace) to observe a repair live or record it for
+// inspection. Emission never consumes randomness or virtual time, so
+// tracing cannot perturb results.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +17,8 @@
 #include <vector>
 
 namespace rustbrain::core {
+
+struct CaseResult;
 
 enum class TraceEventKind {
     StageEnter,          // label = stage name
@@ -55,52 +59,19 @@ class TraceSink {
     virtual void on_event(const TraceEvent& event) = 0;
 };
 
-/// Tallies events into the counters CaseResult reports. One per repair.
+/// Tallies events into the CaseResult counters they report: LlmCall,
+/// StepExecuted and Rollback count up; StepVerified appends to the error
+/// trajectory; KbConsult/KbSkip set their flags; SolutionsGenerated keeps
+/// the most recent count (a KB-sharpened regeneration supersedes the first
+/// pass); ThinkingSwitch and Screen count every decision or verdict plus
+/// the subset their label names. One per repair.
 class TraceStats final : public TraceSink {
   public:
+    explicit TraceStats(CaseResult& result) : result_(result) {}
     void on_event(const TraceEvent& event) override;
 
-    [[nodiscard]] std::uint64_t llm_calls() const { return llm_calls_; }
-    [[nodiscard]] int steps_executed() const { return steps_executed_; }
-    [[nodiscard]] int rollbacks() const { return rollbacks_; }
-    [[nodiscard]] bool kb_consulted() const { return kb_consulted_; }
-    [[nodiscard]] bool kb_skipped() const { return kb_skipped_; }
-    /// Most recent SolutionsGenerated value (a KB-sharpened regeneration
-    /// supersedes the first pass, matching the reported count).
-    [[nodiscard]] int solutions_generated() const { return solutions_; }
-    /// Error counts of every StepVerified event, in emission order.
-    [[nodiscard]] const std::vector<std::size_t>& error_trajectory() const {
-        return trajectory_;
-    }
-    /// ThinkingSwitch tallies: every policy decision, plus the escalation /
-    /// early-stop / skipped-attempt subsets (by event label).
-    [[nodiscard]] int thinking_switches() const { return thinking_switches_; }
-    [[nodiscard]] int escalations() const { return escalations_; }
-    [[nodiscard]] int early_stops() const { return early_stops_; }
-    [[nodiscard]] int attempts_skipped() const { return attempts_skipped_; }
-    /// Screen tallies: every screening verdict observed, split by kind
-    /// (event labels "proven-safe" / "likely-ub" / "unknown").
-    [[nodiscard]] int screens() const { return screens_; }
-    [[nodiscard]] int screen_proven_safe() const { return screen_proven_safe_; }
-    [[nodiscard]] int screen_likely_ub() const { return screen_likely_ub_; }
-    [[nodiscard]] int screen_unknown() const { return screen_unknown_; }
-
   private:
-    std::uint64_t llm_calls_ = 0;
-    int steps_executed_ = 0;
-    int rollbacks_ = 0;
-    bool kb_consulted_ = false;
-    bool kb_skipped_ = false;
-    int solutions_ = 0;
-    int thinking_switches_ = 0;
-    int escalations_ = 0;
-    int early_stops_ = 0;
-    int attempts_skipped_ = 0;
-    int screens_ = 0;
-    int screen_proven_safe_ = 0;
-    int screen_likely_ub_ = 0;
-    int screen_unknown_ = 0;
-    std::vector<std::size_t> trajectory_;
+    CaseResult& result_;
 };
 
 /// Stores every event verbatim (tests, inspection tools).
@@ -114,7 +85,7 @@ class TraceRecorder final : public TraceSink {
     std::vector<TraceEvent> events_;
 };
 
-/// Forwards to up to two sinks (either may be null): the engine's internal
+/// Forwards to up to two sinks (either may be null): the session's
 /// TraceStats plus whatever the caller attached.
 class TraceTee final : public TraceSink {
   public:

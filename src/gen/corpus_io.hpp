@@ -18,9 +18,12 @@
 //
 // Sources are stored with explicit byte counts, never escaped, so any
 // program text round-trips exactly and save(load(x)) == x byte-for-byte.
-// Loading validates structure eagerly and throws std::runtime_error with a
-// message naming the offending case/field; duplicate ids are rejected by
-// the Corpus constructor.
+// Loading (support::LineReader, shared with the service wire, which embeds
+// this format in every request) accepts only the canonical spelling of
+// each number, so that holds for every x that loads. It validates
+// structure eagerly and throws std::runtime_error with a message naming
+// the offending line and case/field; duplicate ids are rejected by the
+// Corpus constructor.
 #pragma once
 
 #include <string>

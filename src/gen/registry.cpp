@@ -1,54 +1,10 @@
 #include "gen/registry.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "gen/generators.hpp"
 
 namespace rustbrain::gen {
-
-void GeneratorRegistry::add(Entry entry) {
-    if (entries_.count(entry.id) != 0) {
-        throw std::invalid_argument("duplicate generator id: " + entry.id);
-    }
-    entries_.emplace(entry.id, std::move(entry));
-}
-
-bool GeneratorRegistry::contains(const std::string& id) const {
-    return entries_.count(id) != 0;
-}
-
-const GeneratorRegistry::Entry* GeneratorRegistry::find(
-    const std::string& id) const {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> GeneratorRegistry::ids() const {
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [id, entry] : entries_) out.push_back(id);
-    return out;
-}
-
-std::string GeneratorRegistry::help() const {
-    std::string out;
-    for (const auto& [id, entry] : entries_) {
-        out += "  " + id + " — " + entry.description + "\n";
-    }
-    return out;
-}
-
-std::unique_ptr<CaseGenerator> GeneratorRegistry::build(
-    const std::string& id, const support::OptionMap& options) const {
-    const Entry* entry = find(id);
-    if (entry == nullptr) {
-        std::string message = "unknown generator id '" + id + "'; available:";
-        for (const std::string& known : ids()) message += ' ' + known;
-        throw std::invalid_argument(message);
-    }
-    return entry->build(options);
-}
 
 MutationKnobs resolve_knobs(const support::OptionMap& options) {
     options.check_known({"depth", "padding", "helpers"});

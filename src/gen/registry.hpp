@@ -6,48 +6,22 @@
 // loudly instead of silently generating the default mix.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "gen/generator.hpp"
 #include "support/options.hpp"
+#include "support/registry.hpp"
 
 namespace rustbrain::gen {
 
-class GeneratorRegistry {
+class GeneratorRegistry
+    : public support::Registry<std::unique_ptr<CaseGenerator>(
+          const support::OptionMap& options)> {
   public:
-    using Builder = std::function<std::unique_ptr<CaseGenerator>(
-        const support::OptionMap& options)>;
-
-    struct Entry {
-        std::string id;
-        std::string description;
-        Builder build;
-    };
-
-    /// Register a generator; throws std::invalid_argument on a duplicate id.
-    void add(Entry entry);
-
-    [[nodiscard]] bool contains(const std::string& id) const;
-    [[nodiscard]] const Entry* find(const std::string& id) const;
-    [[nodiscard]] std::vector<std::string> ids() const;  // sorted
-    /// "id — description" lines, one per generator (for --generators usage).
-    [[nodiscard]] std::string help() const;
-
-    /// Build a generator by id. Throws std::invalid_argument listing the
-    /// available ids when `id` is unknown, or naming the offending key when
-    /// `options` contains one the generator does not understand.
-    [[nodiscard]] std::unique_ptr<CaseGenerator> build(
-        const std::string& id, const support::OptionMap& options = {}) const;
+    GeneratorRegistry() : Registry("generator") {}
 
     /// Every category generator plus the cross-category compositions.
     static const GeneratorRegistry& builtin();
-
-  private:
-    std::map<std::string, Entry> entries_;
 };
 
 /// The option keys every built-in generator understands, resolved into

@@ -1,5 +1,10 @@
 #include "lang/typecheck.hpp"
 
+#include <algorithm>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+
 namespace rustbrain::lang {
 
 // ---------------------------------------------------------------------------
@@ -70,27 +75,32 @@ void TypeChecker::require_unsafe(const char* operation, support::SourceSpan span
     }
 }
 
+template <class Item>
+void TypeChecker::report_duplicates(const std::vector<Item>& items,
+                                    const char* kind) {
+    // One error per later copy of a name, against its first copy, in the
+    // order of the first copies: byte-identical to a pairwise scan when no
+    // name appears more than twice, and the report grows linearly with the
+    // copies instead of quadratically.
+    std::unordered_map<std::string_view, std::size_t> first_index;
+    std::vector<std::pair<std::size_t, std::size_t>> duplicates;
+    for (std::size_t j = 0; j < items.size(); ++j) {
+        const auto [it, inserted] = first_index.emplace(items[j].name, j);
+        if (!inserted) duplicates.emplace_back(it->second, j);
+    }
+    std::sort(duplicates.begin(), duplicates.end());
+    for (const auto& [first, copy] : duplicates) {
+        error(std::string("duplicate ") + kind + " '" + items[first].name + "'",
+              items[copy].span);
+    }
+}
+
 bool TypeChecker::check(Program& program) {
     program_ = &program;
     const std::size_t errors_before = diagnostics_.error_count();
 
-    // Duplicate-name detection.
-    for (std::size_t i = 0; i < program.functions.size(); ++i) {
-        for (std::size_t j = i + 1; j < program.functions.size(); ++j) {
-            if (program.functions[i].name == program.functions[j].name) {
-                error("duplicate function '" + program.functions[i].name + "'",
-                      program.functions[j].span);
-            }
-        }
-    }
-    for (std::size_t i = 0; i < program.statics.size(); ++i) {
-        for (std::size_t j = i + 1; j < program.statics.size(); ++j) {
-            if (program.statics[i].name == program.statics[j].name) {
-                error("duplicate static '" + program.statics[i].name + "'",
-                      program.statics[j].span);
-            }
-        }
-    }
+    report_duplicates(program.functions, "function");
+    report_duplicates(program.statics, "static");
 
     for (auto& item : program.statics) {
         check_static(item);

@@ -85,6 +85,9 @@ class TypeChecker {
     [[nodiscard]] const LocalVar* lookup_local(const std::string& name) const;
 
     // Items ------------------------------------------------------------
+    /// "duplicate <kind> 'name'" at each later copy of a name.
+    template <class Item>
+    void report_duplicates(const std::vector<Item>& items, const char* kind);
     void check_function(FnItem& fn);
     void check_static(StaticItem& item);
 

@@ -5,8 +5,8 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -14,6 +14,8 @@
 
 #include "dataset/corpus.hpp"
 #include "gen/corpus_io.hpp"
+#include "support/line_reader.hpp"
+#include "support/strings.hpp"
 
 namespace rustbrain::serve {
 
@@ -38,117 +40,37 @@ void write_block(std::ostringstream& out, const char* key,
     out << key << ' ' << payload.size() << '\n' << payload << '\n';
 }
 
-/// Cursor over a payload with line-accurate error reporting — the
-/// corpus_io Reader shape, shared by every parse_* below.
-class Reader {
-  public:
-    explicit Reader(const std::string& text) : text_(text) {}
+/// A byte-counted block written by write_block.
+std::string read_block(support::LineReader& reader, const char* key) {
+    return reader.read_block(reader.parse_u64(reader.read_field(key), key));
+}
 
-    [[noreturn]] void fail(const std::string& message) const {
-        throw std::runtime_error("wire format error (line " +
-                                 std::to_string(line_) + "): " + message);
-    }
-
-    [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
-
-    std::string read_line() {
-        ++line_;
-        if (at_end()) fail("unexpected end of input");
-        const std::size_t newline = text_.find('\n', pos_);
-        if (newline == std::string::npos) fail("missing final newline");
-        std::string line = text_.substr(pos_, newline - pos_);
-        pos_ = newline + 1;
-        return line;
-    }
-
-    std::string read_field(const std::string& key) {
-        const std::string line = read_line();
-        if (line == key) return "";
-        if (line.rfind(key + " ", 0) != 0) {
-            fail("expected '" + key + " ...' but found '" + line + "'");
+/// The space-separated counts of a `key` line (each at most INT_MAX).
+std::vector<int> read_counts(support::LineReader& reader, const char* key) {
+    std::vector<int> counts;
+    for (const std::string& field : support::split(reader.read_field(key), ' ')) {
+        const std::uint64_t count = reader.parse_u64(field, key);
+        if (count > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+            reader.fail(std::string(key) + " count out of range: '" + field + "'");
         }
-        return line.substr(key.size() + 1);
+        counts.push_back(static_cast<int>(count));
     }
+    return counts;
+}
 
-    std::uint64_t parse_u64(const std::string& text, const char* what) {
-        // All-digits only: stoull alone would also accept leading
-        // whitespace and '+'/'-' signs, which are not canonical wire form.
-        bool digits = !text.empty();
-        for (const char c : text) {
-            if (c < '0' || c > '9') {
-                digits = false;
-                break;
-            }
-        }
-        if (digits) {
-            try {
-                return std::stoull(text);
-            } catch (...) {  // out of range
-            }
-        }
-        fail(std::string(what) + " is not an unsigned integer: '" + text +
-             "'");
+void expect_end(support::LineReader& reader) {
+    if (reader.read_line() != "end") reader.fail("expected 'end'");
+    if (!reader.at_end()) reader.fail("trailing content after 'end'");
+}
+
+void check_header(support::LineReader& reader, const char* magic) {
+    const std::string header = reader.read_line();
+    const std::string expected =
+        std::string(magic) + " v" + std::to_string(kWireFormatVersion);
+    if (header != expected) {
+        reader.fail("expected '" + expected + "' but found '" + header + "'");
     }
-
-    double parse_double(const std::string& text, const char* what) {
-        const char* begin = text.c_str();
-        char* end = nullptr;
-        const double value = std::strtod(begin, &end);
-        if (end != begin + text.size() || text.empty()) {
-            fail(std::string(what) + " is not a number: '" + text + "'");
-        }
-        return value;
-    }
-
-    bool parse_bool(const std::string& text, const char* what) {
-        if (text == "1") return true;
-        if (text == "0") return false;
-        fail(std::string(what) + " must be 0 or 1, got '" + text + "'");
-    }
-
-    /// Exactly `bytes` raw bytes followed by one '\n'.
-    std::string read_block_body(std::uint64_t bytes) {
-        const std::uint64_t remaining = text_.size() - pos_;
-        if (remaining == 0 || bytes >= remaining) {
-            fail("block runs past end of input");
-        }
-        std::string block = text_.substr(pos_, bytes);
-        pos_ += bytes;
-        if (text_[pos_] != '\n') {
-            fail("block is not terminated by a newline (byte count is "
-                 "wrong)");
-        }
-        ++pos_;
-        for (char c : block) {
-            if (c == '\n') ++line_;
-        }
-        ++line_;
-        return block;
-    }
-
-    std::string read_block(const char* key) {
-        return read_block_body(parse_u64(read_field(key), key));
-    }
-
-    void expect_end() {
-        if (read_line() != "end") fail("expected 'end'");
-        if (!at_end()) fail("trailing content after 'end'");
-    }
-
-    void check_header(const char* magic) {
-        const std::string header = read_line();
-        const std::string expected =
-            std::string(magic) + " v" + std::to_string(kWireFormatVersion);
-        if (header != expected) {
-            fail("expected '" + expected + "' but found '" + header + "'");
-        }
-    }
-
-  private:
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    std::size_t line_ = 0;
-};
+}
 
 void header(std::ostringstream& out, const char* magic) {
     out << magic << " v" << kWireFormatVersion << '\n';
@@ -208,10 +130,10 @@ std::string render_case_result(const core::CaseResult& result) {
 }
 
 core::CaseResult parse_case_result(const std::string& text) {
-    Reader reader(text);
-    reader.check_header(kResultMagic);
+    support::LineReader reader(text, "wire");
+    check_header(reader, kResultMagic);
     core::CaseResult result;
-    result.case_id = reader.read_block("case_id");
+    result.case_id = read_block(reader, "case_id");
     result.pass = reader.parse_bool(reader.read_field("pass"), "pass");
     result.exec = reader.parse_bool(reader.read_field("exec"), "exec");
     result.time_ms =
@@ -219,14 +141,12 @@ core::CaseResult parse_case_result(const std::string& text) {
     const std::uint64_t breakdown =
         reader.parse_u64(reader.read_field("breakdown"), "breakdown count");
     for (std::uint64_t i = 0; i < breakdown; ++i) {
-        std::istringstream line(reader.read_field("charge"));
-        std::string value_text;
-        std::uint64_t bytes = 0;
-        if (!(line >> value_text >> bytes)) {
-            reader.fail("malformed charge line");
-        }
-        const double charge = reader.parse_double(value_text, "charge");
-        const std::string category = reader.read_block_body(bytes);
+        const std::vector<std::string> fields =
+            support::split(reader.read_field("charge"), ' ');
+        if (fields.size() != 2) reader.fail("malformed charge line");
+        const double charge = reader.parse_double(fields[0], "charge");
+        const std::string category =
+            reader.read_block(reader.parse_u64(fields[1], "charge"));
         result.time_breakdown[category] = charge;
     }
     result.solutions_generated = static_cast<int>(
@@ -241,35 +161,27 @@ core::CaseResult parse_case_result(const std::string& text) {
         reader.parse_bool(reader.read_field("kb_consulted"), "kb_consulted");
     result.kb_skipped_by_feedback =
         reader.parse_bool(reader.read_field("kb_skipped"), "kb_skipped");
-    {
-        std::istringstream line(reader.read_field("thinking"));
-        if (!(line >> result.thinking_switches >> result.escalations >>
-              result.early_stops >> result.attempts_skipped)) {
-            reader.fail("malformed thinking line");
-        }
+    const std::vector<int> thinking = read_counts(reader, "thinking");
+    if (thinking.size() != 4) reader.fail("malformed thinking line");
+    result.thinking_switches = thinking[0];
+    result.escalations = thinking[1];
+    result.early_stops = thinking[2];
+    result.attempts_skipped = thinking[3];
+    const std::vector<int> screens = read_counts(reader, "screens");
+    if (screens.size() != 4) reader.fail("malformed screens line");
+    result.screens = screens[0];
+    result.screen_proven_safe = screens[1];
+    result.screen_likely_ub = screens[2];
+    result.screen_unknown = screens[3];
+    // "trajectory <len> <n0> <n1> ..."
+    const std::vector<int> trajectory = read_counts(reader, "trajectory");
+    if (static_cast<std::size_t>(trajectory.front()) != trajectory.size() - 1) {
+        reader.fail("trajectory length does not match its values");
     }
-    {
-        std::istringstream line(reader.read_field("screens"));
-        if (!(line >> result.screens >> result.screen_proven_safe >>
-              result.screen_likely_ub >> result.screen_unknown)) {
-            reader.fail("malformed screens line");
-        }
-    }
-    {
-        std::istringstream line(reader.read_field("trajectory"));
-        std::uint64_t length = 0;
-        if (!(line >> length)) reader.fail("malformed trajectory line");
-        for (std::uint64_t i = 0; i < length; ++i) {
-            std::size_t errors = 0;
-            if (!(line >> errors)) {
-                reader.fail("trajectory shorter than declared");
-            }
-            result.error_trajectory.push_back(errors);
-        }
-    }
-    result.winning_rule = reader.read_block("winning_rule");
-    result.final_source = reader.read_block("final_source");
-    reader.expect_end();
+    result.error_trajectory.assign(trajectory.begin() + 1, trajectory.end());
+    result.winning_rule = read_block(reader, "winning_rule");
+    result.final_source = read_block(reader, "final_source");
+    expect_end(reader);
     return result;
 }
 
@@ -291,16 +203,16 @@ std::string render_request(const RepairRequest& request) {
 }
 
 RepairRequest parse_request(const std::string& text) {
-    Reader reader(text);
-    reader.check_header(kRequestMagic);
+    support::LineReader reader(text, "wire");
+    check_header(reader, kRequestMagic);
     RepairRequest request;
-    request.ticket = reader.read_block("ticket");
-    request.engine = reader.read_block("engine");
-    request.options = reader.read_block("options");
-    request.policy = reader.read_block("policy");
+    request.ticket = read_block(reader, "ticket");
+    request.engine = read_block(reader, "engine");
+    request.options = read_block(reader, "options");
+    request.policy = read_block(reader, "policy");
     request.use_feedback =
         reader.parse_bool(reader.read_field("feedback"), "feedback");
-    const std::string corpus_text = reader.read_block("case");
+    const std::string corpus_text = read_block(reader, "case");
     dataset::Corpus corpus;
     try {
         corpus = gen::corpus_from_string(corpus_text);
@@ -313,7 +225,7 @@ RepairRequest parse_request(const std::string& text) {
                     std::to_string(corpus.size()));
     }
     request.ub_case = corpus.cases().front();
-    reader.expect_end();
+    expect_end(reader);
     return request;
 }
 
@@ -334,28 +246,28 @@ std::string render_response(const RepairResponse& response) {
 }
 
 RepairResponse parse_response(const std::string& text) {
-    Reader reader(text);
-    reader.check_header(kResponseMagic);
+    support::LineReader reader(text, "wire");
+    check_header(reader, kResponseMagic);
     RepairResponse response;
-    response.ticket = reader.read_block("ticket");
+    response.ticket = read_block(reader, "ticket");
     response.ok = reader.parse_bool(reader.read_field("ok"), "ok");
     response.shed = reader.parse_bool(reader.read_field("shed"), "shed");
     response.retry_after_ms = reader.parse_double(
         reader.read_field("retry_after_ms"), "retry_after_ms");
-    response.error = reader.read_block("error");
+    response.error = read_block(reader, "error");
     response.worker = reader.parse_u64(reader.read_field("worker"), "worker");
     response.queue_ms =
         reader.parse_double(reader.read_field("queue_ms"), "queue_ms");
     response.service_ms =
         reader.parse_double(reader.read_field("service_ms"), "service_ms");
-    const std::string result_text = reader.read_block("result");
+    const std::string result_text = read_block(reader, "result");
     try {
         response.result = parse_case_result(result_text);
     } catch (const std::exception& error) {
         reader.fail(std::string("embedded result does not parse: ") +
                     error.what());
     }
-    reader.expect_end();
+    expect_end(reader);
     return response;
 }
 

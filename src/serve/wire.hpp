@@ -5,7 +5,7 @@
 // line-oriented text in the corpus_io idiom — variable-size fields (ticket,
 // sources, the case itself) are written as byte-counted blocks, so any
 // program text round-trips exactly and a parse error names the offending
-// line. The case travels as a single-case gen::corpus_to_string corpus, so
+// line (support::LineReader, the corpus format's reader too). The case travels as a single-case gen::corpus_to_string corpus, so
 // the one serializer that already round-trips every program byte-exactly is
 // also the one the wire uses.
 //

@@ -9,6 +9,7 @@
 #include "agents/rollback_agent.hpp"
 #include "analysis/prune.hpp"
 #include "analysis/vectorize.hpp"
+#include "core/repair_engine.hpp"
 #include "core/trace.hpp"
 #include "dataset/corpus.hpp"
 #include "kb/seed.hpp"
@@ -88,7 +89,8 @@ TEST(FixAgentTest, RunProducesVerifiableCode) {
     const auto* ub_case = corpus().find("danglingpointer/use_after_free_0");
     llm::SimLLM sim(llm::gpt4_profile(), 5);
     support::SimClock clock;
-    core::TraceStats stats;
+    core::CaseResult tally;
+    core::TraceStats stats(tally);
     AgentContext context{sim, clock};
     context.trace = &stats;
     context.temperature = 0.1;
@@ -104,7 +106,7 @@ TEST(FixAgentTest, RunProducesVerifiableCode) {
     EXPECT_GT(clock.total_for("llm"), 0.0);
     // The call is reported through the trace (the single stats source) and
     // stamped with the session sequence.
-    EXPECT_EQ(stats.llm_calls(), 1u);
+    EXPECT_EQ(tally.llm_calls, 1u);
     EXPECT_EQ(context.sequence, 1u);
     EXPECT_EQ(sim.calls_served(), 1u);
 }

@@ -4,11 +4,16 @@
 // construction.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
+#include "core/thinking_policy.hpp"
+#include "core/trace.hpp"
 #include "dataset/corpus.hpp"
+#include "gen/registry.hpp"
 #include "kb/seed.hpp"
 
 namespace rustbrain::core {
@@ -98,6 +103,54 @@ TEST(EngineRegistryTest, UnknownIdThrowsListingAvailable) {
         EXPECT_NE(message.find("rustbrian"), std::string::npos);
         EXPECT_NE(message.find("rustbrain"), std::string::npos);
         EXPECT_NE(message.find("fixed-pipeline"), std::string::npos);
+    }
+}
+
+std::string thrown_message(const std::function<void()>& action) {
+    try {
+        action();
+    } catch (const std::invalid_argument& error) {
+        return error.what();
+    }
+    return "(nothing thrown)";
+}
+
+TEST(EngineRegistryTest, EveryRegistryKindWordsItsErrorsTheSameWay) {
+    // Engines, policies and generators share one registry implementation;
+    // each keeps its own kind word in the messages.
+    EXPECT_EQ(thrown_message([] { (void)EngineRegistry::builtin().build("x"); }),
+              "unknown engine id 'x'; available: expert fixed-pipeline "
+              "rustbrain standalone");
+    EXPECT_EQ(thrown_message([] { (void)PolicyRegistry::builtin().build("x"); }),
+              "unknown policy id 'x'; available: budget fast-only "
+              "feedback-guided paper screened slow-all");
+    EXPECT_EQ(
+        thrown_message([] { (void)gen::GeneratorRegistry::builtin().build("x"); })
+            .rfind("unknown generator id 'x'; available: alloc bothborrow ", 0),
+        0u);
+
+    EngineRegistry engines;
+    engines.add({"e", "", {}});
+    EXPECT_EQ(thrown_message([&] { engines.add({"e", "", {}}); }),
+              "duplicate engine id: e");
+    PolicyRegistry policies;
+    policies.add({"p", "", {}});
+    EXPECT_EQ(thrown_message([&] { policies.add({"p", "", {}}); }),
+              "duplicate policy id: p");
+    gen::GeneratorRegistry generators;
+    generators.add({"g", "", {}});
+    EXPECT_EQ(thrown_message([&] { generators.add({"g", "", {}}); }),
+              "duplicate generator id: g");
+}
+
+TEST(EngineRegistryTest, EveryBuiltinEngineGetsTheContextSink) {
+    TraceRecorder recorder;
+    EngineBuildContext context = kb_context();
+    context.trace = &recorder;
+    for (const std::string& id : EngineRegistry::builtin().ids()) {
+        EXPECT_EQ(EngineRegistry::builtin().build(id, {}, context)->trace_sink(),
+                  &recorder)
+            << id;
     }
 }
 

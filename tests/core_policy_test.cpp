@@ -4,11 +4,13 @@
 // sweeps of all four registry engines over the full standard corpus
 // (serial and 4-worker) are byte-equal to goldens fingerprinted on the
 // pre-refactor orchestrator, and omitting the option entirely is the same
-// engine. On top of that: the registry's unknown-id/unknown-knob error
-// paths, the spec parser, and the behavioral deltas of the non-default
-// strategies (fast-only never escalates, slow-all deliberates past
-// success without changing the verdict, budget stops early, and
-// feedback-guided sheds overhead on confident shapes).
+// engine. Full-render and trace-stream digests pin the three LLM engines
+// under every policy that needs no screener. On top of that: the
+// registry's unknown-id/unknown-knob error paths, the spec parser, and the
+// behavioral deltas of the non-default strategies (fast-only never
+// escalates, slow-all deliberates past success without changing the
+// verdict, budget stops early, and feedback-guided sheds overhead on
+// confident shapes).
 #include <gtest/gtest.h>
 
 #include <cstdio>

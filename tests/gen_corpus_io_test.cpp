@@ -7,6 +7,8 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
@@ -246,9 +248,52 @@ TEST(CorpusIoTest, SourcesWithoutTrailingNewlineRoundTrip) {
     expect_cases_equal(corpus, reloaded);
 }
 
+TEST(CorpusIoTest, NonCanonicalNumbersAreFormatErrors) {
+    // save(load(x)) == x only holds if the loader accepts nothing the saver
+    // would spell differently: no sign, padding or leading zero.
+    dataset::UbCase ub_case = dataset::Corpus::standard().cases().front();
+    ub_case.inputs = {{5, -3}};
+    const std::string text = corpus_to_string(dataset::Corpus({ub_case}));
+    ASSERT_EQ(corpus_to_string(corpus_from_string(text)), text);
+    const std::string buggy = "buggy " + std::to_string(ub_case.buggy_source.size());
+    const std::string difficulty = "difficulty " + std::to_string(ub_case.difficulty);
+    const std::vector<std::pair<std::string, std::string>> edits = {
+        {"cases 1", "cases +1"},
+        {"cases 1", "cases  1"},
+        {"cases 1", "cases 01"},
+        {"cases 1", "cases 1 "},
+        {difficulty, "difficulty +" + std::to_string(ub_case.difficulty)},
+        {"inputs 1", "inputs 01"},
+        {"input 2 5 -3", "input +2 5 -3"},
+        {"input 2 5 -3", "input 2 +5 -3"},
+        {"input 2 5 -3", "input 2  5 -3"},
+        {"input 2 5 -3", "input 2 05 -3"},
+        {"input 2 5 -3", "input 2 5 -03"},
+        {"input 2 5 -3", "input 2 5 -3 "},
+        {"input 2 5 -3", "input 2 -0 -3"},
+        {buggy, "buggy +" + std::to_string(ub_case.buggy_source.size())},
+    };
+    for (const auto& [from, to] : edits) {
+        SCOPED_TRACE(to);
+        std::string edited = text;
+        const std::size_t pos = edited.find("\n" + from + "\n");
+        ASSERT_NE(pos, std::string::npos);
+        edited.replace(pos + 1, from.size(), to);
+        try {
+            corpus_from_string(edited);
+            FAIL() << "expected std::runtime_error";
+        } catch (const std::runtime_error& error) {
+            EXPECT_EQ(std::string(error.what()).rfind("corpus format error (line", 0),
+                      0u)
+                << error.what();
+        }
+    }
+}
+
 TEST(CorpusIoTest, MutatedFilesLoadOrThrowTheDocumentedErrors) {
     // A corpus file is untrusted input: every mutation of a valid file
-    // either loads or throws std::runtime_error / std::invalid_argument.
+    // either loads, and saves back to the same bytes, or throws
+    // std::runtime_error / std::invalid_argument.
     const dataset::Corpus corpus = dataset::Corpus::standard();
     const std::vector<dataset::UbCase>& standard = corpus.cases();
     ForgeOptions options;
@@ -267,7 +312,9 @@ TEST(CorpusIoTest, MutatedFilesLoadOrThrowTheDocumentedErrors) {
         const std::string text = mutation::mutate(
             seeds[static_cast<std::size_t>(i) % seeds.size()], seeds, rng);
         ASSERT_TRUE(mutation::parses_or_rejects([&] {
-            (void)corpus_from_string(text);
+            // Whatever loads is canonical: saving it gives the same bytes.
+            EXPECT_EQ(corpus_to_string(corpus_from_string(text)), text)
+                << "iteration " << i;
             ++loaded;
         })) << "iteration " << i;
     }

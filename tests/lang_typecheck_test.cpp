@@ -46,6 +46,47 @@ TEST(TypecheckTest, DuplicateFunctionNames) {
     expect_rejects("fn f() { } fn f() { } fn main() { }", "duplicate function");
 }
 
+std::string type_error(const std::string& source) {
+    Program program = parse_ok(source);
+    std::string error;
+    EXPECT_FALSE(type_check(program, &error));
+    return error;
+}
+
+std::string copies(const std::string& item, int count) {
+    std::string source;
+    for (int i = 0; i < count; ++i) source += item;
+    return source + "fn main() { }";
+}
+
+TEST(TypecheckTest, EachLaterDuplicateIsReportedOnceAgainstTheFirst) {
+    // Two names duplicated once each: one error per pair, in the order of
+    // the first copies (here `b`'s pair comes first).
+    const std::string pairs =
+        type_error("fn b() { } fn a() { } fn b() { } fn a() { } fn main() { }");
+    EXPECT_LT(pairs.find("duplicate function 'b'"),
+              pairs.find("duplicate function 'a'"));
+    // Three copies are two errors, not one per pair of copies.
+    const std::string three = type_error(copies("static S: i64 = 1; ", 3));
+    std::size_t errors = 0;
+    for (std::size_t at = three.find("duplicate static 'S'");
+         at != std::string::npos; at = three.find("duplicate static 'S'", at + 1)) {
+        ++errors;
+    }
+    EXPECT_EQ(errors, 2u) << three;
+}
+
+TEST(TypecheckTest, DuplicateMessagesGrowLinearlyWithTheCopies) {
+    // A pairwise scan emits n(n-1)/2 errors for n copies (about 20 MB for
+    // 1,000 copies of `fn f() {}`). One copy per line, so every copy past
+    // the 100th has a three-digit location.
+    const std::size_t at100 = type_error(copies("fn f() { }\n", 100)).size();
+    const std::size_t at200 = type_error(copies("fn f() { }\n", 200)).size();
+    const std::size_t at400 = type_error(copies("fn f() { }\n", 400)).size();
+    EXPECT_EQ(at400 - at200, 2 * (at200 - at100));
+    EXPECT_LT(at400, 400u * 100u);
+}
+
 TEST(TypecheckTest, LiteralAdoptsDeclaredType) {
     Program program = parse_ok("fn main() { let x: i64 = 5; }");
     ASSERT_TRUE(type_check(program));

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/corpus.hpp"
@@ -169,6 +170,40 @@ TEST(ServeWireTest, ResponseRoundTripsBothOutcomes) {
     EXPECT_FALSE(failed_parsed.ok);
     EXPECT_EQ(failed_parsed.error, failed.error);
     EXPECT_EQ(failed_parsed.result.case_id, "");
+}
+
+TEST(ServeWireTest, NonCanonicalResultFieldsAreFormatErrors) {
+    // render(parse(x)) == x only holds if the parser accepts nothing the
+    // renderer would spell differently.
+    const std::string rendered = render_case_result(full_result());
+    const std::vector<std::pair<std::string, std::string>> edits = {
+        {"thinking 2 1 1 4", "thinking +2 1 1 4"},
+        {"thinking 2 1 1 4", "thinking 2  1 1 4"},
+        {"screens 6 2 3 1", "screens 06 2 3 1"},
+        {"trajectory 3 3 1 0", "trajectory 3 3 1 0 7"},
+        {"trajectory 3 3 1 0", "trajectory 3 3 1 +0"},
+        {"steps 5", "steps 05"},
+        {"pass 1", "pass +1"},
+    };
+    for (const auto& [from, to] : edits) {
+        SCOPED_TRACE(to);
+        std::string edited = rendered;
+        const std::size_t pos = edited.find("\n" + from + "\n");
+        ASSERT_NE(pos, std::string::npos);
+        edited.replace(pos + 1, from.size(), to);
+        EXPECT_THROW((void)parse_case_result(edited), std::runtime_error);
+    }
+    // Doubles travel as %a hexfloats; a decimal spelling of the same value
+    // is refused, in a time field and in a clock charge.
+    for (const std::string& field : {std::string("time_ms "), std::string("charge ")}) {
+        SCOPED_TRACE(field);
+        std::string edited = rendered;
+        const std::size_t pos = edited.find("\n" + field);
+        ASSERT_NE(pos, std::string::npos);
+        const std::size_t end = edited.find_first_of(" \n", pos + 1 + field.size());
+        edited.replace(pos + 1 + field.size(), end - pos - 1 - field.size(), "0.5");
+        EXPECT_THROW((void)parse_case_result(edited), std::runtime_error);
+    }
 }
 
 TEST(ServeWireTest, MalformedPayloadsThrowNamingTheLine) {
