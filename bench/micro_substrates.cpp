@@ -2,7 +2,9 @@
 // rbbench's per-layer replay does not time: printing, the interpreter-tier
 // ladder on synthetic loop-, call- and memory-heavy workloads, the Oracle
 // uncached and memoized, pruning, vectorization, KB query, rule
-// application. Parse, type check, lowering, bytecode compile,
+// application, and the front end's allocation pattern over the seed-42
+// forged corpus (parse, clone, teardown). Type check, lowering, bytecode
+// compile,
 // screening and corpus interpretation are rbbench's `lang.*`, `miri.*`,
 // `vm.*` and `screen.*` metrics (rbbench/METRICS.md). Not a paper figure —
 // performance guardrails for the toolchain the experiments run on.
@@ -11,6 +13,7 @@
 #include "analysis/prune.hpp"
 #include "analysis/vectorize.hpp"
 #include "dataset/corpus.hpp"
+#include "gen/forge.hpp"
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -264,6 +267,82 @@ void BM_RuleApply(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RuleApply);
+
+/// The 1,120 sources (buggy and fix) of the 560-case, seed-42 forge that
+/// the sweep benchmark runs.
+const std::vector<std::string>& forged_sources() {
+    static const std::vector<std::string> sources = [] {
+        gen::ForgeOptions options;
+        options.seed = 42;
+        options.count = 560;
+        const dataset::Corpus forged = gen::forge_corpus(options);
+        std::vector<std::string> out;
+        for (const dataset::UbCase& ub_case : forged.cases()) {
+            out.push_back(ub_case.buggy_source);
+            out.push_back(ub_case.reference_fix);
+        }
+        return out;
+    }();
+    return sources;
+}
+
+std::vector<lang::Program> parse_forged() {
+    std::vector<lang::Program> programs;
+    programs.reserve(forged_sources().size());
+    for (const std::string& source : forged_sources()) {
+        programs.push_back(std::move(*lang::try_parse(source)));
+    }
+    return programs;
+}
+
+// One iteration lexes, parses and renumbers all 1,120 sources; the
+// programs are dropped outside the timed region (BM_TeardownForged times
+// that).
+void BM_ParseForged(benchmark::State& state) {
+    std::vector<std::optional<lang::Program>> programs;
+    programs.reserve(forged_sources().size());
+    for (auto _ : state) {
+        for (const std::string& source : forged_sources()) {
+            programs.push_back(lang::try_parse(source));
+        }
+        state.PauseTiming();
+        programs.clear();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(forged_sources().size()));
+}
+BENCHMARK(BM_ParseForged);
+
+void BM_CloneForged(benchmark::State& state) {
+    const std::vector<lang::Program> programs = parse_forged();
+    std::vector<lang::Program> clones;
+    clones.reserve(programs.size());
+    for (auto _ : state) {
+        for (const lang::Program& program : programs) {
+            clones.push_back(program.clone());
+        }
+        state.PauseTiming();
+        clones.clear();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(programs.size()));
+}
+BENCHMARK(BM_CloneForged);
+
+void BM_TeardownForged(benchmark::State& state) {
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<lang::Program> programs = parse_forged();
+        state.ResumeTiming();
+        programs.clear();
+        benchmark::DoNotOptimize(programs);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(forged_sources().size()));
+}
+BENCHMARK(BM_TeardownForged);
 
 void BM_CorpusBuild(benchmark::State& state) {
     for (auto _ : state) {
