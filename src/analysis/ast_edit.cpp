@@ -10,63 +10,63 @@ using namespace lang;
 // Builders
 // ---------------------------------------------------------------------------
 
-ExprPtr mk_int(std::uint64_t value) {
-    auto node = std::make_unique<IntLitExpr>();
+ExprPtr mk_int(AstArena& arena, std::uint64_t value) {
+    auto node = arena.make<IntLitExpr>();
     node->value = value;
     return node;
 }
 
-ExprPtr mk_bool(bool value) {
-    auto node = std::make_unique<BoolLitExpr>();
+ExprPtr mk_bool(AstArena& arena, bool value) {
+    auto node = arena.make<BoolLitExpr>();
     node->value = value;
     return node;
 }
 
-ExprPtr mk_var(const std::string& name) {
-    auto node = std::make_unique<VarRefExpr>();
+ExprPtr mk_var(AstArena& arena, const std::string& name) {
+    auto node = arena.make<VarRefExpr>();
     node->name = name;
     return node;
 }
 
-ExprPtr mk_unary(UnaryOp op, ExprPtr operand) {
-    auto node = std::make_unique<UnaryExpr>();
+ExprPtr mk_unary(AstArena& arena, UnaryOp op, ExprPtr operand) {
+    auto node = arena.make<UnaryExpr>();
     node->op = op;
     node->operand = std::move(operand);
     return node;
 }
 
-ExprPtr mk_binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
-    auto node = std::make_unique<BinaryExpr>();
+ExprPtr mk_binary(AstArena& arena, BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
+    auto node = arena.make<BinaryExpr>();
     node->op = op;
     node->lhs = std::move(lhs);
     node->rhs = std::move(rhs);
     return node;
 }
 
-ExprPtr mk_cast(ExprPtr operand, Type target) {
-    auto node = std::make_unique<CastExpr>();
+ExprPtr mk_cast(AstArena& arena, ExprPtr operand, Type target) {
+    auto node = arena.make<CastExpr>();
     node->operand = std::move(operand);
     node->target = std::move(target);
     return node;
 }
 
-ExprPtr mk_call(const std::string& callee, std::vector<ExprPtr> args) {
-    auto node = std::make_unique<CallExpr>();
+ExprPtr mk_call(AstArena& arena, const std::string& callee, ExprList args) {
+    auto node = arena.make<CallExpr>();
     node->callee = callee;
     node->args = std::move(args);
     return node;
 }
 
-ExprPtr mk_index(ExprPtr base, ExprPtr index) {
-    auto node = std::make_unique<IndexExpr>();
+ExprPtr mk_index(AstArena& arena, ExprPtr base, ExprPtr index) {
+    auto node = arena.make<IndexExpr>();
     node->base = std::move(base);
     node->index = std::move(index);
     return node;
 }
 
-StmtPtr mk_let(const std::string& name, bool is_mut, ExprPtr init,
+StmtPtr mk_let(AstArena& arena, const std::string& name, bool is_mut, ExprPtr init,
                std::optional<Type> declared) {
-    auto node = std::make_unique<LetStmt>();
+    auto node = arena.make<LetStmt>();
     node->name = name;
     node->is_mut = is_mut;
     node->init = std::move(init);
@@ -74,48 +74,45 @@ StmtPtr mk_let(const std::string& name, bool is_mut, ExprPtr init,
     return node;
 }
 
-StmtPtr mk_assign(ExprPtr place, ExprPtr value) {
-    auto node = std::make_unique<AssignStmt>();
+StmtPtr mk_assign(AstArena& arena, ExprPtr place, ExprPtr value) {
+    auto node = arena.make<AssignStmt>();
     node->place = std::move(place);
     node->value = std::move(value);
     return node;
 }
 
-StmtPtr mk_expr_stmt(ExprPtr expr) {
-    auto node = std::make_unique<ExprStmt>();
+StmtPtr mk_expr_stmt(AstArena& arena, ExprPtr expr) {
+    auto node = arena.make<ExprStmt>();
     node->expr = std::move(expr);
     return node;
 }
 
-StmtPtr mk_return(ExprPtr value) {
-    auto node = std::make_unique<ReturnStmt>();
+StmtPtr mk_return(AstArena& arena, ExprPtr value) {
+    auto node = arena.make<ReturnStmt>();
     node->value = std::move(value);
     return node;
 }
 
-StmtPtr mk_print_sentinel() {
-    return mk_expr_stmt(
-        mk_call("print_int", [] {
-            std::vector<ExprPtr> args;
-            args.push_back(mk_binary(BinaryOp::Sub, mk_int(0), mk_int(1)));
-            return args;
-        }()));
+StmtPtr mk_print_sentinel(AstArena& arena) {
+    ExprList args(arena);
+    args.push_back(mk_binary(arena, BinaryOp::Sub, mk_int(arena, 0), mk_int(arena, 1)));
+    return mk_expr_stmt(arena, mk_call(arena, "print_int", std::move(args)));
 }
 
-StmtPtr mk_guard(ExprPtr cond, Block then_block, bool with_sentinel_else) {
-    auto node = std::make_unique<IfStmt>();
+StmtPtr mk_guard(AstArena& arena, ExprPtr cond, Block then_block, bool with_sentinel_else) {
+    auto node = arena.make<IfStmt>();
     node->condition = std::move(cond);
     node->then_block = std::move(then_block);
     if (with_sentinel_else) {
-        Block else_block;
-        else_block.statements.push_back(mk_print_sentinel());
+        Block else_block(arena);
+        else_block.statements.push_back(mk_print_sentinel(arena));
         node->else_block = std::move(else_block);
     }
     return node;
 }
 
-StmtPtr mk_unsafe(Block block) {
-    auto node = std::make_unique<UnsafeStmt>();
+StmtPtr mk_unsafe(AstArena& arena, Block block) {
+    auto node = arena.make<UnsafeStmt>();
     node->block = std::move(block);
     return node;
 }

@@ -11,27 +11,33 @@
 namespace rustbrain::analysis {
 
 // --- node builders -----------------------------------------------------
+//
+// Each builder makes its nodes in `arena`, the arena of the program the
+// nodes will join (DESIGN.md §21); `args` and blocks must come from it too.
 
-lang::ExprPtr mk_int(std::uint64_t value);
-lang::ExprPtr mk_bool(bool value);
-lang::ExprPtr mk_var(const std::string& name);
-lang::ExprPtr mk_unary(lang::UnaryOp op, lang::ExprPtr operand);
-lang::ExprPtr mk_binary(lang::BinaryOp op, lang::ExprPtr lhs, lang::ExprPtr rhs);
-lang::ExprPtr mk_cast(lang::ExprPtr operand, lang::Type target);
-lang::ExprPtr mk_call(const std::string& callee, std::vector<lang::ExprPtr> args);
-lang::ExprPtr mk_index(lang::ExprPtr base, lang::ExprPtr index);
+lang::ExprPtr mk_int(lang::AstArena& arena, std::uint64_t value);
+lang::ExprPtr mk_bool(lang::AstArena& arena, bool value);
+lang::ExprPtr mk_var(lang::AstArena& arena, const std::string& name);
+lang::ExprPtr mk_unary(lang::AstArena& arena, lang::UnaryOp op, lang::ExprPtr operand);
+lang::ExprPtr mk_binary(lang::AstArena& arena, lang::BinaryOp op, lang::ExprPtr lhs,
+                        lang::ExprPtr rhs);
+lang::ExprPtr mk_cast(lang::AstArena& arena, lang::ExprPtr operand, lang::Type target);
+lang::ExprPtr mk_call(lang::AstArena& arena, const std::string& callee,
+                      lang::ExprList args);
+lang::ExprPtr mk_index(lang::AstArena& arena, lang::ExprPtr base, lang::ExprPtr index);
 
-lang::StmtPtr mk_let(const std::string& name, bool is_mut, lang::ExprPtr init,
+lang::StmtPtr mk_let(lang::AstArena& arena, const std::string& name, bool is_mut,
+                     lang::ExprPtr init,
                      std::optional<lang::Type> declared = std::nullopt);
-lang::StmtPtr mk_assign(lang::ExprPtr place, lang::ExprPtr value);
-lang::StmtPtr mk_expr_stmt(lang::ExprPtr expr);
-lang::StmtPtr mk_return(lang::ExprPtr value);
+lang::StmtPtr mk_assign(lang::AstArena& arena, lang::ExprPtr place, lang::ExprPtr value);
+lang::StmtPtr mk_expr_stmt(lang::AstArena& arena, lang::ExprPtr expr);
+lang::StmtPtr mk_return(lang::AstArena& arena, lang::ExprPtr value);
 /// `if cond { then } else { print_int(0 - 1); }` — the corpus's guard idiom.
-lang::StmtPtr mk_guard(lang::ExprPtr cond, lang::Block then_block,
+lang::StmtPtr mk_guard(lang::AstArena& arena, lang::ExprPtr cond, lang::Block then_block,
                        bool with_sentinel_else);
-lang::StmtPtr mk_unsafe(lang::Block block);
+lang::StmtPtr mk_unsafe(lang::AstArena& arena, lang::Block block);
 /// print_int(0 - 1) — the sentinel the corpus prints on guarded paths.
-lang::StmtPtr mk_print_sentinel();
+lang::StmtPtr mk_print_sentinel(lang::AstArena& arena);
 
 // --- traversal / rewriting -------------------------------------------------
 

@@ -56,8 +56,9 @@ bool stmt_relevant(const Stmt& stmt, const std::set<std::string>& names) {
     return relevant;
 }
 
-Block prune_block(const Block& block, const std::set<std::string>& names) {
-    Block out;
+Block prune_block(const Block& block, const std::set<std::string>& names,
+                  AstArena& arena) {
+    Block out(arena);
     for (const auto& stmt : block.statements) {
         if (!stmt_relevant(*stmt, names)) {
             continue;  // Algorithm 1: delete context irrelevant to unsafe ops.
@@ -66,35 +67,35 @@ Block prune_block(const Block& block, const std::set<std::string>& names) {
         switch (stmt->kind) {
             case StmtKind::If: {
                 const auto& node = static_cast<const IfStmt&>(*stmt);
-                auto pruned = std::make_unique<IfStmt>();
+                auto pruned = arena.make<IfStmt>();
                 pruned->span = node.span;
-                pruned->condition = node.condition->clone();
-                pruned->then_block = prune_block(node.then_block, names);
+                pruned->condition = node.condition->clone(arena);
+                pruned->then_block = prune_block(node.then_block, names, arena);
                 if (node.else_block) {
-                    pruned->else_block = prune_block(*node.else_block, names);
+                    pruned->else_block = prune_block(*node.else_block, names, arena);
                 }
                 out.statements.push_back(std::move(pruned));
                 break;
             }
             case StmtKind::While: {
                 const auto& node = static_cast<const WhileStmt&>(*stmt);
-                auto pruned = std::make_unique<WhileStmt>();
+                auto pruned = arena.make<WhileStmt>();
                 pruned->span = node.span;
-                pruned->condition = node.condition->clone();
-                pruned->body = prune_block(node.body, names);
+                pruned->condition = node.condition->clone(arena);
+                pruned->body = prune_block(node.body, names, arena);
                 out.statements.push_back(std::move(pruned));
                 break;
             }
             case StmtKind::Block: {
                 const auto& node = static_cast<const BlockStmt&>(*stmt);
-                auto pruned = std::make_unique<BlockStmt>();
+                auto pruned = arena.make<BlockStmt>();
                 pruned->span = node.span;
-                pruned->block = prune_block(node.block, names);
+                pruned->block = prune_block(node.block, names, arena);
                 out.statements.push_back(std::move(pruned));
                 break;
             }
             default:
-                out.statements.push_back(stmt->clone());
+                out.statements.push_back(stmt->clone(arena));
                 break;
         }
     }
@@ -138,25 +139,26 @@ Program prune_ast(const Program& program, PruneStats* stats) {
         walk_program(program, callbacks);
     }
 
-    Program pruned;
+    Program pruned(program.arena().bytes_used());
+    AstArena& arena = pruned.arena();
     pruned.type_pool = program.type_pool;  // the copied nodes name its types
     // Statics touched by unsafe code stay.
     for (const auto& item : program.statics) {
         if (names.count(item.name) != 0 || item.is_mut) {
-            pruned.statics.push_back(item.clone());
+            pruned.statics.push_back(item.clone(arena));
         }
     }
     for (const auto& fn : program.functions) {
-        FnItem copy;
+        FnItem copy(arena);
         copy.name = fn.name;
         copy.is_unsafe = fn.is_unsafe;
-        copy.params = fn.params;
+        copy.params.assign(fn.params.begin(), fn.params.end());
         copy.return_type = fn.return_type;
         copy.span = fn.span;
         if (fn.is_unsafe) {
-            copy.body = fn.body.clone();  // whole unsafe fn is an unsafe region
+            copy.body = fn.body.clone(arena);  // whole unsafe fn is an unsafe region
         } else {
-            copy.body = prune_block(fn.body, names);
+            copy.body = prune_block(fn.body, names, arena);
         }
         const bool referenced = names.count(fn.name) != 0;
         if (!copy.body.statements.empty() || referenced || fn.name == "main") {

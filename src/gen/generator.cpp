@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "analysis/ast_edit.hpp"
 #include "lang/ast.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -11,7 +12,7 @@ namespace rustbrain::gen {
 
 namespace detail {
 
-std::string fill_template(std::string templ,
+std::string fill_template(std::string_view templ,
                           const std::vector<std::string>& args) {
     std::string out;
     out.reserve(templ.size());
@@ -29,31 +30,6 @@ std::string fill_template(std::string templ,
     }
     return out;
 }
-
-}  // namespace detail
-
-namespace {
-
-// One dead-code padding statement. Values are kept small so padding can
-// never overflow or otherwise perturb the program it decorates.
-struct PadSpec {
-    int kind = 0;  // 0: const let, 1: arithmetic let, 2: counting loop
-    std::string name;
-    std::int64_t a = 0;
-    std::int64_t b = 0;
-};
-
-/// The structural mutations of one case, sampled once and applied to both
-/// the buggy program and the reference fix so their traces stay related.
-struct MutationPlan {
-    int nesting = 0;
-    std::vector<PadSpec> front_pads;
-    std::vector<PadSpec> back_pads;
-    bool helper = false;
-    std::string helper_name;
-    std::int64_t helper_mul = 1;
-    std::int64_t helper_add = 0;
-};
 
 MutationPlan sample_plan(support::Rng& rng, const MutationKnobs& knobs) {
     MutationPlan plan;
@@ -92,116 +68,98 @@ MutationPlan sample_plan(support::Rng& rng, const MutationKnobs& knobs) {
     return plan;
 }
 
-lang::ExprPtr make_int(std::int64_t value) {
-    auto lit = std::make_unique<lang::IntLitExpr>();
-    lit->value = static_cast<std::uint64_t>(value);
-    return lit;
+}  // namespace detail
+
+namespace {
+
+lang::ExprPtr make_int(lang::AstArena& arena, std::int64_t value) {
+    return analysis::mk_int(arena, static_cast<std::uint64_t>(value));
 }
 
-lang::ExprPtr make_var(const std::string& name) {
-    auto ref = std::make_unique<lang::VarRefExpr>();
-    ref->name = name;
-    return ref;
-}
-
-lang::ExprPtr make_binary(lang::BinaryOp op, lang::ExprPtr lhs,
-                          lang::ExprPtr rhs) {
-    auto expr = std::make_unique<lang::BinaryExpr>();
-    expr->op = op;
-    expr->lhs = std::move(lhs);
-    expr->rhs = std::move(rhs);
-    return expr;
-}
-
-lang::StmtPtr make_let(const std::string& name, bool is_mut,
+lang::StmtPtr make_let(lang::AstArena& arena, const std::string& name, bool is_mut,
                        lang::ExprPtr init) {
-    auto let = std::make_unique<lang::LetStmt>();
-    let->name = name;
-    let->is_mut = is_mut;
-    let->declared_type = lang::Type::i64();
-    let->init = std::move(init);
-    return let;
+    return analysis::mk_let(arena, name, is_mut, std::move(init), lang::Type::i64());
 }
 
-/// Render one pad spec into statements (1 or 2 of them).
-std::vector<lang::StmtPtr> make_pad(const PadSpec& pad) {
-    std::vector<lang::StmtPtr> stmts;
+/// Append one pad spec's statements (1 or 2 of them) to `out`.
+void append_pad(lang::AstArena& arena, const detail::PadSpec& pad, lang::StmtList& out) {
+    using analysis::mk_binary;
+    using analysis::mk_var;
     switch (pad.kind) {
         case 0:
-            stmts.push_back(make_let(pad.name, false, make_int(pad.a)));
+            out.push_back(make_let(arena, pad.name, false, make_int(arena, pad.a)));
             break;
         case 1:
-            stmts.push_back(make_let(
-                pad.name, false,
-                make_binary(lang::BinaryOp::Add,
-                            make_binary(lang::BinaryOp::Mul, make_int(pad.a),
-                                        make_int(pad.b)),
-                            make_int(pad.b))));
+            out.push_back(make_let(
+                arena, pad.name, false,
+                mk_binary(arena, lang::BinaryOp::Add,
+                          mk_binary(arena, lang::BinaryOp::Mul, make_int(arena, pad.a),
+                                    make_int(arena, pad.b)),
+                          make_int(arena, pad.b))));
             break;
         default: {
-            stmts.push_back(make_let(pad.name, true, make_int(0)));
-            auto loop = std::make_unique<lang::WhileStmt>();
-            loop->condition = make_binary(lang::BinaryOp::Lt,
-                                          make_var(pad.name), make_int(pad.b));
-            auto step = std::make_unique<lang::AssignStmt>();
-            step->place = make_var(pad.name);
-            step->value = make_binary(lang::BinaryOp::Add, make_var(pad.name),
-                                      make_int(1));
-            loop->body.statements.push_back(std::move(step));
-            stmts.push_back(std::move(loop));
+            out.push_back(make_let(arena, pad.name, true, make_int(arena, 0)));
+            auto loop = arena.make<lang::WhileStmt>();
+            loop->condition = mk_binary(arena, lang::BinaryOp::Lt, mk_var(arena, pad.name),
+                                        make_int(arena, pad.b));
+            loop->body.statements.push_back(analysis::mk_assign(
+                arena, mk_var(arena, pad.name),
+                mk_binary(arena, lang::BinaryOp::Add, mk_var(arena, pad.name),
+                          make_int(arena, 1))));
+            out.push_back(std::move(loop));
             break;
         }
     }
-    return stmts;
 }
 
+}  // namespace
+
+namespace detail {
+
 void apply_plan(lang::Program& program, const MutationPlan& plan) {
+    lang::AstArena& arena = program.arena();
     lang::FnItem* main_fn = program.find_function("main");
     if (main_fn != nullptr) {
         // Wrap the existing body in `nesting` plain blocks. Everything the
         // body declares stays in scope for the whole (wrapped) body, so this
         // is behavior-preserving for any program that only runs `main` once.
         for (int level = 0; level < plan.nesting; ++level) {
-            auto wrapper = std::make_unique<lang::BlockStmt>();
+            auto wrapper = arena.make<lang::BlockStmt>();
             wrapper->block.statements = std::move(main_fn->body.statements);
-            main_fn->body.statements.clear();
+            main_fn->body.statements = lang::StmtList(arena);
             main_fn->body.statements.push_back(std::move(wrapper));
         }
         // Dead-code padding around the wrapped body. Pads never print, never
         // touch existing locals and never overflow, so the observable trace
         // is untouched.
-        std::vector<lang::StmtPtr> body = std::move(main_fn->body.statements);
-        main_fn->body.statements.clear();
-        for (const PadSpec& pad : plan.front_pads) {
-            for (auto& stmt : make_pad(pad)) {
-                main_fn->body.statements.push_back(std::move(stmt));
-            }
-        }
-        for (auto& stmt : body) {
-            main_fn->body.statements.push_back(std::move(stmt));
-        }
-        for (const PadSpec& pad : plan.back_pads) {
-            for (auto& stmt : make_pad(pad)) {
-                main_fn->body.statements.push_back(std::move(stmt));
-            }
-        }
+        lang::StmtList body(arena);
+        for (const PadSpec& pad : plan.front_pads) append_pad(arena, pad, body);
+        for (auto& stmt : main_fn->body.statements) body.push_back(std::move(stmt));
+        for (const PadSpec& pad : plan.back_pads) append_pad(arena, pad, body);
+        main_fn->body.statements = std::move(body);
     }
     if (plan.helper && program.find_function(plan.helper_name) == nullptr) {
-        lang::FnItem helper;
+        using analysis::mk_binary;
+        lang::FnItem helper(arena);
         helper.name = plan.helper_name;
         helper.params.push_back({"x", lang::Type::i64()});
         helper.return_type = lang::Type::i64();
-        auto ret = std::make_unique<lang::ReturnStmt>();
-        ret->value = make_binary(
-            lang::BinaryOp::Add,
-            make_binary(lang::BinaryOp::Mul, make_var("x"),
-                        make_int(plan.helper_mul)),
-            make_int(plan.helper_add));
-        helper.body.statements.push_back(std::move(ret));
+        helper.body.statements.push_back(analysis::mk_return(
+            arena, mk_binary(arena, lang::BinaryOp::Add,
+                             mk_binary(arena, lang::BinaryOp::Mul,
+                                       analysis::mk_var(arena, "x"),
+                                       make_int(arena, plan.helper_mul)),
+                             make_int(arena, plan.helper_add))));
         program.functions.push_back(std::move(helper));
     }
     program.renumber();
 }
+
+}  // namespace detail
+
+namespace {
+
+using detail::MutationPlan;
 
 /// Parse -> mutate -> print. If the draft source unexpectedly fails to
 /// parse, it is returned unmodified and left for the forge's rejection
@@ -209,7 +167,7 @@ void apply_plan(lang::Program& program, const MutationPlan& plan) {
 std::string mutate_source(const std::string& source, const MutationPlan& plan) {
     auto program = lang::try_parse(source);
     if (!program) return source;
-    apply_plan(*program, plan);
+    detail::apply_plan(*program, plan);
     return lang::print_program(*program);
 }
 
@@ -221,7 +179,7 @@ CaseGenerator::CaseGenerator(std::string id, miri::UbCategory category,
 
 dataset::UbCase CaseGenerator::generate(support::Rng& rng) const {
     Draft drafted = draft(rng);
-    const MutationPlan plan = sample_plan(rng, knobs_);
+    const MutationPlan plan = detail::sample_plan(rng, knobs_);
 
     dataset::UbCase out;
     out.id = drafted.shape;

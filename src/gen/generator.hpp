@@ -20,9 +20,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataset/case.hpp"
+#include "lang/ast.hpp"
 #include "support/rng.hpp"
 
 namespace rustbrain::gen {
@@ -79,9 +81,36 @@ class CaseGenerator {
 
 namespace detail {
 
+/// One dead-code padding statement. Values are kept small so padding can
+/// never overflow or otherwise perturb the program it decorates.
+struct PadSpec {
+    int kind = 0;  // 0: const let, 1: arithmetic let, 2: counting loop
+    std::string name;
+    std::int64_t a = 0;
+    std::int64_t b = 0;
+};
+
+/// The structural mutations of one case, sampled once and applied to both
+/// the buggy program and the reference fix so their traces stay related.
+struct MutationPlan {
+    int nesting = 0;
+    std::vector<PadSpec> front_pads;
+    std::vector<PadSpec> back_pads;
+    bool helper = false;
+    std::string helper_name;
+    std::int64_t helper_mul = 1;
+    std::int64_t helper_add = 0;
+};
+
+MutationPlan sample_plan(support::Rng& rng, const MutationKnobs& knobs);
+
+/// Apply `plan` to `program` in place, its new nodes made in the
+/// program's arena, and renumber it.
+void apply_plan(lang::Program& program, const MutationPlan& plan);
+
 /// Replace `$0`..`$9` placeholders with the given fragments (the same
 /// convention the hand-written dataset builders use).
-std::string fill_template(std::string templ,
+std::string fill_template(std::string_view templ,
                           const std::vector<std::string>& args);
 
 /// Pick one entry of a pool uniformly.

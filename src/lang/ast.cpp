@@ -5,24 +5,22 @@ namespace rustbrain::lang {
 namespace {
 
 template <typename T>
-std::unique_ptr<T> clone_base(const T& node) {
-    auto out = std::make_unique<T>();
+NodePtr<T> clone_base(const T& node, AstArena& arena) {
+    auto out = arena.make<T>();
     out->id = node.id;
     out->span = node.span;
     return out;
 }
 
-ExprPtr clone_expr(const ExprPtr& expr) {
-    return expr ? expr->clone() : nullptr;
+ExprPtr clone_expr(const ExprPtr& expr, AstArena& arena) {
+    return expr ? expr->clone(arena) : nullptr;
 }
 
-std::vector<ExprPtr> clone_exprs(const std::vector<ExprPtr>& exprs) {
-    std::vector<ExprPtr> out;
+void clone_exprs(const ExprList& exprs, ExprList& out, AstArena& arena) {
     out.reserve(exprs.size());
     for (const auto& expr : exprs) {
-        out.push_back(expr->clone());
+        out.push_back(expr->clone(arena));
     }
-    return out;
 }
 
 }  // namespace
@@ -31,174 +29,174 @@ std::vector<ExprPtr> clone_exprs(const std::vector<ExprPtr>& exprs) {
 // clone()
 // --------------------------------------------------------------------------
 
-ExprPtr IntLitExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr IntLitExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
     out->value = value;
     return out;
 }
 
-ExprPtr BoolLitExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr BoolLitExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
     out->value = value;
     return out;
 }
 
-ExprPtr VarRefExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr VarRefExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
     out->name = name;
     out->binding = binding;
     return out;
 }
 
-ExprPtr UnaryExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr UnaryExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
     out->op = op;
-    out->operand = clone_expr(operand);
+    out->operand = clone_expr(operand, arena);
     return out;
 }
 
-ExprPtr BinaryExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr BinaryExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
     out->op = op;
-    out->lhs = clone_expr(lhs);
-    out->rhs = clone_expr(rhs);
+    out->lhs = clone_expr(lhs, arena);
+    out->rhs = clone_expr(rhs, arena);
     return out;
 }
 
-ExprPtr CastExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr CastExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
-    out->operand = clone_expr(operand);
+    out->operand = clone_expr(operand, arena);
     out->target = target;
     return out;
 }
 
-ExprPtr IndexExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr IndexExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
-    out->base = clone_expr(base);
-    out->index = clone_expr(index);
+    out->base = clone_expr(base, arena);
+    out->index = clone_expr(index, arena);
     return out;
 }
 
-ExprPtr CallExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr CallExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
     out->callee = callee;
-    out->args = clone_exprs(args);
+    clone_exprs(args, out->args, arena);
     out->binding = binding;
     return out;
 }
 
-ExprPtr CallPtrExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr CallPtrExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
-    out->callee = clone_expr(callee);
-    out->args = clone_exprs(args);
+    out->callee = clone_expr(callee, arena);
+    clone_exprs(args, out->args, arena);
     return out;
 }
 
-ExprPtr ArrayLitExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr ArrayLitExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
-    out->elements = clone_exprs(elements);
+    clone_exprs(elements, out->elements, arena);
     return out;
 }
 
-ExprPtr ArrayRepeatExpr::clone() const {
-    auto out = clone_base(*this);
+ExprPtr ArrayRepeatExpr::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->type = type;
-    out->element = clone_expr(element);
+    out->element = clone_expr(element, arena);
     out->count = count;
     return out;
 }
 
-Block Block::clone() const {
-    Block out;
+Block Block::clone(AstArena& arena) const {
+    Block out(arena);
     out.statements.reserve(statements.size());
     for (const auto& stmt : statements) {
-        out.statements.push_back(stmt->clone());
+        out.statements.push_back(stmt->clone(arena));
     }
     return out;
 }
 
-StmtPtr LetStmt::clone() const {
-    auto out = clone_base(*this);
+StmtPtr LetStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
     out->name = name;
     out->is_mut = is_mut;
     out->declared_type = declared_type;
-    out->init = clone_expr(init);
+    out->init = clone_expr(init, arena);
     out->slot = slot;
     return out;
 }
 
-StmtPtr AssignStmt::clone() const {
-    auto out = clone_base(*this);
-    out->place = clone_expr(place);
-    out->value = clone_expr(value);
+StmtPtr AssignStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->place = clone_expr(place, arena);
+    out->value = clone_expr(value, arena);
     return out;
 }
 
-StmtPtr ExprStmt::clone() const {
-    auto out = clone_base(*this);
-    out->expr = clone_expr(expr);
+StmtPtr ExprStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->expr = clone_expr(expr, arena);
     return out;
 }
 
-StmtPtr IfStmt::clone() const {
-    auto out = clone_base(*this);
-    out->condition = clone_expr(condition);
-    out->then_block = then_block.clone();
+StmtPtr IfStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->condition = clone_expr(condition, arena);
+    out->then_block = then_block.clone(arena);
     if (else_block) {
-        out->else_block = else_block->clone();
+        out->else_block = else_block->clone(arena);
     }
     return out;
 }
 
-StmtPtr WhileStmt::clone() const {
-    auto out = clone_base(*this);
-    out->condition = clone_expr(condition);
-    out->body = body.clone();
+StmtPtr WhileStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->condition = clone_expr(condition, arena);
+    out->body = body.clone(arena);
     return out;
 }
 
-StmtPtr ReturnStmt::clone() const {
-    auto out = clone_base(*this);
-    out->value = clone_expr(value);
+StmtPtr ReturnStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->value = clone_expr(value, arena);
     return out;
 }
 
-StmtPtr BlockStmt::clone() const {
-    auto out = clone_base(*this);
-    out->block = block.clone();
+StmtPtr BlockStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->block = block.clone(arena);
     return out;
 }
 
-StmtPtr UnsafeStmt::clone() const {
-    auto out = clone_base(*this);
-    out->block = block.clone();
+StmtPtr UnsafeStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->block = block.clone(arena);
     return out;
 }
 
-StmtPtr BecomeStmt::clone() const {
-    auto out = clone_base(*this);
-    out->callee = clone_expr(callee);
-    out->args = clone_exprs(args);
+StmtPtr BecomeStmt::clone(AstArena& arena) const {
+    auto out = clone_base(*this, arena);
+    out->callee = clone_expr(callee, arena);
+    clone_exprs(args, out->args, arena);
     return out;
 }
 
-FnItem FnItem::clone() const {
-    FnItem out;
+FnItem FnItem::clone(AstArena& arena) const {
+    FnItem out(arena);
     out.name = name;
     out.is_unsafe = is_unsafe;
-    out.params = params;
+    out.params.assign(params.begin(), params.end());
     out.return_type = return_type;
-    out.body = body.clone();
+    out.body = body.clone(arena);
     out.id = id;
     out.span = span;
     out.slot_count = slot_count;
@@ -236,12 +234,12 @@ std::string FnItem::fn_type_spelling() const {
     return fn_ptr_spelling(param_types(*this), return_type);
 }
 
-StaticItem StaticItem::clone() const {
+StaticItem StaticItem::clone(AstArena& arena) const {
     StaticItem out;
     out.name = name;
     out.is_mut = is_mut;
     out.type = type;
-    out.init = init ? init->clone() : nullptr;
+    out.init = clone_expr(init, arena);
     out.id = id;
     out.span = span;
     return out;
@@ -252,16 +250,44 @@ TypePool& Program::types() {
     return *type_pool;
 }
 
+namespace {
+
+/// The first block of an arena made for no source in particular.
+constexpr std::size_t kDefaultArenaBytes = 512;
+
+}  // namespace
+
+Program::Program() : Program(kDefaultArenaBytes) {}
+
+Program::Program(std::size_t arena_bytes)
+    : arena_(AstArena::create(arena_bytes)),
+      functions(*arena_),
+      statics(*arena_) {}
+
+Program& Program::operator=(Program&& other) noexcept {
+    if (this != &other) {
+        // The old nodes die with `old`, before the arena that holds them.
+        Program old(std::move(*this));
+        arena_ = std::move(other.arena_);
+        type_pool = std::move(other.type_pool);
+        functions = std::move(other.functions);
+        statics = std::move(other.statics);
+    }
+    return *this;
+}
+
 Program Program::clone() const {
-    Program out;
+    // The copy needs what the original used, less the growth of lists.
+    Program out(arena_->bytes_used());
+    AstArena& arena = out.arena();
     out.type_pool = type_pool;
     out.functions.reserve(functions.size());
     for (const auto& fn : functions) {
-        out.functions.push_back(fn.clone());
+        out.functions.push_back(fn.clone(arena));
     }
     out.statics.reserve(statics.size());
     for (const auto& item : statics) {
-        out.statics.push_back(item.clone());
+        out.statics.push_back(item.clone(arena));
     }
     return out;
 }

@@ -1,9 +1,11 @@
 // mini-Rust abstract syntax tree.
 //
-// Nodes are a polymorphic hierarchy owned through unique_ptr. Every node can
-// deep-clone itself (repair agents patch clones, the rollback agent snapshots
-// whole programs) and supports structural equality (used by tests and by the
-// knowledge base to deduplicate exemplars). Node ids are assigned by
+// Nodes are a polymorphic hierarchy. Every node and child list lives in the
+// bump arena of the program that made it (lang/arena.hpp, DESIGN.md §21):
+// ExprPtr and StmtPtr own a node without owning its memory. Every node can
+// deep-clone itself into an arena (repair agents patch clones, the rollback
+// agent snapshots whole programs) and supports structural equality (used by
+// tests and by the knowledge base to deduplicate exemplars). Node ids are assigned by
 // Program::renumber() and are stable for a given tree shape, which the
 // pruning algorithm and patch rules use to address nodes. The type checker
 // writes each expression's type and each name's Binding onto the nodes;
@@ -26,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "lang/arena.hpp"
 #include "lang/type.hpp"
 #include "support/source_span.hpp"
 
@@ -68,7 +71,7 @@ struct Expr {
     Expr(const Expr&) = delete;
     Expr& operator=(const Expr&) = delete;
 
-    [[nodiscard]] virtual std::unique_ptr<Expr> clone() const = 0;
+    [[nodiscard]] virtual NodePtr<Expr> clone(AstArena& arena) const = 0;
 
     ExprKind kind;
     NodeId id = kInvalidNodeId;
@@ -77,7 +80,8 @@ struct Expr {
     Type type;
 };
 
-using ExprPtr = std::unique_ptr<Expr>;
+using ExprPtr = NodePtr<Expr>;
+using ExprList = ArenaVector<ExprPtr>;
 
 /// What a name denotes, written by the type checker (DESIGN.md §4) and read
 /// by every tier instead of a lookup. Valid only after type_check accepted
@@ -100,21 +104,21 @@ struct Binding {
 
 struct IntLitExpr final : Expr {
     IntLitExpr() : Expr(ExprKind::IntLit) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     std::uint64_t value = 0;
 };
 
 struct BoolLitExpr final : Expr {
     BoolLitExpr() : Expr(ExprKind::BoolLit) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     bool value = false;
 };
 
 struct VarRefExpr final : Expr {
     VarRefExpr() : Expr(ExprKind::VarRef) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     std::string name;
     /// Local, Static or Function.
@@ -123,7 +127,7 @@ struct VarRefExpr final : Expr {
 
 struct UnaryExpr final : Expr {
     UnaryExpr() : Expr(ExprKind::Unary) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     UnaryOp op = UnaryOp::Neg;
     ExprPtr operand;
@@ -131,7 +135,7 @@ struct UnaryExpr final : Expr {
 
 struct BinaryExpr final : Expr {
     BinaryExpr() : Expr(ExprKind::Binary) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     BinaryOp op = BinaryOp::Add;
     ExprPtr lhs;
@@ -140,7 +144,7 @@ struct BinaryExpr final : Expr {
 
 struct CastExpr final : Expr {
     CastExpr() : Expr(ExprKind::Cast) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr operand;
     Type target;
@@ -148,40 +152,41 @@ struct CastExpr final : Expr {
 
 struct IndexExpr final : Expr {
     IndexExpr() : Expr(ExprKind::Index) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr base;
     ExprPtr index;
 };
 
 struct CallExpr final : Expr {
-    CallExpr() : Expr(ExprKind::Call) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    explicit CallExpr(AstArena& arena) : Expr(ExprKind::Call), args(arena) {}
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     std::string callee;
-    std::vector<ExprPtr> args;
+    ExprList args;
     /// Intrinsic, Local (a fn-pointer local) or Function.
     Binding binding;
 };
 
 struct CallPtrExpr final : Expr {
-    CallPtrExpr() : Expr(ExprKind::CallPtr) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    explicit CallPtrExpr(AstArena& arena) : Expr(ExprKind::CallPtr), args(arena) {}
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr callee;
-    std::vector<ExprPtr> args;
+    ExprList args;
 };
 
 struct ArrayLitExpr final : Expr {
-    ArrayLitExpr() : Expr(ExprKind::ArrayLit) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    explicit ArrayLitExpr(AstArena& arena)
+        : Expr(ExprKind::ArrayLit), elements(arena) {}
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
-    std::vector<ExprPtr> elements;
+    ExprList elements;
 };
 
 struct ArrayRepeatExpr final : Expr {
     ArrayRepeatExpr() : Expr(ExprKind::ArrayRepeat) {}
-    [[nodiscard]] ExprPtr clone() const override;
+    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr element;
     std::uint64_t count = 0;
@@ -204,13 +209,16 @@ enum class StmtKind {
 };
 
 struct Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
+using StmtPtr = NodePtr<Stmt>;
+using StmtList = ArenaVector<StmtPtr>;
 
 /// A brace-delimited sequence of statements introducing a scope.
 struct Block {
-    std::vector<StmtPtr> statements;
+    explicit Block(AstArena& arena) : statements(arena) {}
 
-    [[nodiscard]] Block clone() const;
+    StmtList statements;
+
+    [[nodiscard]] Block clone(AstArena& arena) const;
 };
 
 struct Stmt {
@@ -219,7 +227,7 @@ struct Stmt {
     Stmt(const Stmt&) = delete;
     Stmt& operator=(const Stmt&) = delete;
 
-    [[nodiscard]] virtual StmtPtr clone() const = 0;
+    [[nodiscard]] virtual StmtPtr clone(AstArena& arena) const = 0;
 
     StmtKind kind;
     NodeId id = kInvalidNodeId;
@@ -228,7 +236,7 @@ struct Stmt {
 
 struct LetStmt final : Stmt {
     LetStmt() : Stmt(StmtKind::Let) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     std::string name;
     bool is_mut = false;
@@ -240,7 +248,7 @@ struct LetStmt final : Stmt {
 
 struct AssignStmt final : Stmt {
     AssignStmt() : Stmt(StmtKind::Assign) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr place;
     ExprPtr value;
@@ -248,14 +256,14 @@ struct AssignStmt final : Stmt {
 
 struct ExprStmt final : Stmt {
     ExprStmt() : Stmt(StmtKind::Expr) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr expr;
 };
 
 struct IfStmt final : Stmt {
-    IfStmt() : Stmt(StmtKind::If) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    explicit IfStmt(AstArena& arena) : Stmt(StmtKind::If), then_block(arena) {}
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr condition;
     Block then_block;
@@ -263,8 +271,8 @@ struct IfStmt final : Stmt {
 };
 
 struct WhileStmt final : Stmt {
-    WhileStmt() : Stmt(StmtKind::While) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    explicit WhileStmt(AstArena& arena) : Stmt(StmtKind::While), body(arena) {}
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr condition;
     Block body;
@@ -272,21 +280,21 @@ struct WhileStmt final : Stmt {
 
 struct ReturnStmt final : Stmt {
     ReturnStmt() : Stmt(StmtKind::Return) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr value;  // null for `return;`
 };
 
 struct BlockStmt final : Stmt {
-    BlockStmt() : Stmt(StmtKind::Block) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    explicit BlockStmt(AstArena& arena) : Stmt(StmtKind::Block), block(arena) {}
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     Block block;
 };
 
 struct UnsafeStmt final : Stmt {
-    UnsafeStmt() : Stmt(StmtKind::Unsafe) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    explicit UnsafeStmt(AstArena& arena) : Stmt(StmtKind::Unsafe), block(arena) {}
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     Block block;
 };
@@ -294,11 +302,11 @@ struct UnsafeStmt final : Stmt {
 /// `become f(args);` — guaranteed tail call (the paper's `tailcall` UB
 /// category exercises signature mismatches through fn pointers here).
 struct BecomeStmt final : Stmt {
-    BecomeStmt() : Stmt(StmtKind::Become) {}
-    [[nodiscard]] StmtPtr clone() const override;
+    explicit BecomeStmt(AstArena& arena) : Stmt(StmtKind::Become), args(arena) {}
+    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr callee;  // VarRef to a function or a fn-pointer-typed expression
-    std::vector<ExprPtr> args;
+    ExprList args;
 };
 
 // ---------------------------------------------------------------------------
@@ -453,9 +461,11 @@ struct Param {
 };
 
 struct FnItem {
+    explicit FnItem(AstArena& arena) : params(arena), body(arena) {}
+
     std::string name;
     bool is_unsafe = false;
-    std::vector<Param> params;
+    ArenaVector<Param> params;
     Type return_type = Type::unit();
     Block body;
     NodeId id = kInvalidNodeId;
@@ -464,7 +474,7 @@ struct FnItem {
     /// a fresh one in source order (type checker).
     std::uint32_t slot_count = 0;
 
-    [[nodiscard]] FnItem clone() const;
+    [[nodiscard]] FnItem clone(AstArena& arena) const;
     /// The fn-pointer type of this function, interned in `types`.
     [[nodiscard]] Type fn_type(TypePool& types) const;
     /// True when `type` is this function's fn-pointer type; builds nothing.
@@ -481,19 +491,37 @@ struct StaticItem {
     NodeId id = kInvalidNodeId;
     support::SourceSpan span;
 
-    [[nodiscard]] StaticItem clone() const;
+    [[nodiscard]] StaticItem clone(AstArena& arena) const;
 };
 
 class Program {
   public:
-    /// Owns the composite types this program's nodes name (DESIGN.md §18).
-    /// Clones share it, and it is declared first so it outlives the nodes.
-    /// Null until the first composite type is interned.
-    std::shared_ptr<TypePool> type_pool;
-    std::vector<FnItem> functions;
-    std::vector<StaticItem> statics;
+    /// An empty program with a small arena.
+    Program();
+    /// An empty program whose arena's first block holds `arena_bytes`.
+    explicit Program(std::size_t arena_bytes);
+    Program(Program&&) noexcept = default;
+    Program& operator=(Program&& other) noexcept;
 
+  private:
+    /// Holds every node and list below (DESIGN.md §21); declared first so
+    /// it outlives them.
+    ArenaHandle arena_;
+
+  public:
+    /// Owns the composite types this program's nodes name (DESIGN.md §18).
+    /// Clones share it, and it is declared before the items so it outlives
+    /// the nodes. Null until the first composite type is interned.
+    std::shared_ptr<TypePool> type_pool;
+    ArenaVector<FnItem> functions;
+    ArenaVector<StaticItem> statics;
+
+    /// A deep copy in an arena of its own, sharing the type pool.
     [[nodiscard]] Program clone() const;
+
+    /// The arena every node of this program must come from.
+    [[nodiscard]] AstArena& arena() { return *arena_; }
+    [[nodiscard]] const AstArena& arena() const { return *arena_; }
 
     /// The program's type pool, made on first use.
     TypePool& types();

@@ -210,7 +210,7 @@ Token Lexer::lex_number() {
     return token;
 }
 
-Token Lexer::next_token() {
+Token Lexer::next() {
     skip_trivia();
     token_line_ = line_;
     token_column_ = column_;
@@ -305,11 +305,8 @@ Token Lexer::next_token() {
 
 std::vector<Token> Lexer::tokenize() {
     std::vector<Token> tokens;
-    // One token per two source bytes bounds formatted code (spaces and
-    // indentation), so the vector is sized once.
-    tokens.reserve(source_.size() / 2 + 1);
     for (;;) {
-        Token token = next_token();
+        Token token = next();
         const bool done = token.kind == TokenKind::EndOfFile;
         tokens.push_back(std::move(token));
         if (done) break;

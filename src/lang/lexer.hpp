@@ -1,7 +1,9 @@
-// Lexer for mini-Rust. Produces the full token stream in one pass; lexical
-// errors are reported through the DiagnosticEngine and yield Invalid tokens
-// so the parser can continue and report more. Token spellings are views
-// into the source, which must outlive the tokens.
+// Lexer for mini-Rust. Hands out one token per next() call, so the parser
+// pulls tokens through a two-token window instead of holding the whole
+// stream; lexical errors are reported through the DiagnosticEngine as the
+// lexer reaches them and yield Invalid tokens so the parser can continue
+// and report more. Token spellings are views into the source, which must
+// outlive the tokens.
 #pragma once
 
 #include <string_view>
@@ -16,6 +18,10 @@ class Lexer {
   public:
     Lexer(std::string_view source, support::DiagnosticEngine& diagnostics);
 
+    /// The next token; EndOfFile at the end of the buffer, and again on
+    /// every later call.
+    Token next();
+
     /// Tokenize the whole buffer. The last token is always EndOfFile.
     std::vector<Token> tokenize();
 
@@ -26,7 +32,6 @@ class Lexer {
     /// Advance over `count` bytes that hold no newline.
     void advance_columns(std::size_t count);
     void skip_trivia();
-    Token next_token();
     Token lex_identifier_or_keyword();
     Token lex_number();
     Token make_token(TokenKind kind, std::size_t start);

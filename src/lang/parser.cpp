@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "lang/lexer.hpp"
 
 namespace rustbrain::lang {
 
@@ -45,31 +44,30 @@ std::optional<OpInfo> binary_op_for(TokenKind kind) {
 
 void Parser::check_nesting(std::size_t levels) {
     if (levels > kMaxNesting) {
-        diagnostics_.error("nesting exceeds " + std::to_string(kMaxNesting) +
-                               " levels",
-                           peek().span);
+        error("nesting exceeds " + std::to_string(kMaxNesting) + " levels",
+              peek().span);
         throw TooDeep{};
     }
 }
 
-Parser::Parser(std::vector<Token> tokens, support::DiagnosticEngine& diagnostics)
-    : tokens_(std::move(tokens)), diagnostics_(diagnostics) {
-    if (tokens_.empty()) {
-        Token eof;
-        eof.kind = TokenKind::EndOfFile;
-        tokens_.push_back(eof);
-    }
+Parser::Parser(std::string_view source, support::DiagnosticEngine& diagnostics)
+    : Parser(source, diagnostics, std::nullopt) {}
+
+Parser::Parser(std::string_view source, support::DiagnosticEngine& lexical,
+               std::optional<std::size_t> known_errors)
+    : source_(source),
+      diagnostics_(lexical),
+      lexer_(source, lexical),
+      known_errors_(known_errors) {
+    window_[0] = lexer_.next();
+    window_[1] = window_[0].is(TokenKind::EndOfFile) ? window_[0] : lexer_.next();
 }
 
-const Token& Parser::peek(std::size_t lookahead) const {
-    const std::size_t index = position_ + lookahead;
-    return index < tokens_.size() ? tokens_[index] : tokens_.back();
-}
-
-const Token& Parser::advance() {
-    const Token& token = peek();
-    if (position_ + 1 < tokens_.size()) {
-        ++position_;
+Token Parser::advance() {
+    Token token = window_[0];
+    if (!token.is(TokenKind::EndOfFile)) {
+        window_[0] = window_[1];
+        if (!window_[1].is(TokenKind::EndOfFile)) window_[1] = lexer_.next();
     }
     return token;
 }
@@ -82,14 +80,13 @@ bool Parser::match(TokenKind kind) {
     return false;
 }
 
-const Token& Parser::expect(TokenKind kind, std::string_view context) {
+Token Parser::expect(TokenKind kind, std::string_view context) {
     if (check(kind)) {
         return advance();
     }
-    diagnostics_.error("expected " + std::string(token_kind_name(kind)) + " " +
-                           std::string(context) + ", found " +
-                           token_kind_name(peek().kind),
-                       peek().span);
+    error("expected " + std::string(token_kind_name(kind)) + " " +
+              std::string(context) + ", found " + token_kind_name(peek().kind),
+          peek().span);
     return peek();
 }
 
@@ -103,13 +100,79 @@ void Parser::synchronize_to_item() {
     }
 }
 
+void Parser::error(std::string message, support::SourceSpan span) {
+    parse_errors_.error(std::move(message), span);
+}
+
+std::size_t Parser::error_count() const {
+    return known_errors_.value_or(diagnostics_.error_count()) +
+           parse_errors_.error_count();
+}
+
+template <typename T>
+void Parser::push(std::vector<T>& stack, T item) {
+    // Grow by half, not double, so the stack of one huge block stays
+    // smaller than the source that spelled it.
+    if (stack.size() == stack.capacity()) {
+        stack.reserve(stack.size() + stack.size() / 2 + 16);
+    }
+    stack.push_back(std::move(item));
+}
+
+template <typename T>
+void Parser::take(std::vector<T>& stack, std::size_t base, ArenaVector<T>& out) {
+    out.reserve(stack.size() - base);
+    for (std::size_t i = base; i < stack.size(); ++i) {
+        out.push_back(std::move(stack[i]));
+    }
+    stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(base), stack.end());
+}
+
+namespace {
+
+/// The first arena block of a program parsed from `source_bytes` of text.
+/// The standard and seed-42 forged corpora take 7 to 11 bytes of nodes per
+/// source byte (p10 to p99), so one block holds 98% of their programs.
+std::size_t arena_bytes_for(std::size_t source_bytes) {
+    return std::min<std::size_t>(source_bytes * 10 + 256, AstArena::kMaxBlockBytes);
+}
+
+}  // namespace
+
 Program Parser::parse_program() {
-    Program program;
+    const std::size_t errors_before = diagnostics_.error_count();
+    Program program = parse_pass();
+    const std::size_t lexed = diagnostics_.error_count();
+    if (lexed > errors_before && lexed + parse_errors_.error_count() > kMaxParseErrors) {
+        // The stop rule counts every lexical error of the source, and this
+        // pass saw only those before its position: parse again, knowing
+        // them all. Only an error storm takes this path.
+        support::DiagnosticEngine relexed;
+        Parser again(source_, relexed, lexed);
+        program = again.parse_pass();
+        parse_errors_ = std::move(again.parse_errors_);
+    }
+    for (const support::Diagnostic& diagnostic : parse_errors_.all()) {
+        diagnostics_.error(diagnostic.message, diagnostic.span);
+    }
+    return program;
+}
+
+Program Parser::parse_pass() {
+    Program program(arena_bytes_for(source_.size()));
+    arena_ = &program.arena();
     try {
         parse_items(program);
     } catch (const TooDeep&) {
         // The located error is recorded; the partial program is unusable.
+        stmt_stack_.clear();
+        expr_stack_.clear();
     }
+    program.functions.reserve(fn_stack_.size());
+    for (FnItem& fn : fn_stack_) program.functions.push_back(std::move(fn));
+    fn_stack_.clear();
+    // Drain the lexer, so every lexical error is reported.
+    while (!check(TokenKind::EndOfFile)) advance();
     program.type_pool = std::move(types_);
     return program;
 }
@@ -121,31 +184,30 @@ TypePool& Parser::types() {
 
 void Parser::parse_items(Program& program) {
     while (!check(TokenKind::EndOfFile)) {
-        if (diagnostics_.error_count() > 20) {
+        if (error_count() > kMaxParseErrors) {
             break;  // avoid error storms on garbage input
         }
         if (check(TokenKind::KwStatic)) {
             program.statics.push_back(parse_static());
         } else if (check(TokenKind::KwFn)) {
             advance();
-            program.functions.push_back(parse_fn(/*is_unsafe=*/false));
+            fn_stack_.push_back(parse_fn(/*is_unsafe=*/false));
         } else if (check(TokenKind::KwUnsafe) && peek(1).is(TokenKind::KwFn)) {
             advance();
             advance();
-            program.functions.push_back(parse_fn(/*is_unsafe=*/true));
+            fn_stack_.push_back(parse_fn(/*is_unsafe=*/true));
         } else {
-            diagnostics_.error(std::string("expected item, found ") +
-                                   token_kind_name(peek().kind),
-                               peek().span);
+            error(std::string("expected item, found ") + token_kind_name(peek().kind),
+                  peek().span);
             synchronize_to_item();
         }
     }
 }
 
 FnItem Parser::parse_fn(bool is_unsafe) {
-    FnItem fn;
+    FnItem fn(*arena_);
     fn.is_unsafe = is_unsafe;
-    const Token& name = expect(TokenKind::Identifier, "after 'fn'");
+    const Token name = expect(TokenKind::Identifier, "after 'fn'");
     fn.name = std::string(name.text);
     fn.span = name.span;
 
@@ -153,7 +215,7 @@ FnItem Parser::parse_fn(bool is_unsafe) {
     if (!check(TokenKind::RParen)) {
         do {
             Param param;
-            const Token& param_name = expect(TokenKind::Identifier, "parameter name");
+            const Token param_name = expect(TokenKind::Identifier, "parameter name");
             param.name = std::string(param_name.text);
             expect(TokenKind::Colon, "after parameter name");
             param.type = parse_type();
@@ -174,10 +236,10 @@ FnItem Parser::parse_fn(bool is_unsafe) {
 
 StaticItem Parser::parse_static() {
     StaticItem item;
-    const Token& kw = expect(TokenKind::KwStatic, "item");
+    const Token kw = expect(TokenKind::KwStatic, "item");
     item.span = kw.span;
     item.is_mut = match(TokenKind::KwMut);
-    const Token& name = expect(TokenKind::Identifier, "static name");
+    const Token name = expect(TokenKind::Identifier, "static name");
     item.name = std::string(name.text);
     expect(TokenKind::Colon, "after static name");
     item.type = parse_type();
@@ -197,7 +259,7 @@ Type Parser::parse_type() {
         } else if (match(TokenKind::KwConst)) {
             is_mut = false;
         } else {
-            diagnostics_.error("raw pointer type needs 'const' or 'mut'", peek().span);
+            error("raw pointer type needs 'const' or 'mut'", peek().span);
         }
         return types().raw_ptr(parse_type(), is_mut);
     }
@@ -212,7 +274,7 @@ Type Parser::parse_type() {
         const Nest nest(*this);
         Type element = parse_type();
         expect(TokenKind::Semicolon, "in array type");
-        const Token& len = expect(TokenKind::IntLiteral, "array length");
+        const Token len = expect(TokenKind::IntLiteral, "array length");
         expect(TokenKind::RBracket, "to close array type");
         return types().array(element, len.int_value);
     }
@@ -241,17 +303,16 @@ Type Parser::parse_type() {
     }
     // scalar name
     if (check(TokenKind::Identifier)) {
-        const Token& name = advance();
+        const Token name = advance();
         ScalarKind kind;
         if (scalar_kind_from_name(name.text, kind)) {
             return Type::scalar(kind);
         }
-        diagnostics_.error("unknown type '" + std::string(name.text) + "'", name.span);
+        error("unknown type '" + std::string(name.text) + "'", name.span);
         return Type::unit();
     }
-    diagnostics_.error(std::string("expected type, found ") +
-                           token_kind_name(peek().kind),
-                       peek().span);
+    error(std::string("expected type, found ") + token_kind_name(peek().kind),
+          peek().span);
     advance();
     return Type::unit();
 }
@@ -259,12 +320,14 @@ Type Parser::parse_type() {
 Block Parser::parse_block() {
     // Caller has already consumed the '{'.
     const Nest nest(*this);
-    Block block;
+    const std::size_t base = stmt_stack_.size();
     while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
-        if (diagnostics_.error_count() > 20) break;
-        block.statements.push_back(parse_statement());
+        if (error_count() > kMaxParseErrors) break;
+        push(stmt_stack_, parse_statement());
     }
     expect(TokenKind::RBrace, "to close block");
+    Block block(*arena_);
+    take(stmt_stack_, base, block.statements);
     return block;
 }
 
@@ -281,14 +344,14 @@ StmtPtr Parser::parse_statement() {
         case TokenKind::KwBecome:
             return parse_become();
         case TokenKind::KwUnsafe: {
-            auto stmt = std::make_unique<UnsafeStmt>();
+            auto stmt = arena_->make<UnsafeStmt>();
             stmt->span = advance().span;
             expect(TokenKind::LBrace, "after 'unsafe'");
             stmt->block = parse_block();
             return stmt;
         }
         case TokenKind::LBrace: {
-            auto stmt = std::make_unique<BlockStmt>();
+            auto stmt = arena_->make<BlockStmt>();
             stmt->span = advance().span;
             stmt->block = parse_block();
             return stmt;
@@ -299,10 +362,10 @@ StmtPtr Parser::parse_statement() {
 }
 
 StmtPtr Parser::parse_let() {
-    auto stmt = std::make_unique<LetStmt>();
+    auto stmt = arena_->make<LetStmt>();
     stmt->span = expect(TokenKind::KwLet, "statement").span;
     stmt->is_mut = match(TokenKind::KwMut);
-    const Token& name = expect(TokenKind::Identifier, "after 'let'");
+    const Token name = expect(TokenKind::Identifier, "after 'let'");
     stmt->name = std::string(name.text);
     if (match(TokenKind::Colon)) {
         stmt->declared_type = parse_type();
@@ -314,7 +377,7 @@ StmtPtr Parser::parse_let() {
 }
 
 StmtPtr Parser::parse_if() {
-    auto stmt = std::make_unique<IfStmt>();
+    auto stmt = arena_->make<IfStmt>();
     stmt->span = expect(TokenKind::KwIf, "statement").span;
     stmt->condition = parse_expression();
     expect(TokenKind::LBrace, "to open if body");
@@ -323,7 +386,8 @@ StmtPtr Parser::parse_if() {
         if (check(TokenKind::KwIf)) {
             // `else if` desugars to an else block containing a single if.
             const Nest nest(*this);
-            Block else_block;
+            Block else_block(*arena_);
+            else_block.statements.reserve(1);
             else_block.statements.push_back(parse_if());
             stmt->else_block = std::move(else_block);
         } else {
@@ -335,7 +399,7 @@ StmtPtr Parser::parse_if() {
 }
 
 StmtPtr Parser::parse_while() {
-    auto stmt = std::make_unique<WhileStmt>();
+    auto stmt = arena_->make<WhileStmt>();
     stmt->span = expect(TokenKind::KwWhile, "statement").span;
     stmt->condition = parse_expression();
     expect(TokenKind::LBrace, "to open while body");
@@ -344,7 +408,7 @@ StmtPtr Parser::parse_while() {
 }
 
 StmtPtr Parser::parse_return() {
-    auto stmt = std::make_unique<ReturnStmt>();
+    auto stmt = arena_->make<ReturnStmt>();
     stmt->span = expect(TokenKind::KwReturn, "statement").span;
     if (!check(TokenKind::Semicolon)) {
         stmt->value = parse_expression();
@@ -354,17 +418,17 @@ StmtPtr Parser::parse_return() {
 }
 
 StmtPtr Parser::parse_become() {
-    auto stmt = std::make_unique<BecomeStmt>();
+    auto stmt = arena_->make<BecomeStmt>();
     stmt->span = expect(TokenKind::KwBecome, "statement").span;
     // The callee is a primary expression (identifier or parenthesized value),
     // followed by mandatory call arguments.
-    auto callee = std::make_unique<VarRefExpr>();
-    const Token& name = expect(TokenKind::Identifier, "after 'become'");
+    auto callee = arena_->make<VarRefExpr>();
+    const Token name = expect(TokenKind::Identifier, "after 'become'");
     callee->name = std::string(name.text);
     callee->span = name.span;
     stmt->callee = std::move(callee);
     expect(TokenKind::LParen, "to open become arguments");
-    stmt->args = parse_call_args();
+    parse_call_args(stmt->args);
     expect(TokenKind::Semicolon, "after become");
     return stmt;
 }
@@ -372,14 +436,14 @@ StmtPtr Parser::parse_become() {
 StmtPtr Parser::parse_expr_or_assign() {
     ExprPtr first = parse_expression();
     if (match(TokenKind::Eq)) {
-        auto stmt = std::make_unique<AssignStmt>();
+        auto stmt = arena_->make<AssignStmt>();
         stmt->span = first->span;
         stmt->place = std::move(first);
         stmt->value = parse_expression();
         expect(TokenKind::Semicolon, "after assignment");
         return stmt;
     }
-    auto stmt = std::make_unique<ExprStmt>();
+    auto stmt = arena_->make<ExprStmt>();
     stmt->span = first->span;
     stmt->expr = std::move(first);
     expect(TokenKind::Semicolon, "after expression statement");
@@ -405,7 +469,7 @@ ExprPtr Parser::parse_binary(int min_precedence) {
         }
         height = 1 + std::max(height, height_);
         check_nesting(depth_ + height);
-        auto node = std::make_unique<BinaryExpr>();
+        auto node = arena_->make<BinaryExpr>();
         node->span = lhs->span.merge(rhs->span);
         node->op = info->op;
         node->lhs = std::move(lhs);
@@ -419,7 +483,7 @@ ExprPtr Parser::parse_cast() {
     std::size_t height = height_;
     while (match(TokenKind::KwAs)) {
         check_nesting(depth_ + ++height);
-        auto node = std::make_unique<CastExpr>();
+        auto node = arena_->make<CastExpr>();
         node->span = operand->span;
         node->operand = std::move(operand);
         node->target = parse_type();
@@ -430,11 +494,11 @@ ExprPtr Parser::parse_cast() {
 }
 
 ExprPtr Parser::parse_unary() {
-    const Token& token = peek();
+    const Token token = peek();
     switch (token.kind) {
         case TokenKind::Minus: {
             advance();
-            auto node = std::make_unique<UnaryExpr>();
+            auto node = arena_->make<UnaryExpr>();
             node->span = token.span;
             node->op = UnaryOp::Neg;
             node->operand = parse_unary_operand();
@@ -442,7 +506,7 @@ ExprPtr Parser::parse_unary() {
         }
         case TokenKind::Bang: {
             advance();
-            auto node = std::make_unique<UnaryExpr>();
+            auto node = arena_->make<UnaryExpr>();
             node->span = token.span;
             node->op = UnaryOp::Not;
             node->operand = parse_unary_operand();
@@ -450,7 +514,7 @@ ExprPtr Parser::parse_unary() {
         }
         case TokenKind::Star: {
             advance();
-            auto node = std::make_unique<UnaryExpr>();
+            auto node = arena_->make<UnaryExpr>();
             node->span = token.span;
             node->op = UnaryOp::Deref;
             node->operand = parse_unary_operand();
@@ -458,7 +522,7 @@ ExprPtr Parser::parse_unary() {
         }
         case TokenKind::Amp: {
             advance();
-            auto node = std::make_unique<UnaryExpr>();
+            auto node = arena_->make<UnaryExpr>();
             node->span = token.span;
             node->op = match(TokenKind::KwMut) ? UnaryOp::AddrOfMut : UnaryOp::AddrOf;
             node->operand = parse_unary_operand();
@@ -482,7 +546,7 @@ ExprPtr Parser::parse_postfix() {
     for (;;) {
         if (check(TokenKind::LBracket)) {
             advance();
-            auto node = std::make_unique<IndexExpr>();
+            auto node = arena_->make<IndexExpr>();
             node->span = expr->span;
             node->base = std::move(expr);
             {
@@ -497,10 +561,10 @@ ExprPtr Parser::parse_postfix() {
             // Indirect call through a computed fn-pointer value, e.g. (f)(1)
             // or p[0](x). Direct `name(args)` calls are handled in primary.
             advance();
-            auto node = std::make_unique<CallPtrExpr>();
+            auto node = arena_->make<CallPtrExpr>();
             node->span = expr->span;
             node->callee = std::move(expr);
-            node->args = parse_call_args();
+            parse_call_args(node->args);
             height = 1 + std::max(height, height_);
             check_nesting(depth_ + height);
             expr = std::move(node);
@@ -508,10 +572,10 @@ ExprPtr Parser::parse_postfix() {
             // VarRef followed by parens only occurs via parenthesized primary
             // re-parse; plain identifiers take the Call path in parse_primary.
             advance();
-            auto node = std::make_unique<CallPtrExpr>();
+            auto node = arena_->make<CallPtrExpr>();
             node->span = expr->span;
             node->callee = std::move(expr);
-            node->args = parse_call_args();
+            parse_call_args(node->args);
             height = 1 + std::max(height, height_);
             check_nesting(depth_ + height);
             expr = std::move(node);
@@ -522,29 +586,29 @@ ExprPtr Parser::parse_postfix() {
     }
 }
 
-std::vector<ExprPtr> Parser::parse_call_args() {
+void Parser::parse_call_args(ExprList& args) {
     // Caller consumed '('. Leaves height_ at the tallest argument's.
     const Nest nest(*this);
-    std::vector<ExprPtr> args;
+    const std::size_t base = expr_stack_.size();
     std::size_t height = 0;
     if (!check(TokenKind::RParen)) {
         do {
-            args.push_back(parse_expression());
+            push(expr_stack_, parse_expression());
             height = std::max(height, height_);
         } while (match(TokenKind::Comma));
     }
     expect(TokenKind::RParen, "to close call arguments");
+    take(expr_stack_, base, args);
     height_ = height;
-    return args;
 }
 
 ExprPtr Parser::parse_primary() {
-    const Token& token = peek();
+    const Token token = peek();
     height_ = 0;
     switch (token.kind) {
         case TokenKind::IntLiteral: {
             advance();
-            auto node = std::make_unique<IntLitExpr>();
+            auto node = arena_->make<IntLitExpr>();
             node->span = token.span;
             node->value = token.int_value;
             return node;
@@ -552,7 +616,7 @@ ExprPtr Parser::parse_primary() {
         case TokenKind::KwTrue:
         case TokenKind::KwFalse: {
             advance();
-            auto node = std::make_unique<BoolLitExpr>();
+            auto node = arena_->make<BoolLitExpr>();
             node->span = token.span;
             node->value = token.kind == TokenKind::KwTrue;
             return node;
@@ -561,14 +625,14 @@ ExprPtr Parser::parse_primary() {
             advance();
             if (check(TokenKind::LParen)) {
                 advance();
-                auto node = std::make_unique<CallExpr>();
+                auto node = arena_->make<CallExpr>();
                 node->span = token.span;
                 node->callee = std::string(token.text);
-                node->args = parse_call_args();
+                parse_call_args(node->args);
                 ++height_;
                 return node;
             }
-            auto node = std::make_unique<VarRefExpr>();
+            auto node = arena_->make<VarRefExpr>();
             node->span = token.span;
             node->name = std::string(token.text);
             return node;
@@ -590,41 +654,43 @@ ExprPtr Parser::parse_primary() {
             // Array literal `[a, b, c]` or repeat `[v; n]`.
             if (check(TokenKind::RBracket)) {
                 advance();
-                diagnostics_.error("empty array literals are not supported", token.span);
-                auto node = std::make_unique<ArrayLitExpr>();
+                error("empty array literals are not supported", token.span);
+                auto node = arena_->make<ArrayLitExpr>();
                 node->span = token.span;
                 return node;
             }
             ExprPtr first = parse_expression();
             std::size_t height = height_;
             if (match(TokenKind::Semicolon)) {
-                const Token& count = expect(TokenKind::IntLiteral, "array repeat count");
+                const Token count = expect(TokenKind::IntLiteral, "array repeat count");
                 expect(TokenKind::RBracket, "to close array repeat");
-                auto node = std::make_unique<ArrayRepeatExpr>();
+                auto node = arena_->make<ArrayRepeatExpr>();
                 node->span = token.span;
                 node->element = std::move(first);
                 node->count = count.int_value;
                 height_ = height + 1;
                 return node;
             }
-            auto node = std::make_unique<ArrayLitExpr>();
-            node->span = token.span;
-            node->elements.push_back(std::move(first));
+            const std::size_t base = expr_stack_.size();
+            push(expr_stack_, std::move(first));
             while (match(TokenKind::Comma)) {
                 if (check(TokenKind::RBracket)) break;  // trailing comma
-                node->elements.push_back(parse_expression());
+                push(expr_stack_, parse_expression());
                 height = std::max(height, height_);
             }
             expect(TokenKind::RBracket, "to close array literal");
+            auto node = arena_->make<ArrayLitExpr>();
+            node->span = token.span;
+            take(expr_stack_, base, node->elements);
             height_ = height + 1;
             return node;
         }
         default: {
-            diagnostics_.error(std::string("expected expression, found ") +
-                                   token_kind_name(token.kind),
-                               token.span);
+            error(std::string("expected expression, found ") +
+                      token_kind_name(token.kind),
+                  token.span);
             advance();
-            auto node = std::make_unique<IntLitExpr>();
+            auto node = arena_->make<IntLitExpr>();
             node->span = token.span;
             return node;
         }
@@ -632,9 +698,7 @@ ExprPtr Parser::parse_primary() {
 }
 
 Program parse_source(std::string_view source, support::DiagnosticEngine& diagnostics) {
-    Lexer lexer(source, diagnostics);
-    Parser parser(lexer.tokenize(), diagnostics);
-    Program program = parser.parse_program();
+    Program program = Parser(source, diagnostics).parse_program();
     program.renumber();
     return program;
 }

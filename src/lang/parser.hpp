@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "lang/ast.hpp"
+#include "lang/lexer.hpp"
 #include "lang/token.hpp"
 #include "support/diagnostics.hpp"
 
@@ -30,22 +31,52 @@ namespace rustbrain::lang {
 /// deeper program is a located parse error.
 inline constexpr std::size_t kMaxNesting = 256;
 
+/// The parser stops at the next item or statement once the errors so far,
+/// lexical ones included, pass this many.
+inline constexpr std::size_t kMaxParseErrors = 20;
+
+/// Pulls tokens from a Lexer through a two-token window (the grammar never
+/// looks past peek(1)) and builds the program's nodes in its arena.
+///
+/// Diagnostics come out as if the whole source had been lexed first: every
+/// lexical error, in source order, then the parser's errors. The lexer
+/// reports straight to the caller's engine while the parser's own errors
+/// wait in a side engine until the lexer is drained, which a parse that
+/// stops early (an error storm, the nesting cap) also does.
 class Parser {
   public:
-    Parser(std::vector<Token> tokens, support::DiagnosticEngine& diagnostics);
+    Parser(std::string_view source, support::DiagnosticEngine& diagnostics);
 
     /// Parse a whole program. On any error the diagnostics engine carries the
     /// details and the returned (partial) program must not be used.
     Program parse_program();
 
   private:
+    /// A parser whose error count starts from `known_errors`, the caller's
+    /// errors plus every lexical error of the source; its lexer reports to
+    /// `lexical`, which the caller discards.
+    Parser(std::string_view source, support::DiagnosticEngine& lexical,
+           std::optional<std::size_t> known_errors);
+
+    /// One pass over the token stream, the lexer drained at the end.
+    Program parse_pass();
+
     // Token stream ---------------------------------------------------------
-    [[nodiscard]] const Token& peek(std::size_t lookahead = 0) const;
-    const Token& advance();
+    /// `lookahead` is 0 or 1. The reference lasts until the next advance().
+    [[nodiscard]] const Token& peek(std::size_t lookahead = 0) const {
+        return window_[lookahead];
+    }
+    Token advance();
     [[nodiscard]] bool check(TokenKind kind) const { return peek().is(kind); }
     bool match(TokenKind kind);
-    const Token& expect(TokenKind kind, std::string_view context);
+    Token expect(TokenKind kind, std::string_view context);
     void synchronize_to_item();
+
+    // Errors -----------------------------------------------------------------
+    void error(std::string message, support::SourceSpan span);
+    /// The caller's errors, the lexical ones so far (all of them when
+    /// known) and the parser's.
+    [[nodiscard]] std::size_t error_count() const;
 
     // Items ------------------------------------------------------------
     void parse_items(Program& program);
@@ -76,7 +107,16 @@ class Parser {
     ExprPtr parse_unary_operand();
     ExprPtr parse_postfix();
     ExprPtr parse_primary();
-    std::vector<ExprPtr> parse_call_args();
+    void parse_call_args(ExprList& args);
+
+    // Child lists --------------------------------------------------------
+    /// Children are gathered on a stack shared by every list of their kind
+    /// and moved into an exactly sized arena list once complete, so no
+    /// list grows inside the arena.
+    template <typename T>
+    static void push(std::vector<T>& stack, T item);
+    template <typename T>
+    static void take(std::vector<T>& stack, std::size_t base, ArenaVector<T>& out);
 
     // Nesting ------------------------------------------------------------
     /// Thrown past kMaxNesting, after the located error is recorded;
@@ -96,9 +136,19 @@ class Parser {
     /// kMaxNesting.
     void check_nesting(std::size_t levels);
 
-    std::vector<Token> tokens_;
-    std::size_t position_ = 0;
+    std::string_view source_;
     support::DiagnosticEngine& diagnostics_;
+    Lexer lexer_;
+    Token window_[2];
+    /// The parser's own errors, appended to diagnostics_ once the lexer
+    /// is drained.
+    support::DiagnosticEngine parse_errors_;
+    std::optional<std::size_t> known_errors_;
+    /// The arena of the program being built.
+    AstArena* arena_ = nullptr;
+    std::vector<StmtPtr> stmt_stack_;
+    std::vector<ExprPtr> expr_stack_;
+    std::vector<FnItem> fn_stack_;
     /// Levels enclosing the node being parsed.
     std::size_t depth_ = 0;
     /// Levels inside the expression the last parse_* call returned: 0 for

@@ -38,7 +38,7 @@ void emit_child(std::string& out, const Expr& child) {
 }
 
 /// `a, b, c`
-void emit_list(std::string& out, const std::vector<ExprPtr>& items) {
+void emit_list(std::string& out, const ExprList& items) {
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (i != 0) out += ", ";
         emit_expression(out, *items[i]);

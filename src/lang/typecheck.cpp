@@ -76,13 +76,15 @@ void TypeChecker::require_unsafe(const char* operation, support::SourceSpan span
 }
 
 template <class Item>
-void TypeChecker::report_duplicates(const std::vector<Item>& items,
-                                    const char* kind) {
+void TypeChecker::report_duplicates(
+    const ArenaVector<Item>& items, const char* kind,
+    std::unordered_map<std::string_view, std::size_t>& first_index) {
     // One error per later copy of a name, against its first copy, in the
     // order of the first copies: byte-identical to a pairwise scan when no
     // name appears more than twice, and the report grows linearly with the
     // copies instead of quadratically.
-    std::unordered_map<std::string_view, std::size_t> first_index;
+    first_index.clear();
+    first_index.reserve(items.size());
     std::vector<std::pair<std::size_t, std::size_t>> duplicates;
     for (std::size_t j = 0; j < items.size(); ++j) {
         const auto [it, inserted] = first_index.emplace(items[j].name, j);
@@ -95,12 +97,26 @@ void TypeChecker::report_duplicates(const std::vector<Item>& items,
     }
 }
 
+const FnItem* TypeChecker::find_function(const std::string& name) const {
+    const auto it = function_index_.find(name);
+    if (it == function_index_.end()) return nullptr;
+    ++items_probed_;
+    return &program_->functions[it->second];
+}
+
+const StaticItem* TypeChecker::find_static(const std::string& name) const {
+    const auto it = static_index_.find(name);
+    if (it == static_index_.end()) return nullptr;
+    ++items_probed_;
+    return &program_->statics[it->second];
+}
+
 bool TypeChecker::check(Program& program) {
     program_ = &program;
     const std::size_t errors_before = diagnostics_.error_count();
 
-    report_duplicates(program.functions, "function");
-    report_duplicates(program.statics, "static");
+    report_duplicates(program.functions, "function", function_index_);
+    report_duplicates(program.statics, "static", static_index_);
 
     for (auto& item : program.statics) {
         check_static(item);
@@ -109,7 +125,7 @@ bool TypeChecker::check(Program& program) {
         check_function(fn);
     }
 
-    if (const FnItem* main_fn = program.find_function("main")) {
+    if (const FnItem* main_fn = find_function("main")) {
         if (!main_fn->params.empty()) {
             error("'main' must take no parameters", main_fn->span);
         }
@@ -121,6 +137,8 @@ bool TypeChecker::check(Program& program) {
     }
 
     program_ = nullptr;
+    function_index_.clear();
+    static_index_.clear();
     return diagnostics_.error_count() == errors_before;
 }
 
@@ -317,7 +335,7 @@ bool TypeChecker::is_place(const Expr& expr, bool& is_mut_place) const {
                 return true;
             }
             if (program_ != nullptr) {
-                if (const StaticItem* item = program_->find_static(node.name)) {
+                if (const StaticItem* item = find_static(node.name)) {
                     is_mut_place = item->is_mut;
                     return true;
                 }
@@ -391,7 +409,7 @@ Type TypeChecker::check_expr(Expr& expr, const std::optional<Type>& expected) {
                 node.binding = {Binding::Kind::Local, local->slot};
                 result = local->type;
             } else if (const StaticItem* item =
-                           program_ ? program_->find_static(node.name) : nullptr) {
+                           program_ ? find_static(node.name) : nullptr) {
                 if (item->is_mut) {
                     require_unsafe("access to 'static mut'", node.span);
                 }
@@ -399,7 +417,7 @@ Type TypeChecker::check_expr(Expr& expr, const std::optional<Type>& expected) {
                                 static_cast<std::int32_t>(item - program_->statics.data())};
                 result = item->type;
             } else if (const FnItem* fn =
-                           program_ ? program_->find_function(node.name) : nullptr) {
+                           program_ ? find_function(node.name) : nullptr) {
                 node.binding = {Binding::Kind::Function,
                                 static_cast<std::int32_t>(fn - program_->functions.data())};
                 result = fn->fn_type(program_->types());
@@ -685,7 +703,7 @@ Type TypeChecker::check_call(CallExpr& expr) {
         }
         return local->type.fn_return();
     }
-    const FnItem* fn = program_ ? program_->find_function(expr.callee) : nullptr;
+    const FnItem* fn = program_ ? find_function(expr.callee) : nullptr;
     if (fn == nullptr) {
         error("call to unknown function '" + expr.callee + "'", expr.span);
         for (auto& arg : expr.args) check_expr(*arg);

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "lang/ast.hpp"
@@ -65,6 +67,10 @@ class TypeChecker {
     /// Returns true when no errors were emitted.
     bool check(Program& program);
 
+    /// Items the function and static lookups of the checks so far looked
+    /// at: one per name found, whatever the program's size.
+    [[nodiscard]] std::size_t items_probed() const { return items_probed_; }
+
   private:
     struct LocalVar {
         std::string name;
@@ -85,9 +91,14 @@ class TypeChecker {
     [[nodiscard]] const LocalVar* lookup_local(const std::string& name) const;
 
     // Items ------------------------------------------------------------
-    /// "duplicate <kind> 'name'" at each later copy of a name.
+    /// "duplicate <kind> 'name'" at each later copy of a name; fills
+    /// `first_index` with each name's first copy, the one lookups find.
     template <class Item>
-    void report_duplicates(const std::vector<Item>& items, const char* kind);
+    void report_duplicates(const ArenaVector<Item>& items, const char* kind,
+                           std::unordered_map<std::string_view, std::size_t>& first_index);
+    /// The first function / static called `name`, or null.
+    const FnItem* find_function(const std::string& name) const;
+    const StaticItem* find_static(const std::string& name) const;
     void check_function(FnItem& fn);
     void check_static(StaticItem& item);
 
@@ -116,6 +127,10 @@ class TypeChecker {
 
     support::DiagnosticEngine& diagnostics_;
     Program* program_ = nullptr;
+    /// Name -> index of its first copy in Program::functions / statics.
+    std::unordered_map<std::string_view, std::size_t> function_index_;
+    std::unordered_map<std::string_view, std::size_t> static_index_;
+    mutable std::size_t items_probed_ = 0;
     const FnItem* current_fn_ = nullptr;
     std::vector<Scope> scopes_;
     std::int32_t next_slot_ = 0;

@@ -93,10 +93,12 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
     if (shared.empty()) return std::nullopt;
 
     Program program = input.clone();
+
+    AstArena& arena = program.arena();
     const Type mut_i64_ptr = program.types().raw_ptr(Type::i64(), true);
     const Type const_i64_ptr = program.types().raw_ptr(Type::i64(), false);
     auto atomic_ptr = [&](const std::string& name) {
-        return mk_cast(mk_unary(UnaryOp::AddrOfMut, mk_var(name)), mut_i64_ptr);
+        return mk_cast(arena, mk_unary(arena, UnaryOp::AddrOfMut, mk_var(arena, name)), mut_i64_ptr);
     };
     bool changed = false;
     for (const std::string& name : shared) {
@@ -114,14 +116,14 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
                 // pointer is formed; otherwise the value's retag would
                 // invalidate the pointer's borrow tag mid-call.
                 const std::string tmp = "__rb_tmp_" + name;
-                auto wrapper = std::make_unique<BlockStmt>();
+                auto wrapper = arena.make<BlockStmt>();
                 wrapper->block.statements.push_back(
-                    mk_let(tmp, false, std::move(assign.value), Type::i64()));
-                std::vector<ExprPtr> args;
+                    mk_let(arena, tmp, false, std::move(assign.value), Type::i64()));
+                ExprList args(arena);
                 args.push_back(atomic_ptr(name));
-                args.push_back(mk_var(tmp));
+                args.push_back(mk_var(arena, tmp));
                 wrapper->block.statements.push_back(
-                    mk_expr_stmt(mk_call("atomic_store", std::move(args))));
+                    mk_expr_stmt(arena, mk_call(arena, "atomic_store", std::move(args))));
                 stmt = std::move(wrapper);
                 changed = true;
             }
@@ -137,15 +139,15 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
                 if ((unary.op == UnaryOp::AddrOf ||
                      unary.op == UnaryOp::AddrOfMut) &&
                     var_name(*unary.operand) == name) {
-                    return expr.clone();
+                    return expr.clone(arena);
                 }
             }
             if (var_name(expr) != name) return std::nullopt;
             ++real_reads;
-            std::vector<ExprPtr> args;
+            ExprList args(arena);
             args.push_back(
-                mk_cast(atomic_ptr(name), const_i64_ptr));
-            return mk_call("atomic_load", std::move(args));
+                mk_cast(arena, atomic_ptr(name), const_i64_ptr));
+            return mk_call(arena, "atomic_load", std::move(args));
         });
         changed |= real_reads > 0;
     }
@@ -194,6 +196,7 @@ MaybeProgram reorder_join_before_access(const Program& input,
 
 MaybeProgram add_missing_join(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (std::size_t i = 0; i < block.statements.size(); ++i) {
@@ -213,11 +216,11 @@ MaybeProgram add_missing_join(const Program& input, const miri::Finding&) {
             };
             walk_program(program, callbacks);
             if (joined) continue;
-            std::vector<ExprPtr> args;
-            args.push_back(mk_var(let->name));
+            ExprList args(arena);
+            args.push_back(mk_var(arena, let->name));
             block.statements.insert(
                 block.statements.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                mk_expr_stmt(mk_call("join", std::move(args))));
+                mk_expr_stmt(arena, mk_call(arena, "join", std::move(args))));
             changed = true;
             return true;
         }
@@ -253,6 +256,7 @@ MaybeProgram remove_duplicate_join(const Program& input, const miri::Finding&) {
 
 MaybeProgram balance_mutex_lock(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         int first_lock = -1;
@@ -275,11 +279,11 @@ MaybeProgram balance_mutex_lock(const Program& input, const miri::Finding&) {
             if (previous != nullptr &&
                 equals(*previous->args[0], *lock->args[0])) {
                 // Re-lock without an unlock in between: insert the unlock.
-                std::vector<ExprPtr> args;
-                args.push_back(lock->args[0]->clone());
+                ExprList args(arena);
+                args.push_back(lock->args[0]->clone(arena));
                 block.statements.insert(
                     block.statements.begin() + static_cast<std::ptrdiff_t>(i),
-                    mk_expr_stmt(mk_call("mutex_unlock", std::move(args))));
+                    mk_expr_stmt(arena, mk_call(arena, "mutex_unlock", std::move(args))));
                 changed = true;
                 return true;
             }
@@ -294,6 +298,7 @@ MaybeProgram balance_mutex_lock(const Program& input, const miri::Finding&) {
 
 MaybeProgram fix_fnptr_cast_sig(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     std::string cast_var;
     Type correct_sig;
@@ -325,11 +330,11 @@ MaybeProgram fix_fnptr_cast_sig(const Program& input, const miri::Finding&) {
         if (call.callee != cast_var) return std::nullopt;
         const std::size_t want = correct_sig.fn_params().size();
         if (call.args.size() == want) return std::nullopt;
-        auto patched = std::make_unique<CallExpr>();
+        auto patched = arena.make<CallExpr>();
         patched->callee = call.callee;
         for (std::size_t i = 0; i < want; ++i) {
-            patched->args.push_back(i < call.args.size() ? call.args[i]->clone()
-                                                         : mk_int(0));
+            patched->args.push_back(i < call.args.size() ? call.args[i]->clone(arena)
+                                                         : mk_int(arena, 0));
         }
         return ExprPtr(std::move(patched));
     });
@@ -338,6 +343,7 @@ MaybeProgram fix_fnptr_cast_sig(const Program& input, const miri::Finding&) {
 
 MaybeProgram direct_call_replace(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     // Find `let H = <expr> as fn-sig;` then calls through H; replace the
     // call with a direct call to the traced (or unique signature-compatible)
@@ -373,10 +379,10 @@ MaybeProgram direct_call_replace(const Program& input, const miri::Finding&) {
                     if (expr.kind != ExprKind::Call) return std::nullopt;
                     const auto& call = static_cast<const CallExpr&>(expr);
                     if (call.callee != handle) return std::nullopt;
-                    auto direct = std::make_unique<CallExpr>();
+                    auto direct = arena.make<CallExpr>();
                     direct->callee = fn_name;
                     for (const auto& arg : call.args) {
-                        direct->args.push_back(arg->clone());
+                        direct->args.push_back(arg->clone(arena));
                     }
                     return ExprPtr(std::move(direct));
                 });
@@ -395,6 +401,7 @@ MaybeProgram direct_call_replace(const Program& input, const miri::Finding&) {
 
 MaybeProgram become_to_return_call(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for (auto& fn : program.functions) {
         if (changed) break;
@@ -408,10 +415,10 @@ MaybeProgram become_to_return_call(const Program& input, const miri::Finding&) {
                     ExprPtr call;
                     if (target != nullptr) {
                         // Direct become: keep callee and arguments.
-                        auto direct = std::make_unique<CallExpr>();
+                        auto direct = arena.make<CallExpr>();
                         direct->callee = callee_name;
                         for (auto& arg : become.args) {
-                            direct->args.push_back(arg->clone());
+                            direct->args.push_back(arg->clone(arena));
                         }
                         call = std::move(direct);
                     } else {
@@ -440,19 +447,19 @@ MaybeProgram become_to_return_call(const Program& input, const miri::Finding&) {
                         if (origin == nullptr) continue;
                         // Arguments: map target params to the enclosing fn's
                         // params by position, pad with zeros.
-                        auto direct = std::make_unique<CallExpr>();
+                        auto direct = arena.make<CallExpr>();
                         direct->callee = origin->name;
                         for (std::size_t i = 0; i < origin->params.size(); ++i) {
                             if (i < fn.params.size() &&
                                 fn.params[i].type == origin->params[i].type) {
-                                direct->args.push_back(mk_var(fn.params[i].name));
+                                direct->args.push_back(mk_var(arena, fn.params[i].name));
                             } else {
-                                direct->args.push_back(mk_int(0));
+                                direct->args.push_back(mk_int(arena, 0));
                             }
                         }
                         call = std::move(direct);
                     }
-                    stmt = mk_return(std::move(call));
+                    stmt = mk_return(arena, std::move(call));
                     changed = true;
                     return true;
                 }
@@ -475,6 +482,7 @@ MaybeProgram become_to_return_call(const Program& input, const miri::Finding&) {
 
 MaybeProgram valid_bool_compare(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     const int rewrites = rewrite_exprs(
         program, [&](const Expr& expr) -> std::optional<ExprPtr> {
             // *P where P: `<bytes> as *const bool`  ->  *<bytes> != 0
@@ -493,9 +501,9 @@ MaybeProgram valid_bool_compare(const Program& input, const miri::Finding&) {
             if (!cast.target.is_raw_ptr() || !cast.target.element().is_bool()) {
                 return std::nullopt;
             }
-            return mk_binary(BinaryOp::Ne,
-                             mk_unary(UnaryOp::Deref, cast.operand->clone()),
-                             mk_int(0));
+            return mk_binary(arena, BinaryOp::Ne,
+                             mk_unary(arena, UnaryOp::Deref, cast.operand->clone(arena)),
+                             mk_int(arena, 0));
         });
     if (rewrites == 0) return std::nullopt;
     return program;
@@ -503,6 +511,7 @@ MaybeProgram valid_bool_compare(const Program& input, const miri::Finding&) {
 
 MaybeProgram element_offset(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (auto& stmt : block.statements) {
@@ -537,10 +546,10 @@ MaybeProgram element_offset(const Program& input, const miri::Finding&) {
                     if (wide_cast.target.is_raw_ptr() &&
                         wide_cast.target.element() == wide) {
                         // Pattern A: offset the wide-typed pointer instead.
-                        std::vector<ExprPtr> args;
-                        args.push_back(base_cast.operand->clone());
-                        args.push_back(call.args[1]->clone());
-                        let.init = mk_call("offset", std::move(args));
+                        ExprList args(arena);
+                        args.push_back(base_cast.operand->clone(arena));
+                        args.push_back(call.args[1]->clone(arena));
+                        let.init = mk_call(arena, "offset", std::move(args));
                         changed = true;
                         return true;
                     }
@@ -553,10 +562,10 @@ MaybeProgram element_offset(const Program& input, const miri::Finding&) {
                 // size; scale the literal.
                 const auto k = static_cast<const IntLitExpr&>(*call.args[1]).value;
                 if (k % wide.size_bytes() != 0) {
-                    std::vector<ExprPtr> args;
-                    args.push_back(call.args[0]->clone());
-                    args.push_back(mk_int(k * wide.size_bytes()));
-                    let.init = mk_cast(mk_call("offset", std::move(args)),
+                    ExprList args(arena);
+                    args.push_back(call.args[0]->clone(arena));
+                    args.push_back(mk_int(arena, k * wide.size_bytes()));
+                    let.init = mk_cast(arena, mk_call(arena, "offset", std::move(args)),
                                        cast.target);
                     changed = true;
                     return true;

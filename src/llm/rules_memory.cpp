@@ -20,9 +20,9 @@ namespace {
 
 using MaybeProgram = std::optional<Program>;
 
-/// let <name> = alloc(S, A): returns the let and fills size/align clones.
-const LetStmt* find_alloc_let(const Program& program, ExprPtr* size_out = nullptr,
-                              ExprPtr* align_out = nullptr,
+/// The first `let <name> = alloc(S, A);` (any name when `wanted_name` is
+/// empty), or null.
+const LetStmt* find_alloc_let(const Program& program,
                               const std::string& wanted_name = "") {
     const LetStmt* found = nullptr;
     WalkCallbacks callbacks;
@@ -35,11 +35,14 @@ const LetStmt* find_alloc_let(const Program& program, ExprPtr* size_out = nullpt
         const auto& call = static_cast<const CallExpr&>(*let->init);
         if (call.callee != "alloc" || call.args.size() != 2) return;
         found = let;
-        if (size_out != nullptr) *size_out = call.args[0]->clone();
-        if (align_out != nullptr) *align_out = call.args[1]->clone();
     };
     walk_program(program, callbacks);
     return found;
+}
+
+/// The `alloc(S, A)` call of a let find_alloc_let found.
+const CallExpr& alloc_call(const LetStmt& let) {
+    return static_cast<const CallExpr&>(*let.init);
 }
 
 /// Count statements anywhere in the program that mention `name`, excluding
@@ -82,6 +85,7 @@ MaybeProgram remove_duplicate_dealloc(const Program& input, const miri::Finding&
 
 MaybeProgram match_dealloc_layout(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (auto& stmt : block.statements) {
@@ -92,12 +96,13 @@ MaybeProgram match_dealloc_layout(const Program& input, const miri::Finding&) {
             if (call.callee != "dealloc" || call.args.size() != 3) continue;
             const std::string ptr = var_name(strip_casts(*call.args[0]));
             if (ptr.empty()) continue;
-            ExprPtr size;
-            ExprPtr align;
-            if (find_alloc_let(program, &size, &align, ptr) == nullptr) continue;
-            if (!equals(*call.args[1], *size) || !equals(*call.args[2], *align)) {
-                call.args[1] = std::move(size);
-                call.args[2] = std::move(align);
+            const LetStmt* alloc_let = find_alloc_let(program, ptr);
+            if (alloc_let == nullptr) continue;
+            const CallExpr& layout = alloc_call(*alloc_let);
+            if (!equals(*call.args[1], *layout.args[0]) ||
+                !equals(*call.args[2], *layout.args[1])) {
+                call.args[1] = layout.args[0]->clone(arena);
+                call.args[2] = layout.args[1]->clone(arena);
                 changed = true;
             }
         }
@@ -108,9 +113,7 @@ MaybeProgram match_dealloc_layout(const Program& input, const miri::Finding&) {
 }
 
 MaybeProgram insert_missing_dealloc(const Program& input, const miri::Finding&) {
-    ExprPtr size;
-    ExprPtr align;
-    const LetStmt* alloc_let = find_alloc_let(input, &size, &align);
+    const LetStmt* alloc_let = find_alloc_let(input);
     if (alloc_let == nullptr) return std::nullopt;
     // Already freed somewhere?
     bool freed = false;
@@ -127,6 +130,8 @@ MaybeProgram insert_missing_dealloc(const Program& input, const miri::Finding&) 
     if (freed) return std::nullopt;
 
     Program program = input.clone();
+    AstArena& arena = program.arena();
+    const CallExpr& layout = alloc_call(*alloc_let);
     const std::string name = alloc_let->name;
     bool changed = false;
     for_each_block(program, [&](Block& block) {
@@ -137,11 +142,11 @@ MaybeProgram insert_missing_dealloc(const Program& input, const miri::Finding&) 
                    static_cast<const CallExpr&>(*let->init).callee == "alloc";
         });
         if (index < 0) return false;
-        std::vector<ExprPtr> args;
-        args.push_back(mk_var(name));
-        args.push_back(size->clone());
-        args.push_back(align->clone());
-        block.statements.push_back(mk_expr_stmt(mk_call("dealloc", std::move(args))));
+        ExprList args(arena);
+        args.push_back(mk_var(arena, name));
+        args.push_back(layout.args[0]->clone(arena));
+        args.push_back(layout.args[1]->clone(arena));
+        block.statements.push_back(mk_expr_stmt(arena, mk_call(arena, "dealloc", std::move(args))));
         changed = true;
         return true;
     });
@@ -217,6 +222,7 @@ MaybeProgram hoist_declaration(const Program& input, const miri::Finding&) {
 
 MaybeProgram guard_null_check(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (std::size_t i = 0; i < block.statements.size(); ++i) {
@@ -237,12 +243,12 @@ MaybeProgram guard_null_check(const Program& input, const miri::Finding&) {
             if (ptr.empty()) continue;
 
             // if ptr as usize != 0 { unsafe { ... } } else { print_int(-1); }
-            ExprPtr cond = mk_binary(BinaryOp::Ne,
-                                     mk_cast(mk_var(ptr), Type::usize()), mk_int(0));
-            Block then_block;
+            ExprPtr cond = mk_binary(arena, BinaryOp::Ne,
+                                     mk_cast(arena, mk_var(arena, ptr), Type::usize()), mk_int(arena, 0));
+            Block then_block(arena);
             then_block.statements.push_back(std::move(block.statements[i]));
             block.statements[i] =
-                mk_guard(std::move(cond), std::move(then_block), true);
+                mk_guard(arena, std::move(cond), std::move(then_block), true);
             changed = true;
             return true;
         }
@@ -276,6 +282,7 @@ std::optional<std::uint64_t> array_length_of(const Program& program,
 
 MaybeProgram guard_index_bound(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (std::size_t i = 0; i < block.statements.size(); ++i) {
@@ -312,11 +319,11 @@ MaybeProgram guard_index_bound(const Program& input, const miri::Finding&) {
             if (!length) continue;
 
             ExprPtr cond =
-                mk_binary(BinaryOp::Lt, mk_var(index), mk_int(*length));
-            Block then_block;
+                mk_binary(arena, BinaryOp::Lt, mk_var(arena, index), mk_int(arena, *length));
+            Block then_block(arena);
             then_block.statements.push_back(std::move(block.statements[i]));
             block.statements[i] =
-                mk_guard(std::move(cond), std::move(then_block), true);
+                mk_guard(arena, std::move(cond), std::move(then_block), true);
             changed = true;
             return true;
         }
@@ -328,6 +335,7 @@ MaybeProgram guard_index_bound(const Program& input, const miri::Finding&) {
 
 MaybeProgram guard_divisor(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (std::size_t i = 0; i < block.statements.size(); ++i) {
@@ -350,11 +358,11 @@ MaybeProgram guard_divisor(const Program& input, const miri::Finding&) {
             }
             if (divisor.empty()) continue;
 
-            ExprPtr cond = mk_binary(BinaryOp::Ne, mk_var(divisor), mk_int(0));
-            Block then_block;
+            ExprPtr cond = mk_binary(arena, BinaryOp::Ne, mk_var(arena, divisor), mk_int(arena, 0));
+            Block then_block(arena);
             then_block.statements.push_back(std::move(block.statements[i]));
             block.statements[i] =
-                mk_guard(std::move(cond), std::move(then_block), true);
+                mk_guard(arena, std::move(cond), std::move(then_block), true);
             changed = true;
             return true;
         }
@@ -366,6 +374,7 @@ MaybeProgram guard_divisor(const Program& input, const miri::Finding&) {
 
 MaybeProgram widen_to_i64(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     // (a) i32-typed lets become i64.
     for_each_block(program, [&](Block& block) {
@@ -383,18 +392,18 @@ MaybeProgram widen_to_i64(const Program& input, const miri::Finding&) {
     });
     if (!changed) return std::nullopt;
     // (b) drop `as i32` on input() results.
-    rewrite_exprs(program, [](const Expr& expr) -> std::optional<ExprPtr> {
+    rewrite_exprs(program, [&](const Expr& expr) -> std::optional<ExprPtr> {
         if (expr.kind != ExprKind::Cast) return std::nullopt;
         const auto& cast = static_cast<const CastExpr&>(expr);
         if (!(cast.target == Type::i32())) return std::nullopt;
         if (cast.operand->kind == ExprKind::Call &&
             static_cast<const CallExpr&>(*cast.operand).callee == "input") {
-            return cast.operand->clone();
+            return cast.operand->clone(arena);
         }
         return std::nullopt;
     });
     // (c) drop redundant `as i64` around variable arithmetic.
-    rewrite_exprs(program, [](const Expr& expr) -> std::optional<ExprPtr> {
+    rewrite_exprs(program, [&](const Expr& expr) -> std::optional<ExprPtr> {
         if (expr.kind != ExprKind::Cast) return std::nullopt;
         const auto& cast = static_cast<const CastExpr&>(expr);
         if (!(cast.target == Type::i64())) return std::nullopt;
@@ -402,7 +411,7 @@ MaybeProgram widen_to_i64(const Program& input, const miri::Finding&) {
         const auto& binary = static_cast<const BinaryExpr&>(*cast.operand);
         if (binary.lhs->kind == ExprKind::VarRef &&
             binary.rhs->kind == ExprKind::VarRef) {
-            return cast.operand->clone();
+            return cast.operand->clone(arena);
         }
         return std::nullopt;
     });
@@ -413,6 +422,7 @@ MaybeProgram widen_to_i64(const Program& input, const miri::Finding&) {
 
 MaybeProgram use_direct_pointer(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     // Find: let A = <ref-to-ptr-cast> as <int>; let P = A as *const T;
     std::string addr_var;
     ExprPtr direct;
@@ -428,7 +438,7 @@ MaybeProgram use_direct_pointer(const Program& input, const miri::Finding&) {
         if (!inner.target.is_raw_ptr()) return;
         if (addr_of_target(*inner.operand).empty()) return;
         addr_var = let->name;
-        direct = outer.operand->clone();
+        direct = outer.operand->clone(arena);
     };
     walk_program(program, scan);
     if (addr_var.empty()) return std::nullopt;
@@ -442,7 +452,7 @@ MaybeProgram use_direct_pointer(const Program& input, const miri::Finding&) {
             auto& cast = static_cast<CastExpr&>(*let.init);
             if (!cast.target.is_raw_ptr()) continue;
             if (var_name(*cast.operand) != addr_var) continue;
-            let.init = direct->clone();
+            let.init = direct->clone(arena);
             rewired = true;
         }
         return false;
@@ -466,6 +476,7 @@ MaybeProgram use_direct_pointer(const Program& input, const miri::Finding&) {
 
 MaybeProgram repair_loop_bounds(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     // (a) `while i <= N` -> `while i < N`.
     for_each_block(program, [&](Block& block) {
@@ -505,7 +516,7 @@ MaybeProgram repair_loop_bounds(const Program& input, const miri::Finding&) {
                 const auto& other =
                     static_cast<const BinaryExpr&>(*longer->condition);
                 if (equals(*other.rhs, *sub.lhs)) {
-                    cond.rhs = sub.lhs->clone();
+                    cond.rhs = sub.lhs->clone(arena);
                     changed = true;
                     break;
                 }
@@ -519,6 +530,7 @@ MaybeProgram repair_loop_bounds(const Program& input, const miri::Finding&) {
 
 MaybeProgram guard_offset_range(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (std::size_t i = 0; i < block.statements.size(); ++i) {
@@ -551,24 +563,25 @@ MaybeProgram guard_offset_range(const Program& input, const miri::Finding&) {
             const LetStmt* base_let = find_let_by_name(program, base);
             if (base_let == nullptr) continue;
             const std::string raw = var_name(strip_casts(*base_let->init));
-            ExprPtr size;
-            if (find_alloc_let(program, &size, nullptr, raw) == nullptr) continue;
+            const LetStmt* alloc_let = find_alloc_let(program, raw);
+            if (alloc_let == nullptr) continue;
+            const Expr& size = *alloc_call(*alloc_let).args[0];
             ExprPtr count;
-            if (size->kind == ExprKind::Binary &&
-                static_cast<const BinaryExpr&>(*size).op == BinaryOp::Mul) {
-                count = static_cast<const BinaryExpr&>(*size).lhs->clone();
+            if (size.kind == ExprKind::Binary &&
+                static_cast<const BinaryExpr&>(size).op == BinaryOp::Mul) {
+                count = static_cast<const BinaryExpr&>(size).lhs->clone(arena);
             } else {
                 continue;
             }
 
-            ExprPtr cond = mk_binary(
+            ExprPtr cond = mk_binary(arena, 
                 BinaryOp::And,
-                mk_binary(BinaryOp::Ge, mk_var(index), mk_int(0)),
-                mk_binary(BinaryOp::Lt, mk_var(index), std::move(count)));
-            Block then_block;
+                mk_binary(arena, BinaryOp::Ge, mk_var(arena, index), mk_int(arena, 0)),
+                mk_binary(arena, BinaryOp::Lt, mk_var(arena, index), std::move(count)));
+            Block then_block(arena);
             then_block.statements.push_back(std::move(block.statements[i]));
             block.statements[i] =
-                mk_guard(std::move(cond), std::move(then_block), true);
+                mk_guard(arena, std::move(cond), std::move(then_block), true);
             changed = true;
             return true;
         }
@@ -582,6 +595,7 @@ MaybeProgram guard_offset_range(const Program& input, const miri::Finding&) {
 
 MaybeProgram init_after_alloc(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (std::size_t i = 0; i < block.statements.size(); ++i) {
@@ -591,7 +605,7 @@ MaybeProgram init_after_alloc(const Program& input, const miri::Finding&) {
             if (!cast.target.is_raw_ptr() || !cast.target.is_mut()) continue;
             const std::string raw = var_name(*cast.operand);
             if (raw.empty()) continue;
-            if (find_alloc_let(program, nullptr, nullptr, raw) == nullptr) continue;
+            if (find_alloc_let(program, raw) == nullptr) continue;
             // If the very next use already writes through it, nothing to do.
             const std::string slot = let->name;
             bool next_is_write = false;
@@ -612,7 +626,7 @@ MaybeProgram init_after_alloc(const Program& input, const miri::Finding&) {
             // Insert `*slot = 0;` right after the pointer is formed.
             block.statements.insert(
                 block.statements.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                mk_assign(mk_unary(UnaryOp::Deref, mk_var(slot)), mk_int(0)));
+                mk_assign(arena, mk_unary(arena, UnaryOp::Deref, mk_var(arena, slot)), mk_int(arena, 0)));
             changed = true;
             return true;
         }
@@ -624,6 +638,7 @@ MaybeProgram init_after_alloc(const Program& input, const miri::Finding&) {
 
 MaybeProgram add_else_init(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (auto& stmt : block.statements) {
@@ -642,9 +657,9 @@ MaybeProgram add_else_init(const Program& input, const miri::Finding&) {
                 if (!name.empty()) slot = name;
             }
             if (slot.empty()) continue;
-            Block else_block;
+            Block else_block(arena);
             else_block.statements.push_back(
-                mk_assign(mk_unary(UnaryOp::Deref, mk_var(slot)), mk_int(0)));
+                mk_assign(arena, mk_unary(arena, UnaryOp::Deref, mk_var(arena, slot)), mk_int(arena, 0)));
             branch.else_block = std::move(else_block);
             changed = true;
             return true;
@@ -741,6 +756,7 @@ MaybeProgram reorder_raw_use(const Program& input, const miri::Finding&) {
 
 MaybeProgram read_place_directly(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         for (std::size_t i = 0; i < block.statements.size(); ++i) {
@@ -778,7 +794,7 @@ MaybeProgram read_place_directly(const Program& input, const miri::Finding&) {
                 }
             }
             if (use < 0) continue;
-            Block wrapper;
+            Block wrapper(arena);
             wrapper.statements.push_back(std::move(block.statements[use]));
             const int rewrites = rewrite_exprs_in_block(
                 wrapper, [&](const Expr& expr) -> std::optional<ExprPtr> {
@@ -786,7 +802,7 @@ MaybeProgram read_place_directly(const Program& input, const miri::Finding&) {
                     const auto& deref = static_cast<const UnaryExpr&>(expr);
                     if (deref.op != UnaryOp::Deref) return std::nullopt;
                     if (var_name(*deref.operand) != borrow) return std::nullopt;
-                    return mk_var(target);
+                    return mk_var(arena, target);
                 });
             block.statements[use] = std::move(wrapper.statements[0]);
             if (rewrites > 0) {
@@ -802,6 +818,7 @@ MaybeProgram read_place_directly(const Program& input, const miri::Finding&) {
 
 MaybeProgram mut_raw_from_mut(const Program& input, const miri::Finding&) {
     Program program = input.clone();
+    AstArena& arena = program.arena();
     bool changed = false;
     std::string shared_var;
     for_each_block(program, [&](Block& block) {
@@ -822,7 +839,7 @@ MaybeProgram mut_raw_from_mut(const Program& input, const miri::Finding&) {
             const std::string place = addr_of_target(*source_let->init);
             if (place.empty()) continue;
             // Rebuild: let R = &mut X as *mut T;
-            let.init = mk_cast(mk_unary(UnaryOp::AddrOfMut, mk_var(place)),
+            let.init = mk_cast(arena, mk_unary(arena, UnaryOp::AddrOfMut, mk_var(arena, place)),
                                outer.target);
             shared_var = source;
             changed = true;

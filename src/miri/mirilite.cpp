@@ -4,6 +4,7 @@
 
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
+#include "support/diagnostics.hpp"
 
 namespace rustbrain::miri {
 
@@ -37,7 +38,8 @@ MiriReport MiriLite::test(const lang::Program& program,
     std::string type_error;
     if (!lang::type_check(checked, &type_error)) {
         report.findings.push_back(
-            Finding{UbCategory::CompileError, type_error, {}});
+            Finding{UbCategory::CompileError,
+                    support::cap_summary(std::move(type_error)), {}});
         return report;
     }
 
@@ -66,7 +68,8 @@ MiriReport MiriLite::test_source(
     if (!program) {
         MiriReport report;
         report.findings.push_back(
-            Finding{UbCategory::CompileError, parse_error, {}});
+            Finding{UbCategory::CompileError,
+                    support::cap_summary(std::move(parse_error)), {}});
         return report;
     }
     return test(*program, input_sets);

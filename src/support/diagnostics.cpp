@@ -46,6 +46,19 @@ std::string DiagnosticEngine::summary() const {
     return out;
 }
 
+std::string cap_summary(std::string summary, std::size_t limit) {
+    std::size_t lines = 0;
+    std::size_t cut = std::string::npos;
+    for (std::size_t at = summary.find('\n'); at != std::string::npos;
+         at = summary.find('\n', at + 1)) {
+        if (++lines == limit) cut = at + 1;
+    }
+    if (lines <= limit) return summary;
+    summary.resize(cut);
+    summary += "... and " + std::to_string(lines - limit) + " more\n";
+    return summary;
+}
+
 void DiagnosticEngine::clear() {
     diagnostics_.clear();
     error_count_ = 0;

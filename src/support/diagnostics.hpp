@@ -33,9 +33,19 @@ class DiagnosticEngine {
     [[nodiscard]] std::string summary() const;
     void clear();
 
+    /// A compile error keeps this many diagnostics (see cap_summary).
+    static constexpr std::size_t kCompileErrorLimit = 64;
+
   private:
     std::vector<Diagnostic> diagnostics_;
     std::size_t error_count_ = 0;
 };
+
+/// `summary` (one diagnostic per line, as summary() writes it) cut to its
+/// first `limit` lines, then one "... and N more" line for the rest;
+/// unchanged when it has at most `limit` lines. What a compile error
+/// carries goes through this, so no source can grow it without bound.
+std::string cap_summary(std::string summary,
+                        std::size_t limit = DiagnosticEngine::kCompileErrorLimit);
 
 }  // namespace rustbrain::support

@@ -6,6 +6,7 @@
 
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
+#include "support/diagnostics.hpp"
 #include "support/hashing.hpp"
 #include "vm/vm.hpp"
 
@@ -202,7 +203,7 @@ std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
     auto program = lang::try_parse(source, &parse_error);
     if (!program) {
         compiled->front_end = CompiledProgram::FrontEnd::ParseError;
-        compiled->error = std::move(parse_error);
+        compiled->error = support::cap_summary(std::move(parse_error));
         return compiled;
     }
     compiled->program = std::move(*program);
@@ -210,7 +211,7 @@ std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
     std::string type_error;
     if (!lang::type_check(compiled->program, &type_error)) {
         compiled->front_end = CompiledProgram::FrontEnd::TypeError;
-        compiled->error = std::move(type_error);
+        compiled->error = support::cap_summary(std::move(type_error));
     }
     return compiled;
 }

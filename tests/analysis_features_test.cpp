@@ -111,10 +111,12 @@ TEST(FeaturesTest, FeedbackKeyStableAndDiscriminative) {
 
 TEST(AstEditTest, BuildersProduceValidCode) {
     auto program = parse("fn main() { let mut x = 1; }");
+    lang::AstArena& arena = program.arena();
     for_each_block(program, [&](lang::Block& block) {
-        std::vector<lang::ExprPtr> args;
-        args.push_back(mk_cast(mk_var("x"), lang::Type::i64()));
-        block.statements.push_back(mk_expr_stmt(mk_call("print_int", std::move(args))));
+        lang::ExprList args(arena);
+        args.push_back(mk_cast(arena, mk_var(arena, "x"), lang::Type::i64()));
+        block.statements.push_back(
+            mk_expr_stmt(arena, mk_call(arena, "print_int", std::move(args))));
         return true;
     });
     const std::string printed = lang::print_program(program);
@@ -123,10 +125,13 @@ TEST(AstEditTest, BuildersProduceValidCode) {
 }
 
 TEST(AstEditTest, GuardBuilderShape) {
-    lang::Block body;
-    body.statements.push_back(mk_print_sentinel());
-    auto guard = mk_guard(mk_binary(lang::BinaryOp::Lt, mk_var("i"), mk_int(4)),
-                          std::move(body), true);
+    lang::Program program;
+    lang::AstArena& arena = program.arena();
+    lang::Block body(arena);
+    body.statements.push_back(mk_print_sentinel(arena));
+    auto guard = mk_guard(
+        arena, mk_binary(arena, lang::BinaryOp::Lt, mk_var(arena, "i"), mk_int(arena, 4)),
+        std::move(body), true);
     EXPECT_EQ(guard->kind, lang::StmtKind::If);
     const auto& node = static_cast<const lang::IfStmt&>(*guard);
     EXPECT_TRUE(node.else_block.has_value());
@@ -135,10 +140,10 @@ TEST(AstEditTest, GuardBuilderShape) {
 TEST(AstEditTest, RewriteExprsReplacesAllMatches) {
     auto program = parse("fn main() { let a = 1 + 1; let b = 1; }");
     const int count = rewrite_exprs(
-        program, [](const lang::Expr& expr) -> std::optional<lang::ExprPtr> {
+        program, [&](const lang::Expr& expr) -> std::optional<lang::ExprPtr> {
             if (expr.kind == lang::ExprKind::IntLit &&
                 static_cast<const lang::IntLitExpr&>(expr).value == 1) {
-                return mk_int(2);
+                return mk_int(program.arena(), 2);
             }
             return std::nullopt;
         });

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "lang/parser.hpp"
+#include "miri/mirilite.hpp"
+#include "support/diagnostics.hpp"
+#include "verify/oracle.hpp"
 
 namespace rustbrain::lang {
 namespace {
@@ -85,6 +88,52 @@ TEST(TypecheckTest, DuplicateMessagesGrowLinearlyWithTheCopies) {
     const std::size_t at400 = type_error(copies("fn f() { }\n", 400)).size();
     EXPECT_EQ(at400 - at200, 2 * (at200 - at100));
     EXPECT_LT(at400, 400u * 100u);
+}
+
+TEST(TypecheckTest, ACompileErrorCarriesAtMost64Diagnostics) {
+    // 4,000 copies are 3,999 duplicates. The finding keeps the first 64
+    // and counts the rest.
+    const std::string source = copies("fn f() { }\n", 4000);
+    const std::string full = type_error(source);
+    const std::string expected =
+        full.substr(0, [&] {
+            std::size_t at = 0;
+            for (int line = 0; line < 64; ++line) at = full.find('\n', at) + 1;
+            return at;
+        }()) +
+        "... and 3935 more\n";
+    const miri::MiriReport direct = miri::MiriLite().test_source(source, {{}});
+    const miri::MiriReport oracle = verify::Oracle().test_source(source, {{}});
+    for (const miri::MiriReport* report : {&direct, &oracle}) {
+        ASSERT_EQ(report->findings.size(), 1u);
+        EXPECT_EQ(report->findings[0].category, miri::UbCategory::CompileError);
+        EXPECT_EQ(report->findings[0].message, expected);
+        EXPECT_LT(report->findings[0].message.size(), 64u * 80u);
+    }
+    // At the cap (65 copies, 64 duplicates) the message is the type
+    // checker's, byte for byte.
+    const std::string at_cap = copies("fn f() { }\n", 65);
+    const miri::MiriReport small = verify::Oracle().test_source(at_cap, {{}});
+    ASSERT_EQ(small.findings.size(), 1u);
+    EXPECT_EQ(small.findings[0].message, type_error(at_cap));
+    EXPECT_EQ(support::cap_summary(type_error(at_cap)), type_error(at_cap));
+}
+
+TEST(TypecheckTest, ItemLookupsProbeOneItemPerName) {
+    // Each of 4,000 functions calls the one before it. A linear scan per
+    // call site would look at about 8 million items; the name maps look
+    // at one per call, plus one for `main`.
+    std::string source = "fn f0() { }\n";
+    for (int i = 1; i < 4000; ++i) {
+        source += "fn f" + std::to_string(i) + "() { f" + std::to_string(i - 1) + "(); }\n";
+    }
+    source += "static S: i64 = 1;\nfn main() { f3999(); let s = S; }\n";
+    Program program = parse_ok(source);
+    support::DiagnosticEngine diagnostics;
+    TypeChecker checker(diagnostics);
+    ASSERT_TRUE(checker.check(program)) << diagnostics.summary();
+    // 3,999 + 1 calls, one static read, `main`.
+    EXPECT_EQ(checker.items_probed(), 4002u);
 }
 
 TEST(TypecheckTest, LiteralAdoptsDeclaredType) {
