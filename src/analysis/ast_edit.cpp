@@ -99,7 +99,8 @@ StmtPtr mk_print_sentinel(AstArena& arena) {
     return mk_expr_stmt(arena, mk_call(arena, "print_int", std::move(args)));
 }
 
-StmtPtr mk_guard(AstArena& arena, ExprPtr cond, Block then_block, bool with_sentinel_else) {
+StmtPtr mk_guard(AstArena& arena, ExprPtr cond, Block then_block,
+                 bool with_sentinel_else) {
     auto node = arena.make<IfStmt>();
     node->condition = std::move(cond);
     node->then_block = std::move(then_block);

@@ -16,18 +16,21 @@ std::string fill_template(std::string_view templ,
                           const std::vector<std::string>& args) {
     std::string out;
     out.reserve(templ.size());
-    for (std::size_t i = 0; i < templ.size(); ++i) {
-        if (templ[i] == '$' && i + 1 < templ.size() && templ[i + 1] >= '0' &&
-            templ[i + 1] <= '9') {
-            const std::size_t index = static_cast<std::size_t>(templ[i + 1] - '0');
-            if (index < args.size()) {
-                out += args[index];
-                ++i;
-                continue;
-            }
+    // Copy the text between placeholders in runs, not byte by byte.
+    std::size_t copied = 0;
+    for (std::size_t at = templ.find('$'); at != std::string_view::npos;
+         at = templ.find('$', at + 1)) {
+        if (at + 1 >= templ.size() || templ[at + 1] < '0' || templ[at + 1] > '9') {
+            continue;
         }
-        out += templ[i];
+        const std::size_t index = static_cast<std::size_t>(templ[at + 1] - '0');
+        if (index >= args.size()) continue;
+        out.append(templ, copied, at - copied);
+        out += args[index];
+        copied = at + 2;
+        ++at;
     }
+    out.append(templ, copied, std::string_view::npos);
     return out;
 }
 
@@ -100,8 +103,8 @@ void append_pad(lang::AstArena& arena, const detail::PadSpec& pad, lang::StmtLis
         default: {
             out.push_back(make_let(arena, pad.name, true, make_int(arena, 0)));
             auto loop = arena.make<lang::WhileStmt>();
-            loop->condition = mk_binary(arena, lang::BinaryOp::Lt, mk_var(arena, pad.name),
-                                        make_int(arena, pad.b));
+            loop->condition = mk_binary(arena, lang::BinaryOp::Lt,
+                                        mk_var(arena, pad.name), make_int(arena, pad.b));
             loop->body.statements.push_back(analysis::mk_assign(
                 arena, mk_var(arena, pad.name),
                 mk_binary(arena, lang::BinaryOp::Add, mk_var(arena, pad.name),

@@ -94,8 +94,9 @@ class TypeChecker {
     /// "duplicate <kind> 'name'" at each later copy of a name; fills
     /// `first_index` with each name's first copy, the one lookups find.
     template <class Item>
-    void report_duplicates(const ArenaVector<Item>& items, const char* kind,
-                           std::unordered_map<std::string_view, std::size_t>& first_index);
+    void report_duplicates(
+        const ArenaVector<Item>& items, const char* kind,
+        std::unordered_map<std::string_view, std::size_t>& first_index);
     /// The first function / static called `name`, or null.
     const FnItem* find_function(const std::string& name) const;
     const StaticItem* find_static(const std::string& name) const;

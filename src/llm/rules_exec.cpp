@@ -98,7 +98,8 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
     const Type mut_i64_ptr = program.types().raw_ptr(Type::i64(), true);
     const Type const_i64_ptr = program.types().raw_ptr(Type::i64(), false);
     auto atomic_ptr = [&](const std::string& name) {
-        return mk_cast(arena, mk_unary(arena, UnaryOp::AddrOfMut, mk_var(arena, name)), mut_i64_ptr);
+        return mk_cast(arena, mk_unary(arena, UnaryOp::AddrOfMut, mk_var(arena, name)),
+                       mut_i64_ptr);
     };
     bool changed = false;
     for (const std::string& name : shared) {

@@ -146,7 +146,8 @@ MaybeProgram insert_missing_dealloc(const Program& input, const miri::Finding&) 
         args.push_back(mk_var(arena, name));
         args.push_back(layout.args[0]->clone(arena));
         args.push_back(layout.args[1]->clone(arena));
-        block.statements.push_back(mk_expr_stmt(arena, mk_call(arena, "dealloc", std::move(args))));
+        block.statements.push_back(
+            mk_expr_stmt(arena, mk_call(arena, "dealloc", std::move(args))));
         changed = true;
         return true;
     });
@@ -244,7 +245,8 @@ MaybeProgram guard_null_check(const Program& input, const miri::Finding&) {
 
             // if ptr as usize != 0 { unsafe { ... } } else { print_int(-1); }
             ExprPtr cond = mk_binary(arena, BinaryOp::Ne,
-                                     mk_cast(arena, mk_var(arena, ptr), Type::usize()), mk_int(arena, 0));
+                                     mk_cast(arena, mk_var(arena, ptr), Type::usize()),
+                                     mk_int(arena, 0));
             Block then_block(arena);
             then_block.statements.push_back(std::move(block.statements[i]));
             block.statements[i] =
@@ -318,8 +320,8 @@ MaybeProgram guard_index_bound(const Program& input, const miri::Finding&) {
             const auto length = array_length_of(program, array);
             if (!length) continue;
 
-            ExprPtr cond =
-                mk_binary(arena, BinaryOp::Lt, mk_var(arena, index), mk_int(arena, *length));
+            ExprPtr cond = mk_binary(arena, BinaryOp::Lt, mk_var(arena, index),
+                                     mk_int(arena, *length));
             Block then_block(arena);
             then_block.statements.push_back(std::move(block.statements[i]));
             block.statements[i] =
@@ -358,7 +360,8 @@ MaybeProgram guard_divisor(const Program& input, const miri::Finding&) {
             }
             if (divisor.empty()) continue;
 
-            ExprPtr cond = mk_binary(arena, BinaryOp::Ne, mk_var(arena, divisor), mk_int(arena, 0));
+            ExprPtr cond =
+                mk_binary(arena, BinaryOp::Ne, mk_var(arena, divisor), mk_int(arena, 0));
             Block then_block(arena);
             then_block.statements.push_back(std::move(block.statements[i]));
             block.statements[i] =
@@ -574,8 +577,8 @@ MaybeProgram guard_offset_range(const Program& input, const miri::Finding&) {
                 continue;
             }
 
-            ExprPtr cond = mk_binary(arena, 
-                BinaryOp::And,
+            ExprPtr cond = mk_binary(
+                arena, BinaryOp::And,
                 mk_binary(arena, BinaryOp::Ge, mk_var(arena, index), mk_int(arena, 0)),
                 mk_binary(arena, BinaryOp::Lt, mk_var(arena, index), std::move(count)));
             Block then_block(arena);
@@ -626,7 +629,8 @@ MaybeProgram init_after_alloc(const Program& input, const miri::Finding&) {
             // Insert `*slot = 0;` right after the pointer is formed.
             block.statements.insert(
                 block.statements.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                mk_assign(arena, mk_unary(arena, UnaryOp::Deref, mk_var(arena, slot)), mk_int(arena, 0)));
+                mk_assign(arena, mk_unary(arena, UnaryOp::Deref, mk_var(arena, slot)),
+                          mk_int(arena, 0)));
             changed = true;
             return true;
         }
@@ -659,7 +663,8 @@ MaybeProgram add_else_init(const Program& input, const miri::Finding&) {
             if (slot.empty()) continue;
             Block else_block(arena);
             else_block.statements.push_back(
-                mk_assign(arena, mk_unary(arena, UnaryOp::Deref, mk_var(arena, slot)), mk_int(arena, 0)));
+                mk_assign(arena, mk_unary(arena, UnaryOp::Deref, mk_var(arena, slot)),
+                          mk_int(arena, 0)));
             branch.else_block = std::move(else_block);
             changed = true;
             return true;
@@ -839,8 +844,9 @@ MaybeProgram mut_raw_from_mut(const Program& input, const miri::Finding&) {
             const std::string place = addr_of_target(*source_let->init);
             if (place.empty()) continue;
             // Rebuild: let R = &mut X as *mut T;
-            let.init = mk_cast(arena, mk_unary(arena, UnaryOp::AddrOfMut, mk_var(arena, place)),
-                               outer.target);
+            let.init = mk_cast(
+                arena, mk_unary(arena, UnaryOp::AddrOfMut, mk_var(arena, place)),
+                outer.target);
             shared_var = source;
             changed = true;
             return true;

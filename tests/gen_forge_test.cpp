@@ -9,6 +9,7 @@
 #include "core/engine_registry.hpp"
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
+#include "gen/generator.hpp"
 #include "gen/registry.hpp"
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
@@ -23,6 +24,16 @@ ForgeOptions small_forge(std::uint64_t seed, std::size_t count) {
     options.seed = seed;
     options.count = count;
     return options;
+}
+
+TEST(ForgeTest, FillTemplateReplacesDigitPlaceholders) {
+    using gen::detail::fill_template;
+    const std::vector<std::string> args = {"X", "Y"};
+    EXPECT_EQ(fill_template("a$0b$1c", args), "aXbYc");
+    // Unknown indices, a `$` before a non-digit and a trailing `$` stay.
+    EXPECT_EQ(fill_template("$9 $$0 $", args), "$9 $X $");
+    EXPECT_EQ(fill_template("$1$0$1", args), "YXY");
+    EXPECT_EQ(fill_template("", args), "");
 }
 
 TEST(ForgeTest, SameSeedIsByteIdentical) {
