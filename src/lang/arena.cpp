@@ -70,10 +70,4 @@ bool AstArena::owns(const void* pointer) const {
     return false;
 }
 
-std::size_t AstArena::block_count() const {
-    std::size_t count = 0;
-    for (const Chunk* chunk = blocks_; chunk != nullptr; chunk = chunk->next) ++count;
-    return count;
-}
-
 }  // namespace rustbrain::lang

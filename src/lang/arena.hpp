@@ -86,7 +86,6 @@ class AstArena {
     [[nodiscard]] bool owns(const void* pointer) const;
     /// Bytes handed out so far, alignment padding included.
     [[nodiscard]] std::size_t bytes_used() const { return used_; }
-    [[nodiscard]] std::size_t block_count() const;
 
   private:
     struct Chunk {

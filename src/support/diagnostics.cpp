@@ -46,7 +46,8 @@ std::string DiagnosticEngine::summary() const {
     return out;
 }
 
-std::string cap_summary(std::string summary, std::size_t limit) {
+std::string cap_summary(std::string summary) {
+    constexpr std::size_t limit = DiagnosticEngine::kCompileErrorLimit;
     std::size_t lines = 0;
     std::size_t cut = std::string::npos;
     for (std::size_t at = summary.find('\n'); at != std::string::npos;

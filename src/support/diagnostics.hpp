@@ -42,10 +42,10 @@ class DiagnosticEngine {
 };
 
 /// `summary` (one diagnostic per line, as summary() writes it) cut to its
-/// first `limit` lines, then one "... and N more" line for the rest;
-/// unchanged when it has at most `limit` lines. What a compile error
-/// carries goes through this, so no source can grow it without bound.
-std::string cap_summary(std::string summary,
-                        std::size_t limit = DiagnosticEngine::kCompileErrorLimit);
+/// first kCompileErrorLimit lines, then one "... and N more" line for the
+/// rest; unchanged when it has no more lines than that. What a compile
+/// error carries goes through this, so no source can grow it without
+/// bound.
+std::string cap_summary(std::string summary);
 
 }  // namespace rustbrain::support
