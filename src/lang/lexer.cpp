@@ -119,9 +119,16 @@ void Lexer::advance_columns(std::size_t count) {
 
 void Lexer::skip_trivia() {
     for (;;) {
+        // Runs of indentation are most of the trivia: take them in one step.
+        std::size_t end = position_;
+        while (end < source_.size() &&
+               (source_[end] == ' ' || source_[end] == '\t' || source_[end] == '\r')) {
+            ++end;
+        }
+        advance_columns(end - position_);
         if (at_end()) return;
         const char c = peek();
-        if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
+        if (c == '\n') {
             advance();
         } else if (c == '/' && peek(1) == '/') {
             while (!at_end() && peek() != '\n') advance();
@@ -158,7 +165,7 @@ support::SourceSpan Lexer::span_from(std::size_t start) const {
 Token Lexer::make_token(TokenKind kind, std::size_t start) {
     Token token;
     token.kind = kind;
-    token.text = source_.substr(start, position_ - start);
+    token.text = std::string_view(source_.data() + start, position_ - start);
     token.span = span_from(start);
     return token;
 }

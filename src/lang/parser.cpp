@@ -59,16 +59,14 @@ Parser::Parser(std::string_view source, support::DiagnosticEngine& lexical,
       lexer_(source, lexical),
       known_errors_(known_errors) {
     window_[0] = lexer_.next();
-    window_[1] = window_[0].is(TokenKind::EndOfFile) ? window_[0] : lexer_.next();
+    window_[1] = lexer_.next();
 }
 
-Token Parser::advance() {
-    Token token = window_[0];
-    if (!token.is(TokenKind::EndOfFile)) {
-        window_[0] = window_[1];
-        if (!window_[1].is(TokenKind::EndOfFile)) window_[1] = lexer_.next();
-    }
-    return token;
+void Parser::advance() {
+    // Past the end the lexer hands out EndOfFile again, so the window
+    // rests on it.
+    window_[head_] = lexer_.next();
+    head_ ^= 1;
 }
 
 bool Parser::match(TokenKind kind) {
@@ -79,14 +77,14 @@ bool Parser::match(TokenKind kind) {
     return false;
 }
 
-Token Parser::expect(TokenKind kind, std::string_view context) {
+void Parser::expect(TokenKind kind, std::string_view context) {
     if (check(kind)) {
-        return advance();
+        advance();
+        return;
     }
     error("expected " + std::string(token_kind_name(kind)) + " " +
               std::string(context) + ", found " + token_kind_name(peek().kind),
           peek().span);
-    return peek();
 }
 
 void Parser::synchronize_to_item() {
@@ -206,16 +204,16 @@ void Parser::parse_items(Program& program) {
 FnItem Parser::parse_fn(bool is_unsafe) {
     FnItem fn(*arena_);
     fn.is_unsafe = is_unsafe;
-    const Token name = expect(TokenKind::Identifier, "after 'fn'");
-    fn.name = std::string(name.text);
-    fn.span = name.span;
+    fn.name = std::string(peek().text);
+    fn.span = peek().span;
+    expect(TokenKind::Identifier, "after 'fn'");
 
     expect(TokenKind::LParen, "to open parameter list");
     if (!check(TokenKind::RParen)) {
         do {
             Param param;
-            const Token param_name = expect(TokenKind::Identifier, "parameter name");
-            param.name = std::string(param_name.text);
+            param.name = std::string(peek().text);
+            expect(TokenKind::Identifier, "parameter name");
             expect(TokenKind::Colon, "after parameter name");
             param.type = parse_type();
             fn.params.push_back(std::move(param));
@@ -235,11 +233,11 @@ FnItem Parser::parse_fn(bool is_unsafe) {
 
 StaticItem Parser::parse_static() {
     StaticItem item;
-    const Token kw = expect(TokenKind::KwStatic, "item");
-    item.span = kw.span;
+    item.span = peek().span;
+    expect(TokenKind::KwStatic, "item");
     item.is_mut = match(TokenKind::KwMut);
-    const Token name = expect(TokenKind::Identifier, "static name");
-    item.name = std::string(name.text);
+    item.name = std::string(peek().text);
+    expect(TokenKind::Identifier, "static name");
     expect(TokenKind::Colon, "after static name");
     item.type = parse_type();
     expect(TokenKind::Eq, "static initializer");
@@ -273,9 +271,10 @@ Type Parser::parse_type() {
         const Nest nest(*this);
         Type element = parse_type();
         expect(TokenKind::Semicolon, "in array type");
-        const Token len = expect(TokenKind::IntLiteral, "array length");
+        const std::uint64_t length = peek().int_value;
+        expect(TokenKind::IntLiteral, "array length");
         expect(TokenKind::RBracket, "to close array type");
-        return types().array(element, len.int_value);
+        return types().array(element, length);
     }
     // "fn(T, ...) -> T"
     if (match(TokenKind::KwFn)) {
@@ -302,7 +301,8 @@ Type Parser::parse_type() {
     }
     // scalar name
     if (check(TokenKind::Identifier)) {
-        const Token name = advance();
+        const Token name = peek();
+        advance();
         ScalarKind kind;
         if (scalar_kind_from_name(name.text, kind)) {
             return Type::scalar(kind);
@@ -344,14 +344,16 @@ StmtPtr Parser::parse_statement() {
             return parse_become();
         case TokenKind::KwUnsafe: {
             auto stmt = arena_->make<UnsafeStmt>();
-            stmt->span = advance().span;
+            stmt->span = peek().span;
+            advance();
             expect(TokenKind::LBrace, "after 'unsafe'");
             stmt->block = parse_block();
             return stmt;
         }
         case TokenKind::LBrace: {
             auto stmt = arena_->make<BlockStmt>();
-            stmt->span = advance().span;
+            stmt->span = peek().span;
+            advance();
             stmt->block = parse_block();
             return stmt;
         }
@@ -362,10 +364,11 @@ StmtPtr Parser::parse_statement() {
 
 StmtPtr Parser::parse_let() {
     auto stmt = arena_->make<LetStmt>();
-    stmt->span = expect(TokenKind::KwLet, "statement").span;
+    stmt->span = peek().span;
+    expect(TokenKind::KwLet, "statement");
     stmt->is_mut = match(TokenKind::KwMut);
-    const Token name = expect(TokenKind::Identifier, "after 'let'");
-    stmt->name = std::string(name.text);
+    stmt->name = std::string(peek().text);
+    expect(TokenKind::Identifier, "after 'let'");
     if (match(TokenKind::Colon)) {
         stmt->declared_type = parse_type();
     }
@@ -377,7 +380,8 @@ StmtPtr Parser::parse_let() {
 
 StmtPtr Parser::parse_if() {
     auto stmt = arena_->make<IfStmt>();
-    stmt->span = expect(TokenKind::KwIf, "statement").span;
+    stmt->span = peek().span;
+    expect(TokenKind::KwIf, "statement");
     stmt->condition = parse_expression();
     expect(TokenKind::LBrace, "to open if body");
     stmt->then_block = parse_block();
@@ -399,7 +403,8 @@ StmtPtr Parser::parse_if() {
 
 StmtPtr Parser::parse_while() {
     auto stmt = arena_->make<WhileStmt>();
-    stmt->span = expect(TokenKind::KwWhile, "statement").span;
+    stmt->span = peek().span;
+    expect(TokenKind::KwWhile, "statement");
     stmt->condition = parse_expression();
     expect(TokenKind::LBrace, "to open while body");
     stmt->body = parse_block();
@@ -408,7 +413,8 @@ StmtPtr Parser::parse_while() {
 
 StmtPtr Parser::parse_return() {
     auto stmt = arena_->make<ReturnStmt>();
-    stmt->span = expect(TokenKind::KwReturn, "statement").span;
+    stmt->span = peek().span;
+    expect(TokenKind::KwReturn, "statement");
     if (!check(TokenKind::Semicolon)) {
         stmt->value = parse_expression();
     }
@@ -418,13 +424,14 @@ StmtPtr Parser::parse_return() {
 
 StmtPtr Parser::parse_become() {
     auto stmt = arena_->make<BecomeStmt>();
-    stmt->span = expect(TokenKind::KwBecome, "statement").span;
+    stmt->span = peek().span;
+    expect(TokenKind::KwBecome, "statement");
     // The callee is a primary expression (identifier or parenthesized value),
     // followed by mandatory call arguments.
     auto callee = arena_->make<VarRefExpr>();
-    const Token name = expect(TokenKind::Identifier, "after 'become'");
-    callee->name = std::string(name.text);
-    callee->span = name.span;
+    callee->name = std::string(peek().text);
+    callee->span = peek().span;
+    expect(TokenKind::Identifier, "after 'become'");
     stmt->callee = std::move(callee);
     expect(TokenKind::LParen, "to open become arguments");
     parse_call_args(stmt->args);
@@ -661,12 +668,13 @@ ExprPtr Parser::parse_primary() {
             ExprPtr first = parse_expression();
             std::size_t height = height_;
             if (match(TokenKind::Semicolon)) {
-                const Token count = expect(TokenKind::IntLiteral, "array repeat count");
+                const std::uint64_t count = peek().int_value;
+                expect(TokenKind::IntLiteral, "array repeat count");
                 expect(TokenKind::RBracket, "to close array repeat");
                 auto node = arena_->make<ArrayRepeatExpr>();
                 node->span = token.span;
                 node->element = std::move(first);
-                node->count = count.int_value;
+                node->count = count;
                 height_ = height + 1;
                 return node;
             }

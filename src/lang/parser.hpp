@@ -62,14 +62,15 @@ class Parser {
     Program parse_pass();
 
     // Token stream ---------------------------------------------------------
-    /// `lookahead` is 0 or 1. The reference lasts until the next advance().
+    /// `lookahead` is 0 or 1. The reference lasts until the next advance(),
+    /// so a caller that needs a token after consuming it copies it first.
     [[nodiscard]] const Token& peek(std::size_t lookahead = 0) const {
-        return window_[lookahead];
+        return window_[(head_ + lookahead) & 1];
     }
-    Token advance();
+    void advance();
     [[nodiscard]] bool check(TokenKind kind) const { return peek().is(kind); }
     bool match(TokenKind kind);
-    Token expect(TokenKind kind, std::string_view context);
+    void expect(TokenKind kind, std::string_view context);
     void synchronize_to_item();
 
     // Errors -----------------------------------------------------------------
@@ -139,7 +140,9 @@ class Parser {
     std::string_view source_;
     support::DiagnosticEngine& diagnostics_;
     Lexer lexer_;
+    /// The next two tokens, peek(0) at head_.
     Token window_[2];
+    std::size_t head_ = 0;
     /// The parser's own errors, appended to diagnostics_ once the lexer
     /// is drained.
     support::DiagnosticEngine parse_errors_;
