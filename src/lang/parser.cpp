@@ -155,19 +155,39 @@ Program Parser::parse_program() {
     return program;
 }
 
+Parser::Stacks& Parser::thread_stacks() {
+    thread_local Stacks stacks;
+    return stacks;
+}
+
+void Parser::Stacks::clear() {
+    constexpr std::size_t kKeep = 4096;
+    stmts.clear();
+    exprs.clear();
+    fns.clear();
+    if (stmts.capacity() > kKeep) std::vector<StmtPtr>().swap(stmts);
+    if (exprs.capacity() > kKeep) std::vector<ExprPtr>().swap(exprs);
+    if (fns.capacity() > kKeep) std::vector<FnItem>().swap(fns);
+}
+
 Program Parser::parse_pass() {
     Program program(arena_bytes_for(source_.size()));
     arena_ = &program.arena();
-    try {
-        parse_items(program);
-    } catch (const TooDeep&) {
-        // The located error is recorded; the partial program is unusable.
-        stmt_stack_.clear();
-        expr_stack_.clear();
+    {
+        // What is left on the stacks lives in `program`'s arena: drop it
+        // while the arena is still there.
+        struct Reset {
+            Stacks& stacks;
+            ~Reset() { stacks.clear(); }
+        } const reset{stacks_};
+        try {
+            parse_items(program);
+        } catch (const TooDeep&) {
+            // The located error is recorded; the partial program is unusable.
+        }
+        program.functions.reserve(stacks_.fns.size());
+        for (FnItem& fn : stacks_.fns) program.functions.push_back(std::move(fn));
     }
-    program.functions.reserve(fn_stack_.size());
-    for (FnItem& fn : fn_stack_) program.functions.push_back(std::move(fn));
-    fn_stack_.clear();
     // Drain the lexer, so every lexical error is reported.
     while (!check(TokenKind::EndOfFile)) advance();
     program.type_pool = std::move(types_);
@@ -188,11 +208,11 @@ void Parser::parse_items(Program& program) {
             program.statics.push_back(parse_static());
         } else if (check(TokenKind::KwFn)) {
             advance();
-            fn_stack_.push_back(parse_fn(/*is_unsafe=*/false));
+            stacks_.fns.push_back(parse_fn(/*is_unsafe=*/false));
         } else if (check(TokenKind::KwUnsafe) && peek(1).is(TokenKind::KwFn)) {
             advance();
             advance();
-            fn_stack_.push_back(parse_fn(/*is_unsafe=*/true));
+            stacks_.fns.push_back(parse_fn(/*is_unsafe=*/true));
         } else {
             error(std::string("expected item, found ") + token_kind_name(peek().kind),
                   peek().span);
@@ -319,14 +339,14 @@ Type Parser::parse_type() {
 Block Parser::parse_block() {
     // Caller has already consumed the '{'.
     const Nest nest(*this);
-    const std::size_t base = stmt_stack_.size();
+    const std::size_t base = stacks_.stmts.size();
     while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
         if (error_count() > kMaxParseErrors) break;
-        push(stmt_stack_, parse_statement());
+        push(stacks_.stmts, parse_statement());
     }
     expect(TokenKind::RBrace, "to close block");
     Block block(*arena_);
-    take(stmt_stack_, base, block.statements);
+    take(stacks_.stmts, base, block.statements);
     return block;
 }
 
@@ -595,16 +615,16 @@ ExprPtr Parser::parse_postfix() {
 void Parser::parse_call_args(ExprList& args) {
     // Caller consumed '('. Leaves height_ at the tallest argument's.
     const Nest nest(*this);
-    const std::size_t base = expr_stack_.size();
+    const std::size_t base = stacks_.exprs.size();
     std::size_t height = 0;
     if (!check(TokenKind::RParen)) {
         do {
-            push(expr_stack_, parse_expression());
+            push(stacks_.exprs, parse_expression());
             height = std::max(height, height_);
         } while (match(TokenKind::Comma));
     }
     expect(TokenKind::RParen, "to close call arguments");
-    take(expr_stack_, base, args);
+    take(stacks_.exprs, base, args);
     height_ = height;
 }
 
@@ -678,17 +698,17 @@ ExprPtr Parser::parse_primary() {
                 height_ = height + 1;
                 return node;
             }
-            const std::size_t base = expr_stack_.size();
-            push(expr_stack_, std::move(first));
+            const std::size_t base = stacks_.exprs.size();
+            push(stacks_.exprs, std::move(first));
             while (match(TokenKind::Comma)) {
                 if (check(TokenKind::RBracket)) break;  // trailing comma
-                push(expr_stack_, parse_expression());
+                push(stacks_.exprs, parse_expression());
                 height = std::max(height, height_);
             }
             expect(TokenKind::RBracket, "to close array literal");
             auto node = arena_->make<ArrayLitExpr>();
             node->span = token.span;
-            take(expr_stack_, base, node->elements);
+            take(stacks_.exprs, base, node->elements);
             height_ = height + 1;
             return node;
         }

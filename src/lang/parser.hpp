@@ -149,9 +149,19 @@ class Parser {
     std::optional<std::size_t> known_errors_;
     /// The arena of the program being built.
     AstArena* arena_ = nullptr;
-    std::vector<StmtPtr> stmt_stack_;
-    std::vector<ExprPtr> expr_stack_;
-    std::vector<FnItem> fn_stack_;
+    /// The child stacks push and take use. One set per thread, kept across
+    /// parses so a parse allocates none once they have grown; every pass
+    /// leaves them empty, however it ends.
+    struct Stacks {
+        std::vector<StmtPtr> stmts;
+        std::vector<ExprPtr> exprs;
+        std::vector<FnItem> fns;
+
+        /// Empties the stacks, and gives back any that one huge list grew.
+        void clear();
+    };
+    static Stacks& thread_stacks();
+    Stacks& stacks_ = thread_stacks();
     /// Levels enclosing the node being parsed.
     std::size_t depth_ = 0;
     /// Levels inside the expression the last parse_* call returned: 0 for

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -219,9 +220,19 @@ class TypePool {
     void grow_locked();
 
     // Most programs name two or three composite types, so the pool is kept
-    // small: one open-addressed table of owned nodes, no side index.
+    // small: one open-addressed table of owned nodes, no side index. The
+    // first kInlineNodes nodes and a table of kInlineSlots slots live in
+    // the pool itself, so such a program's pool is one allocation.
+    static constexpr std::size_t kInlineNodes = 4;
+    static constexpr std::size_t kInlineSlots = 8;
+
     mutable std::mutex mutex_;
-    std::vector<TypeNode*> slots_;  // power-of-two size; null = empty
+    TypeNode* inline_slots_[kInlineSlots] = {};
+    TypeNode inline_nodes_[kInlineNodes];
+    /// Null until the table outgrows inline_slots_.
+    std::unique_ptr<TypeNode*[]> heap_slots_;
+    TypeNode** slots_ = inline_slots_;  // power-of-two size; null = empty
+    std::size_t slot_count_ = kInlineSlots;
     std::size_t count_ = 0;
 };
 

@@ -258,8 +258,9 @@ TEST(ArenaTest, HallucinatedEditsWriteIntoTheProgramsArena) {
 
 TEST(ArenaTest, AParseMakesAHandfulOfAllocations) {
     // The node-per-allocation front end made 52.7 operator new calls per
-    // parse of this corpus; an arena block, the parser's three child
-    // stacks and the type pool remain.
+    // parse of this corpus. The arena's first block and, for a program
+    // that names a composite type, its type pool remain; the parser's
+    // child stacks are kept per thread.
     const std::vector<std::string>& sources = forged_sources();
     std::size_t calls = 0;
     {
