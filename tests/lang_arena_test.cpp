@@ -40,8 +40,8 @@ void* operator new(std::size_t bytes) {
     if (g_counting.load(std::memory_order_relaxed)) {
         g_news.fetch_add(1, std::memory_order_relaxed);
         std::size_t largest = g_largest.load(std::memory_order_relaxed);
-        while (bytes > largest &&
-               !g_largest.compare_exchange_weak(largest, bytes, std::memory_order_relaxed)) {
+        while (bytes > largest && !g_largest.compare_exchange_weak(
+                                      largest, bytes, std::memory_order_relaxed)) {
         }
     }
     if (void* memory = std::malloc(bytes == 0 ? 1 : bytes)) return memory;
@@ -192,7 +192,7 @@ TEST(ArenaTest, MovedProgramsKeepTheirArena) {
     assigned = std::move(moved);
     EXPECT_EQ(&assigned.arena(), arena);
     EXPECT_EQ(strays(assigned), 0u);
-    EXPECT_EQ(print_program(assigned).find("print_int(a[0]);") != std::string::npos, true);
+    EXPECT_NE(print_program(assigned).find("print_int(a[0]);"), std::string::npos);
 }
 
 TEST(ArenaTest, EveryRuleWritesIntoItsProgramsArena) {
