@@ -15,7 +15,12 @@ constexpr std::size_t round_up(std::size_t bytes) {
 }  // namespace
 
 AstArena::AstArena(Chunk* first, std::uintptr_t cursor, std::uintptr_t limit)
-    : cursor_(cursor), limit_(limit), blocks_(first), next_block_(first->size) {}
+    : cursor_(cursor),
+      limit_(limit),
+      blocks_(first),
+      // The first block was sized for the whole program, so what overflows
+      // it is usually small: start later blocks at an eighth of it.
+      next_block_(std::max<std::size_t>(first->size / 8, 256)) {}
 
 ArenaHandle AstArena::create(std::size_t first_block_bytes) {
     const std::size_t header = round_up(sizeof(Chunk)) + round_up(sizeof(AstArena));
@@ -42,7 +47,7 @@ void ReleaseArena::operator()(AstArena* arena) const noexcept {
 void* AstArena::allocate_slow(std::size_t bytes, std::size_t align) {
     const std::size_t header = round_up(sizeof(Chunk));
     const std::size_t need = header + round_up(bytes) + align;
-    const std::size_t shared = std::min(next_block_ * 2, kMaxBlockBytes);
+    const std::size_t shared = next_block_;
     const bool own_block = need > shared;
     const std::size_t size = own_block ? need : shared;
     char* raw = static_cast<char*>(::operator new(size));
@@ -54,7 +59,7 @@ void* AstArena::allocate_slow(std::size_t bytes, std::size_t align) {
     if (!own_block) {
         // What is left of the old block is abandoned; the new one takes
         // over.
-        next_block_ = size;
+        next_block_ = std::min(size * 2, kMaxBlockBytes);
         cursor_ = at + bytes;
         limit_ = reinterpret_cast<std::uintptr_t>(raw + size);
     }

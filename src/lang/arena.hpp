@@ -47,8 +47,8 @@ class AstArena {
   public:
     /// A new arena whose first block holds `first_block_bytes` of nodes
     /// and lists. The arena itself lives at the start of that block, so a
-    /// program that fits costs one allocation. Later blocks double, up to
-    /// kMaxBlockBytes.
+    /// program that fits costs one allocation. Later blocks start at an
+    /// eighth of the first and double, up to kMaxBlockBytes.
     static ArenaHandle create(std::size_t first_block_bytes);
 
     /// Later blocks stop doubling here; a request larger than a block gets
@@ -102,7 +102,7 @@ class AstArena {
     std::uintptr_t limit_;
     /// Newest block first; the last one holds this object.
     Chunk* blocks_;
-    /// The size the next shared block gets.
+    /// The size the next block gets, unless one request needs more.
     std::size_t next_block_;
     std::size_t used_ = 0;
 };

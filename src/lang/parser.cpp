@@ -128,10 +128,12 @@ void Parser::take(std::vector<T>& stack, std::size_t base, ArenaVector<T>& out) 
 namespace {
 
 /// The first arena block of a program parsed from `source_bytes` of text.
-/// The standard and seed-42 forged corpora take 7 to 11 bytes of nodes per
-/// source byte (p10 to p99), so one block holds 98% of their programs.
+/// The standard and forged corpora take 7 to 11 bytes of nodes per source
+/// byte (p10 to p99, median 8). A cached program keeps its slack for as
+/// long as it lives, so the block is sized at the median and what
+/// overflows goes to small later blocks, rather than sizing for p99.
 std::size_t arena_bytes_for(std::size_t source_bytes) {
-    return std::min<std::size_t>(source_bytes * 10 + 256, AstArena::kMaxBlockBytes);
+    return std::min<std::size_t>(source_bytes * 8, AstArena::kMaxBlockBytes);
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ class TypePool {
     // small: one open-addressed table of owned nodes, no side index. The
     // first kInlineNodes nodes and a table of kInlineSlots slots live in
     // the pool itself, so such a program's pool is one allocation.
-    static constexpr std::size_t kInlineNodes = 4;
+    static constexpr std::size_t kInlineNodes = 2;
     static constexpr std::size_t kInlineSlots = 8;
 
     mutable std::mutex mutex_;
