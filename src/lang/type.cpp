@@ -1,7 +1,6 @@
 #include "lang/type.hpp"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -126,13 +125,7 @@ bool same_shape(const TypeNode& node, Type::Kind kind, bool is_mut,
 TypePool::TypePool() { g_live_pools.fetch_add(1, std::memory_order_relaxed); }
 
 TypePool::~TypePool() {
-    const std::less<const TypeNode*> before;
-    for (std::size_t i = 0; i < slot_count_; ++i) {
-        TypeNode* node = slots_[i];
-        const bool inline_node = !before(node, inline_nodes_) &&
-                                 before(node, inline_nodes_ + kInlineNodes);
-        if (!inline_node) delete node;
-    }
+    for (TypeNode* node : slots_) delete node;
     g_live_pools.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -173,19 +166,15 @@ Type TypePool::adopt_locked(Type type) {
 }
 
 void TypePool::grow_locked() {
-    const std::size_t size = slot_count_ * 2;
-    auto table = std::make_unique<TypeNode*[]>(size);  // all null
-    const std::size_t mask = size - 1;
-    for (std::size_t i = 0; i < slot_count_; ++i) {
-        TypeNode* node = slots_[i];
+    std::vector<TypeNode*> old = std::move(slots_);
+    slots_.assign(old.empty() ? 4 : old.size() * 2, nullptr);
+    const std::size_t mask = slots_.size() - 1;
+    for (TypeNode* node : old) {
         if (node == nullptr) continue;
         std::size_t at = shape_hash(*node) & mask;
-        while (table[at] != nullptr) at = (at + 1) & mask;
-        table[at] = node;
+        while (slots_[at] != nullptr) at = (at + 1) & mask;
+        slots_[at] = node;
     }
-    heap_slots_ = std::move(table);
-    slots_ = heap_slots_.get();
-    slot_count_ = size;
 }
 
 Type TypePool::intern_locked(Type::Kind kind, bool is_mut, Type element,
@@ -202,8 +191,8 @@ Type TypePool::intern_locked(Type::Kind kind, bool is_mut, Type element,
     }
 
     const std::uint64_t hash = shape_hash(kind, is_mut, element, length, params, ret);
-    {
-        const std::size_t mask = slot_count_ - 1;
+    if (!slots_.empty()) {
+        const std::size_t mask = slots_.size() - 1;
         for (std::size_t at = hash & mask; slots_[at] != nullptr; at = (at + 1) & mask) {
             if (same_shape(*slots_[at], kind, is_mut, element, length, params, ret)) {
                 return Type(slots_[at]);
@@ -211,11 +200,9 @@ Type TypePool::intern_locked(Type::Kind kind, bool is_mut, Type element,
         }
     }
     // At most three quarters full, so every probe ends at an empty slot.
-    if ((count_ + 1) * 4 > slot_count_ * 3) grow_locked();
+    if ((count_ + 1) * 4 > slots_.size() * 3) grow_locked();
 
-    std::unique_ptr<TypeNode> owned;
-    TypeNode* node = count_ < kInlineNodes ? &inline_nodes_[count_]
-                                           : (owned = std::make_unique<TypeNode>()).get();
+    auto node = std::make_unique<TypeNode>();
     node->kind = kind;
     node->is_mut = is_mut;
     node->pool = this;
@@ -252,13 +239,12 @@ Type TypePool::intern_locked(Type::Kind kind, bool is_mut, Type element,
         case Type::Kind::Scalar:
             break;
     }
-    const std::size_t mask = slot_count_ - 1;
+    const std::size_t mask = slots_.size() - 1;
     std::size_t at = hash & mask;
     while (slots_[at] != nullptr) at = (at + 1) & mask;
-    slots_[at] = node;
-    owned.release();
+    slots_[at] = node.release();
     ++count_;
-    return Type(node);
+    return Type(slots_[at]);
 }
 
 std::string fn_ptr_spelling(const std::vector<Type>& params, const Type& ret) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -219,20 +218,11 @@ class TypePool {
     Type adopt_locked(Type type);
     void grow_locked();
 
-    // Most programs name two or three composite types, so the pool is kept
-    // small: one open-addressed table of owned nodes, no side index. The
-    // first kInlineNodes nodes and a table of kInlineSlots slots live in
-    // the pool itself, so such a program's pool is one allocation.
-    static constexpr std::size_t kInlineNodes = 2;
-    static constexpr std::size_t kInlineSlots = 8;
-
+    // Programs name a handful of composite types (DESIGN.md §18), so the
+    // pool is kept small: one open-addressed table of owned nodes, no side
+    // index.
     mutable std::mutex mutex_;
-    TypeNode* inline_slots_[kInlineSlots] = {};
-    TypeNode inline_nodes_[kInlineNodes];
-    /// Null until the table outgrows inline_slots_.
-    std::unique_ptr<TypeNode*[]> heap_slots_;
-    TypeNode** slots_ = inline_slots_;  // power-of-two size; null = empty
-    std::size_t slot_count_ = kInlineSlots;
+    std::vector<TypeNode*> slots_;  // power-of-two size; null = empty
     std::size_t count_ = 0;
 };
 
