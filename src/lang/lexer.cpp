@@ -310,15 +310,4 @@ Token Lexer::next() {
     }
 }
 
-std::vector<Token> Lexer::tokenize() {
-    std::vector<Token> tokens;
-    for (;;) {
-        Token token = next();
-        const bool done = token.kind == TokenKind::EndOfFile;
-        tokens.push_back(std::move(token));
-        if (done) break;
-    }
-    return tokens;
-}
-
 }  // namespace rustbrain::lang

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <string_view>
-#include <vector>
 
 #include "lang/token.hpp"
 #include "support/diagnostics.hpp"
@@ -21,9 +20,6 @@ class Lexer {
     /// The next token; EndOfFile at the end of the buffer, and again on
     /// every later call.
     Token next();
-
-    /// Tokenize the whole buffer. The last token is always EndOfFile.
-    std::vector<Token> tokenize();
 
   private:
     [[nodiscard]] bool at_end() const { return position_ >= source_.size(); }

@@ -3,16 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "lang/parser.hpp"
 
 namespace rustbrain::lang {
 namespace {
 
+/// Every token of the buffer, through EndOfFile.
+std::vector<Token> tokenize(Lexer& lexer) {
+    std::vector<Token> tokens;
+    for (;;) {
+        tokens.push_back(lexer.next());
+        if (tokens.back().kind == TokenKind::EndOfFile) return tokens;
+    }
+}
+
 std::vector<Token> lex_ok(std::string_view source) {
     support::DiagnosticEngine diagnostics;
     Lexer lexer(source, diagnostics);
-    auto tokens = lexer.tokenize();
+    auto tokens = tokenize(lexer);
     EXPECT_FALSE(diagnostics.has_errors()) << diagnostics.summary();
     return tokens;
 }
@@ -44,14 +54,14 @@ TEST(LexerTest, DecimalAndHexLiterals) {
 TEST(LexerTest, HexLiteralNeedsDigits) {
     support::DiagnosticEngine diagnostics;
     Lexer lexer("0x", diagnostics);
-    lexer.tokenize();
+    tokenize(lexer);
     EXPECT_TRUE(diagnostics.has_errors());
 }
 
 TEST(LexerTest, LiteralOverflowDiagnosed) {
     support::DiagnosticEngine diagnostics;
     Lexer lexer("99999999999999999999999999", diagnostics);
-    lexer.tokenize();
+    tokenize(lexer);
     EXPECT_TRUE(diagnostics.has_errors());
 }
 
@@ -93,7 +103,7 @@ TEST(LexerTest, TracksLineAndColumn) {
 TEST(LexerTest, UnexpectedCharacterDiagnosed) {
     support::DiagnosticEngine diagnostics;
     Lexer lexer("let $ = 1;", diagnostics);
-    const auto tokens = lexer.tokenize();
+    const auto tokens = tokenize(lexer);
     EXPECT_TRUE(diagnostics.has_errors());
     bool saw_invalid = false;
     for (const auto& token : tokens) {
@@ -105,7 +115,7 @@ TEST(LexerTest, UnexpectedCharacterDiagnosed) {
 TEST(LexerTest, UnterminatedBlockCommentIsALocatedError) {
     support::DiagnosticEngine diagnostics;
     Lexer lexer("fn main() { let x = 1; }\n  /* never closed", diagnostics);
-    const auto tokens = lexer.tokenize();
+    const auto tokens = tokenize(lexer);
     ASSERT_TRUE(diagnostics.has_errors());
     EXPECT_NE(diagnostics.summary().find("unterminated block comment"),
               std::string::npos)
@@ -177,7 +187,7 @@ TEST(LexerTest, NonAsciiBytesAreInvalid) {
         const std::string source = "a" + glyph + "b";
         support::DiagnosticEngine diagnostics;
         Lexer lexer(source, diagnostics);
-        const auto tokens = lexer.tokenize();
+        const auto tokens = tokenize(lexer);
         ASSERT_EQ(tokens.size(), 4u);
         EXPECT_EQ(tokens[0].text, "a");
         EXPECT_EQ(tokens[1].kind, TokenKind::Invalid);
