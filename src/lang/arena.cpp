@@ -24,8 +24,7 @@ AstArena::AstArena(Chunk* first, std::uintptr_t cursor, std::uintptr_t limit)
 
 ArenaHandle AstArena::create(std::size_t first_block_bytes) {
     const std::size_t header = round_up(sizeof(Chunk)) + round_up(sizeof(AstArena));
-    const std::size_t size =
-        header + round_up(std::max<std::size_t>(first_block_bytes, 256));
+    const std::size_t size = header + round_up(first_block_bytes);
     char* raw = static_cast<char*>(::operator new(size));
     Chunk* chunk = ::new (raw) Chunk{nullptr, size};
     AstArena* arena = ::new (raw + round_up(sizeof(Chunk))) AstArena(

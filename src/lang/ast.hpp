@@ -20,6 +20,7 @@
 // order too, except that an assignment evaluates its value before its place.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -498,8 +499,13 @@ class Program {
   public:
     /// An empty program with a small arena.
     Program();
-    /// An empty program whose arena's first block holds `arena_bytes`.
+    /// An empty program whose arena's first block holds `arena_bytes`;
+    /// `Program(0)` costs one small allocation for a program that stays
+    /// empty.
     explicit Program(std::size_t arena_bytes);
+    /// Takes `other`'s arena along with its nodes. A moved-from program
+    /// has no arena and its lists still point into the new owner's, so it
+    /// may only be destroyed or assigned to.
     Program(Program&&) noexcept = default;
     Program& operator=(Program&& other) noexcept;
 
@@ -520,8 +526,14 @@ class Program {
     [[nodiscard]] Program clone() const;
 
     /// The arena every node of this program must come from.
-    [[nodiscard]] AstArena& arena() { return *arena_; }
-    [[nodiscard]] const AstArena& arena() const { return *arena_; }
+    [[nodiscard]] AstArena& arena() {
+        assert(arena_ != nullptr && "moved-from Program");
+        return *arena_;
+    }
+    [[nodiscard]] const AstArena& arena() const {
+        assert(arena_ != nullptr && "moved-from Program");
+        return *arena_;
+    }
 
     /// The program's type pool, made on first use.
     TypePool& types();

@@ -133,7 +133,7 @@ namespace {
 /// long as it lives, so the block is sized at the median and what
 /// overflows goes to small later blocks, rather than sizing for p99.
 std::size_t arena_bytes_for(std::size_t source_bytes) {
-    return std::min<std::size_t>(source_bytes * 8, AstArena::kMaxBlockBytes);
+    return std::clamp<std::size_t>(source_bytes * 8, 256, AstArena::kMaxBlockBytes);
 }
 
 }  // namespace

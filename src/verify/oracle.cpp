@@ -194,19 +194,18 @@ const Oracle& Oracle::shared_default() {
 
 std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
     const std::string& source, std::uint64_t fingerprint) const {
-    auto compiled = std::make_shared<CompiledProgram>();
+    std::string parse_error;
+    auto program = lang::try_parse(source, &parse_error);
+    auto compiled = std::make_shared<CompiledProgram>(
+        program ? std::move(*program) : lang::Program(0));
     compiled->fingerprint = fingerprint;
     compiled->check = support::key_hash(source, kCheckSeed);
     compiled->source = source;
-
-    std::string parse_error;
-    auto program = lang::try_parse(source, &parse_error);
     if (!program) {
         compiled->front_end = CompiledProgram::FrontEnd::ParseError;
         compiled->error = support::cap_summary(std::move(parse_error));
         return compiled;
     }
-    compiled->program = std::move(*program);
 
     std::string type_error;
     if (!lang::type_check(compiled->program, &type_error)) {

@@ -45,6 +45,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/prune.hpp"
@@ -89,6 +90,9 @@ inline constexpr std::uint64_t kVmAfterSteps = std::uint64_t{1} << 10;
 /// type check.
 struct CompiledProgram {
     enum class FrontEnd { Ok, ParseError, TypeError };
+
+    /// Holds `parsed`, or an empty `lang::Program(0)` after a parse error.
+    explicit CompiledProgram(lang::Program parsed) : program(std::move(parsed)) {}
 
     std::uint64_t fingerprint = 0;  // source_fingerprint(source)
     std::uint64_t check = 0;        // independent second hash (collision guard)

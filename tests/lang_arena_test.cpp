@@ -195,6 +195,24 @@ TEST(ArenaTest, MovedProgramsKeepTheirArena) {
     EXPECT_NE(print_program(assigned).find("print_int(a[0]);"), std::string::npos);
 }
 
+TEST(ArenaTest, AnEmptyProgramsArenaGrowsOnFirstUse) {
+    // Program(0) is what a parse-error entry of the program cache holds.
+    const verify::Oracle oracle;
+    const auto failed = oracle.compile("fn main( {");
+    ASSERT_EQ(failed->front_end, verify::CompiledProgram::FrontEnd::ParseError);
+    EXPECT_TRUE(failed->program.functions.empty());
+    EXPECT_EQ(failed->program.arena().bytes_used(), 0u);
+
+    const Program parsed = parse_ok("fn main() { let x = 1; print_int(x + 2); }");
+    Program program(0);
+    for (const FnItem& fn : parsed.functions) {
+        program.functions.push_back(fn.clone(program.arena()));
+    }
+    EXPECT_GT(program.arena().bytes_used(), 0u);
+    EXPECT_EQ(strays(program), 0u);
+    EXPECT_TRUE(equals(program, parsed));
+}
+
 TEST(ArenaTest, EveryRuleWritesIntoItsProgramsArena) {
     const dataset::Corpus corpus = dataset::Corpus::standard();
     std::size_t patched = 0;
