@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "dataset/corpus.hpp"
 #include "dataset/semantic.hpp"
 #include "miri/mirilite.hpp"
+#include "support/hashing.hpp"
 
 namespace rustbrain::dataset {
 namespace {
@@ -42,6 +45,38 @@ TEST(CorpusTest, FindById) {
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->category, miri::UbCategory::Alloc);
     EXPECT_EQ(corpus().find("nope/nope"), nullptr);
+}
+
+TEST(CorpusTest, StandardCorpusMatchesItsDigest) {
+    // FNV-1a over every field of every standard case, in corpus order: the
+    // id, category label, strategy name, difficulty, buggy source,
+    // reference fix and inputs, each string closed by its length. Rendering
+    // the corpus from another source must leave it as it is.
+    std::uint64_t h = support::fnv1a64("");
+    const auto add_text = [&h](std::string_view text) {
+        h = support::fnv1a64(text, h);
+        h = support::fnv1a64_u64(text.size(), h);
+    };
+    const auto add_number = [&h](std::uint64_t value) {
+        h = support::fnv1a64_u64(value, h);
+    };
+    for (const UbCase& c : corpus().cases()) {
+        add_text(c.id);
+        add_text(miri::ub_category_label(c.category));
+        add_text(fix_strategy_name(c.intended_strategy));
+        add_number(static_cast<std::uint64_t>(c.difficulty));
+        add_text(c.buggy_source);
+        add_text(c.reference_fix);
+        add_number(c.inputs.size());
+        for (const std::vector<std::int64_t>& input : c.inputs) {
+            add_number(input.size());
+            for (std::int64_t value : input) {
+                add_number(static_cast<std::uint64_t>(value));
+            }
+        }
+    }
+    EXPECT_EQ(corpus().size(), 126u);
+    EXPECT_EQ(h, 0x95382B9B0DD5409EULL);
 }
 
 TEST(CorpusTest, EveryCaseHasInputs) {

@@ -2,8 +2,10 @@
 // behavior, and end-to-end BatchRunner sweeps over generated corpora.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
@@ -14,6 +16,7 @@
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
+#include "support/hashing.hpp"
 #include "support/rng.hpp"
 
 namespace rustbrain::gen {
@@ -40,6 +43,18 @@ TEST(ForgeTest, SameSeedIsByteIdentical) {
     const dataset::Corpus first = forge_corpus(small_forge(42, 64));
     const dataset::Corpus second = forge_corpus(small_forge(42, 64));
     EXPECT_EQ(corpus_to_string(first), corpus_to_string(second));
+}
+
+TEST(ForgeTest, ForgedCorporaMatchTheirDigests) {
+    // FNV-1a over the raw corpus_to_string bytes of the 560-case forges at
+    // seeds 7 and 42. Unlike a parse-and-print golden, it moves on any byte
+    // a generator template drifts by, whitespace included.
+    const std::pair<std::uint64_t, std::uint64_t> goldens[] = {
+        {7, 0x5902F4B1446F2F1DULL}, {42, 0x945D09E2F6AC1D0EULL}};
+    for (const auto& [seed, golden] : goldens) {
+        const std::string text = corpus_to_string(forge_corpus(small_forge(seed, 560)));
+        EXPECT_EQ(support::fnv1a64(text), golden) << "seed " << seed;
+    }
 }
 
 TEST(ForgeTest, DifferentSeedsProduceDistinctIdsAndContent) {
