@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dataset/builders.hpp"
+#include "dataset/shape.hpp"
 #include "verify/oracle.hpp"
 
 namespace rustbrain::dataset {
@@ -30,25 +30,23 @@ Corpus::Corpus(std::vector<UbCase> cases) : cases_(std::move(cases)) {
 
 Corpus Corpus::standard() {
     std::vector<UbCase> cases;
-    auto append = [&](std::vector<UbCase> more) {
-        for (auto& c : more) {
-            cases.push_back(std::move(c));
+    for (miri::UbCategory category : miri::all_ub_categories()) {
+        std::vector<const Shape*> group;
+        for (const Shape* shape : all_shapes()) {
+            if (shape->category == category && !shape->corpus.empty()) {
+                group.push_back(shape);
+            }
         }
-    };
-    append(make_alloc_cases());
-    append(make_dangling_cases());
-    append(make_panic_cases());
-    append(make_provenance_cases());
-    append(make_uninit_cases());
-    append(make_bothborrow_cases());
-    append(make_datarace_cases());
-    append(make_funccall_cases());
-    append(make_funcpointer_cases());
-    append(make_stackborrow_cases());
-    append(make_validity_cases());
-    append(make_unaligned_cases());
-    append(make_concurrency_cases());
-    append(make_tailcall_cases());
+        const std::string prefix = std::string(miri::ub_category_label(category)) + "/";
+        for (int v = 0; v < kVariantsPerShape; ++v) {
+            for (const Shape* shape : group) {
+                const ShapeArgs& fixed = shape->corpus[static_cast<std::size_t>(v)];
+                UbCase ub_case = shape->render(fixed.args, fixed.inputs);
+                ub_case.id = prefix + ub_case.id + "_" + std::to_string(v);
+                cases.push_back(std::move(ub_case));
+            }
+        }
+    }
     return Corpus(std::move(cases));
 }
 

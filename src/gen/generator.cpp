@@ -12,28 +12,6 @@ namespace rustbrain::gen {
 
 namespace detail {
 
-std::string fill_template(std::string_view templ,
-                          const std::vector<std::string>& args) {
-    std::string out;
-    out.reserve(templ.size());
-    // Copy the text between placeholders in runs, not byte by byte.
-    std::size_t copied = 0;
-    for (std::size_t at = templ.find('$'); at != std::string_view::npos;
-         at = templ.find('$', at + 1)) {
-        if (at + 1 >= templ.size() || templ[at + 1] < '0' || templ[at + 1] > '9') {
-            continue;
-        }
-        const std::size_t index = static_cast<std::size_t>(templ[at + 1] - '0');
-        if (index >= args.size()) continue;
-        out.append(templ, copied, at - copied);
-        out += args[index];
-        copied = at + 2;
-        ++at;
-    }
-    out.append(templ, copied, std::string_view::npos);
-    return out;
-}
-
 MutationPlan sample_plan(support::Rng& rng, const MutationKnobs& knobs) {
     MutationPlan plan;
     if (knobs.max_nesting > 0) {
@@ -184,14 +162,10 @@ dataset::UbCase CaseGenerator::generate(support::Rng& rng) const {
     Draft drafted = draft(rng);
     const MutationPlan plan = detail::sample_plan(rng, knobs_);
 
-    dataset::UbCase out;
-    out.id = drafted.shape;
-    out.category = category_;
-    out.intended_strategy = drafted.strategy;
-    out.inputs = std::move(drafted.inputs);
-    out.difficulty = drafted.difficulty;
-    out.buggy_source = mutate_source(drafted.buggy, plan);
-    out.reference_fix = mutate_source(drafted.fix, plan);
+    dataset::UbCase out =
+        drafted.shape->render(drafted.args, std::move(drafted.inputs));
+    out.buggy_source = mutate_source(out.buggy_source, plan);
+    out.reference_fix = mutate_source(out.reference_fix, plan);
     // Mutations that add real structure make the program harder to read —
     // reflect that in the difficulty the expert-time model and SimLLM see.
     if (plan.nesting >= 2 ||

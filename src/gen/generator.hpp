@@ -20,10 +20,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "dataset/case.hpp"
+#include "dataset/shape.hpp"
 #include "lang/ast.hpp"
 #include "support/rng.hpp"
 
@@ -59,15 +59,13 @@ class CaseGenerator {
     [[nodiscard]] dataset::UbCase generate(support::Rng& rng) const;
 
   protected:
-    /// One drafted scenario before structural mutation.
+    /// One drafted scenario before structural mutation: a shape record and
+    /// the arguments and inputs it is rendered with.
     struct Draft {
-        std::string shape;  // e.g. "double_free"
-        std::string buggy;  // source text (template-filled)
-        std::string fix;
-        std::vector<std::vector<std::int64_t>> inputs;
-        dataset::FixStrategy strategy =
-            dataset::FixStrategy::SemanticModification;
-        int difficulty = 1;
+        const dataset::Shape* shape = nullptr;
+        std::vector<std::string> args;
+        /// One run with no input unless the shape needs more.
+        std::vector<std::vector<std::int64_t>> inputs = {{}};
     };
 
     /// Produce one draft; must consume rng deterministically.
@@ -107,11 +105,6 @@ MutationPlan sample_plan(support::Rng& rng, const MutationKnobs& knobs);
 /// Apply `plan` to `program` in place, its new nodes made in the
 /// program's arena, and renumber it.
 void apply_plan(lang::Program& program, const MutationPlan& plan);
-
-/// Replace `$0`..`$9` placeholders with the given fragments (the same
-/// convention the hand-written dataset builders use).
-std::string fill_template(std::string_view templ,
-                          const std::vector<std::string>& args);
 
 /// Pick one entry of a pool uniformly.
 template <typename T>

@@ -8,17 +8,21 @@ namespace rustbrain::gen {
 
 namespace {
 
-using detail::fill_template;
 using detail::pick;
+namespace shapes = dataset::shapes;
 
 const std::vector<std::string> kVarNames = {"x",    "count", "cell",
                                             "slot", "score", "level"};
 
 std::string num(std::int64_t value) { return std::to_string(value); }
 
-// ---------------------------------------------------------------------------
-// bothborrow
-// ---------------------------------------------------------------------------
+/// A variable and two distinct values to store in it, one after the other.
+std::vector<std::string> draw_two_values(support::Rng& rng) {
+    const std::string var = pick(rng, kVarNames);
+    const std::int64_t first = rng.next_range(1, 899);
+    const std::int64_t second = first + rng.next_range(1, 99);
+    return {var, num(first), num(second)};
+}
 
 class BothBorrowGenerator final : public CaseGenerator {
   public:
@@ -27,92 +31,13 @@ class BothBorrowGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
-        const std::string var = pick(rng, kVarNames);
-        const std::int64_t first = rng.next_range(1, 899);
-        const std::int64_t second = first + rng.next_range(1, 99);
-        const std::vector<std::string> args = {var, num(first), num(second)};
-        switch (rng.next_below(3)) {
-            case 0: {  // shared ref used after a &mut was created
-                out.shape = "shared_then_mut";
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let shared = &$0;
-    let exclusive = &mut $0;
-    *exclusive = $2;
-    print_int(*shared as i64);
-    print_int($0 as i64);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let shared = &$0;
-    print_int(*shared as i64);
-    let exclusive = &mut $0;
-    *exclusive = $2;
-    print_int($0 as i64);
-}
-)",
-                                        args);
-                break;
-            }
-            case 1: {  // direct write while a shared ref is live
-                out.shape = "write_under_shared";
-                out.difficulty = 1;
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let shared = &$0;
-    $0 = $2;
-    print_int(*shared as i64);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let shared = &$0;
-    print_int(*shared as i64);
-    $0 = $2;
-}
-)",
-                                        args);
-                break;
-            }
-            default: {  // read-modify-write juggling both borrows
-                out.shape = "juggle";
-                out.difficulty = 3;
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let shared = &$0;
-    let snapshot = *shared;
-    let exclusive = &mut $0;
-    *exclusive = snapshot + 1;
-    print_int(*shared as i64);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let shared = &$0;
-    let snapshot = *shared;
-    let exclusive = &mut $0;
-    *exclusive = snapshot + 1;
-    print_int($0 as i64);
-}
-)",
-                                        args);
-                break;
-            }
-        }
-        out.inputs = {{}};
-        return out;
+        std::vector<std::string> args = draw_two_values(rng);
+        static const dataset::Shape* const kShapes[] = {
+            &shapes::shared_then_mut(), &shapes::write_under_shared(),
+            &shapes::juggle()};
+        return {kShapes[rng.next_below(3)], std::move(args)};
     }
 };
-
-// ---------------------------------------------------------------------------
-// stackborrow
-// ---------------------------------------------------------------------------
 
 class StackBorrowGenerator final : public CaseGenerator {
   public:
@@ -121,102 +46,13 @@ class StackBorrowGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
-        const std::string var = pick(rng, kVarNames);
-        const std::int64_t first = rng.next_range(1, 899);
-        const std::int64_t second = first + rng.next_range(1, 99);
-        const std::vector<std::string> args = {var, num(first), num(second)};
-        switch (rng.next_below(3)) {
-            case 0: {  // raw pointer invalidated by a fresh &mut
-                out.shape = "raw_invalidated";
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let raw = &mut $0 as *mut i32;
-    let fresh = &mut $0;
-    *fresh = $2;
-    unsafe {
-        *raw = $1;
-    }
-    print_int($0 as i64);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let raw = &mut $0 as *mut i32;
-    unsafe {
-        *raw = $1;
-    }
-    let fresh = &mut $0;
-    *fresh = $2;
-    print_int($0 as i64);
-}
-)",
-                                        args);
-                break;
-            }
-            case 1: {  // raw read after the place was reassigned
-                out.shape = "raw_after_write";
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let raw = &mut $0 as *mut i32;
-    $0 = $2;
-    unsafe {
-        print_int(*raw as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let raw = &mut $0 as *mut i32;
-    unsafe {
-        print_int(*raw as i64);
-    }
-    $0 = $2;
-}
-)",
-                                        args);
-                break;
-            }
-            default: {  // write through a shared-ref-derived raw pointer
-                out.shape = "readonly_write";
-                out.strategy = dataset::FixStrategy::SafeAlternative;
-                out.difficulty = 3;
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let shared = &$0;
-    let raw = shared as *const i32 as *mut i32;
-    unsafe {
-        *raw = $2;
-    }
-    print_int($0 as i64);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let mut $0 = $1;
-    let raw = &mut $0 as *mut i32;
-    unsafe {
-        *raw = $2;
-    }
-    print_int($0 as i64);
-}
-)",
-                                        args);
-                break;
-            }
-        }
-        out.inputs = {{}};
-        return out;
+        std::vector<std::string> args = draw_two_values(rng);
+        static const dataset::Shape* const kShapes[] = {
+            &shapes::raw_invalidated(), &shapes::raw_after_write(),
+            &shapes::readonly_write()};
+        return {kShapes[rng.next_below(3)], std::move(args)};
     }
 };
-
-// ---------------------------------------------------------------------------
-// validity
-// ---------------------------------------------------------------------------
 
 class ValidityGenerator final : public CaseGenerator {
   public:
@@ -225,92 +61,22 @@ class ValidityGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
-        out.strategy = dataset::FixStrategy::SafeAlternative;
         const std::string var = pick(rng, kVarNames);
         // Any byte outside {0, 1} is an invalid bool.
         const std::int64_t bad_byte = rng.next_range(2, 255);
-        const std::vector<std::string> args = {var, num(bad_byte)};
+        std::vector<std::string> args = {var, num(bad_byte)};
         switch (rng.next_below(3)) {
-            case 0: {  // stack byte punned to bool
-                out.shape = "bool_pun";
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(fn main() {
-    let $0: [u8; 2] = [$1, 1];
-    let first = &$0 as *const u8 as *const bool;
-    unsafe {
-        print_bool(*first);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let $0: [u8; 2] = [$1, 1];
-    print_bool($0[0] != 0);
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            case 1: {  // heap byte out of bool range
-                out.shape = "heap_bool";
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(1, 1);
-        *$0 = $1;
-        let flag = $0 as *const bool;
-        print_bool(*flag);
-        dealloc($0, 1, 1);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(1, 1);
-        *$0 = $1;
-        print_bool(*$0 != 0);
-        dealloc($0, 1, 1);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            default: {  // input-dependent byte punned to bool
-                out.shape = "input_bool";
-                out.difficulty = 3;
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0: [u8; 1] = [0];
-    $0[0] = input(0) as u8;
-    let p = &$0 as *const u8 as *const bool;
-    unsafe {
-        print_bool(*p);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let mut $0: [u8; 1] = [0];
-    $0[0] = input(0) as u8;
-    print_bool($0[0] != 0);
-}
-)",
-                                        args);
-                out.inputs = {{0}, {1}, {rng.next_range(2, 200)}};
-                break;
-            }
+            case 0:
+                return {&shapes::bool_pun(), std::move(args)};
+            case 1:
+                return {&shapes::heap_bool(), std::move(args)};
+            default:
+                return {&shapes::input_bool(),
+                        std::move(args),
+                        {{0}, {1}, {rng.next_range(2, 200)}}};
         }
-        return out;
     }
 };
-
-// ---------------------------------------------------------------------------
-// unaligned
-// ---------------------------------------------------------------------------
 
 class UnalignedGenerator final : public CaseGenerator {
   public:
@@ -319,96 +85,20 @@ class UnalignedGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string var = pick(rng, kVarNames);
         const std::int64_t count = rng.next_range(3, 6);
-        const std::vector<std::string> args = {var, num(count)};
         switch (rng.next_below(3)) {
-            case 0: {  // element index used as a byte offset
-                out.shape = "byte_confusion";
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(fn main() {
-    let $0: [u32; $1] = [11; $1];
-    unsafe {
-        let bytes = &$0 as *const u32 as *const u8;
-        let second = offset(bytes, 1) as *const u32;
-        print_int(*second as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let $0: [u32; $1] = [11; $1];
-    unsafe {
-        let elems = &$0 as *const u32;
-        let second = offset(elems, 1);
-        print_int(*second as i64);
-    }
-}
-)",
-                                        args);
-                break;
-            }
-            case 1: {  // wide store at a misaligned heap offset
-                out.shape = "wide_store";
-                out.difficulty = 2;
+            case 0:
+                return {&shapes::byte_confusion(), {var, num(count)}};
+            case 1: {
                 // Any byte offset that is not 8-aligned misaligns an i64.
                 const std::int64_t skew = rng.next_range(1, 7);
                 const std::int64_t stored = rng.next_range(1, 899);
-                const std::vector<std::string> wide_args = {var, num(skew),
-                                                            num(stored)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(16, 8);
-        let word = offset($0, $1) as *mut i64;
-        *word = $2;
-        print_int(*word);
-        dealloc($0, 16, 8);
-    }
-}
-)",
-                                          wide_args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(16, 8);
-        let word = offset($0, 8) as *mut i64;
-        *word = $2;
-        print_int(*word);
-        dealloc($0, 16, 8);
-    }
-}
-)",
-                                        wide_args);
-                break;
+                return {&shapes::wide_store(), {var, num(skew), num(stored)}};
             }
-            default: {  // u16 read at an odd address
-                out.shape = "odd_u16";
-                out.difficulty = 1;
-                out.buggy = fill_template(R"(fn main() {
-    let $0: [u16; $1] = [9; $1];
-    unsafe {
-        let bytes = &$0 as *const u16 as *const u8;
-        let entry = offset(bytes, 1) as *const u16;
-        print_int(*entry as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let $0: [u16; $1] = [9; $1];
-    unsafe {
-        let elems = &$0 as *const u16;
-        let entry = offset(elems, 1);
-        print_int(*entry as i64);
-    }
-}
-)",
-                                        args);
-                break;
-            }
+            default:
+                return {&shapes::odd_u16(), {var, num(count)}};
         }
-        out.inputs = {{}};
-        return out;
     }
 };
 

@@ -1,7 +1,6 @@
 // Cross-category composition generators — the mutation knob the hand-written
-// corpus cannot offer. Each composes structure from two UB families into one
-// program whose *actual* UB belongs to a single declared category, so the
-// detectors and engines must discriminate, not pattern-match on shape:
+// corpus cannot offer. Each draws one composition shape (dataset/
+// shapes_compose.cpp) whose actual UB belongs to a single declared category:
 //
 //   panic-in-borrow: a correct shared/exclusive borrow dance surrounds an
 //     input-driven out-of-bounds index (declared: panic).
@@ -16,8 +15,8 @@ namespace rustbrain::gen {
 
 namespace {
 
-using detail::fill_template;
 using detail::pick;
+namespace shapes = dataset::shapes;
 
 const std::vector<std::string> kVarNames = {"x", "count", "cell", "score"};
 const std::vector<std::string> kArrNames = {"table", "values", "samples",
@@ -35,50 +34,14 @@ class PanicInBorrowGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
-        out.shape = "borrowed_oob";
-        out.strategy = dataset::FixStrategy::AssertionGuard;
-        out.difficulty = 3;
         const std::string var = pick(rng, kVarNames);
         const std::string arr = pick(rng, kArrNames);
         const std::int64_t len = rng.next_range(2, 8);
         const std::int64_t base = rng.next_range(1, 899);
         const std::int64_t element = rng.next_range(1, 99);
-        const std::vector<std::string> args = {var, arr, num(len), num(base),
-                                               num(element)};
-        // The borrow choreography is CORRECT in both programs (the shared
-        // ref's last use precedes the exclusive ref); the only UB is the
-        // unchecked index between the two.
-        out.buggy = fill_template(R"(fn main() {
-    let mut $0: i64 = $3;
-    let shared = &$0;
-    let $1: [i64; $2] = [$4; $2];
-    let pick = input(0) as usize;
-    print_int($1[pick] + *shared);
-    let exclusive = &mut $0;
-    *exclusive = *exclusive + 1;
-    print_int($0);
-}
-)",
-                                  args);
-        out.fix = fill_template(R"(fn main() {
-    let mut $0: i64 = $3;
-    let shared = &$0;
-    let $1: [i64; $2] = [$4; $2];
-    let pick = input(0) as usize;
-    if pick < $2 {
-        print_int($1[pick] + *shared);
-    } else {
-        print_int(0 - 1);
-    }
-    let exclusive = &mut $0;
-    *exclusive = *exclusive + 1;
-    print_int($0);
-}
-)",
-                                args);
-        out.inputs = {{rng.next_range(0, len - 1)}, {len + rng.next_range(0, 9)}};
-        return out;
+        return {&shapes::borrowed_oob(),
+                {var, arr, num(len), num(base), num(element)},
+                {{rng.next_range(0, len - 1)}, {len + rng.next_range(0, 9)}}};
     }
 };
 
@@ -90,53 +53,13 @@ class RaceOnDanglingGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
-        out.shape = "threaded_uaf";
-        out.difficulty = 3;
         const std::string ptr = pick(rng, kPtrNames);
         const std::string worker = pick(rng, kWorkerNames);
         const std::int64_t size = 8 * rng.next_range(1, 6);
         const std::int64_t worker_print = rng.next_range(1, 99);
         const std::int64_t stored = rng.next_range(100, 999);
-        const std::vector<std::string> args = {ptr, worker, num(size),
-                                               num(worker_print), num(stored)};
-        // The thread lifecycle is CORRECT in both programs (spawned and
-        // joined exactly once); the only UB is main's use-after-free while
-        // the worker runs.
-        out.buggy = fill_template(R"(fn $1() {
-    print_int($3);
-}
-fn main() {
-    let handle = spawn($1);
-    unsafe {
-        let $0 = alloc($2, 8);
-        let slot = $0 as *mut i64;
-        *slot = $4;
-        dealloc($0, $2, 8);
-        print_int(*slot);
-    }
-    join(handle);
-}
-)",
-                                  args);
-        out.fix = fill_template(R"(fn $1() {
-    print_int($3);
-}
-fn main() {
-    let handle = spawn($1);
-    unsafe {
-        let $0 = alloc($2, 8);
-        let slot = $0 as *mut i64;
-        *slot = $4;
-        print_int(*slot);
-        dealloc($0, $2, 8);
-    }
-    join(handle);
-}
-)",
-                                args);
-        out.inputs = {{}};
-        return out;
+        return {&shapes::threaded_uaf(),
+                {ptr, worker, num(size), num(worker_print), num(stored)}};
     }
 };
 

@@ -8,8 +8,8 @@ namespace rustbrain::gen {
 
 namespace {
 
-using detail::fill_template;
 using detail::pick;
+namespace shapes = dataset::shapes;
 
 const std::vector<std::string> kArrNames = {"table", "values", "samples",
                                             "grid",  "ranks",  "bins"};
@@ -18,10 +18,6 @@ const std::vector<std::string> kFnNames = {"compute", "transform", "score",
 
 std::string num(std::int64_t value) { return std::to_string(value); }
 
-// ---------------------------------------------------------------------------
-// panic
-// ---------------------------------------------------------------------------
-
 class PanicGenerator final : public CaseGenerator {
   public:
     explicit PanicGenerator(MutationKnobs knobs)
@@ -29,99 +25,33 @@ class PanicGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string arr = pick(rng, kArrNames);
         switch (rng.next_below(3)) {
-            case 0: {  // unchecked index from input
-                out.shape = "oob_index";
-                out.strategy = dataset::FixStrategy::AssertionGuard;
-                out.difficulty = 1;
+            case 0: {
                 const std::int64_t len = rng.next_range(2, 9);
                 const std::int64_t element = rng.next_range(1, 99);
-                const std::vector<std::string> args = {arr, num(len),
-                                                       num(element)};
-                out.buggy = fill_template(R"(fn main() {
-    let $0: [i64; $1] = [$2; $1];
-    let pick = input(0) as usize;
-    print_int($0[pick]);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let $0: [i64; $1] = [$2; $1];
-    let pick = input(0) as usize;
-    if pick < $1 {
-        print_int($0[pick]);
-    } else {
-        print_int(0 - 1);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{rng.next_range(0, len - 1)},
-                              {len + rng.next_range(0, 9)}};
-                break;
+                return {&shapes::oob_index(),
+                        {arr, num(len), num(element)},
+                        {{rng.next_range(0, len - 1)},
+                         {len + rng.next_range(0, 9)}}};
             }
-            case 1: {  // division by an input that can be zero
-                out.shape = "div_zero";
-                out.strategy = dataset::FixStrategy::AssertionGuard;
-                out.difficulty = 1;
+            case 1: {
                 const std::int64_t total = rng.next_range(10, 9999);
-                const std::vector<std::string> args = {num(total)};
-                out.buggy = fill_template(R"(fn main() {
-    let total: i64 = $0;
-    let parts = input(0);
-    print_int(total / parts);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let total: i64 = $0;
-    let parts = input(0);
-    if parts != 0 {
-        print_int(total / parts);
-    } else {
-        print_int(0 - 1);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{rng.next_range(1, 9)}, {0}};
-                break;
+                return {&shapes::div_zero(),
+                        {num(total)},
+                        {{rng.next_range(1, 9)}, {0}}};
             }
-            default: {  // i32 accumulator overflow; fix widens to i64
-                out.shape = "overflow";
-                out.strategy = dataset::FixStrategy::SafeAlternative;
-                out.difficulty = 2;
+            default: {
                 const std::int64_t base = 2147481000 + rng.next_range(0, 2600);
                 const std::int64_t headroom = 2147483647 - base;
-                const std::vector<std::string> args = {num(base)};
-                out.buggy = fill_template(R"(fn main() {
-    let base: i32 = $0;
-    let extra = input(0) as i32;
-    print_int((base + extra) as i64);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let base: i64 = $0;
-    let extra = input(0);
-    print_int(base + extra);
-}
-)",
-                                        args);
-                out.inputs = {{rng.next_range(1, 40)},
-                              {headroom + rng.next_range(1, 999)}};
-                break;
+                return {&shapes::overflow(),
+                        {num(base)},
+                        {{rng.next_range(1, 40)},
+                         {headroom + rng.next_range(1, 999)}}};
             }
         }
-        return out;
     }
 };
-
-// ---------------------------------------------------------------------------
-// func.call
-// ---------------------------------------------------------------------------
 
 class FuncCallGenerator final : public CaseGenerator {
   public:
@@ -130,106 +60,22 @@ class FuncCallGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string fn = pick(rng, kFnNames);
         const std::int64_t printed = rng.next_range(1, 99);
         switch (rng.next_below(3)) {
-            case 0: {  // call through a constant bogus address
-                out.shape = "bogus_address";
-                out.difficulty = 2;
+            case 0: {
                 const std::int64_t bogus = 4096 * rng.next_range(1, 32);
-                const std::vector<std::string> args = {fn, num(bogus),
-                                                       num(printed)};
-                out.buggy = fill_template(R"(fn $0() {
-    print_int($2);
-}
-fn main() {
-    unsafe {
-        let handler = $1 as fn();
-        handler();
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0() {
-    print_int($2);
-}
-fn main() {
-    $0();
-}
-)",
-                                        args);
-                break;
+                return {&shapes::bogus_address(), {fn, num(bogus), num(printed)}};
             }
-            case 1: {  // address arithmetic corrupts a real address
-                out.shape = "corrupted_address";
-                out.difficulty = 3;
+            case 1: {
                 const std::int64_t skew = 4 * rng.next_range(1, 16);
-                const std::vector<std::string> args = {fn, num(skew),
-                                                       num(printed)};
-                out.buggy = fill_template(R"(fn $0() {
-    print_int($2);
-}
-fn main() {
-    unsafe {
-        let addr = $0 as usize + $1;
-        let handler = addr as fn();
-        handler();
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0() {
-    print_int($2);
-}
-fn main() {
-    unsafe {
-        let addr = $0 as usize;
-        let handler = addr as fn();
-        handler();
-    }
-}
-)",
-                                        args);
-                break;
+                return {&shapes::corrupted_address(), {fn, num(skew), num(printed)}};
             }
-            default: {  // data pointer treated as code
-                out.shape = "data_as_code";
-                out.difficulty = 2;
-                const std::vector<std::string> args = {fn, num(printed)};
-                out.buggy = fill_template(R"(fn $0() {
-    print_int($1);
-}
-fn main() {
-    let slot = 1;
-    unsafe {
-        let addr = &slot as *const i32 as usize;
-        let handler = addr as fn();
-        handler();
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0() {
-    print_int($1);
-}
-fn main() {
-    let slot = 1;
-    $0();
-}
-)",
-                                        args);
-                break;
-            }
+            default:
+                return {&shapes::data_as_code(), {fn, num(printed)}};
         }
-        out.inputs = {{}};
-        return out;
     }
 };
-
-// ---------------------------------------------------------------------------
-// func.pointer
-// ---------------------------------------------------------------------------
 
 class FuncPointerGenerator final : public CaseGenerator {
   public:
@@ -238,108 +84,20 @@ class FuncPointerGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string fn = pick(rng, kFnNames);
         const std::int64_t factor = rng.next_range(2, 9);
         switch (rng.next_below(3)) {
-            case 0: {  // i64 function transmuted to an i32 signature
-                out.shape = "narrowed_sig";
-                out.difficulty = 2;
-                const std::vector<std::string> args = {fn, num(factor)};
-                out.buggy = fill_template(R"(fn $0(x: i64) -> i64 {
-    return x * $1;
-}
-fn main() {
-    unsafe {
-        let addr = $0 as usize;
-        let f = addr as fn(i32) -> i32;
-        print_int(f(10) as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0(x: i64) -> i64 {
-    return x * $1;
-}
-fn main() {
-    unsafe {
-        let addr = $0 as usize;
-        let f = addr as fn(i64) -> i64;
-        print_int(f(10) as i64);
-    }
-}
-)",
-                                        args);
-                break;
-            }
-            case 1: {  // two-argument function behind a one-argument type
-                out.shape = "wrong_arity";
-                out.difficulty = 3;
-                const std::vector<std::string> args = {fn, num(factor)};
-                out.buggy = fill_template(R"(fn $0(a: i64, b: i64) -> i64 {
-    return a * $1 + b;
-}
-fn main() {
-    unsafe {
-        let addr = $0 as usize;
-        let f = addr as fn(i64) -> i64;
-        print_int(f(10));
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0(a: i64, b: i64) -> i64 {
-    return a * $1 + b;
-}
-fn main() {
-    unsafe {
-        let addr = $0 as usize;
-        let f = addr as fn(i64, i64) -> i64;
-        print_int(f(10, 0));
-    }
-}
-)",
-                                        args);
-                break;
-            }
-            default: {  // fn-pointer-to-fn-pointer signature transmute
-                out.shape = "sig_transmute";
-                out.strategy = dataset::FixStrategy::SafeAlternative;
-                out.difficulty = 2;
+            case 0:
+                return {&shapes::narrowed_sig(), {fn, num(factor)}};
+            case 1:
+                return {&shapes::wrong_arity(), {fn, num(factor)}};
+            default: {
                 const std::int64_t add = rng.next_range(1, 99);
-                const std::vector<std::string> args = {fn, num(add)};
-                out.buggy = fill_template(R"(fn $0(x: i64) -> i64 {
-    return x + $1;
-}
-fn main() {
-    let typed: fn(i64) -> i64 = $0;
-    unsafe {
-        let twisted = typed as fn(i32) -> i32;
-        print_int(twisted(1) as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0(x: i64) -> i64 {
-    return x + $1;
-}
-fn main() {
-    let typed: fn(i64) -> i64 = $0;
-    print_int(typed(1));
-}
-)",
-                                        args);
-                break;
+                return {&shapes::sig_transmute(), {fn, num(add)}};
             }
         }
-        out.inputs = {{}};
-        return out;
     }
 };
-
-// ---------------------------------------------------------------------------
-// tailcall
-// ---------------------------------------------------------------------------
 
 class TailCallGenerator final : public CaseGenerator {
   public:
@@ -348,111 +106,18 @@ class TailCallGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string fn = pick(rng, kFnNames);
         const std::int64_t add = rng.next_range(1, 999);
         switch (rng.next_below(3)) {
-            case 0: {  // become through a zero-arg transmute
-                out.shape = "wrong_sig";
-                out.difficulty = 3;
-                const std::vector<std::string> args = {fn, num(add)};
-                out.buggy = fill_template(R"(fn $0(x: i64) -> i64 {
-    return x + $1;
-}
-fn dispatch(n: i64) -> i64 {
-    unsafe {
-        let addr = $0 as usize;
-        let k = addr as fn() -> i64;
-        become k();
-    }
-}
-fn main() {
-    print_int(dispatch(5));
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0(x: i64) -> i64 {
-    return x + $1;
-}
-fn dispatch(n: i64) -> i64 {
-    return $0(n);
-}
-fn main() {
-    print_int(dispatch(5));
-}
-)",
-                                        args);
-                break;
-            }
-            case 1: {  // become to a bogus address
-                out.shape = "bogus_target";
-                out.difficulty = 2;
+            case 0:
+                return {&shapes::wrong_sig(), {fn, num(add)}};
+            case 1: {
                 const std::int64_t bogus = 4096 * rng.next_range(1, 32);
-                const std::vector<std::string> args = {fn, num(add), num(bogus)};
-                out.buggy = fill_template(R"(fn $0() -> i64 {
-    return $1;
-}
-fn trampoline() -> i64 {
-    unsafe {
-        let k = $2 as fn() -> i64;
-        become k();
-    }
-}
-fn main() {
-    print_int(trampoline());
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $0() -> i64 {
-    return $1;
-}
-fn trampoline() -> i64 {
-    return $0();
-}
-fn main() {
-    print_int(trampoline());
-}
-)",
-                                        args);
-                break;
+                return {&shapes::bogus_target(), {fn, num(add), num(bogus)}};
             }
-            default: {  // caller local escapes into the tail callee
-                out.shape = "local_escape";
-                out.difficulty = 3;
-                const std::vector<std::string> args = {num(add)};
-                out.buggy = fill_template(R"(fn read_slot(slot: *const i64) -> i64 {
-    unsafe {
-        return *slot;
-    }
-}
-fn trampoline() -> i64 {
-    let local: i64 = $0;
-    become read_slot(&local as *const i64);
-}
-fn main() {
-    print_int(trampoline());
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn read_slot(slot: *const i64) -> i64 {
-    unsafe {
-        return *slot;
-    }
-}
-fn trampoline() -> i64 {
-    let local: i64 = $0;
-    return read_slot(&local as *const i64);
-}
-fn main() {
-    print_int(trampoline());
-}
-)",
-                                        args);
-                break;
-            }
+            default:
+                return {&shapes::local_escape(), {num(add)}};
         }
-        out.inputs = {{}};
-        return out;
     }
 };
 

@@ -8,8 +8,8 @@ namespace rustbrain::gen {
 
 namespace {
 
-using detail::fill_template;
 using detail::pick;
+namespace shapes = dataset::shapes;
 
 const std::vector<std::string> kPtrNames = {"p",     "buf",   "mem",    "blk",
                                             "chunk", "region", "arena", "slab"};
@@ -21,10 +21,6 @@ std::string num(std::int64_t value) { return std::to_string(value); }
 /// A heap slot size: always a positive multiple of 8.
 std::int64_t sample_size(support::Rng& rng) { return 8 * rng.next_range(1, 6); }
 
-// ---------------------------------------------------------------------------
-// alloc
-// ---------------------------------------------------------------------------
-
 class AllocGenerator final : public CaseGenerator {
   public:
     explicit AllocGenerator(MutationKnobs knobs)
@@ -32,112 +28,25 @@ class AllocGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string ptr = pick(rng, kPtrNames);
         const std::int64_t size = sample_size(rng);
         const std::int64_t seed_const = rng.next_range(1, 8999);
         switch (rng.next_below(3)) {
-            case 0: {  // double free
-                out.shape = "double_free";
-                out.difficulty = 1;
-                const std::vector<std::string> args = {ptr, num(size),
-                                                       num(seed_const)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = $2;
-        print_int(*slot);
-        dealloc($0, $1, 8);
-        dealloc($0, $1, 8);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = $2;
-        print_int(*slot);
-        dealloc($0, $1, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            case 1: {  // dealloc with the wrong layout
-                out.shape = "wrong_layout";
-                out.difficulty = 1;
+            case 0:
+                return {&shapes::double_free(), {ptr, num(size), num(seed_const)}};
+            case 1: {
                 std::int64_t wrong = 8 * rng.next_range(1, 6);
                 if (wrong == size) wrong += 8;
-                const std::vector<std::string> args = {ptr, num(size),
-                                                       num(seed_const),
-                                                       num(wrong)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = $2;
-        print_int(*slot);
-        dealloc($0, $3, 8);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = $2;
-        print_int(*slot);
-        dealloc($0, $1, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
+                return {&shapes::wrong_layout(),
+                        {ptr, num(size), num(seed_const), num(wrong)}};
             }
-            default: {  // leak
-                out.shape = "leak";
-                out.difficulty = 2;
-                const std::vector<std::string> args = {ptr, num(size),
-                                                       num(seed_const)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = input(0) + $2;
-        print_int(*slot);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = input(0) + $2;
-        print_int(*slot);
-        dealloc($0, $1, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{rng.next_range(1, 99)}, {rng.next_range(100, 999)}};
-                break;
-            }
+            default:
+                return {&shapes::leak(),
+                        {ptr, num(size), num(seed_const)},
+                        {{rng.next_range(1, 99)}, {rng.next_range(100, 999)}}};
         }
-        return out;
     }
 };
-
-// ---------------------------------------------------------------------------
-// danglingpointer
-// ---------------------------------------------------------------------------
 
 class DanglingGenerator final : public CaseGenerator {
   public:
@@ -147,117 +56,23 @@ class DanglingGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string ptr = pick(rng, kPtrNames);
         const std::string val = pick(rng, kValNames);
         const std::int64_t size = sample_size(rng);
         const std::int64_t seed_const = rng.next_range(1, 8999);
         switch (rng.next_below(3)) {
-            case 0: {  // heap use-after-free
-                out.shape = "use_after_free";
-                out.difficulty = 1;
-                const std::vector<std::string> args = {ptr, num(size),
-                                                       num(seed_const)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = $2;
-        dealloc($0, $1, 8);
-        print_int(*slot);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1, 8);
-        let slot = $0 as *mut i64;
-        *slot = $2;
-        print_int(*slot);
-        dealloc($0, $1, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            case 1: {  // local escaping its scope
-                out.shape = "scope_escape";
-                out.difficulty = 2;
-                const std::vector<std::string> args = {ptr, num(seed_const), val};
-                out.buggy = fill_template(R"(fn main() {
-    let mut $0 = 0 as *const i32;
-    {
-        let $2 = $1;
-        $0 = &$2 as *const i32;
-    }
-    unsafe {
-        print_int(*$0 as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let $2 = $1;
-    let mut $0 = 0 as *const i32;
-    {
-        $0 = &$2 as *const i32;
-    }
-    unsafe {
-        print_int(*$0 as i64);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            default: {  // conditional null dereference
-                out.shape = "null_deref";
-                out.strategy = dataset::FixStrategy::AssertionGuard;
-                out.difficulty = 2;
-                const std::vector<std::string> args = {ptr, num(seed_const), val};
-                out.buggy = fill_template(R"(fn main() {
-    let $2 = $1;
-    let mut $0 = 0 as *const i32;
-    if input(0) > 0 {
-        $0 = &$2 as *const i32;
-    }
-    unsafe {
-        print_int(*$0 as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let $2 = $1;
-    let mut $0 = 0 as *const i32;
-    if input(0) > 0 {
-        $0 = &$2 as *const i32;
-    }
-    if $0 as usize != 0 {
-        unsafe {
-            print_int(*$0 as i64);
+            case 0:
+                return {&shapes::use_after_free(),
+                        {ptr, num(size), num(seed_const)}};
+            case 1:
+                return {&shapes::scope_escape(), {ptr, num(seed_const), val}};
+            default:
+                return {&shapes::null_deref(),
+                        {ptr, num(seed_const), val},
+                        {{0}, {rng.next_range(1, 9)}}};
         }
-    } else {
-        print_int(0 - 1);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{0}, {rng.next_range(1, 9)}};
-                break;
-            }
-        }
-        return out;
     }
 };
-
-// ---------------------------------------------------------------------------
-// uninit
-// ---------------------------------------------------------------------------
 
 class UninitGenerator final : public CaseGenerator {
   public:
@@ -266,133 +81,23 @@ class UninitGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string ptr = pick(rng, kPtrNames);
         const std::int64_t seed_const = rng.next_range(1, 899);
         switch (rng.next_below(3)) {
-            case 0: {  // read of freshly allocated memory
-                out.shape = "fresh_read";
-                out.difficulty = 1;
-                const std::vector<std::string> args = {ptr, num(seed_const)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(8, 8);
-        let slot = $0 as *mut i64;
-        print_int(*slot + $1);
-        dealloc($0, 8, 8);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(8, 8);
-        let slot = $0 as *mut i64;
-        *slot = 0;
-        print_int(*slot + $1);
-        dealloc($0, 8, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            case 1: {  // off-by-one initialization loop
-                out.shape = "partial_init";
-                out.difficulty = 2;
+            case 0:
+                return {&shapes::fresh_read(), {ptr, num(seed_const)}};
+            case 1: {
                 const std::int64_t count = rng.next_range(3, 9);
                 const std::int64_t stride = rng.next_range(1, 5);
-                const std::vector<std::string> args = {ptr, num(count),
-                                                       num(stride)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1 * 8, 8);
-        let base = $0 as *mut i64;
-        let mut i: i64 = 0;
-        while i < $1 - 1 {
-            *offset(base, i as isize) = i * $2;
-            i = i + 1;
-        }
-        let mut total: i64 = 0;
-        i = 0;
-        while i < $1 {
-            total = total + *offset(base, i as isize);
-            i = i + 1;
-        }
-        print_int(total);
-        dealloc($0, $1 * 8, 8);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1 * 8, 8);
-        let base = $0 as *mut i64;
-        let mut i: i64 = 0;
-        while i < $1 {
-            *offset(base, i as isize) = i * $2;
-            i = i + 1;
-        }
-        let mut total: i64 = 0;
-        i = 0;
-        while i < $1 {
-            total = total + *offset(base, i as isize);
-            i = i + 1;
-        }
-        print_int(total);
-        dealloc($0, $1 * 8, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
+                return {&shapes::partial_init(), {ptr, num(count), num(stride)}};
             }
-            default: {  // missing else branch
-                out.shape = "conditional_init";
-                out.difficulty = 2;
-                const std::vector<std::string> args = {ptr, num(seed_const)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(8, 8);
-        let slot = $0 as *mut i64;
-        if input(0) > 0 {
-            *slot = input(0) * $1;
+            default:
+                return {&shapes::conditional_init(),
+                        {ptr, num(seed_const)},
+                        {{0}, {rng.next_range(1, 9)}}};
         }
-        print_int(*slot);
-        dealloc($0, 8, 8);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc(8, 8);
-        let slot = $0 as *mut i64;
-        if input(0) > 0 {
-            *slot = input(0) * $1;
-        } else {
-            *slot = 0;
-        }
-        print_int(*slot);
-        dealloc($0, 8, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{0}, {rng.next_range(1, 9)}};
-                break;
-            }
-        }
-        return out;
     }
 };
-
-// ---------------------------------------------------------------------------
-// provenance
-// ---------------------------------------------------------------------------
 
 class ProvenanceGenerator final : public CaseGenerator {
   public:
@@ -401,124 +106,23 @@ class ProvenanceGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
         const std::string ptr = pick(rng, kPtrNames);
         const std::string val = pick(rng, kValNames);
         const std::int64_t len = rng.next_range(3, 8);
         const std::int64_t seed_const = rng.next_range(1, 899);
         switch (rng.next_below(3)) {
-            case 0: {  // int round trip loses provenance
-                out.shape = "int_roundtrip";
-                out.strategy = dataset::FixStrategy::SafeAlternative;
-                out.difficulty = 2;
-                const std::vector<std::string> args = {ptr, val, num(seed_const)};
-                out.buggy = fill_template(R"(fn main() {
-    let $1 = $2;
-    let addr = &$1 as *const i32 as usize;
-    let $0 = addr as *const i32;
-    unsafe {
-        print_int(*$0 as i64);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    let $1 = $2;
-    let $0 = &$1 as *const i32;
-    unsafe {
-        print_int(*$0 as i64);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            case 1: {  // loop walks one element past the end
-                out.shape = "loop_overrun";
-                out.difficulty = 1;
-                const std::vector<std::string> args = {ptr, num(len)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1 * 8, 8);
-        let base = $0 as *mut i64;
-        let mut i: i64 = 0;
-        while i <= $1 {
-            *offset(base, i as isize) = i;
-            i = i + 1;
-        }
-        print_int(*offset(base, 1));
-        dealloc($0, $1 * 8, 8);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1 * 8, 8);
-        let base = $0 as *mut i64;
-        let mut i: i64 = 0;
-        while i < $1 {
-            *offset(base, i as isize) = i;
-            i = i + 1;
-        }
-        print_int(*offset(base, 1));
-        dealloc($0, $1 * 8, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{}};
-                break;
-            }
-            default: {  // input-controlled wild offset
-                out.shape = "wild_offset";
-                out.strategy = dataset::FixStrategy::AssertionGuard;
-                out.difficulty = 2;
+            case 0:
+                return {&shapes::int_roundtrip(), {ptr, val, num(seed_const)}};
+            case 1:
+                return {&shapes::loop_overrun(), {ptr, num(len)}};
+            default: {
                 const std::int64_t scale = rng.next_range(2, 20);
-                const std::vector<std::string> args = {ptr, num(len), num(scale)};
-                out.buggy = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1 * 8, 8);
-        let base = $0 as *mut i64;
-        let mut i: i64 = 0;
-        while i < $1 {
-            *offset(base, i as isize) = i * $2;
-            i = i + 1;
-        }
-        let pick = input(0);
-        print_int(*offset(base, pick as isize));
-        dealloc($0, $1 * 8, 8);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn main() {
-    unsafe {
-        let $0 = alloc($1 * 8, 8);
-        let base = $0 as *mut i64;
-        let mut i: i64 = 0;
-        while i < $1 {
-            *offset(base, i as isize) = i * $2;
-            i = i + 1;
-        }
-        let pick = input(0);
-        if pick >= 0 && pick < $1 {
-            print_int(*offset(base, pick as isize));
-        } else {
-            print_int(0 - 1);
-        }
-        dealloc($0, $1 * 8, 8);
-    }
-}
-)",
-                                        args);
-                out.inputs = {{rng.next_range(0, len - 1)},
-                              {len + rng.next_range(1, 99)}};
-                break;
+                return {&shapes::wild_offset(),
+                        {ptr, num(len), num(scale)},
+                        {{rng.next_range(0, len - 1)},
+                         {len + rng.next_range(1, 99)}}};
             }
         }
-        return out;
     }
 };
 

@@ -8,19 +8,21 @@ namespace rustbrain::gen {
 
 namespace {
 
-using detail::fill_template;
 using detail::pick;
+namespace shapes = dataset::shapes;
 
 const std::vector<std::string> kGlobalNames = {"COUNTER", "TOTAL", "HITS",
                                                "TICKS",   "EVENTS"};
 const std::vector<std::string> kWorkerNames = {"worker", "tally", "bump",
                                                "drain",  "pump"};
 
-std::string num(std::int64_t value) { return std::to_string(value); }
-
-// ---------------------------------------------------------------------------
-// datarace
-// ---------------------------------------------------------------------------
+/// A static, a worker function and a step: every thread shape's arguments.
+std::vector<std::string> draw_thread_args(support::Rng& rng) {
+    const std::string global = pick(rng, kGlobalNames);
+    const std::string worker = pick(rng, kWorkerNames);
+    const std::int64_t step = rng.next_range(1, 99);
+    return {global, worker, std::to_string(step)};
+}
 
 class DataRaceGenerator final : public CaseGenerator {
   public:
@@ -29,150 +31,12 @@ class DataRaceGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
-        const std::string global = pick(rng, kGlobalNames);
-        const std::string worker = pick(rng, kWorkerNames);
-        const std::int64_t step = rng.next_range(1, 99);
-        const std::vector<std::string> args = {global, worker, num(step)};
-        switch (rng.next_below(3)) {
-            case 0: {  // two workers increment a static mut without sync
-                out.shape = "counter";
-                out.strategy = dataset::FixStrategy::SafeAlternative;
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(static mut $0: i64 = 0;
-fn $1() {
-    unsafe {
-        $0 = $0 + $2;
-    }
-}
-fn main() {
-    let first = spawn($1);
-    let second = spawn($1);
-    join(first);
-    join(second);
-    unsafe {
-        print_int($0);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(static mut $0: i64 = 0;
-fn $1() {
-    unsafe {
-        let cell = &mut $0 as *mut i64;
-        let old = atomic_fetch_add(cell, $2);
-    }
-}
-fn main() {
-    let first = spawn($1);
-    let second = spawn($1);
-    join(first);
-    join(second);
-    unsafe {
-        let cell = &mut $0 as *mut i64;
-        print_int(atomic_load(cell as *const i64));
-    }
-}
-)",
-                                        args);
-                break;
-            }
-            case 1: {  // writer/reader pair on a shared flag
-                out.shape = "flag";
-                out.strategy = dataset::FixStrategy::SafeAlternative;
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(static mut $0: i64 = 0;
-fn set_flag() {
-    unsafe {
-        $0 = $2;
-    }
-}
-fn read_flag() {
-    unsafe {
-        print_int($0);
-    }
-}
-fn main() {
-    let writer = spawn(set_flag);
-    let reader = spawn(read_flag);
-    join(writer);
-    join(reader);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(static mut $0: i64 = 0;
-fn set_flag() {
-    unsafe {
-        let cell = &mut $0 as *mut i64;
-        atomic_store(cell, $2);
-    }
-}
-fn read_flag() {
-    unsafe {
-        let cell = &mut $0 as *mut i64;
-        print_int(atomic_load(cell as *const i64));
-    }
-}
-fn main() {
-    let writer = spawn(set_flag);
-    let reader = spawn(read_flag);
-    join(writer);
-    join(reader);
-}
-)",
-                                        args);
-                break;
-            }
-            default: {  // main races with a worker it joins too late
-                out.shape = "late_join";
-                out.difficulty = 3;
-                out.buggy = fill_template(R"(static mut $0: i64 = 0;
-fn $1() {
-    unsafe {
-        $0 = $0 + $2;
-    }
-}
-fn main() {
-    let handle = spawn($1);
-    unsafe {
-        $0 = $0 + 1;
-    }
-    join(handle);
-    unsafe {
-        print_int($0);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(static mut $0: i64 = 0;
-fn $1() {
-    unsafe {
-        $0 = $0 + $2;
-    }
-}
-fn main() {
-    let handle = spawn($1);
-    join(handle);
-    unsafe {
-        $0 = $0 + 1;
-    }
-    unsafe {
-        print_int($0);
-    }
-}
-)",
-                                        args);
-                break;
-            }
-        }
-        out.inputs = {{}};
-        return out;
+        std::vector<std::string> args = draw_thread_args(rng);
+        static const dataset::Shape* const kShapes[] = {
+            &shapes::counter(), &shapes::flag(), &shapes::late_join()};
+        return {kShapes[rng.next_below(3)], std::move(args)};
     }
 };
-
-// ---------------------------------------------------------------------------
-// concurrency
-// ---------------------------------------------------------------------------
 
 class ConcurrencyGenerator final : public CaseGenerator {
   public:
@@ -181,97 +45,10 @@ class ConcurrencyGenerator final : public CaseGenerator {
 
   protected:
     Draft draft(support::Rng& rng) const override {
-        Draft out;
-        const std::string global = pick(rng, kGlobalNames);
-        const std::string worker = pick(rng, kWorkerNames);
-        const std::int64_t step = rng.next_range(1, 99);
-        const std::vector<std::string> args = {global, worker, num(step)};
-        switch (rng.next_below(3)) {
-            case 0: {  // spawned thread never joined
-                out.shape = "thread_leak";
-                out.difficulty = 1;
-                out.buggy = fill_template(R"(fn $1() {
-    print_int($2);
-}
-fn main() {
-    let handle = spawn($1);
-    print_int(0);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $1() {
-    print_int($2);
-}
-fn main() {
-    let handle = spawn($1);
-    join(handle);
-    print_int(0);
-}
-)",
-                                        args);
-                break;
-            }
-            case 1: {  // joining the same handle twice
-                out.shape = "double_join";
-                out.difficulty = 1;
-                out.buggy = fill_template(R"(fn $1() {
-    print_int($2);
-}
-fn main() {
-    let handle = spawn($1);
-    join(handle);
-    join(handle);
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(fn $1() {
-    print_int($2);
-}
-fn main() {
-    let handle = spawn($1);
-    join(handle);
-}
-)",
-                                        args);
-                break;
-            }
-            default: {  // re-locking a held mutex
-                out.shape = "relock";
-                out.difficulty = 2;
-                out.buggy = fill_template(R"(static mut LOCK: i64 = 0;
-static mut $0: i64 = 0;
-fn main() {
-    unsafe {
-        LOCK = mutex_new();
-        mutex_lock(LOCK);
-        $0 = $0 + $2;
-        mutex_lock(LOCK);
-        print_int($0);
-        mutex_unlock(LOCK);
-    }
-}
-)",
-                                          args);
-                out.fix = fill_template(R"(static mut LOCK: i64 = 0;
-static mut $0: i64 = 0;
-fn main() {
-    unsafe {
-        LOCK = mutex_new();
-        mutex_lock(LOCK);
-        $0 = $0 + $2;
-        mutex_unlock(LOCK);
-        mutex_lock(LOCK);
-        print_int($0);
-        mutex_unlock(LOCK);
-    }
-}
-)",
-                                        args);
-                break;
-            }
-        }
-        out.inputs = {{}};
-        return out;
+        std::vector<std::string> args = draw_thread_args(rng);
+        static const dataset::Shape* const kShapes[] = {
+            &shapes::thread_leak(), &shapes::double_join(), &shapes::relock()};
+        return {kShapes[rng.next_below(3)], std::move(args)};
     }
 };
 

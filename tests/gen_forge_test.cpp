@@ -30,7 +30,7 @@ ForgeOptions small_forge(std::uint64_t seed, std::size_t count) {
 }
 
 TEST(ForgeTest, FillTemplateReplacesDigitPlaceholders) {
-    using gen::detail::fill_template;
+    using dataset::fill_template;
     const std::vector<std::string> args = {"X", "Y"};
     EXPECT_EQ(fill_template("a$0b$1c", args), "aXbYc");
     // Unknown indices, a `$` before a non-digit and a trailing `$` stay.
