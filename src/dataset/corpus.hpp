@@ -1,10 +1,10 @@
-// The full UB corpus: every category builder assembled, with lookup helpers
+// The full UB corpus: every shape record rendered (DESIGN.md §1), with lookup helpers
 // and a validation routine used by the integration tests (every buggy case
 // must fail MiriLite with its declared category; every reference fix must
 // pass and defines the expected output traces).
 //
-// A Corpus can be built from any case vector — the hand-written standard
-// set, a gen::forge_corpus() product, or a file loaded by gen::load_corpus —
+// A Corpus can be built from any case vector — the standard set, a
+// gen::forge_corpus() product, or a file loaded by gen::load_corpus —
 // and indexes ids and categories at construction so find() and by_category()
 // are O(1)/O(k) instead of linear scans over the whole corpus.
 #pragma once
@@ -30,7 +30,9 @@ class Corpus {
     /// duplicate id (every corpus, generated or loaded, must be addressable).
     explicit Corpus(std::vector<UbCase> cases);
 
-    /// The standard corpus (deterministic — no RNG involved).
+    /// The standard corpus: each corpus shape record rendered at its
+    /// kVariantsPerShape fixed argument tuples, category by category in
+    /// figure order, variant outer and shape inner (no RNG involved).
     static Corpus standard();
 
     [[nodiscard]] const std::vector<UbCase>& cases() const { return cases_; }

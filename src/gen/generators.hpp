@@ -1,9 +1,11 @@
 // The built-in generator library: one CaseGenerator per UB category plus
 // cross-category compositions. Each factory configures a generator with the
 // given mutation knobs; GeneratorRegistry::builtin() wires them to string
-// ids. Every generator drafts several distinct bug shapes (randomly chosen
-// per case) over randomized identifier/constant/size pools, so a forged
-// corpus covers a far wider surface than the hand-written dataset builders.
+// ids. Every generator draws one of its category's shape records
+// (dataset/shape.hpp, the records the standard corpus renders at fixed
+// arguments) per case and fills it from randomized identifier, constant and
+// size pools, so a forged corpus covers a far wider surface than the
+// standard corpus's three argument tuples per shape.
 #pragma once
 
 #include <memory>

@@ -225,6 +225,15 @@ RepairRequest parse_request(const std::string& text) {
                     std::to_string(corpus.size()));
     }
     request.ub_case = corpus.cases().front();
+    const auto check_size = [&reader](const char* what, const std::string& source) {
+        if (source.size() > kMaxSourceBytes) {
+            reader.fail(std::string(what) + " is " + std::to_string(source.size()) +
+                        " bytes, over the limit of " +
+                        std::to_string(kMaxSourceBytes) + " (kMaxSourceBytes)");
+        }
+    };
+    check_size("buggy source", request.ub_case.buggy_source);
+    check_size("reference fix", request.ub_case.reference_fix);
     expect_end(reader);
     return request;
 }

@@ -16,6 +16,7 @@
 // a field the wire dropped would be a field the comparison could not see.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -32,6 +33,12 @@ constexpr int kWireFormatVersion = 2;
 /// prefix must not size a giant allocation.
 constexpr std::uint32_t kMaxFramePayload = 16u * 1024u * 1024u;
 
+/// Largest buggy source or reference fix a request may carry (64 KiB,
+/// about 70 times the largest forged program). The front end's time and
+/// memory grow with the source, so parse_request rejects a case past it,
+/// naming the limit, and the reactor answers that frame with an error.
+constexpr std::size_t kMaxSourceBytes = 64u * 1024u;
+
 /// Prepend the 4-byte big-endian length prefix. Throws std::invalid_argument
 /// when payload exceeds kMaxFramePayload.
 std::string frame(const std::string& payload);
@@ -44,6 +51,9 @@ std::string render_case_result(const core::CaseResult& result);
 core::CaseResult parse_case_result(const std::string& text);
 
 std::string render_request(const RepairRequest& request);
+/// Throws std::runtime_error on malformed input, naming the offending line,
+/// and on a case whose buggy source or reference fix exceeds
+/// kMaxSourceBytes.
 RepairRequest parse_request(const std::string& text);
 
 std::string render_response(const RepairResponse& response);

@@ -10,6 +10,7 @@
 
 #include "dataset/corpus.hpp"
 #include "dataset/semantic.hpp"
+#include "dataset/shape.hpp"
 #include "miri/mirilite.hpp"
 #include "support/hashing.hpp"
 
@@ -77,6 +78,43 @@ TEST(CorpusTest, StandardCorpusMatchesItsDigest) {
     }
     EXPECT_EQ(corpus().size(), 126u);
     EXPECT_EQ(h, 0x95382B9B0DD5409EULL);
+}
+
+TEST(CorpusTest, RendersEveryCorpusShapeRecordThreeTimes) {
+    // Each record with corpus tuples is rendered exactly kVariantsPerShape
+    // times, under its category and with its metadata; a composition record
+    // is never rendered, and the corpus holds nothing else.
+    std::set<std::string> names;
+    std::size_t corpus_shapes = 0;
+    for (const Shape* shape : all_shapes()) {
+        EXPECT_TRUE(names.insert(std::string(shape->name)).second)
+            << "duplicate shape " << shape->name;
+        const bool in_corpus = !shape->corpus.empty();
+        if (in_corpus) {
+            ++corpus_shapes;
+            EXPECT_EQ(shape->corpus.size(),
+                      static_cast<std::size_t>(kVariantsPerShape))
+                << shape->name;
+        }
+        const std::string prefix =
+            std::string(miri::ub_category_label(shape->category)) + "/" +
+            std::string(shape->name) + "_";
+        int rendered = 0;
+        for (const UbCase& c : corpus().cases()) {
+            if (c.id.size() != prefix.size() + 1 ||
+                c.id.compare(0, prefix.size(), prefix) != 0) {
+                continue;
+            }
+            ++rendered;
+            EXPECT_EQ(c.category, shape->category) << c.id;
+            EXPECT_EQ(c.intended_strategy, shape->strategy) << c.id;
+            EXPECT_EQ(c.difficulty, shape->difficulty) << c.id;
+        }
+        EXPECT_EQ(rendered, in_corpus ? kVariantsPerShape : 0) << shape->name;
+    }
+    EXPECT_EQ(all_shapes().size(), 44u);
+    EXPECT_EQ(corpus_shapes, 42u);
+    EXPECT_EQ(corpus().size(), corpus_shapes * kVariantsPerShape);
 }
 
 TEST(CorpusTest, EveryCaseHasInputs) {

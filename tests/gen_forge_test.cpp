@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
+#include "dataset/shape.hpp"
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
 #include "gen/generator.hpp"
@@ -231,6 +233,41 @@ TEST(GeneratorTest, GenerateIsPureInItsRng) {
     EXPECT_EQ(first.reference_fix, second.reference_fix);
     EXPECT_EQ(first.inputs, second.inputs);
     EXPECT_EQ(first.difficulty, second.difficulty);
+}
+
+TEST(GeneratorTest, EveryBuiltinGeneratorDrawsEachOfItsShapes) {
+    // Over a fixed seed range, each builtin generator draws only records of
+    // its own category, no two generators draw the same record, and
+    // together they draw every record: none is unreachable, and no
+    // generator draws a shape that has no record.
+    std::map<std::string, const dataset::Shape*> records;
+    for (const dataset::Shape* shape : dataset::all_shapes()) {
+        records.emplace(std::string(shape->name), shape);
+    }
+    const GeneratorRegistry& registry = GeneratorRegistry::builtin();
+    ASSERT_EQ(registry.ids().size(), 16u);
+    std::map<std::string, std::string> drawn_by;  // shape -> generator id
+    for (const std::string& id : registry.ids()) {
+        const auto generator = registry.build(id);
+        std::set<std::string> drawn;
+        for (std::uint64_t seed = 0; seed < 64; ++seed) {
+            support::Rng rng(seed);
+            drawn.insert(generator->generate(rng).id);
+        }
+        for (const std::string& shape : drawn) {
+            const auto record = records.find(shape);
+            ASSERT_NE(record, records.end()) << id << " drew " << shape;
+            EXPECT_EQ(record->second->category, generator->category())
+                << id << " drew " << shape;
+            const auto [owner, fresh] = drawn_by.emplace(shape, id);
+            EXPECT_TRUE(fresh) << shape << " is drawn by " << owner->second
+                               << " and " << id;
+        }
+    }
+    EXPECT_EQ(drawn_by.size(), records.size());
+    for (const auto& [shape, record] : records) {
+        EXPECT_EQ(drawn_by.count(shape), 1u) << "no generator draws " << shape;
+    }
 }
 
 }  // namespace

@@ -244,7 +244,8 @@ TEST(RepairServerTest, LoopbackEndToEndIncludingTheBadRequestPath) {
 }
 
 TEST(RepairServerTest, DeeplyNestedSourceGetsAFramedResponse) {
-    // 100 000 unary minus signs: far past the parser's nesting cap.
+    // 60 000 unary minus signs: far past the parser's nesting cap, and
+    // under the wire's kMaxSourceBytes, so the request reaches an engine.
     ServerOptions options;
     options.service = service_options();
     RepairServer server(options);
@@ -254,7 +255,8 @@ TEST(RepairServerTest, DeeplyNestedSourceGetsAFramedResponse) {
     request.ticket = "deep";
     request.ub_case = corpus().cases().front();
     request.ub_case.buggy_source =
-        "fn main() { let x = " + std::string(100'000, '-') + "1; }";
+        "fn main() { let x = " + std::string(60'000, '-') + "1; }";
+    ASSERT_LE(request.ub_case.buggy_source.size(), kMaxSourceBytes);
     const RepairResponse response = client.repair(request);
     EXPECT_EQ(response.ticket, "deep");
     ASSERT_TRUE(response.ok) << response.error;

@@ -17,6 +17,8 @@
 #include "dataset/corpus.hpp"
 #include "gen/corpus_io.hpp"
 #include "mutation.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "support/rng.hpp"
 
@@ -140,6 +142,72 @@ TEST(ServeWireTest, HostileEmbeddedInputLengthIsAParseError) {
                   std::string::npos)
             << error.what();
     }
+}
+
+/// A request for the first standard case with its buggy source padded by
+/// trailing spaces to exactly `bytes` bytes.
+RepairRequest request_with_source_bytes(std::size_t bytes) {
+    RepairRequest request;
+    request.engine = "rustbrain";
+    request.ub_case = dataset::Corpus::standard().cases().front();
+    std::string& source = request.ub_case.buggy_source;
+    source.resize(bytes, ' ');
+    return request;
+}
+
+TEST(ServeWireTest, SourceSizeIsCappedAtKMaxSourceBytes) {
+    const RepairRequest at_cap = request_with_source_bytes(kMaxSourceBytes);
+    EXPECT_EQ(parse_request(render_request(at_cap)).ub_case.buggy_source,
+              at_cap.ub_case.buggy_source);
+
+    const RepairRequest over_cap = request_with_source_bytes(kMaxSourceBytes + 1);
+    try {
+        (void)parse_request(render_request(over_cap));
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("buggy source is 65537 bytes, over the limit of "
+                            "65536 (kMaxSourceBytes)"),
+                  std::string::npos)
+            << error.what();
+    }
+
+    RepairRequest long_fix = request_with_source_bytes(kMaxSourceBytes);
+    long_fix.ub_case.reference_fix.resize(kMaxSourceBytes + 1, ' ');
+    try {
+        (void)parse_request(render_request(long_fix));
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find("reference fix is 65537 bytes"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
+TEST(ServeWireTest, ReactorAnswersAnOverCapSourceWithAFramedError) {
+    // The over-cap request gets an ok=0 answer in its pipeline slot, and the
+    // request behind it on the same connection is still served.
+    ServerOptions options;
+    options.service.workers = 1;
+    RepairServer server(options);
+    RepairClient client(server.port());
+    RepairRequest over_cap = request_with_source_bytes(kMaxSourceBytes + 1);
+    over_cap.ticket = "over";
+    RepairRequest next;
+    next.ticket = "next";
+    next.engine = "rustbrain";
+    next.ub_case = dataset::Corpus::standard().cases().front();
+    client.send_async(over_cap);
+    client.send_async(next);
+
+    const RepairResponse rejected = client.recv_one();
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_NE(rejected.error.find("kMaxSourceBytes"), std::string::npos)
+        << rejected.error;
+    const RepairResponse served = client.recv_one();
+    EXPECT_TRUE(served.ok) << served.error;
+    EXPECT_EQ(served.ticket, "next");
+    server.stop();
 }
 
 TEST(ServeWireTest, ResponseRoundTripsBothOutcomes) {
