@@ -3,13 +3,17 @@
 // ladder on synthetic loop-, call- and memory-heavy workloads, the Oracle
 // uncached and memoized, pruning, vectorization, KB query, rule
 // application, and the front end's allocation pattern over the seed-42
-// forged corpus (parse, clone, teardown). Type check, lowering, bytecode
+// forged corpus (parse, clone, teardown), and one forge slice of rbbench's
+// `forge` workload. Type check, lowering, bytecode
 // compile,
 // screening and corpus interpretation are rbbench's `lang.*`, `miri.*`,
 // `vm.*` and `screen.*` metrics (rbbench/METRICS.md). Not a paper figure —
 // performance guardrails for the toolchain the experiments run on.
 #include <benchmark/benchmark.h>
 #include <malloc.h>
+
+#include <memory>
+#include <optional>
 
 #include "analysis/prune.hpp"
 #include "analysis/vectorize.hpp"
@@ -20,6 +24,7 @@
 #include "lang/printer.hpp"
 #include "lang/typecheck.hpp"
 #include "llm/rules.hpp"
+#include "support/rng.hpp"
 #include "miri/interp.hpp"
 #include "verify/oracle.hpp"
 #include "vm/vm.hpp"
@@ -345,6 +350,34 @@ void BM_TeardownForged(benchmark::State& state) {
                             static_cast<std::int64_t>(forged_sources().size()));
 }
 BENCHMARK(BM_TeardownForged);
+
+// One 16-case forge slice (one case per builtin generator), as rbbench's
+// `forge` workload runs them over its content seed 42: generation, the
+// Oracle's compile and the acceptance runs, on a fresh cached Oracle per
+// iteration so every program is new to it. The Oracle is made and dropped
+// outside the timed region.
+void BM_ForgeSliceForged(benchmark::State& state) {
+    gen::ForgeOptions options;
+    options.seed = support::derive_seed(42, "forge-slice-0");
+    options.count = 16;
+    std::optional<verify::Oracle> oracle;
+    for (auto _ : state) {
+        state.PauseTiming();
+        verify::OracleOptions oracle_options;
+        oracle_options.cache = std::make_shared<verify::VerifyCache>();
+        oracle.emplace(std::move(oracle_options));
+        options.oracle = &*oracle;
+        state.ResumeTiming();
+        const dataset::Corpus corpus = gen::forge_corpus(options);
+        benchmark::DoNotOptimize(corpus.size());
+        state.PauseTiming();
+        oracle.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(options.count));
+}
+BENCHMARK(BM_ForgeSliceForged);
 
 void BM_CorpusBuild(benchmark::State& state) {
     for (auto _ : state) {

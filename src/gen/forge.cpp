@@ -1,6 +1,7 @@
 #include "gen/forge.hpp"
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -14,10 +15,13 @@ namespace {
 
 /// Both programs must make it through the lang/ front end before MiriLite
 /// gets involved; the split keeps the rejection stats meaningful. The
-/// compile is cached — validate_case's interpretation reuses it.
+/// compile is cached — validate_case's interpretation reuses it. The
+/// program the generator printed into `source`, when there is one, is
+/// type-checked in place of a parse of the text (DESIGN.md §22).
 bool front_end_ok(const verify::Oracle& oracle, const std::string& source,
-                  bool& parse_ok) {
-    const auto compiled = oracle.compile(source);
+                  std::optional<lang::Program> printed, bool& parse_ok) {
+    const auto compiled = printed ? oracle.compile(source, std::move(*printed))
+                                  : oracle.compile(source);
     parse_ok =
         compiled->front_end != verify::CompiledProgram::FrontEnd::ParseError;
     return compiled->ok();
@@ -65,15 +69,18 @@ dataset::Corpus forge_corpus(const ForgeOptions& options, ForgeStats* stats) {
             support::Rng rng(support::derive_seed(
                 options.seed, generator.id() + "/" + std::to_string(serial) +
                                   "/" + std::to_string(attempt)));
-            dataset::UbCase candidate = generator.generate(rng);
+            CaseGenerator::Parsed generated = generator.generate_parsed(rng);
+            dataset::UbCase& candidate = generated.value;
             candidate.id = "gen/" + generator.id() + "/" + candidate.id + "_s" +
                            std::to_string(options.seed) + "_" +
                            serial_tag(serial);
             ++s.attempts;
 
             bool parse_ok = true;
-            if (!front_end_ok(oracle, candidate.buggy_source, parse_ok) ||
-                !front_end_ok(oracle, candidate.reference_fix, parse_ok)) {
+            if (!front_end_ok(oracle, candidate.buggy_source,
+                              std::move(generated.buggy_program), parse_ok) ||
+                !front_end_ok(oracle, candidate.reference_fix,
+                              std::move(generated.fix_program), parse_ok)) {
                 if (parse_ok) {
                     ++s.rejected_typecheck;
                 } else {

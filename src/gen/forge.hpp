@@ -37,8 +37,11 @@ struct ForgeOptions {
     /// Verification oracle for the acceptance checks; null =>
     /// verify::Oracle::shared_default(). Candidates compile once and that
     /// compile is shared with validate_case's runs (and with any later
-    /// sweep over the forged corpus in the same process). The corpus
-    /// produced is byte-identical whichever oracle (cached or not) is used.
+    /// sweep over the forged corpus in the same process). The compile
+    /// type-checks the program the generator printed rather than parsing
+    /// its text again (Oracle::compile(source, parsed), DESIGN.md §22).
+    /// The corpus produced is byte-identical whichever oracle (cached or
+    /// not) is used.
     const verify::Oracle* oracle = nullptr;
 };
 

@@ -144,12 +144,18 @@ using detail::MutationPlan;
 
 /// Parse -> mutate -> print. If the draft source unexpectedly fails to
 /// parse, it is returned unmodified and left for the forge's rejection
-/// sampler to throw out.
-std::string mutate_source(const std::string& source, const MutationPlan& plan) {
+/// sampler to throw out. With `printed`, the program is printed respanned
+/// and a clone of it kept there: the clone's arena is sized from what the
+/// program uses, so a cached copy carries none of the template's growth.
+std::string mutate_source(const std::string& source, const MutationPlan& plan,
+                          std::optional<lang::Program>* printed) {
     auto program = lang::try_parse(source);
     if (!program) return source;
     detail::apply_plan(*program, plan);
-    return lang::print_program(*program);
+    if (printed == nullptr) return lang::print_program(*program);
+    std::string text = lang::print_respanned(*program);
+    *printed = program->clone();
+    return text;
 }
 
 }  // namespace
@@ -159,13 +165,25 @@ CaseGenerator::CaseGenerator(std::string id, miri::UbCategory category,
     : id_(std::move(id)), category_(category), knobs_(knobs) {}
 
 dataset::UbCase CaseGenerator::generate(support::Rng& rng) const {
+    return generate(rng, nullptr, nullptr);
+}
+
+CaseGenerator::Parsed CaseGenerator::generate_parsed(support::Rng& rng) const {
+    Parsed out;
+    out.value = generate(rng, &out.buggy_program, &out.fix_program);
+    return out;
+}
+
+dataset::UbCase CaseGenerator::generate(
+    support::Rng& rng, std::optional<lang::Program>* buggy_program,
+    std::optional<lang::Program>* fix_program) const {
     Draft drafted = draft(rng);
     const MutationPlan plan = detail::sample_plan(rng, knobs_);
 
     dataset::UbCase out =
         drafted.shape->render(drafted.args, std::move(drafted.inputs));
-    out.buggy_source = mutate_source(out.buggy_source, plan);
-    out.reference_fix = mutate_source(out.reference_fix, plan);
+    out.buggy_source = mutate_source(out.buggy_source, plan, buggy_program);
+    out.reference_fix = mutate_source(out.reference_fix, plan, fix_program);
     // Mutations that add real structure make the program harder to read —
     // reflect that in the difficulty the expert-time model and SimLLM see.
     if (plan.nesting >= 2 ||

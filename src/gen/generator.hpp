@@ -9,7 +9,8 @@
 // (MiriLite, pruning, vectorization, the engines) can chew on, not a string
 // template. The same mutation plan is applied to the buggy program and the
 // fix, which preserves the semantic-benchmark trace relationship between
-// the two.
+// the two. generate_parsed() also hands back the printed programs, so the
+// forge's Oracle type-checks them without parsing their text again.
 //
 // Generation is deterministic: a generator is a pure function of (its
 // configuration, the Rng handed to generate()). The forge derives that Rng
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,20 @@ class CaseGenerator {
     /// forge's rejection sampler owns that.
     [[nodiscard]] dataset::UbCase generate(support::Rng& rng) const;
 
+    /// A generated case and, for each of its two sources, the program
+    /// printed into it, spans and ids as try_parse of the text gives them
+    /// (DESIGN.md §22). A program is absent when its template did not
+    /// parse; the source is then the template, as generate() leaves it.
+    struct Parsed {
+        dataset::UbCase value;
+        std::optional<lang::Program> buggy_program;
+        std::optional<lang::Program> fix_program;
+    };
+
+    /// generate(rng), the same draws and bytes, plus the programs, so the
+    /// forge can hand them to the Oracle instead of having it parse again.
+    [[nodiscard]] Parsed generate_parsed(support::Rng& rng) const;
+
   protected:
     /// One drafted scenario before structural mutation: a shape record and
     /// the arguments and inputs it is rendered with.
@@ -72,6 +88,11 @@ class CaseGenerator {
     [[nodiscard]] virtual Draft draft(support::Rng& rng) const = 0;
 
   private:
+    /// generate(), keeping each printed program where a pointer is given.
+    [[nodiscard]] dataset::UbCase generate(
+        support::Rng& rng, std::optional<lang::Program>* buggy_program,
+        std::optional<lang::Program>* fix_program) const;
+
     std::string id_;
     miri::UbCategory category_;
     MutationKnobs knobs_;

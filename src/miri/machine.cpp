@@ -35,6 +35,11 @@ Machine::Machine(const lang::Program& program_in,
       limits(limits_in),
       mem(faults) {
     faults.watch(&steps, &output);
+    // One record per static and per frame slot of `main` before the first
+    // allocation, so a run's record list does not grow 1, 2, 4, ...
+    if (const lang::FnItem* main = program.find_function("main")) {
+        mem.reserve_allocations(program.statics.size() + main->slot_count);
+    }
 }
 
 std::int32_t Machine::main_fn() {

@@ -256,6 +256,10 @@ class MemoryModel {
         return allocs_[id - 1];
     }
     [[nodiscard]] std::size_t allocation_count() const { return allocs_.size(); }
+    /// Room for `count` allocation records before the list has to grow.
+    /// Changes no finding and no footprint_bytes(), which counts records
+    /// made, not room.
+    void reserve_allocations(std::size_t count) { allocs_.reserve(count); }
 
     /// Pointer to an allocation's base carrying its base (Unique) tag; the
     /// null pointer for kNoAlloc.

@@ -193,15 +193,16 @@ const Oracle& Oracle::shared_default() {
 }
 
 std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
-    const std::string& source, std::uint64_t fingerprint) const {
+    const std::string& source, std::uint64_t fingerprint,
+    std::optional<lang::Program> parsed) const {
     std::string parse_error;
-    auto program = lang::try_parse(source, &parse_error);
+    if (!parsed) parsed = lang::try_parse(source, &parse_error);
     auto compiled = std::make_shared<CompiledProgram>(
-        program ? std::move(*program) : lang::Program(0));
+        parsed ? std::move(*parsed) : lang::Program(0));
     compiled->fingerprint = fingerprint;
     compiled->check = support::key_hash(source, kCheckSeed);
     compiled->source = source;
-    if (!program) {
+    if (!parsed) {
         compiled->front_end = CompiledProgram::FrontEnd::ParseError;
         compiled->error = support::cap_summary(std::move(parse_error));
         return compiled;
@@ -216,18 +217,19 @@ std::shared_ptr<const CompiledProgram> Oracle::compile_uncached(
 }
 
 std::shared_ptr<const CompiledProgram> Oracle::compile_guarded(
-    const std::string& source, VerifyOutcome* outcome, bool* canonical) const {
+    const std::string& source, std::optional<lang::Program> parsed,
+    VerifyOutcome* outcome, bool* canonical) const {
     const std::uint64_t fingerprint = source_fingerprint(source);
     if (!caching_) {
         if (canonical != nullptr) *canonical = false;
-        return compile_uncached(source, fingerprint);
+        return compile_uncached(source, fingerprint, std::move(parsed));
     }
     if (auto cached = cache_->lookup_program(fingerprint, source)) {
         if (outcome != nullptr) outcome->program_cached = true;
         if (canonical != nullptr) *canonical = true;
         return cached;
     }
-    auto compiled = compile_uncached(source, fingerprint);
+    auto compiled = compile_uncached(source, fingerprint, std::move(parsed));
     auto stored = cache_->insert_program(fingerprint, compiled);
     if (stored == nullptr) {
         // 64-bit hash collision: the slot is owned by a different source.
@@ -242,7 +244,12 @@ std::shared_ptr<const CompiledProgram> Oracle::compile_guarded(
 
 std::shared_ptr<const CompiledProgram> Oracle::compile(
     const std::string& source, VerifyOutcome* outcome) const {
-    return compile_guarded(source, outcome, nullptr);
+    return compile_guarded(source, std::nullopt, outcome, nullptr);
+}
+
+std::shared_ptr<const CompiledProgram> Oracle::compile(
+    const std::string& source, lang::Program parsed, VerifyOutcome* outcome) const {
+    return compile_guarded(source, std::move(parsed), outcome, nullptr);
 }
 
 miri::MiriReport Oracle::interpret(
@@ -284,7 +291,7 @@ miri::MiriReport Oracle::test_source(
     VerifyOutcome* outcome) const {
     bool canonical = false;
     const std::shared_ptr<const CompiledProgram> compiled =
-        compile_guarded(source, outcome, &canonical);
+        compile_guarded(source, std::nullopt, outcome, &canonical);
     if (!compiled->ok()) {
         // Byte-identical to MiriLite's front-end failure reports.
         miri::MiriReport report;

@@ -11,7 +11,10 @@
 //   1. compile-once: a sharded program cache keyed by source_fingerprint
 //      (support::key_hash) of the source text holds parsed and typechecked
 //      programs, every name bound on the tree (DESIGN.md §4), so each
-//      distinct source pays the front end exactly once per process;
+//      distinct source pays the front end exactly once per process; a
+//      caller that already holds the parse of a source (the corpus forge,
+//      which printed it) hands it over and the miss skips the parse
+//      (DESIGN.md §22);
 //   2. report memoization: a sharded report cache keyed by (program
 //      fingerprint, input-set fingerprint, interpreter limits) returns the
 //      MiriReport of a previously-interpreted combination verbatim.
@@ -300,6 +303,20 @@ class Oracle {
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile(
         const std::string& source, VerifyOutcome* outcome = nullptr) const;
 
+    /// compile(source) for a caller that already holds the parse of
+    /// `source` (DESIGN.md §22): where compile(source) would parse, this
+    /// type-checks `parsed` instead, whether caching is on or off or the
+    /// source collides with another's fingerprint; on a cache hit `parsed`
+    /// is dropped. The corpus forge hands over the program it printed.
+    ///
+    /// Precondition: `parsed` equals try_parse(source) in nodes, ids,
+    /// spans, names, literal values and declared types, and has not been
+    /// type-checked. Nothing checks it: a program that differs is cached
+    /// and run as if it were the parse of `source`.
+    [[nodiscard]] std::shared_ptr<const CompiledProgram> compile(
+        const std::string& source, lang::Program parsed,
+        VerifyOutcome* outcome = nullptr) const;
+
     [[nodiscard]] const miri::InterpLimits& limits() const { return limits_; }
     [[nodiscard]] const std::shared_ptr<VerifyCache>& cache() const {
         return cache_;
@@ -324,15 +341,18 @@ class Oracle {
         const std::vector<std::vector<std::int64_t>>& input_sets) const;
 
   private:
+    /// The front end for `source`: type-checks `parsed` when given,
+    /// parses `source` first when not.
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_uncached(
-        const std::string& source, std::uint64_t fingerprint) const;
+        const std::string& source, std::uint64_t fingerprint,
+        std::optional<lang::Program> parsed) const;
     /// compile() plus whether the returned program is the cache-canonical
     /// entry for its fingerprint. Only canonical programs may key the
     /// report cache — a hash-colliding source compiles fresh each time and
     /// skips report memoization entirely, staying correct (just uncached).
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_guarded(
-        const std::string& source, VerifyOutcome* outcome,
-        bool* canonical) const;
+        const std::string& source, std::optional<lang::Program> parsed,
+        VerifyOutcome* outcome, bool* canonical) const;
 
     miri::InterpLimits limits_;
     std::shared_ptr<VerifyCache> cache_;

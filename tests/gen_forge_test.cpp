@@ -4,9 +4,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
@@ -17,9 +21,12 @@
 #include "gen/registry.hpp"
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
+#include "lang/printer.hpp"
 #include "lang/typecheck.hpp"
 #include "support/hashing.hpp"
 #include "support/rng.hpp"
+#include "tree_digest.hpp"
+#include "verify/oracle.hpp"
 
 namespace rustbrain::gen {
 namespace {
@@ -267,6 +274,110 @@ TEST(GeneratorTest, EveryBuiltinGeneratorDrawsEachOfItsShapes) {
     EXPECT_EQ(drawn_by.size(), records.size());
     for (const auto& [shape, record] : records) {
         EXPECT_EQ(drawn_by.count(shape), 1u) << "no generator draws " << shape;
+    }
+}
+
+/// Every byte of a report: the outputs, the steps, and each finding's
+/// category, message and span.
+std::string render_report(const miri::MiriReport& report) {
+    std::string out = "steps " + std::to_string(report.total_steps) + "\n";
+    for (const auto& run : report.outputs) {
+        out += "run";
+        for (const std::string& line : run) out += " [" + line + "]";
+        out += "\n";
+    }
+    for (const miri::Finding& finding : report.findings) {
+        out += std::string(miri::ub_category_name(finding.category)) + " " +
+               std::to_string(finding.span.begin) + "-" +
+               std::to_string(finding.span.end) + " " + finding.span.to_string() +
+               " " + finding.message + "\n";
+    }
+    return out;
+}
+
+/// True when `handed` is absent or its kinds, ids and spans equal those of
+/// try_parse(source), and it prints back to `source`.
+::testing::AssertionResult matches_its_parse(const std::optional<lang::Program>& handed,
+                                             const std::string& source) {
+    if (!handed) return ::testing::AssertionSuccess();
+    const std::optional<lang::Program> parsed = lang::try_parse(source);
+    if (!parsed) return ::testing::AssertionFailure() << "source does not parse";
+    if (lang::tree_digest(*handed) != lang::tree_digest(*parsed)) {
+        return ::testing::AssertionFailure() << "tree digests differ";
+    }
+    if (!lang::equals(*handed, *parsed) || lang::print_program(*handed) != source) {
+        return ::testing::AssertionFailure() << "structure or text differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(ForgeTest, HandedProgramsMatchTheParseOfTheirSources) {
+    // Replays the forge's attempts (one Rng per generator, serial and
+    // attempt) up to each accepted case, and checks every program
+    // generate_parsed hands over against a parse of its source, and that
+    // generate() prints the same bytes from the same draws.
+    const GeneratorRegistry& registry = GeneratorRegistry::builtin();
+    const std::vector<std::string> ids = registry.ids();
+    std::vector<std::unique_ptr<CaseGenerator>> generators;
+    for (const std::string& id : ids) generators.push_back(registry.build(id));
+    for (const std::uint64_t seed : {7u, 42u}) {
+        const dataset::Corpus corpus = forge_corpus(small_forge(seed, 560));
+        std::size_t handed = 0;
+        for (std::size_t serial = 0; serial < corpus.size(); ++serial) {
+            const CaseGenerator& generator = *generators[serial % generators.size()];
+            const dataset::UbCase& accepted = corpus.cases()[serial];
+            bool found = false;
+            for (int attempt = 0; attempt < 64 && !found; ++attempt) {
+                const std::uint64_t stream = support::derive_seed(
+                    seed, generator.id() + "/" + std::to_string(serial) + "/" +
+                              std::to_string(attempt));
+                support::Rng rng(stream);
+                const CaseGenerator::Parsed parsed = generator.generate_parsed(rng);
+                support::Rng again(stream);
+                const dataset::UbCase plain = generator.generate(again);
+                EXPECT_EQ(parsed.value.buggy_source, plain.buggy_source);
+                EXPECT_EQ(parsed.value.reference_fix, plain.reference_fix);
+                EXPECT_TRUE(matches_its_parse(parsed.buggy_program,
+                                              parsed.value.buggy_source))
+                    << "seed " << seed << " slot " << serial << " attempt " << attempt;
+                EXPECT_TRUE(matches_its_parse(parsed.fix_program,
+                                              parsed.value.reference_fix))
+                    << "seed " << seed << " slot " << serial << " attempt " << attempt;
+                handed += (parsed.buggy_program ? 1 : 0) + (parsed.fix_program ? 1 : 0);
+                found = parsed.value.buggy_source == accepted.buggy_source &&
+                        parsed.value.reference_fix == accepted.reference_fix;
+            }
+            ASSERT_TRUE(found) << "seed " << seed << " slot " << serial;
+        }
+        EXPECT_GE(handed, 2 * corpus.size()) << "seed " << seed;
+    }
+}
+
+TEST(ForgeTest, HandedProgramsReportLikeAParse) {
+    // A cached Oracle that the forge fed the printed programs answers
+    // every forged case byte for byte, finding spans included, like an
+    // uncached Oracle that parses each source.
+    for (const std::uint64_t seed : {7u, 42u}) {
+        verify::OracleOptions fed_options;
+        fed_options.cache = std::make_shared<verify::VerifyCache>();
+        const verify::Oracle fed(fed_options);
+        verify::OracleOptions parsing_options;
+        parsing_options.caching = false;
+        const verify::Oracle parsing(parsing_options);
+        ForgeOptions options = small_forge(seed, 560);
+        options.oracle = &fed;
+        const dataset::Corpus corpus = forge_corpus(options);
+        ASSERT_EQ(corpus.size(), 560u);
+        for (const dataset::UbCase& ub_case : corpus.cases()) {
+            for (const std::string* source : {&ub_case.buggy_source, &ub_case.reference_fix}) {
+                verify::VerifyOutcome outcome;
+                const std::string handed =
+                    render_report(fed.test_source(*source, ub_case.inputs, &outcome));
+                EXPECT_TRUE(outcome.program_cached) << ub_case.id;
+                EXPECT_EQ(handed, render_report(parsing.test_source(*source, ub_case.inputs)))
+                    << ub_case.id;
+            }
+        }
     }
 }
 

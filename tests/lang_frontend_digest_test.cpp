@@ -19,77 +19,11 @@
 #include "lang/printer.hpp"
 #include "lang/typecheck.hpp"
 #include "mutation.hpp"
-#include "support/hashing.hpp"
 #include "support/rng.hpp"
+#include "tree_digest.hpp"
 
 namespace rustbrain::lang {
 namespace {
-
-struct Digest {
-    std::uint64_t h = support::fnv1a64("");
-    void add(std::string_view text) { h = support::fnv1a64(text, h); }
-    void add(std::uint64_t value) { h = support::fnv1a64_u64(value, h); }
-    void add(const support::SourceSpan& span) {
-        add(span.begin);
-        add(span.end);
-        add(span.line);
-        add(span.column);
-    }
-    void add(const Binding& binding) {
-        add(static_cast<std::uint64_t>(binding.kind));
-        add(static_cast<std::uint64_t>(static_cast<std::int64_t>(binding.index)));
-    }
-};
-
-/// Every node's kind, id and span in child order; with `typed`, each
-/// expression's type, each name's Binding, each let's slot and each
-/// function's slot count as well.
-struct TreeDigest {
-    Digest& d;
-    bool typed;
-
-    void operator()(const Expr& expr) {
-        d.add(expr_kind_name(expr.kind));
-        d.add(expr.id);
-        d.add(expr.span);
-        if (typed) {
-            d.add(expr.type.to_string());
-            if (expr.kind == ExprKind::VarRef) {
-                d.add(static_cast<const VarRefExpr&>(expr).binding);
-            } else if (expr.kind == ExprKind::Call) {
-                d.add(static_cast<const CallExpr&>(expr).binding);
-            }
-        }
-        for_each_child(expr, *this);
-    }
-    void operator()(const Stmt& stmt) {
-        d.add(stmt_kind_name(stmt.kind));
-        d.add(stmt.id);
-        d.add(stmt.span);
-        if (typed && stmt.kind == StmtKind::Let) {
-            d.add(static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(static_cast<const LetStmt&>(stmt).slot)));
-        }
-        for_each_child(stmt, *this);
-    }
-    void operator()(const Block& block) {
-        d.add(block.statements.size());
-        for (const auto& stmt : block.statements) (*this)(*stmt);
-    }
-    void program(const Program& program) {
-        for (const StaticItem& item : program.statics) {
-            d.add(item.id);
-            d.add(item.span);
-            if (item.init) (*this)(*item.init);
-        }
-        for (const FnItem& fn : program.functions) {
-            d.add(fn.id);
-            d.add(fn.span);
-            if (typed) d.add(fn.slot_count);
-            (*this)(fn.body);
-        }
-    }
-};
 
 std::vector<std::string> standard_sources() {
     std::vector<std::string> out;

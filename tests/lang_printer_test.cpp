@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "dataset/corpus.hpp"
 #include "gen/forge.hpp"
 #include "lang/parser.hpp"
+#include "mutation.hpp"
 #include "support/hashing.hpp"
+#include "support/rng.hpp"
+#include "tree_digest.hpp"
 
 namespace rustbrain::lang {
 namespace {
@@ -132,6 +140,83 @@ TEST(PrinterTest, ForgedCorpusPrintsTheGoldenBytes) {
         }
     }
     EXPECT_EQ(digest, 0x25DF564BF4CA8CE1ULL);
+}
+
+/// Zeroes every span of `program`, so respanning has to write each one.
+struct WipeSpans {
+    void operator()(ExprPtr& expr) {
+        expr->span = {};
+        for_each_child(*expr, *this);
+    }
+    void operator()(Block& block) {
+        for (StmtPtr& stmt : block.statements) {
+            stmt->span = {};
+            for_each_child(*stmt, *this);
+        }
+    }
+    void program(Program& program) {
+        for (StaticItem& item : program.statics) {
+            item.span = {};
+            if (item.init) (*this)(item.init);
+        }
+        for (FnItem& fn : program.functions) {
+            fn.span = {};
+            (*this)(fn.body);
+        }
+    }
+};
+
+/// Parses `source`, wipes its spans, prints it respanned and checks that
+/// the bytes are print_program's and that every node's kind, id and span
+/// equal those of try_parse of the bytes. Returns false when `source` does
+/// not parse.
+bool check_respanned(const std::string& source) {
+    std::optional<Program> program = try_parse(source);
+    if (!program) return false;
+    const std::string expected = print_program(*program);
+    WipeSpans{}.program(*program);
+    const std::string printed = print_respanned(*program);
+    EXPECT_EQ(printed, expected);
+    std::string error;
+    const std::optional<Program> reparsed = try_parse(printed, &error);
+    EXPECT_TRUE(reparsed.has_value()) << error << "\n" << printed;
+    if (reparsed) {
+        EXPECT_EQ(tree_digest(*program), tree_digest(*reparsed))
+            << "--- source\n" << source << "\n--- printed\n" << printed;
+    }
+    return true;
+}
+
+TEST(PrinterTest, RespannedSpansMatchTheParser) {
+    std::vector<std::string> sources = {
+        kEveryNodeKind,
+        // Forms the every-kind program leaves out: `unsafe fn`, `else if`
+        // (an else block holding one `if`), `&` without `mut`, a hex
+        // literal, chained and parenthesized casts, a call in an index.
+        "unsafe fn f(a: i64, b: bool) -> i64 { if b { return a; } else if a > 1 "
+        "{ return 0x1F; } return -a; }\n"
+        "fn main() { let x = 5; let p = &x as *const i64 as usize; "
+        "let q = ((x + 1) as i32 as i64) * 2; let a = [1, 2]; "
+        "let r = a[f(0, true) as usize % 2]; unsafe { print_int(f(r, false)); } }",
+    };
+    const dataset::Corpus standard = dataset::Corpus::standard();
+    for (const dataset::UbCase& ub_case : standard.cases()) {
+        sources.push_back(ub_case.buggy_source);
+        sources.push_back(ub_case.reference_fix);
+    }
+    for (const std::string& source : sources) {
+        ASSERT_TRUE(check_respanned(source)) << source;
+    }
+
+    // Mutants of those sources that still parse: odd spacing, comments,
+    // spliced statements and hostile literals move every token.
+    support::Rng rng(support::derive_seed(3, "printer-respan"));
+    std::size_t parsed = 0;
+    for (std::size_t i = 0; i < 40000 && parsed < 2000; ++i) {
+        const std::string& seed = sources[(i * 7919) % sources.size()];
+        parsed += check_respanned(mutation::mutate(seed, sources, rng)) ? 1 : 0;
+    }
+    EXPECT_GE(parsed, 2000u);
 }
 
 }  // namespace

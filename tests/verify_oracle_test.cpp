@@ -8,11 +8,13 @@
 // emits the same corpus cached or not, the semantic judge interprets a
 // case's reference fix exactly once per process (counted through a
 // counting oracle double), front-end failures match MiriLite verbatim,
-// and the stats counters behave.
+// a program handed to compile() is type-checked in place of a parse, and
+// the stats counters behave.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
 #include "identity_matrix.hpp"
+#include "lang/parser.hpp"
 #include "miri/mirilite.hpp"
 #include "verify/oracle.hpp"
 
@@ -233,6 +236,40 @@ TEST(VerifyOracleTest, CompileSharesOneCanonicalProgram) {
         *first->program.functions[0].body.statements.at(0));
     EXPECT_EQ(static_cast<const lang::CallExpr&>(*stmt.expr).binding.kind,
               lang::Binding::Kind::Intrinsic);
+}
+
+TEST(VerifyOracleTest, CompileTypeChecksAHandedProgramOnAMiss) {
+    // A miss keeps the handed program itself (its arena comes along), type
+    // checked; a hit returns the cached entry and drops the handed one.
+    // With caching off every call keeps what it was handed.
+    const std::string source = "fn main() {\n    print_int(4);\n}\n";
+    const auto handed = [&](const lang::AstArena** arena) {
+        std::optional<lang::Program> program = lang::try_parse(source);
+        *arena = &program->arena();
+        return std::move(*program);
+    };
+    const auto cached = cached_oracle();
+    const lang::AstArena* first_arena = nullptr;
+    const auto first = cached->compile(source, handed(&first_arena));
+    ASSERT_TRUE(first->ok());
+    EXPECT_EQ(&first->program.arena(), first_arena);
+    const auto& stmt = static_cast<const lang::ExprStmt&>(
+        *first->program.functions[0].body.statements.at(0));
+    EXPECT_EQ(static_cast<const lang::CallExpr&>(*stmt.expr).binding.kind,
+              lang::Binding::Kind::Intrinsic);
+    const lang::AstArena* second_arena = nullptr;
+    VerifyOutcome outcome;
+    const auto second = cached->compile(source, handed(&second_arena), &outcome);
+    EXPECT_TRUE(outcome.program_cached);
+    EXPECT_EQ(second.get(), first.get());
+    EXPECT_EQ(cached->compile(source).get(), first.get());
+
+    const auto uncached = uncached_oracle();
+    const lang::AstArena* fresh_arena = nullptr;
+    const auto fresh = uncached->compile(source, handed(&fresh_arena));
+    ASSERT_TRUE(fresh->ok());
+    EXPECT_EQ(&fresh->program.arena(), fresh_arena);
+    EXPECT_EQ(uncached->stats().programs, 0u);
 }
 
 TEST(VerifyOracleTest, DisabledCachingStoresNothing) {
