@@ -144,17 +144,16 @@ using detail::MutationPlan;
 
 /// Parse -> mutate -> print. If the draft source unexpectedly fails to
 /// parse, it is returned unmodified and left for the forge's rejection
-/// sampler to throw out. With `printed`, the program is printed respanned
-/// and a clone of it kept there: the clone's arena is sized from what the
+/// sampler to throw out. Otherwise the program is printed respanned and a
+/// clone of it kept in `printed`: the clone's arena is sized from what the
 /// program uses, so a cached copy carries none of the template's growth.
 std::string mutate_source(const std::string& source, const MutationPlan& plan,
-                          std::optional<lang::Program>* printed) {
+                          std::optional<lang::Program>& printed) {
     auto program = lang::try_parse(source);
     if (!program) return source;
     detail::apply_plan(*program, plan);
-    if (printed == nullptr) return lang::print_program(*program);
     std::string text = lang::print_respanned(*program);
-    *printed = program->clone();
+    printed = program->clone();
     return text;
 }
 
@@ -165,32 +164,25 @@ CaseGenerator::CaseGenerator(std::string id, miri::UbCategory category,
     : id_(std::move(id)), category_(category), knobs_(knobs) {}
 
 dataset::UbCase CaseGenerator::generate(support::Rng& rng) const {
-    return generate(rng, nullptr, nullptr);
+    return generate_parsed(rng).value;
 }
 
 CaseGenerator::Parsed CaseGenerator::generate_parsed(support::Rng& rng) const {
-    Parsed out;
-    out.value = generate(rng, &out.buggy_program, &out.fix_program);
-    return out;
-}
-
-dataset::UbCase CaseGenerator::generate(
-    support::Rng& rng, std::optional<lang::Program>* buggy_program,
-    std::optional<lang::Program>* fix_program) const {
     Draft drafted = draft(rng);
     const MutationPlan plan = detail::sample_plan(rng, knobs_);
 
-    dataset::UbCase out =
-        drafted.shape->render(drafted.args, std::move(drafted.inputs));
-    out.buggy_source = mutate_source(out.buggy_source, plan, buggy_program);
-    out.reference_fix = mutate_source(out.reference_fix, plan, fix_program);
+    Parsed parsed;
+    dataset::UbCase& out = parsed.value;
+    out = drafted.shape->render(drafted.args, std::move(drafted.inputs));
+    out.buggy_source = mutate_source(out.buggy_source, plan, parsed.buggy_program);
+    out.reference_fix = mutate_source(out.reference_fix, plan, parsed.fix_program);
     // Mutations that add real structure make the program harder to read —
     // reflect that in the difficulty the expert-time model and SimLLM see.
     if (plan.nesting >= 2 ||
         plan.front_pads.size() + plan.back_pads.size() >= 3) {
         out.difficulty = std::min(3, out.difficulty + 1);
     }
-    return out;
+    return parsed;
 }
 
 }  // namespace rustbrain::gen

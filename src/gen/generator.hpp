@@ -70,8 +70,9 @@ class CaseGenerator {
         std::optional<lang::Program> fix_program;
     };
 
-    /// generate(rng), the same draws and bytes, plus the programs, so the
-    /// forge can hand them to the Oracle instead of having it parse again.
+    /// generate(rng)'s case plus the programs, so the forge can hand them
+    /// to the Oracle instead of having it parse again; generate(rng) is
+    /// this with the programs dropped.
     [[nodiscard]] Parsed generate_parsed(support::Rng& rng) const;
 
   protected:
@@ -88,11 +89,6 @@ class CaseGenerator {
     [[nodiscard]] virtual Draft draft(support::Rng& rng) const = 0;
 
   private:
-    /// generate(), keeping each printed program where a pointer is given.
-    [[nodiscard]] dataset::UbCase generate(
-        support::Rng& rng, std::optional<lang::Program>* buggy_program,
-        std::optional<lang::Program>* fix_program) const;
-
     std::string id_;
     miri::UbCategory category_;
     MutationKnobs knobs_;

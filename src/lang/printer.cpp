@@ -87,15 +87,24 @@ template <typename E>
 void emit_expression(Out& out, E& expr);
 
 /// Parenthesize children conservatively: we print parentheses around any
-/// binary/cast child of a binary/unary/cast/index node. The printed form is
-/// therefore not minimal but always re-parses with identical structure.
-bool needs_parens(const Expr& child) {
-    return child.kind == ExprKind::Binary || child.kind == ExprKind::Cast;
+/// binary/cast child of a binary/unary/cast/index node, around a unary base
+/// of an index (`(*p)[0]`, which `*p[0]` would re-parse as `*(p[0])`), and
+/// around a reference taken of a reference (`&(&a)`, since `&&` lexes as
+/// one token). The printed form is therefore not minimal but always
+/// re-parses with identical structure.
+bool needs_parens(const Expr& parent, const Expr& child) {
+    if (child.kind == ExprKind::Binary || child.kind == ExprKind::Cast) return true;
+    if (child.kind != ExprKind::Unary) return false;
+    if (parent.kind == ExprKind::Index) return true;
+    const UnaryOp op = static_cast<const UnaryExpr&>(child).op;
+    return parent.kind == ExprKind::Unary &&
+           static_cast<const UnaryExpr&>(parent).op == UnaryOp::AddrOf &&
+           (op == UnaryOp::AddrOf || op == UnaryOp::AddrOfMut);
 }
 
 template <typename E>
-void emit_child(Out& out, E& child) {
-    if (needs_parens(child)) {
+void emit_child(Out& out, const Expr& parent, E& child) {
+    if (needs_parens(parent, child)) {
         out += '(';
         emit_expression(out, child);
         out += ')';
@@ -146,22 +155,22 @@ void emit_expression(Out& out, E& expr) {
             auto& node = static_cast<like_t<UnaryExpr, E>&>(expr);
             mark(out, node, 1);
             out += unary_op_name(node.op);
-            emit_child(out, deref<E>(node.operand));
+            emit_child(out, node, deref<E>(node.operand));
             return;
         }
         case ExprKind::Binary: {
             auto& node = static_cast<like_t<BinaryExpr, E>&>(expr);
-            emit_child(out, deref<E>(node.lhs));
+            emit_child(out, node, deref<E>(node.lhs));
             out += ' ';
             out += binary_op_name(node.op);
             out += ' ';
-            emit_child(out, deref<E>(node.rhs));
+            emit_child(out, node, deref<E>(node.rhs));
             if constexpr (kRespan<E>) node.span = node.lhs->span.merge(node.rhs->span);
             return;
         }
         case ExprKind::Cast: {
             auto& node = static_cast<like_t<CastExpr, E>&>(expr);
-            emit_child(out, deref<E>(node.operand));
+            emit_child(out, node, deref<E>(node.operand));
             out += " as ";
             out += node.target.to_string();
             if constexpr (kRespan<E>) node.span = node.operand->span;
@@ -169,7 +178,7 @@ void emit_expression(Out& out, E& expr) {
         }
         case ExprKind::Index: {
             auto& node = static_cast<like_t<IndexExpr, E>&>(expr);
-            emit_child(out, deref<E>(node.base));
+            emit_child(out, node, deref<E>(node.base));
             out += '[';
             emit_expression(out, deref<E>(node.index));
             out += ']';

@@ -314,8 +314,7 @@ std::string render_report(const miri::MiriReport& report) {
 TEST(ForgeTest, HandedProgramsMatchTheParseOfTheirSources) {
     // Replays the forge's attempts (one Rng per generator, serial and
     // attempt) up to each accepted case, and checks every program
-    // generate_parsed hands over against a parse of its source, and that
-    // generate() prints the same bytes from the same draws.
+    // generate_parsed hands over against a parse of its source.
     const GeneratorRegistry& registry = GeneratorRegistry::builtin();
     const std::vector<std::string> ids = registry.ids();
     std::vector<std::unique_ptr<CaseGenerator>> generators;
@@ -333,10 +332,6 @@ TEST(ForgeTest, HandedProgramsMatchTheParseOfTheirSources) {
                               std::to_string(attempt));
                 support::Rng rng(stream);
                 const CaseGenerator::Parsed parsed = generator.generate_parsed(rng);
-                support::Rng again(stream);
-                const dataset::UbCase plain = generator.generate(again);
-                EXPECT_EQ(parsed.value.buggy_source, plain.buggy_source);
-                EXPECT_EQ(parsed.value.reference_fix, plain.reference_fix);
                 EXPECT_TRUE(matches_its_parse(parsed.buggy_program,
                                               parsed.value.buggy_source))
                     << "seed " << seed << " slot " << serial << " attempt " << attempt;

@@ -89,6 +89,8 @@ INSTANTIATE_TEST_SUITE_P(
         "fn main() { unsafe { let p = alloc(16, 8); let q = offset(p, 8); "
         "dealloc(p, 16, 8); } }",
         "fn main() { let neg = -5; let not_b = !true; let not_i = !0; }",
+        "fn main() { let a = [1, 2]; let p = &a; let y = (*p)[0]; let z = *p[0]; }",
+        "fn main() { let mut x = 1; let r = &(&x); let m = &(&mut x); let n = &mut &x; }",
         "fn main() { print_int(input(0)); print_bool(true); assert(1 == 1); }"));
 
 TEST(PrinterTest, DeepNestingRoundTrip) {
@@ -192,12 +194,14 @@ TEST(PrinterTest, RespannedSpansMatchTheParser) {
         kEveryNodeKind,
         // Forms the every-kind program leaves out: `unsafe fn`, `else if`
         // (an else block holding one `if`), `&` without `mut`, a hex
-        // literal, chained and parenthesized casts, a call in an index.
+        // literal, chained and parenthesized casts, a call in an index, a
+        // unary index base and a reference to a reference.
         "unsafe fn f(a: i64, b: bool) -> i64 { if b { return a; } else if a > 1 "
         "{ return 0x1F; } return -a; }\n"
         "fn main() { let x = 5; let p = &x as *const i64 as usize; "
         "let q = ((x + 1) as i32 as i64) * 2; let a = [1, 2]; "
-        "let r = a[f(0, true) as usize % 2]; unsafe { print_int(f(r, false)); } }",
+        "let r = a[f(0, true) as usize % 2]; unsafe { print_int(f(r, false)); } "
+        "let s = &a; let t = (*s)[0]; let u = &(&x); let v = &(&mut x); }",
     };
     const dataset::Corpus standard = dataset::Corpus::standard();
     for (const dataset::UbCase& ub_case : standard.cases()) {
