@@ -7,6 +7,7 @@
 
 #include "gen/registry.hpp"
 #include "miri/finding.hpp"
+#include "support/hashing.hpp"
 
 namespace rustbrain::gen {
 namespace {
@@ -89,6 +90,18 @@ TEST(GeneratorRegistryTest, KnobsReachTheGenerator) {
     EXPECT_FALSE(generator->knobs().helpers);
     EXPECT_EQ(generator->id(), "alloc");
     EXPECT_EQ(generator->category(), miri::UbCategory::Alloc);
+}
+
+TEST(GeneratorRegistryTest, BuiltinRowsMatchTheirDigest) {
+    // FNV-1a over "id category help" lines of every builtin generator in id
+    // order: a renamed id, a moved category or a reworded help line moves it.
+    const GeneratorRegistry& registry = GeneratorRegistry::builtin();
+    std::string rows;
+    for (const std::string& id : registry.ids()) {
+        rows += id + " " + miri::ub_category_name(registry.build(id)->category()) +
+                " " + registry.find(id)->description + "\n";
+    }
+    EXPECT_EQ(support::fnv1a64(rows), 0xDE0C4C57AB9EE4B5ULL) << rows;
 }
 
 TEST(GeneratorRegistryTest, DuplicateAddThrows) {
