@@ -56,35 +56,6 @@ double elapsed_ms_since(std::chrono::steady_clock::time_point start) {
 BatchRunner::BatchRunner(EngineFactory factory, BatchOptions options)
     : factory_(std::move(factory)), options_(options) {}
 
-BatchRunner::BatchRunner(RustBrainConfig config,
-                         const kb::KnowledgeBase* knowledge_base,
-                         BatchOptions options, const FeedbackStore* warm_feedback)
-    : options_(options) {
-    if (warm_feedback == nullptr) {
-        factory_ = [config, knowledge_base](std::size_t) -> RepairFn {
-            auto engine =
-                std::make_shared<RustBrain>(config, knowledge_base, nullptr);
-            return [engine](const dataset::UbCase& ub_case) {
-                return engine->repair(ub_case);
-            };
-        };
-    } else {
-        // Each case starts from its own copy of the snapshot; the engine is
-        // rebuilt per case because RustBrain binds its feedback store at
-        // construction (construction is a profile lookup — cheap next to a
-        // repair).
-        auto snapshot = std::make_shared<const FeedbackStore>(*warm_feedback);
-        factory_ = [config, knowledge_base, snapshot](std::size_t) -> RepairFn {
-            return [config, knowledge_base,
-                    snapshot](const dataset::UbCase& ub_case) {
-                FeedbackStore store = *snapshot;
-                RustBrain engine(config, knowledge_base, &store);
-                return engine.repair(ub_case);
-            };
-        };
-    }
-}
-
 BatchRunner::BatchRunner(const std::string& engine_id,
                          EngineOptions engine_options,
                          EngineBuildContext context, BatchOptions options,

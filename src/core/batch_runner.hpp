@@ -59,23 +59,15 @@ class BatchRunner {
     /// Generic engine (baselines, ablated configurations, ...).
     explicit BatchRunner(EngineFactory factory, BatchOptions options = {});
 
-    /// RustBrain sweep: one instance per worker over the shared const
-    /// `knowledge_base` (may be null). When `warm_feedback` is non-null,
-    /// every case starts from a private copy of that snapshot, so the
-    /// feedback effect depends only on (snapshot, case) — never on worker
-    /// count or scheduling.
-    BatchRunner(RustBrainConfig config, const kb::KnowledgeBase* knowledge_base,
-                BatchOptions options = {},
-                const FeedbackStore* warm_feedback = nullptr);
-
     /// Registry-driven sweep: build `engine_id` from EngineRegistry::builtin()
     /// with `engine_options`, one engine per worker. `context.feedback` and
     /// `context.trace` are both ignored: a shared mutable feedback store
     /// would make results scheduling-dependent, and a single TraceSink
     /// written from every worker would race. To sweep from learned feedback
-    /// pass `warm_feedback`, which gives every case a private copy of the
-    /// snapshot exactly like the RustBrain constructor above; to trace,
-    /// build one engine from the registry and run it directly (or via
+    /// pass `warm_feedback`: every case then starts from a private copy of
+    /// that snapshot, so the feedback effect depends only on (snapshot,
+    /// case), never on worker count or scheduling. To trace, build one
+    /// engine from the registry and run it directly (or via
     /// run_sequential).
     BatchRunner(const std::string& engine_id, EngineOptions engine_options,
                 EngineBuildContext context, BatchOptions options = {},

@@ -159,16 +159,8 @@ std::string mutate_source(const std::string& source, const MutationPlan& plan,
 
 }  // namespace
 
-CaseGenerator::CaseGenerator(std::string id, miri::UbCategory category,
-                             MutationKnobs knobs)
-    : id_(std::move(id)), category_(category), knobs_(knobs) {}
-
-dataset::UbCase CaseGenerator::generate(support::Rng& rng) const {
-    return generate_parsed(rng).value;
-}
-
 CaseGenerator::Parsed CaseGenerator::generate_parsed(support::Rng& rng) const {
-    Draft drafted = draft(rng);
+    Draft drafted = spec_.draft(rng);
     const MutationPlan plan = detail::sample_plan(rng, knobs_);
 
     Parsed parsed;

@@ -1,25 +1,27 @@
 // Corpus Forge — procedural UB case generation.
 //
 // A CaseGenerator synthesizes corpus entries for one UB category (or one
-// cross-category composition): it drafts a buggy program, its reference fix
-// and trigger inputs from seeded RNG streams, then pushes BOTH programs
-// through the lang/ front end — parse, structural AST mutation (nested block
-// wrapping, dead-code padding, never-called helper functions), print — so
-// every emitted case is a genuine mini-Rust program the rest of the system
-// (MiriLite, pruning, vectorization, the engines) can chew on, not a string
-// template. The same mutation plan is applied to the buggy program and the
-// fix, which preserves the semantic-benchmark trace relationship between
-// the two. generate_parsed() also hands back the printed programs, so the
-// forge's Oracle type-checks them without parsing their text again.
+// cross-category composition). It is one row of the generator table
+// (GeneratorSpec) plus mutation knobs: the row's draft function picks a
+// shape record, its arguments and trigger inputs from a seeded RNG stream;
+// the generator renders the buggy program and its reference fix from them,
+// then pushes BOTH programs through the lang/ front end — parse, structural
+// AST mutation (nested block wrapping, dead-code padding, never-called
+// helper functions), print — so every emitted case is a genuine mini-Rust
+// program the rest of the system (MiriLite, pruning, vectorization, the
+// engines) can chew on, not a string template. The same mutation plan is
+// applied to the buggy program and the fix, which preserves the
+// semantic-benchmark trace relationship between the two. generate_parsed()
+// also hands back the printed programs, so the forge's Oracle type-checks
+// them without parsing their text again.
 //
 // Generation is deterministic: a generator is a pure function of (its
-// configuration, the Rng handed to generate()). The forge derives that Rng
-// from (corpus seed, generator id, case serial, attempt), so a whole
-// generated corpus is a pure function of its ForgeOptions.
+// configuration, the Rng handed to generate_parsed()). The forge derives
+// that Rng from (corpus seed, generator id, case serial, attempt), so a
+// whole generated corpus is a pure function of its ForgeOptions.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,54 +45,51 @@ struct MutationKnobs {
     bool helpers = true;
 };
 
-class CaseGenerator {
-  public:
-    CaseGenerator(std::string id, miri::UbCategory category, MutationKnobs knobs);
-    virtual ~CaseGenerator() = default;
-    CaseGenerator(const CaseGenerator&) = delete;
-    CaseGenerator& operator=(const CaseGenerator&) = delete;
+/// One drafted scenario before structural mutation: a shape record and the
+/// arguments and inputs it is rendered with.
+struct Draft {
+    const dataset::Shape* shape = nullptr;
+    std::vector<std::string> args;
+    /// One run with no input unless the shape needs more.
+    std::vector<std::vector<std::int64_t>> inputs = {{}};
+};
 
-    [[nodiscard]] const std::string& id() const { return id_; }
-    [[nodiscard]] miri::UbCategory category() const { return category_; }
+/// One row of the generator table (registry.cpp): the registry id and help
+/// line, the category every drafted case declares, and the draft function,
+/// which must consume rng deterministically.
+struct GeneratorSpec {
+    const char* id;
+    const char* help;
+    miri::UbCategory category;
+    Draft (*draft)(support::Rng& rng);
+};
+
+class CaseGenerator final {
+  public:
+    CaseGenerator(const GeneratorSpec& spec, MutationKnobs knobs)
+        : spec_(spec), knobs_(knobs) {}
+
+    [[nodiscard]] std::string id() const { return spec_.id; }
+    [[nodiscard]] miri::UbCategory category() const { return spec_.category; }
     [[nodiscard]] const MutationKnobs& knobs() const { return knobs_; }
 
-    /// Synthesize one candidate case from `rng`. The returned case's id is
-    /// the shape name only (e.g. "double_free"); the forge composes the
-    /// final corpus-unique id. The candidate is NOT yet validated — the
-    /// forge's rejection sampler owns that.
-    [[nodiscard]] dataset::UbCase generate(support::Rng& rng) const;
-
-    /// A generated case and, for each of its two sources, the program
-    /// printed into it, spans and ids as try_parse of the text gives them
-    /// (DESIGN.md §22). A program is absent when its template did not
-    /// parse; the source is then the template, as generate() leaves it.
+    /// One candidate case synthesized from `rng` and, for each of its two
+    /// sources, the program printed into it, spans and ids as try_parse of
+    /// the text gives them (DESIGN.md §22), so the forge can hand them to
+    /// the Oracle instead of having it parse again. A program is absent
+    /// when its template did not parse; the source is then the template.
+    /// The case's id is the shape name only (e.g. "double_free"); the forge
+    /// composes the final corpus-unique id. The candidate is NOT yet
+    /// validated — the forge's rejection sampler owns that.
     struct Parsed {
         dataset::UbCase value;
         std::optional<lang::Program> buggy_program;
         std::optional<lang::Program> fix_program;
     };
-
-    /// generate(rng)'s case plus the programs, so the forge can hand them
-    /// to the Oracle instead of having it parse again; generate(rng) is
-    /// this with the programs dropped.
     [[nodiscard]] Parsed generate_parsed(support::Rng& rng) const;
 
-  protected:
-    /// One drafted scenario before structural mutation: a shape record and
-    /// the arguments and inputs it is rendered with.
-    struct Draft {
-        const dataset::Shape* shape = nullptr;
-        std::vector<std::string> args;
-        /// One run with no input unless the shape needs more.
-        std::vector<std::vector<std::int64_t>> inputs = {{}};
-    };
-
-    /// Produce one draft; must consume rng deterministically.
-    [[nodiscard]] virtual Draft draft(support::Rng& rng) const = 0;
-
   private:
-    std::string id_;
-    miri::UbCategory category_;
+    GeneratorSpec spec_;
     MutationKnobs knobs_;
 };
 

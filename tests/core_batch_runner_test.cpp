@@ -33,6 +33,16 @@ RustBrainConfig flagship_config() {
     return config;
 }
 
+/// A registry sweep of flagship_config(): rustbrain on gpt-4 over the
+/// seeded knowledge base.
+BatchRunner flagship_runner(std::size_t workers,
+                            const FeedbackStore* warm_feedback = nullptr) {
+    EngineBuildContext context;
+    context.knowledge_base = &seeded_kb();
+    return BatchRunner("rustbrain", EngineOptions::parse("model=gpt-4"), context,
+                       BatchOptions{workers}, warm_feedback);
+}
+
 // Byte-for-byte equality of two result sequences, including the exact
 // double bits of every virtual-time figure.
 void expect_identical(const BatchReport& serial, const BatchReport& parallel) {
@@ -66,10 +76,8 @@ void expect_identical(const BatchReport& serial, const BatchReport& parallel) {
 }
 
 TEST(BatchRunnerTest, EightWorkersBitIdenticalToSerialOverStandardCorpus) {
-    const BatchRunner serial_runner(flagship_config(), &seeded_kb(),
-                                    BatchOptions{1});
-    const BatchRunner parallel_runner(flagship_config(), &seeded_kb(),
-                                      BatchOptions{8});
+    const BatchRunner serial_runner = flagship_runner(1);
+    const BatchRunner parallel_runner = flagship_runner(8);
     const BatchReport serial = serial_runner.run(corpus());
     const BatchReport parallel = parallel_runner.run(corpus());
     EXPECT_EQ(serial.workers_used, 1u);
@@ -80,10 +88,8 @@ TEST(BatchRunnerTest, EightWorkersBitIdenticalToSerialOverStandardCorpus) {
 TEST(BatchRunnerTest, OddWorkerCountAlsoIdentical) {
     const std::vector<const dataset::UbCase*> cases =
         corpus().by_category(miri::UbCategory::DanglingPointer);
-    const BatchRunner serial_runner(flagship_config(), &seeded_kb(),
-                                    BatchOptions{1});
-    const BatchRunner parallel_runner(flagship_config(), &seeded_kb(),
-                                      BatchOptions{3});
+    const BatchRunner serial_runner = flagship_runner(1);
+    const BatchRunner parallel_runner = flagship_runner(3);
     expect_identical(serial_runner.run(cases), parallel_runner.run(cases));
 }
 
@@ -100,10 +106,8 @@ TEST(BatchRunnerTest, WarmFeedbackSnapshotIsSchedulingInvariant) {
         }
     }
     ASSERT_GT(warm.records(), 0u);
-    const BatchRunner serial_runner(flagship_config(), &seeded_kb(),
-                                    BatchOptions{1}, &warm);
-    const BatchRunner parallel_runner(flagship_config(), &seeded_kb(),
-                                      BatchOptions{8}, &warm);
+    const BatchRunner serial_runner = flagship_runner(1, &warm);
+    const BatchRunner parallel_runner = flagship_runner(8, &warm);
     const BatchReport serial = serial_runner.run(corpus());
     const BatchReport parallel = parallel_runner.run(corpus());
     expect_identical(serial, parallel);
@@ -140,14 +144,14 @@ TEST(BatchRunnerTest, GenericFactoryMakesOneEnginePerWorker) {
 TEST(BatchRunnerTest, WorkersClampedToCaseCount) {
     const std::vector<const dataset::UbCase*> two = {&corpus().cases()[0],
                                                      &corpus().cases()[1]};
-    const BatchRunner runner(flagship_config(), &seeded_kb(), BatchOptions{16});
+    const BatchRunner runner = flagship_runner(16);
     const BatchReport report = runner.run(two);
     EXPECT_EQ(report.workers_used, 2u);
     EXPECT_EQ(report.results.size(), 2u);
 }
 
 TEST(BatchRunnerTest, EmptyCaseListYieldsEmptyReport) {
-    const BatchRunner runner(flagship_config(), &seeded_kb(), BatchOptions{4});
+    const BatchRunner runner = flagship_runner(4);
     const BatchReport report = runner.run(std::vector<const dataset::UbCase*>{});
     EXPECT_TRUE(report.results.empty());
     EXPECT_EQ(report.pass_total(), 0);

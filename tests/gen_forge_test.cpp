@@ -233,8 +233,8 @@ TEST(GeneratorTest, GenerateIsPureInItsRng) {
     const auto generator = GeneratorRegistry::builtin().build("alloc");
     support::Rng a(123);
     support::Rng b(123);
-    const dataset::UbCase first = generator->generate(a);
-    const dataset::UbCase second = generator->generate(b);
+    const dataset::UbCase first = generator->generate_parsed(a).value;
+    const dataset::UbCase second = generator->generate_parsed(b).value;
     EXPECT_EQ(first.id, second.id);
     EXPECT_EQ(first.buggy_source, second.buggy_source);
     EXPECT_EQ(first.reference_fix, second.reference_fix);
@@ -259,7 +259,7 @@ TEST(GeneratorTest, EveryBuiltinGeneratorDrawsEachOfItsShapes) {
         std::set<std::string> drawn;
         for (std::uint64_t seed = 0; seed < 64; ++seed) {
             support::Rng rng(seed);
-            drawn.insert(generator->generate(rng).id);
+            drawn.insert(generator->generate_parsed(rng).value.id);
         }
         for (const std::string& shape : drawn) {
             const auto record = records.find(shape);

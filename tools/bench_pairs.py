@@ -26,7 +26,11 @@ The pairs protocol:
     the report gives each side's min, Q1, median, Q3 and max, and how many
     pairs the change won (better in the metric's direction).
   * No regression: on every workload no end-to-end metric's median is
-    worse than the parent's by more than its BENCHMARK.json bound.
+    worse than the parent's by more than its BENCHMARK.json bound. Each
+    metric's `verdict` says so: `within_bound`, `worse`, or `unresolved`
+    when the parent's own spread, (Q3 - Q1) / median, is wider than the
+    bound and the change does not beat every parent run (see verdict()).
+    The older boolean `within_bound` field is kept beside it.
   * Claiming a gain needs at least 10 pairs on the claimed workload and 5
     on every other: the change must win at least 9 of 10 pairs, and its
     median must beat the parent's by more than the parent's Q3 - Q1.
@@ -110,6 +114,53 @@ def summarize(values):
         q1 = median = q3 = ordered[0]
     return {"min": ordered[0], "q1": q1, "median": median, "q3": q3,
             "max": ordered[-1], "runs": ordered}
+
+
+def median_worse_by(parent, change, lower):
+    """How much worse the change's median is than the parent's, as a share
+    of the parent's median; negative when it is better."""
+    delta = change["median"] - parent["median"]
+    return (delta if lower else -delta) / parent["median"]
+
+
+def verdict(parent_runs, change_runs, bound, lower):
+    """`within_bound`, `worse` or `unresolved` for one metric.
+
+    When the parent's (Q3 - Q1) / median is wider than `bound`, a median
+    shift inside that spread says nothing, so the verdict is `unresolved`
+    unless every change run beats every parent run. Otherwise the median
+    decides. `lower` is True when lower values are better.
+
+    >>> verdict([10, 10, 10, 10, 10], [12, 12, 12, 12, 12], 0.25, lower=True)
+    'within_bound'
+    >>> verdict([10, 10, 10, 10, 10], [13, 13, 13, 13, 13], 0.25, lower=True)
+    'worse'
+    >>> verdict([100, 100, 100, 100, 100], [70, 70, 70, 70, 70], 0.25,
+    ...         lower=False)
+    'worse'
+
+    A parent spread of (12 - 8) / 10 = 0.4 is wider than a 0.25 bound:
+    neither a better nor a worse median resolves it,
+
+    >>> verdict([6, 8, 10, 12, 14], [9, 9, 9, 9, 9], 0.25, lower=True)
+    'unresolved'
+    >>> verdict([6, 8, 10, 12, 14], [13, 13, 13, 13, 13], 0.25, lower=True)
+    'unresolved'
+
+    but a change that beats every parent run does.
+
+    >>> verdict([6, 8, 10, 12, 14], [5, 5, 5, 5, 5], 0.25, lower=True)
+    'within_bound'
+    """
+    parent, change = summarize(parent_runs), summarize(change_runs)
+    beats_every_run = (max(change_runs) < min(parent_runs) if lower
+                       else min(change_runs) > max(parent_runs))
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    if spread > bound and not beats_every_run:
+        return "unresolved"
+    if median_worse_by(parent, change, lower) > bound:
+        return "worse"
+    return "within_bound"
 
 
 def revision(checkout, rev="HEAD"):
@@ -230,17 +281,19 @@ def compare(args, sides, end_to_end):
             if not pairs:
                 continue
             wins = sum(1 for p, c in pairs if (c < p if lower else c > p))
-            parent = summarize([p for p, _ in pairs])
-            change = summarize([c for _, c in pairs])
-            worse = ((change["median"] - parent["median"]) / parent["median"]
-                     if lower else
-                     (parent["median"] - change["median"]) / parent["median"])
+            parent_runs = [p for p, _ in pairs]
+            change_runs = [c for _, c in pairs]
+            parent = summarize(parent_runs)
+            change = summarize(change_runs)
+            worse = median_worse_by(parent, change, lower)
             entry[name] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "bound": metric["bound"], "parent": parent, "change": change,
                 "change_wins": wins, "pairs": len(pairs),
                 "median_worse_by": worse,
                 "within_bound": worse <= metric["bound"],
+                "verdict": verdict(parent_runs, change_runs, metric["bound"],
+                                   lower),
             }
         report["workloads"][workload] = entry
 
