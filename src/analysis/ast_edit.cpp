@@ -22,9 +22,9 @@ ExprPtr mk_bool(AstArena& arena, bool value) {
     return node;
 }
 
-ExprPtr mk_var(AstArena& arena, const std::string& name) {
+ExprPtr mk_var(AstArena& arena, std::string_view name) {
     auto node = arena.make<VarRefExpr>();
-    node->name = name;
+    node->name = arena.name(name);
     return node;
 }
 
@@ -50,9 +50,9 @@ ExprPtr mk_cast(AstArena& arena, ExprPtr operand, Type target) {
     return node;
 }
 
-ExprPtr mk_call(AstArena& arena, const std::string& callee, ExprList args) {
+ExprPtr mk_call(AstArena& arena, std::string_view callee, ExprList args) {
     auto node = arena.make<CallExpr>();
-    node->callee = callee;
+    node->callee = arena.name(callee);
     node->args = std::move(args);
     return node;
 }
@@ -64,10 +64,10 @@ ExprPtr mk_index(AstArena& arena, ExprPtr base, ExprPtr index) {
     return node;
 }
 
-StmtPtr mk_let(AstArena& arena, const std::string& name, bool is_mut, ExprPtr init,
+StmtPtr mk_let(AstArena& arena, std::string_view name, bool is_mut, ExprPtr init,
                std::optional<Type> declared) {
     auto node = arena.make<LetStmt>();
-    node->name = name;
+    node->name = arena.name(name);
     node->is_mut = is_mut;
     node->init = std::move(init);
     node->declared_type = std::move(declared);
@@ -193,7 +193,7 @@ int find_stmt(const Block& block, const std::function<bool(const Stmt&)>& pred,
     return -1;
 }
 
-const LetStmt* find_let_by_name(const Program& program, const std::string& name) {
+const LetStmt* find_let_by_name(const Program& program, std::string_view name) {
     const LetStmt* found = nullptr;
     WalkCallbacks callbacks;
     callbacks.on_stmt = [&](const Stmt& stmt, bool) {
@@ -206,7 +206,7 @@ const LetStmt* find_let_by_name(const Program& program, const std::string& name)
     return found;
 }
 
-bool stmt_mentions(const Stmt& stmt, const std::string& name) {
+bool stmt_mentions(const Stmt& stmt, std::string_view name) {
     bool found = false;
     WalkCallbacks callbacks;
     callbacks.on_expr = [&](const Expr& expr, bool) {
@@ -229,7 +229,7 @@ bool stmt_mentions(const Stmt& stmt, const std::string& name) {
     return found;
 }
 
-bool stmt_calls(const Stmt& stmt, const std::string& callee) {
+bool stmt_calls(const Stmt& stmt, std::string_view callee) {
     bool found = false;
     WalkCallbacks callbacks;
     callbacks.on_expr = [&](const Expr& expr, bool) {

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <optional>
+#include <string_view>
 
 #include "lang/ast.hpp"
 
@@ -17,16 +18,16 @@ namespace rustbrain::analysis {
 
 lang::ExprPtr mk_int(lang::AstArena& arena, std::uint64_t value);
 lang::ExprPtr mk_bool(lang::AstArena& arena, bool value);
-lang::ExprPtr mk_var(lang::AstArena& arena, const std::string& name);
+lang::ExprPtr mk_var(lang::AstArena& arena, std::string_view name);
 lang::ExprPtr mk_unary(lang::AstArena& arena, lang::UnaryOp op, lang::ExprPtr operand);
 lang::ExprPtr mk_binary(lang::AstArena& arena, lang::BinaryOp op, lang::ExprPtr lhs,
                         lang::ExprPtr rhs);
 lang::ExprPtr mk_cast(lang::AstArena& arena, lang::ExprPtr operand, lang::Type target);
-lang::ExprPtr mk_call(lang::AstArena& arena, const std::string& callee,
+lang::ExprPtr mk_call(lang::AstArena& arena, std::string_view callee,
                       lang::ExprList args);
 lang::ExprPtr mk_index(lang::AstArena& arena, lang::ExprPtr base, lang::ExprPtr index);
 
-lang::StmtPtr mk_let(lang::AstArena& arena, const std::string& name, bool is_mut,
+lang::StmtPtr mk_let(lang::AstArena& arena, std::string_view name, bool is_mut,
                      lang::ExprPtr init,
                      std::optional<lang::Type> declared = std::nullopt);
 lang::StmtPtr mk_assign(lang::AstArena& arena, lang::ExprPtr place, lang::ExprPtr value);
@@ -66,13 +67,13 @@ int find_stmt(const lang::Block& block,
 
 /// The LetStmt declaring `name` anywhere in the program, or nullptr.
 const lang::LetStmt* find_let_by_name(const lang::Program& program,
-                                      const std::string& name);
+                                      std::string_view name);
 
 /// True if the statement mentions variable `name` anywhere.
-bool stmt_mentions(const lang::Stmt& stmt, const std::string& name);
+bool stmt_mentions(const lang::Stmt& stmt, std::string_view name);
 
 /// True if the expr (sub)tree contains a direct call to `callee`.
-bool stmt_calls(const lang::Stmt& stmt, const std::string& callee);
+bool stmt_calls(const lang::Stmt& stmt, std::string_view callee);
 
 /// Move the statement at `from` so it ends up at index `to` (indices within
 /// the same block, interpreted before removal). Returns false on bad input.

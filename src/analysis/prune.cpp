@@ -1,6 +1,9 @@
 #include "analysis/prune.hpp"
 
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/walk.hpp"
 
@@ -11,7 +14,7 @@ using namespace lang;
 namespace {
 
 /// Does the expression mention any of the given names?
-bool mentions(const Expr& expr, const std::set<std::string>& names) {
+bool mentions(const Expr& expr, const std::set<std::string_view>& names) {
     bool found = false;
     WalkCallbacks callbacks;
     callbacks.on_expr = [&](const Expr& e, bool) {
@@ -28,17 +31,17 @@ bool mentions(const Expr& expr, const std::set<std::string>& names) {
     return found;
 }
 
-bool stmt_relevant(const Stmt& stmt, const std::set<std::string>& names);
+bool stmt_relevant(const Stmt& stmt, const std::set<std::string_view>& names);
 
 /// A block is relevant if any of its statements is.
-bool block_relevant(const Block& block, const std::set<std::string>& names) {
+bool block_relevant(const Block& block, const std::set<std::string_view>& names) {
     for (const auto& stmt : block.statements) {
         if (stmt_relevant(*stmt, names)) return true;
     }
     return false;
 }
 
-bool stmt_relevant(const Stmt& stmt, const std::set<std::string>& names) {
+bool stmt_relevant(const Stmt& stmt, const std::set<std::string_view>& names) {
     if (stmt.kind == StmtKind::Unsafe) {
         return true;  // Principle 1: unsafe regions are always kept.
     }
@@ -56,7 +59,7 @@ bool stmt_relevant(const Stmt& stmt, const std::set<std::string>& names) {
     return relevant;
 }
 
-Block prune_block(const Block& block, const std::set<std::string>& names,
+Block prune_block(const Block& block, const std::set<std::string_view>& names,
                   AstArena& arena) {
     Block out(arena);
     for (const auto& stmt : block.statements) {
@@ -69,7 +72,7 @@ Block prune_block(const Block& block, const std::set<std::string>& names,
                 const auto& node = static_cast<const IfStmt&>(*stmt);
                 auto pruned = arena.make<IfStmt>();
                 pruned->span = node.span;
-                pruned->condition = node.condition->clone(arena);
+                pruned->condition = clone(*node.condition, arena);
                 pruned->then_block = prune_block(node.then_block, names, arena);
                 if (node.else_block) {
                     pruned->else_block = prune_block(*node.else_block, names, arena);
@@ -81,7 +84,7 @@ Block prune_block(const Block& block, const std::set<std::string>& names,
                 const auto& node = static_cast<const WhileStmt&>(*stmt);
                 auto pruned = arena.make<WhileStmt>();
                 pruned->span = node.span;
-                pruned->condition = node.condition->clone(arena);
+                pruned->condition = clone(*node.condition, arena);
                 pruned->body = prune_block(node.body, names, arena);
                 out.statements.push_back(std::move(pruned));
                 break;
@@ -95,7 +98,7 @@ Block prune_block(const Block& block, const std::set<std::string>& names,
                 break;
             }
             default:
-                out.statements.push_back(stmt->clone(arena));
+                out.statements.push_back(clone(*stmt, arena));
                 break;
         }
     }
@@ -109,10 +112,10 @@ Program prune_ast(const Program& program, PruneStats* stats) {
     // close over definitions: a let whose init mentions a relevant name makes
     // the defined name relevant too (one backward pass is enough for the
     // mini-Rust shapes in the corpus; iterate to a fixpoint regardless).
-    std::set<std::string> names;
-    for (const auto& name : names_used_in_unsafe(program)) {
-        names.insert(name);
-    }
+    // Views of the seeds and of `program`'s names, both alive until the
+    // copy is made.
+    const std::vector<std::string> seeds = names_used_in_unsafe(program);
+    std::set<std::string_view> names(seeds.begin(), seeds.end());
     bool changed = true;
     while (changed) {
         changed = false;
@@ -150,9 +153,12 @@ Program prune_ast(const Program& program, PruneStats* stats) {
     }
     for (const auto& fn : program.functions) {
         FnItem copy(arena);
-        copy.name = fn.name;
+        copy.name = arena.name(fn.name);
         copy.is_unsafe = fn.is_unsafe;
-        copy.params.assign(fn.params.begin(), fn.params.end());
+        copy.params.reserve(fn.params.size());
+        for (const Param& param : fn.params) {
+            copy.params.push_back(Param{arena.name(param.name), param.type});
+        }
         copy.return_type = fn.return_type;
         copy.span = fn.span;
         if (fn.is_unsafe) {

@@ -40,7 +40,7 @@ void walk_program(const Program& program, const WalkCallbacks& callbacks) {
 }
 
 std::vector<std::string> names_used_in_unsafe(const Program& program) {
-    std::set<std::string> names;
+    std::set<std::string_view> names;
     WalkCallbacks callbacks;
     callbacks.on_expr = [&](const Expr& expr, bool in_unsafe) {
         if (!in_unsafe) return;

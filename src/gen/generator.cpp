@@ -122,8 +122,8 @@ void apply_plan(lang::Program& program, const MutationPlan& plan) {
     if (plan.helper && program.find_function(plan.helper_name) == nullptr) {
         using analysis::mk_binary;
         lang::FnItem helper(arena);
-        helper.name = plan.helper_name;
-        helper.params.push_back({"x", lang::Type::i64()});
+        helper.name = arena.name(plan.helper_name);
+        helper.params.push_back({arena.name("x"), lang::Type::i64()});
         helper.return_type = lang::Type::i64();
         helper.body.statements.push_back(analysis::mk_return(
             arena, mk_binary(arena, lang::BinaryOp::Add,

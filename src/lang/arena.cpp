@@ -1,6 +1,8 @@
 #include "lang/arena.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <new>
 
 namespace rustbrain::lang {
 
@@ -44,6 +46,8 @@ void ReleaseArena::operator()(AstArena* arena) const noexcept {
 }
 
 void* AstArena::allocate_slow(std::size_t bytes, std::size_t align) {
+    // No block can be this large, and the sums below must not wrap.
+    if (bytes > std::numeric_limits<std::size_t>::max() / 2) throw std::bad_alloc();
     const std::size_t header = round_up(sizeof(Chunk));
     const std::size_t need = header + round_up(bytes) + align;
     const std::size_t shared = next_block_;

@@ -4,22 +4,25 @@ namespace rustbrain::lang {
 
 namespace {
 
+/// A new node of `node`'s type in `arena` with its id and span, and its
+/// type for an expression.
 template <typename T>
 NodePtr<T> clone_base(const T& node, AstArena& arena) {
     auto out = arena.make<T>();
     out->id = node.id;
     out->span = node.span;
+    if constexpr (std::is_base_of_v<Expr, T>) out->type = node.type;
     return out;
 }
 
 ExprPtr clone_expr(const ExprPtr& expr, AstArena& arena) {
-    return expr ? expr->clone(arena) : nullptr;
+    return expr ? clone(*expr, arena) : nullptr;
 }
 
 void clone_exprs(const ExprList& exprs, ExprList& out, AstArena& arena) {
     out.reserve(exprs.size());
     for (const auto& expr : exprs) {
-        out.push_back(expr->clone(arena));
+        out.push_back(clone(*expr, arena));
     }
 }
 
@@ -29,172 +32,176 @@ void clone_exprs(const ExprList& exprs, ExprList& out, AstArena& arena) {
 // clone()
 // --------------------------------------------------------------------------
 
-ExprPtr IntLitExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->value = value;
-    return out;
-}
-
-ExprPtr BoolLitExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->value = value;
-    return out;
-}
-
-ExprPtr VarRefExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->name = name;
-    out->binding = binding;
-    return out;
-}
-
-ExprPtr UnaryExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->op = op;
-    out->operand = clone_expr(operand, arena);
-    return out;
-}
-
-ExprPtr BinaryExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->op = op;
-    out->lhs = clone_expr(lhs, arena);
-    out->rhs = clone_expr(rhs, arena);
-    return out;
-}
-
-ExprPtr CastExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->operand = clone_expr(operand, arena);
-    out->target = target;
-    return out;
-}
-
-ExprPtr IndexExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->base = clone_expr(base, arena);
-    out->index = clone_expr(index, arena);
-    return out;
-}
-
-ExprPtr CallExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->callee = callee;
-    clone_exprs(args, out->args, arena);
-    out->binding = binding;
-    return out;
-}
-
-ExprPtr CallPtrExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->callee = clone_expr(callee, arena);
-    clone_exprs(args, out->args, arena);
-    return out;
-}
-
-ExprPtr ArrayLitExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    clone_exprs(elements, out->elements, arena);
-    return out;
-}
-
-ExprPtr ArrayRepeatExpr::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->type = type;
-    out->element = clone_expr(element, arena);
-    out->count = count;
-    return out;
+ExprPtr clone(const Expr& expr, AstArena& arena) {
+    switch (expr.kind) {
+        case ExprKind::IntLit: {
+            const auto& node = static_cast<const IntLitExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->value = node.value;
+            return out;
+        }
+        case ExprKind::BoolLit: {
+            const auto& node = static_cast<const BoolLitExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->value = node.value;
+            return out;
+        }
+        case ExprKind::VarRef: {
+            const auto& node = static_cast<const VarRefExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->name = arena.name(node.name);
+            out->binding = node.binding;
+            return out;
+        }
+        case ExprKind::Unary: {
+            const auto& node = static_cast<const UnaryExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->op = node.op;
+            out->operand = clone_expr(node.operand, arena);
+            return out;
+        }
+        case ExprKind::Binary: {
+            const auto& node = static_cast<const BinaryExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->op = node.op;
+            out->lhs = clone_expr(node.lhs, arena);
+            out->rhs = clone_expr(node.rhs, arena);
+            return out;
+        }
+        case ExprKind::Cast: {
+            const auto& node = static_cast<const CastExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->operand = clone_expr(node.operand, arena);
+            out->target = node.target;
+            return out;
+        }
+        case ExprKind::Index: {
+            const auto& node = static_cast<const IndexExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->base = clone_expr(node.base, arena);
+            out->index = clone_expr(node.index, arena);
+            return out;
+        }
+        case ExprKind::Call: {
+            const auto& node = static_cast<const CallExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->callee = arena.name(node.callee);
+            clone_exprs(node.args, out->args, arena);
+            out->binding = node.binding;
+            return out;
+        }
+        case ExprKind::CallPtr: {
+            const auto& node = static_cast<const CallPtrExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->callee = clone_expr(node.callee, arena);
+            clone_exprs(node.args, out->args, arena);
+            return out;
+        }
+        case ExprKind::ArrayLit: {
+            const auto& node = static_cast<const ArrayLitExpr&>(expr);
+            auto out = clone_base(node, arena);
+            clone_exprs(node.elements, out->elements, arena);
+            return out;
+        }
+        case ExprKind::ArrayRepeat: {
+            const auto& node = static_cast<const ArrayRepeatExpr&>(expr);
+            auto out = clone_base(node, arena);
+            out->element = clone_expr(node.element, arena);
+            out->count = node.count;
+            return out;
+        }
+    }
+    return nullptr;
 }
 
 Block Block::clone(AstArena& arena) const {
     Block out(arena);
     out.statements.reserve(statements.size());
     for (const auto& stmt : statements) {
-        out.statements.push_back(stmt->clone(arena));
+        out.statements.push_back(lang::clone(*stmt, arena));
     }
     return out;
 }
 
-StmtPtr LetStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->name = name;
-    out->is_mut = is_mut;
-    out->declared_type = declared_type;
-    out->init = clone_expr(init, arena);
-    out->slot = slot;
-    return out;
-}
-
-StmtPtr AssignStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->place = clone_expr(place, arena);
-    out->value = clone_expr(value, arena);
-    return out;
-}
-
-StmtPtr ExprStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->expr = clone_expr(expr, arena);
-    return out;
-}
-
-StmtPtr IfStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->condition = clone_expr(condition, arena);
-    out->then_block = then_block.clone(arena);
-    if (else_block) {
-        out->else_block = else_block->clone(arena);
+StmtPtr clone(const Stmt& stmt, AstArena& arena) {
+    switch (stmt.kind) {
+        case StmtKind::Let: {
+            const auto& node = static_cast<const LetStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->name = arena.name(node.name);
+            out->is_mut = node.is_mut;
+            out->declared_type = node.declared_type;
+            out->init = clone_expr(node.init, arena);
+            out->slot = node.slot;
+            return out;
+        }
+        case StmtKind::Assign: {
+            const auto& node = static_cast<const AssignStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->place = clone_expr(node.place, arena);
+            out->value = clone_expr(node.value, arena);
+            return out;
+        }
+        case StmtKind::Expr: {
+            const auto& node = static_cast<const ExprStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->expr = clone_expr(node.expr, arena);
+            return out;
+        }
+        case StmtKind::If: {
+            const auto& node = static_cast<const IfStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->condition = clone_expr(node.condition, arena);
+            out->then_block = node.then_block.clone(arena);
+            if (node.else_block) {
+                out->else_block = node.else_block->clone(arena);
+            }
+            return out;
+        }
+        case StmtKind::While: {
+            const auto& node = static_cast<const WhileStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->condition = clone_expr(node.condition, arena);
+            out->body = node.body.clone(arena);
+            return out;
+        }
+        case StmtKind::Return: {
+            const auto& node = static_cast<const ReturnStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->value = clone_expr(node.value, arena);
+            return out;
+        }
+        case StmtKind::Block: {
+            const auto& node = static_cast<const BlockStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->block = node.block.clone(arena);
+            return out;
+        }
+        case StmtKind::Unsafe: {
+            const auto& node = static_cast<const UnsafeStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->block = node.block.clone(arena);
+            return out;
+        }
+        case StmtKind::Become: {
+            const auto& node = static_cast<const BecomeStmt&>(stmt);
+            auto out = clone_base(node, arena);
+            out->callee = clone_expr(node.callee, arena);
+            clone_exprs(node.args, out->args, arena);
+            return out;
+        }
     }
-    return out;
-}
-
-StmtPtr WhileStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->condition = clone_expr(condition, arena);
-    out->body = body.clone(arena);
-    return out;
-}
-
-StmtPtr ReturnStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->value = clone_expr(value, arena);
-    return out;
-}
-
-StmtPtr BlockStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->block = block.clone(arena);
-    return out;
-}
-
-StmtPtr UnsafeStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->block = block.clone(arena);
-    return out;
-}
-
-StmtPtr BecomeStmt::clone(AstArena& arena) const {
-    auto out = clone_base(*this, arena);
-    out->callee = clone_expr(callee, arena);
-    clone_exprs(args, out->args, arena);
-    return out;
+    return nullptr;
 }
 
 FnItem FnItem::clone(AstArena& arena) const {
     FnItem out(arena);
-    out.name = name;
+    out.name = arena.name(name);
     out.is_unsafe = is_unsafe;
-    out.params.assign(params.begin(), params.end());
+    out.params.reserve(params.size());
+    for (const Param& param : params) {
+        out.params.push_back(Param{arena.name(param.name), param.type});
+    }
     out.return_type = return_type;
     out.body = body.clone(arena);
     out.id = id;
@@ -236,7 +243,7 @@ std::string FnItem::fn_type_spelling() const {
 
 StaticItem StaticItem::clone(AstArena& arena) const {
     StaticItem out;
-    out.name = name;
+    out.name = arena.name(name);
     out.is_mut = is_mut;
     out.type = type;
     out.init = clone_expr(init, arena);
@@ -264,18 +271,6 @@ Program::Program(std::size_t arena_bytes)
       functions(*arena_),
       statics(*arena_) {}
 
-Program& Program::operator=(Program&& other) noexcept {
-    if (this != &other) {
-        // The old nodes die with `old`, before the arena that holds them.
-        Program old(std::move(*this));
-        arena_ = std::move(other.arena_);
-        type_pool = std::move(other.type_pool);
-        functions = std::move(other.functions);
-        statics = std::move(other.statics);
-    }
-    return *this;
-}
-
 Program Program::clone() const {
     // The copy needs what the original used, less the growth of lists.
     Program out(arena_->bytes_used());
@@ -292,21 +287,21 @@ Program Program::clone() const {
     return out;
 }
 
-const FnItem* Program::find_function(const std::string& name) const {
+const FnItem* Program::find_function(std::string_view name) const {
     for (const auto& fn : functions) {
         if (fn.name == name) return &fn;
     }
     return nullptr;
 }
 
-FnItem* Program::find_function(const std::string& name) {
+FnItem* Program::find_function(std::string_view name) {
     for (auto& fn : functions) {
         if (fn.name == name) return &fn;
     }
     return nullptr;
 }
 
-const StaticItem* Program::find_static(const std::string& name) const {
+const StaticItem* Program::find_static(std::string_view name) const {
     for (const auto& item : statics) {
         if (item.name == name) return &item;
     }

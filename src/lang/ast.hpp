@@ -1,15 +1,19 @@
 // mini-Rust abstract syntax tree.
 //
-// Nodes are a polymorphic hierarchy. Every node and child list lives in the
-// bump arena of the program that made it (lang/arena.hpp, DESIGN.md §21):
-// ExprPtr and StmtPtr own a node without owning its memory. Every node can
-// deep-clone itself into an arena (repair agents patch clones, the rollback
-// agent snapshots whole programs) and supports structural equality (used by
-// tests and by the knowledge base to deduplicate exemplars). Node ids are assigned by
-// Program::renumber() and are stable for a given tree shape, which the
-// pruning algorithm and patch rules use to address nodes. The type checker
-// writes each expression's type and each name's Binding onto the nodes;
-// every MiriLite tier reads both and runs only type-checked trees.
+// Nodes are tagged plain structs: each Expr and Stmt carries its kind, and
+// every per-kind walk switches on it (DESIGN.md §3). Every node, child list
+// and name lives in the bump arena of the program that made it
+// (lang/arena.hpp, DESIGN.md §21), and no node owns anything: the list at
+// the end of this file asserts each one trivially destructible, so
+// dropping a program frees its arena's blocks and visits no node. clone()
+// deep-copies a subtree into an arena (repair agents patch clones, the
+// rollback agent snapshots whole programs), and equals() compares two
+// structurally (used by tests and by the knowledge base to deduplicate
+// exemplars). Node ids are assigned by Program::renumber() and are stable
+// for a given tree shape, which the pruning algorithm and patch rules use
+// to address nodes. The type checker writes each expression's type and
+// each name's Binding onto the nodes; every MiriLite tier reads both and
+// runs only type-checked trees.
 //
 // The child order (DESIGN.md §3) is written down once, in for_each_child:
 // source order, e.g. a Binary's lhs then rhs, an If's condition, then-block,
@@ -25,9 +29,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
-#include <unordered_map>
-#include <vector>
 
 #include "lang/arena.hpp"
 #include "lang/type.hpp"
@@ -68,11 +71,8 @@ enum class BinaryOp {
 
 struct Expr {
     explicit Expr(ExprKind k) : kind(k) {}
-    virtual ~Expr() = default;
     Expr(const Expr&) = delete;
     Expr& operator=(const Expr&) = delete;
-
-    [[nodiscard]] virtual NodePtr<Expr> clone(AstArena& arena) const = 0;
 
     ExprKind kind;
     NodeId id = kInvalidNodeId;
@@ -105,30 +105,26 @@ struct Binding {
 
 struct IntLitExpr final : Expr {
     IntLitExpr() : Expr(ExprKind::IntLit) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     std::uint64_t value = 0;
 };
 
 struct BoolLitExpr final : Expr {
     BoolLitExpr() : Expr(ExprKind::BoolLit) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     bool value = false;
 };
 
 struct VarRefExpr final : Expr {
     VarRefExpr() : Expr(ExprKind::VarRef) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
-    std::string name;
+    Name name;
     /// Local, Static or Function.
     Binding binding;
 };
 
 struct UnaryExpr final : Expr {
     UnaryExpr() : Expr(ExprKind::Unary) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     UnaryOp op = UnaryOp::Neg;
     ExprPtr operand;
@@ -136,7 +132,6 @@ struct UnaryExpr final : Expr {
 
 struct BinaryExpr final : Expr {
     BinaryExpr() : Expr(ExprKind::Binary) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     BinaryOp op = BinaryOp::Add;
     ExprPtr lhs;
@@ -145,7 +140,6 @@ struct BinaryExpr final : Expr {
 
 struct CastExpr final : Expr {
     CastExpr() : Expr(ExprKind::Cast) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr operand;
     Type target;
@@ -153,7 +147,6 @@ struct CastExpr final : Expr {
 
 struct IndexExpr final : Expr {
     IndexExpr() : Expr(ExprKind::Index) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr base;
     ExprPtr index;
@@ -161,9 +154,8 @@ struct IndexExpr final : Expr {
 
 struct CallExpr final : Expr {
     explicit CallExpr(AstArena& arena) : Expr(ExprKind::Call), args(arena) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
-    std::string callee;
+    Name callee;
     ExprList args;
     /// Intrinsic, Local (a fn-pointer local) or Function.
     Binding binding;
@@ -171,7 +163,6 @@ struct CallExpr final : Expr {
 
 struct CallPtrExpr final : Expr {
     explicit CallPtrExpr(AstArena& arena) : Expr(ExprKind::CallPtr), args(arena) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr callee;
     ExprList args;
@@ -180,14 +171,12 @@ struct CallPtrExpr final : Expr {
 struct ArrayLitExpr final : Expr {
     explicit ArrayLitExpr(AstArena& arena)
         : Expr(ExprKind::ArrayLit), elements(arena) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprList elements;
 };
 
 struct ArrayRepeatExpr final : Expr {
     ArrayRepeatExpr() : Expr(ExprKind::ArrayRepeat) {}
-    [[nodiscard]] ExprPtr clone(AstArena& arena) const override;
 
     ExprPtr element;
     std::uint64_t count = 0;
@@ -224,11 +213,8 @@ struct Block {
 
 struct Stmt {
     explicit Stmt(StmtKind k) : kind(k) {}
-    virtual ~Stmt() = default;
     Stmt(const Stmt&) = delete;
     Stmt& operator=(const Stmt&) = delete;
-
-    [[nodiscard]] virtual StmtPtr clone(AstArena& arena) const = 0;
 
     StmtKind kind;
     NodeId id = kInvalidNodeId;
@@ -237,9 +223,8 @@ struct Stmt {
 
 struct LetStmt final : Stmt {
     LetStmt() : Stmt(StmtKind::Let) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
-    std::string name;
+    Name name;
     bool is_mut = false;
     std::optional<Type> declared_type;
     ExprPtr init;  // always present (mini-Rust requires initialization)
@@ -249,7 +234,6 @@ struct LetStmt final : Stmt {
 
 struct AssignStmt final : Stmt {
     AssignStmt() : Stmt(StmtKind::Assign) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr place;
     ExprPtr value;
@@ -257,14 +241,12 @@ struct AssignStmt final : Stmt {
 
 struct ExprStmt final : Stmt {
     ExprStmt() : Stmt(StmtKind::Expr) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr expr;
 };
 
 struct IfStmt final : Stmt {
     explicit IfStmt(AstArena& arena) : Stmt(StmtKind::If), then_block(arena) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr condition;
     Block then_block;
@@ -273,7 +255,6 @@ struct IfStmt final : Stmt {
 
 struct WhileStmt final : Stmt {
     explicit WhileStmt(AstArena& arena) : Stmt(StmtKind::While), body(arena) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr condition;
     Block body;
@@ -281,21 +262,18 @@ struct WhileStmt final : Stmt {
 
 struct ReturnStmt final : Stmt {
     ReturnStmt() : Stmt(StmtKind::Return) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr value;  // null for `return;`
 };
 
 struct BlockStmt final : Stmt {
     explicit BlockStmt(AstArena& arena) : Stmt(StmtKind::Block), block(arena) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     Block block;
 };
 
 struct UnsafeStmt final : Stmt {
     explicit UnsafeStmt(AstArena& arena) : Stmt(StmtKind::Unsafe), block(arena) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     Block block;
 };
@@ -304,7 +282,6 @@ struct UnsafeStmt final : Stmt {
 /// category exercises signature mismatches through fn pointers here).
 struct BecomeStmt final : Stmt {
     explicit BecomeStmt(AstArena& arena) : Stmt(StmtKind::Become), args(arena) {}
-    [[nodiscard]] StmtPtr clone(AstArena& arena) const override;
 
     ExprPtr callee;  // VarRef to a function or a fn-pointer-typed expression
     ExprList args;
@@ -443,6 +420,12 @@ std::enable_if_t<std::is_same_v<std::remove_const_t<S>, Stmt>> for_each_child(
     }
 }
 
+/// A deep copy of `expr` in `arena`, ids, spans, types and bindings
+/// included; names are copied into `arena` too.
+[[nodiscard]] ExprPtr clone(const Expr& expr, AstArena& arena);
+/// A deep copy of `stmt` in `arena`, as for an Expr.
+[[nodiscard]] StmtPtr clone(const Stmt& stmt, AstArena& arena);
+
 /// One visitor out of several lambdas, e.g. one for expressions and one for
 /// blocks: `for_each_child(stmt, Overload{on_expr, on_block})`.
 template <typename... Fs>
@@ -457,14 +440,14 @@ Overload(Fs...) -> Overload<Fs...>;
 // ---------------------------------------------------------------------------
 
 struct Param {
-    std::string name;
+    Name name;
     Type type;
 };
 
 struct FnItem {
     explicit FnItem(AstArena& arena) : params(arena), body(arena) {}
 
-    std::string name;
+    Name name;
     bool is_unsafe = false;
     ArenaVector<Param> params;
     Type return_type = Type::unit();
@@ -485,7 +468,7 @@ struct FnItem {
 };
 
 struct StaticItem {
-    std::string name;
+    Name name;
     bool is_mut = false;
     Type type;
     ExprPtr init;  // literals and arrays of them, no names (type checker)
@@ -503,21 +486,19 @@ class Program {
     /// `Program(0)` costs one small allocation for a program that stays
     /// empty.
     explicit Program(std::size_t arena_bytes);
-    /// Takes `other`'s arena along with its nodes. A moved-from program
-    /// has no arena and its lists still point into the new owner's, so it
-    /// may only be destroyed or assigned to.
+    /// Takes `other`'s arena, nodes and type pool; `other` is left empty
+    /// with no arena, to be destroyed or assigned to.
     Program(Program&&) noexcept = default;
-    Program& operator=(Program&& other) noexcept;
+    Program& operator=(Program&&) noexcept = default;
 
   private:
-    /// Holds every node and list below (DESIGN.md §21); declared first so
-    /// it outlives them.
+    /// Holds every node, list and name of this program (DESIGN.md §21);
+    /// declared first, as the lists below are made from it.
     ArenaHandle arena_;
 
   public:
     /// Owns the composite types this program's nodes name (DESIGN.md §18).
-    /// Clones share it, and it is declared before the items so it outlives
-    /// the nodes. Null until the first composite type is interned.
+    /// Clones share it. Null until the first composite type is interned.
     std::shared_ptr<TypePool> type_pool;
     ArenaVector<FnItem> functions;
     ArenaVector<StaticItem> statics;
@@ -538,9 +519,9 @@ class Program {
     /// The program's type pool, made on first use.
     TypePool& types();
 
-    [[nodiscard]] const FnItem* find_function(const std::string& name) const;
-    [[nodiscard]] FnItem* find_function(const std::string& name);
-    [[nodiscard]] const StaticItem* find_static(const std::string& name) const;
+    [[nodiscard]] const FnItem* find_function(std::string_view name) const;
+    [[nodiscard]] FnItem* find_function(std::string_view name);
+    [[nodiscard]] const StaticItem* find_static(std::string_view name) const;
 
     /// Reassign node ids in deterministic pre-order, starting at 1.
     /// Returns the number of nodes.
@@ -561,5 +542,23 @@ const char* expr_kind_name(ExprKind kind);
 const char* stmt_kind_name(StmtKind kind);
 const char* unary_op_name(UnaryOp op);    // surface syntax, e.g. "&mut "
 const char* binary_op_name(BinaryOp op);  // surface syntax, e.g. "+"
+
+// Nodes own nothing (DESIGN.md §21): a program's teardown frees its arena's
+// blocks and runs no destructor per node, so a member that owns memory (a
+// std::string, a std::vector, a std::unique_ptr) must not compile here.
+template <typename... T>
+inline constexpr bool kOwnNothing = (std::is_trivially_destructible_v<T> && ...);
+static_assert(kOwnNothing<Expr, IntLitExpr, BoolLitExpr, VarRefExpr, UnaryExpr, BinaryExpr,
+                          CastExpr, IndexExpr, CallExpr, CallPtrExpr, ArrayLitExpr,
+                          ArrayRepeatExpr>,
+              "every expression node is plain data");
+static_assert(kOwnNothing<Stmt, LetStmt, AssignStmt, ExprStmt, IfStmt, WhileStmt, ReturnStmt,
+                          BlockStmt, UnsafeStmt, BecomeStmt, Block>,
+              "every statement node is plain data");
+static_assert(kOwnNothing<Param, FnItem, StaticItem>, "every item is plain data");
+static_assert(kOwnNothing<Name, ExprPtr, StmtPtr, ExprList, StmtList, ArenaVector<Param>,
+                          ArenaVector<FnItem>, ArenaVector<StaticItem>>,
+              "names, handles and lists own nothing");
+static_assert(std::is_trivially_copyable_v<Name>, "a Name is a view");
 
 }  // namespace rustbrain::lang

@@ -125,18 +125,10 @@ void Parser::take(std::vector<T>& stack, std::size_t base, ArenaVector<T>& out) 
     stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(base), stack.end());
 }
 
-namespace {
-
-/// The first arena block of a program parsed from `source_bytes` of text.
-/// The standard and forged corpora take 7 to 11 bytes of nodes per source
-/// byte (p10 to p99, median 8). A cached program keeps its slack for as
-/// long as it lives, so the block is sized at the median and what
-/// overflows goes to small later blocks, rather than sizing for p99.
 std::size_t arena_bytes_for(std::size_t source_bytes) {
-    return std::clamp<std::size_t>(source_bytes * 8, 256, AstArena::kMaxBlockBytes);
+    return std::clamp<std::size_t>(source_bytes * kArenaBytesPerSourceByte, 256,
+                                   AstArena::kMaxBlockBytes);
 }
-
-}  // namespace
 
 Program Parser::parse_program() {
     const std::size_t errors_before = diagnostics_.error_count();
@@ -176,8 +168,8 @@ Program Parser::parse_pass() {
     Program program(arena_bytes_for(source_.size()));
     arena_ = &program.arena();
     {
-        // What is left on the stacks lives in `program`'s arena: drop it
-        // while the arena is still there.
+        // Leave the stacks empty however the pass ends, an exception
+        // included.
         struct Reset {
             Stacks& stacks;
             ~Reset() { stacks.clear(); }
@@ -226,7 +218,7 @@ void Parser::parse_items(Program& program) {
 FnItem Parser::parse_fn(bool is_unsafe) {
     FnItem fn(*arena_);
     fn.is_unsafe = is_unsafe;
-    fn.name = std::string(peek().text);
+    fn.name = arena_->name(peek().text);
     fn.span = peek().span;
     expect(TokenKind::Identifier, "after 'fn'");
 
@@ -234,7 +226,7 @@ FnItem Parser::parse_fn(bool is_unsafe) {
     if (!check(TokenKind::RParen)) {
         do {
             Param param;
-            param.name = std::string(peek().text);
+            param.name = arena_->name(peek().text);
             expect(TokenKind::Identifier, "parameter name");
             expect(TokenKind::Colon, "after parameter name");
             param.type = parse_type();
@@ -258,7 +250,7 @@ StaticItem Parser::parse_static() {
     item.span = peek().span;
     expect(TokenKind::KwStatic, "item");
     item.is_mut = match(TokenKind::KwMut);
-    item.name = std::string(peek().text);
+    item.name = arena_->name(peek().text);
     expect(TokenKind::Identifier, "static name");
     expect(TokenKind::Colon, "after static name");
     item.type = parse_type();
@@ -389,7 +381,7 @@ StmtPtr Parser::parse_let() {
     stmt->span = peek().span;
     expect(TokenKind::KwLet, "statement");
     stmt->is_mut = match(TokenKind::KwMut);
-    stmt->name = std::string(peek().text);
+    stmt->name = arena_->name(peek().text);
     expect(TokenKind::Identifier, "after 'let'");
     if (match(TokenKind::Colon)) {
         stmt->declared_type = parse_type();
@@ -451,7 +443,7 @@ StmtPtr Parser::parse_become() {
     // The callee is a primary expression (identifier or parenthesized value),
     // followed by mandatory call arguments.
     auto callee = arena_->make<VarRefExpr>();
-    callee->name = std::string(peek().text);
+    callee->name = arena_->name(peek().text);
     callee->span = peek().span;
     expect(TokenKind::Identifier, "after 'become'");
     stmt->callee = std::move(callee);
@@ -655,14 +647,14 @@ ExprPtr Parser::parse_primary() {
                 advance();
                 auto node = arena_->make<CallExpr>();
                 node->span = token.span;
-                node->callee = std::string(token.text);
+                node->callee = arena_->name(token.text);
                 parse_call_args(node->args);
                 ++height_;
                 return node;
             }
             auto node = arena_->make<VarRefExpr>();
             node->span = token.span;
-            node->name = std::string(token.text);
+            node->name = arena_->name(token.text);
             return node;
         }
         case TokenKind::LParen: {

@@ -35,6 +35,17 @@ inline constexpr std::size_t kMaxNesting = 256;
 /// lexical ones included, pass this many.
 inline constexpr std::size_t kMaxParseErrors = 20;
 
+/// Arena bytes a parse reserves per source byte. The standard corpus and
+/// the seed-7 and seed-42 forges take 5.7 to 9.9 bytes of nodes, lists and
+/// names per source byte (p10 to p99, forge median 6.5, mean 6.6). A cached
+/// program keeps its slack for as long as it lives, so the first block is
+/// sized a little above the median and what overflows goes to small later
+/// blocks, rather than sizing for p99 (DESIGN.md §21).
+inline constexpr std::size_t kArenaBytesPerSourceByte = 7;
+
+/// The first arena block of a program parsed from `source_bytes` of text.
+std::size_t arena_bytes_for(std::size_t source_bytes);
+
 /// Pulls tokens from a Lexer through a two-token window (the grammar never
 /// looks past peek(1)) and builds the program's nodes in its arena.
 ///

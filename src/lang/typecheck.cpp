@@ -34,14 +34,14 @@ const std::vector<IntrinsicInfo>& intrinsic_table() {
     return table;
 }
 
-IntrinsicId intrinsic_id(const std::string& name) {
+IntrinsicId intrinsic_id(std::string_view name) {
     for (const auto& info : intrinsic_table()) {
         if (info.name == name) return info.id;
     }
     return IntrinsicId::Unknown;
 }
 
-bool is_intrinsic(const std::string& name) {
+bool is_intrinsic(std::string_view name) {
     return intrinsic_id(name) != IntrinsicId::Unknown;
 }
 
@@ -97,14 +97,14 @@ void TypeChecker::report_duplicates(
     }
 }
 
-const FnItem* TypeChecker::find_function(const std::string& name) const {
+const FnItem* TypeChecker::find_function(std::string_view name) const {
     const auto it = function_index_.find(name);
     if (it == function_index_.end()) return nullptr;
     ++items_probed_;
     return &program_->functions[it->second];
 }
 
-const StaticItem* TypeChecker::find_static(const std::string& name) const {
+const StaticItem* TypeChecker::find_static(std::string_view name) const {
     const auto it = static_index_.find(name);
     if (it == static_index_.end()) return nullptr;
     ++items_probed_;
@@ -184,7 +184,7 @@ void TypeChecker::check_function(FnItem& fn) {
     current_fn_ = nullptr;
 }
 
-std::int32_t TypeChecker::declare_local(const std::string& name, Type type,
+std::int32_t TypeChecker::declare_local(std::string_view name, Type type,
                                         bool is_mut) {
     // Shadowing is allowed (like Rust): later declarations win on lookup.
     // Every binding gets a fresh slot, so a shadowed one stays live (and
@@ -193,7 +193,7 @@ std::int32_t TypeChecker::declare_local(const std::string& name, Type type,
     return next_slot_++;
 }
 
-const TypeChecker::LocalVar* TypeChecker::lookup_local(const std::string& name) const {
+const TypeChecker::LocalVar* TypeChecker::lookup_local(std::string_view name) const {
     for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
         for (auto local = scope->locals.rbegin(); local != scope->locals.rend();
              ++local) {
@@ -778,7 +778,7 @@ Type TypeChecker::check_intrinsic(CallExpr& expr) {
         return i < expr.args.size() ? check_expr(*expr.args[i], expected) : Type::unit();
     };
 
-    const std::string& name = expr.callee;
+    const Name name = expr.callee;
     if (name == "alloc") {
         const Type size = arg_type(0, Type::usize());
         const Type align = arg_type(1, Type::usize());

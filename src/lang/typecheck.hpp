@@ -54,9 +54,9 @@ struct IntrinsicInfo {
 
 /// True if `name` is one of the built-in intrinsics (alloc, dealloc, offset,
 /// print_int, ...).
-bool is_intrinsic(const std::string& name);
+bool is_intrinsic(std::string_view name);
 /// The intrinsic called `name`, or IntrinsicId::Unknown.
-IntrinsicId intrinsic_id(const std::string& name);
+IntrinsicId intrinsic_id(std::string_view name);
 const std::vector<IntrinsicInfo>& intrinsic_table();
 
 class TypeChecker {
@@ -73,7 +73,8 @@ class TypeChecker {
 
   private:
     struct LocalVar {
-        std::string name;
+        /// A view of the declaring node's name, in the checked program.
+        std::string_view name;
         Type type;
         bool is_mut = false;
         std::int32_t slot = -1;
@@ -87,8 +88,8 @@ class TypeChecker {
     void push_scope() { scopes_.emplace_back(); }
     void pop_scope() { scopes_.pop_back(); }
     /// Declares a local in the innermost scope; returns its fresh slot.
-    std::int32_t declare_local(const std::string& name, Type type, bool is_mut);
-    [[nodiscard]] const LocalVar* lookup_local(const std::string& name) const;
+    std::int32_t declare_local(std::string_view name, Type type, bool is_mut);
+    [[nodiscard]] const LocalVar* lookup_local(std::string_view name) const;
 
     // Items ------------------------------------------------------------
     /// "duplicate <kind> 'name'" at each later copy of a name; fills
@@ -98,8 +99,8 @@ class TypeChecker {
         const ArenaVector<Item>& items, const char* kind,
         std::unordered_map<std::string_view, std::size_t>& first_index);
     /// The first function / static called `name`, or null.
-    const FnItem* find_function(const std::string& name) const;
-    const StaticItem* find_static(const std::string& name) const;
+    const FnItem* find_function(std::string_view name) const;
+    const StaticItem* find_static(std::string_view name) const;
     void check_function(FnItem& fn);
     void check_static(StaticItem& item);
 

@@ -141,7 +141,7 @@ std::optional<MutationKind> mutate_program(Program& program, support::Rng& rng) 
                 // calls/assignments is where the damage is.
                 block->statements.insert(
                     block->statements.begin() + static_cast<std::ptrdiff_t>(index),
-                    block->statements[index]->clone(program.arena()));
+                    clone(*block->statements[index], program.arena()));
                 return kind;
             }
             case MutationKind::FlipComparison: {

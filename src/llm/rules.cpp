@@ -60,7 +60,7 @@ const lang::CallExpr* stmt_as_call(const lang::Stmt& stmt,
 
 std::string var_name(const lang::Expr& expr) {
     if (expr.kind != lang::ExprKind::VarRef) return "";
-    return static_cast<const lang::VarRefExpr&>(expr).name;
+    return std::string(static_cast<const lang::VarRefExpr&>(expr).name);
 }
 
 const lang::Expr& strip_casts(const lang::Expr& expr) {

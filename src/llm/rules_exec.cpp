@@ -88,7 +88,7 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
             }
         };
         walk_program(input, assign_scan);
-        if (!is_handle) shared.push_back(item.name);
+        if (!is_handle) shared.emplace_back(item.name);
     }
     if (shared.empty()) return std::nullopt;
 
@@ -140,7 +140,7 @@ MaybeProgram atomicize_shared_access(const Program& input, const miri::Finding&)
                 if ((unary.op == UnaryOp::AddrOf ||
                      unary.op == UnaryOp::AddrOfMut) &&
                     var_name(*unary.operand) == name) {
-                    return expr.clone(arena);
+                    return clone(expr, arena);
                 }
             }
             if (var_name(expr) != name) return std::nullopt;
@@ -281,7 +281,7 @@ MaybeProgram balance_mutex_lock(const Program& input, const miri::Finding&) {
                 equals(*previous->args[0], *lock->args[0])) {
                 // Re-lock without an unlock in between: insert the unlock.
                 ExprList args(arena);
-                args.push_back(lock->args[0]->clone(arena));
+                args.push_back(clone(*lock->args[0], arena));
                 block.statements.insert(
                     block.statements.begin() + static_cast<std::ptrdiff_t>(i),
                     mk_expr_stmt(arena, mk_call(arena, "mutex_unlock", std::move(args))));
@@ -332,9 +332,9 @@ MaybeProgram fix_fnptr_cast_sig(const Program& input, const miri::Finding&) {
         const std::size_t want = correct_sig.fn_params().size();
         if (call.args.size() == want) return std::nullopt;
         auto patched = arena.make<CallExpr>();
-        patched->callee = call.callee;
+        patched->callee = arena.name(call.callee);
         for (std::size_t i = 0; i < want; ++i) {
-            patched->args.push_back(i < call.args.size() ? call.args[i]->clone(arena)
+            patched->args.push_back(i < call.args.size() ? clone(*call.args[i], arena)
                                                          : mk_int(arena, 0));
         }
         return ExprPtr(std::move(patched));
@@ -373,17 +373,17 @@ MaybeProgram direct_call_replace(const Program& input, const miri::Finding&) {
                 target = unique;
             }
             if (target == nullptr) continue;
-            const std::string handle = let->name;
-            const std::string fn_name = target->name;
+            const std::string handle(let->name);
+            const std::string fn_name(target->name);
             const int rewrites = rewrite_exprs(
                 program, [&](const Expr& expr) -> std::optional<ExprPtr> {
                     if (expr.kind != ExprKind::Call) return std::nullopt;
                     const auto& call = static_cast<const CallExpr&>(expr);
                     if (call.callee != handle) return std::nullopt;
                     auto direct = arena.make<CallExpr>();
-                    direct->callee = fn_name;
+                    direct->callee = arena.name(fn_name);
                     for (const auto& arg : call.args) {
-                        direct->args.push_back(arg->clone(arena));
+                        direct->args.push_back(clone(*arg, arena));
                     }
                     return ExprPtr(std::move(direct));
                 });
@@ -417,9 +417,9 @@ MaybeProgram become_to_return_call(const Program& input, const miri::Finding&) {
                     if (target != nullptr) {
                         // Direct become: keep callee and arguments.
                         auto direct = arena.make<CallExpr>();
-                        direct->callee = callee_name;
+                        direct->callee = arena.name(callee_name);
                         for (auto& arg : become.args) {
-                            direct->args.push_back(arg->clone(arena));
+                            direct->args.push_back(clone(*arg, arena));
                         }
                         call = std::move(direct);
                     } else {
@@ -449,7 +449,7 @@ MaybeProgram become_to_return_call(const Program& input, const miri::Finding&) {
                         // Arguments: map target params to the enclosing fn's
                         // params by position, pad with zeros.
                         auto direct = arena.make<CallExpr>();
-                        direct->callee = origin->name;
+                        direct->callee = arena.name(origin->name);
                         for (std::size_t i = 0; i < origin->params.size(); ++i) {
                             if (i < fn.params.size() &&
                                 fn.params[i].type == origin->params[i].type) {
@@ -503,7 +503,7 @@ MaybeProgram valid_bool_compare(const Program& input, const miri::Finding&) {
                 return std::nullopt;
             }
             return mk_binary(arena, BinaryOp::Ne,
-                             mk_unary(arena, UnaryOp::Deref, cast.operand->clone(arena)),
+                             mk_unary(arena, UnaryOp::Deref, clone(*cast.operand, arena)),
                              mk_int(arena, 0));
         });
     if (rewrites == 0) return std::nullopt;
@@ -548,8 +548,8 @@ MaybeProgram element_offset(const Program& input, const miri::Finding&) {
                         wide_cast.target.element() == wide) {
                         // Pattern A: offset the wide-typed pointer instead.
                         ExprList args(arena);
-                        args.push_back(base_cast.operand->clone(arena));
-                        args.push_back(call.args[1]->clone(arena));
+                        args.push_back(clone(*base_cast.operand, arena));
+                        args.push_back(clone(*call.args[1], arena));
                         let.init = mk_call(arena, "offset", std::move(args));
                         changed = true;
                         return true;
@@ -564,7 +564,7 @@ MaybeProgram element_offset(const Program& input, const miri::Finding&) {
                 const auto k = static_cast<const IntLitExpr&>(*call.args[1]).value;
                 if (k % wide.size_bytes() != 0) {
                     ExprList args(arena);
-                    args.push_back(call.args[0]->clone(arena));
+                    args.push_back(clone(*call.args[0], arena));
                     args.push_back(mk_int(arena, k * wide.size_bytes()));
                     let.init = mk_cast(arena, mk_call(arena, "offset", std::move(args)),
                                        cast.target);

@@ -101,8 +101,8 @@ MaybeProgram match_dealloc_layout(const Program& input, const miri::Finding&) {
             const CallExpr& layout = alloc_call(*alloc_let);
             if (!equals(*call.args[1], *layout.args[0]) ||
                 !equals(*call.args[2], *layout.args[1])) {
-                call.args[1] = layout.args[0]->clone(arena);
-                call.args[2] = layout.args[1]->clone(arena);
+                call.args[1] = clone(*layout.args[0], arena);
+                call.args[2] = clone(*layout.args[1], arena);
                 changed = true;
             }
         }
@@ -132,7 +132,7 @@ MaybeProgram insert_missing_dealloc(const Program& input, const miri::Finding&) 
     Program program = input.clone();
     AstArena& arena = program.arena();
     const CallExpr& layout = alloc_call(*alloc_let);
-    const std::string name = alloc_let->name;
+    const std::string name(alloc_let->name);
     bool changed = false;
     for_each_block(program, [&](Block& block) {
         const int index = find_stmt(block, [&](const Stmt& stmt) {
@@ -144,8 +144,8 @@ MaybeProgram insert_missing_dealloc(const Program& input, const miri::Finding&) 
         if (index < 0) return false;
         ExprList args(arena);
         args.push_back(mk_var(arena, name));
-        args.push_back(layout.args[0]->clone(arena));
-        args.push_back(layout.args[1]->clone(arena));
+        args.push_back(clone(*layout.args[0], arena));
+        args.push_back(clone(*layout.args[1], arena));
         block.statements.push_back(
             mk_expr_stmt(arena, mk_call(arena, "dealloc", std::move(args))));
         changed = true;
@@ -401,7 +401,7 @@ MaybeProgram widen_to_i64(const Program& input, const miri::Finding&) {
         if (!(cast.target == Type::i32())) return std::nullopt;
         if (cast.operand->kind == ExprKind::Call &&
             static_cast<const CallExpr&>(*cast.operand).callee == "input") {
-            return cast.operand->clone(arena);
+            return clone(*cast.operand, arena);
         }
         return std::nullopt;
     });
@@ -414,7 +414,7 @@ MaybeProgram widen_to_i64(const Program& input, const miri::Finding&) {
         const auto& binary = static_cast<const BinaryExpr&>(*cast.operand);
         if (binary.lhs->kind == ExprKind::VarRef &&
             binary.rhs->kind == ExprKind::VarRef) {
-            return cast.operand->clone(arena);
+            return clone(*cast.operand, arena);
         }
         return std::nullopt;
     });
@@ -441,7 +441,7 @@ MaybeProgram use_direct_pointer(const Program& input, const miri::Finding&) {
         if (!inner.target.is_raw_ptr()) return;
         if (addr_of_target(*inner.operand).empty()) return;
         addr_var = let->name;
-        direct = outer.operand->clone(arena);
+        direct = clone(*outer.operand, arena);
     };
     walk_program(program, scan);
     if (addr_var.empty()) return std::nullopt;
@@ -455,7 +455,7 @@ MaybeProgram use_direct_pointer(const Program& input, const miri::Finding&) {
             auto& cast = static_cast<CastExpr&>(*let.init);
             if (!cast.target.is_raw_ptr()) continue;
             if (var_name(*cast.operand) != addr_var) continue;
-            let.init = direct->clone(arena);
+            let.init = clone(*direct, arena);
             rewired = true;
         }
         return false;
@@ -519,7 +519,7 @@ MaybeProgram repair_loop_bounds(const Program& input, const miri::Finding&) {
                 const auto& other =
                     static_cast<const BinaryExpr&>(*longer->condition);
                 if (equals(*other.rhs, *sub.lhs)) {
-                    cond.rhs = sub.lhs->clone(arena);
+                    cond.rhs = clone(*sub.lhs, arena);
                     changed = true;
                     break;
                 }
@@ -572,7 +572,7 @@ MaybeProgram guard_offset_range(const Program& input, const miri::Finding&) {
             ExprPtr count;
             if (size.kind == ExprKind::Binary &&
                 static_cast<const BinaryExpr&>(size).op == BinaryOp::Mul) {
-                count = static_cast<const BinaryExpr&>(size).lhs->clone(arena);
+                count = clone(*static_cast<const BinaryExpr&>(size).lhs, arena);
             } else {
                 continue;
             }
@@ -610,7 +610,7 @@ MaybeProgram init_after_alloc(const Program& input, const miri::Finding&) {
             if (raw.empty()) continue;
             if (find_alloc_let(program, raw) == nullptr) continue;
             // If the very next use already writes through it, nothing to do.
-            const std::string slot = let->name;
+            const std::string slot(let->name);
             bool next_is_write = false;
             for (std::size_t j = i + 1; j < block.statements.size(); ++j) {
                 if (!stmt_mentions(*block.statements[j], slot)) continue;
@@ -699,7 +699,7 @@ MaybeProgram reorder_use_before_conflict(const Program& input, bool raw_pointer)
                 target = addr_of_target(*let->init);
             }
             if (target.empty()) continue;
-            const std::string borrow = let->name;
+            const std::string borrow(let->name);
 
             // First conflict after i.
             int conflict = -1;
@@ -769,7 +769,7 @@ MaybeProgram read_place_directly(const Program& input, const miri::Finding&) {
             if (let == nullptr) continue;
             const std::string target = addr_of_target(*let->init);
             if (target.empty()) continue;
-            const std::string borrow = let->name;
+            const std::string borrow(let->name);
             // Is there a write to the target after the borrow?
             int conflict = -1;
             for (std::size_t j = i + 1; j < block.statements.size(); ++j) {

@@ -55,7 +55,7 @@ void Interpreter::setup_statics() {
     for (const auto& item : m_.program.statics) {
         const AllocId alloc =
             m_.mem.allocate(item.type.size_bytes(), item.type.align_bytes(),
-                            AllocKind::Static, item.name, item.span);
+                            AllocKind::Static, std::string(item.name), item.span);
         static_allocs_.push_back(alloc);
         if (m_.faulted()) return;
         const Value init = eval_expr(*item.init);
@@ -69,11 +69,11 @@ void Interpreter::setup_statics() {
 // Frames / locals
 // ---------------------------------------------------------------------------
 
-void Interpreter::declare_local(std::int32_t slot, const std::string& name,
+void Interpreter::declare_local(std::int32_t slot, std::string_view name,
                                 const Type& type, const Value& value,
                                 support::SourceSpan span) {
     const AllocId alloc = m_.mem.allocate(type.size_bytes(), type.align_bytes(),
-                                          AllocKind::Stack, name, span);
+                                          AllocKind::Stack, std::string(name), span);
     m_.mem.store(m_.mem.base_pointer(alloc), type, value, m_.access_ctx(span));
     const std::size_t at = frames_.back().slot_base + static_cast<std::size_t>(slot);
     slots_[at] = {alloc, type};

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/ast.hpp"
@@ -134,7 +135,7 @@ class Interpreter {
     void stop(std::string reason);
 
     // Helpers -----------------------------------------------------------
-    void declare_local(std::int32_t slot, const std::string& name,
+    void declare_local(std::int32_t slot, std::string_view name,
                        const lang::Type& type, const Value& value,
                        support::SourceSpan span);
     LocalSlot& local(std::int32_t slot) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/ast.hpp"
@@ -74,7 +75,7 @@ class Lowerer {
 
   private:
     struct LocalInfo {
-        const std::string* name;
+        std::string_view name;
         const lang::Type* type;
         std::uint32_t slot;
     };
@@ -85,21 +86,21 @@ class Lowerer {
     void push_scope() { scopes_.emplace_back(); }
     void pop_scope() { scopes_.pop_back(); }
 
-    void declare(const std::string& name, const lang::Type* type) {
-        scopes_.back().locals.push_back({&name, type, next_slot_++});
+    void declare(std::string_view name, const lang::Type* type) {
+        scopes_.back().locals.push_back({name, type, next_slot_++});
     }
 
-    [[nodiscard]] const LocalInfo* lookup(const std::string& name) const {
+    [[nodiscard]] const LocalInfo* lookup(std::string_view name) const {
         for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
             for (auto local = scope->locals.rbegin();
                  local != scope->locals.rend(); ++local) {
-                if (*local->name == name) return &*local;
+                if (local->name == name) return &*local;
             }
         }
         return nullptr;
     }
 
-    [[nodiscard]] std::int32_t find_static(const std::string& name) const {
+    [[nodiscard]] std::int32_t find_static(std::string_view name) const {
         // Only statics already initialized at this point are visible —
         // setup_statics runs in declaration order.
         for (std::size_t i = 0; i < statics_ready_; ++i) {
@@ -110,7 +111,7 @@ class Lowerer {
         return -1;
     }
 
-    [[nodiscard]] std::int32_t find_function(const std::string& name) const {
+    [[nodiscard]] std::int32_t find_function(std::string_view name) const {
         for (std::size_t i = 0; i < program_.functions.size(); ++i) {
             if (program_.functions[i].name == name) {
                 return static_cast<std::int32_t>(i);

@@ -1,8 +1,9 @@
-// One arena per program (DESIGN.md §21): every node and child list a
+// One arena per program (DESIGN.md §21): every node, child list and name a
 // program reaches lies in that program's own arena, whichever pass built
-// it; a parse makes a handful of allocations rather than one per node; the
-// token stream is never held whole; and a cached program's arena reads
-// safely from several threads at once.
+// it; a clone needs nothing of its source; a parse makes a handful of
+// allocations rather than one per node, and most programs fit the first
+// block it reserves; the token stream is never held whole; and a cached
+// program's arena reads safely from several threads at once.
 //
 // The binary replaces the global operator new with one that counts calls
 // and records the largest request while a test asks it to.
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,8 +68,9 @@ struct CountNews {
     [[nodiscard]] std::size_t largest() const { return g_largest.load(); }
 };
 
-/// Every node and non-empty list reachable from a program, checked against
-/// the program's arena; `stray` counts the ones that lie elsewhere.
+/// Every node, non-empty list and non-empty name reachable from a program,
+/// checked against the program's arena; `stray` counts the ones that lie
+/// elsewhere.
 struct Ownership {
     const AstArena& arena;
     std::size_t checked = 0;
@@ -81,10 +84,20 @@ struct Ownership {
     void check_list(const List& list) {
         if (!list.empty()) check(list.data());
     }
+    void check_name(Name name) {
+        if (!name.empty()) {
+            check(name.data());
+            check(name.data() + name.size() - 1);
+        }
+    }
     void operator()(const Expr& expr) {
         check(&expr);
         switch (expr.kind) {
+            case ExprKind::VarRef:
+                check_name(static_cast<const VarRefExpr&>(expr).name);
+                break;
             case ExprKind::Call:
+                check_name(static_cast<const CallExpr&>(expr).callee);
                 check_list(static_cast<const CallExpr&>(expr).args);
                 break;
             case ExprKind::CallPtr:
@@ -100,6 +113,9 @@ struct Ownership {
     }
     void operator()(const Stmt& stmt) {
         check(&stmt);
+        if (stmt.kind == StmtKind::Let) {
+            check_name(static_cast<const LetStmt&>(stmt).name);
+        }
         if (stmt.kind == StmtKind::Become) {
             check_list(static_cast<const BecomeStmt&>(stmt).args);
         }
@@ -111,17 +127,20 @@ struct Ownership {
     }
 };
 
-/// The number of nodes and lists of `program` outside its arena (0 when
-/// it owns everything it reaches).
+/// The number of nodes, lists and names of `program` outside its arena (0
+/// when it owns everything it reaches).
 std::size_t strays(const Program& program) {
     Ownership own{program.arena()};
     own.check_list(program.functions);
     own.check_list(program.statics);
     for (const StaticItem& item : program.statics) {
+        own.check_name(item.name);
         if (item.init) own(*item.init);
     }
     for (const FnItem& fn : program.functions) {
+        own.check_name(fn.name);
         own.check_list(fn.params);
+        for (const Param& param : fn.params) own.check_name(param.name);
         own(fn.body);
     }
     EXPECT_GT(own.checked, 0u);
@@ -180,6 +199,20 @@ TEST(ArenaTest, ClonesLiveInTheirOwnArena) {
         EXPECT_EQ(strays(copy), 0u) << source;
         EXPECT_TRUE(equals(copy, program));
         EXPECT_EQ(print_program(copy), print_program(program));
+    }
+}
+
+TEST(ArenaTest, ACloneOutlivesItsSource) {
+    // A clone copies every node, list and name into its own arena, so it
+    // reads nothing of the program it came from once that one is gone.
+    for (std::size_t i = 0; i < forged_sources().size(); i += 37) {
+        std::optional<Program> source = try_parse(forged_sources()[i]);
+        ASSERT_TRUE(source.has_value());
+        const std::string printed = print_program(*source);
+        const Program copy = source->clone();
+        source.reset();
+        EXPECT_EQ(strays(copy), 0u);
+        EXPECT_EQ(print_program(copy), printed);
     }
 }
 
@@ -291,6 +324,37 @@ TEST(ArenaTest, AParseMakesAHandfulOfAllocations) {
     }
     const double mean = static_cast<double>(calls) / static_cast<double>(sources.size());
     EXPECT_LE(mean, 13.0);
+}
+
+TEST(ArenaTest, MostForgedProgramsFitTheirFirstBlock) {
+    // arena_bytes_for() sizes the first block near the median of the bytes
+    // a program takes per source byte (DESIGN.md §21): most programs fit
+    // it, and on average they use no more than it reserves.
+    const std::vector<std::string>& sources = forged_sources();
+    std::size_t fit = 0;
+    double per_source_byte = 0;
+    for (const std::string& source : sources) {
+        const Program program = parse_ok(source);
+        const std::size_t used = program.arena().bytes_used();
+        fit += used <= arena_bytes_for(source.size()) ? 1 : 0;
+        per_source_byte += static_cast<double>(used) / static_cast<double>(source.size());
+    }
+    const double count = static_cast<double>(sources.size());
+    EXPECT_GT(static_cast<double>(fit) / count, 0.5);
+    EXPECT_LE(per_source_byte / count, static_cast<double>(kArenaBytesPerSourceByte));
+}
+
+TEST(ArenaTest, ListsAndBlocksRefuseSizesThatWouldWrap) {
+    // A count whose byte size overflows is refused before any arithmetic
+    // can wrap it into a small request, as std::vector refuses it.
+    Program program(0);
+    ExprList list(program.arena());
+    EXPECT_THROW(list.reserve(std::size_t{1} << 40), std::length_error);
+    EXPECT_THROW(list.reserve(static_cast<std::size_t>(-1)), std::length_error);
+    EXPECT_TRUE(list.empty());
+    EXPECT_THROW(program.arena().allocate(static_cast<std::size_t>(-1) - 8, 8),
+                 std::bad_alloc);
+    EXPECT_EQ(program.arena().bytes_used(), 0u);
 }
 
 TEST(ArenaTest, NoTokenBufferSpansTheSource) {

@@ -233,7 +233,7 @@ TEST(VerifyOracleTest, CompileSharesOneCanonicalProgram) {
     // The shared program carries the type checker's bindings.
     ASSERT_EQ(first->program.functions.size(), 1u);
     const auto& stmt = static_cast<const lang::ExprStmt&>(
-        *first->program.functions[0].body.statements.at(0));
+        *first->program.functions[0].body.statements[0]);
     EXPECT_EQ(static_cast<const lang::CallExpr&>(*stmt.expr).binding.kind,
               lang::Binding::Kind::Intrinsic);
 }
@@ -254,7 +254,7 @@ TEST(VerifyOracleTest, CompileTypeChecksAHandedProgramOnAMiss) {
     ASSERT_TRUE(first->ok());
     EXPECT_EQ(&first->program.arena(), first_arena);
     const auto& stmt = static_cast<const lang::ExprStmt&>(
-        *first->program.functions[0].body.statements.at(0));
+        *first->program.functions[0].body.statements[0]);
     EXPECT_EQ(static_cast<const lang::CallExpr&>(*stmt.expr).binding.kind,
               lang::Binding::Kind::Intrinsic);
     const lang::AstArena* second_arena = nullptr;
