@@ -3,8 +3,9 @@
 // ladder on synthetic loop-, call- and memory-heavy workloads, the Oracle
 // uncached and memoized, pruning, vectorization, KB query, rule
 // application, and the front end's allocation pattern over the seed-42
-// forged corpus (parse, clone, teardown), and one forge slice of rbbench's
-// `forge` workload. Type check, lowering, bytecode
+// forged corpus (parse, clone, teardown), the Oracle's uncached
+// interpretation of that corpus, and one forge slice of rbbench's `forge`
+// workload. Type check, lowering, bytecode
 // compile,
 // screening and corpus interpretation are rbbench's `lang.*`, `miri.*`,
 // `vm.*` and `screen.*` metrics (rbbench/METRICS.md). Not a paper figure —
@@ -378,6 +379,47 @@ void BM_ForgeSliceForged(benchmark::State& state) {
                             static_cast<std::int64_t>(options.count));
 }
 BENCHMARK(BM_ForgeSliceForged);
+
+/// The Oracle with its uncached unit of work callable.
+class OpenOracle : public verify::Oracle {
+  public:
+    using verify::Oracle::Oracle;
+    using verify::Oracle::interpret;
+};
+
+// One iteration interprets the seed-42 forge's 1,120 compiled programs
+// (buggy and fix) on their inputs, with caching off, as the Oracle does on
+// a report-cache miss: the tree walk, restarted on the VM past 2^10 steps.
+// Compiling is outside the timed region.
+void BM_InterpretForged(benchmark::State& state) {
+    gen::ForgeOptions options;
+    options.seed = 42;
+    options.count = 560;
+    const dataset::Corpus forged = gen::forge_corpus(options);
+    verify::OracleOptions oracle_options;
+    oracle_options.caching = false;
+    const OpenOracle oracle(std::move(oracle_options));
+    struct Run {
+        std::shared_ptr<const verify::CompiledProgram> compiled;
+        const std::vector<std::vector<std::int64_t>>* inputs;
+    };
+    std::vector<Run> runs;
+    for (const dataset::UbCase& ub_case : forged.cases()) {
+        for (const std::string* source :
+             {&ub_case.buggy_source, &ub_case.reference_fix}) {
+            runs.push_back({oracle.compile(*source), &ub_case.inputs});
+        }
+    }
+    for (auto _ : state) {
+        for (const Run& run : runs) {
+            auto report = oracle.interpret(*run.compiled, *run.inputs);
+            benchmark::DoNotOptimize(report);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(runs.size()));
+}
+BENCHMARK(BM_InterpretForged);
 
 void BM_CorpusBuild(benchmark::State& state) {
     for (auto _ : state) {

@@ -11,7 +11,13 @@ using lang::Type;
 Interpreter::Interpreter(const lang::Program& program,
                          std::vector<std::int64_t> inputs, InterpLimits limits,
                          const LoweredProgram* /*ignored*/)
-    : m_(program, std::move(inputs), limits) {}
+    : m_(program, std::move(inputs), limits) {
+    // Room for one frame of every function before the first call, so a
+    // run without recursion never grows these lists 1, 2, 4, ...
+    frames_.reserve(program.functions.size());
+    slots_.reserve(frame_slots(program));
+    live_.reserve(frame_slots(program));
+}
 
 // ---------------------------------------------------------------------------
 // Top level
@@ -55,7 +61,7 @@ void Interpreter::setup_statics() {
     for (const auto& item : m_.program.statics) {
         const AllocId alloc =
             m_.mem.allocate(item.type.size_bytes(), item.type.align_bytes(),
-                            AllocKind::Static, std::string(item.name), item.span);
+                            AllocKind::Static, item.name, item.span);
         static_allocs_.push_back(alloc);
         if (m_.faulted()) return;
         const Value init = eval_expr(*item.init);
@@ -73,7 +79,7 @@ void Interpreter::declare_local(std::int32_t slot, std::string_view name,
                                 const Type& type, const Value& value,
                                 support::SourceSpan span) {
     const AllocId alloc = m_.mem.allocate(type.size_bytes(), type.align_bytes(),
-                                          AllocKind::Stack, std::string(name), span);
+                                          AllocKind::Stack, name, span);
     m_.mem.store(m_.mem.base_pointer(alloc), type, value, m_.access_ctx(span));
     const std::size_t at = frames_.back().slot_base + static_cast<std::size_t>(slot);
     slots_[at] = {alloc, type};

@@ -10,7 +10,7 @@ using lang::IntrinsicId;
 // there why it is left out), then update the size here (x86-64 libstdc++
 // layout).
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(Machine) == 400,
+static_assert(sizeof(Machine) == 432,
               "Machine::live_state() must cover every member a run can change");
 #endif
 
@@ -35,11 +35,15 @@ Machine::Machine(const lang::Program& program_in,
       limits(limits_in),
       mem(faults) {
     faults.watch(&steps, &output);
-    // One record per static and per frame slot of `main` before the first
-    // allocation, so a run's record list does not grow 1, 2, 4, ...
-    if (const lang::FnItem* main = program.find_function("main")) {
-        mem.reserve_allocations(program.statics.size() + main->slot_count);
-    }
+    // One record per static and per frame slot of every function before
+    // the first allocation, so a run's lists do not grow 1, 2, 4, ...
+    mem.reserve_allocations(program.statics.size() + frame_slots(program));
+}
+
+std::size_t frame_slots(const lang::Program& program) {
+    std::size_t slots = 0;
+    for (const lang::FnItem& fn : program.functions) slots += fn.slot_count;
+    return slots;
 }
 
 std::int32_t Machine::main_fn() {

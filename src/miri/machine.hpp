@@ -91,6 +91,10 @@ struct IntrinsicFacts {
 
 IntrinsicFacts intrinsic_facts(lang::IntrinsicId id, const lang::CallExpr& call);
 
+/// The frame slots of all of `program`'s functions: what a run that
+/// calls each function once at a time holds at most.
+[[nodiscard]] std::size_t frame_slots(const lang::Program& program);
+
 struct Machine {
     Machine(const lang::Program& program, std::vector<std::int64_t> inputs,
             InterpLimits limits);

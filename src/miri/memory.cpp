@@ -1,6 +1,7 @@
 #include "miri/memory.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -33,15 +34,78 @@ void VectorClock::merge(const VectorClock& other) {
 }
 
 // ---------------------------------------------------------------------------
+// Payload and Allocation
+// ---------------------------------------------------------------------------
+
+namespace {
+
+BorrowStack base_stack(BorrowTag base_tag) {
+    BorrowStack stack;
+    stack.push_back({base_tag, Permission::Unique});
+    return stack;
+}
+
+}  // namespace
+
+Payload::Payload(std::uint64_t size, BorrowTag base_tag)
+    : borrows(base_stack(base_tag)), size_(size) {
+    // Value-initialized: the bytes start at 0 as the per-byte model's did.
+    if (size_ > kInlineBytes) heap_bytes_.reset(new std::uint8_t[size_]());
+}
+
+void Payload::reset(std::uint64_t size, BorrowTag base_tag) {
+    init.reset(false);
+    borrows.reset(base_stack(base_tag));
+    races.reset(RaceCell{});
+    provenance.erase(0, provenance.size());
+    size_ = size;
+    std::memset(inline_bytes_, 0, kInlineBytes);
+    heap_bytes_.reset(size_ > kInlineBytes ? new std::uint8_t[size_]() : nullptr);
+}
+
+Payload::Payload(const Payload& other)
+    : init(other.init),
+      borrows(other.borrows),
+      races(other.races),
+      provenance(other.provenance),
+      next_free(other.next_free),
+      size_(other.size_) {
+    if (size_ > kInlineBytes) {
+        heap_bytes_.reset(new std::uint8_t[size_]);
+        std::memcpy(heap_bytes_.get(), other.heap_bytes_.get(), size_);
+    } else {
+        std::memcpy(inline_bytes_, other.inline_bytes_, kInlineBytes);
+    }
+}
+
+std::size_t Payload::heap_bytes() const {
+    std::size_t bytes = size_ > kInlineBytes ? size_ : 0;
+    bytes += init.heap_bytes([](bool) { return std::size_t{0}; });
+    bytes += borrows.heap_bytes(
+        [](const BorrowStack& stack) { return stack.heap_bytes(); });
+    bytes += races.heap_bytes([](const RaceCell& cell) {
+        return cell.reads.capacity() * sizeof(AccessEpoch);
+    });
+    return bytes + provenance.heap_bytes();
+}
+
+bool operator==(const Payload& a, const Payload& b) {
+    return a.size_ == b.size_ &&
+           std::memcmp(a.bytes(), b.bytes(), a.size_) == 0 && a.init == b.init &&
+           a.borrows == b.borrows && a.races == b.races &&
+           a.provenance == b.provenance;
+}
+
+// ---------------------------------------------------------------------------
 // Equality (vm::Vm's fixed-point check)
 // ---------------------------------------------------------------------------
 
 // A new field changes the struct size: extend the matching operator== to
 // cover it, then update the size here (x86-64 libstdc++ layout).
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(Allocation) == 312,
+static_assert(sizeof(Allocation) == 72,
               "operator==(Allocation, Allocation) must cover every field");
-static_assert(sizeof(MemoryModel) == 80,
+static_assert(sizeof(MemoryModel) == 112,
               "operator==(MemoryModel, MemoryModel) must cover every field");
 #endif
 
@@ -50,33 +114,31 @@ bool operator==(const Allocation& a, const Allocation& b) {
            a.size == b.size && a.align == b.align && a.live == b.live &&
            a.tail_call_killed == b.tail_call_killed &&
            a.base_tag == b.base_tag && a.uniform_borrows == b.uniform_borrows &&
-           a.uninit_count == b.uninit_count && a.label == b.label &&
-           a.bytes == b.bytes && a.init == b.init && a.borrows == b.borrows &&
-           a.last_write == b.last_write && a.reads == b.reads &&
-           a.ptr_prov == b.ptr_prov && a.fn_prov == b.fn_prov;
+           a.uninit_count == b.uninit_count && a.label == b.label;
 }
 
 bool operator==(const MemoryModel& a, const MemoryModel& b) {
-    return a.faults_ == b.faults_ && a.next_addr_ == b.next_addr_ &&
-           a.next_tag_ == b.next_tag_ &&
-           a.bytes_allocated_ == b.bytes_allocated_ &&
-           a.tag_origins_ == b.tag_origins_ && a.allocs_ == b.allocs_;
+    if (!(a.faults_ == b.faults_ && a.next_addr_ == b.next_addr_ &&
+          a.next_tag_ == b.next_tag_ &&
+          a.bytes_allocated_ == b.bytes_allocated_ &&
+          a.tag_origins_ == b.tag_origins_ && a.allocs_ == b.allocs_)) {
+        return false;
+    }
+    for (std::size_t i = 0; i < a.allocs_.size(); ++i) {
+        if (a.allocs_[i].live &&
+            !(a.payloads_[a.allocs_[i].payload] == b.payloads_[b.allocs_[i].payload])) {
+            return false;
+        }
+    }
+    return true;
 }
 
 std::size_t MemoryModel::footprint_bytes() const {
     std::size_t bytes = sizeof(MemoryModel) +
                         allocs_.size() * sizeof(Allocation) +
+                        payloads_.size() * sizeof(Payload) +
                         tag_origins_.size() * sizeof(TagOrigin);
-    for (const Allocation& alloc : allocs_) {
-        // A provenance map node counts as 64 bytes.
-        bytes += alloc.label.size() + alloc.bytes.size() + alloc.init.size() +
-                 alloc.borrows.size() * sizeof(BorrowStack) +
-                 alloc.last_write.size() * sizeof(AccessEpoch) +
-                 (alloc.ptr_prov.size() + alloc.fn_prov.size()) * 64;
-        for (const std::vector<AccessEpoch>& reads : alloc.reads) {
-            bytes += sizeof(reads) + reads.size() * sizeof(AccessEpoch);
-        }
-    }
+    for (const Payload& payload : payloads_) bytes += payload.heap_bytes();
     return bytes;
 }
 
@@ -153,29 +215,30 @@ bool MemoryModel::fits_in_cap(std::uint64_t count, std::uint64_t element_size,
 }
 
 AllocId MemoryModel::allocate(std::uint64_t size, std::uint64_t align,
-                              AllocKind kind, std::string label,
+                              AllocKind kind, std::string_view label,
                               support::SourceSpan span) {
     const std::uint64_t base = reserve(size, align, span);
     if (base == 0) return kNoAlloc;
     const std::uint64_t alloc_size = std::max<std::uint64_t>(size, 1);
 
-    Allocation alloc;
-    alloc.id = static_cast<AllocId>(allocs_.size() + 1);
+    Allocation& alloc = allocs_.emplace_back();
+    alloc.id = static_cast<AllocId>(allocs_.size());
     alloc.kind = kind;
     alloc.base = base;
     alloc.size = alloc_size;
     alloc.align = align;
-    alloc.label = std::move(label);
+    alloc.label = label;
     alloc.base_tag = fresh_tag(TagOrigin::Base);
     alloc.uninit_count = alloc_size;
-    alloc.bytes.assign(alloc_size, 0);
-    alloc.init.assign(alloc_size, 0);
-    alloc.borrows.resize(alloc_size);
-    for (auto& stack : alloc.borrows) {
-        stack.push_back({alloc.base_tag, Permission::Unique});
+    if (free_payload_ == kNoPayload) {
+        alloc.payload = static_cast<std::uint32_t>(payloads_.size());
+        payloads_.emplace_back(alloc_size, alloc.base_tag);
+    } else {
+        alloc.payload = free_payload_;
+        free_payload_ = payloads_[alloc.payload].next_free;
+        payloads_[alloc.payload].reset(alloc_size, alloc.base_tag);
     }
-    allocs_.push_back(std::move(alloc));
-    return allocs_.back().id;
+    return alloc.id;
 }
 
 void MemoryModel::throw_bad_alloc_id() {
@@ -201,13 +264,15 @@ void MemoryModel::deallocate(const Pointer& p, std::uint64_t size,
     Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
         ub(UbCategory::Alloc,
-           "double free: allocation '" + alloc.label + "' was already deallocated",
+           "double free: allocation '" + std::string(alloc.label) +
+               "' was already deallocated",
            span);
         return;
     }
     if (alloc.kind != AllocKind::Heap) {
         ub(UbCategory::Alloc,
-           "deallocating non-heap memory ('" + alloc.label + "')", span);
+           "deallocating non-heap memory ('" + std::string(alloc.label) + "')",
+           span);
         return;
     }
     if (p.addr != alloc.base) {
@@ -230,14 +295,11 @@ void MemoryModel::die(Allocation& alloc) {
     if (!alloc.live) return;
     alloc.live = false;
     bytes_allocated_ -= alloc.size;
-    // Swapping with empty containers frees their storage; clear() keeps it.
-    std::vector<std::uint8_t>().swap(alloc.bytes);
-    std::vector<std::uint8_t>().swap(alloc.init);
-    std::vector<BorrowStack>().swap(alloc.borrows);
-    std::vector<AccessEpoch>().swap(alloc.last_write);
-    std::vector<std::vector<AccessEpoch>>().swap(alloc.reads);
-    std::map<std::uint64_t, Pointer>().swap(alloc.ptr_prov);
-    std::map<std::uint64_t, FnPtrVal>().swap(alloc.fn_prov);
+    Payload& freed = payloads_[alloc.payload];
+    freed.release();
+    freed.next_free = free_payload_;
+    free_payload_ = alloc.payload;
+    alloc.payload = kNoPayload;
 }
 
 void MemoryModel::kill(AllocId id) {
@@ -273,12 +335,13 @@ Allocation* MemoryModel::check_access(const Pointer& p, std::uint64_t size,
     if (!alloc.live) {
         if (alloc.tail_call_killed) {
             ub(UbCategory::TailCall,
-               "use after free: local '" + alloc.label +
+               "use after free: local '" + std::string(alloc.label) +
                    "' died when its frame was popped by a become tail call",
                ctx.span);
         } else {
             ub(UbCategory::DanglingPointer,
-               "use after free: allocation '" + alloc.label + "' is dead",
+               "use after free: allocation '" + std::string(alloc.label) +
+                   "' is dead",
                ctx.span);
         }
         return nullptr;
@@ -287,7 +350,8 @@ Allocation* MemoryModel::check_access(const Pointer& p, std::uint64_t size,
         ub(UbCategory::Provenance,
            "out-of-bounds access: " + std::to_string(size) + " bytes at offset " +
                std::to_string(p.addr - alloc.base) + " of " +
-               std::to_string(alloc.size) + "-byte allocation '" + alloc.label + "'",
+               std::to_string(alloc.size) + "-byte allocation '" +
+               std::string(alloc.label) + "'",
            ctx.span);
         return nullptr;
     }
@@ -311,123 +375,171 @@ Allocation* MemoryModel::check_access(const Pointer& p, std::uint64_t size,
 bool MemoryModel::borrow_use(Allocation& alloc, std::uint64_t offset,
                              std::uint64_t size, BorrowTag tag, bool write,
                              support::SourceSpan span) {
-    auto category_for = [&](BorrowTag failing) {
-        return origin_of(failing) == TagOrigin::Ref ? UbCategory::BothBorrow
-                                                    : UbCategory::StackBorrow;
-    };
-    for (std::uint64_t i = offset; i < offset + size; ++i) {
-        BorrowStack& stack = alloc.borrows[i];
-        // Find the topmost occurrence of the tag.
-        std::ptrdiff_t found = -1;
-        for (std::ptrdiff_t j = static_cast<std::ptrdiff_t>(stack.size()) - 1; j >= 0;
-             --j) {
-            if (stack[static_cast<std::size_t>(j)].tag == tag) {
-                found = j;
-                break;
-            }
-        }
-        if (found < 0) {
-            ub(category_for(tag),
-               write ? "write through an invalidated borrow of '" + alloc.label +
-                           "' (tag no longer on the borrow stack)"
-                     : "read through an invalidated borrow of '" + alloc.label +
-                           "' (tag no longer on the borrow stack)",
-               span);
-            return false;
-        }
-        const BorrowEntry entry = stack[static_cast<std::size_t>(found)];
-        if (write && entry.perm == Permission::SharedRO) {
-            ub(category_for(tag),
-               "write through a read-only borrow of '" + alloc.label + "'", span);
-            return false;
-        }
-        const std::size_t top = static_cast<std::size_t>(found) + 1;
-        if (top == stack.size()) {
-            continue;  // tag already topmost: nothing to invalidate
-        }
-        if (write) {
-            // A write invalidates everything above the used tag.
-            stack.shrink_to(top);
-        } else {
-            // A read invalidates Unique tags above but shared tags survive
-            // (in order) — compact in place, no temporary.
-            stack.remove_unique_above(top);
-        }
+    if (alloc.uniform_borrows && tag == alloc.base_tag) {
+        return true;  // found at the top of every stack: nothing changes
     }
-    return true;
+    // Each run's stack decides for all of its bytes; the first failing run
+    // is the first failing byte, and the runs before it change as the
+    // bytes before it did.
+    enum class Failure { None, Invalidated, ReadOnly } failure = Failure::None;
+    std::size_t top = 0;
+    Payload& payload = payload_of(alloc);
+    const bool ok = payload.borrows.update(
+        offset, size, alloc.size,
+        [&](const BorrowStack& stack) {
+            // Find the topmost occurrence of the tag.
+            std::size_t found = stack.size();
+            while (found > 0 && stack[found - 1].tag != tag) --found;
+            if (found == 0) {
+                failure = Failure::Invalidated;
+                return RunVerdict::Fail;
+            }
+            if (write && stack[found - 1].perm == Permission::SharedRO) {
+                failure = Failure::ReadOnly;
+                return RunVerdict::Fail;
+            }
+            top = found;
+            // Tag already topmost: nothing to invalidate.
+            return top == stack.size() ? RunVerdict::Keep : RunVerdict::Change;
+        },
+        [&](BorrowStack& stack) {
+            if (write) {
+                // A write invalidates everything above the used tag.
+                stack.shrink_to(top);
+            } else {
+                // A read invalidates Unique tags above but shared tags
+                // survive (in order).
+                stack.remove_unique_above(top);
+            }
+        });
+    refresh_uniform(alloc, payload);
+    if (ok) return true;
+    const UbCategory category = origin_of(tag) == TagOrigin::Ref
+                                    ? UbCategory::BothBorrow
+                                    : UbCategory::StackBorrow;
+    const std::string label(alloc.label);
+    if (failure == Failure::Invalidated) {
+        ub(category,
+           std::string(write ? "write" : "read") +
+               " through an invalidated borrow of '" + label +
+               "' (tag no longer on the borrow stack)",
+           span);
+    } else {
+        ub(category, "write through a read-only borrow of '" + label + "'", span);
+    }
+    return false;
+}
+
+void MemoryModel::refresh_uniform(Allocation& alloc, const Payload& payload) {
+    const auto& borrows = payload.borrows;
+    if (borrows.run_count() != 1) {
+        alloc.uniform_borrows = false;
+        return;
+    }
+    const BorrowStack& stack = borrows.run(0).value;
+    alloc.uniform_borrows = stack.size() == 1 && stack[0].tag == alloc.base_tag &&
+                            stack[0].perm == Permission::Unique;
 }
 
 bool MemoryModel::race_check(Allocation& alloc, std::uint64_t offset,
                              std::uint64_t size, bool write, const AccessCtx& ctx) {
     if (ctx.vc == nullptr) return true;  // single-threaded fast path
-    if (alloc.last_write.empty()) {
-        // First clocked access: materialize the race-detection arrays.
-        alloc.last_write.resize(alloc.size);
-        alloc.reads.resize(alloc.size);
-    }
     auto unordered = [&](const AccessEpoch& epoch) {
         return epoch.valid && epoch.clock > ctx.vc->get(epoch.tid);
     };
-    for (std::uint64_t i = offset; i < offset + size; ++i) {
-        AccessEpoch& last_write = alloc.last_write[i];
-        std::vector<AccessEpoch>& reads = alloc.reads[i];
-        // A racing pair needs at least one non-atomic access.
-        if (unordered(last_write) && !(last_write.atomic && ctx.atomic) &&
-            last_write.tid != ctx.tid) {
-            ub(UbCategory::DataRace,
-               std::string(write ? "write" : "read") + "-after-write data race on '" +
-                   alloc.label + "' between threads " +
-                   std::to_string(last_write.tid) + " and " +
-                   std::to_string(ctx.tid),
-               ctx.span);
-            return false;
-        }
-        if (write) {
-            for (const AccessEpoch& read : reads) {
-                if (unordered(read) && !(read.atomic && ctx.atomic) &&
-                    read.tid != ctx.tid) {
-                    ub(UbCategory::DataRace,
-                       "write-after-read data race on '" + alloc.label +
-                           "' between threads " + std::to_string(read.tid) + " and " +
-                           std::to_string(ctx.tid),
-                       ctx.span);
-                    return false;
+    // A racing pair needs at least one non-atomic access.
+    auto races_with = [&](const AccessEpoch& epoch) {
+        return unordered(epoch) && !(epoch.atomic && ctx.atomic) &&
+               epoch.tid != ctx.tid;
+    };
+    const AccessEpoch now{ctx.tid, ctx.vc->get(ctx.tid), ctx.atomic, true};
+    ThreadId racing_tid = 0;
+    bool after_write = false;
+    const bool ok = payload_of(alloc).races.update(
+        offset, size, alloc.size,
+        [&](const RaceCell& cell) {
+            if (races_with(cell.last_write)) {
+                racing_tid = cell.last_write.tid;
+                after_write = true;
+                return RunVerdict::Fail;
+            }
+            if (write) {
+                for (const AccessEpoch& read : cell.reads) {
+                    if (races_with(read)) {
+                        racing_tid = read.tid;
+                        return RunVerdict::Fail;
+                    }
                 }
             }
-        }
-        // Record this access.
-        if (write) {
-            last_write = {ctx.tid, ctx.vc->get(ctx.tid), ctx.atomic, true};
-            reads.clear();
-        } else {
-            bool updated = false;
-            for (AccessEpoch& read : reads) {
+            return RunVerdict::Change;
+        },
+        [&](RaceCell& cell) {
+            // Record this access.
+            if (write) {
+                cell.last_write = now;
+                cell.reads.clear();
+                return;
+            }
+            for (AccessEpoch& read : cell.reads) {
                 if (read.tid == ctx.tid) {
-                    read = {ctx.tid, ctx.vc->get(ctx.tid), ctx.atomic, true};
-                    updated = true;
-                    break;
+                    read = now;
+                    return;
                 }
             }
-            if (!updated) {
-                reads.push_back({ctx.tid, ctx.vc->get(ctx.tid), ctx.atomic, true});
-            }
-        }
-    }
-    return true;
+            cell.reads.push_back(now);
+        });
+    if (ok) return true;
+    const std::string kind = after_write
+                                 ? std::string(write ? "write" : "read") +
+                                       "-after-write"
+                                 : std::string("write-after-read");
+    ub(UbCategory::DataRace,
+       kind + " data race on '" + std::string(alloc.label) + "' between threads " +
+           std::to_string(racing_tid) + " and " + std::to_string(ctx.tid),
+       ctx.span);
+    return false;
 }
 
-void MemoryModel::clear_provenance_overlapping(Allocation& alloc,
+void MemoryModel::clear_provenance_overlapping(Payload& payload,
                                                std::uint64_t offset,
                                                std::uint64_t size) {
-    auto overlaps = [&](std::uint64_t entry_offset) {
-        return entry_offset < offset + size && entry_offset + 8 > offset;
-    };
-    for (auto it = alloc.ptr_prov.begin(); it != alloc.ptr_prov.end();) {
-        it = overlaps(it->first) ? alloc.ptr_prov.erase(it) : std::next(it);
+    auto& provenance = payload.provenance;
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < provenance.size(); ++i) {
+        const std::uint64_t at = provenance[i].offset;
+        if (!(at < offset + size && at + 8 > offset)) {
+            provenance[keep++] = provenance[i];
+        }
     }
-    for (auto it = alloc.fn_prov.begin(); it != alloc.fn_prov.end();) {
-        it = overlaps(it->first) ? alloc.fn_prov.erase(it) : std::next(it);
+    provenance.erase(keep, provenance.size());
+}
+
+void MemoryModel::set_provenance(Payload& payload, StoredProvenance entry) {
+    auto& provenance = payload.provenance;
+    std::size_t at = 0;
+    while (at < provenance.size() && provenance[at].offset < entry.offset) ++at;
+    provenance.insert(at, entry);
+}
+
+const StoredProvenance* MemoryModel::find_provenance(const Payload& payload,
+                                                     std::uint64_t offset,
+                                                     bool is_fn) {
+    for (const StoredProvenance& entry : payload.provenance) {
+        if (entry.offset == offset && entry.is_fn == is_fn) return &entry;
     }
+    return nullptr;
+}
+
+BorrowTag MemoryModel::push_tag(Allocation& alloc, std::uint64_t offset,
+                                std::uint64_t size, TagOrigin origin,
+                                Permission perm) {
+    const BorrowTag tag = fresh_tag(origin);
+    payload_of(alloc).borrows.update(
+        offset, size, alloc.size,
+        [](const BorrowStack&) { return RunVerdict::Change; },
+        [&](BorrowStack& stack) { stack.push_back({tag, perm}); });
+    alloc.uniform_borrows = false;
+    return tag;
 }
 
 // ---------------------------------------------------------------------------
@@ -454,62 +566,61 @@ Value MemoryModel::load(const Pointer& p, const lang::Type& type,
     }
 
     std::uint64_t offset = 0;
-    Allocation* fast = try_fast_access(p, size, ctx, offset, type.align_bytes());
-    if (fast != nullptr && fast->uninit_count == 0) {
-        // Fully-initialized, never-retagged allocation read through its
-        // base tag: the init scan and borrow/race updates are no-ops.
-    } else {
-        fast = nullptr;
+    Allocation* checked = try_fast_access(p, size, ctx, offset, type.align_bytes());
+    if (checked == nullptr) {
+        checked = check_access(p, size, /*write=*/false, ctx, offset,
+                               type.align_bytes());
+        if (checked == nullptr) return neutral_value(type);
     }
-    Allocation* checked =
-        fast != nullptr ? fast
-                        : check_access(p, size, /*write=*/false, ctx, offset,
-                                       type.align_bytes());
-    if (checked == nullptr) return neutral_value(type);
     Allocation& alloc = *checked;
-    if (fast == nullptr) {
-        for (std::uint64_t i = offset; i < offset + size; ++i) {
-            if (!alloc.init[i]) {
+    Payload& payload = payload_of(alloc);
+    if (alloc.uninit_count != 0) {
+        const auto& init = payload.init;
+        for (std::size_t i = init.find(offset);
+             i < init.run_count() && init.run(i).start < offset + size; ++i) {
+            if (!init.run(i).value) {
                 ub(UbCategory::Uninit,
-                   "reading uninitialized memory in '" + alloc.label +
-                       "' at offset " + std::to_string(i),
+                   "reading uninitialized memory in '" + std::string(alloc.label) +
+                       "' at offset " +
+                       std::to_string(std::max(init.run(i).start, offset)),
                    ctx.span);
                 return neutral_value(type);
             }
         }
     }
+    const std::uint8_t* bytes = payload.bytes() + offset;
     std::uint64_t bits = 0;
     for (std::uint64_t i = 0; i < size; ++i) {
-        bits |= static_cast<std::uint64_t>(alloc.bytes[offset + i]) << (8 * i);
+        bits |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
     }
 
     if (type.is_bool()) {
         if (bits > 1) {
             ub(UbCategory::Validity,
                "invalid bool value " + std::to_string(bits) +
-                   " (must be 0 or 1) loaded from '" + alloc.label + "'",
+                   " (must be 0 or 1) loaded from '" + std::string(alloc.label) +
+                   "'",
                ctx.span);
             return neutral_value(type);
         }
         return Value::boolean(bits != 0);
     }
     if (type.is_raw_ptr() || type.is_ref()) {
-        Pointer loaded;
-        if (auto it = alloc.ptr_prov.find(offset); it != alloc.ptr_prov.end()) {
-            loaded = it->second;
-        } else {
-            loaded = Pointer{bits, kNoAlloc, kNoTag};  // provenance was erased
-        }
+        const StoredProvenance* stored = find_provenance(payload, offset, false);
+        // Without a stored entry the provenance was erased.
+        const Pointer loaded =
+            stored != nullptr ? stored->ptr : Pointer{bits, kNoAlloc, kNoTag};
         if (type.is_ref() && loaded.is_null()) {
             ub(UbCategory::Validity,
-               "loaded a null reference from '" + alloc.label + "'", ctx.span);
+               "loaded a null reference from '" + std::string(alloc.label) + "'",
+               ctx.span);
             return neutral_value(type);
         }
         return Value::pointer(loaded);
     }
     if (type.is_fn_ptr()) {
-        if (auto it = alloc.fn_prov.find(offset); it != alloc.fn_prov.end()) {
-            return Value::function(it->second);
+        if (const StoredProvenance* stored = find_provenance(payload, offset, true)) {
+            return Value::function(stored->fn);
         }
         return Value::function(
             FnPtrVal{fn_addr_to_index(bits, static_cast<std::size_t>(-1))});
@@ -536,36 +647,38 @@ void MemoryModel::store(const Pointer& p, const lang::Type& type,
     }
 
     std::uint64_t offset = 0;
-    Allocation* fast = try_fast_access(p, size, ctx, offset, type.align_bytes());
-    Allocation* checked =
-        fast != nullptr ? fast
-                        : check_access(p, size, /*write=*/true, ctx, offset,
-                                       type.align_bytes());
-    if (checked == nullptr) return;
+    Allocation* checked = try_fast_access(p, size, ctx, offset, type.align_bytes());
+    if (checked == nullptr) {
+        checked = check_access(p, size, /*write=*/true, ctx, offset,
+                               type.align_bytes());
+        if (checked == nullptr) return;
+    }
     Allocation& alloc = *checked;
-    if (!alloc.ptr_prov.empty() || !alloc.fn_prov.empty()) {
-        clear_provenance_overlapping(alloc, offset, size);
+    Payload& payload = payload_of(alloc);
+    if (!payload.provenance.empty()) {
+        clear_provenance_overlapping(payload, offset, size);
     }
 
     const std::uint64_t bits = truncate_to_type(value.bits(), type);
-    if (alloc.uninit_count == 0) {
-        for (std::uint64_t i = 0; i < size; ++i) {
-            alloc.bytes[offset + i] = static_cast<std::uint8_t>(bits >> (8 * i));
-        }
-    } else {
-        for (std::uint64_t i = 0; i < size; ++i) {
-            alloc.bytes[offset + i] = static_cast<std::uint8_t>(bits >> (8 * i));
-            if (!alloc.init[offset + i]) {
-                alloc.init[offset + i] = 1;
-                --alloc.uninit_count;
-            }
-        }
+    std::uint8_t* bytes = payload.bytes() + offset;
+    for (std::uint64_t i = 0; i < size; ++i) {
+        bytes[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    }
+    if (alloc.uninit_count != 0) {
+        alloc.uninit_count -= payload.init.assign(offset, size, alloc.size, true);
     }
     if ((type.is_raw_ptr() || type.is_ref()) && value.kind() == Value::Kind::Ptr) {
-        alloc.ptr_prov[offset] = value.as_ptr();
+        StoredProvenance entry;
+        entry.offset = offset;
+        entry.ptr = value.as_ptr();
+        set_provenance(payload, entry);
     }
     if (type.is_fn_ptr() && value.kind() == Value::Kind::Fn) {
-        alloc.fn_prov[offset] = value.as_fn();
+        StoredProvenance entry;
+        entry.offset = offset;
+        entry.is_fn = true;
+        entry.fn = value.as_fn();
+        set_provenance(payload, entry);
     }
 }
 
@@ -588,7 +701,9 @@ Pointer MemoryModel::retag_ref(const Pointer& p, std::uint64_t size, bool is_mut
     Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
         ub(UbCategory::DanglingPointer,
-           "creating a reference into dead allocation '" + alloc.label + "'", span);
+           "creating a reference into dead allocation '" + std::string(alloc.label) +
+               "'",
+           span);
         return Pointer{};
     }
     if (p.addr < alloc.base || p.addr + size > alloc.base + alloc.size) {
@@ -596,18 +711,14 @@ Pointer MemoryModel::retag_ref(const Pointer& p, std::uint64_t size, bool is_mut
         return Pointer{};
     }
     const std::uint64_t offset = p.addr - alloc.base;
+    const std::uint64_t len = std::max<std::uint64_t>(size, 1);
     // Creating the reference is itself a use of the parent pointer.
-    if (!borrow_use(alloc, offset, std::max<std::uint64_t>(size, 1), p.tag,
-                    is_mut, span)) {
+    if (!borrow_use(alloc, offset, len, p.tag, is_mut, span)) {
         return Pointer{};
     }
-    const BorrowTag tag = fresh_tag(TagOrigin::Ref);
-    const Permission perm = is_mut ? Permission::Unique : Permission::SharedRO;
-    alloc.uniform_borrows = false;
-    for (std::uint64_t i = offset; i < offset + std::max<std::uint64_t>(size, 1);
-         ++i) {
-        alloc.borrows[i].push_back({tag, perm});
-    }
+    const BorrowTag tag =
+        push_tag(alloc, offset, len, TagOrigin::Ref,
+                 is_mut ? Permission::Unique : Permission::SharedRO);
     return Pointer{p.addr, p.alloc, tag};
 }
 
@@ -620,21 +731,19 @@ Pointer MemoryModel::retag_raw(const Pointer& p, std::uint64_t size, bool writab
     Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
         ub(UbCategory::DanglingPointer,
-           "casting a reference into dead allocation '" + alloc.label + "'", span);
+           "casting a reference into dead allocation '" + std::string(alloc.label) +
+               "'",
+           span);
         return Pointer{};
     }
     const std::uint64_t offset = p.addr - alloc.base;
-    if (!borrow_use(alloc, offset, std::max<std::uint64_t>(size, 1), p.tag,
-                    writable, span)) {
+    const std::uint64_t len = std::max<std::uint64_t>(size, 1);
+    if (!borrow_use(alloc, offset, len, p.tag, writable, span)) {
         return Pointer{};
     }
-    const BorrowTag tag = fresh_tag(TagOrigin::Raw);
-    const Permission perm = writable ? Permission::SharedRW : Permission::SharedRO;
-    alloc.uniform_borrows = false;
-    for (std::uint64_t i = offset; i < offset + std::max<std::uint64_t>(size, 1);
-         ++i) {
-        alloc.borrows[i].push_back({tag, perm});
-    }
+    const BorrowTag tag =
+        push_tag(alloc, offset, len, TagOrigin::Raw,
+                 writable ? Permission::SharedRW : Permission::SharedRO);
     return Pointer{p.addr, p.alloc, tag};
 }
 
@@ -649,15 +758,17 @@ Pointer MemoryModel::offset_pointer(const Pointer& p, std::int64_t count,
     const Allocation& alloc = get(p.alloc);
     if (!alloc.live) {
         ub(UbCategory::DanglingPointer,
-           "pointer arithmetic on dead allocation '" + alloc.label + "'", span);
+           "pointer arithmetic on dead allocation '" + std::string(alloc.label) +
+               "'",
+           span);
         return Pointer{};
     }
     auto out_of_bounds = [&](const std::string& offset) {
         ub(UbCategory::Provenance,
            "pointer arithmetic out of bounds: offset " + offset + " from offset " +
                std::to_string(p.addr - alloc.base) + " of " +
-               std::to_string(alloc.size) + "-byte allocation '" + alloc.label +
-               "'",
+               std::to_string(alloc.size) + "-byte allocation '" +
+               std::string(alloc.label) + "'",
            span);
     };
     std::int64_t byte_delta = 0;

@@ -10,6 +10,9 @@
 //   * alignment and typed-value validity checks
 //   * per-byte access epochs + vector clocks for data-race detection
 //
+// The per-byte state is kept per run of equal bytes (run_map.hpp), and a
+// dead allocation keeps only its header (DESIGN.md §23).
+//
 // A failed check raises its finding on the run's FaultRecord and the
 // operation returns a neutral result without touching the state the check
 // guards: a load yields neutral_value, a store, retag or free changes
@@ -18,16 +21,16 @@
 // their next fault check.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/type.hpp"
 #include "miri/finding.hpp"
+#include "miri/run_map.hpp"
 #include "miri/value.hpp"
 
 namespace rustbrain::miri {
@@ -53,7 +56,7 @@ class VectorClock {
     std::vector<std::uint64_t> clocks_;
 };
 
-enum class AllocKind { Heap, Stack, Static };
+enum class AllocKind : std::uint8_t { Heap, Stack, Static };
 
 enum class Permission {
     Unique,    // &mut or allocation base: full access, invalidated by others
@@ -64,7 +67,7 @@ enum class Permission {
 /// What kind of pointer a borrow tag was created for — used to pick the UB
 /// category when an invalidated tag is used (reference tags -> BothBorrow,
 /// raw/base tags -> StackBorrow).
-enum class TagOrigin { Base, Ref, Raw };
+enum class TagOrigin : std::uint8_t { Base, Ref, Raw };
 
 struct BorrowEntry {
     BorrowTag tag = kNoTag;
@@ -87,10 +90,9 @@ inline bool operator==(const AccessEpoch& a, const AccessEpoch& b) {
            a.valid == b.valid;
 }
 
-/// Per-byte borrow stack with inline storage for the common shapes (base
-/// tag alone, or base tag + one retag). Deeper retag chains spill into a
-/// heap vector. Keeping the first two entries inline removes a pointer
-/// chase per byte from every access-validation pass.
+/// A borrow stack with inline storage for the common shapes (base tag
+/// alone, or base tag + one retag). Deeper retag chains spill into a heap
+/// vector.
 class BorrowStack {
   public:
     [[nodiscard]] std::size_t size() const { return size_; }
@@ -111,7 +113,7 @@ class BorrowStack {
         if (size_ > kInline) {
             spill_.resize(n > kInline ? n - kInline : 0);
         }
-        size_ = n;
+        size_ = static_cast<std::uint32_t>(n);
     }
     /// Drop every Unique entry at index >= `from`, keeping the rest in order.
     void remove_unique_above(std::size_t from) {
@@ -124,13 +126,17 @@ class BorrowStack {
         }
         shrink_to(write);
     }
+    [[nodiscard]] std::size_t heap_bytes() const {
+        return spill_.capacity() * sizeof(BorrowEntry);
+    }
 
-    /// Raw field equality, stale inline entries past size() included.
+    /// The entries in order; stale inline slots past size() do not count.
     friend bool operator==(const BorrowStack& a, const BorrowStack& b) {
-        return a.size_ == b.size_ &&
-               std::equal(std::begin(a.inline_), std::end(a.inline_),
-                          std::begin(b.inline_)) &&
-               a.spill_ == b.spill_;
+        if (a.size_ != b.size_) return false;
+        for (std::size_t i = 0; i < a.size_; ++i) {
+            if (!(a[i] == b[i])) return false;
+        }
+        return true;
     }
 
   private:
@@ -148,45 +154,119 @@ class BorrowStack {
     std::vector<BorrowEntry> spill_;
 };
 
+/// One byte's race-detection state.
+struct RaceCell {
+    AccessEpoch last_write;
+    std::vector<AccessEpoch> reads;  // most recent read per thread
+
+    friend bool operator==(const RaceCell& a, const RaceCell& b) {
+        return a.last_write == b.last_write && a.reads == b.reads;
+    }
+};
+
+/// A pointer value stored in memory keeps its provenance here, keyed by
+/// the byte offset of the 8-byte pointer; `is_fn` picks `fn` over `ptr`.
+struct StoredProvenance {
+    std::uint64_t offset = 0;
+    bool is_fn = false;
+    Pointer ptr;
+    FnPtrVal fn;
+
+    friend bool operator==(const StoredProvenance& a, const StoredProvenance& b) {
+        return a.offset == b.offset && a.is_fn == b.is_fn && a.ptr == b.ptr &&
+               a.fn == b.fn;
+    }
+};
+
+/// No payload slot: a dead allocation's, or the end of the free list.
+inline constexpr std::uint32_t kNoPayload = 0xFFFF'FFFF;
+
+/// A live allocation's bytes and per-byte state (DESIGN.md §23). The bytes
+/// are flat, inline up to kInlineBytes; init state, borrow stacks and race
+/// epochs are run maps, one inline run while uniform.
+class Payload {
+  public:
+    static constexpr std::uint64_t kInlineBytes = 16;
+
+    /// An empty slot.
+    Payload() = default;
+    Payload(std::uint64_t size, BorrowTag base_tag);
+    /// The state a fresh allocation of `size` bytes starts in, as the
+    /// two-argument constructor makes it, reusing this slot's run storage.
+    void reset(std::uint64_t size, BorrowTag base_tag);
+    /// Frees the out-of-line bytes of a slot whose allocation died; reset()
+    /// makes it usable again.
+    void release() {
+        heap_bytes_.reset();
+        size_ = 0;
+    }
+    Payload(const Payload& other);
+    Payload& operator=(const Payload& other) { return *this = Payload(other); }
+    Payload(Payload&&) noexcept = default;
+    Payload& operator=(Payload&&) noexcept = default;
+    ~Payload() = default;
+
+    [[nodiscard]] std::uint8_t* bytes() {
+        return size_ <= kInlineBytes ? inline_bytes_ : heap_bytes_.get();
+    }
+    [[nodiscard]] const std::uint8_t* bytes() const {
+        return size_ <= kInlineBytes ? inline_bytes_ : heap_bytes_.get();
+    }
+
+    RunMap<bool, 2> init{false};
+    RunMap<BorrowStack> borrows;
+    /// Untouched (one default run) until the first clocked access.
+    RunMap<RaceCell> races;
+    /// Sorted by offset; at most one entry per offset.
+    InlineVec<StoredProvenance, 1> provenance;
+
+    /// Heap bytes held beyond the object itself.
+    [[nodiscard]] std::size_t heap_bytes() const;
+
+    friend bool operator==(const Payload& a, const Payload& b);
+
+    /// In a free slot, the next free slot.
+    std::uint32_t next_free = kNoPayload;
+
+  private:
+    std::uint64_t size_ = 0;
+    std::uint8_t inline_bytes_[kInlineBytes] = {};
+    std::unique_ptr<std::uint8_t[]> heap_bytes_;
+};
+
+/// The header every allocation keeps for the whole run. A live one owns a
+/// payload slot of its model; die() frees the slot for the next
+/// allocation, and the dead header keeps what the use-after-free,
+/// double-free, tail-call, dead-reference and leak diagnostics read.
 struct Allocation {
     AllocId id = kNoAlloc;
+    /// The model's payload slot while live, kNoPayload once dead.
+    std::uint32_t payload = kNoPayload;
     AllocKind kind = AllocKind::Stack;
-    std::uint64_t base = 0;
-    std::uint64_t size = 0;
-    std::uint64_t align = 1;
     bool live = true;
     /// Died because its frame was popped by a `become` tail call — accesses
     /// are reported under the TailCall category instead of DanglingPointer.
     bool tail_call_killed = false;
-    BorrowTag base_tag = kNoTag;
-    /// True while every byte's borrow stack is exactly [base_tag/Unique] —
-    /// the state allocate() creates. Cleared by the first retag. While set,
-    /// an access through the base tag provably leaves every stack unchanged
-    /// (found at top, nothing above to invalidate), so validation can skip
-    /// the per-byte borrow walk entirely.
+    /// True while the borrow map is one run of [base_tag/Unique], the state
+    /// allocate() creates. While set, an access through the base tag
+    /// provably leaves every stack unchanged (found at top, nothing above
+    /// to invalidate), so validation can skip the borrow walk entirely.
     bool uniform_borrows = true;
+    std::uint64_t base = 0;
+    std::uint64_t size = 0;
+    std::uint64_t align = 1;
+    BorrowTag base_tag = kNoTag;
     /// Bytes not yet written. 0 means the whole allocation is initialized,
-    /// so reads need no per-byte init scan.
+    /// so reads need no init scan.
     std::uint64_t uninit_count = 0;
-    std::string label;  // variable/static name or "heap" — for diagnostics
-    // Per-byte state, structure-of-arrays: the load/store hot loops touch
-    // `bytes`/`init` as dense arrays instead of striding over one big
-    // per-byte struct.
-    std::vector<std::uint8_t> bytes;   // raw byte values
-    std::vector<std::uint8_t> init;    // 0/1: byte has been written
-    std::vector<BorrowStack> borrows;  // per-byte borrow stacks
-    // Race-detection state, materialized lazily on the first access made
-    // with a vector clock — single-threaded programs never touch it.
-    std::vector<AccessEpoch> last_write;
-    std::vector<std::vector<AccessEpoch>> reads;  // most recent read per thread
-    /// Pointer values stored in memory keep their provenance here, keyed by
-    /// byte offset of the 8-byte pointer.
-    std::map<std::uint64_t, Pointer> ptr_prov;
-    std::map<std::uint64_t, FnPtrVal> fn_prov;
+    /// Variable/static name or "heap", for diagnostics: a view of the
+    /// program's names or a literal, which outlive the run.
+    std::string_view label;
 };
 
-/// Every field (memory.cpp pins the struct size so a new field cannot be
-/// left out).
+/// Every header field but `payload`, which names a slot: the model compares
+/// what the slots hold (memory.cpp pins the struct size so a new field
+/// cannot be left out).
 bool operator==(const Allocation& a, const Allocation& b);
 
 /// Context for a memory access: which thread, its vector clock, atomicity.
@@ -216,9 +296,11 @@ class MemoryModel {
     // Allocation lifecycle ---------------------------------------------
     /// Create a new allocation. An invalid layout, an exhausted address
     /// space or the run's cap raises Alloc UB and returns kNoAlloc, which
-    /// base_pointer maps to the null pointer and kill ignores.
+    /// base_pointer maps to the null pointer and kill ignores. `label` is
+    /// kept as a view, so it must outlive the model: a name of the program
+    /// or its bytecode, or a literal.
     AllocId allocate(std::uint64_t size, std::uint64_t align, AllocKind kind,
-                     std::string label, support::SourceSpan span);
+                     std::string_view label, support::SourceSpan span);
     /// The bookkeeping every allocation starts with, without making one:
     /// validates the alignment, bumps the address space and charges
     /// kMaxBytesPerRun, raising Alloc UB where allocate() would. Returns
@@ -236,12 +318,11 @@ class MemoryModel {
     /// dies as kill() leaves it.
     void deallocate(const Pointer& p, std::uint64_t size, std::uint64_t align,
                     support::SourceSpan span);
-    /// Stack scope exit / program teardown: mark dead, release the per-byte
-    /// state and take the size off the run's cap charge. The dead record
-    /// keeps what the use-after-free, double-free, tail-call and leak
-    /// diagnostics read (id, kind, base, size, align, liveness, base tag,
-    /// label). kNoAlloc (a refused allocation) is ignored, and an
-    /// allocation already dead is left as it is.
+    /// Stack scope exit / program teardown: mark dead, free the payload
+    /// slot and take the size off the run's cap charge. The dead header keeps
+    /// what the use-after-free, double-free, tail-call and leak diagnostics
+    /// read. kNoAlloc (a refused allocation) is ignored, and an allocation
+    /// already dead is left as it is.
     void kill(AllocId id);
     /// Frame popped by a `become` tail call: kill(), and later accesses are
     /// classified as TailCall UB.
@@ -256,10 +337,18 @@ class MemoryModel {
         return allocs_[id - 1];
     }
     [[nodiscard]] std::size_t allocation_count() const { return allocs_.size(); }
-    /// Room for `count` allocation records before the list has to grow.
-    /// Changes no finding and no footprint_bytes(), which counts records
-    /// made, not room.
-    void reserve_allocations(std::size_t count) { allocs_.reserve(count); }
+    /// A live allocation's bytes and per-byte state.
+    [[nodiscard]] const Payload& payload(AllocId id) const {
+        return payloads_[get(id).payload];
+    }
+    /// Room for `count` allocation records, payload slots and tags before
+    /// the lists have to grow. Changes no finding and no footprint_bytes(),
+    /// which counts records made, not room.
+    void reserve_allocations(std::size_t count) {
+        allocs_.reserve(count);
+        payloads_.reserve(count);
+        tag_origins_.reserve(2 * count);
+    }
 
     /// Pointer to an allocation's base carrying its base (Unique) tag; the
     /// null pointer for kNoAlloc.
@@ -299,12 +388,15 @@ class MemoryModel {
     /// Bytes held by live allocations: what the run cap charges.
     [[nodiscard]] std::uint64_t bytes_allocated() const { return bytes_allocated_; }
 
-    /// Approximate heap bytes held: what copying this model costs.
+    /// Approximate heap bytes held: what copying this model costs. Every
+    /// allocation counts its header, every payload slot made its size and
+    /// what it holds on the heap.
     [[nodiscard]] std::size_t footprint_bytes() const;
 
-    /// Every field of every allocation plus the tag, address and byte
-    /// counters and the fault record — equal models behave identically
-    /// from here on.
+    /// Every header field and live payload of every allocation plus the
+    /// tag, address and byte counters and the fault record — equal models
+    /// behave identically from here on. Which slot holds which payload and
+    /// the free slots do not count.
     friend bool operator==(const MemoryModel& a, const MemoryModel& b);
 
   private:
@@ -340,8 +432,21 @@ class MemoryModel {
                     BorrowTag tag, bool write, support::SourceSpan span);
     bool race_check(Allocation& alloc, std::uint64_t offset, std::uint64_t size,
                     bool write, const AccessCtx& ctx);
-    void clear_provenance_overlapping(Allocation& alloc, std::uint64_t offset,
-                                      std::uint64_t size);
+    /// Re-derives uniform_borrows from the borrow map.
+    static void refresh_uniform(Allocation& alloc, const Payload& payload);
+    [[nodiscard]] Payload& payload_of(const Allocation& alloc) {
+        return payloads_[alloc.payload];
+    }
+    /// Drops every stored pointer overlapping [offset, offset + size).
+    static void clear_provenance_overlapping(Payload& payload,
+                                             std::uint64_t offset,
+                                             std::uint64_t size);
+    static void set_provenance(Payload& payload, StoredProvenance entry);
+    [[nodiscard]] static const StoredProvenance* find_provenance(
+        const Payload& payload, std::uint64_t offset, bool is_fn);
+    /// Pushes a fresh `origin` tag with `perm` on every byte of the range.
+    BorrowTag push_tag(Allocation& alloc, std::uint64_t offset, std::uint64_t size,
+                       TagOrigin origin, Permission perm);
 
     [[gnu::cold]] void ub(UbCategory category, std::string message,
                           support::SourceSpan span) const;
@@ -358,6 +463,12 @@ class MemoryModel {
 
     FaultRecord* faults_;
     std::vector<Allocation> allocs_;
+    /// Payload slots of the live allocations, and free ones that the next
+    /// allocations reuse: a run holds as many slots as it ever held live
+    /// allocations at once.
+    std::vector<Payload> payloads_;
+    /// The most recently freed slot; each free slot links to the next.
+    std::uint32_t free_payload_ = kNoPayload;
     /// Origin per tag, indexed by tag - 1 (fresh_tag hands them out densely
     /// starting at 1).
     std::vector<TagOrigin> tag_origins_;

@@ -1,7 +1,5 @@
 #include "miri/mirilite.hpp"
 
-#include <set>
-
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 #include "support/diagnostics.hpp"
@@ -27,6 +25,21 @@ std::string MiriReport::summary() const {
     return out;
 }
 
+void MiriReport::add_distinct(const Finding& finding) {
+    for (const Finding& kept : findings) {
+        if (kept.category == finding.category && kept.message == finding.message) {
+            return;
+        }
+    }
+    findings.push_back(finding);
+}
+
+const std::vector<std::vector<std::int64_t>>& input_runs(
+    const std::vector<std::vector<std::int64_t>>& input_sets) {
+    static const std::vector<std::vector<std::int64_t>> kOneEmptyRun{{}};
+    return input_sets.empty() ? kOneEmptyRun : input_sets;
+}
+
 MiriReport MiriLite::test(const lang::Program& program,
                           const std::vector<std::vector<std::int64_t>>& input_sets)
     const {
@@ -43,19 +56,12 @@ MiriReport MiriLite::test(const lang::Program& program,
         return report;
     }
 
-    const std::vector<std::vector<std::int64_t>> runs =
-        input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
-                           : input_sets;
-
-    std::set<std::string> seen;
-    for (const auto& inputs : runs) {
+    for (const auto& inputs : input_runs(input_sets)) {
         Interpreter interp(checked, inputs, limits_);
         RunResult result = interp.run();
         report.total_steps += result.steps;
         report.outputs.push_back(std::move(result.output));
-        if (result.finding && seen.insert(result.finding->key()).second) {
-            report.findings.push_back(*result.finding);
-        }
+        if (result.finding) report.add_distinct(*result.finding);
     }
     return report;
 }

@@ -29,7 +29,15 @@ struct MiriReport {
     [[nodiscard]] std::size_t error_count() const { return findings.size(); }
     [[nodiscard]] bool has_category(UbCategory category) const;
     [[nodiscard]] std::string summary() const;
+    /// Appends `finding` unless one of the same category and message is
+    /// already kept (the few kept ones are compared in place).
+    void add_distinct(const Finding& finding);
 };
+
+/// The input vectors a report runs: `input_sets`, or one shared empty
+/// vector when there are none.
+[[nodiscard]] const std::vector<std::vector<std::int64_t>>& input_runs(
+    const std::vector<std::vector<std::int64_t>>& input_sets);
 
 class MiriLite {
   public:

@@ -1,7 +1,6 @@
 #include "verify/oracle.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "lang/parser.hpp"
@@ -258,15 +257,11 @@ miri::MiriReport Oracle::interpret(
     // Mirrors MiriLite::test (the uncached tree-walk reference) run for run,
     // with the front end already paid.
     miri::MiriReport report;
-    const std::vector<std::vector<std::int64_t>> runs =
-        input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
-                           : input_sets;
     miri::InterpLimits probe = limits_;
     if (interp_ == InterpTier::Vm) {
         probe.max_steps = std::min(limits_.max_steps, kVmAfterSteps);
     }
-    std::set<std::string> seen;
-    for (const auto& inputs : runs) {
+    for (const auto& inputs : miri::input_runs(input_sets)) {
         miri::RunResult result =
             miri::Interpreter(compiled.program, inputs, probe).run();
         if (result.steps > probe.max_steps &&
@@ -278,9 +273,7 @@ miri::MiriReport Oracle::interpret(
         }
         report.total_steps += result.steps;
         report.outputs.push_back(std::move(result.output));
-        if (result.finding && seen.insert(result.finding->key()).second) {
-            report.findings.push_back(*result.finding);
-        }
+        if (result.finding) report.add_distinct(*result.finding);
     }
     return report;
 }

@@ -134,7 +134,7 @@ void Vm::setup_statics() {
         const auto& item = m_.program.statics[i];
         const AllocId alloc =
             m_.mem.allocate(item.type.size_bytes(), item.type.align_bytes(),
-                            AllocKind::Static, std::string(item.name), item.span);
+                            AllocKind::Static, item.name, item.span);
         static_allocs_[i] = alloc;
         if (m_.faulted()) return;
         pc_ = code_.static_entries[i];

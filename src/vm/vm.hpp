@@ -138,8 +138,10 @@ class Vm {
     [[nodiscard]] const lang::Type& type_of(const Instr& in) const {
         return code_.types[in.type];
     }
-    [[nodiscard]] const std::string& name_of(const Instr& in) const {
-        return *static_cast<const std::string*>(code_.auxes[in.aux]);
+    /// The variable or callee name an instruction's aux points to: a
+    /// lang::Name of the program, so it lives as long as the program.
+    [[nodiscard]] lang::Name name_of(const Instr& in) const {
+        return *static_cast<const lang::Name*>(code_.auxes[in.aux]);
     }
     [[nodiscard]] const lang::Type& operand_type_of(const Instr& in) const {
         return *static_cast<const lang::Type*>(code_.auxes[in.aux]);

@@ -227,7 +227,7 @@ TEST(MemoryTest, DeadAllocationsDropTheirBytesAndKeepTheirDiagnostics) {
     const Pointer py = mem.base_pointer(y);
     const Pointer ph = mem.base_pointer(h);
     // Per-byte state of every kind: bytes, init, a retagged borrow stack,
-    // race epochs and both provenance maps.
+    // race epochs and stored pointer provenance.
     VectorClock vc;
     vc.set(0, 1);
     AccessCtx clocked;
@@ -250,11 +250,9 @@ TEST(MemoryTest, DeadAllocationsDropTheirBytesAndKeepTheirDiagnostics) {
     EXPECT_FALSE(dead.live);
     EXPECT_EQ(dead.size, 64u);
     EXPECT_EQ(dead.label, "x");
-    EXPECT_TRUE(dead.bytes.empty() && dead.init.empty() &&
-                dead.borrows.empty() && dead.last_write.empty() &&
-                dead.reads.empty() && dead.ptr_prov.empty() &&
-                dead.fn_prov.empty());
-    EXPECT_EQ(dead.bytes.capacity(), 0u);
+    // The payload slot (bytes, init, borrow, race and provenance state) is
+    // given back: only the header is left.
+    EXPECT_EQ(dead.payload, kNoPayload);
 
     mem.load(px, Type::i64(), ctx(kSite));
     EXPECT_TRUE(Faulted(faults, UbCategory::DanglingPointer,
