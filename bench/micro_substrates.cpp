@@ -1,7 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark) for the substrates that
 // rbbench's per-layer replay does not time: printing, the interpreter-tier
 // ladder on synthetic loop-, call- and memory-heavy workloads, the Oracle
-// uncached and memoized, pruning, vectorization, KB query, rule
+// uncached and memoized, a warm prompt-cache hit, pruning, vectorization, KB query, rule
 // application, and the front end's allocation pattern over the seed-42
 // forged corpus (parse, clone, teardown), the Oracle's uncached
 // interpretation of that corpus, and one forge slice of rbbench's `forge`
@@ -24,6 +24,7 @@
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
 #include "lang/typecheck.hpp"
+#include "llm/caching_backend.hpp"
 #include "llm/rules.hpp"
 #include "support/rng.hpp"
 #include "miri/interp.hpp"
@@ -228,6 +229,44 @@ void BM_OracleMemoized(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_OracleMemoized);
+
+/// CachingBackend's hit path: the call key of a rendered apply_rule prompt
+/// (1,096 bytes with its code) and a PromptCache lookup that copies out a
+/// code-block response, cycling over 1,024 warm calls of one session.
+void BM_PromptCacheHit(benchmark::State& state) {
+    const auto* ub_case = corpus().find("uninit/partial_init_0");
+    llm::PromptSpec spec;
+    spec.task = "apply_rule";
+    spec.fields["rule"] = "init-before-read";
+    spec.fields["error_category"] = "uninit";
+    spec.fields["error_message"] =
+        "using uninitialized memory: reading 8 bytes at alloc 3+0";
+    spec.exemplar_rules = {"init-before-read", "zero-init-buffer"};
+    spec.code = ub_case->buggy_source + ub_case->reference_fix;
+    llm::ChatRequest request;
+    request.messages.push_back({llm::Role::User, spec.render()});
+    llm::ChatResponse response;
+    response.content = "```rust\n" + ub_case->reference_fix + "```\n";
+    response.prompt_tokens = llm::estimate_tokens(request.messages[0].content);
+    response.completion_tokens = llm::estimate_tokens(response.content);
+
+    constexpr std::uint64_t kCalls = 1024;
+    llm::PromptCache cache;
+    for (std::uint64_t sequence = 0; sequence < kCalls; ++sequence) {
+        request.sequence = sequence;
+        cache.insert(llm::call_key("gpt-4", 7, request), response);
+    }
+    std::uint64_t sequence = 0;
+    for (auto _ : state) {
+        request.sequence = sequence++ % kCalls;
+        auto hit = cache.lookup(llm::call_key("gpt-4", 7, request));
+        benchmark::DoNotOptimize(hit);
+    }
+    state.counters["prompt_bytes"] =
+        static_cast<double>(request.messages[0].content.size());
+    if (cache.stats().misses != 0) state.SkipWithError("a warm lookup missed");
+}
+BENCHMARK(BM_PromptCacheHit);
 
 void BM_PruneAst(benchmark::State& state) {
     auto program = lang::try_parse(sample_source());
