@@ -3,14 +3,15 @@
 // Engines never construct a model themselves: they receive a
 // BackendFactory and open one backend *session* per repaired case
 // (seeded with derive_seed(config.seed, case tag), exactly like the old
-// embedded SimLLM). SimLLM is the first implementation; decorators
-// (CachingBackend, RecordingBackend/ReplayBackend) wrap any inner backend.
+// embedded SimLLM). SimLLM is the first implementation; the decorator
+// CachingBackend wraps any inner backend.
 //
-// Contract required by the decorators: a backend session's response must
+// Contract required by the decorator: a backend session's response must
 // be a pure function of (session identity, request.sequence, messages,
 // temperature). SimLLM guarantees this by deriving a fresh RNG stream per
 // call from exactly those inputs, which is what makes prompt-keyed
-// memoization and transcript replay bit-identical to live runs.
+// memoization, and a replay from a filled cache with no model behind it,
+// bit-identical to live runs.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +49,8 @@ using BackendFactory = std::function<std::unique_ptr<LlmBackend>(
 BackendFactory sim_backend_factory();
 
 /// Stable 64-bit identity of one call: (session tag, session seed,
-/// request.sequence, temperature bits, message contents). The shared key
-/// for CachingBackend and the transcript backends.
+/// request.sequence, temperature bits, message contents). CachingBackend's
+/// key; nothing re-checks it on a hit (DESIGN.md §14).
 std::uint64_t call_key(std::string_view session_tag, std::uint64_t session_seed,
                        const ChatRequest& request);
 

@@ -4,43 +4,26 @@
 
 namespace rustbrain::llm {
 
-PromptCache::PromptCache(std::size_t capacity_per_shard) {
-    for (Shard& shard : shards_) shard.entries.configure(capacity_per_shard);
-}
+PromptCache::PromptCache(std::size_t capacity_per_shard)
+    : entries_(capacity_per_shard) {}
 
 std::optional<ChatResponse> PromptCache::lookup(std::uint64_t key) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const ChatResponse* entry = shard.entries.find(key);
-    if (entry == nullptr) {
-        ++shard.misses;
-        return std::nullopt;
-    }
-    ++shard.hits;
-    return *entry;
+    // Nothing to check the entry against: see DESIGN.md §14 on collisions.
+    return entries_.lookup(
+        key, [](const ChatResponse&) { return true; },
+        [](const ChatResponse& response) { return response; });
 }
 
 void PromptCache::insert(std::uint64_t key, const ChatResponse& response) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.entries.peek(key) != nullptr) {
-        return;  // a racing thread inserted the identical response first
-    }
-    shard.entries.insert(key, response);
+    // A taken key keeps its response: a racing thread's identical one, or
+    // a colliding call's (DESIGN.md §14).
+    entries_.insert(key, response);
 }
 
 PromptCacheStats PromptCache::stats() const {
-    PromptCacheStats stats;
-    for (const Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        stats.hits += shard.hits;
-        stats.misses += shard.misses;
-        stats.entries += shard.entries.size();
-        const support::LruStats& lru = shard.entries.stats();
-        stats.evictions += lru.evictions;
-        stats.evicted_idle_ticks += lru.evicted_idle_ticks;
-    }
-    return stats;
+    const support::ShardedLruStats stats = entries_.stats();
+    return PromptCacheStats{stats.hits, stats.misses, stats.entries,
+                            stats.evictions, stats.evicted_idle_ticks};
 }
 
 CachingBackend::CachingBackend(std::shared_ptr<PromptCache> cache,

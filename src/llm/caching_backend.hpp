@@ -13,20 +13,27 @@
 // cache, skipping the simulated model's parse/mutate/print work on the hot
 // path.
 //
-// The store is sharded 16 ways to keep lock contention negligible when a
-// BatchRunner or RepairService fans requests out across workers. Each
-// shard is bounded by a support::LruMap: a full shard evicts its
-// least-recently-used entry, so hot entries survive pressure. Dropping
-// entries is always safe — bit-identity means only speed is at stake.
-// A shard owns a whole cache line and counts its own hits and misses
-// under the lock a lookup already holds, so a hit writes no line another
-// shard's lookups touch (DESIGN.md §16).
+// The store is a support::ShardedLru (DESIGN.md §16), the one the
+// Oracle's program and report caches use: 16 cache-line-aligned shards,
+// each an LruMap under its own lock that counts its own hits and misses,
+// so lock contention stays negligible when a BatchRunner or RepairService
+// fans requests out across workers. A full shard evicts its
+// least-recently-used entry; dropping entries is always safe, because
+// bit-identity means only speed is at stake.
+//
+// Unlike the Oracle's caches, an entry keeps no key material: a lookup
+// trusts its 64-bit call_key, so two calls whose keys collide share the
+// first one's response (DESIGN.md §14).
+//
+// Replay: every exchange is stored under its call_key, so a cache that one
+// run filled answers a second run of the same sessions with no model
+// behind it — caching_backend_factory(cache, inner) with an `inner` whose
+// sessions never answer. The cache must hold the whole recording (size
+// capacity_per_shard so no shard evicts), or the replay reaches `inner`.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -62,24 +69,15 @@ class PromptCache {
     /// Returns the cached response for a call identity, counting a hit or
     /// a miss (a hit promotes the entry to most-recently-used).
     std::optional<ChatResponse> lookup(std::uint64_t key);
+    /// The first insert under a key wins.
     void insert(std::uint64_t key, const ChatResponse& response);
     [[nodiscard]] PromptCacheStats stats() const;
 
   private:
-    static constexpr std::size_t kShards = 16;
-    /// Per-shard cap: ~512k responses total.
+    /// Per-shard cap (16 shards): ~512k responses total.
     static constexpr std::size_t kDefaultEntriesPerShard = 32768;
-    /// 64, not hardware_destructive_interference_size: GCC warns that the
-    /// latter may vary between builds (-Winterference-size).
-    struct alignas(64) Shard {
-        mutable std::mutex mutex;
-        support::LruMap<std::uint64_t, ChatResponse> entries;
-        std::uint64_t hits = 0;  // guarded by mutex, like the entries
-        std::uint64_t misses = 0;
-    };
-    Shard& shard_for(std::uint64_t key) { return shards_[key % kShards]; }
 
-    std::array<Shard, kShards> shards_;
+    support::ShardedLru<ChatResponse> entries_;
 };
 
 class CachingBackend final : public LlmBackend {

@@ -6,10 +6,12 @@
 //    std::hash is not stable across implementations, and changing one of
 //    these values changes experiment output, so they stay FNV-1a.
 //  * key_hash (multiply-mix, 16 bytes per step) for keys that only
-//    identify a cache entry and never reach a result: the VerifyCache
-//    fingerprint and collision check, and llm::call_key. Every lookup
-//    re-validates or is content-pure, so only speed and spread matter.
-//    Its value assumes a little-endian load and is not a stable format.
+//    identify a cache entry: the VerifyCache fingerprint and collision
+//    check, and llm::call_key. Its value assumes a little-endian load and
+//    is not a stable format. A VerifyCache hit re-checks the full key, so
+//    there only speed and spread matter. A PromptCache hit checks nothing:
+//    two calls whose call_keys collide share one response, which then
+//    reaches a result.
 //
 // DESIGN.md §14 gives the rule and where each one is used.
 #pragma once

@@ -1,9 +1,11 @@
-// LruMap — a bounded map with true least-recently-used eviction.
+// LruMap — a bounded map with true least-recently-used eviction — and
+// ShardedLru, the one thread-safe store built from sixteen of them.
 //
-// The shared caches (llm::PromptCache, verify::VerifyCache) bound each shard
-// with an LruMap rather than flushing the whole shard at its cap: a flush
-// drops hot entries along with cold ones, which is hostile to a long-lived
-// service whose whole value is keeping the hot set warm across requests.
+// The shared caches (llm::PromptCache, verify::VerifyCache) are
+// ShardedLrus: each shard is an LruMap rather than a map flushed at its
+// cap, because a flush drops hot entries along with cold ones, which is
+// hostile to a long-lived service whose whole value is keeping the hot set
+// warm across requests.
 // find() moves an entry to the front of the access order, insertion past
 // capacity evicts from the back, and every eviction records how long the
 // victim had been idle (in accesses), so cache pressure is observable
@@ -21,8 +23,8 @@
 //     slot numbers, kept at most half full, probed linearly and deleted
 //     from by backward shift (no tombstones). Growing it rebuilds only
 //     this array; nodes never move for it.
-// The home slot comes from the *high* bits of key * 2^64/phi. The caches
-// route a key to its shard by key % 16, so every key within one shard
+// The home slot comes from the *high* bits of key * 2^64/phi. ShardedLru
+// routes a key to its shard by key % 16, so every key within one shard
 // shares its low 4 bits; an index homed on the low bits would use a
 // sixteenth of its slots.
 //
@@ -35,12 +37,15 @@
 // passes is promoted — a mismatching probe is a miss that leaves the LRU
 // order alone, in one probe instead of peek() followed by find().
 //
-// Not thread-safe by itself: the caches shard it and lock each shard.
+// LruMap is not thread-safe by itself; ShardedLru locks each shard.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -225,6 +230,104 @@ class LruMap {
     std::uint32_t head_ = kNone;        // most recently used
     std::uint32_t tail_ = kNone;        // the eviction victim
     LruStats stats_;
+};
+
+struct ShardedLruStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::size_t entries = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t evicted_idle_ticks = 0;
+};
+
+/// Sixteen LruMaps keyed by a 64-bit hash, each behind its own lock: the
+/// store every shared cache is. A key lives in shard key % 16. A shard
+/// owns a whole cache line and counts its hits and misses under the lock
+/// its lookup already holds, so a hit writes no line another shard's
+/// lookups touch. Lookups copy out, under the lock, only what the caller
+/// reads (DESIGN.md §16). Thread-safe.
+template <typename Value>
+class ShardedLru {
+  public:
+    /// `capacity_per_shard` 0 means 1.
+    explicit ShardedLru(std::size_t capacity_per_shard) {
+        for (Shard& shard : shards_) shard.entries.configure(capacity_per_shard);
+    }
+
+    /// The counted lookup: read(entry) for the entry under `key` if
+    /// valid(entry) holds, promoted to most-recently-used and counted as a
+    /// hit; nullopt, counted as a miss, if there is none or it fails the
+    /// check (a hash collision), which leaves its LRU position alone.
+    template <class Valid, class Read>
+    auto lookup(std::uint64_t key, Valid&& valid, Read&& read)
+        -> std::optional<std::invoke_result_t<Read&, const Value&>> {
+        Shard& shard = shard_for(key);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        const Value* entry = shard.entries.find_if(key, valid);
+        if (entry == nullptr) {
+            ++shard.misses;
+            return std::nullopt;
+        }
+        ++shard.hits;
+        return read(*entry);
+    }
+
+    /// The first insert wins: stores `value` under `key` unless an entry is
+    /// there already, which keeps its LRU position.
+    void insert(std::uint64_t key, Value value) {
+        Shard& shard = shard_for(key);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        if (shard.entries.peek(key) == nullptr) {
+            shard.entries.insert(key, std::move(value));
+        }
+    }
+
+    /// insert() that reads back, under the same lock, the entry the key
+    /// then holds: read(value) when it was stored; read(earlier entry),
+    /// promoted, when valid(earlier entry) holds (a racing insert of an
+    /// equal entry); nullopt when it does not (a hash collision), which
+    /// leaves the owner's LRU position alone. Counted as neither a hit nor
+    /// a miss: the lookup before it was. One lock, so no eviction can
+    /// fall between the insert and the read.
+    template <class Valid, class Read>
+    auto insert_or_find(std::uint64_t key, Value value, Valid&& valid,
+                        Read&& read)
+        -> std::optional<std::invoke_result_t<Read&, const Value&>> {
+        Shard& shard = shard_for(key);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        const Value* kept = shard.entries.peek(key) == nullptr
+                                ? &shard.entries.insert(key, std::move(value))
+                                : shard.entries.find_if(key, valid);
+        if (kept == nullptr) return std::nullopt;
+        return read(*kept);
+    }
+
+    [[nodiscard]] ShardedLruStats stats() const {
+        ShardedLruStats stats;
+        for (const Shard& shard : shards_) {
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            stats.hits += shard.hits;
+            stats.misses += shard.misses;
+            stats.entries += shard.entries.size();
+            stats.evictions += shard.entries.stats().evictions;
+            stats.evicted_idle_ticks += shard.entries.stats().evicted_idle_ticks;
+        }
+        return stats;
+    }
+
+  private:
+    static constexpr std::size_t kShards = 16;
+    /// 64, not hardware_destructive_interference_size: GCC warns that the
+    /// latter may vary between builds (-Winterference-size).
+    struct alignas(64) Shard {
+        mutable std::mutex mutex;
+        LruMap<std::uint64_t, Value> entries;
+        std::uint64_t hits = 0;  // guarded by mutex, like the entries
+        std::uint64_t misses = 0;
+    };
+    Shard& shard_for(std::uint64_t key) { return shards_[key % kShards]; }
+
+    std::array<Shard, kShards> shards_;
 };
 
 }  // namespace rustbrain::support

@@ -47,95 +47,68 @@ std::uint64_t source_fingerprint(std::string_view source) {
 // ---------------------------------------------------------------------------
 
 VerifyCache::VerifyCache(std::size_t programs_per_shard,
-                         std::size_t reports_per_shard) {
-    for (Shard& shard : shards_) {
-        shard.programs.configure(programs_per_shard);
-        shard.reports.configure(reports_per_shard);
-    }
+                         std::size_t reports_per_shard)
+    : programs_(programs_per_shard), reports_(reports_per_shard) {}
+
+namespace {
+
+using ProgramPtr = std::shared_ptr<const CompiledProgram>;
+
+/// Validates a program entry: it was built from exactly `source`.
+auto built_from(const std::string& source) {
+    return [&source](const ProgramPtr& owner) { return owner->source == source; };
 }
+
+constexpr auto copy_program = [](const ProgramPtr& entry) { return entry; };
+
+}  // namespace
 
 std::shared_ptr<const CompiledProgram> VerifyCache::lookup_program(
     std::uint64_t key, const std::string& source) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // A fingerprint collision (source mismatch) is a miss and must not
-    // promote the colliding owner's entry to MRU.
-    const auto* entry = shard.programs.find_if(
-        key, [&](const auto& owner) { return owner->source == source; });
-    if (entry == nullptr) {
-        ++shard.program_misses;
-        return nullptr;
-    }
-    ++shard.program_hits;
-    return *entry;
+    return programs_.lookup(key, built_from(source), copy_program)
+        .value_or(nullptr);
 }
 
 std::shared_ptr<const CompiledProgram> VerifyCache::insert_program(
     std::uint64_t key, std::shared_ptr<const CompiledProgram> compiled) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.programs.peek(key) == nullptr) {
-        shard.programs.insert(key, compiled);
-        return compiled;
-    }
     // A racing thread's entry for the same source is just as canonical;
-    // promote it — this was a genuine access to that program.
-    const auto* entry = shard.programs.find_if(key, [&](const auto& owner) {
-        return owner->source == compiled->source;
-    });
-    // Otherwise a hash collision: the slot belongs to a different source.
-    return entry == nullptr ? nullptr : *entry;
+    // it is promoted — this was a genuine access to that program. Null is
+    // a hash collision: the slot belongs to a different source.
+    const std::string& source = compiled->source;
+    return programs_
+        .insert_or_find(key, std::move(compiled), built_from(source),
+                        copy_program)
+        .value_or(nullptr);
 }
 
 std::optional<miri::MiriReport> VerifyCache::lookup_report(
     const ReportKeyView& key) {
-    Shard& shard = shard_for(key.hash);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // A hash collision (key mismatch) is a miss and must not promote the
-    // colliding owner's entry to MRU.
-    const ReportEntry* entry = shard.reports.find_if(
-        key.hash, [&](const ReportEntry& owner) { return owner.matches(key); });
-    if (entry == nullptr) {
-        ++shard.report_misses;
-        return std::nullopt;
-    }
-    ++shard.report_hits;
-    return entry->report;
+    return reports_.lookup(
+        key.hash, [&key](const ReportEntry& owner) { return owner.matches(key); },
+        [](const ReportEntry& owner) { return owner.report; });
 }
 
 void VerifyCache::insert_report(const ReportKeyView& key,
                                 const miri::MiriReport& report) {
-    Shard& shard = shard_for(key.hash);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.reports.peek(key.hash) != nullptr) {
-        return;  // first entry wins; a colliding key simply stays uncached
-    }
-    ReportEntry entry;
-    entry.fingerprint = key.fingerprint;
-    entry.check = key.check;
-    entry.limits = key.limits;
-    entry.input_sets = *key.input_sets;
-    entry.report = report;
-    shard.reports.insert(key.hash, std::move(entry));
+    // The first entry wins; a colliding key simply stays uncached.
+    reports_.insert(key.hash, ReportEntry{key.fingerprint, key.check,
+                                          key.limits, *key.input_sets, report});
 }
 
 VerifyCacheStats VerifyCache::stats() const {
+    const support::ShardedLruStats programs = programs_.stats();
+    const support::ShardedLruStats reports = reports_.stats();
     VerifyCacheStats stats;
-    for (const Shard& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        stats.program_hits += shard.program_hits;
-        stats.program_misses += shard.program_misses;
-        stats.report_hits += shard.report_hits;
-        stats.report_misses += shard.report_misses;
-        stats.programs += shard.programs.size();
-        stats.reports += shard.reports.size();
-        const support::LruStats& programs = shard.programs.stats();
-        const support::LruStats& reports = shard.reports.stats();
-        stats.program_evictions += programs.evictions;
-        stats.report_evictions += reports.evictions;
-        stats.program_evicted_idle_ticks += programs.evicted_idle_ticks;
-        stats.report_evicted_idle_ticks += reports.evicted_idle_ticks;
-    }
+    stats.program_hits = programs.hits;
+    stats.program_misses = programs.misses;
+    stats.report_hits = reports.hits;
+    stats.report_misses = reports.misses;
+    stats.programs = programs.entries;
+    stats.reports = reports.entries;
+    stats.program_evictions = programs.evictions;
+    stats.report_evictions = reports.evictions;
+    stats.program_evicted_idle_ticks = programs.evicted_idle_ticks;
+    stats.report_evicted_idle_ticks = reports.evicted_idle_ticks;
     return stats;
 }
 

@@ -23,9 +23,10 @@
 // inputs, limits), so a cached answer is byte-identical to a live one —
 // sweeps and forge runs with the cache on and off produce identical
 // CaseResults and corpora. The cache is therefore a pure performance
-// knob, exactly like llm::PromptCache, whose design this mirrors (16-way
-// cache-line-aligned shards counting their own hits and misses,
-// process-wide shared store).
+// knob, like llm::PromptCache, and it is the same store: two
+// support::ShardedLrus (16 cache-line-aligned shards counting their own
+// hits and misses, DESIGN.md §16), one process-wide instance. Unlike the
+// prompt cache, every entry keeps its full key and re-checks it on a hit.
 //
 // Screening on demand: test_source always interprets. A caller that wants
 // the static pre-screener's verdict (screen/screen.hpp) asks for it with
@@ -39,7 +40,6 @@
 // and the forge under each of them against a serial, uncached tree walk.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -167,9 +167,10 @@ struct ReportKeyView {
     const std::vector<std::vector<std::int64_t>>* input_sets = nullptr;
 };
 
-/// The sharded store behind Oracle. Thread-safe; shared across BatchRunner
-/// workers, repeated sweeps, and every subsystem in the process (the
-/// process_wide() instance) or scoped per experiment (tests).
+/// The store behind Oracle: a support::ShardedLru of programs and one of
+/// reports. Thread-safe; shared across BatchRunner workers, repeated
+/// sweeps, and every subsystem in the process (the process_wide()
+/// instance) or scoped per experiment (tests).
 ///
 /// Collision safety: entries keep their full key material (the source text
 /// for programs, ReportKey for reports) and verify it on every hit; a
@@ -208,8 +209,7 @@ class VerifyCache {
     static const std::shared_ptr<VerifyCache>& process_wide();
 
   private:
-    static constexpr std::size_t kShards = 16;
-    /// Per-shard caps: ~64k programs / ~128k reports total.
+    /// Per-shard caps (16 shards): ~64k programs / ~128k reports total.
     static constexpr std::size_t kDefaultProgramsPerShard = 4096;
     static constexpr std::size_t kDefaultReportsPerShard = 8192;
     struct ReportEntry {
@@ -226,23 +226,9 @@ class VerifyCache {
                    input_sets == *key.input_sets;
         }
     };
-    /// One cache line at least, so no two shards' locks and LRU fields
-    /// share one; 64, not hardware_destructive_interference_size, which
-    /// GCC warns may vary between builds (-Winterference-size). The
-    /// counters are guarded by mutex, like the maps.
-    struct alignas(64) Shard {
-        mutable std::mutex mutex;
-        support::LruMap<std::uint64_t, std::shared_ptr<const CompiledProgram>>
-            programs;
-        support::LruMap<std::uint64_t, ReportEntry> reports;
-        std::uint64_t program_hits = 0;
-        std::uint64_t program_misses = 0;
-        std::uint64_t report_hits = 0;
-        std::uint64_t report_misses = 0;
-    };
-    Shard& shard_for(std::uint64_t key) { return shards_[key % kShards]; }
 
-    std::array<Shard, kShards> shards_;
+    support::ShardedLru<std::shared_ptr<const CompiledProgram>> programs_;
+    support::ShardedLru<ReportEntry> reports_;
 };
 
 struct OracleOptions {

@@ -1,6 +1,6 @@
 // The LlmBackend boundary: SimLLM's per-call purity, CachingBackend's
-// bit-identical memoization over a full-corpus sweep, the
-// RecordingBackend/ReplayBackend golden-transcript round trip, and
+// bit-identical memoization over a full-corpus sweep, a recording replayed
+// from the cache with no model behind it, and
 // support::key_hash without a collision over every text one cold sweep
 // hashes into a cache key.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "core/batch_runner.hpp"
@@ -18,7 +19,6 @@
 #include "gen/forge.hpp"
 #include "kb/seed.hpp"
 #include "llm/caching_backend.hpp"
-#include "llm/replay_backend.hpp"
 #include "llm/simllm.hpp"
 #include "support/hashing.hpp"
 #include "verify/oracle.hpp"
@@ -169,27 +169,45 @@ TEST(CachingBackendTest, FullShardEvictsDownToItsCapAndCounts) {
     EXPECT_FALSE(cache.lookup(0).has_value());
 }
 
-TEST(ReplayBackendTest, GoldenTranscriptReproducesCaseResults) {
-    // Record a sweep over one category, then replay it with no model
-    // behind the boundary at all: bit-identical CaseResults prove the
-    // transcript captures everything the pipeline consumed.
+/// Sessions with no model behind them: a call that reaches one throws.
+BackendFactory model_less_factory() {
+    class ModelLessBackend final : public LlmBackend {
+      public:
+        ChatResponse complete(const ChatRequest&) override {
+            throw std::logic_error("a replayed call reached the model");
+        }
+        [[nodiscard]] std::uint64_t calls_served() const override { return 0; }
+        [[nodiscard]] std::string description() const override { return "none"; }
+    };
+    return [](const ModelProfile&, std::uint64_t) {
+        return std::make_unique<ModelLessBackend>();
+    };
+}
+
+TEST(CachingBackendTest, GoldenTranscriptReproducesCaseResults) {
+    // Record a sweep over one category into a cache, then replay it from
+    // that cache with no model behind the boundary at all: bit-identical
+    // CaseResults prove the cache captures everything the pipeline
+    // consumed.
     const std::vector<const dataset::UbCase*> cases =
         corpus().by_category(miri::UbCategory::DanglingPointer);
     ASSERT_FALSE(cases.empty());
 
-    const auto transcript = std::make_shared<Transcript>();
+    const auto cache = std::make_shared<PromptCache>();
     const auto record_engine = core::EngineRegistry::builtin().build(
         "rustbrain", core::EngineOptions::parse("model=gpt-4"),
-        context_with(recording_backend_factory(transcript)));
+        context_with(caching_backend_factory(cache)));
     std::vector<core::CaseResult> recorded;
     for (const dataset::UbCase* ub_case : cases) {
         recorded.push_back(record_engine->repair(*ub_case));
     }
-    ASSERT_GT(transcript->size(), 0u);
+    const PromptCacheStats recording = cache->stats();
+    ASSERT_GT(recording.entries, 0u);
+    ASSERT_EQ(recording.evictions, 0u);
 
     const auto replay_engine = core::EngineRegistry::builtin().build(
         "rustbrain", core::EngineOptions::parse("model=gpt-4"),
-        context_with(replay_backend_factory(transcript)));
+        context_with(caching_backend_factory(cache, model_less_factory())));
     for (std::size_t i = 0; i < cases.size(); ++i) {
         const core::CaseResult replayed = replay_engine->repair(*cases[i]);
         const core::CaseResult& original = recorded[i];
@@ -206,33 +224,10 @@ TEST(ReplayBackendTest, GoldenTranscriptReproducesCaseResults) {
         EXPECT_EQ(replayed.final_source, original.final_source)
             << original.case_id;
     }
-}
-
-TEST(ReplayBackendTest, DivergenceFromRecordingThrows) {
-    const auto transcript = std::make_shared<Transcript>();
-    ReplayBackend replay(transcript, "gpt-4", 3);
-    ChatRequest request;
-    request.messages.push_back({Role::User, "task: apply_rule\n"});
-    EXPECT_THROW((void)replay.complete(request), std::out_of_range);
-}
-
-TEST(ReplayBackendTest, RecordingDelegatesAndStores) {
-    const auto transcript = std::make_shared<Transcript>();
-    RecordingBackend recorder(transcript,
-                              std::make_unique<SimLLM>(gpt4_profile(), 5),
-                              "gpt-4", 5);
-    ChatRequest request;
-    request.sequence = 1;
-    request.messages.push_back(
-        {Role::User, "task: extract_features\nerror_category: alloc\n"});
-    const ChatResponse live = recorder.complete(request);
-    EXPECT_EQ(transcript->size(), 1u);
-    EXPECT_EQ(recorder.description(), "record(sim:gpt-4)");
-
-    ReplayBackend replay(transcript, "gpt-4", 5);
-    const ChatResponse replayed = replay.complete(request);
-    EXPECT_EQ(replayed.content, live.content);
-    EXPECT_EQ(replayed.latency_ms, live.latency_ms);
+    // Every replayed call was a hit.
+    const PromptCacheStats replay = cache->stats();
+    EXPECT_EQ(replay.misses, recording.misses);
+    EXPECT_EQ(replay.hits - recording.hits, recording.hits + recording.misses);
 }
 
 /// Every distinct text a sweep hashes into a cache key: prompt messages
