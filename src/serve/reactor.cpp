@@ -15,6 +15,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "serve/server.hpp"
+
 namespace rustbrain::serve {
 
 namespace {
@@ -47,7 +49,8 @@ void configure_connection(int fd, int send_buffer_bytes) {
     }
 }
 
-Reactor::Reactor(int listen_fd, RepairService& service, Options options)
+Reactor::Reactor(int listen_fd, RepairService& service,
+                 const ServerOptions& options)
     : service_(service), options_(options), listen_fd_(listen_fd) {
     const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
     if (flags < 0 ||

@@ -8,7 +8,7 @@
 // repair, render the response off the reactor thread, and hand the bytes
 // back through a completion queue + eventfd wake. Responses are written
 // back strictly in per-connection request order — a pipelined client that
-// sent frames 0..N reads responses 0..N even when the scheduler finished
+// sent frames 0..N reads responses 0..N even when the worker pool finished
 // them out of order — which is what keeps the deterministic-mode byte
 // contract intact over pipelining (DESIGN.md §10). Writes go through a
 // vectored buffered writer: queued response frames are flushed in batches
@@ -36,6 +36,8 @@
 #include "serve/wire.hpp"
 
 namespace rustbrain::serve {
+
+struct ServerOptions;  // serve/server.hpp
 
 /// Transient accept() failures (fd/buffer exhaustion) that deserve a
 /// backoff-and-retry instead of ending the accept loop: EMFILE, ENFILE,
@@ -66,24 +68,13 @@ struct ServerStats {
 
 class Reactor {
   public:
-    struct Options {
-        /// Stop once this many responses have been written (0 = serve
-        /// until stop()); in-flight pipelined requests are drained first.
-        std::uint64_t max_requests = 0;
-        /// Accepted-connection cap (0 = uncapped). Over-cap connections
-        /// are accepted, sent one framed shed response, and closed —
-        /// never silently dropped.
-        std::size_t max_connections = 0;
-        /// SO_SNDBUF requested for accepted connections (0 = kernel
-        /// default). Tests shrink it so a multi-frame vectored flush
-        /// reliably stops partway through an iovec batch.
-        int send_buffer_bytes = 0;
-    };
-
     /// Takes ownership of `listen_fd` (already bound and listening) and
-    /// starts the loop thread. Throws std::runtime_error when the epoll
-    /// or eventfd plumbing cannot be created (listen_fd is closed).
-    Reactor(int listen_fd, RepairService& service, Options options);
+    /// starts the loop thread. Reads max_requests, max_connections and
+    /// send_buffer_bytes from `options`, which must outlive the reactor.
+    /// Throws std::runtime_error when the epoll or eventfd plumbing cannot
+    /// be created (listen_fd is closed).
+    Reactor(int listen_fd, RepairService& service,
+            const ServerOptions& options);
     ~Reactor();
     Reactor(const Reactor&) = delete;
     Reactor& operator=(const Reactor&) = delete;
@@ -161,7 +152,7 @@ class Reactor {
     }
 
     RepairService& service_;
-    Options options_;
+    const ServerOptions& options_;
     int listen_fd_ = -1;
     int epoll_fd_ = -1;
     int event_fd_ = -1;

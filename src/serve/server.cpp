@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace rustbrain::serve {
 
@@ -49,14 +50,11 @@ int listen_loopback(std::uint16_t port, std::uint16_t& bound_port) {
 
 }  // namespace
 
-RepairServer::RepairServer(ServerOptions options) : service_(options.service) {
-    const int listen_fd = listen_loopback(options.port, port_);
-    Reactor::Options reactor_options;
-    reactor_options.max_requests = options.max_requests;
-    reactor_options.max_connections = options.max_connections;
-    reactor_options.send_buffer_bytes = options.send_buffer_bytes;
+RepairServer::RepairServer(ServerOptions options)
+    : options_(std::move(options)), service_(options_.service) {
+    const int listen_fd = listen_loopback(options_.port, port_);
     // The reactor takes ownership of the listening fd.
-    reactor_ = std::make_unique<Reactor>(listen_fd, service_, reactor_options);
+    reactor_ = std::make_unique<Reactor>(listen_fd, service_, options_);
 }
 
 RepairServer::~RepairServer() { stop(); }

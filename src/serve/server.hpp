@@ -28,8 +28,8 @@ struct ServerOptions {
     /// port().
     std::uint16_t port = 0;
     /// Stop accepting after serving this many requests (0 => serve until
-    /// stop()). The CI smoke job uses this for a clean, deterministic
-    /// shutdown.
+    /// stop()); in-flight pipelined requests are drained first. The CI
+    /// smoke job uses this for a clean, deterministic shutdown.
     std::uint64_t max_requests = 0;
     /// Cap on concurrently open connections (0 = uncapped). Over-cap
     /// connections are accepted, sent one framed shed response with retry
@@ -65,6 +65,8 @@ class RepairServer {
     void wait();
 
   private:
+    /// Frozen at construction; the reactor reads its fields from here.
+    const ServerOptions options_;
     RepairService service_;
     std::uint16_t port_ = 0;
     /// Declared after service_ so it destructs first: the reactor drains

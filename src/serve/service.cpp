@@ -20,8 +20,8 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 
 RepairService::RepairService(ServiceOptions options)
     : options_(std::move(options)),
-      pool_(options_.workers),
-      prompt_cache_(std::make_shared<llm::PromptCache>()) {
+      prompt_cache_(std::make_shared<llm::PromptCache>()),
+      pool_(options_.workers) {
     if (options_.oracle != nullptr) {
         oracle_ = options_.oracle;
     } else {
@@ -41,13 +41,6 @@ RepairService::RepairService(ServiceOptions options)
     }
     (void)core::EngineRegistry::builtin().build(options_.default_engine,
                                                 probe_options, probe);
-    scheduler_ = std::make_unique<support::WorkStealScheduler>(pool_);
-}
-
-RepairService::~RepairService() {
-    // The scheduler's destructor drains outstanding tasks before the
-    // shared stores below it are torn down.
-    scheduler_.reset();
 }
 
 void RepairService::emit(const core::TraceEvent& event) {
@@ -103,8 +96,8 @@ void RepairService::submit_async(RepairRequest request,
     auto shared_request = std::make_shared<RepairRequest>(std::move(request));
     auto shared_done =
         std::make_shared<std::function<void(RepairResponse)>>(std::move(done));
-    scheduler_->submit([this, shared_request, shared_done,
-                        submitted_at](std::size_t worker) {
+    pool_.submit([this, shared_request, shared_done,
+                  submitted_at](std::size_t worker) {
         const double queue_ms = elapsed_ms(submitted_at);
         (*shared_done)(
             handle(*shared_request, worker, queue_ms, submitted_at));
@@ -241,7 +234,7 @@ ServiceStats RepairService::stats() const {
         stats.queue_ms_p95 = queue_samples_.percentile(0.95);
         stats.queue_ms_p99 = queue_samples_.percentile(0.99);
     }
-    stats.scheduler = scheduler_->stats();
+    stats.scheduler = pool_.stats();
     stats.prompt_cache = prompt_cache_->stats();
     stats.verify_cache = oracle_->stats();
     return stats;

@@ -7,6 +7,7 @@
 // error path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -355,6 +356,35 @@ TEST(RepairServiceTest, QueuePercentilesReportedAndStatsStayConsistent) {
     EXPECT_LE(stats.queue_ms_p50, stats.queue_ms_p95);
     EXPECT_LE(stats.queue_ms_p95, stats.queue_ms_p99);
     EXPECT_LE(stats.queue_ms_p99, stats.queue_ms_max);
+}
+
+TEST(RepairServiceTest, DestroyedWithQueuedRequestsRunsEachCallbackOnce) {
+    // One worker, a backlog, and no wait: the service's destructor must run
+    // every queued repair, each callback once, while the stores the repairs
+    // read are still alive.
+    constexpr std::size_t kRequests = 6;
+    std::vector<std::atomic<int>> calls(kRequests);
+    std::atomic<std::size_t> ok{0};
+    {
+        RepairService service(service_options(/*workers=*/1));
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            RepairRequest request;
+            request.ticket = std::to_string(i);
+            request.ub_case = corpus().cases()[i % corpus().size()];
+            service.submit_async(std::move(request),
+                                 [&, i](RepairResponse response) {
+                                     ++calls[i];
+                                     if (response.ok &&
+                                         response.ticket == std::to_string(i)) {
+                                         ++ok;
+                                     }
+                                 });
+        }
+    }
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        EXPECT_EQ(calls[i].load(), 1) << "request " << i;
+    }
+    EXPECT_EQ(ok.load(), kRequests);
 }
 
 /// Holds every dequeued request at its ServiceQueue event until released,
