@@ -59,7 +59,6 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, WorkerIdsStayInRange) {
-    // Through parallel_for and through submit alike.
     ThreadPool pool(3);
     std::mutex mutex;
     std::set<std::size_t> seen;
@@ -67,6 +66,14 @@ TEST(ThreadPoolTest, WorkerIdsStayInRange) {
         const std::lock_guard<std::mutex> lock(mutex);
         seen.insert(worker);
     });
+    ASSERT_FALSE(seen.empty());
+    EXPECT_LT(*seen.rbegin(), pool.size());
+}
+
+TEST(ThreadPoolTest, SubmitWorkerIdsStayInRange) {
+    ThreadPool pool(3);
+    std::mutex mutex;
+    std::set<std::size_t> seen;
     for (int i = 0; i < 64; ++i) {
         pool.submit([&](std::size_t worker) {
             const std::lock_guard<std::mutex> lock(mutex);
