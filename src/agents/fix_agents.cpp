@@ -34,14 +34,8 @@ FixOutcome FixAgent::run(const std::string& code, const miri::Finding& finding,
 
     FixOutcome outcome;
     outcome.code = llm::parse_code_block(response.content);
-    const std::size_t note_end = response.content.find('\n');
-    outcome.note = note_end == std::string::npos
-                       ? response.content
-                       : response.content.substr(0, note_end);
-    outcome.model_changed_code = outcome.code != code;
     if (outcome.code.empty()) {
         outcome.code = code;  // defensive: a silent model changes nothing
-        outcome.model_changed_code = false;
     }
     return outcome;
 }

@@ -19,9 +19,7 @@
 namespace rustbrain::agents {
 
 struct FixOutcome {
-    std::string code;        // candidate program source after the step
-    bool model_changed_code = false;
-    std::string note;        // model-reported note (diagnostic only)
+    std::string code;  // candidate program source after the step
 };
 
 class FixAgent {

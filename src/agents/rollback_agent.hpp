@@ -34,7 +34,6 @@ class RollbackAgent {
     [[nodiscard]] const std::vector<std::size_t>& trajectory() const {
         return trajectory_;
     }
-    [[nodiscard]] bool has_observation() const { return observed_; }
 
   private:
     bool observed_ = false;

@@ -16,12 +16,6 @@ ExprPtr mk_int(AstArena& arena, std::uint64_t value) {
     return node;
 }
 
-ExprPtr mk_bool(AstArena& arena, bool value) {
-    auto node = arena.make<BoolLitExpr>();
-    node->value = value;
-    return node;
-}
-
 ExprPtr mk_var(AstArena& arena, std::string_view name) {
     auto node = arena.make<VarRefExpr>();
     node->name = arena.name(name);
@@ -54,13 +48,6 @@ ExprPtr mk_call(AstArena& arena, std::string_view callee, ExprList args) {
     auto node = arena.make<CallExpr>();
     node->callee = arena.name(callee);
     node->args = std::move(args);
-    return node;
-}
-
-ExprPtr mk_index(AstArena& arena, ExprPtr base, ExprPtr index) {
-    auto node = arena.make<IndexExpr>();
-    node->base = std::move(base);
-    node->index = std::move(index);
     return node;
 }
 
@@ -109,12 +96,6 @@ StmtPtr mk_guard(AstArena& arena, ExprPtr cond, Block then_block,
         else_block.statements.push_back(mk_print_sentinel(arena));
         node->else_block = std::move(else_block);
     }
-    return node;
-}
-
-StmtPtr mk_unsafe(AstArena& arena, Block block) {
-    auto node = arena.make<UnsafeStmt>();
-    node->block = std::move(block);
     return node;
 }
 

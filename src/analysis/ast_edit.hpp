@@ -17,7 +17,6 @@ namespace rustbrain::analysis {
 // nodes will join (DESIGN.md §21); `args` and blocks must come from it too.
 
 lang::ExprPtr mk_int(lang::AstArena& arena, std::uint64_t value);
-lang::ExprPtr mk_bool(lang::AstArena& arena, bool value);
 lang::ExprPtr mk_var(lang::AstArena& arena, std::string_view name);
 lang::ExprPtr mk_unary(lang::AstArena& arena, lang::UnaryOp op, lang::ExprPtr operand);
 lang::ExprPtr mk_binary(lang::AstArena& arena, lang::BinaryOp op, lang::ExprPtr lhs,
@@ -25,7 +24,6 @@ lang::ExprPtr mk_binary(lang::AstArena& arena, lang::BinaryOp op, lang::ExprPtr 
 lang::ExprPtr mk_cast(lang::AstArena& arena, lang::ExprPtr operand, lang::Type target);
 lang::ExprPtr mk_call(lang::AstArena& arena, std::string_view callee,
                       lang::ExprList args);
-lang::ExprPtr mk_index(lang::AstArena& arena, lang::ExprPtr base, lang::ExprPtr index);
 
 lang::StmtPtr mk_let(lang::AstArena& arena, std::string_view name, bool is_mut,
                      lang::ExprPtr init,
@@ -36,7 +34,6 @@ lang::StmtPtr mk_return(lang::AstArena& arena, lang::ExprPtr value);
 /// `if cond { then } else { print_int(0 - 1); }` — the corpus's guard idiom.
 lang::StmtPtr mk_guard(lang::AstArena& arena, lang::ExprPtr cond, lang::Block then_block,
                        bool with_sentinel_else);
-lang::StmtPtr mk_unsafe(lang::AstArena& arena, lang::Block block);
 /// print_int(0 - 1) — the sentinel the corpus prints on guarded paths.
 lang::StmtPtr mk_print_sentinel(lang::AstArena& arena);
 

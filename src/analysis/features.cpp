@@ -1,7 +1,6 @@
 #include "analysis/features.hpp"
 
 #include "analysis/walk.hpp"
-#include "lang/typecheck.hpp"
 
 namespace rustbrain::analysis {
 
@@ -40,14 +39,6 @@ ErrorFeatures extract_features(const Program& program,
                     node.operand->kind != ExprKind::Unary) {
                     ++features.int_to_ptr_casts;
                 }
-                if (node.target.is_raw_ptr() &&
-                    node.operand->kind == ExprKind::Unary) {
-                    const auto& inner = static_cast<const UnaryExpr&>(*node.operand);
-                    if (inner.op == UnaryOp::AddrOf ||
-                        inner.op == UnaryOp::AddrOfMut) {
-                        ++features.ref_to_ptr_casts;
-                    }
-                }
                 if (node.target.is_fn_ptr()) {
                     ++features.fn_ptr_casts;
                 }
@@ -59,28 +50,6 @@ ErrorFeatures extract_features(const Program& program,
                 if (node.callee == "dealloc") ++features.dealloc_calls;
                 if (node.callee == "offset") ++features.offset_calls;
                 if (node.callee == "spawn") ++features.spawn_calls;
-                if (node.callee == "atomic_load" || node.callee == "atomic_store" ||
-                    node.callee == "atomic_fetch_add") {
-                    ++features.atomic_calls;
-                }
-                if (node.callee == "mutex_new" || node.callee == "mutex_lock" ||
-                    node.callee == "mutex_unlock") {
-                    ++features.mutex_calls;
-                }
-                if (!is_intrinsic(node.callee)) {
-                    const FnItem* fn = program.find_function(node.callee);
-                    if (fn != nullptr && fn->is_unsafe) {
-                        ++features.unsafe_fn_calls;
-                    }
-                }
-                break;
-            }
-            case ExprKind::VarRef: {
-                const auto& node = static_cast<const VarRefExpr&>(expr);
-                const StaticItem* item = program.find_static(node.name);
-                if (item != nullptr && item->is_mut) {
-                    ++features.static_mut_accesses;
-                }
                 break;
             }
             case ExprKind::Index:

@@ -12,27 +12,21 @@
 
 namespace rustbrain::analysis {
 
-/// Counts of the unsafe-operation kinds (the paper's five-way
+/// Counts of unsafe-operation kinds (from the paper's five-way
 /// classification) and repair-relevant shape features.
 struct ErrorFeatures {
     miri::UbCategory category = miri::UbCategory::Panic;
 
-    // The five unsafe-operation kinds (Section III-A1).
+    // Unsafe-operation kinds (Section III-A1).
     int raw_ptr_derefs = 0;
-    int unsafe_fn_calls = 0;
-    int static_mut_accesses = 0;
     int fn_ptr_casts = 0;   // stand-in for "unsafe trait" (not in mini-Rust)
-    int union_accesses = 0; // always 0 in mini-Rust; kept for the taxonomy
 
     // Shape features used by rule applicability & the feedback key.
     int alloc_calls = 0;
     int dealloc_calls = 0;
     int offset_calls = 0;
     int int_to_ptr_casts = 0;
-    int ref_to_ptr_casts = 0;
     int spawn_calls = 0;
-    int atomic_calls = 0;
-    int mutex_calls = 0;
     int become_stmts = 0;
     int unsafe_blocks = 0;
     int loops = 0;

@@ -20,18 +20,31 @@ void FeedbackStore::record(const std::string& feature_key,
     } else {
         ++outcome.failures;
     }
-    outcome.total_overhead_ms += triplet.overhead_ms;
-    journal_.push_back({feature_key, rule_id, triplet});
     ++records_;
 }
 
-void FeedbackStore::absorb(const FeedbackStore& other,
-                           std::uint64_t from_record) {
-    const std::vector<FeedbackRecord>& journal = other.journal();
-    for (std::size_t i = from_record; i < journal.size(); ++i) {
-        const FeedbackRecord& entry = journal[i];
-        record(entry.feature_key, entry.rule_id, entry.triplet);
+void FeedbackStore::absorb(const FeedbackStore& after,
+                           const FeedbackStore& before) {
+    for (const auto& [feature_key, rules] : after.outcomes_) {
+        const auto prior_rules = before.outcomes_.find(feature_key);
+        for (const auto& [rule_id, outcome] : rules) {
+            RuleOutcome prior;
+            if (prior_rules != before.outcomes_.end()) {
+                const auto it = prior_rules->second.find(rule_id);
+                if (it != prior_rules->second.end()) prior = it->second;
+            }
+            if (outcome.successes == prior.successes &&
+                outcome.partial == prior.partial &&
+                outcome.failures == prior.failures) {
+                continue;
+            }
+            RuleOutcome& merged = outcomes_[feature_key][rule_id];
+            merged.successes += outcome.successes - prior.successes;
+            merged.partial += outcome.partial - prior.partial;
+            merged.failures += outcome.failures - prior.failures;
+        }
     }
+    records_ += after.records_ - before.records_;
 }
 
 std::vector<std::string> FeedbackStore::preferred_rules(

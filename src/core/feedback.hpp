@@ -27,17 +27,8 @@ struct RuleOutcome {
     std::uint32_t successes = 0;  // accurate AND acceptable
     std::uint32_t partial = 0;    // accurate only
     std::uint32_t failures = 0;
-    double total_overhead_ms = 0.0;
 
     [[nodiscard]] double score() const;
-};
-
-/// One journaled record() call — enough to replay the outcome into
-/// another store.
-struct FeedbackRecord {
-    std::string feature_key;
-    std::string rule_id;
-    EvalTriplet triplet;
 };
 
 class FeedbackStore {
@@ -63,24 +54,18 @@ class FeedbackStore {
     [[nodiscard]] std::size_t key_count() const { return outcomes_.size(); }
     [[nodiscard]] std::uint64_t records() const { return records_; }
 
-    /// Every record() call in order — `records() == journal().size()`.
-    /// Copying a store copies its journal, so a snapshot handed to a
-    /// request can later be merged back via absorb() without double
-    /// counting the shared prefix.
-    [[nodiscard]] const std::vector<FeedbackRecord>& journal() const {
-        return journal_;
-    }
-
-    /// Replays `other`'s journal entries starting at index `from_record`
-    /// into this store. The serve layer hands each request a snapshot copy
-    /// of the warm store, then absorbs only the delta the request added
-    /// (`from_record` = the snapshot's records()) — replay through
-    /// record() keeps outcomes_ and journal_ consistent.
-    void absorb(const FeedbackStore& other, std::uint64_t from_record = 0);
+    /// Adds what `after` recorded beyond `before`, where `after` is a copy
+    /// of `before` that has only recorded since: for each (feature key,
+    /// rule), after's success, partial and failure counts minus before's,
+    /// and the same for records(). The table is the one replaying those
+    /// record() calls here would build. The serve layer hands each request
+    /// a copy of the warm store and absorbs (copy, pre-repair copy), so
+    /// concurrent requests never double-count what they share, and a
+    /// store's size follows its (key, rule) pairs, not its history.
+    void absorb(const FeedbackStore& after, const FeedbackStore& before);
 
   private:
     std::map<std::string, std::map<std::string, RuleOutcome>> outcomes_;
-    std::vector<FeedbackRecord> journal_;
     std::uint64_t records_ = 0;
 };
 

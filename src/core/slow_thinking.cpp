@@ -160,7 +160,6 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
                                           ? ""
                                           : solution.rule_ids.front();
             }
-            signals.success_found = true;
             signals.elapsed_ms = context.clock.now_ms();
             if (!policy.continue_after_success(signals)) {
                 context.emit(TraceEventKind::StageExit, "slow_thinking");

@@ -85,7 +85,6 @@ struct PolicySignals {
     const std::vector<std::size_t>* error_trajectory = nullptr;
     const std::vector<EvalTriplet>* attempt_triplets = nullptr;
 
-    bool success_found = false;    // an acceptable repair already exists
     bool regression_seen = false;  // any step verified worse than initial
     double elapsed_ms = 0.0;       // virtual clock at the decision point
 };

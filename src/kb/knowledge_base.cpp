@@ -16,7 +16,6 @@ std::vector<KbHit> KnowledgeBase::query(const analysis::AstVector& probe,
                                         const std::string& exclude_hint,
                                         std::optional<miri::UbCategory> category)
     const {
-    queries_.fetch_add(1, std::memory_order_relaxed);
     // The best k hits so far, ordered as a stable sort by descending
     // similarity over the scan order would leave them: an entry goes after
     // every kept hit at least as similar (all of which were scanned
@@ -78,7 +77,6 @@ std::vector<KbHit> KnowledgeBase::query(const analysis::AstVector& probe,
         for (const KbEntry& entry : entries_) consider(entry);
     }
     if (batched > 0) score_batch();
-    hits_.fetch_add(hits.size(), std::memory_order_relaxed);
     return hits;
 }
 

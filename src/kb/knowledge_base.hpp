@@ -5,11 +5,13 @@
 // MiriLite + the semantic judge — see seed.hpp). Queries return the most
 // similar entries by cosine similarity; their rules become few-shot
 // exemplars in subsequent LLM prompts.
+//
+// query() writes nothing to the KB, so one const KnowledgeBase serves the
+// concurrent workers of a BatchRunner or RepairService without a lock.
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,34 +35,6 @@ struct KbHit {
 
 class KnowledgeBase {
   public:
-    KnowledgeBase() = default;
-    // The usage counters are atomics (so a shared const KB can serve
-    // concurrent BatchRunner workers), which makes copy/move user-provided.
-    KnowledgeBase(const KnowledgeBase& other)
-        : entries_(other.entries_),
-          by_category_(other.by_category_),
-          queries_(other.queries_.load()),
-          hits_(other.hits_.load()) {}
-    KnowledgeBase(KnowledgeBase&& other) noexcept
-        : entries_(std::move(other.entries_)),
-          by_category_(std::move(other.by_category_)),
-          queries_(other.queries_.load()),
-          hits_(other.hits_.load()) {}
-    KnowledgeBase& operator=(const KnowledgeBase& other) {
-        entries_ = other.entries_;
-        by_category_ = other.by_category_;
-        queries_ = other.queries_.load();
-        hits_ = other.hits_.load();
-        return *this;
-    }
-    KnowledgeBase& operator=(KnowledgeBase&& other) noexcept {
-        entries_ = std::move(other.entries_);
-        by_category_ = std::move(other.by_category_);
-        queries_ = other.queries_.load();
-        hits_ = other.hits_.load();
-        return *this;
-    }
-
     void add(KbEntry entry);
 
     /// Top-k entries by cosine similarity, at or above `min_similarity`.
@@ -79,18 +53,12 @@ class KnowledgeBase {
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
     [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-    // Usage statistics (reported by the benches).
-    [[nodiscard]] std::uint64_t queries_served() const { return queries_; }
-    [[nodiscard]] std::uint64_t hits_returned() const { return hits_; }
-
   private:
     std::vector<KbEntry> entries_;
     /// Indices into entries_ per category, in insertion order, so a
     /// category-scoped query meets its entries in the order a full scan
     /// would and ties sort identically.
     std::array<std::vector<std::size_t>, miri::kUbCategoryCount> by_category_;
-    mutable std::atomic<std::uint64_t> queries_{0};
-    mutable std::atomic<std::uint64_t> hits_{0};
 };
 
 }  // namespace rustbrain::kb

@@ -407,22 +407,6 @@ std::string print_with(const Emit& emit) {
 
 }  // namespace
 
-std::string print_expression(const Expr& expr) {
-    return print_with([&](Out& out) { emit_expression(out, expr); });
-}
-
-std::string print_statement(const Stmt& stmt, int indent_level) {
-    return print_with([&](Out& out) { emit_statement(out, stmt, indent_level); });
-}
-
-std::string print_block(const Block& block, int indent_level) {
-    return print_with([&](Out& out) { emit_block(out, block, indent_level); });
-}
-
-std::string print_function(const FnItem& fn) {
-    return print_with([&](Out& out) { emit_function(out, fn); });
-}
-
 std::string print_program(const Program& program) {
     return print_with([&](Out& out) { emit_program(out, program); });
 }

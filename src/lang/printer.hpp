@@ -26,10 +26,6 @@
 namespace rustbrain::lang {
 
 std::string print_program(const Program& program);
-std::string print_function(const FnItem& fn);
-std::string print_block(const Block& block, int indent_level);
-std::string print_statement(const Stmt& stmt, int indent_level);
-std::string print_expression(const Expr& expr);
 
 /// print_program(program), respanning every node on the way (see above).
 std::string print_respanned(Program& program);

@@ -23,7 +23,7 @@ void PromptCache::insert(std::uint64_t key, const ChatResponse& response) {
 PromptCacheStats PromptCache::stats() const {
     const support::ShardedLruStats stats = entries_.stats();
     return PromptCacheStats{stats.hits, stats.misses, stats.entries,
-                            stats.evictions, stats.evicted_idle_ticks};
+                            stats.evictions};
 }
 
 CachingBackend::CachingBackend(std::shared_ptr<PromptCache> cache,

@@ -46,11 +46,8 @@ struct PromptCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::size_t entries = 0;
-    /// LRU evictions: single entries dropped at capacity,
-    /// plus the summed idle age (in shard accesses) of the victims —
-    /// evicted_idle_ticks / evictions = how cold the dropped entries were.
+    /// LRU evictions: single entries dropped at capacity.
     std::uint64_t evictions = 0;
-    std::uint64_t evicted_idle_ticks = 0;
 
     [[nodiscard]] double hit_rate() const {
         const std::uint64_t total = hits + misses;

@@ -6,15 +6,6 @@
 
 namespace rustbrain::llm {
 
-const char* rule_family_name(RuleFamily family) {
-    switch (family) {
-        case RuleFamily::SafeReplacement: return "safe-replacement";
-        case RuleFamily::Assertion: return "assertion";
-        case RuleFamily::Modification: return "modification";
-    }
-    return "?";
-}
-
 bool RepairRule::applies_to(miri::UbCategory category) const {
     return std::find(categories.begin(), categories.end(), category) !=
            categories.end();

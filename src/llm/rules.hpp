@@ -25,8 +25,6 @@ namespace rustbrain::llm {
 /// The paper's Principle-2 families (Fig 4's three prompt strategies).
 enum class RuleFamily { SafeReplacement, Assertion, Modification };
 
-const char* rule_family_name(RuleFamily family);
-
 struct RepairRule {
     std::string id;
     RuleFamily family = RuleFamily::Modification;

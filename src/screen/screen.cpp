@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "miri/interp.hpp"
+#include "miri/mirilite.hpp"
 
 namespace rustbrain::screen {
 
@@ -21,10 +22,7 @@ ScreenVerdict screen_program(
     const miri::InterpLimits& limits, const ScreenOptions& options) {
     ScreenVerdict verdict;
     try {
-        const std::vector<std::vector<std::int64_t>> runs =
-            input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
-                               : input_sets;
-        for (const auto& inputs : runs) {
+        for (const auto& inputs : miri::input_runs(input_sets)) {
             // The op budget spans all runs, so screening cost is bounded
             // per candidate, not per input vector.
             miri::ScreenRun run = miri::Interpreter(program, inputs, limits)

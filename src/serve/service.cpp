@@ -155,14 +155,17 @@ RepairResponse RepairService::handle(
     response.queue_ms = queue_ms;
 
     // A request that opts into feedback starts from a private snapshot of
-    // the warm store; only the delta it adds is merged back (journal
-    // replay), so concurrent requests never double-count the shared prefix.
+    // the warm store; only what it adds beyond the pre-repair copy is
+    // merged back, so concurrent requests never double-count what they
+    // share.
+    std::unique_ptr<core::FeedbackStore> before;
     std::unique_ptr<core::FeedbackStore> snapshot;
-    std::uint64_t snapshot_records = 0;
     if (request.use_feedback) {
-        const std::lock_guard<std::mutex> lock(feedback_mutex_);
-        snapshot = std::make_unique<core::FeedbackStore>(feedback_);
-        snapshot_records = snapshot->records();
+        {
+            const std::lock_guard<std::mutex> lock(feedback_mutex_);
+            before = std::make_unique<core::FeedbackStore>(feedback_);
+        }
+        snapshot = std::make_unique<core::FeedbackStore>(*before);
     }
 
     try {
@@ -193,9 +196,8 @@ RepairResponse RepairService::handle(
     std::uint64_t absorbed = 0;
     if (snapshot != nullptr) {
         const std::lock_guard<std::mutex> lock(feedback_mutex_);
-        const std::uint64_t before = feedback_.records();
-        feedback_.absorb(*snapshot, snapshot_records);
-        absorbed = feedback_.records() - before;
+        feedback_.absorb(*snapshot, *before);
+        absorbed = snapshot->records() - before->records();
     }
 
     response.service_ms = elapsed_ms(submitted_at);

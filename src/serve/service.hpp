@@ -130,8 +130,8 @@ struct ServiceStats {
     double queue_ms_p95 = 0.0;
     double queue_ms_p99 = 0.0;
     double service_ms_total = 0.0;
-    /// Requests that opted into feedback, and how many journal records
-    /// they contributed back to the warm store.
+    /// Requests that opted into feedback, and how many records they
+    /// contributed back to the warm store.
     std::uint64_t feedback_requests = 0;
     std::uint64_t feedback_records_absorbed = 0;
     /// Screen verdict mix summed over completed CaseResults.

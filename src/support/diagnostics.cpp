@@ -2,19 +2,8 @@
 
 namespace rustbrain::support {
 
-namespace {
-const char* severity_name(Severity severity) {
-    switch (severity) {
-        case Severity::Note: return "note";
-        case Severity::Warning: return "warning";
-        case Severity::Error: return "error";
-    }
-    return "unknown";
-}
-}  // namespace
-
 std::string Diagnostic::to_string() const {
-    std::string out = severity_name(severity);
+    std::string out = "error";
     if (span.valid()) {
         out += " at ";
         out += span.to_string();
@@ -25,16 +14,7 @@ std::string Diagnostic::to_string() const {
 }
 
 void DiagnosticEngine::error(std::string message, SourceSpan span) {
-    diagnostics_.push_back({Severity::Error, std::move(message), span});
-    ++error_count_;
-}
-
-void DiagnosticEngine::warning(std::string message, SourceSpan span) {
-    diagnostics_.push_back({Severity::Warning, std::move(message), span});
-}
-
-void DiagnosticEngine::note(std::string message, SourceSpan span) {
-    diagnostics_.push_back({Severity::Note, std::move(message), span});
+    diagnostics_.push_back({std::move(message), span});
 }
 
 std::string DiagnosticEngine::summary() const {
@@ -58,11 +38,6 @@ std::string cap_summary(std::string summary) {
     summary.resize(cut);
     summary += "... and " + std::to_string(lines - limit) + " more\n";
     return summary;
-}
-
-void DiagnosticEngine::clear() {
-    diagnostics_.clear();
-    error_count_ = 0;
 }
 
 }  // namespace rustbrain::support

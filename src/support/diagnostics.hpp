@@ -1,6 +1,7 @@
 // Diagnostic accumulation shared by the lexer, parser, type checker and
 // MiriLite. Diagnostics are values, not exceptions: UB findings are the
-// *output* of the toolchain, not failures of it.
+// *output* of the toolchain, not failures of it. Every diagnostic is an
+// error.
 #pragma once
 
 #include <string>
@@ -10,35 +11,28 @@
 
 namespace rustbrain::support {
 
-enum class Severity { Note, Warning, Error };
-
 struct Diagnostic {
-    Severity severity = Severity::Error;
     std::string message;
     SourceSpan span;
 
     [[nodiscard]] std::string to_string() const;
 };
 
-/// Ordered collection of diagnostics with convenience emitters.
+/// Ordered collection of diagnostics.
 class DiagnosticEngine {
   public:
     void error(std::string message, SourceSpan span = {});
-    void warning(std::string message, SourceSpan span = {});
-    void note(std::string message, SourceSpan span = {});
 
-    [[nodiscard]] bool has_errors() const { return error_count_ > 0; }
-    [[nodiscard]] std::size_t error_count() const { return error_count_; }
+    [[nodiscard]] bool has_errors() const { return !diagnostics_.empty(); }
+    [[nodiscard]] std::size_t error_count() const { return diagnostics_.size(); }
     [[nodiscard]] const std::vector<Diagnostic>& all() const { return diagnostics_; }
     [[nodiscard]] std::string summary() const;
-    void clear();
 
     /// A compile error keeps this many diagnostics (see cap_summary).
     static constexpr std::size_t kCompileErrorLimit = 64;
 
   private:
     std::vector<Diagnostic> diagnostics_;
-    std::size_t error_count_ = 0;
 };
 
 /// `summary` (one diagnostic per line, as summary() writes it) cut to its

@@ -7,14 +7,13 @@
 // hostile to a long-lived service whose whole value is keeping the hot set
 // warm across requests.
 // find() moves an entry to the front of the access order, insertion past
-// capacity evicts from the back, and every eviction records how long the
-// victim had been idle (in accesses), so cache pressure is observable
-// instead of silent. The caches' bit-identity contract means dropping any
-// entry is always safe.
+// capacity evicts from the back, and every eviction is counted, so cache
+// pressure is observable instead of silent. The caches' bit-identity
+// contract means dropping any entry is always safe.
 //
 // Layout (DESIGN.md §16). A warm sweep is almost nothing but lookups, so
 // a lookup is one probe of two flat arrays:
-//   - the slab: every entry is a Node {key, value, last_touch, prev, next}
+//   - the slab: every entry is a Node {key, value, prev, next}
 //     in one std::vector, the access order a doubly linked list threaded
 //     through it by 32-bit slot numbers. The slab grows by doubling as
 //     entries arrive (it is never reserved to capacity); at capacity an
@@ -54,9 +53,6 @@ namespace rustbrain::support {
 
 struct LruStats {
     std::uint64_t evictions = 0;  // single-entry LRU evictions
-    /// Sum over evictions of how many accesses ago the victim was last
-    /// touched; evicted_idle_ticks / evictions = mean idle age at eviction.
-    std::uint64_t evicted_idle_ticks = 0;
 };
 
 template <typename Key, typename Value>
@@ -88,7 +84,6 @@ class LruMap {
         if (slot == kNone) return nullptr;
         Node& node = nodes_[slot];
         if (!valid(static_cast<const Value&>(node.value))) return nullptr;
-        node.last_touch = ++tick_;
         if (slot != head_) {
             unlink(slot);
             push_front(slot);
@@ -113,7 +108,6 @@ class LruMap {
             slot = tail_;
             Node& victim = nodes_[slot];
             ++stats_.evictions;
-            stats_.evicted_idle_ticks += tick_ - victim.last_touch;
             unindex(victim.key);
             unlink(slot);
             victim.key = key;
@@ -123,11 +117,9 @@ class LruMap {
             slot = static_cast<std::uint32_t>(nodes_.size());
             nodes_.push_back(Node{key, std::move(value)});
         }
-        Node& node = nodes_[slot];
-        node.last_touch = ++tick_;
         push_front(slot);
         place(slot);
-        return node.value;
+        return nodes_[slot].value;
     }
 
     [[nodiscard]] std::size_t size() const { return nodes_.size(); }
@@ -142,7 +134,6 @@ class LruMap {
     struct Node {
         Key key;
         Value value;
-        std::uint64_t last_touch = 0;
         std::uint32_t prev = kNone;  // toward the most recently used
         std::uint32_t next = kNone;  // toward the eviction victim
     };
@@ -223,7 +214,6 @@ class LruMap {
     }
 
     std::size_t capacity_ = 1;
-    std::uint64_t tick_ = 0;  // access clock: one tick per find-hit/insert
     std::vector<Node> nodes_;
     std::vector<std::uint32_t> index_;  // slot numbers; kNone = empty
     int shift_ = 64;                    // 64 - log2(index_.size())
@@ -237,7 +227,6 @@ struct ShardedLruStats {
     std::uint64_t misses = 0;
     std::size_t entries = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t evicted_idle_ticks = 0;
 };
 
 /// Sixteen LruMaps keyed by a 64-bit hash, each behind its own lock: the
@@ -310,7 +299,6 @@ class ShardedLru {
             stats.misses += shard.misses;
             stats.entries += shard.entries.size();
             stats.evictions += shard.entries.stats().evictions;
-            stats.evicted_idle_ticks += shard.entries.stats().evicted_idle_ticks;
         }
         return stats;
     }

@@ -50,15 +50,6 @@ bool contains(std::string_view text, std::string_view needle) {
     return text.find(needle) != std::string_view::npos;
 }
 
-std::string to_lower(std::string_view text) {
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    return out;
-}
-
 std::string replace_all(std::string_view text, std::string_view from, std::string_view to) {
     if (from.empty()) return std::string(text);
     std::string out;

@@ -13,7 +13,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view separat
 bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
 bool contains(std::string_view text, std::string_view needle);
-std::string to_lower(std::string_view text);
 std::string replace_all(std::string_view text, std::string_view from, std::string_view to);
 /// Indent every line of `text` by `spaces` spaces.
 std::string indent(std::string_view text, int spaces);

@@ -107,8 +107,6 @@ VerifyCacheStats VerifyCache::stats() const {
     stats.reports = reports.entries;
     stats.program_evictions = programs.evictions;
     stats.report_evictions = reports.evictions;
-    stats.program_evicted_idle_ticks = programs.evicted_idle_ticks;
-    stats.report_evicted_idle_ticks = reports.evicted_idle_ticks;
     return stats;
 }
 

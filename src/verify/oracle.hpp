@@ -137,13 +137,10 @@ struct VerifyCacheStats {
     std::uint64_t report_misses = 0;
     std::size_t programs = 0;  // distinct compiled sources held
     std::size_t reports = 0;   // distinct memoized reports held
-    /// LRU evictions: single least-recently-used entries
-    /// dropped at capacity, plus the summed idle age (in shard accesses)
-    /// of the victims — hot entries survive pressure under LRU.
+    /// LRU evictions: single least-recently-used entries dropped at
+    /// capacity.
     std::uint64_t program_evictions = 0;
     std::uint64_t report_evictions = 0;
-    std::uint64_t program_evicted_idle_ticks = 0;
-    std::uint64_t report_evicted_idle_ticks = 0;
 
     [[nodiscard]] double report_hit_rate() const {
         const std::uint64_t total = report_hits + report_misses;

@@ -102,7 +102,7 @@ TEST(FixAgentTest, RunProducesVerifiableCode) {
         agent_for_rule("move-dealloc-to-end")
             .run(ub_case->buggy_source, report.findings.front(),
                  "move-dealloc-to-end", context);
-    EXPECT_TRUE(outcome.model_changed_code);
+    EXPECT_NE(outcome.code, ub_case->buggy_source);
     EXPECT_GT(clock.total_for("llm"), 0.0);
     // The call is reported through the trace (the single stats source) and
     // stamped with the session sequence.

@@ -87,7 +87,6 @@ fn main() {
     EXPECT_EQ(features.dealloc_calls, 1);
     EXPECT_EQ(features.offset_calls, 1);
     EXPECT_EQ(features.spawn_calls, 1);
-    EXPECT_GE(features.static_mut_accesses, 2);
     EXPECT_GE(features.unsafe_blocks, 2);
     EXPECT_GT(features.node_count, 10u);
 }

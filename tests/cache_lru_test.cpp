@@ -66,18 +66,6 @@ TEST(LruMapTest, PeekDoesNotPromote) {
     EXPECT_NE(map.peek(3), nullptr);
 }
 
-TEST(LruMapTest, EvictedIdleTicksMeasureVictimColdness) {
-    LruMap<int, int> map;
-    map.configure(2);
-    map.insert(1, 1);
-    map.insert(2, 2);
-    // Several accesses to 2 age entry 1 before it gets evicted.
-    for (int i = 0; i < 5; ++i) ASSERT_NE(map.find(2), nullptr);
-    map.insert(3, 3);  // evicts 1, idle for the 5 finds + this insert's tick
-    EXPECT_EQ(map.stats().evictions, 1u);
-    EXPECT_GE(map.stats().evicted_idle_ticks, 5u);
-}
-
 TEST(LruMapTest, FindIfMismatchIsAMissAndDoesNotPromote) {
     // find_if's twin of PeekDoesNotPromote: a failing validation (a hash
     // collision) is a miss and must leave the LRU order alone.
@@ -104,7 +92,7 @@ TEST(LruMapTest, FindIfMismatchIsAMissAndDoesNotPromote) {
 
 /// Drives the flat LruMap and the list + unordered_map reference with the
 /// same seeded operation sequence and checks, after every operation, the
-/// same answer, size and eviction statistics. `shard_keys` draws keys as
+/// same answer, size and eviction count. `shard_keys` draws keys as
 /// multiples of 16 (every key one cache shard sees); otherwise keys are
 /// random 64-bit values.
 void expect_matches_reference(std::size_t capacity, std::uint64_t seed,
@@ -161,9 +149,6 @@ void expect_matches_reference(std::size_t capacity, std::uint64_t seed,
         ASSERT_EQ(list.size(), flat.size()) << "op " << op;
         ASSERT_EQ(list.stats().evictions, flat.stats().evictions)
             << "op " << op;
-        ASSERT_EQ(list.stats().evicted_idle_ticks,
-                  flat.stats().evicted_idle_ticks)
-            << "op " << op;
     }
     EXPECT_EQ(flat.size(), capacity);  // filled, then evicting
     EXPECT_GT(flat.stats().evictions, 0u);
@@ -200,7 +185,6 @@ TEST(PromptCacheLruTest, HotPromptSurvivesEvictionPressure) {
     EXPECT_EQ(cache.lookup(0)->content, "hot");
     const llm::PromptCacheStats stats = cache.stats();
     EXPECT_GT(stats.evictions, 0u);
-    EXPECT_GT(stats.evicted_idle_ticks, 0u);
     // An early cold key is long gone.
     EXPECT_FALSE(cache.lookup(1 * kShardStride).has_value());
 }

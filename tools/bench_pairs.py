@@ -163,19 +163,20 @@ def verdict(parent_runs, change_runs, bound, lower):
     return "within_bound"
 
 
-def revision(checkout, rev="HEAD"):
-    """`rev` in the git checkout, marked dirty when its tracked files
-    differ from it; None when `checkout` is no git checkout."""
+def revision(checkout, rev=None):
+    """`rev` resolved in the git checkout; with no `rev`, the checkout's
+    working tree: its HEAD, marked dirty when its tracked files differ from
+    it. None when `checkout` is no git checkout or `rev` is unknown."""
     if not os.path.exists(os.path.join(checkout, ".git")):
         return None
     def git(*command):
         return subprocess.run(["git", "-C", checkout, *command], text=True,
                               stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL)
-    head = git("rev-parse", rev)
+    head = git("rev-parse", rev or "HEAD")
     if head.returncode != 0:
         return None
-    if rev != "HEAD":
+    if rev is not None:
         return head.stdout.strip()
     dirty = git("diff", "--quiet", "HEAD").returncode != 0
     return head.stdout.strip() + ("+dirty" if dirty else "")
