@@ -4,8 +4,9 @@
 // uncached and memoized, a warm prompt-cache hit, pruning, vectorization, KB query, rule
 // application, and the front end's allocation pattern over the seed-42
 // forged corpus (parse, clone, teardown), the Oracle's uncached
-// interpretation of that corpus, and one forge slice of rbbench's `forge`
-// workload. Type check, lowering, bytecode
+// interpretation of that corpus, case generation alone over one pass of
+// rbbench's `forge` workload, one forge slice of that workload, and the
+// sweep's set-up (forge plus KB seeding). Type check, lowering, bytecode
 // compile,
 // screening and corpus interpretation are rbbench's `lang.*`, `miri.*`,
 // `vm.*` and `screen.*` metrics (rbbench/METRICS.md). Not a paper figure —
@@ -20,6 +21,7 @@
 #include "analysis/vectorize.hpp"
 #include "dataset/corpus.hpp"
 #include "gen/forge.hpp"
+#include "gen/registry.hpp"
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -418,6 +420,96 @@ void BM_ForgeSliceForged(benchmark::State& state) {
                             static_cast<std::int64_t>(options.count));
 }
 BENCHMARK(BM_ForgeSliceForged);
+
+/// The generator and Rng seed of every attempt one rbbench `forge` pass
+/// makes: its 35 slices of 16 cases over content seed 42, each attempt
+/// replayed up to the case the slice accepted.
+struct ForgeAttempt {
+    const gen::CaseGenerator* generator;
+    std::uint64_t stream;
+};
+
+const std::vector<ForgeAttempt>& forge_pass_attempts() {
+    static const std::vector<std::unique_ptr<gen::CaseGenerator>> generators = [] {
+        std::vector<std::unique_ptr<gen::CaseGenerator>> out;
+        const gen::GeneratorRegistry& registry = gen::GeneratorRegistry::builtin();
+        for (const std::string& id : registry.ids()) out.push_back(registry.build(id));
+        return out;
+    }();
+    static const std::vector<ForgeAttempt> attempts = [] {
+        std::vector<ForgeAttempt> out;
+        const std::size_t slice_cases = generators.size();
+        for (std::size_t slice = 0; slice * slice_cases < 560; ++slice) {
+            gen::ForgeOptions options;
+            options.seed = support::derive_seed(42, "forge-slice-" + std::to_string(slice));
+            options.count = slice_cases;
+            const dataset::Corpus corpus = gen::forge_corpus(options);
+            for (std::size_t serial = 0; serial < corpus.size(); ++serial) {
+                const gen::CaseGenerator& generator = *generators[serial];
+                const dataset::UbCase& accepted = corpus.cases()[serial];
+                for (int attempt = 0;; ++attempt) {
+                    const std::uint64_t stream = support::derive_seed(
+                        options.seed, generator.id() + "/" + std::to_string(serial) +
+                                          "/" + std::to_string(attempt));
+                    out.push_back({&generator, stream});
+                    support::Rng rng(stream);
+                    const gen::CaseGenerator::Parsed parsed = generator.generate_parsed(rng);
+                    if (parsed.value.buggy_source == accepted.buggy_source &&
+                        parsed.value.reference_fix == accepted.reference_fix) {
+                        break;
+                    }
+                }
+            }
+        }
+        return out;
+    }();
+    return attempts;
+}
+
+// generate_parsed alone — draft, render, mutate, print, and the programs
+// handed to the Oracle — over every attempt of one rbbench `forge` pass,
+// with no Oracle involved.
+void BM_GenerateForged(benchmark::State& state) {
+    const std::vector<ForgeAttempt>& attempts = forge_pass_attempts();
+    for (auto _ : state) {
+        for (const ForgeAttempt& attempt : attempts) {
+            support::Rng rng(attempt.stream);
+            gen::CaseGenerator::Parsed parsed = attempt.generator->generate_parsed(rng);
+            benchmark::DoNotOptimize(parsed);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(attempts.size()));
+}
+BENCHMARK(BM_GenerateForged);
+
+// The sweep's set-up as rbbench's `sweep-cold` runs it: a 560-case forge on
+// a fresh cached Oracle, then kb::seed_from_corpus into a fresh KB. Seeding
+// runs on the process-wide Oracle, so each iteration forges content no
+// earlier one did (seeds 1042, 2042, ... in call order, fixed by the
+// iteration count) and its compiles miss that cache as a set-up's do.
+void BM_SweepSetup(benchmark::State& state) {
+    static std::uint64_t forged = 0;
+    std::optional<verify::Oracle> oracle;
+    for (auto _ : state) {
+        state.PauseTiming();
+        verify::OracleOptions oracle_options;
+        oracle_options.cache = std::make_shared<verify::VerifyCache>();
+        oracle.emplace(std::move(oracle_options));
+        gen::ForgeOptions options;
+        options.seed = 42 + 1000 * ++forged;
+        options.count = 560;
+        options.oracle = &*oracle;
+        kb::KnowledgeBase knowledge;
+        state.ResumeTiming();
+        const dataset::Corpus corpus = gen::forge_corpus(options);
+        kb::seed_from_corpus(corpus, knowledge);
+        state.PauseTiming();
+        oracle.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_SweepSetup)->Unit(benchmark::kMillisecond)->Iterations(4);
 
 /// The Oracle with its uncached unit of work callable.
 class OpenOracle : public verify::Oracle {

@@ -159,11 +159,10 @@ std::string mutate_source(const std::string& source, const MutationPlan& plan,
 
 }  // namespace
 
-CaseGenerator::Parsed CaseGenerator::generate_parsed(support::Rng& rng) const {
-    Draft drafted = spec_.draft(rng);
-    const MutationPlan plan = detail::sample_plan(rng, knobs_);
+namespace detail {
 
-    Parsed parsed;
+CaseGenerator::Parsed build_case(Draft drafted, const MutationPlan& plan) {
+    CaseGenerator::Parsed parsed;
     dataset::UbCase& out = parsed.value;
     out = drafted.shape->render(drafted.args, std::move(drafted.inputs));
     out.buggy_source = mutate_source(out.buggy_source, plan, parsed.buggy_program);
@@ -175,6 +174,14 @@ CaseGenerator::Parsed CaseGenerator::generate_parsed(support::Rng& rng) const {
         out.difficulty = std::min(3, out.difficulty + 1);
     }
     return parsed;
+}
+
+}  // namespace detail
+
+CaseGenerator::Parsed CaseGenerator::generate_parsed(support::Rng& rng) const {
+    Draft drafted = spec_.draft(rng);
+    const MutationPlan plan = detail::sample_plan(rng, knobs_);
+    return detail::build_case(std::move(drafted), plan);
 }
 
 }  // namespace rustbrain::gen

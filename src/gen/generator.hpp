@@ -118,6 +118,11 @@ struct MutationPlan {
 
 MutationPlan sample_plan(support::Rng& rng, const MutationKnobs& knobs);
 
+/// The case `drafted` renders to under `plan`, with its two programs as
+/// generate_parsed() hands them over; generate_parsed() is this on its
+/// generator's draft and a plan sampled after it.
+CaseGenerator::Parsed build_case(Draft drafted, const MutationPlan& plan);
+
 /// Apply `plan` to `program` in place, its new nodes made in the
 /// program's arena, and renumber it.
 void apply_plan(lang::Program& program, const MutationPlan& plan);

@@ -348,6 +348,47 @@ TEST(ForgeTest, HandedProgramsMatchTheParseOfTheirSources) {
     }
 }
 
+TEST(ForgeTest, InstantiatedProgramsMatchTheParseOfTheirText) {
+    // Every shape at its standard-corpus arguments, and 500 seeded drafts
+    // per builtin generator, under the default knobs and the largest ones:
+    // each program a case is built with must equal try_parse of its
+    // printed text in tree digest, structure and printed bytes.
+    const GeneratorRegistry& registry = GeneratorRegistry::builtin();
+    for (const char* spec : {"", "depth=16,padding=16,helpers=on"}) {
+        const support::OptionMap options = support::OptionMap::parse(spec);
+        const MutationKnobs knobs = resolve_knobs(options);
+        const auto check = [&](const CaseGenerator::Parsed& parsed, const std::string& what) {
+            ASSERT_TRUE(parsed.buggy_program.has_value()) << what;
+            ASSERT_TRUE(parsed.fix_program.has_value()) << what;
+            EXPECT_TRUE(matches_its_parse(parsed.buggy_program, parsed.value.buggy_source))
+                << what << " (buggy, knobs '" << spec << "')";
+            EXPECT_TRUE(matches_its_parse(parsed.fix_program, parsed.value.reference_fix))
+                << what << " (fix, knobs '" << spec << "')";
+        };
+        std::size_t renderings = 0;
+        for (const dataset::Shape* shape : dataset::all_shapes()) {
+            for (std::size_t variant = 0; variant < shape->corpus.size(); ++variant) {
+                const std::string what = std::string(shape->name) + " variant " +
+                                         std::to_string(variant);
+                support::Rng rng(support::derive_seed(1, what));
+                const dataset::ShapeArgs& args = shape->corpus[variant];
+                check(detail::build_case(Draft{shape, args.args, args.inputs},
+                                         detail::sample_plan(rng, knobs)),
+                      what);
+                ++renderings;
+            }
+        }
+        EXPECT_EQ(renderings, 42u * dataset::kVariantsPerShape);
+        for (const std::string& id : registry.ids()) {
+            const auto generator = registry.build(id, options);
+            for (std::uint64_t seed = 0; seed < 500; ++seed) {
+                support::Rng rng(seed);
+                check(generator->generate_parsed(rng), id + " seed " + std::to_string(seed));
+            }
+        }
+    }
+}
+
 TEST(ForgeTest, HandedProgramsReportLikeAParse) {
     // A cached Oracle that the forge fed the printed programs answers
     // every forged case byte for byte, finding spans included, like an
