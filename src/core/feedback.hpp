@@ -16,11 +16,11 @@
 
 namespace rustbrain::core {
 
-/// The paper's evaluation triplet for one attempted solution.
+/// The paper's evaluation triplet for one attempted solution. Its third
+/// element, the attempt's overhead, is not kept: no policy reads it.
 struct EvalTriplet {
     bool accuracy = false;       // passes MiriLite
     bool acceptability = false;  // semantics match the reference benchmark
-    double overhead_ms = 0.0;    // virtual time spent on the attempt
 };
 
 struct RuleOutcome {

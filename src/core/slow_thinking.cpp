@@ -63,7 +63,6 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
         }
 
         const Solution& solution = fast.solutions[plan[k]];
-        const double attempt_start_ms = context.clock.now_ms();
         agents::RollbackAgent rollback;
         rollback.observe(buggy_source, fast.initial_error_count);
 
@@ -144,7 +143,6 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
         EvalTriplet triplet;
         triplet.accuracy = solution_passed;
         triplet.acceptability = solution_acceptable;
-        triplet.overhead_ms = context.clock.now_ms() - attempt_start_ms;
         result.attempt_triplets.push_back(triplet);
         if (feedback != nullptr && !fast.feature_key.empty() &&
             !solution.rule_ids.empty()) {

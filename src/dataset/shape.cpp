@@ -26,16 +26,21 @@ std::string fill_template(std::string_view templ,
     return out;
 }
 
-UbCase Shape::render(const std::vector<std::string>& args,
-                     std::vector<std::vector<std::int64_t>> inputs) const {
+UbCase Shape::bare_case(std::vector<std::vector<std::int64_t>> inputs) const {
     UbCase out;
     out.id = std::string(name);
     out.category = category;
     out.intended_strategy = strategy;
-    out.buggy_source = fill_template(buggy, args);
-    out.reference_fix = fill_template(fix, args);
     out.inputs = std::move(inputs);
     out.difficulty = difficulty;
+    return out;
+}
+
+UbCase Shape::render(const std::vector<std::string>& args,
+                     std::vector<std::vector<std::int64_t>> inputs) const {
+    UbCase out = bare_case(std::move(inputs));
+    out.buggy_source = fill_template(buggy, args);
+    out.reference_fix = fill_template(fix, args);
     return out;
 }
 

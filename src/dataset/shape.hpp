@@ -1,9 +1,10 @@
 // UB shapes: each bug shape of the corpus is written once, as one Shape
-// record holding its category, name, fix strategy, difficulty and the
-// buggy and fix templates (`$0`..`$9` placeholders). The standard corpus
-// renders every record at the kVariantsPerShape fixed argument tuples held
-// beside it; Corpus Forge's generators render the same records at
-// arguments drawn from their RNG (DESIGN.md §1).
+// record holding its category, name, fix strategy, difficulty, the kind of
+// each argument, and the buggy and fix templates (`$0`..`$9` placeholders).
+// The standard corpus renders every record at the kVariantsPerShape fixed
+// argument tuples held beside it; Corpus Forge's generators render the
+// same records at arguments drawn from their RNG, from templates parsed
+// once into programs with holes (gen/template.hpp, DESIGN.md §1).
 #pragma once
 
 #include <cstdint>
@@ -29,13 +30,19 @@ struct Shape {
     std::string_view name;  // e.g. "double_free"
     FixStrategy strategy;
     int difficulty;  // 1 (routine) .. 3 (rare/complex)
+    /// One letter per argument `$i`: 'n' an identifier (a variable,
+    /// function or static name), 'i' a non-negative decimal integer.
+    std::string_view holes;
     std::string_view buggy;
     std::string_view fix;
     /// The standard corpus's kVariantsPerShape renderings, variant 0 first;
     /// empty for a shape that only a composition generator draws.
     std::vector<ShapeArgs> corpus;
 
-    /// Both templates filled with `args`; the case's id is the shape name.
+    /// The case of this shape run on `inputs`, both sources empty; its id
+    /// is the shape name.
+    [[nodiscard]] UbCase bare_case(std::vector<std::vector<std::int64_t>> inputs) const;
+    /// bare_case(inputs) with both templates filled with `args`.
     [[nodiscard]] UbCase render(const std::vector<std::string>& args,
                                 std::vector<std::vector<std::int64_t>> inputs) const;
 };

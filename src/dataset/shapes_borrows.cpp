@@ -14,7 +14,7 @@ using miri::UbCategory;
 const Shape& shared_then_mut() {
     static const Shape shape = {
         UbCategory::BothBorrow, "shared_then_mut",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn main() {
     let mut $0 = $1;
     let shared = &$0;
@@ -44,7 +44,7 @@ const Shape& shared_then_mut() {
 const Shape& write_under_shared() {
     static const Shape shape = {
         UbCategory::BothBorrow, "write_under_shared",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "nii",
         R"(fn main() {
     let mut $0 = $1;
     let shared = &$0;
@@ -70,7 +70,7 @@ const Shape& write_under_shared() {
 const Shape& juggle() {
     static const Shape shape = {
         UbCategory::BothBorrow, "juggle",
-        FixStrategy::SemanticModification, 3,
+        FixStrategy::SemanticModification, 3, "nii",
         R"(fn main() {
     let mut $0 = $1;
     let shared = &$0;
@@ -104,7 +104,7 @@ const Shape& juggle() {
 const Shape& raw_invalidated() {
     static const Shape shape = {
         UbCategory::StackBorrow, "raw_invalidated",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn main() {
     let mut $0 = $1;
     let raw = &mut $0 as *mut i32;
@@ -138,7 +138,7 @@ const Shape& raw_invalidated() {
 const Shape& raw_after_write() {
     static const Shape shape = {
         UbCategory::StackBorrow, "raw_after_write",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn main() {
     let mut $0 = $1;
     let raw = &mut $0 as *mut i32;
@@ -168,7 +168,7 @@ const Shape& raw_after_write() {
 const Shape& readonly_write() {
     static const Shape shape = {
         UbCategory::StackBorrow, "readonly_write",
-        FixStrategy::SafeAlternative, 3,
+        FixStrategy::SafeAlternative, 3, "nii",
         R"(fn main() {
     let mut $0 = $1;
     let shared = &$0;
@@ -203,7 +203,7 @@ const Shape& readonly_write() {
 const Shape& bool_pun() {
     static const Shape shape = {
         UbCategory::Validity, "bool_pun",
-        FixStrategy::SafeAlternative, 2,
+        FixStrategy::SafeAlternative, 2, "ni",
         R"(fn main() {
     let $0: [u8; 2] = [$1, 1];
     let first = &$0 as *const u8 as *const bool;
@@ -228,7 +228,7 @@ const Shape& bool_pun() {
 const Shape& heap_bool() {
     static const Shape shape = {
         UbCategory::Validity, "heap_bool",
-        FixStrategy::SafeAlternative, 2,
+        FixStrategy::SafeAlternative, 2, "ni",
         R"(fn main() {
     unsafe {
         let $0 = alloc(1, 1);
@@ -259,7 +259,7 @@ const Shape& heap_bool() {
 const Shape& input_bool() {
     static const Shape shape = {
         UbCategory::Validity, "input_bool",
-        FixStrategy::SafeAlternative, 3,
+        FixStrategy::SafeAlternative, 3, "ni",
         R"(fn main() {
     let mut $0: [u8; 1] = [0];
     $0[0] = input(0) as u8;
@@ -290,7 +290,7 @@ const Shape& input_bool() {
 const Shape& byte_confusion() {
     static const Shape shape = {
         UbCategory::Unaligned, "byte_confusion",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "ni",
         R"(fn main() {
     let $0: [u32; $1] = [11; $1];
     unsafe {
@@ -320,7 +320,7 @@ const Shape& byte_confusion() {
 const Shape& wide_store() {
     static const Shape shape = {
         UbCategory::Unaligned, "wide_store",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn main() {
     unsafe {
         let $0 = alloc(16, 8);
@@ -352,7 +352,7 @@ const Shape& wide_store() {
 const Shape& odd_u16() {
     static const Shape shape = {
         UbCategory::Unaligned, "odd_u16",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "ni",
         R"(fn main() {
     let $0: [u16; $1] = [9; $1];
     unsafe {

@@ -15,7 +15,7 @@ using miri::UbCategory;
 const Shape& borrowed_oob() {
     static const Shape shape = {
         UbCategory::Panic, "borrowed_oob",
-        FixStrategy::AssertionGuard, 3,
+        FixStrategy::AssertionGuard, 3, "nniii",
         R"(fn main() {
     let mut $0: i64 = $3;
     let shared = &$0;
@@ -53,7 +53,7 @@ const Shape& borrowed_oob() {
 const Shape& threaded_uaf() {
     static const Shape shape = {
         UbCategory::DanglingPointer, "threaded_uaf",
-        FixStrategy::SemanticModification, 3,
+        FixStrategy::SemanticModification, 3, "nniii",
         R"(fn $1() {
     print_int($3);
 }

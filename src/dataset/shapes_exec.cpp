@@ -14,7 +14,7 @@ using miri::UbCategory;
 const Shape& oob_index() {
     static const Shape shape = {
         UbCategory::Panic, "oob_index",
-        FixStrategy::AssertionGuard, 1,
+        FixStrategy::AssertionGuard, 1, "nii",
         R"(fn main() {
     let $0: [i64; $1] = [$2; $1];
     let pick = input(0) as usize;
@@ -42,7 +42,7 @@ const Shape& oob_index() {
 const Shape& div_zero() {
     static const Shape shape = {
         UbCategory::Panic, "div_zero",
-        FixStrategy::AssertionGuard, 1,
+        FixStrategy::AssertionGuard, 1, "i",
         R"(fn main() {
     let total: i64 = $0;
     let parts = input(0);
@@ -70,7 +70,7 @@ const Shape& div_zero() {
 const Shape& overflow() {
     static const Shape shape = {
         UbCategory::Panic, "overflow",
-        FixStrategy::SafeAlternative, 2,
+        FixStrategy::SafeAlternative, 2, "i",
         R"(fn main() {
     let base: i32 = $0;
     let extra = input(0) as i32;
@@ -98,7 +98,7 @@ const Shape& overflow() {
 const Shape& bogus_address() {
     static const Shape shape = {
         UbCategory::FuncCall, "bogus_address",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn $0() {
     print_int($2);
 }
@@ -127,7 +127,7 @@ fn main() {
 const Shape& corrupted_address() {
     static const Shape shape = {
         UbCategory::FuncCall, "corrupted_address",
-        FixStrategy::SemanticModification, 3,
+        FixStrategy::SemanticModification, 3, "nii",
         R"(fn $0() {
     print_int($2);
 }
@@ -161,7 +161,7 @@ fn main() {
 const Shape& data_as_code() {
     static const Shape shape = {
         UbCategory::FuncCall, "data_as_code",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "ni",
         R"(fn $0() {
     print_int($1);
 }
@@ -197,7 +197,7 @@ fn main() {
 const Shape& narrowed_sig() {
     static const Shape shape = {
         UbCategory::FuncPointer, "narrowed_sig",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "ni",
         R"(fn $0(x: i64) -> i64 {
     return x * $1;
 }
@@ -231,7 +231,7 @@ fn main() {
 const Shape& wrong_arity() {
     static const Shape shape = {
         UbCategory::FuncPointer, "wrong_arity",
-        FixStrategy::SemanticModification, 3,
+        FixStrategy::SemanticModification, 3, "ni",
         R"(fn $0(a: i64, b: i64) -> i64 {
     return a * $1 + b;
 }
@@ -265,7 +265,7 @@ fn main() {
 const Shape& sig_transmute() {
     static const Shape shape = {
         UbCategory::FuncPointer, "sig_transmute",
-        FixStrategy::SafeAlternative, 2,
+        FixStrategy::SafeAlternative, 2, "ni",
         R"(fn $0(x: i64) -> i64 {
     return x + $1;
 }
@@ -300,7 +300,7 @@ fn main() {
 const Shape& wrong_sig() {
     static const Shape shape = {
         UbCategory::TailCall, "wrong_sig",
-        FixStrategy::SemanticModification, 3,
+        FixStrategy::SemanticModification, 3, "ni",
         R"(fn $0(x: i64) -> i64 {
     return x + $1;
 }
@@ -336,7 +336,7 @@ fn main() {
 const Shape& bogus_target() {
     static const Shape shape = {
         UbCategory::TailCall, "bogus_target",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn $0() -> i64 {
     return $1;
 }
@@ -371,7 +371,7 @@ fn main() {
 const Shape& local_escape() {
     static const Shape shape = {
         UbCategory::TailCall, "local_escape",
-        FixStrategy::SemanticModification, 3,
+        FixStrategy::SemanticModification, 3, "i",
         R"(fn read_slot(slot: *const i64) -> i64 {
     unsafe {
         return *slot;

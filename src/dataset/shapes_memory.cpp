@@ -31,7 +31,7 @@ constexpr std::string_view kStoreThenFree = R"(fn main() {
 const Shape& double_free() {
     static const Shape shape = {
         UbCategory::Alloc, "double_free",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "nii",
         R"(fn main() {
     unsafe {
         let $0 = alloc($1, 8);
@@ -55,7 +55,7 @@ const Shape& double_free() {
 const Shape& wrong_layout() {
     static const Shape shape = {
         UbCategory::Alloc, "wrong_layout",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "niii",
         R"(fn main() {
     unsafe {
         let $0 = alloc($1, 8);
@@ -78,7 +78,7 @@ const Shape& wrong_layout() {
 const Shape& leak() {
     static const Shape shape = {
         UbCategory::Alloc, "leak",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn main() {
     unsafe {
         let $0 = alloc($1, 8);
@@ -113,7 +113,7 @@ const Shape& leak() {
 const Shape& use_after_free() {
     static const Shape shape = {
         UbCategory::DanglingPointer, "use_after_free",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "nii",
         R"(fn main() {
     unsafe {
         let $0 = alloc($1, 8);
@@ -136,7 +136,7 @@ const Shape& use_after_free() {
 const Shape& scope_escape() {
     static const Shape shape = {
         UbCategory::DanglingPointer, "scope_escape",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nin",
         R"(fn main() {
     let mut $0 = 0 as *const i32;
     {
@@ -170,7 +170,7 @@ const Shape& scope_escape() {
 const Shape& null_deref() {
     static const Shape shape = {
         UbCategory::DanglingPointer, "null_deref",
-        FixStrategy::AssertionGuard, 2,
+        FixStrategy::AssertionGuard, 2, "nin",
         R"(fn main() {
     let $2 = $1;
     let mut $0 = 0 as *const i32;
@@ -212,7 +212,7 @@ const Shape& null_deref() {
 const Shape& fresh_read() {
     static const Shape shape = {
         UbCategory::Uninit, "fresh_read",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "ni",
         R"(fn main() {
     unsafe {
         let $0 = alloc(8, 8);
@@ -243,7 +243,7 @@ const Shape& fresh_read() {
 const Shape& partial_init() {
     static const Shape shape = {
         UbCategory::Uninit, "partial_init",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nii",
         R"(fn main() {
     unsafe {
         let $0 = alloc($1 * 8, 8);
@@ -295,7 +295,7 @@ const Shape& partial_init() {
 const Shape& conditional_init() {
     static const Shape shape = {
         UbCategory::Uninit, "conditional_init",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "ni",
         R"(fn main() {
     unsafe {
         let $0 = alloc(8, 8);
@@ -337,7 +337,7 @@ const Shape& conditional_init() {
 const Shape& int_roundtrip() {
     static const Shape shape = {
         UbCategory::Provenance, "int_roundtrip",
-        FixStrategy::SafeAlternative, 2,
+        FixStrategy::SafeAlternative, 2, "nni",
         R"(fn main() {
     let $1 = $2;
     let addr = &$1 as *const i32 as usize;
@@ -366,7 +366,7 @@ const Shape& int_roundtrip() {
 const Shape& loop_overrun() {
     static const Shape shape = {
         UbCategory::Provenance, "loop_overrun",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "ni",
         R"(fn main() {
     unsafe {
         let $0 = alloc($1 * 8, 8);
@@ -406,7 +406,7 @@ const Shape& loop_overrun() {
 const Shape& wild_offset() {
     static const Shape shape = {
         UbCategory::Provenance, "wild_offset",
-        FixStrategy::AssertionGuard, 2,
+        FixStrategy::AssertionGuard, 2, "nii",
         R"(fn main() {
     unsafe {
         let $0 = alloc($1 * 8, 8);

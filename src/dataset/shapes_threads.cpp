@@ -14,7 +14,7 @@ using miri::UbCategory;
 const Shape& counter() {
     static const Shape shape = {
         UbCategory::DataRace, "counter",
-        FixStrategy::SafeAlternative, 2,
+        FixStrategy::SafeAlternative, 2, "nni",
         R"(static mut $0: i64 = 0;
 fn $1() {
     unsafe {
@@ -60,7 +60,7 @@ fn main() {
 const Shape& flag() {
     static const Shape shape = {
         UbCategory::DataRace, "flag",
-        FixStrategy::SafeAlternative, 2,
+        FixStrategy::SafeAlternative, 2, "nni",
         R"(static mut $0: i64 = 0;
 fn set_flag() {
     unsafe {
@@ -110,7 +110,7 @@ fn main() {
 const Shape& late_join() {
     static const Shape shape = {
         UbCategory::DataRace, "late_join",
-        FixStrategy::SemanticModification, 3,
+        FixStrategy::SemanticModification, 3, "nni",
         R"(static mut $0: i64 = 0;
 fn $1() {
     unsafe {
@@ -160,7 +160,7 @@ fn main() {
 const Shape& thread_leak() {
     static const Shape shape = {
         UbCategory::Concurrency, "thread_leak",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "nni",
         R"(fn $1() {
     print_int($2);
 }
@@ -189,7 +189,7 @@ fn main() {
 const Shape& double_join() {
     static const Shape shape = {
         UbCategory::Concurrency, "double_join",
-        FixStrategy::SemanticModification, 1,
+        FixStrategy::SemanticModification, 1, "nni",
         R"(fn $1() {
     print_int($2);
 }
@@ -218,7 +218,7 @@ fn main() {
 const Shape& relock() {
     static const Shape shape = {
         UbCategory::Concurrency, "relock",
-        FixStrategy::SemanticModification, 2,
+        FixStrategy::SemanticModification, 2, "nni",
         R"(static mut LOCK: i64 = 0;
 static mut $0: i64 = 0;
 fn main() {

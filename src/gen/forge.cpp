@@ -1,7 +1,6 @@
 #include "gen/forge.hpp"
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -16,12 +15,11 @@ namespace {
 /// Both programs must make it through the lang/ front end before MiriLite
 /// gets involved; the split keeps the rejection stats meaningful. The
 /// compile is cached — validate_case's interpretation reuses it. The
-/// program the generator printed into `source`, when there is one, is
-/// type-checked in place of a parse of the text (DESIGN.md §22).
+/// program the generator printed into `source` is type-checked in place of
+/// a parse of the text (DESIGN.md §22).
 bool front_end_ok(const verify::Oracle& oracle, const std::string& source,
-                  std::optional<lang::Program> printed, bool& parse_ok) {
-    const auto compiled = printed ? oracle.compile(source, std::move(*printed))
-                                  : oracle.compile(source);
+                  lang::Program printed, bool& parse_ok) {
+    const auto compiled = oracle.compile(source, std::move(printed));
     parse_ok =
         compiled->front_end != verify::CompiledProgram::FrontEnd::ParseError;
     return compiled->ok();

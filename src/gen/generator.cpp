@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "analysis/ast_edit.hpp"
+#include "gen/shape_template.hpp"
 #include "lang/ast.hpp"
-#include "lang/parser.hpp"
 #include "lang/printer.hpp"
 
 namespace rustbrain::gen {
@@ -142,19 +142,13 @@ namespace {
 
 using detail::MutationPlan;
 
-/// Parse -> mutate -> print. If the draft source unexpectedly fails to
-/// parse, it is returned unmodified and left for the forge's rejection
-/// sampler to throw out. Otherwise the program is printed respanned and a
-/// clone of it kept in `printed`: the clone's arena is sized from what the
-/// program uses, so a cached copy carries none of the template's growth.
-std::string mutate_source(const std::string& source, const MutationPlan& plan,
-                          std::optional<lang::Program>& printed) {
-    auto program = lang::try_parse(source);
-    if (!program) return source;
-    detail::apply_plan(*program, plan);
-    std::string text = lang::print_respanned(*program);
-    printed = program->clone();
-    return text;
+/// Mutate -> print: applies `plan` to `program`, prints it respanned into
+/// `source`, and returns a clone of it whose arena is sized from what the
+/// program uses, so a cached copy carries none of the mutation's growth.
+lang::Program mutate(lang::Program program, const MutationPlan& plan, std::string& source) {
+    detail::apply_plan(program, plan);
+    source = lang::print_respanned(program);
+    return program.clone();
 }
 
 }  // namespace
@@ -162,18 +156,18 @@ std::string mutate_source(const std::string& source, const MutationPlan& plan,
 namespace detail {
 
 CaseGenerator::Parsed build_case(Draft drafted, const MutationPlan& plan) {
-    CaseGenerator::Parsed parsed;
-    dataset::UbCase& out = parsed.value;
-    out = drafted.shape->render(drafted.args, std::move(drafted.inputs));
-    out.buggy_source = mutate_source(out.buggy_source, plan, parsed.buggy_program);
-    out.reference_fix = mutate_source(out.reference_fix, plan, parsed.fix_program);
+    const dataset::Shape& shape = *drafted.shape;
+    ShapePrograms programs = instantiate(shape, drafted.args);
+    dataset::UbCase out = shape.bare_case(std::move(drafted.inputs));
+    lang::Program buggy = mutate(std::move(programs.buggy), plan, out.buggy_source);
+    lang::Program fix = mutate(std::move(programs.fix), plan, out.reference_fix);
     // Mutations that add real structure make the program harder to read —
     // reflect that in the difficulty the expert-time model and SimLLM see.
     if (plan.nesting >= 2 ||
         plan.front_pads.size() + plan.back_pads.size() >= 3) {
         out.difficulty = std::min(3, out.difficulty + 1);
     }
-    return parsed;
+    return {std::move(out), std::move(buggy), std::move(fix)};
 }
 
 }  // namespace detail

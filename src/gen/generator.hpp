@@ -4,16 +4,17 @@
 // cross-category composition). It is one row of the generator table
 // (GeneratorSpec) plus mutation knobs: the row's draft function picks a
 // shape record, its arguments and trigger inputs from a seeded RNG stream;
-// the generator renders the buggy program and its reference fix from them,
-// then pushes BOTH programs through the lang/ front end — parse, structural
-// AST mutation (nested block wrapping, dead-code padding, never-called
-// helper functions), print — so every emitted case is a genuine mini-Rust
+// the generator instantiates the buggy program and its reference fix from
+// the record's templates, parsed once into programs with holes
+// (gen/shape_template.hpp), then puts BOTH programs through structural AST
+// mutation (nested block wrapping, dead-code padding, never-called helper
+// functions) and prints them — so every emitted case is a genuine mini-Rust
 // program the rest of the system (MiriLite, pruning, vectorization, the
 // engines) can chew on, not a string template. The same mutation plan is
 // applied to the buggy program and the fix, which preserves the
 // semantic-benchmark trace relationship between the two. generate_parsed()
 // also hands back the printed programs, so the forge's Oracle type-checks
-// them without parsing their text again.
+// them without parsing their text.
 //
 // Generation is deterministic: a generator is a pure function of (its
 // configuration, the Rng handed to generate_parsed()). The forge derives
@@ -22,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,15 +76,15 @@ class CaseGenerator final {
     /// One candidate case synthesized from `rng` and, for each of its two
     /// sources, the program printed into it, spans and ids as try_parse of
     /// the text gives them (DESIGN.md §22), so the forge can hand them to
-    /// the Oracle instead of having it parse again. A program is absent
-    /// when its template did not parse; the source is then the template.
-    /// The case's id is the shape name only (e.g. "double_free"); the forge
-    /// composes the final corpus-unique id. The candidate is NOT yet
-    /// validated — the forge's rejection sampler owns that.
+    /// the Oracle instead of having it parse. The case's id is the shape
+    /// name only (e.g. "double_free"); the forge composes the final
+    /// corpus-unique id. The candidate is NOT yet validated — the forge's
+    /// rejection sampler owns that. Throws std::logic_error when the draft's
+    /// arguments do not fit its shape's holes.
     struct Parsed {
         dataset::UbCase value;
-        std::optional<lang::Program> buggy_program;
-        std::optional<lang::Program> fix_program;
+        lang::Program buggy_program;
+        lang::Program fix_program;
     };
     [[nodiscard]] Parsed generate_parsed(support::Rng& rng) const;
 

@@ -93,6 +93,14 @@ TokenKind keyword_or_identifier(std::string_view text) {
 
 }  // namespace
 
+bool is_identifier(std::string_view text) {
+    if (text.empty() || !is_ident_start(text[0])) return false;
+    for (const char c : text) {
+        if (!is_ident_char(c)) return false;
+    }
+    return keyword_or_identifier(text) == TokenKind::Identifier;
+}
+
 Lexer::Lexer(std::string_view source, support::DiagnosticEngine& diagnostics)
     : source_(source), diagnostics_(diagnostics) {}
 

@@ -13,6 +13,10 @@
 
 namespace rustbrain::lang {
 
+/// True when `text` lexes as exactly one identifier token: an ASCII letter
+/// or `_`, then letters, digits and `_`, and not a keyword.
+bool is_identifier(std::string_view text);
+
 class Lexer {
   public:
     Lexer(std::string_view source, support::DiagnosticEngine& diagnostics);

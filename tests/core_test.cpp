@@ -28,10 +28,10 @@ const kb::KnowledgeBase& seeded_kb() {
 
 TEST(FeedbackTest, RecordsAndRanks) {
     FeedbackStore store;
-    store.record("key", "good-rule", {true, true, 100.0});
-    store.record("key", "good-rule", {true, true, 100.0});
-    store.record("key", "meh-rule", {true, false, 100.0});
-    store.record("key", "bad-rule", {false, false, 100.0});
+    store.record("key", "good-rule", {true, true});
+    store.record("key", "good-rule", {true, true});
+    store.record("key", "meh-rule", {true, false});
+    store.record("key", "bad-rule", {false, false});
     const auto preferred = store.preferred_rules("key");
     ASSERT_FALSE(preferred.empty());
     EXPECT_EQ(preferred.front(), "good-rule");
@@ -44,15 +44,15 @@ TEST(FeedbackTest, RecordsAndRanks) {
 TEST(FeedbackTest, ConfidenceNeedsRepeatedSuccess) {
     FeedbackStore store;
     EXPECT_FALSE(store.is_confident("key"));
-    store.record("key", "rule", {true, true, 1.0});
+    store.record("key", "rule", {true, true});
     EXPECT_FALSE(store.is_confident("key"));
-    store.record("key", "rule", {true, true, 1.0});
+    store.record("key", "rule", {true, true});
     EXPECT_TRUE(store.is_confident("key"));
 }
 
 TEST(FeedbackTest, KeysAreIndependent) {
     FeedbackStore store;
-    store.record("a", "rule", {true, true, 1.0});
+    store.record("a", "rule", {true, true});
     EXPECT_TRUE(store.preferred_rules("b").empty());
     EXPECT_EQ(store.key_count(), 1u);
     EXPECT_EQ(store.records(), 1u);
@@ -67,9 +67,9 @@ TEST(FeedbackTest, ScoreArithmetic) {
 }
 
 TEST(FeedbackTest, AbsorbAddsOnlyWhatTheCopyRecorded) {
-    const EvalTriplet success{true, true, 1.0};
-    const EvalTriplet partial{true, false, 1.0};
-    const EvalTriplet failure{false, false, 1.0};
+    const EvalTriplet success{true, true};
+    const EvalTriplet partial{true, false};
+    const EvalTriplet failure{false, false};
     const auto warm_up = [&](FeedbackStore& store) {
         store.record("shared", "a", success);
         store.record("shared", "b", partial);

@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "gen/forge.hpp"
 #include "gen/generator.hpp"
 #include "gen/registry.hpp"
+#include "gen/shape_template.hpp"
 #include "kb/seed.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -295,17 +297,16 @@ std::string render_report(const miri::MiriReport& report) {
     return out;
 }
 
-/// True when `handed` is absent or its kinds, ids and spans equal those of
+/// True when `handed`'s kinds, ids and spans equal those of
 /// try_parse(source), and it prints back to `source`.
-::testing::AssertionResult matches_its_parse(const std::optional<lang::Program>& handed,
+::testing::AssertionResult matches_its_parse(const lang::Program& handed,
                                              const std::string& source) {
-    if (!handed) return ::testing::AssertionSuccess();
     const std::optional<lang::Program> parsed = lang::try_parse(source);
     if (!parsed) return ::testing::AssertionFailure() << "source does not parse";
-    if (lang::tree_digest(*handed) != lang::tree_digest(*parsed)) {
+    if (lang::tree_digest(handed) != lang::tree_digest(*parsed)) {
         return ::testing::AssertionFailure() << "tree digests differ";
     }
-    if (!lang::equals(*handed, *parsed) || lang::print_program(*handed) != source) {
+    if (!lang::equals(handed, *parsed) || lang::print_program(handed) != source) {
         return ::testing::AssertionFailure() << "structure or text differs";
     }
     return ::testing::AssertionSuccess();
@@ -322,6 +323,7 @@ TEST(ForgeTest, HandedProgramsMatchTheParseOfTheirSources) {
     for (const std::uint64_t seed : {7u, 42u}) {
         const dataset::Corpus corpus = forge_corpus(small_forge(seed, 560));
         std::size_t handed = 0;
+        std::size_t attempts = 0;
         for (std::size_t serial = 0; serial < corpus.size(); ++serial) {
             const CaseGenerator& generator = *generators[serial % generators.size()];
             const dataset::UbCase& accepted = corpus.cases()[serial];
@@ -338,13 +340,18 @@ TEST(ForgeTest, HandedProgramsMatchTheParseOfTheirSources) {
                 EXPECT_TRUE(matches_its_parse(parsed.fix_program,
                                               parsed.value.reference_fix))
                     << "seed " << seed << " slot " << serial << " attempt " << attempt;
-                handed += (parsed.buggy_program ? 1 : 0) + (parsed.fix_program ? 1 : 0);
+                for (const lang::Program* program :
+                     {&parsed.buggy_program, &parsed.fix_program}) {
+                    handed += program->find_function("main") != nullptr ? 1 : 0;
+                }
+                ++attempts;
                 found = parsed.value.buggy_source == accepted.buggy_source &&
                         parsed.value.reference_fix == accepted.reference_fix;
             }
             ASSERT_TRUE(found) << "seed " << seed << " slot " << serial;
         }
-        EXPECT_GE(handed, 2 * corpus.size()) << "seed " << seed;
+        EXPECT_GE(attempts, corpus.size()) << "seed " << seed;
+        EXPECT_EQ(handed, 2 * attempts) << "seed " << seed;
     }
 }
 
@@ -358,8 +365,6 @@ TEST(ForgeTest, InstantiatedProgramsMatchTheParseOfTheirText) {
         const support::OptionMap options = support::OptionMap::parse(spec);
         const MutationKnobs knobs = resolve_knobs(options);
         const auto check = [&](const CaseGenerator::Parsed& parsed, const std::string& what) {
-            ASSERT_TRUE(parsed.buggy_program.has_value()) << what;
-            ASSERT_TRUE(parsed.fix_program.has_value()) << what;
             EXPECT_TRUE(matches_its_parse(parsed.buggy_program, parsed.value.buggy_source))
                 << what << " (buggy, knobs '" << spec << "')";
             EXPECT_TRUE(matches_its_parse(parsed.fix_program, parsed.value.reference_fix))
@@ -387,6 +392,79 @@ TEST(ForgeTest, InstantiatedProgramsMatchTheParseOfTheirText) {
             }
         }
     }
+}
+
+TEST(ForgeTest, ArgumentsOfTheWrongKindThrowLogicError) {
+    const dataset::Shape& shape = dataset::shapes::double_free();
+    ASSERT_EQ(shape.holes, "nii");
+    EXPECT_NO_THROW(instantiate(shape, {"p", "8", "41"}));
+    const std::vector<std::vector<std::string>> mismatched = {
+        {"8", "8", "41"},                     // an integer for a name
+        {"p", "q", "41"},                     // a name for an integer
+        {"fn", "8", "41"},                    // a keyword for a name
+        {"p q", "8", "41"},                   // two tokens
+        {"p", "-8", "41"},                    // a negative integer
+        {"p", "0x8", "41"},                   // not decimal
+        {"p", "18446744073709551616", "41"},  // past u64
+        {"p", "", "41"},
+        {"p", "8"},                           // one argument short
+        {"p", "8", "41", "4"},                // one too many
+    };
+    for (const std::vector<std::string>& args : mismatched) {
+        EXPECT_THROW(instantiate(shape, args), std::logic_error) << args[0] << " " << args[1];
+    }
+    // Through the generator's path too, before any program is built.
+    EXPECT_THROW(detail::build_case(Draft{&shape, {"8", "8", "41"}}, detail::MutationPlan{}),
+                 std::logic_error);
+    // A copy of a record is not one of the records.
+    const dataset::Shape stray = shape;
+    EXPECT_THROW(instantiate(stray, {"p", "8", "41"}), std::logic_error);
+}
+
+TEST(ForgeTest, TemplatesWithAHoleOutOfPlaceThrowLogicError) {
+    dataset::Shape shape = dataset::shapes::double_free();  // holes "nii"
+    const auto builds = [&](std::string_view templ) {
+        return gen::detail::parse_holed(shape, templ).find_function("main") != nullptr;
+    };
+    EXPECT_TRUE(builds("fn main() { let $0: [u8; $1] = [$2; $1]; print_int($0[0] as i64); }"));
+    EXPECT_TRUE(builds("static mut $0: i64 = $1; fn main() { $0(); }"));
+    const char* misplaced[] = {
+        "fn main() { let x$0 = 1; }",         // joined to a name
+        "fn main() { let $0x = 1; }",
+        "fn main() { let x = 1$1; }",         // joined to an integer
+        "fn main() { let x = 1; } // $0",     // in a comment
+        "fn main() { let $1 = 1; }",          // an integer hole as a name
+        "fn main() { let x: [u8; $0] = 0; }", // a name hole as a length
+        "fn main() { let x = $9; }",          // past the shape's holes
+        "fn main() { let x = __hole1; }",     // a stand-in of the wrong kind
+        "fn main( { }",                       // does not parse
+    };
+    for (const char* templ : misplaced) {
+        EXPECT_THROW(gen::detail::parse_holed(shape, templ), std::logic_error) << templ;
+    }
+    shape.holes = "nx";
+    EXPECT_THROW(gen::detail::parse_holed(shape, "fn main() { }"), std::logic_error);
+}
+
+TEST(ForgeTest, ConcurrentForgesShareTheTemplates) {
+    // Four threads forge seed 42 at once, the first of them building the
+    // templates, each through its own Oracle; every corpus must equal a
+    // serial forge byte for byte.
+    std::vector<std::string> forged(4);
+    std::vector<std::thread> threads;
+    for (std::string& text : forged) {
+        threads.emplace_back([&text] {
+            verify::OracleOptions oracle_options;
+            oracle_options.cache = std::make_shared<verify::VerifyCache>();
+            const verify::Oracle oracle(oracle_options);
+            ForgeOptions options = small_forge(42, 560);
+            options.oracle = &oracle;
+            text = corpus_to_string(forge_corpus(options));
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const std::string serial = corpus_to_string(forge_corpus(small_forge(42, 560)));
+    for (const std::string& text : forged) EXPECT_EQ(text, serial);
 }
 
 TEST(ForgeTest, HandedProgramsReportLikeAParse) {
