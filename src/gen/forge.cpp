@@ -12,17 +12,14 @@ namespace rustbrain::gen {
 
 namespace {
 
-/// Both programs must make it through the lang/ front end before MiriLite
+/// Both programs must make it through the type checker before MiriLite
 /// gets involved; the split keeps the rejection stats meaningful. The
 /// compile is cached — validate_case's interpretation reuses it. The
 /// program the generator printed into `source` is type-checked in place of
 /// a parse of the text (DESIGN.md §22).
 bool front_end_ok(const verify::Oracle& oracle, const std::string& source,
-                  lang::Program printed, bool& parse_ok) {
-    const auto compiled = oracle.compile(source, std::move(printed));
-    parse_ok =
-        compiled->front_end != verify::CompiledProgram::FrontEnd::ParseError;
-    return compiled->ok();
+                  lang::Program printed) {
+    return oracle.compile(source, std::move(printed))->ok();
 }
 
 std::string serial_tag(std::size_t serial) {
@@ -74,16 +71,11 @@ dataset::Corpus forge_corpus(const ForgeOptions& options, ForgeStats* stats) {
                            serial_tag(serial);
             ++s.attempts;
 
-            bool parse_ok = true;
             if (!front_end_ok(oracle, candidate.buggy_source,
-                              std::move(generated.buggy_program), parse_ok) ||
+                              std::move(generated.buggy_program)) ||
                 !front_end_ok(oracle, candidate.reference_fix,
-                              std::move(generated.fix_program), parse_ok)) {
-                if (parse_ok) {
-                    ++s.rejected_typecheck;
-                } else {
-                    ++s.rejected_parse;
-                }
+                              std::move(generated.fix_program))) {
+                ++s.rejected_typecheck;
                 continue;
             }
             if (!dataset::validate_case(candidate, oracle).ok()) {

@@ -1,8 +1,8 @@
 // forge_corpus — deterministic rejection-sampled corpus generation.
 //
 // Cases are drawn round-robin from the selected generators. Every candidate
-// must earn its place: it is accepted only if both programs parse and
-// typecheck, the buggy program fails MiriLite with the generator's declared
+// must earn its place: it is accepted only if both programs typecheck,
+// the buggy program fails MiriLite with the generator's declared
 // UbCategory, and the reference fix passes (dataset::validate_case — the
 // exact contract the hand-written corpus is held to). Rejected candidates
 // are resampled from a fresh attempt-indexed RNG stream, so the output is a
@@ -47,6 +47,8 @@ struct ForgeOptions {
 
 struct ForgeStats {
     std::size_t attempts = 0;
+    /// Always 0: a forged program is instantiated from templates that
+    /// parsed when they were built, never parsed itself (DESIGN.md §22).
     std::size_t rejected_parse = 0;
     std::size_t rejected_typecheck = 0;
     std::size_t rejected_validation = 0;

@@ -177,47 +177,6 @@ std::size_t count_placeholders(std::string_view templ, std::size_t holes) {
     return count;
 }
 
-}  // namespace
-
-namespace detail {
-
-lang::Program parse_holed(const dataset::Shape& shape, std::string_view templ) {
-    if (shape.holes.size() > 10) {
-        throw std::logic_error(shape_error(shape, "more than ten holes"));
-    }
-    std::vector<std::string> stand_ins;
-    for (std::size_t hole = 0; hole < shape.holes.size(); ++hole) {
-        switch (shape.holes[hole]) {
-            case 'n':
-                stand_ins.push_back(std::string(kNameHole) + static_cast<char>('0' + hole));
-                break;
-            case 'i':
-                stand_ins.push_back(std::to_string(kIntHole + hole));
-                break;
-            default:
-                throw std::logic_error(shape_error(shape, "hole kinds are 'n' and 'i'"));
-        }
-    }
-    std::string error;
-    std::optional<lang::Program> program =
-        lang::try_parse(dataset::fill_template(templ, stand_ins), &error);
-    if (!program) {
-        throw std::logic_error(shape_error(shape, "a template does not parse: " + error));
-    }
-    HoleWalk check(*program, shape, nullptr);
-    for (lang::StaticItem& item : program->statics) check.item(item);
-    for (lang::FnItem& fn : program->functions) check.item(fn);
-    if (check.sites() != count_placeholders(templ, shape.holes.size())) {
-        throw std::logic_error(
-            shape_error(shape, "a template holds a hole where no name or integer goes"));
-    }
-    return std::move(*program);
-}
-
-}  // namespace detail
-
-namespace {
-
 struct HoledShape {
     const dataset::Shape* shape;
     lang::Program buggy;
@@ -301,5 +260,42 @@ ShapePrograms instantiate(const dataset::Shape& shape, const std::vector<std::st
     const std::vector<Arg> checked = check_args(shape, args);
     return {fill(templates.buggy, shape, checked), fill(templates.fix, shape, checked)};
 }
+
+namespace detail {
+
+lang::Program parse_holed(const dataset::Shape& shape, std::string_view templ) {
+    if (shape.holes.size() > 10) {
+        throw std::logic_error(shape_error(shape, "more than ten holes"));
+    }
+    std::vector<std::string> stand_ins;
+    for (std::size_t hole = 0; hole < shape.holes.size(); ++hole) {
+        switch (shape.holes[hole]) {
+            case 'n':
+                stand_ins.push_back(std::string(kNameHole) + static_cast<char>('0' + hole));
+                break;
+            case 'i':
+                stand_ins.push_back(std::to_string(kIntHole + hole));
+                break;
+            default:
+                throw std::logic_error(shape_error(shape, "hole kinds are 'n' and 'i'"));
+        }
+    }
+    std::string error;
+    std::optional<lang::Program> program =
+        lang::try_parse(dataset::fill_template(templ, stand_ins), &error);
+    if (!program) {
+        throw std::logic_error(shape_error(shape, "a template does not parse: " + error));
+    }
+    HoleWalk check(*program, shape, nullptr);
+    for (lang::StaticItem& item : program->statics) check.item(item);
+    for (lang::FnItem& fn : program->functions) check.item(fn);
+    if (check.sites() != count_placeholders(templ, shape.holes.size())) {
+        throw std::logic_error(
+            shape_error(shape, "a template holds a hole where no name or integer goes"));
+    }
+    return std::move(*program);
+}
+
+}  // namespace detail
 
 }  // namespace rustbrain::gen
